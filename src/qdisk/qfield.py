@@ -9,13 +9,26 @@ leading coefficient, and the pair carries overall integer content 1.
 Zero is always the pair (0, 1).
 
 Polynomials are plain tuples of ints, coefficient of q^i at index i, no
-trailing zeros.  Negative powers of q are ordinary fractions here (for
-example q^-2 is 1/q^2); there is no separate Laurent type.
+trailing zeros.  Negative powers of q are ordinary fractions (q^-2 is
+1/q^2), but a denominator that is a power of q (1 included) takes a fast
+path in `+`, `-` and `*`: such a Laurent polynomial n/q^k has content-1,
+positive denominator and n prime to q, so the sum or product needs no gcd,
+only a shift of the numerators and the cancelling of common powers of q.
+
+Every other field operation cancels a gcd.  `poly_gcd` tries the
+heuristic GCD of Char, Geddes and Gonnet (J. Symbolic Comput. 1989)
+first: evaluate at a power of two, take the integer gcd, read the
+polynomial back from its symmetric digits and keep it only when it
+divides both inputs exactly.  That check also yields the cofactors, which
+the field operations use in place of dividing again.  When no evaluation
+point gives such a candidate, the primitive PRS gcd `_prs_gcd` decides;
+it is also the oracle the tests compare the heuristic against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,21 +115,28 @@ def poly_eval(a: Coeffs, x: Fraction) -> Fraction:
 
 
 def poly_divexact(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Quotient a / b when the division is known to be exact over Z[q]."""
+    """Quotient a / b over Z[q]; ArithmeticError unless b divides a exactly."""
     if not a:
         return ()
-    lb = b[-1]
-    quot = [0] * (len(a) - len(b) + 1)
+    lb, nb = b[-1], len(b)
+    low = b[:-1]
+    quot = [0] * (len(a) - nb + 1)
     rem = list(a)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
+    for k in range(len(a) - nb, -1, -1):
+        c = rem[k + nb - 1]
         if c:
             if c % lb:
                 raise ArithmeticError("inexact polynomial division")
             qc = c // lb
             quot[k] = qc
-            for i, bc in enumerate(b):
-                rem[k + i] -= qc * bc
+            # rem[k + nb - 1] is never read again, so it is left as is
+            i = k
+            for bc in low:
+                if bc:
+                    rem[i] -= qc * bc
+                i += 1
+    if any(rem[:nb - 1]):
+        raise ArithmeticError("inexact polynomial division")
     return poly_from_coeffs(quot)
 
 
@@ -146,7 +166,7 @@ def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(r)
 
 
-def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
+def _prs_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     """Primitive gcd with positive leading coefficient (primitive PRS)."""
     if not a:
         if not b:
@@ -175,6 +195,94 @@ def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     if v:
         a = (0,) * v + a
     return a
+
+
+# evaluation points tried by the heuristic gcd before the PRS decides
+_HEU_POINTS = 6
+
+
+def _heu_gcd(a: Coeffs, b: Coeffs):
+    """(h, a/h, b/h) by the heuristic GCD, or None when it finds no h.
+
+    a and b are nonzero with nonzero constant terms; h is their primitive
+    gcd with positive leading coefficient.  A candidate h is accepted only
+    when it divides both inputs, and then it is the gcd.  Proof: write the
+    true gcd as h*k.  The integer gcd at x is c*h(x) with c the content of
+    the interpolant, and h(x)*k(x) divides it, so |k(x)| <= |c| <= x/2
+    (the digits are symmetric).  Every root z of a or b, and so of k, has
+    |z| <= 1 + M (Cauchy), M the smaller max norm of a and b.  Since
+    x > 2M + 2, a nonconstant k would have |k(x)| >= x - 1 - M > x/2.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    # x = 2^s > 2M + 2 makes the check sound; the 8 spare bits make a point
+    # rare where the values share a spurious factor that spoils the digits
+    s = (2 * min(max(map(abs, a)), max(map(abs, b))) + 3).bit_length() + 8
+    for _ in range(_HEU_POINTS):
+        h = _from_digits(math.gcd(_eval_shift(a, s), _eval_shift(b, s)), s)
+        if len(h) == 1:
+            return (1,), a, b
+        c = poly_content(h)
+        if h[-1] < 0:
+            c = -c
+        if c != 1:
+            h = tuple(x // c for x in h)
+        try:
+            return h, poly_divexact(a, h), poly_divexact(b, h)
+        except ArithmeticError:
+            s += s // 4 + 3
+    return None
+
+
+def _eval_shift(a: Coeffs, s: int) -> int:
+    """a evaluated at q = 2^s."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << s) + c
+    return acc
+
+
+def _from_digits(n: int, s: int) -> Coeffs:
+    """The polynomial with symmetric base-2^s digits of n as coefficients."""
+    x = 1 << s
+    mask, half = x - 1, x >> 1
+    out = []
+    while n:
+        d = n & mask
+        if d > half:
+            d -= x
+        out.append(d)
+        n = (n - d) >> s
+    return tuple(out)
+
+
+def _gcd_cofactors(a: Coeffs, b: Coeffs) -> tuple:
+    """(g, a/g, b/g) for nonzero a and b, where g = poly_gcd(a, b)."""
+    va = vb = 0
+    while not a[va]:
+        va += 1
+    while not b[vb]:
+        vb += 1
+    a1, b1 = a[va:], b[vb:]
+    found = _heu_gcd(a1, b1)
+    if found is None:
+        h = _prs_gcd(a1, b1)
+        found = h, poly_divexact(a1, h), poly_divexact(b1, h)
+    if not va and not vb:
+        return found
+    h, ca, cb = found
+    v = min(va, vb)
+    return (0,) * v + h, (0,) * (va - v) + ca, (0,) * (vb - v) + cb
+
+
+def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Primitive gcd with positive leading coefficient.
+
+    The heuristic gcd answers first; the primitive PRS decides when it
+    cannot, and for zero inputs."""
+    if not a or not b:
+        return _prs_gcd(a, b)
+    return _gcd_cofactors(a, b)[0]
 
 
 def poly_str(a: Coeffs, var: str = "q") -> str:
@@ -208,10 +316,7 @@ def _reduce(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     if den == (1,):
         return num, den
     # cancel the polynomial gcd
-    g = poly_gcd(num, den)
-    if len(g) > 1 or g[0] != 1:
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
+    _, num, den = _gcd_cofactors(num, den)
     # overall content of the pair
     c = math.gcd(poly_content(num), poly_content(den))
     if c > 1:
@@ -223,13 +328,41 @@ def _reduce(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     return num, den
 
 
+def _normal(num: Coeffs, den: Coeffs) -> "QRat":
+    return QRat(*_reduce(num, den), _canonical=True)
+
+
+def _is_qpow(den: Coeffs) -> bool:
+    """Whether a canonical denominator is q^k (k = len(den) - 1)."""
+    return den[-1] == 1 and den.count(0) == len(den) - 1
+
+
+def _laurent(cs: Sequence, k: int) -> "QRat":
+    """cs / q^k in canonical form.
+
+    cs is a sum or product of canonical Laurent numerators, so the only
+    factor it can share with q^k is a power of q: stripping that is the
+    whole reduction."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    if not n:
+        return ZERO
+    m = 0
+    while m < k and not cs[m]:
+        m += 1
+    return QRat(tuple(cs[m:n]), QRat.q_power(m - k).den, _canonical=True)
+
+
 PolyLike = Union[int, Sequence]
 
 
 def _as_poly(x: PolyLike) -> Coeffs:
-    if isinstance(x, int):
+    if type(x) is int:
         return (x,) if x else ()
-    return poly_from_coeffs(x)
+    if isinstance(x, Sequence) and all(type(c) is int for c in x):
+        return poly_from_coeffs(x)
+    raise ValueError(f"Q(q) coefficients must be ints, got {x!r}")
 
 
 class QRat:
@@ -289,13 +422,25 @@ class QRat:
         if not other.num:
             return self
         b, d = self.den, other.den
+        if _is_qpow(b) and _is_qpow(d):
+            # n1/q^k1 + n2/q^k2 = (n1 + q^(k1-k2) n2)/q^k1 for k1 >= k2
+            n1, k1, n2, k2 = self.num, len(b) - 1, other.num, len(d) - 1
+            if k1 < k2:
+                n1, k1, n2, k2 = n2, k2, n1, k1
+            if k1 > k2:
+                n2 = (0,) * (k1 - k2) + n2
+            if len(n1) < len(n2):
+                n1, n2 = n2, n1
+            out = list(map(operator.add, n1, n2))
+            out += n1[len(n2):]
+            return _laurent(out, k1)
         if b == d:
-            return QRat(poly_add(self.num, other.num), b)
+            return _normal(poly_add(self.num, other.num), b)
         if b == (1,):
-            return QRat(poly_add(poly_mul(self.num, d), other.num), d)
+            return _normal(poly_add(poly_mul(self.num, d), other.num), d)
         if d == (1,):
-            return QRat(poly_add(self.num, poly_mul(other.num, b)), b)
-        g = poly_gcd(b, d)
+            return _normal(poly_add(self.num, poly_mul(other.num, b)), b)
+        g, b1, d1 = _gcd_cofactors(b, d)
         if g == (1,):
             num = poly_add(poly_mul(self.num, d), poly_mul(other.num, b))
             den = poly_mul(b, d)
@@ -309,10 +454,8 @@ class QRat:
             if den[-1] < 0:
                 num, den = poly_neg(num), poly_neg(den)
             return QRat(num, den, _canonical=True)
-        b1 = poly_divexact(b, g)
-        d1 = poly_divexact(d, g)
         t = poly_add(poly_mul(self.num, d1), poly_mul(other.num, b1))
-        return QRat(t, poly_mul(b1, d))
+        return _normal(t, poly_mul(b1, d))
 
     __radd__ = __add__
 
@@ -339,22 +482,18 @@ class QRat:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if _is_qpow(d1) and _is_qpow(d2):
+            return _laurent(poly_mul(n1, n2), len(d1) + len(d2) - 2)
         if self.is_one():
             return other
         if other.is_one():
             return self
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # cross-cancel before multiplying to keep intermediates small
         if d2 != (1,):
-            g = poly_gcd(n1, d2)
-            if g != (1,):
-                n1 = poly_divexact(n1, g)
-                d2 = poly_divexact(d2, g)
+            _, n1, d2 = _gcd_cofactors(n1, d2)
         if d1 != (1,):
-            g = poly_gcd(n2, d1)
-            if g != (1,):
-                n2 = poly_divexact(n2, g)
-                d1 = poly_divexact(d1, g)
+            _, n2, d1 = _gcd_cofactors(n2, d1)
         num = poly_mul(n1, n2)
         den = poly_mul(d1, d2)
         c = math.gcd(poly_content(num), poly_content(den))
@@ -412,7 +551,13 @@ class QRat:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.num, self.den))
+            num = self.num
+            if self.den == (1,) and len(num) <= 1:
+                # an integer constant hashes as its int, as == says they are equal
+                h = hash(num[0] if num else 0)
+            else:
+                h = hash((num, self.den))
+            self._hash = h
         return h
 
     def __str__(self):
@@ -488,7 +633,12 @@ def int_to_json(c: int):
 
 
 def int_from_json(c) -> int:
-    return int(c)
+    """An int or a decimal string; floats and bools are not integers here."""
+    if type(c) is int:
+        return c
+    if isinstance(c, str):
+        return int(c)
+    raise ValueError(f"expected an integer or a decimal string, got {c!r}")
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdisk import qfield
 from qdisk.qfield import (
     ONE,
     QRat,
     ZERO,
     LinearSolution,
+    _gcd_cofactors,
+    _prs_gcd,
+    _reduce,
+    int_from_json,
+    poly_add,
+    poly_divexact,
     poly_gcd,
     poly_mul,
     qnumber,
@@ -234,3 +241,168 @@ def test_json_round_trip_with_big_ints():
 @given(rationals())
 def test_json_round_trip(x):
     assert QRat.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("obj", [
+    {"num": [1.9], "den": [1]},
+    {"num": [1], "den": [2.0]},
+    {"num": [True], "den": [1]},
+    {"num": [1], "den": [False, 1]},
+    {"num": [None], "den": [1]},
+    {"num": ["1.5"], "den": [1]},
+])
+def test_from_json_rejects_non_integers(obj):
+    with pytest.raises(ValueError):
+        QRat.from_json(obj)
+
+
+def test_int_from_json_accepts_ints_and_decimal_strings():
+    assert int_from_json(7) == 7
+    assert int_from_json("-123456789012345678901234567890") == -123456789012345678901234567890
+    for bad in (1.0, True, None, [1]):
+        with pytest.raises(ValueError):
+            int_from_json(bad)
+
+
+@pytest.mark.parametrize("num, den", [
+    ((1.5,), 1), (1.5, 1), ((1,), (2.0,)), (True, 1), ((1, False), 1), ("12", 1),
+])
+def test_constructor_rejects_non_int_coefficients(num, den):
+    with pytest.raises(ValueError):
+        QRat(num, den)
+
+
+# ---------------------------------------------------------------- hashing
+
+
+@given(st.integers(-(2 ** 70), 2 ** 70))
+def test_integer_constants_hash_as_ints(n):
+    assert QRat(n) == n
+    assert hash(QRat(n)) == hash(n)
+    assert hash(QRat.from_int(n)) == hash(n)
+    assert {n: "x"}[QRat((n,), (1,))] == "x"
+
+
+# ---------------------------------------------------------------- exact division
+
+
+def test_divexact_rejects_a_remainder():
+    with pytest.raises(ArithmeticError):
+        poly_divexact((1, 0, 1), (1, 1))  # (1 + q^2)/(1 + q) leaves 2
+    with pytest.raises(ArithmeticError):
+        poly_divexact((1,), (1, 1))       # lower degree than the divisor
+    with pytest.raises(ArithmeticError):
+        poly_divexact((1, 2), (2,))       # not divisible over Z
+
+
+@given(nonzero_polys, nonzero_polys)
+def test_divexact_inverts_mul(a, b):
+    a, b = qfield.poly_from_coeffs(a), qfield.poly_from_coeffs(b)
+    assert poly_divexact(poly_mul(a, b), b) == a
+    assert poly_divexact((), b) == ()
+
+
+# ---------------------------------------------------------------- gcd: heuristic vs PRS oracle
+
+big_ints = st.integers(-(2 ** 48), 2 ** 48)
+
+
+@st.composite
+def gcd_factor(draw):
+    """A factor for planted gcd inputs: random, 1 - q^k, q^k or a big constant."""
+    kind = draw(st.sampled_from(["poly", "poly", "cyclic", "qpow", "big"]))
+    if kind == "cyclic":
+        k = draw(st.integers(1, 8))
+        return (1,) + (0,) * (k - 1) + (-1,)
+    if kind == "qpow":
+        return (0,) * draw(st.integers(1, 4)) + (1,)
+    if kind == "big":
+        return (draw(big_ints.filter(bool)),)
+    cs = draw(st.lists(st.one_of(st.integers(-9, 9), big_ints), min_size=1, max_size=6))
+    cs = qfield.poly_from_coeffs(cs)
+    return cs or (1,)
+
+
+def _product(fs):
+    out = (1,)
+    for f in fs:
+        out = poly_mul(out, f)
+    return out
+
+
+planted_pairs = st.builds(
+    lambda common, ra, rb: (_product(common + ra), _product(common + rb)),
+    st.lists(gcd_factor(), max_size=4),
+    st.lists(gcd_factor(), max_size=3),
+    st.lists(gcd_factor(), max_size=3),
+)
+
+
+@given(planted_pairs)
+@settings(max_examples=150)
+def test_heuristic_gcd_matches_prs_oracle(pair):
+    a, b = pair
+    g = poly_gcd(a, b)
+    assert g == _prs_gcd(a, b)
+    g2, ca, cb = _gcd_cofactors(a, b)
+    assert g2 == g
+    assert poly_mul(g, ca) == a and poly_mul(g, cb) == b
+
+
+def test_heuristic_answers_the_planted_cases():
+    # (1 - q^6) and (1 - q^4) share (1 - q^2); big coefficients ride along
+    c = 2 ** 45 + 7
+    a = poly_mul((1, 0, 0, 0, 0, 0, -1), (c, 1))
+    b = poly_mul((1, 0, 0, 0, -1), (3, -c, 1))
+    h, ca, cb = qfield._heu_gcd(a, b)
+    assert h == _prs_gcd(a, b) == (-1, 0, 1)
+    assert poly_mul(h, ca) == a and poly_mul(h, cb) == b
+
+
+@given(planted_pairs, rationals(), rationals())
+@settings(max_examples=60)
+def test_forced_fallback_gives_identical_results(pair, x, y):
+    a, b = pair
+    expected = (poly_gcd(a, b), _gcd_cofactors(a, b),
+                [(r.num, r.den) for r in (x + y, x - y, x * y, QRat(x.num, y.num or (1,)))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfield, "_heu_gcd", lambda a, b: None)
+        got = (poly_gcd(a, b), _gcd_cofactors(a, b),
+               [(r.num, r.den) for r in (x + y, x - y, x * y, QRat(x.num, y.num or (1,)))])
+    assert got == expected
+
+
+# ---------------------------------------------------------------- Laurent fast path
+
+
+@st.composite
+def laurent(draw):
+    """A canonical n / q^k with coefficients up to 40+ bits."""
+    k = draw(st.integers(0, 5))
+    num = draw(st.lists(st.one_of(st.integers(-9, 9), big_ints), max_size=6))
+    return QRat(num, (0,) * k + (1,))
+
+
+def _assert_canonical(x):
+    if not x.num:
+        assert (x.num, x.den) == ((), (1,))
+        return
+    assert x.den[-1] > 0
+    assert _prs_gcd(x.num, x.den) == (1,)
+    assert math.gcd(*x.num, *x.den) == 1
+
+
+@given(laurent(), laurent())
+@settings(max_examples=150)
+def test_laurent_fast_path_matches_generic_reduce(x, y):
+    assert qfield._is_qpow(x.den) and qfield._is_qpow(y.den)
+    cross = (poly_mul(x.num, y.den), poly_mul(y.num, x.den))
+    den = poly_mul(x.den, y.den)
+    routes = [
+        (x + y, _reduce(poly_add(*cross), den)),
+        (x - y, _reduce(poly_add(cross[0], tuple(-c for c in cross[1])), den)),
+        (x * y, _reduce(poly_mul(x.num, y.num), den)),
+    ]
+    for fast, generic in routes:
+        assert (fast.num, fast.den) == generic
+        _assert_canonical(fast)
