@@ -385,11 +385,15 @@ def _parse_grid(text: str) -> dict:
                 values.extend(range(int(lo), int(hi) + 1))
             else:
                 values.append(int(piece))
+        if not values:
+            raise ValueError(f"grid clause {clause!r} selects no values")
         grid[name] = values
     return grid
 
 
 def _cmd_suite(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     grid = _parse_grid(args.grid)
     variants = ("final", "precursor") if args.variant == "both" else (args.variant,)
     cases = [(l, m, alpha, variant)

@@ -62,10 +62,6 @@ def poly_neg(a: Coeffs) -> Coeffs:
     return tuple(-c for c in a)
 
 
-def poly_sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return poly_add(a, poly_neg(b))
-
-
 def poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()
@@ -80,14 +76,6 @@ def poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
                 if cb:
                     out[i + j] += ca * cb
     return poly_from_coeffs(out)
-
-
-def poly_scale(a: Coeffs, c: int) -> Coeffs:
-    if c == 0:
-        return ()
-    if c == 1:
-        return a
-    return tuple(x * c for x in a)
 
 
 def poly_content(a: Coeffs) -> int:
@@ -607,7 +595,6 @@ ONE = QRat((1,), (1,), _canonical=True)
 _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
               2: QRat((2,), (1,), _canonical=True)}
 _QPOW_CACHE: dict = {0: ONE}
-Q = QRat.q_power(1)
 
 
 def qrat_arith(a: QRat, b: QRat, op: str) -> QRat:
@@ -678,7 +665,9 @@ def qnumber(m: int, base_exp: int) -> QRat:
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra over Q(q)
+# exact linear algebra over Q(q): one sparse Gauss-Jordan engine.  The
+# systems of the U_q(gl(n)) action hold about one nonzero per row, so rows
+# are {col: nonzero} dicts and the work scales with the nonzeros.
 
 
 @dataclass
@@ -690,40 +679,65 @@ class LinearSolution:
     nullspace: list                  # list[list[QRat]], basis of the homogeneous space
 
 
-def solve_linear(matrix: Sequence[Sequence[QRat]], rhs: Sequence[QRat]) -> LinearSolution:
-    """Solve M x = rhs exactly over Q(q) by reduced row echelon form."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots: list[int] = []
-    r = 0
+def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:
+    """Solve the system of augmented rows {col: QRat} (right-hand side at
+    key ncols) by reduced row echelon form.
+
+    Each column in turn pivots on its candidate row with the fewest
+    nonzeros (Markowitz 1957; ties to the lowest index), is scaled to 1 and
+    cleared from every other row; cancelled entries are dropped.  The RREF
+    is unique, so pivot order cannot change the result: `particular` (free
+    columns 0) and the `nullspace` basis (free column 1, each pivot column
+    minus its row's entry there) equal those of any Gauss-Jordan order.
+    """
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    index = [set() for _ in range(ncols + 1)]  # col -> rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            if not 0 <= c <= ncols:
+                raise ValueError(f"column {c} outside 0..{ncols}")
+            index[c].add(i)
+    col_of: dict = {}  # pivot row -> its column
     for col in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    consistent = all(not aug[i][ncols] for i in range(r, nrows))
+        cands = index[col] - col_of.keys()
+        if cands:
+            r = min(cands, key=lambda i: (len(rows[i]), i))
+            inv = rows[r][col].inverse()
+            prow = rows[r] = {c: x * inv for c, x in rows[r].items()}
+            for i in index[col] - {r}:
+                row = rows[i]
+                f = row[col]
+                for c, x in prow.items():
+                    y = row.get(c, ZERO) - f * x
+                    if y:
+                        row[c] = y
+                        index[c].add(i)
+                    elif c in row:
+                        del row[c]
+                        index[c].discard(i)
+            col_of[r] = col
+    # rows that never pivoted are now empty but for the right-hand side
+    consistent = not index[ncols] - col_of.keys()
     particular = None
     if consistent:
         particular = [ZERO] * ncols
-        for i, col in enumerate(pivots):
-            particular[col] = aug[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+        for r in index[ncols]:
+            particular[col_of[r]] = rows[r][ncols]
     nullspace = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(col_of.values())):
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for i, col in enumerate(pivots):
-            vec[col] = -aug[i][fc]
+        for r in index[fc]:
+            vec[col_of[r]] = -rows[r][fc]
         nullspace.append(vec)
     return LinearSolution(consistent, particular, nullspace)
+
+
+def solve_linear(matrix: Sequence[Sequence[QRat]], rhs: Sequence[QRat]) -> LinearSolution:
+    """Solve M x = rhs exactly over Q(q); M is dense, one list per row."""
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("matrix rows must all have the same length")
+    if len(rhs) != len(matrix):
+        raise ValueError(f"rhs has {len(rhs)} entries for {len(matrix)} matrix rows")
+    return solve_sparse([dict(enumerate([*row, b])) for row, b in zip(matrix, rhs)], ncols)

@@ -12,14 +12,15 @@ moves whose coefficients are q-integers in base q^-2:
 
 with [m] = (1 - q^(-2m))/(1 - q^(-2)).  Invariance under the rank-p
 subalgebra means being fixed by q^(e_i) for i <= p and killed by e_k, f_k
-for k <= p-1; invariant slices are carved out by exact linear solving.
+for k <= p-1.  An invariant slice is the nullspace of these conditions,
+given as sparse rows to the exact solver `qfield.solve_sparse`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .qfield import ONE, QRat, ZERO, qnumber, solve_linear
+from .qfield import ONE, QRat, ZERO, qnumber, solve_sparse
 from .zalgebra import ZElement, _accum
 
 Weight = Sequence
@@ -85,16 +86,12 @@ def act_e(k: int, a: ZElement) -> ZElement:
     return ZElement(a.rank, out)
 
 
-def _unit_weight(i: int, rank: int) -> tuple:
-    return tuple(1 if t == i - 1 else 0 for t in range(rank))
-
-
 def is_invariant(a: ZElement, p: int) -> bool:
     """Invariance under the rank-p subalgebra (1 <= p <= rank)."""
     if not 1 <= p <= a.rank:
         raise ValueError(f"subalgebra rank {p} out of range for rank {a.rank}")
-    for i in range(1, p + 1):
-        if act_qh(_unit_weight(i, a.rank), a) != a:
+    for i in range(p):
+        if act_qh([int(t == i) for t in range(a.rank)], a) != a:
             return False
     for k in range(1, p):
         if not act_e(k, a).is_zero() or not act_f(k, a).is_zero():
@@ -114,34 +111,23 @@ def _slice_keys(l: int, m: int, n: int) -> list:
 def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
     """Basis of the rank-p invariants inside the bidegree-(l, m) slice of Z_n.
 
-    Assembles the fixed-point and kernel conditions over the monomial
-    basis and extracts the nullspace exactly.  For p = 1 only the weight
-    conditions apply (the subalgebra has no ladder generators)."""
+    Sparse condition rows: one entry per weight condition, then the images
+    of e_k, f_k transposed from their terms (none for p = 1)."""
     if l < 0 or m < 0:
         raise ValueError("bidegree components must be nonnegative")
     if not 1 <= p <= n:
         raise ValueError(f"subalgebra rank {p} out of range for rank {n}")
     keys = _slice_keys(l, m, n)
-    index = {key: t for t, key in enumerate(keys)}
     rows = []
-    for (lam, mu) in keys:
-        for i in range(p):
-            if lam[i] != mu[i]:
-                row = [ZERO] * len(keys)
-                row[index[(lam, mu)]] = QRat.q_power(lam[i] - mu[i]) - ONE
-                rows.append(row)
-                break
+    for t, (lam, mu) in enumerate(keys):
+        i = next((i for i in range(p) if lam[i] != mu[i]), None)
+        if i is not None:
+            rows.append({t: QRat.q_power(lam[i] - mu[i]) - ONE})
     for k in range(1, p):
         for op in (act_e, act_f):
-            images = [op(k, ZElement(n, {key: ONE})) for key in keys]
-            out_keys = sorted({kk for im in images for kk in im.terms})
-            for kk in out_keys:
-                rows.append([im.terms.get(kk, ZERO) for im in images])
-    if not rows:
-        rows = [[ZERO] * len(keys)]
-    sol = solve_linear(rows, [ZERO] * len(rows))
-    basis = []
-    for vec in sol.nullspace:
-        elem = ZElement(n, {key: c for key, c in zip(keys, vec)})
-        basis.append(elem)
-    return basis
+            by_out: dict = {}
+            for t, key in enumerate(keys):
+                for kk, c in op(k, ZElement(n, {key: ONE})).terms.items():
+                    by_out.setdefault(kk, {})[t] = c
+            rows.extend(by_out[kk] for kk in sorted(by_out))
+    return [ZElement(n, dict(zip(keys, vec))) for vec in solve_sparse(rows, len(keys)).nullspace]

@@ -328,6 +328,8 @@ class ZElement:
         for t in obj["terms"]:
             key = (tuple(int_from_json(x) for x in t["lambda"]),
                    tuple(int_from_json(x) for x in t["mu"]))
+            if any(len(e) != rank or min(e) < 0 for e in key):
+                raise ValueError(f"lambda and mu must be {rank} nonnegative exponents, got {key}")
             _accum(terms, key, QRat.from_json(t["coeff"]))
         return ZElement(rank, terms)
 

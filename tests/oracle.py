@@ -11,11 +11,15 @@ simple to share the engine's bugs.
 Only the coefficient field (QRat) and the published scalar constants
 (little q-Jacobi coefficients, coupling constants) are shared with the
 package; every noncommutative step is independent.
+
+`dense_solve_linear` is the oracle for the sparse linear solver: textbook
+dense Gauss-Jordan, first nonzero row as pivot, every row swept across the
+full width.
 """
 
 from __future__ import annotations
 
-from qdisk.qfield import ONE, QRat
+from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import coupling_const
 
@@ -278,3 +282,41 @@ def naive_addition_sides(l: int, m: int, alpha: int, variant: str = "final"):
                 right = right * y1 ** r * y1s ** s
             rhs = rhs + NaivePair.of(left, right) * cc
     return lhs.normal_form(), rhs.normal_form()
+
+
+def dense_solve_linear(matrix, rhs) -> LinearSolution:
+    """Solve M x = rhs over Q(q) by dense reduced row echelon form."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pr = next((i for i in range(r, nrows) if aug[i][col]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = aug[r][col].inverse()
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    consistent = all(not aug[i][ncols] for i in range(r, nrows))
+    particular = None
+    if consistent:
+        particular = [ZERO] * ncols
+        for i, col in enumerate(pivots):
+            particular[col] = aug[i][ncols]
+    nullspace = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for i, col in enumerate(pivots):
+            vec[col] = -aug[i][fc]
+        nullspace.append(vec)
+    return LinearSolution(consistent, particular, nullspace)

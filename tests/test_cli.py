@@ -241,6 +241,29 @@ def test_suite_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["alpha=1;l=3..1;m=0..1", "alpha=2..1"])
+def test_suite_rejects_an_empty_grid(capsys, grid):
+    with pytest.raises(ValueError, match="selects no values"):
+        _parse_grid(grid)
+    code, out, err = run_cli(capsys, "suite", "--grid", grid)
+    assert code == 2
+    assert "passed" not in out
+    assert "selects no values" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_suite_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr("qdisk.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("qdisk.cli._run_case", no_pool)
+    code, out, err = run_cli(capsys, "suite", "--grid", "alpha=1;l=0;m=0", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be at least 1" in err
+
+
 def test_grid_parsing():
     grid = _parse_grid("alpha=1..3;l=0..2;m=0..2")
     assert grid == {"alpha": [1, 2, 3], "l": [0, 1, 2], "m": [0, 1, 2]}

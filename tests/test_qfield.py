@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import dense_solve_linear
 from qdisk import qfield
 from qdisk.qfield import (
     ONE,
@@ -23,6 +24,7 @@ from qdisk.qfield import (
     qpoch,
     qrat_arith,
     solve_linear,
+    solve_sparse,
 )
 
 
@@ -224,6 +226,73 @@ def test_solve_linear_certificates(nr, nc, data):
             for c, x in zip(row, vec):
                 acc = acc + c * x
             assert acc == ZERO
+
+
+def test_solve_linear_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="same length"):
+        solve_linear([[ONE, ONE], [ONE]], [ZERO, ZERO])
+
+
+@pytest.mark.parametrize("rhs", [[ZERO], [ZERO, ZERO, ZERO]])
+def test_solve_linear_rejects_rhs_of_the_wrong_length(rhs):
+    with pytest.raises(ValueError, match="rhs has"):
+        solve_linear([[ONE, ONE], [ONE, ZERO]], rhs)
+
+
+def test_solve_linear_zero_matrix_is_all_free():
+    sol = solve_linear([[ZERO] * 3, [ZERO] * 3], [ZERO, ZERO])
+    assert sol.consistent and sol.particular == [ZERO] * 3
+    assert sol.nullspace == [[ONE if i == j else ZERO for i in range(3)] for j in range(3)]
+    assert solve_linear([], []) == LinearSolution(True, [], [])
+
+
+@pytest.mark.parametrize("col", [-1, 3])
+def test_solve_sparse_rejects_columns_out_of_range(col):
+    with pytest.raises(ValueError, match="outside"):
+        solve_sparse([{0: ONE}, {col: ONE}], 2)
+
+
+_QV = QRat.q_power(1)
+# Laurent entries and entries over (1 - q^k), so the sweep needs real gcds
+SPARSE_ENTRIES = [ONE, -ONE, QRat.from_int(2), _QV, QRat.q_power(-2), _QV * _QV - ONE,
+                  ONE / (ONE - _QV), _QV / (ONE - _QV ** 2), (ONE + _QV) / (ONE - _QV ** 3),
+                  QRat((1, -1, 3), (2, 0, 1))]
+SPARSE_POOL = [ZERO] * 12 + SPARSE_ENTRIES
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 8x8, mostly zero, with zero rows and columns, duplicated rows
+    and right-hand sides that are consistent by construction or arbitrary."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    dead = draw(st.sets(st.integers(0, nc - 1), max_size=nc))
+    entry = st.sampled_from(SPARSE_POOL)
+    mat = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "copy"]))
+        if kind == "copy" and mat:
+            f = draw(st.sampled_from(SPARSE_ENTRIES))
+            mat.append([f * x for x in draw(st.sampled_from(mat))])
+        elif kind == "zero":
+            mat.append([ZERO] * nc)
+        else:
+            mat.append([ZERO if c in dead else draw(entry) for c in range(nc)])
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(nc)]
+        rhs = [sum((a * b for a, b in zip(row, x)), ZERO) for row in mat]
+    else:
+        rhs = [draw(entry) for _ in range(nr)]
+    return mat, rhs
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_linear_equals_the_dense_oracle(system):
+    mat, rhs = system
+    got, want = solve_linear(mat, rhs), dense_solve_linear(mat, rhs)
+    assert got.consistent == want.consistent
+    assert got.particular == want.particular
+    assert got.nullspace == want.nullspace
 
 
 # ---------------------------------------------------------------- serialization

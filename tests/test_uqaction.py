@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from oracle import dense_solve_linear
 from qdisk.qfield import ONE, QRat, ZERO, solve_linear
 from qdisk.uqaction import act_e, act_f, act_qh, invariant_subspace, is_invariant
 from qdisk.zalgebra import ZElement, bidegree, q_element, w_gen, z_gen
@@ -159,3 +161,29 @@ def test_corank_two_invariant_count():
                 for s in range(m - j + 1)
             )
             assert len(invariant_subspace(l, m, 3, 1)) == expected
+
+
+def _dense_conditions(maps, keys, n):
+    """One dense row per output monomial of each linear map on the slice."""
+    rows = []
+    for op in maps:
+        images = [op(ZElement(n, {key: ONE})) for key in keys]
+        for kk in sorted({kk for im in images for kk in im.terms}):
+            rows.append([im.terms.get(kk, ZERO) for im in images])
+    return rows
+
+
+@pytest.mark.parametrize("l, m, n, p", [(4, 4, 3, 2), (2, 2, 3, 3)])
+def test_invariant_subspace_matches_the_dense_oracle(l, m, n, p):
+    def comps(total):
+        return [c for c in itertools.product(range(total + 1), repeat=n) if sum(c) == total]
+
+    keys = [(lam, mu) for lam in comps(l) for mu in comps(m)]
+    maps = [lambda a, i=i: act_qh([int(t == i) for t in range(n)], a) - a for i in range(p)]
+    maps += [lambda a, k=k, op=op: op(k, a) for k in range(1, p) for op in (act_e, act_f)]
+    rows = _dense_conditions(maps, keys, n)
+    want = dense_solve_linear(rows, [ZERO] * len(rows)).nullspace
+    got = invariant_subspace(l, m, n, p)
+    assert got == [ZElement(n, dict(zip(keys, vec))) for vec in want]
+    assert [sorted(b.terms.items()) for b in got] == \
+        [sorted((k, c) for k, c in zip(keys, vec) if c) for vec in want]

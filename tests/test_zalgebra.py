@@ -304,6 +304,51 @@ def test_json_round_trip_and_order():
     assert degrees == sorted(degrees, reverse=True)
 
 
+def exponent_vectors(rank):
+    return st.tuples(*[st.integers(0, 3)] * rank)
+
+
+@st.composite
+def elements(draw):
+    rank = draw(st.integers(1, 3))
+    keys = st.tuples(exponent_vectors(rank), exponent_vectors(rank))
+    coeffs = st.builds(lambda n, d: QRat(n, d),
+                       st.lists(st.integers(-5, 5), max_size=3),
+                       st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any))
+    return ZElement(rank, draw(st.dictionaries(keys, coeffs, max_size=5)))
+
+
+@given(elements())
+@settings(max_examples=60)
+def test_json_round_trip_property(a):
+    assert ZElement.from_json(a.to_json()) == a
+    assert ZElement.from_json(a.to_json()).to_json() == a.to_json()
+
+
+@given(elements(), st.data())
+@settings(max_examples=60)
+def test_from_json_rejects_bad_exponent_vectors(a, data):
+    obj = ZElement(a.rank, {((0,) * a.rank, (0,) * a.rank): ONE}).to_json()
+    term = obj["terms"][0]
+    field = data.draw(st.sampled_from(["lambda", "mu"]))
+    bad = data.draw(st.one_of(
+        st.lists(st.integers(0, 3), max_size=5).filter(lambda v: len(v) != a.rank),
+        st.lists(st.integers(-3, 3), min_size=a.rank, max_size=a.rank)
+        .filter(lambda v: min(v) < 0)))
+    term[field] = bad
+    with pytest.raises(ValueError):
+        ZElement.from_json(obj)
+
+
+def test_from_json_rejects_the_reported_inputs():
+    one = ONE.to_json()
+    short = {"rank": 2, "terms": [{"lambda": [1], "mu": [0, 0], "coeff": one}]}
+    negative = {"rank": 2, "terms": [{"lambda": [-1, 0], "mu": [0, 0], "coeff": one}]}
+    for obj in (short, negative):
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            ZElement.from_json(obj)
+
+
 def test_json_term_order_breaks_ties_lexicographically():
     a = ZElement(2, {((1, 0), (0, 0)): ONE, ((0, 1), (0, 0)): ONE})
     lams = [tuple(t["lambda"]) for t in a.to_json()["terms"]]
