@@ -14,24 +14,32 @@ addition-formula verification suite.  Printing normal forms stays inside the
 grammar, so parse(print(x)) always re-evaluates to x.
 
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage,
-parse, or evaluation errors.
+parse, or evaluation errors.  Hostile input exits 2 before any large
+allocation or process pool: the rank (--n, $QDISK_DEFAULT_N) is capped at
+MAX_RANK = 16, '^' exponents at MAX_EXPONENT = 64, parenthesis nesting at
+MAX_NESTING = 100 and the cases of a suite grid at MAX_GRID_CASES = 1024.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product
 
 from .diskpoly import assoc_spherical, spherical
 from .haar import haar, inner
-from .qfield import ONE, QRat, poly_neg, poly_str
+from .qfield import QRat, poly_neg, poly_str
 from .tensor import verify_addition
-from .zalgebra import ZElement, q_element, star, w_gen, z_gen
+from .zalgebra import ZElement, _mono_str, q_element, star, w_gen, z_gen
+
+MAX_RANK = 16
+MAX_EXPONENT = 64
+MAX_NESTING = 100
+MAX_GRID_CASES = 1024
 
 
 class ExprError(ValueError):
@@ -88,6 +96,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
         self.n = n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -137,6 +146,8 @@ class _Parser:
             if tok[0] == "^":
                 offset = self.advance()[2]
                 exp = self.expect("INT")
+                if int(exp[1]) > MAX_EXPONENT:
+                    raise ExprError(f"exponent above {MAX_EXPONENT}", exp[2])
                 node = ("pow", node, int(exp[1]), offset)
             elif tok[0] == "'":
                 offset = self.advance()[2]
@@ -156,17 +167,25 @@ class _Parser:
         if kind == "QLIT":
             return ("q", offset)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", offset)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ExprError("expected an atom", offset)
 
 
+def _checked_rank(n: int) -> int:
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {n}")
+    return n
+
+
 def parse(src: str, n: int):
     """Parse source text against rank n, returning the syntax tree."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    return _Parser(src, n).parse()
+    return _Parser(src, _checked_rank(n)).parse()
 
 
 # ----------------------------------------------------------------------
@@ -180,34 +199,40 @@ def _scalar_of(elt: ZElement, offset: int) -> QRat:
     return elt.terms.get(zero_key, QRat.from_int(0))
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def eval_expr(node, n: int) -> ZElement:
-    """Interpret a syntax tree as an element of Z_n."""
-    kind = node[0]
-    if kind == "gen":
-        _, g, idx, _ = node
-        return {"z": z_gen, "w": w_gen, "Q": q_element}[g](idx, n)
-    if kind == "int":
-        return ZElement(n, {((0,) * n, (0,) * n): QRat.from_int(node[1])})
-    if kind == "q":
-        return ZElement(n, {((0,) * n, (0,) * n): QRat.q_power(1)})
-    if kind == "neg":
-        return -eval_expr(node[1], n)
-    if kind == "add":
-        return eval_expr(node[1], n) + eval_expr(node[2], n)
-    if kind == "sub":
-        return eval_expr(node[1], n) - eval_expr(node[2], n)
-    if kind == "mul":
-        return eval_expr(node[1], n) * eval_expr(node[2], n)
-    if kind == "div":
-        divisor = _scalar_of(eval_expr(node[2], n), node[3])
-        if not divisor:
-            raise ExprError("division by zero", node[3])
-        return eval_expr(node[1], n) * divisor.inverse()
-    if kind == "pow":
-        return eval_expr(node[1], n) ** node[2]
-    if kind == "star":
-        return star(eval_expr(node[1], n))
-    raise AssertionError(f"unknown node {kind!r}")
+    """Interpret a syntax tree as an element of Z_n.
+
+    Operator chains nest to the left (node[1] is the left operand), so that
+    spine is walked in a loop: only parentheses make evaluation recurse."""
+    spine = []
+    while node[0] not in ("gen", "int", "q"):
+        spine.append(node)
+        node = node[1]
+    if node[0] == "gen":
+        value = {"z": z_gen, "w": w_gen, "Q": q_element}[node[1]](node[2], n)
+    else:
+        c = QRat.from_int(node[1]) if node[0] == "int" else QRat.q_power(1)
+        value = ZElement(n, {((0,) * n, (0,) * n): c})
+    for kind, _, *rest in reversed(spine):
+        if kind in _BINARY:
+            value = _BINARY[kind](value, eval_expr(rest[0], n))
+        elif kind == "neg":
+            value = -value
+        elif kind == "div":
+            divisor = _scalar_of(eval_expr(rest[0], n), rest[1])
+            if not divisor:
+                raise ExprError("division by zero", rest[1])
+            value = value * divisor.inverse()
+        elif kind == "pow":
+            value = value ** rest[0]
+        elif kind == "star":
+            value = star(value)
+        else:
+            raise AssertionError(f"unknown node {kind!r}")
+    return value
 
 
 def parse_element(src: str, n: int) -> ZElement:
@@ -258,14 +283,6 @@ def _quotient_str(num, den) -> str:
     return f"({num_s}/{den_s})"
 
 
-def _monomial_str(lam, mu) -> str:
-    parts = [f"z[{i}]" + (f"^{e}" if e > 1 else "")
-             for i, e in enumerate(lam, start=1) if e]
-    parts += [f"w[{i}]" + (f"^{e}" if e > 1 else "")
-              for i, e in reversed(list(enumerate(mu, start=1))) if e]
-    return "*".join(parts)
-
-
 def format_element(x: ZElement) -> str:
     """Print a normal form inside the expression grammar."""
     if not x.terms:
@@ -273,7 +290,7 @@ def format_element(x: ZElement) -> str:
     pieces = []
     for (lam, mu), c in x.sorted_terms():
         negative, num, den = _display_parts(c)
-        mono = _monomial_str(lam, mu)
+        mono = _mono_str(lam, mu)
         if not mono:
             body = _quotient_str(num, den)
         elif (num, den) == ((1,), (1,)):
@@ -292,59 +309,43 @@ def format_element(x: ZElement) -> str:
 
 
 def _default_rank(args) -> int:
-    if args.n is not None:
-        return args.n
-    env = os.environ.get("QDISK_DEFAULT_N")
-    if env is not None:
+    n = args.n
+    if n is None:
+        env = os.environ.get("QDISK_DEFAULT_N", "2")
         try:
-            return int(env)
+            n = int(env)
         except ValueError:
             raise ExprError(f"QDISK_DEFAULT_N is not an integer: {env!r}", 0)
-    return 2
+    return _checked_rank(n)
 
 
-def _cmd_normalize(args) -> int:
-    n = _default_rank(args)
-    elt = parse_element(args.expr, n)
-    if args.json:
-        print(json.dumps(elt.to_json()))
-    else:
-        print(format_element(elt))
-    return 0
-
-
-def _cmd_haar(args) -> int:
-    n = _default_rank(args)
-    value = haar(parse_element(args.expr, n))
+def _emit(args, value) -> int:
+    """Print an element or a coefficient, as JSON or in the grammar."""
     if args.json:
         print(json.dumps(value.to_json()))
     else:
-        print(value)
+        print(format_element(value) if isinstance(value, ZElement) else value)
     return 0
+
+
+def _cmd_normalize(args) -> int:
+    return _emit(args, parse_element(args.expr, _default_rank(args)))
+
+
+def _cmd_haar(args) -> int:
+    return _emit(args, haar(parse_element(args.expr, _default_rank(args))))
 
 
 def _cmd_inner(args) -> int:
     n = _default_rank(args)
-    value = inner(parse_element(args.lhs, n), parse_element(args.rhs, n))
-    if args.json:
-        print(json.dumps(value.to_json()))
-    else:
-        print(value)
-    return 0
+    return _emit(args, inner(parse_element(args.lhs, n), parse_element(args.rhs, n)))
 
 
 def _cmd_spherical(args) -> int:
     n = _default_rank(args)
     if args.assoc is None:
-        elt = spherical(args.l, args.m, n)
-    else:
-        r, s = args.assoc
-        elt = assoc_spherical(args.l, args.m, r, s, n)
-    if args.json:
-        print(json.dumps(elt.to_json()))
-    else:
-        print(format_element(elt))
-    return 0
+        return _emit(args, spherical(args.l, args.m, n))
+    return _emit(args, assoc_spherical(args.l, args.m, *args.assoc, n))
 
 
 def _verdict_line(v: dict) -> str:
@@ -382,7 +383,10 @@ def _parse_grid(text: str) -> dict:
             piece = piece.strip()
             if ".." in piece:
                 lo, _, hi = piece.partition("..")
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
+                if hi - lo >= MAX_GRID_CASES:
+                    raise ValueError(f"grid clause {clause!r} selects more than {MAX_GRID_CASES} values")
+                values.extend(range(lo, hi + 1))
             else:
                 values.append(int(piece))
         if not values:
@@ -396,6 +400,9 @@ def _cmd_suite(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     grid = _parse_grid(args.grid)
     variants = ("final", "precursor") if args.variant == "both" else (args.variant,)
+    size = len(grid["alpha"]) * len(grid["l"]) * len(grid["m"]) * len(variants)
+    if size > MAX_GRID_CASES:
+        raise ValueError(f"grid has {size} cases, more than {MAX_GRID_CASES}")
     cases = [(l, m, alpha, variant)
              for alpha in grid["alpha"]
              for l in grid["l"]

@@ -597,19 +597,6 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 _QPOW_CACHE: dict = {0: ONE}
 
 
-def qrat_arith(a: QRat, b: QRat, op: str) -> QRat:
-    """Dispatch one of the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 # JSON integer policy: values outside the IEEE-exact window are emitted as
 # decimal strings so downstream consumers with 64-bit doubles stay exact.
 _JSON_INT_MAX = 2 ** 53

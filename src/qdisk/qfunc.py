@@ -120,10 +120,6 @@ def little_q_jacobi(m: int, a_exp: int, b_exp: int, base_exp: int = 1) -> UniPol
     return UniPoly(coeffs)
 
 
-# classical-parameter alias: P_m^(alpha, beta)(x; q^base)
-P_poly = little_q_jacobi
-
-
 def rising_weight(beta: int, base_exp: int = 1) -> UniPoly:
     """(q x; q)_beta in base q^base_exp, as a polynomial in x."""
     b = base_exp

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .diskpoly import DiskSpec, disk_poly
 from .haar import norm_const
 from .qfield import ONE, QRat
-from .zalgebra import ZElement, _accum, _mono_mul, q_element, w_gen, z_gen
+from .zalgebra import ZElement, _accum, _mono_mul, _term_order_key, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
@@ -149,7 +149,7 @@ class TensorElement:
     def to_json(self) -> dict:
         def sort_key(item):
             (kl, kr), _ = item
-            return (_tensor_order_key(kl), _tensor_order_key(kr))
+            return (_term_order_key(kl), _term_order_key(kr))
 
         return {
             "ranks": [LEFT_RANK, RIGHT_RANK],
@@ -162,11 +162,6 @@ class TensorElement:
                 for (kl, kr), c in sorted(self.terms.items(), key=sort_key, reverse=True)
             ],
         }
-
-
-def _tensor_order_key(key):
-    lam, mu = key
-    return (sum(lam) + sum(mu),) + tuple(reversed(lam)) + tuple(mu)
 
 
 # ----------------------------------------------------------------------
@@ -305,15 +300,7 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     lhs = addition_lhs(l, m, alpha, variant)
     rhs = addition_rhs(l, m, alpha, variant)
     diff = lhs - rhs
-    residual = []
-    for (kl, kr), c in sorted(diff.terms.items(),
-                              key=lambda kv: (_tensor_order_key(kv[0][0]), _tensor_order_key(kv[0][1])),
-                              reverse=True):
-        residual.append({
-            "left": {"lambda": list(kl[0]), "mu": list(kl[1])},
-            "right": {"lambda": list(kr[0]), "mu": list(kr[1])},
-            "coeff": c.to_json(),
-        })
+    residual = diff.to_json()["terms"]
     millis = int((time.monotonic() - start) * 1000)
     return Verdict(l, m, alpha, variant, diff.is_zero(), residual,
                    lhs.term_count(), rhs.term_count(), millis)

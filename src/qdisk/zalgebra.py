@@ -25,9 +25,9 @@ fast path behind the same contract as single-step rewriting.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .qfield import ONE, QRat, ZERO, int_from_json, int_to_json
+from .qfield import ONE, QRat, ZERO, int_from_json
 
 # a letter is ("z", i) or ("w", i) with 1 <= i <= rank; a word is a tuple of letters
 Letter = tuple
@@ -304,7 +304,7 @@ class ZElement:
         parts = []
         for (lam, mu), c in self.sorted_terms():
             mono = _mono_str(lam, mu)
-            parts.append(f"({c}) {mono}" if mono != "1" else f"({c})")
+            parts.append(f"({c}) {mono}" if mono else f"({c})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -323,26 +323,30 @@ class ZElement:
 
     @staticmethod
     def from_json(obj: dict) -> "ZElement":
-        rank = int_from_json(obj["rank"])
-        terms = {}
-        for t in obj["terms"]:
-            key = (tuple(int_from_json(x) for x in t["lambda"]),
-                   tuple(int_from_json(x) for x in t["mu"]))
-            if any(len(e) != rank or min(e) < 0 for e in key):
-                raise ValueError(f"lambda and mu must be {rank} nonnegative exponents, got {key}")
-            _accum(terms, key, QRat.from_json(t["coeff"]))
+        """Inverse of `to_json`; ValueError on any malformed document."""
+        try:
+            rank = int_from_json(obj["rank"])
+            terms = {}
+            for t in obj["terms"]:
+                if type(t["lambda"]) is not list or type(t["mu"]) is not list:
+                    raise ValueError(f"lambda and mu must be lists, got {t!r}")
+                key = (tuple(int_from_json(x) for x in t["lambda"]),
+                       tuple(int_from_json(x) for x in t["mu"]))
+                if any(len(e) != rank or min(e) < 0 for e in key):
+                    raise ValueError(f"lambda and mu must be {rank} nonnegative exponents, got {key}")
+                _accum(terms, key, QRat.from_json(t["coeff"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed element JSON: {type(exc).__name__} {exc}") from None
         return ZElement(rank, terms)
 
 
 def _mono_str(lam, mu) -> str:
-    parts = []
-    for i, e in enumerate(lam):
-        if e:
-            parts.append(f"z[{i + 1}]" + (f"^{e}" if e > 1 else ""))
-    for i in range(len(mu) - 1, -1, -1):
-        if mu[i]:
-            parts.append(f"w[{i + 1}]" + (f"^{mu[i]}" if mu[i] > 1 else ""))
-    return "*".join(parts) if parts else "1"
+    """z^lam w^mu in the expression grammar; the empty string for 1."""
+    parts = [f"z[{i}]" + (f"^{e}" if e > 1 else "")
+             for i, e in enumerate(lam, start=1) if e]
+    parts += [f"w[{i}]" + (f"^{e}" if e > 1 else "")
+              for i, e in reversed(list(enumerate(mu, start=1))) if e]
+    return "*".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -372,10 +376,6 @@ def q_element(i: int, rank: int) -> ZElement:
         key = (tuple(1 if t == k else 0 for t in range(rank)),) * 2
         terms[key] = ONE
     return ZElement(rank, terms)
-
-
-def mul(a: ZElement, b: ZElement) -> ZElement:
-    return a * b
 
 
 def star(a: ZElement) -> ZElement:

@@ -15,13 +15,20 @@ package; every noncommutative step is independent.
 `dense_solve_linear` is the oracle for the sparse linear solver: textbook
 dense Gauss-Jordan, first nonzero row as pivot, every row swept across the
 full width.
+
+`haar_termwise` and `inner_via_product` are the oracles for the grouped Haar
+sums: normalize the whole product, then add c * h(monomial) one term at a
+time from the negative-base monomial formula, with a reduced fraction after
+every addition.
 """
 
 from __future__ import annotations
 
+from qdisk.haar import haar_monomial_alt
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import coupling_const
+from qdisk.zalgebra import star
 
 _Q = QRat.q_power(1)
 _QINV = QRat.q_power(-1)
@@ -320,3 +327,16 @@ def dense_solve_linear(matrix, rhs) -> LinearSolution:
             vec[col] = -aug[i][fc]
         nullspace.append(vec)
     return LinearSolution(consistent, particular, nullspace)
+
+
+def haar_termwise(a) -> QRat:
+    """h(a) as the plain sum of c * h(z^lam w^mu) over the terms of a."""
+    total = ZERO
+    for (lam, mu), c in a.terms.items():
+        total = total + c * haar_monomial_alt(lam, mu, a.rank)
+    return total
+
+
+def inner_via_product(a, b) -> QRat:
+    """<a, b>: normalize b* a fully, then apply h term by term."""
+    return haar_termwise(star(b) * a)

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisk.cli import (
+    MAX_EXPONENT,
+    MAX_GRID_CASES,
+    MAX_NESTING,
+    MAX_RANK,
     ExprError,
     eval_expr,
     format_element,
@@ -290,3 +294,100 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "normalize", "--n", "2", "--expr", "z[2]*+z[1]")
     assert code == 2
     assert "byte 5" in err
+
+
+# ------------------------------------------------------- hostile input caps
+
+
+def nested(depth):
+    return "(" * depth + "z[1]" + ")" * depth
+
+
+def test_nesting_at_the_cap_evaluates():
+    assert parse_element(nested(MAX_NESTING), 2) == z_gen(1, 2)
+    # the cap counts open parentheses, not groups side by side
+    assert parse_element("+".join([nested(MAX_NESTING)] * 3), 2) == 3 * z_gen(1, 2)
+    right = "z[1]*(" * MAX_NESTING + "z[1]" + ")" * MAX_NESTING
+    assert parse_element(right, 2) == z_gen(1, 2) ** (MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_over_the_cap_exits_2(capsys, depth):
+    with pytest.raises(ExprError, match="nested deeper"):
+        parse(nested(depth), 2)
+    code, out, err = run_cli(capsys, "normalize", "--n", "2", "--expr", nested(depth))
+    assert (code, out) == (2, "")
+    assert f"byte {MAX_NESTING}" in err
+
+
+def test_long_operator_chains_do_not_recurse():
+    # syntax trees thousands of levels deep along the left operand, no parentheses
+    assert parse_element("+".join(["z[1]"] * 3000), 2) == 3000 * z_gen(1, 2)
+    assert parse_element("z[1]" + "^1" * 3000, 2) == z_gen(1, 2)
+    assert parse_element("z[1]" + "'" * 3001, 2) == w_gen(1, 2)
+    minus_one = ZElement.scalar(QRat.from_int(-1), 2)
+    assert parse_element("-" + "*".join(["q"] * 3000) + "/q^60" * 50, 2) == minus_one
+
+
+def test_exponent_cap(capsys):
+    assert parse_element(f"q^{MAX_EXPONENT}", 1) == ZElement.scalar(QRat.q_power(MAX_EXPONENT), 1)
+    with pytest.raises(ExprError, match="exponent above"):
+        parse(f"z[1]^{MAX_EXPONENT + 1}", 1)
+    code, out, err = run_cli(capsys, "haar", "--n", "2", "--expr", f"q^{MAX_EXPONENT + 1}")
+    assert (code, out) == (2, "")
+    assert "byte 2" in err
+
+
+def test_rank_cap(capsys, monkeypatch):
+    assert parse_element(f"z[{MAX_RANK}]", MAX_RANK) == z_gen(MAX_RANK, MAX_RANK)
+    with pytest.raises(ValueError, match="rank must be between"):
+        parse("1", MAX_RANK + 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr("qdisk.cli.spherical", refuse)
+    over = str(MAX_RANK + 1)
+    for argv in (["normalize", "--n", over, "--expr", "1"],
+                 ["spherical", "--n", over, "--l", "1", "--m", "1"],
+                 ["normalize", "--n", "0", "--expr", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "rank must be between" in err
+    monkeypatch.setenv("QDISK_DEFAULT_N", over)
+    code, _, err = run_cli(capsys, "inner", "--lhs", "1", "--rhs", "1")
+    assert code == 2
+    assert "rank must be between" in err
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("a case was run or a process pool was created")
+
+
+@pytest.mark.parametrize("grid,message", [
+    # one clause just over the cap, and one far over it (never materialized)
+    (f"alpha=1;l=0..{MAX_GRID_CASES};m=0", f"selects more than {MAX_GRID_CASES} values"),
+    ("alpha=1;l=0..1000000000000;m=0", f"selects more than {MAX_GRID_CASES} values"),
+    # 5 * 205 = 1025 cases from small clauses
+    (f"alpha=1..5;l=0..{MAX_GRID_CASES // 5};m=0", f"1025 cases, more than {MAX_GRID_CASES}"),
+])
+def test_grid_over_the_cap_exits_2_before_any_work(capsys, monkeypatch, grid, message):
+    monkeypatch.setattr("qdisk.cli.ProcessPoolExecutor", no_work)
+    monkeypatch.setattr("qdisk.cli._run_case", no_work)
+    code, out, err = run_cli(capsys, "suite", "--grid", grid, "--variant", "final", "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_grid_at_the_cap_is_accepted(capsys, monkeypatch):
+    def fake_case(case):
+        l, m, alpha, variant = case
+        return {"l": l, "m": m, "alpha": alpha, "variant": variant, "pass": True,
+                "residual_terms": [], "lhs_terms": 1, "rhs_terms": 1, "millis": 0}
+
+    monkeypatch.setattr("qdisk.cli._run_case", fake_case)
+    # 2 alphas * 128 l's * 2 m's * 2 variants
+    grid = f"alpha=1..2;l=0..{MAX_GRID_CASES // 8 - 1};m=0,1"
+    code, out, _ = run_cli(capsys, "suite", "--grid", grid)
+    assert code == 0
+    assert out.rstrip().endswith(f"suite: {MAX_GRID_CASES}/{MAX_GRID_CASES} passed")

@@ -1,0 +1,46 @@
+"""The library keeps zero runtime dependencies: nothing declared in
+pyproject.toml, and no import in src/qdisk outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []
+    assert "dependencies" not in project.get("dynamic", [])
+
+
+def imported_modules(path: Path) -> list:
+    """Absolute module names imported anywhere in one source file."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_library_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "qdisk").glob("*.py"))
+    assert len(sources) >= 9
+    foreign = [f"{path.name}: {name}"
+               for path in sources
+               for name in imported_modules(path)
+               if name.split(".")[0] not in sys.stdlib_module_names | {"qdisk"}]
+    assert foreign == []
+
+
+def test_the_import_scan_sees_third_party_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import os\nfrom numpy.linalg import solve\nfrom . import x\n"
+                    "def f():\n    import sympy\n")
+    assert imported_modules(path) == ["os", "numpy.linalg", "sympy"]

@@ -4,15 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import haar_termwise, inner_via_product
+from qdisk.diskpoly import spherical
 from qdisk.haar import (
+    _haar_num,
+    _pair_haar,
     haar,
     haar_monomial,
     haar_monomial_alt,
     inner,
-    inner_via_product,
     norm_const,
 )
-from qdisk.qfield import ONE, QRat, ZERO
+from qdisk.qfield import ONE, QRat, ZERO, qpoch
 from qdisk.qfunc import MultiQPoly, multi_jackson
 from qdisk.uqaction import act_e, act_f, act_qh
 from qdisk.zalgebra import ZElement, q_element, star, w_gen, z_gen
@@ -178,3 +184,71 @@ def test_gram_positivity(point):
     gram = [[inner(a, b).eval_at(point) for b in basis] for a in basis]
     assert gram == [list(row) for row in zip(*gram)]
     assert _fraction_matrix_is_positive_definite(gram)
+
+
+# ----------------------------------------------------------------------
+# the grouped sums against the term-by-term oracle
+
+
+@st.composite
+def coefficients(draw):
+    """Nonzero integer polynomials over 1, q^j, (1 - q^k) or q^j (1 - q^k)."""
+    num = QRat(tuple(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))))
+    j, k = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    den = draw(st.sampled_from([ONE, qp(j), ONE - qp(k), qp(j) * (ONE - qp(k))]))
+    return num / den
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one rank with mixed bidegrees, so several z-degrees
+    (Haar groups) occur in one sum."""
+    rank = draw(st.integers(2, 3))
+    expo = st.tuples(*[st.integers(0, 2)] * rank)
+    terms = st.dictionaries(st.tuples(expo, expo), coefficients(), min_size=1, max_size=4)
+    return ZElement(rank, draw(terms)), ZElement(rank, draw(terms))
+
+
+@given(element_pairs())
+@settings(max_examples=40, deadline=None)
+def test_grouped_sums_match_the_termwise_oracle(pair):
+    a, b = pair
+    assert haar(a) == haar_termwise(a)
+    assert inner(a, b) == inner_via_product(a, b)
+
+
+@given(element_pairs())
+@settings(max_examples=25, deadline=None)
+def test_inner_cancels_to_zero_after_projection(pair):
+    # a - (<a, b>/<b, b>) b is orthogonal to b: every group must cancel
+    a, b = pair
+    bb = inner(b, b)
+    assert bb  # the form is positive definite, so b != 0 has <b, b> != 0
+    a_perp = a - (inner(a, b) / bb) * b
+    assert inner(a_perp, b) == ZERO
+    assert inner_via_product(a_perp, b) == ZERO
+
+
+@given(element_pairs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_haar_is_numerator_over_the_degree_denominator(pair, data):
+    a, b = pair
+    k1 = data.draw(st.sampled_from(sorted(a.terms)))
+    k2 = data.draw(st.sampled_from(sorted(b.terms)))
+    t, p = _pair_haar(a.rank, k1, k2)
+    assert t == sum(k1[0]) + sum(k2[0])
+    product = ZElement(a.rank, {k1: ONE}) * ZElement(a.rank, {k2: ONE})
+    assert p / qpoch(2, 2, t + a.rank - 1) == haar_termwise(product)
+
+
+def test_monomial_numerators_are_polynomials():
+    for n in (2, 3, 4):
+        for total in range(5):
+            for lam in compositions(total, n):
+                assert _haar_num(lam, n).den == (1,), (n, lam)
+
+
+@pytest.mark.parametrize("l,m", [(l, m) for l in range(3) for m in range(3)])
+def test_rank_four_spherical_norms(l, m):
+    s = spherical(l, m, 4)
+    assert inner(s, s) == norm_const(l, m, 2)

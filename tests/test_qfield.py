@@ -22,7 +22,6 @@ from qdisk.qfield import (
     poly_mul,
     qnumber,
     qpoch,
-    qrat_arith,
     solve_linear,
     solve_sparse,
 )
@@ -122,16 +121,6 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         QRat((1,), ())
-
-
-def test_qrat_arith_dispatch():
-    a, b = qr((1, 1)), qr((0, 1))
-    assert qrat_arith(a, b, "add") == a + b
-    assert qrat_arith(a, b, "sub") == a - b
-    assert qrat_arith(a, b, "mul") == a * b
-    assert qrat_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        qrat_arith(a, b, "mod")
 
 
 def test_negative_powers():

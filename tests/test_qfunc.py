@@ -3,7 +3,6 @@ import pytest
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
 from qdisk.qfunc import (
     MultiQPoly,
-    P_poly,
     UniPoly,
     falling_weight,
     jackson_integral,
@@ -32,7 +31,6 @@ def test_first_degree_coefficient_built_from_raw_powers():
     expected = (ONE - qp(-1)) * (ONE - qp(4)) * qp(1) / ((ONE - qp(2)) * (ONE - qp(1)))
     assert expected == QRat((-1, 0, -1))
     assert p.coeffs[1] == expected
-    assert P_poly(1, 1, 1) == p
 
 
 def test_base_two_is_substitution():

@@ -13,7 +13,6 @@ from qdisk.zalgebra import (
     dim_h,
     dim_z,
     embed,
-    mul,
     normal_order,
     normal_order_strategy,
     q_element,
@@ -58,7 +57,7 @@ def test_normal_order_examples():
 
 def test_mul_matches_relations():
     w2, z2 = w_gen(2, 2), z_gen(2, 2)
-    prod = mul(w2, z2)
+    prod = w2 * z2
     assert prod == z2 * w2 + (ONE - qp(2)) * z_gen(1, 2) * w_gen(1, 2)
 
 
@@ -354,3 +353,20 @@ def test_json_term_order_breaks_ties_lexicographically():
     lams = [tuple(t["lambda"]) for t in a.to_json()["terms"]]
     # reversed-lambda sequences compared descending: (0,1) sorts before (1,0)
     assert lams == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("obj", [
+    {"rank": 2, "terms": [{"lambda": 1, "mu": [0, 0], "coeff": ONE.to_json()}]},
+    {"rank": 2, "terms": [{"lambda": "10", "mu": [0, 0], "coeff": ONE.to_json()}]},
+    {"rank": 2, "terms": [{"mu": [0, 0], "coeff": ONE.to_json()}]},
+    {"rank": 2, "terms": [{"lambda": [1, 0], "mu": [0, 0]}]},
+    {"rank": 2, "terms": [{"lambda": [1, 0], "mu": [0, 0], "coeff": 1}]},
+    {"rank": 2},
+    {"terms": []},
+    {"rank": 2, "terms": [7]},
+    {"rank": 2, "terms": {"lambda": [1, 0]}},
+    [],
+])
+def test_from_json_raises_value_error_on_malformed_documents(obj):
+    with pytest.raises(ValueError):
+        ZElement.from_json(obj)
