@@ -18,6 +18,9 @@ parse, or evaluation errors.  Hostile input exits 2 before any large
 allocation or process pool: the rank (--n, $QDISK_DEFAULT_N) is capped at
 MAX_RANK = 16, '^' exponents at MAX_EXPONENT = 64, parenthesis nesting at
 MAX_NESTING = 100 and the cases of a suite grid at MAX_GRID_CASES = 1024.
+Before each product, and each step of a power, evaluation checks that the
+result's total degree in the generators stays at most MAX_DEGREE = 128 and
+that it multiplies at most MAX_PAIRS = 4096 pairs of terms.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ MAX_RANK = 16
 MAX_EXPONENT = 64
 MAX_NESTING = 100
 MAX_GRID_CASES = 1024
+MAX_DEGREE = 128
+MAX_PAIRS = 4096
 
 
 class ExprError(ValueError):
@@ -199,7 +204,22 @@ def _scalar_of(elt: ZElement, offset: int) -> QRat:
     return elt.terms.get(zero_key, QRat.from_int(0))
 
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+def _degree(elt: ZElement) -> int:
+    return max((sum(lam) + sum(mu) for lam, mu in elt.terms), default=0)
+
+
+def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
+    """a * b, once its size is known to stay within the caps."""
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > MAX_PAIRS:
+        raise ExprError(f"product of {pairs} term pairs, more than {MAX_PAIRS}", offset)
+    degree = _degree(a) + _degree(b)
+    if degree > MAX_DEGREE:
+        raise ExprError(f"product of total degree {degree}, above {MAX_DEGREE}", offset)
+    return a * b
+
+
+_BINARY = {"add": operator.add, "sub": operator.sub}
 
 
 def eval_expr(node, n: int) -> ZElement:
@@ -219,6 +239,8 @@ def eval_expr(node, n: int) -> ZElement:
     for kind, _, *rest in reversed(spine):
         if kind in _BINARY:
             value = _BINARY[kind](value, eval_expr(rest[0], n))
+        elif kind == "mul":
+            value = _checked_mul(value, eval_expr(rest[0], n), rest[1])
         elif kind == "neg":
             value = -value
         elif kind == "div":
@@ -227,7 +249,9 @@ def eval_expr(node, n: int) -> ZElement:
                 raise ExprError("division by zero", rest[1])
             value = value * divisor.inverse()
         elif kind == "pow":
-            value = value ** rest[0]
+            base, value = value, ZElement.one(n)
+            for _ in range(rest[0]):
+                value = _checked_mul(value, base, rest[1])
         elif kind == "star":
             value = star(value)
         else:

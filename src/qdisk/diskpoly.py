@@ -12,62 +12,84 @@ no inverses of C are ever formed.  Specializing (A, B, C) to
 (z_n, w_n, Q_n) gives the zonal spherical elements of the quantum
 sphere; with a second factor in the next lower rank it gives the
 associated spherical elements.
+
+The sum is taken scaled: with L the lcm of the denominators of the coef_k
+(products of q-powers and factors 1 - q^2j) and mm = min(l, m),
+
+    L R = A^(l-m) H B^(m-l),   H = sum_k (L coef_k) C^(mm-k) D^k,  D = C - AB,
+
+with the power of A present only for l > m and that of B only for m > l.
+Each L coef_k is a polynomial, so when A, B and C have Laurent
+coefficients every sum and product stays on the gcd-free path, and
+`disk_poly` divides by L once per output term.  C commutes with A and B,
+hence with D, so H is evaluated by Horner's rule in C:
+H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .qfield import QRat
+from .qfield import Record, common_denominator
 from .qfunc import little_q_jacobi
 from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """Degrees and parameter of one q-disk polynomial; base fixed at q^2."""
+class DiskSpec(Record):
+    """Degrees and parameter of one q-disk polynomial; base fixed at q^2.
+    Immutable, hashable and compared by value."""
 
-    l: int
-    m: int
-    alpha: int
-    base_exp: int = 2
+    __slots__ = ("l", "m", "alpha", "base_exp")
 
-    def __post_init__(self):
-        if self.l < 0 or self.m < 0:
+    def __init__(self, l: int, m: int, alpha: int, base_exp: int = 2):
+        if l < 0 or m < 0:
             raise ValueError("degrees must be nonnegative")
-        if self.alpha < 0:
+        if alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        super().__init__(l, m, alpha, base_exp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a DiskSpec")
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-def disk_poly(spec: DiskSpec, A, B, C):
-    """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of any algebra
-    supporting +, -, * and scalar multiplication by QRat.
+def jacobi_scaled(spec: DiskSpec) -> tuple:
+    """(1/L, [L coef_k]) for the little q-Jacobi coefficients of the spec,
+    L the lcm of their denominators, each L coef_k a polynomial."""
+    mm, beta = min(spec.l, spec.m), abs(spec.l - spec.m)
+    return common_denominator(little_q_jacobi(mm, spec.alpha, beta, spec.base_exp).coeffs)
+
+
+def scaled_disk_poly(spec: DiskSpec, scaled: list, A, B, C):
+    """L R_{l,m}^(alpha)(A, B, C; q^base) for (1/L, scaled) = jacobi_scaled(spec),
+    by the Horner sum of the module docstring.
 
     Raises ValueError when C fails to commute with A or with B."""
     for name, other in (("A", A), ("B", B)):
         if C * other != other * C:
             raise ValueError(f"C does not commute with {name}")
-    l, m, alpha = spec.l, spec.m, spec.alpha
-    mm, beta = min(l, m), abs(l - m)
-    coeffs = little_q_jacobi(mm, alpha, beta, spec.base_exp).coeffs
+    l, m = spec.l, spec.m
     D = C - A * B
-    one = A.one_like()
-    result = one * QRat.from_int(0)
-    c_pow = [one]
-    for _ in range(mm):
-        c_pow.append(c_pow[-1] * C)
-    d_pow = one
-    a_pow = A ** (l - m) if l > m else one
-    b_pow = B ** (m - l) if m > l else one
-    for k in range(mm + 1):
-        if k:
-            d_pow = d_pow * D
-        if l >= m:
-            term = c_pow[mm - k] * a_pow * d_pow
-        else:
-            term = c_pow[mm - k] * d_pow * b_pow
-        result = result + term * coeffs[k]
+    d_pow = A.one_like()
+    result = d_pow * scaled[0]
+    for k in range(1, min(l, m) + 1):
+        d_pow = d_pow * D
+        result = result * C + d_pow * scaled[k]
+    if l > m:
+        result = A ** (l - m) * result
+    elif m > l:
+        result = result * B ** (m - l)
     return result
+
+
+def disk_poly(spec: DiskSpec, A, B, C):
+    """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of any algebra
+    supporting +, -, * and scalar multiplication by QRat: the scaled sum,
+    divided by L once per output term.
+
+    Raises ValueError when C fails to commute with A or with B."""
+    inv_lcm, scaled = jacobi_scaled(spec)
+    return scaled_disk_poly(spec, scaled, A, B, C) * inv_lcm
 
 
 def spherical(l: int, m: int, n: int) -> ZElement:

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -95,8 +93,9 @@ def poly_valuation(a: Coeffs) -> int:
     raise ValueError("zero polynomial has no valuation")
 
 
-def poly_eval(a: Coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def poly_eval(a: Coeffs, x):
+    """a at q = x, in the arithmetic of x (an int or a Fraction)."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -271,6 +270,21 @@ def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return _prs_gcd(a, b)
     return _gcd_cofactors(a, b)[0]
+
+
+def common_denominator(cs: Sequence["QRat"]) -> tuple:
+    """(1/L, [L c for c in cs]): L is a common multiple of the denominators
+    and each L c is a polynomial (a QRat over 1), so sums of L-scaled
+    Laurent terms stay on the gcd-free path.
+
+    L grows as L d / gcd(L, d); the gcd is primitive, so by Gauss's lemma
+    d / gcd(L, d) and L / d are integer polynomials, and L keeps a positive
+    leading coefficient."""
+    lcm = (1,)
+    for c in cs:
+        lcm = poly_mul(lcm, poly_divexact(c.den, poly_gcd(lcm, c.den)))
+    return QRat((1,), lcm, _canonical=True), [
+        QRat(poly_mul(c.num, poly_divexact(lcm, c.den)), (1,), _canonical=True) for c in cs]
 
 
 def poly_str(a: Coeffs, var: str = "q") -> str:
@@ -564,8 +578,10 @@ class QRat:
 
     # -- evaluation and serialization
 
-    def eval_at(self, r) -> Fraction:
-        """Exact evaluation at a rational point q = r."""
+    def eval_at(self, r):
+        """Exact evaluation at a rational point q = r, as a Fraction."""
+        # imported here: only tests evaluate, and the import costs every process ~2 ms
+        from fractions import Fraction
         r = Fraction(r)
         dv = poly_eval(self.den, r)
         if dv == 0:
@@ -578,8 +594,13 @@ class QRat:
 
     @staticmethod
     def from_json(obj: dict) -> "QRat":
-        return QRat([int_from_json(c) for c in obj["num"]],
-                    [int_from_json(c) for c in obj["den"]])
+        """Inverse of `to_json`; ValueError on any malformed document."""
+        if type(obj) is not dict or any(type(obj.get(k)) is not list for k in ("num", "den")):
+            raise ValueError(f"a coefficient is an object with lists num and den, got {obj!r}")
+        den = [int_from_json(c) for c in obj["den"]]
+        if not any(den):
+            raise ValueError(f"zero denominator in {obj!r}")
+        return QRat([int_from_json(c) for c in obj["num"]], den)
 
 
 def _coerce(x):
@@ -657,13 +678,47 @@ def qnumber(m: int, base_exp: int) -> QRat:
 # are {col: nonzero} dicts and the work scales with the nonzeros.
 
 
-@dataclass
-class LinearSolution:
-    """Outcome of an exact linear solve: inconsistency is a result, not an error."""
+class Record:
+    """A plain record: the constructor sets the fields named in __slots__
+    from its arguments, positional or by name; equality, repr and pickling
+    go by the fields.  It stands in for dataclasses, whose import (with
+    inspect) costs every process 7 to 10 ms."""
 
-    consistent: bool
-    particular: list | None          # list[QRat] when consistent
-    nullspace: list                  # list[list[QRat]], basis of the homogeneous space
+    __slots__ = ()
+
+    def __init__(self, *values, **fields):
+        names = self.__slots__
+        values += tuple(fields.pop(name) for name in names[len(values):] if name in fields)
+        if fields or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LinearSolution(Record):
+    """Outcome of an exact linear solve: inconsistency is a result, not an error.
+
+    Fields: consistent (bool), particular (list[QRat] when consistent, else
+    None) and nullspace (list[list[QRat]], basis of the homogeneous space)."""
+
+    __slots__ = ("consistent", "particular", "nullspace")
 
 
 def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:

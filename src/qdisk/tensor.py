@@ -21,12 +21,11 @@ Y generators through explicit constants built from the spherical norms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from .diskpoly import DiskSpec, disk_poly
+from .diskpoly import DiskSpec, disk_poly, jacobi_scaled, scaled_disk_poly
 from .haar import norm_const
-from .qfield import ONE, QRat
-from .zalgebra import ZElement, _accum, _mono_mul, _term_order_key, q_element, w_gen, z_gen
+from .qfield import ONE, QRat, Record, common_denominator
+from .zalgebra import ZElement, _accum, _product, _term_order_key, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
@@ -108,15 +107,7 @@ class TensorElement:
             return TensorElement({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, TensorElement):
             return NotImplemented
-        out: dict = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                c = c1 * c2
-                for kl, sl in _mono_mul(LEFT_RANK, l1, l2):
-                    csl = c * sl
-                    for kr, sr in _mono_mul(RIGHT_RANK, r1, r2):
-                        _accum(out, (kl, kr), csl * sr)
-        return TensorElement(out)
+        return TensorElement(_product(self.terms, other.terms, (LEFT_RANK, RIGHT_RANK)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRat)):
@@ -243,39 +234,47 @@ def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorEl
 
 
 def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorElement:
-    """The coupled sum of products of disk polynomials in the separate factors."""
+    """The coupled sum of products of disk polynomials in the separate factors.
+
+    Each (r, s) piece is built from the L-scaled disk polynomials
+    (`scaled_disk_poly`), so its coefficients stay Laurent; its scalar
+    cc / (L_outer^2 L_inner) goes over the common denominator V of all the
+    pieces, the pieces are summed with polynomial weights, and the sum is
+    divided by V once per term."""
     _check_addition_args(l, m, alpha, variant)
     g = xy_generators()
-    total = TensorElement.zero()
     minus_q = -QRat.q_power(1)
+    plan, factors = [], []
     for r in range(l + 1):
         for s in range(m + 1):
+            outer, inner = DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1)
+            inv_outer, outer_scaled = jacobi_scaled(outer)
+            inv_inner, inner_scaled = jacobi_scaled(inner)
             cc = coupling_const(l, m, r, s, alpha)
-            left = (disk_poly(DiskSpec(l - r, m - s, alpha + r + s), g.X2, g.X2s, g.Q)
-                    * disk_poly(DiskSpec(r, s, alpha - 1), g.X1, g.X1s, g.Qp))
-            right = disk_poly(DiskSpec(l - r, m - s, alpha + r + s), g.Y2, g.Y2s, g.D)
             if variant == "final":
-                right = right * g.Y1 ** s * g.Y1s ** r
                 cc = cc * minus_q ** (r - s)
-            else:
-                right = right * g.Y1 ** r * g.Y1s ** s
-            total = total + TensorElement.from_pair(left, right) * cc
-    return total
+            factors.append(cc * inv_outer * inv_outer * inv_inner)
+            plan.append((r, s, outer, outer_scaled, inner, inner_scaled))
+    inv_lcm, weights = common_denominator(factors)
+    total = TensorElement.zero()
+    for (r, s, outer, outer_scaled, inner, inner_scaled), weight in zip(plan, weights):
+        left = (scaled_disk_poly(outer, outer_scaled, g.X2, g.X2s, g.Q)
+                * scaled_disk_poly(inner, inner_scaled, g.X1, g.X1s, g.Qp))
+        right = scaled_disk_poly(outer, outer_scaled, g.Y2, g.Y2s, g.D)
+        if variant == "final":
+            right = right * g.Y1 ** s * g.Y1s ** r
+        else:
+            right = right * g.Y1 ** r * g.Y1s ** s
+        total = total + TensorElement.from_pair(left, right * weight)
+    return total * inv_lcm
 
 
-@dataclass
-class Verdict:
-    """Outcome of one addition-formula verification."""
+class Verdict(Record):
+    """Outcome of one addition-formula verification: l, m, alpha, variant,
+    passed, residual_terms, lhs_terms, rhs_terms, millis."""
 
-    l: int
-    m: int
-    alpha: int
-    variant: str
-    passed: bool
-    residual_terms: list
-    lhs_terms: int
-    rhs_terms: int
-    millis: int
+    __slots__ = ("l", "m", "alpha", "variant", "passed", "residual_terms",
+                 "lhs_terms", "rhs_terms", "millis")
 
     def to_json(self) -> dict:
         return {

@@ -20,6 +20,47 @@ keeps it while lowering an index-inversion count, and it is confluent
 The production multiplication routine folds one letter at a time into an
 already-normal prefix, memoizing the expansion of w^mu z_j; this is a
 fast path behind the same contract as single-step rewriting.
+
+Element products, in Z_n and in a tensor product Z_n1 (x) Z_n2 (which
+multiplies factorwise), all run through `_product`.  From _PACK_MIN_PAIRS
+term pairs on, a product is packed into integers (Kronecker substitution;
+Harvey, J. Symbolic Comput. 2009).  Let one side's coefficients be n_i/q^k_i
+with K the largest k_i.  Each becomes the integer n_i(2^s) 2^(s(K - k_i)),
+the value at q = 2^s of n_i q^(K - k_i).  The structure constants are packed
+the same way; their denominators are q-powers, because the relations have
+coefficients in Z[q, 1/q].  Evaluation at 2^s is a ring homomorphism.  So,
+for each output monomial, the integer sum of the products A_i B_j X over
+the contributing pairs and structure constants is F(2^s), where F is the
+output coefficient times q^Ktot and Ktot is the sum of the K's.  F is read
+back from the symmetric base-2^s digits of that sum.
+
+Bound.  Write |f| for the sum of the absolute values of the integer
+coefficients of f, |a| for the sum of |n_i| over a's terms, and S for the
+largest mass of a structure-constant row, the sum of |X| over its
+entries.  In a tensor product S is the product of the factors' largest
+masses: the product row of two factor rows has mass at most the product of
+their masses, since |x y| <= |x| |y|.  Every coefficient of F is a sum of
+coefficients of products n_i n_j X, and |n_i n_j X| <= |n_i| |n_j| |X|.
+Summed over all pairs and row entries this gives |F_t| <= |a| |b| S = B.
+With s = B.bit_length() + 1 we have B < 2^(s-1).  An integer polynomial
+with coefficients in (-2^(s-1), 2^(s-1)) is recovered exactly from its
+value at 2^s by symmetric digits: the lowest digit is its constant term,
+and the rest follows by induction.
+
+Packing needs every coefficient over a power of q.  A product with any
+other coefficient runs the per-pair loop, whatever its size; the products
+of the q-disk sums and of the benchmark's CLI traffic have none.
+
+Cutoff.  Below 16 term pairs the per-pair loop runs.  Every product that
+the 128-case `qdisk suite` grid and the three `verify_addition` cases of
+the benchmark make was replayed through both paths on warm tables (2-vCPU
+x86 VM, best of five).  Below 16 pairs the per-pair loop was faster (up to
+2x on single pairs); any cutoff from 8 to 32 gave totals within 3% of each
+other.  End to end the loop is needed: in ten alternating pairs of
+benchmark runs (`perfbench/run.py --seconds 20`, same VM), packing every
+product instead of cutting off at 16 raised the median `solve_s` from 0.99
+to 1.32 s on cli and from 0.97 to 1.05 s on addition, and lost all twenty
+pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +68,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .qfield import ONE, QRat, ZERO, int_from_json
+from .qfield import (ONE, QRat, ZERO, _eval_shift, _from_digits, _is_qpow, _laurent,
+                     int_from_json)
 
 # a letter is ("z", i) or ("w", i) with 1 <= i <= rank; a word is a tuple of letters
 Letter = tuple
@@ -157,6 +199,91 @@ def _accum(acc: dict, key, coeff) -> None:
 
 
 # ----------------------------------------------------------------------
+# element products (packing, bound and cutoff: see the module docstring)
+
+_PACK_MIN_PAIRS = 16
+
+
+def _product(a: dict, b: dict, ranks: tuple) -> dict:
+    """Terms {key: coeff} of the product of the elements with terms a and b:
+    ranks = (n,) multiplies in Z_n, keys being monomials (lam, mu); ranks =
+    (n1, n2) multiplies in Z_n1 (x) Z_n2 factorwise, keys being pairs."""
+    if len(a) * len(b) >= _PACK_MIN_PAIRS and all(
+            _is_qpow(c.den) for terms in (a, b) for c in terms.values()):
+        return _packed_product(a, b, ranks)
+    out: dict = {}
+    if len(ranks) == 1:
+        rank, = ranks
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                c = c1 * c2
+                for key, sc in _mono_mul(rank, k1, k2):
+                    _accum(out, key, c * sc)
+        return out
+    left, right = ranks
+    for (l1, r1), c1 in a.items():
+        for (l2, r2), c2 in b.items():
+            c = c1 * c2
+            for kl, sl in _mono_mul(left, l1, l2):
+                csl = c * sl
+                for kr, sr in _mono_mul(right, r1, r2):
+                    _accum(out, (kl, kr), csl * sr)
+    return out
+
+
+def _packed_product(a: dict, b: dict, ranks: tuple) -> dict:
+    """`_product` by Kronecker substitution, for coefficients over powers of q."""
+    ka = max(len(c.den) for c in a.values()) - 1
+    kb = max(len(c.den) for c in b.values()) - 1
+    bound, ktot = _mass(a.values()) * _mass(b.values()), ka + kb
+    # the rows each factor needs: every pair of its distinct keys on the two sides
+    tables = []
+    for f, rank in enumerate(ranks):
+        xs, ys = (a, b) if len(ranks) == 1 else ({k[f] for k in a}, {k[f] for k in b})
+        table = {(x, y): _mono_mul(rank, x, y) for x in xs for y in ys}
+        bound *= max(_mass(c for _, c in row) for row in table.values())
+        kf = max(len(c.den) - 1 for row in table.values() for _, c in row)
+        tables.append((table, kf))
+        ktot += kf
+    s = bound.bit_length() + 1
+
+    def pack(c, kmax):
+        return _eval_shift(c.num, s) << (s * (kmax - len(c.den) + 1))
+
+    prows = []
+    for table, kf in tables:
+        packed = {c: pack(c, kf) for row in table.values() for _, c in row}
+        prows.append({pair: [(key, packed[c]) for key, c in row] for pair, row in table.items()})
+    pa = [(key, pack(c, ka)) for key, c in a.items()]
+    pb = [(key, pack(c, kb)) for key, c in b.items()]
+    acc: dict = {}
+    if len(ranks) == 1:
+        prow, = prows
+        for k1, x1 in pa:
+            for k2, x2 in pb:
+                p = x1 * x2
+                for key, x in prow[(k1, k2)]:
+                    acc[key] = acc.get(key, 0) + p * x
+    else:
+        lrow, rrow = prows
+        for (l1, r1), x1 in pa:
+            for (l2, r2), x2 in pb:
+                p = x1 * x2
+                right = rrow[(r1, r2)]
+                for kl, x in lrow[(l1, l2)]:
+                    px = p * x
+                    for kr, y in right:
+                        key = (kl, kr)
+                        acc[key] = acc.get(key, 0) + px * y
+    return {key: _laurent(_from_digits(v, s), ktot) for key, v in acc.items() if v}
+
+
+def _mass(coeffs: Iterable) -> int:
+    """Sum of the absolute values of the numerator coefficients."""
+    return sum(sum(map(abs, c.num)) for c in coeffs)
+
+
+# ----------------------------------------------------------------------
 # elements
 
 
@@ -267,14 +394,7 @@ class ZElement:
         if not isinstance(other, ZElement):
             return NotImplemented
         self._require_same_rank(other)
-        out: dict = {}
-        rank = self.rank
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                for key, sc in _mono_mul(rank, k1, k2):
-                    _accum(out, key, c * sc)
-        return ZElement(rank, out)
+        return ZElement(self.rank, _product(self.terms, other.terms, (self.rank,)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRat)):

@@ -20,6 +20,12 @@ full width.
 sums: normalize the whole product, then add c * h(monomial) one term at a
 time from the negative-base monomial formula, with a reduced fraction after
 every addition.
+
+`pairwise_mul`, `disk_poly_termwise` and `addition_sides_termwise` are the
+oracles for the packed element products and the scaled disk sums: every
+term pair multiplies its QRat coefficients and expands the monomial product
+one structure constant at a time, and the disk polynomial is the plain sum
+over k of coef_k times its product of powers, each coefficient reduced.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from __future__ import annotations
 from qdisk.haar import haar_monomial_alt
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfunc import little_q_jacobi
-from qdisk.tensor import coupling_const
-from qdisk.zalgebra import star
+from qdisk.tensor import LEFT_RANK, RIGHT_RANK, TensorElement, coupling_const, xy_generators
+from qdisk.zalgebra import ZElement, _mono_mul, star
 
 _Q = QRat.q_power(1)
 _QINV = QRat.q_power(-1)
@@ -340,3 +346,80 @@ def haar_termwise(a) -> QRat:
 def inner_via_product(a, b) -> QRat:
     """<a, b>: normalize b* a fully, then apply h term by term."""
     return haar_termwise(star(b) * a)
+
+
+# ----------------------------------------------------------------------
+# element products and disk sums, one term pair and one k at a time
+
+
+def _add_into(out: dict, key, c) -> None:
+    acc = out.get(key)
+    out[key] = c if acc is None else acc + c
+
+
+def pairwise_mul(a, b):
+    """a * b for two ZElements or two TensorElements (factorwise)."""
+    out: dict = {}
+    if isinstance(a, TensorElement):
+        for (l1, r1), c1 in a.terms.items():
+            for (l2, r2), c2 in b.terms.items():
+                for kl, sl in _mono_mul(LEFT_RANK, l1, l2):
+                    for kr, sr in _mono_mul(RIGHT_RANK, r1, r2):
+                        _add_into(out, (kl, kr), c1 * c2 * sl * sr)
+        return TensorElement(out)
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            for key, sc in _mono_mul(a.rank, k1, k2):
+                _add_into(out, key, c1 * c2 * sc)
+    return ZElement(a.rank, out)
+
+
+def _pairwise_pow(a, k: int):
+    acc = a.one_like()
+    for _ in range(k):
+        acc = pairwise_mul(acc, a)
+    return acc
+
+
+def disk_poly_termwise(l: int, m: int, alpha: int, A, B, C):
+    """sum_k coef_k C^(mm-k) A^(l-m) D^k (l >= m) or coef_k C^(mm-k) D^k B^(m-l)."""
+    mm, beta = min(l, m), abs(l - m)
+    coeffs = little_q_jacobi(mm, alpha, beta, 2).coeffs
+    D = C - pairwise_mul(A, B)
+    result = A.one_like() * ZERO
+    for k in range(mm + 1):
+        term = _pairwise_pow(C, mm - k)
+        if l >= m:
+            term = pairwise_mul(pairwise_mul(term, _pairwise_pow(A, l - m)), _pairwise_pow(D, k))
+        else:
+            term = pairwise_mul(pairwise_mul(term, _pairwise_pow(D, k)), _pairwise_pow(B, m - l))
+        result = result + term * coeffs[k]
+    return result
+
+
+def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
+    """(lhs, rhs) of the addition formula as TensorElements: the published
+    arguments and coupling constants, each (r, s) piece times its constant."""
+    g = xy_generators()
+    pair = TensorElement.from_pair
+    if variant == "final":
+        A = pair(g.X1, g.Y1s) * (-_Q) + pair(g.X2, g.Y2)
+        B = pair(g.X1s, g.Y1) * (-_Q) + pair(g.X2s, g.Y2s)
+    else:
+        A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
+        B = pair(g.X1s, g.Y1s) * (_Q * _Q) + pair(g.X2s, g.Y2s)
+    lhs = disk_poly_termwise(l, m, alpha, A, B, pair(g.Q, g.D))
+    rhs = TensorElement.zero()
+    for r in range(l + 1):
+        for s in range(m + 1):
+            cc = coupling_const(l, m, r, s, alpha)
+            left = pairwise_mul(disk_poly_termwise(l - r, m - s, alpha + r + s, g.X2, g.X2s, g.Q),
+                                disk_poly_termwise(r, s, alpha - 1, g.X1, g.X1s, g.Qp))
+            right = disk_poly_termwise(l - r, m - s, alpha + r + s, g.Y2, g.Y2s, g.D)
+            if variant == "final":
+                ys = pairwise_mul(_pairwise_pow(g.Y1, s), _pairwise_pow(g.Y1s, r))
+                cc = cc * (-_Q) ** (r - s)
+            else:
+                ys = pairwise_mul(_pairwise_pow(g.Y1, r), _pairwise_pow(g.Y1s, s))
+            rhs = rhs + pair(left, pairwise_mul(right, ys)) * cc
+    return lhs, rhs

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisk.cli import (
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_GRID_CASES,
     MAX_NESTING,
+    MAX_PAIRS,
     MAX_RANK,
     ExprError,
     eval_expr,
@@ -336,6 +338,31 @@ def test_exponent_cap(capsys):
     code, out, err = run_cli(capsys, "haar", "--n", "2", "--expr", f"q^{MAX_EXPONENT + 1}")
     assert (code, out) == (2, "")
     assert "byte 2" in err
+
+
+def test_degree_cap():
+    half = MAX_DEGREE // 2
+    assert parse_element(f"z[1]^{half}*w[1]^{half}", 1) == ZElement.monomial(1, [half], [half])
+    assert parse_element(f"(z[1]^2)^{half}", 1) == z_gen(1, 1) ** MAX_DEGREE
+    for over in (f"z[1]^{half}*z[1]^{half}*w[1]", f"(z[1]^3)^{(MAX_DEGREE + 1) // 3}"):
+        with pytest.raises(ExprError, match=f"total degree {MAX_DEGREE + 1}, above"):
+            parse_element(over, 1)
+
+
+def test_term_pair_cap():
+    # 64 * 64 pairs at the cap; 17 * 241 just over it
+    assert MAX_PAIRS == 64 * 64
+    assert len(parse_element("(z[1]+1)^63*(z[2]+1)^63", 2).terms) == MAX_PAIRS
+    monomials = [f"z[2]^{i}*w[2]^{j}" for i in range(16) for j in range(16)][:241]
+    with pytest.raises(ExprError, match=f"{MAX_PAIRS + 1} term pairs, more than"):
+        parse_element(f"(z[1]+1)^16*({'+'.join(monomials)})", 2)
+
+
+def test_nested_powers_exit_2_before_the_blowup(capsys):
+    # each exponent is within MAX_EXPONENT; their product is not
+    code, out, err = run_cli(capsys, "normalize", "--n", "1", "--expr", "((z[1]+1)^64)^64")
+    assert (code, out) == (2, "")
+    assert f"4225 term pairs, more than {MAX_PAIRS}" in err
 
 
 def test_rank_cap(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from oracle import disk_poly_termwise
 from qdisk.diskpoly import DiskSpec, assoc_spherical, disk_poly, spherical
 from qdisk.haar import inner, norm_const
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
@@ -98,3 +99,12 @@ def test_assoc_inner_products_rank_three():
                           * norm_const(l - r, m - s, alpha + r + s)
                           * norm_const(r, s, alpha - 1))
                 assert v == expect, t1
+
+
+@pytest.mark.parametrize("l,m,alpha", [(0, 0, 1), (3, 1, 1), (1, 3, 2), (2, 2, 0), (3, 3, 2)])
+def test_disk_poly_equals_the_termwise_sum(l, m, alpha):
+    # Laurent arguments, and arguments with (1 - q^k) coefficients (Q_3 is central)
+    x, y, c = z_gen(3, 3), w_gen(3, 3), q_element(3, 3)
+    f = (ONE - qp(2)) / (ONE - qp(4))
+    for A, B, C in ((x, y, c), (x * f + z_gen(2, 3) * qp(-1), y * f, c * f)):
+        assert disk_poly(DiskSpec(l, m, alpha), A, B, C) == disk_poly_termwise(l, m, alpha, A, B, C)

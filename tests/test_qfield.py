@@ -314,6 +314,21 @@ def test_from_json_rejects_non_integers(obj):
         QRat.from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"num": [1]},                 # was KeyError
+    5,                            # was TypeError
+    {"num": [1], "den": 5},       # was TypeError
+    {"num": "1", "den": [1]},
+    None,
+    [[1], [1]],
+    {"num": [1], "den": []},      # was ZeroDivisionError
+    {"num": [1], "den": [0, 0]},
+])
+def test_from_json_raises_only_value_error_on_malformed_documents(obj):
+    with pytest.raises(ValueError):
+        QRat.from_json(obj)
+
+
 def test_int_from_json_accepts_ints_and_decimal_strings():
     assert int_from_json(7) == 7
     assert int_from_json("-123456789012345678901234567890") == -123456789012345678901234567890

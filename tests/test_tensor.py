@@ -1,14 +1,19 @@
 """Tests for the tensor-product realization and the addition formula."""
 
+import copy
+import pickle
 import random
 from itertools import product
 
 import pytest
 
-from qdisk.qfield import ONE, QRat
+from oracle import addition_sides_termwise
+from qdisk.diskpoly import DiskSpec
+from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfield import solve_linear
 from qdisk.tensor import (
     TensorElement,
+    Verdict,
     addition_lhs,
     addition_rhs,
     coupling_const,
@@ -230,3 +235,51 @@ def test_to_json_structure():
     assert top["left"]["lambda"] == [0, 1, 0]
     assert top["right"]["lambda"] == [1, 0]
     assert top["coeff"] == ONE.to_json()
+
+
+@pytest.mark.parametrize("variant", ["final", "precursor"])
+@pytest.mark.parametrize("l,m,alpha", [(1, 0, 1), (2, 1, 1), (1, 2, 2), (3, 3, 2)])
+def test_addition_sides_equal_the_termwise_oracle(l, m, alpha, variant):
+    lhs, rhs = addition_sides_termwise(l, m, alpha, variant)
+    assert addition_lhs(l, m, alpha, variant).terms == lhs.terms
+    assert addition_rhs(l, m, alpha, variant).terms == rhs.terms
+
+
+VERDICT_FIELDS = dict(l=2, m=1, alpha=1, variant="final", passed=False,
+                      residual_terms=[{"coeff": "q"}], lhs_terms=7, rhs_terms=6, millis=3)
+RECORDS = [
+    DiskSpec(2, 1, 3),
+    DiskSpec(l=0, m=4, alpha=0, base_exp=4),
+    LinearSolution(consistent=True, particular=[ONE, Q2], nullspace=[[ZERO, Q]]),
+    LinearSolution(False, None, []),
+    Verdict(**VERDICT_FIELDS),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=repr)
+def test_records_survive_pickle_and_copy(record):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert clone == record
+        assert repr(clone) == repr(record)
+
+
+def test_records_take_fields_by_position_or_name():
+    assert Verdict(*VERDICT_FIELDS.values()) == Verdict(**VERDICT_FIELDS)
+    assert Verdict(2, 1, 1, "final", **{k: VERDICT_FIELDS[k] for k in list(VERDICT_FIELDS)[4:]}) \
+        == Verdict(**VERDICT_FIELDS)
+    for bad in ({k: v for k, v in VERDICT_FIELDS.items() if k != "alpha"},
+                {**VERDICT_FIELDS, "extra": 1}):
+        with pytest.raises(TypeError):
+            Verdict(**bad)
+    with pytest.raises(TypeError):
+        Verdict(2, l=2, **{k: v for k, v in VERDICT_FIELDS.items() if k != "l"})
+    spec = DiskSpec(1, 2, 3)
+    assert hash(pickle.loads(pickle.dumps(spec))) == hash(spec)
+    with pytest.raises(AttributeError):
+        copy.copy(spec).l = 5
+    with pytest.raises(ValueError):
+        DiskSpec(l=-1, m=0, alpha=0)
+    verdict = copy.copy(Verdict(**VERDICT_FIELDS))
+    verdict.passed = True
+    assert verdict.passed

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import pairwise_mul
 from qdisk.qfield import ONE, QRat, ZERO, solve_linear
+from qdisk.tensor import LEFT_RANK, RIGHT_RANK, TensorElement
 from qdisk.zalgebra import (
+    _PACK_MIN_PAIRS,
     ANY_BIDEGREE,
     ZElement,
     bidegree,
@@ -370,3 +373,70 @@ def test_json_term_order_breaks_ties_lexicographically():
 def test_from_json_raises_value_error_on_malformed_documents(obj):
     with pytest.raises(ValueError):
         ZElement.from_json(obj)
+
+
+# ---------------------------------------------------------------- element products
+
+
+def coefficients(laurent):
+    """Numerators with small or >= 2^40 integers, over 1 or q^j, and unless
+    laurent also over (1 - q^k)."""
+    ints = st.one_of(st.integers(-3, 3), st.integers(2 ** 40, 2 ** 42), st.integers(-2 ** 42, -2 ** 40))
+    num = st.lists(ints, min_size=1, max_size=4).map(QRat)
+    dens = [st.just(ONE), st.integers(1, 5).map(qp)]
+    if not laurent:
+        dens.append(st.integers(1, 4).map(lambda k: ONE - qp(k)))
+    return st.tuples(num, st.one_of(dens)).map(lambda nd: nd[0] / nd[1]).filter(bool)
+
+
+def monomials(rank):
+    vec = st.tuples(*[st.integers(0, 2)] * rank)
+    return st.tuples(vec, vec)
+
+
+def terms_of(keys, size, laurent):
+    return st.lists(st.tuples(keys, coefficients(laurent)), min_size=size[0], max_size=size[1],
+                    unique_by=lambda t: t[0]).map(dict)
+
+
+# term counts per side with all products under, respectively at or over, the
+# cutoff; over it, Laurent coefficients take the packed path and others mostly not
+SMALL, LARGE = (1, 3), (4, 7)
+
+
+@given(st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_zelement_product_equals_the_pairwise_oracle(rank, large, laurent, data):
+    size = LARGE if large else SMALL
+    a = ZElement(rank, data.draw(terms_of(monomials(rank), size, laurent)))
+    b = ZElement(rank, data.draw(terms_of(monomials(rank), size, laurent)))
+    assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == large
+    assert a * b == pairwise_mul(a, b)
+
+
+@given(st.booleans(), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_tensor_product_equals_the_pairwise_oracle(large, laurent, data):
+    size = LARGE if large else SMALL
+    keys = st.tuples(monomials(LEFT_RANK), monomials(RIGHT_RANK))
+    a = TensorElement(data.draw(terms_of(keys, size, laurent)))
+    b = TensorElement(data.draw(terms_of(keys, size, laurent)))
+    assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == large
+    assert a * b == pairwise_mul(a, b)
+
+
+def test_packed_product_at_the_bound():
+    # Z_1 is commutative, so every structure-constant row is one entry 1 (S = 1)
+    # and the unit monomial of a * b gets only n * m, which is over half of the
+    # bound |a| |b| S: one bit less of digit width would misread it
+    n = m = 3 * 2 ** 40
+    unit = ((0,), (0,))
+    a = ZElement(1, {unit: n, **{((i,), (0,)): 1 for i in range(1, 5)}})
+    b = ZElement(1, {unit: m, **{((0,), (j,)): -1 for j in range(1, 5)}})
+    assert len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS
+    bound = (n + 4) * (m + 4)
+    assert n * m > 2 ** (bound.bit_length() - 1)
+    product = a * b
+    assert product.coefficient((0,), (0,)) == n * m
+    assert product == pairwise_mul(a, b)
+    assert (-a) * b == -product
