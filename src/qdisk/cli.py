@@ -17,10 +17,13 @@ Exit codes: 0 success / verification pass, 1 verification failure, 2 usage,
 parse, or evaluation errors.  Hostile input exits 2 before any large
 allocation or process pool: the rank (--n, $QDISK_DEFAULT_N) is capped at
 MAX_RANK = 16, '^' exponents at MAX_EXPONENT = 64, parenthesis nesting at
-MAX_NESTING = 100 and the cases of a suite grid at MAX_GRID_CASES = 1024.
-Before each product, and each step of a power, evaluation checks that the
-result's total degree in the generators stays at most MAX_DEGREE = 128 and
-that it multiplies at most MAX_PAIRS = 4096 pairs of terms.
+MAX_NESTING = 100, the cases of a suite grid at MAX_GRID_CASES = 1024 and
+its worker processes (--jobs, and never more than the cases) at MAX_JOBS =
+32.  Before each product, and each step of a power, evaluation checks that
+the result's total degree in the generators stays at most MAX_DEGREE = 128,
+that it multiplies at most MAX_PAIRS = 4096 pairs of terms, and that the
+sizes of the two factors' largest coefficients (their integers' bits) add
+up to at most MAX_COEFF_BITS = 4096.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .diskpoly import assoc_spherical, spherical
 from .haar import haar, inner
-from .qfield import QRat, poly_neg, poly_str
+from .qfield import QRat
 from .tensor import verify_addition
-from .zalgebra import ZElement, _mono_str, q_element, star, w_gen, z_gen
+from .zalgebra import ZElement, q_element, star, w_gen, z_gen
 
 MAX_RANK = 16
 MAX_EXPONENT = 64
@@ -45,6 +48,8 @@ MAX_NESTING = 100
 MAX_GRID_CASES = 1024
 MAX_DEGREE = 128
 MAX_PAIRS = 4096
+MAX_COEFF_BITS = 4096
+MAX_JOBS = 32
 
 
 class ExprError(ValueError):
@@ -208,6 +213,13 @@ def _degree(elt: ZElement) -> int:
     return max((sum(lam) + sum(mu) for lam, mu in elt.terms), default=0)
 
 
+def _coeff_bits(elt: ZElement) -> int:
+    """Size of the largest coefficient: the bits of its numerator and
+    denominator integers, each counted at least once."""
+    return max((sum(x.bit_length() or 1 for x in c.num + c.den) for c in elt.terms.values()),
+               default=0)
+
+
 def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
     """a * b, once its size is known to stay within the caps."""
     pairs = len(a.terms) * len(b.terms)
@@ -216,6 +228,9 @@ def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
     degree = _degree(a) + _degree(b)
     if degree > MAX_DEGREE:
         raise ExprError(f"product of total degree {degree}, above {MAX_DEGREE}", offset)
+    bits = _coeff_bits(a) + _coeff_bits(b)
+    if bits > MAX_COEFF_BITS:
+        raise ExprError(f"product of coefficients of {bits} bits, above {MAX_COEFF_BITS}", offset)
     return a * b
 
 
@@ -235,7 +250,7 @@ def eval_expr(node, n: int) -> ZElement:
         value = {"z": z_gen, "w": w_gen, "Q": q_element}[node[1]](node[2], n)
     else:
         c = QRat.from_int(node[1]) if node[0] == "int" else QRat.q_power(1)
-        value = ZElement(n, {((0,) * n, (0,) * n): c})
+        value = ZElement.scalar(c, n)
     for kind, _, *rest in reversed(spine):
         if kind in _BINARY:
             value = _BINARY[kind](value, eval_expr(rest[0], n))
@@ -263,69 +278,9 @@ def parse_element(src: str, n: int) -> ZElement:
     return eval_expr(parse(src, n), n)
 
 
-# ----------------------------------------------------------------------
-# grammar-compatible printing
-
-
-def _poly_term_count(coeffs) -> int:
-    return sum(1 for c in coeffs if c)
-
-
-def _first_nonzero(coeffs) -> int:
-    return next((c for c in coeffs if c), 0)
-
-
-def _display_parts(c: QRat):
-    """Split a coefficient into (is_negative, num, den) with both polynomial
-    parts led (in ascending degree) by a positive coefficient."""
-    num, den = c.num, c.den
-    if _first_nonzero(den) < 0:
-        num, den = poly_neg(num), poly_neg(den)
-    negative = _first_nonzero(num) < 0
-    if negative:
-        num = poly_neg(num)
-    return negative, num, den
-
-
-def format_qrat(c: QRat) -> str:
-    """Print a coefficient so it can stand alone as an expression."""
-    negative, num, den = _display_parts(c)
-    body = _quotient_str(num, den)
-    return f"-{body}" if negative else body
-
-
-def _quotient_str(num, den) -> str:
-    """Factor-safe rendering of num/den."""
-    num_s = poly_str(num)
-    if den == (1,):
-        return f"({num_s})" if _poly_term_count(num) > 1 else num_s
-    den_s = poly_str(den)
-    if _poly_term_count(num) > 1:
-        num_s = f"({num_s})"
-    if _poly_term_count(den) > 1 or "*" in den_s:
-        den_s = f"({den_s})"
-    return f"({num_s}/{den_s})"
-
-
-def format_element(x: ZElement) -> str:
-    """Print a normal form inside the expression grammar."""
-    if not x.terms:
-        return "0"
-    pieces = []
-    for (lam, mu), c in x.sorted_terms():
-        negative, num, den = _display_parts(c)
-        mono = _mono_str(lam, mu)
-        if not mono:
-            body = _quotient_str(num, den)
-        elif (num, den) == ((1,), (1,)):
-            body = mono
-        else:
-            body = f"{_quotient_str(num, den)}*{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
+# the printers of `ZElement` and `QRat`, under the names this module gave them
+format_element = ZElement.__str__
+format_qrat = QRat.__str__
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +300,7 @@ def _default_rank(args) -> int:
 
 def _emit(args, value) -> int:
     """Print an element or a coefficient, as JSON or in the grammar."""
-    if args.json:
-        print(json.dumps(value.to_json()))
-    else:
-        print(format_element(value) if isinstance(value, ZElement) else value)
+    print(json.dumps(value.to_json()) if args.json else value)
     return 0
 
 
@@ -420,8 +372,8 @@ def _parse_grid(text: str) -> dict:
 
 
 def _cmd_suite(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ValueError(f"--jobs must be at least 1 and at most {MAX_JOBS}, got {args.jobs}")
     grid = _parse_grid(args.grid)
     variants = ("final", "precursor") if args.variant == "both" else (args.variant,)
     size = len(grid["alpha"]) * len(grid["l"]) * len(grid["m"]) * len(variants)
@@ -432,8 +384,9 @@ def _cmd_suite(args) -> int:
              for l in grid["l"]
              for m in grid["m"]
              for variant in variants]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(_run_case, cases))
     else:
         verdicts = [_run_case(case) for case in cases]

@@ -51,18 +51,6 @@ def haar_monomial(lam, mu, n: int) -> QRat:
     return _haar_num(lam, n) / qpoch(2, 2, sum(lam) + n - 1) if lam == mu else ZERO
 
 
-def haar_monomial_alt(lam, mu, n: int) -> QRat:
-    """Equivalent negative-base form of the same functional, used as a
-    cross-check: q-Pochhammers in base q^-2 with an explicit q-power."""
-    lam, mu = tuple(lam), tuple(mu)
-    if lam != mu:
-        return ZERO
-    value = QRat.q_power(-2 * sum((n - 1 - i) * lam[i] for i in range(n - 1)))
-    for li in lam:
-        value = value * qpoch(-2, -2, li)
-    return value * qpoch(-2, -2, n - 1) / qpoch(-2, -2, sum(lam) + n - 1)
-
-
 def _numerator(c: QRat) -> QRat:
     return QRat(c.num, (1,), _canonical=True)
 
@@ -79,14 +67,21 @@ def _group_sum(groups: dict, rank: int) -> QRat:
     return total
 
 
+def _z_rank(a: ZElement) -> int:
+    if type(a.rank) is not int:
+        raise ValueError(f"the Haar functional acts on Z_n, not on rank {a.rank}")
+    return a.rank
+
+
 def haar(a: ZElement) -> QRat:
     """The Haar functional, linear over the monomial expansion."""
+    rank = _z_rank(a)
     groups: dict = {}
     for (lam, mu), c in a.terms.items():
         if lam == mu:
             key = (sum(lam), c.den)
-            groups[key] = groups.get(key, ZERO) + _numerator(c) * _haar_num(lam, a.rank)
-    return _group_sum(groups, a.rank)
+            groups[key] = groups.get(key, ZERO) + _numerator(c) * _haar_num(lam, rank)
+    return _group_sum(groups, rank)
 
 
 def _pair_haar(rank: int, key1, key2) -> tuple:
@@ -106,6 +101,7 @@ def inner(a: ZElement, b: ZElement) -> QRat:
     """<a, b> = h(b* a), computed by pairing monomials directly."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+    rank = _z_rank(a)
     a_terms = [(key, sum(key[0]) - sum(key[1]), c.den, _numerator(c))
                for key, c in a.terms.items()]
     groups: dict = {}
@@ -115,11 +111,11 @@ def inner(a: ZElement, b: ZElement) -> QRat:
         for akey, da, den_a, na in a_terms:
             # h vanishes unless the product can hit the diagonal
             if db + da == 0:
-                t, v = _pair_haar(a.rank, bkey, akey)
+                t, v = _pair_haar(rank, bkey, akey)
                 if v:
                     key = (t, cb.den, den_a)
                     groups[key] = groups.get(key, ZERO) + nb * na * v
-    return _group_sum(groups, a.rank)
+    return _group_sum(groups, rank)
 
 
 def norm_const(l: int, m: int, alpha: int) -> QRat:

@@ -7,7 +7,9 @@ pair (Y1, Y2) is realized faithfully inside Z_3 (x) Z_2 via
     Y1 -> z_1,  Y2 -> z_2,  D -> Q_2      (right factor, rank 2)
 
 so both sides of the addition formula become concrete elements of the
-tensor product, where equality is decidable by exact normal forms.  Two
+tensor product, where equality is decidable by exact normal forms.  Those
+elements are `ZElement`s of rank RANKS = (3, 2), made from simple tensors
+by `pair`, and they multiply factorwise.  Two
 variants are verified: the coupled-argument identity with arguments
 
     A = -q X1 (x) Y1* + X2 (x) Y2,  B = -q X1* (x) Y1 + X2* (x) Y2*,
@@ -25,134 +27,25 @@ import time
 from .diskpoly import DiskSpec, disk_poly, jacobi_scaled, scaled_disk_poly
 from .haar import norm_const
 from .qfield import ONE, QRat, Record, common_denominator
-from .zalgebra import ZElement, _accum, _product, _term_order_key, q_element, w_gen, z_gen
+from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
 
 
-class TensorElement:
-    """An element of Z_3 (x) Z_2 over Q(q), expanded over pairs of
-    basis monomials.  Multiplication acts factorwise."""
+RANKS = (LEFT_RANK, RIGHT_RANK)
 
-    __slots__ = ("terms",)
+# tensor elements are ZElements of rank RANKS; the name of their former class
+# stays bound to the type for callers that still use it
+TensorElement = ZElement
 
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict = {}
-        if terms:
-            for key, c in terms.items():
-                if not isinstance(c, QRat):
-                    c = QRat.from_int(c)
-                if c:
-                    self.terms[key] = c
 
-    # -- constructors
-
-    @staticmethod
-    def zero() -> "TensorElement":
-        return TensorElement()
-
-    @staticmethod
-    def one() -> "TensorElement":
-        zl = ((0,) * LEFT_RANK,) * 2
-        zr = ((0,) * RIGHT_RANK,) * 2
-        return TensorElement({(zl, zr): ONE})
-
-    def one_like(self) -> "TensorElement":
-        return TensorElement.one()
-
-    @staticmethod
-    def from_pair(left: ZElement, right: ZElement) -> "TensorElement":
-        """The simple tensor left (x) right."""
-        if left.rank != LEFT_RANK or right.rank != RIGHT_RANK:
-            raise ValueError(f"tensor factors must have ranks ({LEFT_RANK}, {RIGHT_RANK})")
-        out = {}
-        for kl, cl in left.terms.items():
-            for kr, cr in right.terms.items():
-                out[(kl, kr)] = cl * cr
-        return TensorElement(out)
-
-    # -- queries
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    # -- ring operations
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accum(out, key, c)
-        return TensorElement(out)
-
-    def __neg__(self):
-        return TensorElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QRat)):
-            if not isinstance(other, QRat):
-                other = QRat.from_int(other)
-            if not other:
-                return TensorElement.zero()
-            return TensorElement({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return TensorElement(_product(self.terms, other.terms, (LEFT_RANK, RIGHT_RANK)))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, QRat)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("element powers take nonnegative integer exponents")
-        acc = TensorElement.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def star(self) -> "TensorElement":
-        """Factorwise *-involution; coefficients are fixed."""
-        return TensorElement({((kl[1], kl[0]), (kr[1], kr[0])): c
-                              for (kl, kr), c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TensorElement(terms={len(self.terms)})"
-
-    def to_json(self) -> dict:
-        def sort_key(item):
-            (kl, kr), _ = item
-            return (_term_order_key(kl), _term_order_key(kr))
-
-        return {
-            "ranks": [LEFT_RANK, RIGHT_RANK],
-            "terms": [
-                {
-                    "left": {"lambda": list(kl[0]), "mu": list(kl[1])},
-                    "right": {"lambda": list(kr[0]), "mu": list(kr[1])},
-                    "coeff": c.to_json(),
-                }
-                for (kl, kr), c in sorted(self.terms.items(), key=sort_key, reverse=True)
-            ],
-        }
+def pair(left: ZElement, right: ZElement) -> ZElement:
+    """The simple tensor left (x) right."""
+    if left.rank != LEFT_RANK or right.rank != RIGHT_RANK:
+        raise ValueError(f"tensor factors must have ranks {RANKS}")
+    return ZElement(RANKS, {(kl, kr): cl * cr for kl, cl in left.terms.items()
+                            for kr, cr in right.terms.items()})
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +110,10 @@ def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
         norm_const(l - r, m - s, alpha + r + s) * norm_const(r, s, alpha - 1))
 
 
-def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorElement:
+def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
     """The disk polynomial of the coupled arguments, expanded in the tensor algebra."""
     _check_addition_args(l, m, alpha, variant)
     g = xy_generators()
-    pair = TensorElement.from_pair
     q = QRat.q_power(1)
     if variant == "final":
         A = pair(g.X1, g.Y1s) * (-q) + pair(g.X2, g.Y2)
@@ -233,7 +125,7 @@ def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorEl
     return disk_poly(DiskSpec(l, m, alpha), A, B, C)
 
 
-def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorElement:
+def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
     """The coupled sum of products of disk polynomials in the separate factors.
 
     Each (r, s) piece is built from the L-scaled disk polynomials
@@ -256,7 +148,7 @@ def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorEl
             factors.append(cc * inv_outer * inv_outer * inv_inner)
             plan.append((r, s, outer, outer_scaled, inner, inner_scaled))
     inv_lcm, weights = common_denominator(factors)
-    total = TensorElement.zero()
+    total = ZElement.zero(RANKS)
     for (r, s, outer, outer_scaled, inner, inner_scaled), weight in zip(plan, weights):
         left = (scaled_disk_poly(outer, outer_scaled, g.X2, g.X2s, g.Q)
                 * scaled_disk_poly(inner, inner_scaled, g.X1, g.X1s, g.Qp))
@@ -265,7 +157,7 @@ def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> TensorEl
             right = right * g.Y1 ** s * g.Y1s ** r
         else:
             right = right * g.Y1 ** r * g.Y1s ** s
-        total = total + TensorElement.from_pair(left, right * weight)
+        total = total + pair(left, right * weight)
     return total * inv_lcm
 
 

@@ -11,18 +11,18 @@ Every element has a unique expansion over the ordered monomial basis
 
     z^lam w^mu = z_1^lam_1 .. z_n^lam_n  w_n^mu_n .. w_1^mu_1
 
-(z factors ascending, w factors descending by index).  Products are
-computed by rewriting words into this basis; the rewriting terminates
-because each rule either lowers the number of w-before-z inversions or
-keeps it while lowering an index-inversion count, and it is confluent
-(checked in the test suite by racing independent reduction strategies).
+(z factors ascending, w factors descending by index).  Rewriting words
+into this basis terminates, because each rule either lowers the number of
+w-before-z inversions or keeps it while lowering an index-inversion count,
+and it is confluent (checked in the test suite by racing single-step
+reduction strategies against the products here).  Products of basis
+monomials come from memoized tables built on the expansion of w^mu z_j.
 
-The production multiplication routine folds one letter at a time into an
-already-normal prefix, memoizing the expansion of w^mu z_j; this is a
-fast path behind the same contract as single-step rewriting.
+One element type, `ZElement`, holds both an element of Z_n and one of a
+tensor product Z_n1 (x) Z_n2, which multiplies factorwise.  Its `__str__`
+is the printer of the `qdisk.cli` expression grammar.
 
-Element products, in Z_n and in a tensor product Z_n1 (x) Z_n2 (which
-multiplies factorwise), all run through `_product`.  From _PACK_MIN_PAIRS
+Element products all run through `_product`.  From _PACK_MIN_PAIRS
 term pairs on, a product is packed into integers (Kronecker substitution;
 Harvey, J. Symbolic Comput. 2009).  Let one side's coefficients be n_i/q^k_i
 with K the largest k_i.  Each becomes the integer n_i(2^s) 2^(s(K - k_i)),
@@ -69,11 +69,7 @@ import math
 from typing import Iterable, Sequence
 
 from .qfield import (ONE, QRat, ZERO, _eval_shift, _from_digits, _is_qpow, _laurent,
-                     int_from_json)
-
-# a letter is ("z", i) or ("w", i) with 1 <= i <= rank; a word is a tuple of letters
-Letter = tuple
-Word = tuple
+                     int_from_json, poly_neg, poly_str)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -205,7 +201,7 @@ _PACK_MIN_PAIRS = 16
 
 
 def _product(a: dict, b: dict, ranks: tuple) -> dict:
-    """Terms {key: coeff} of the product of the elements with terms a and b:
+    """Nonzero terms {key: coeff} of the product of the elements with terms a and b:
     ranks = (n,) multiplies in Z_n, keys being monomials (lam, mu); ranks =
     (n1, n2) multiplies in Z_n1 (x) Z_n2 factorwise, keys being pairs."""
     if len(a) * len(b) >= _PACK_MIN_PAIRS and all(
@@ -219,16 +215,16 @@ def _product(a: dict, b: dict, ranks: tuple) -> dict:
                 c = c1 * c2
                 for key, sc in _mono_mul(rank, k1, k2):
                     _accum(out, key, c * sc)
-        return out
-    left, right = ranks
-    for (l1, r1), c1 in a.items():
-        for (l2, r2), c2 in b.items():
-            c = c1 * c2
-            for kl, sl in _mono_mul(left, l1, l2):
-                csl = c * sl
-                for kr, sr in _mono_mul(right, r1, r2):
-                    _accum(out, (kl, kr), csl * sr)
-    return out
+    else:
+        left, right = ranks
+        for (l1, r1), c1 in a.items():
+            for (l2, r2), c2 in b.items():
+                c = c1 * c2
+                for kl, sl in _mono_mul(left, l1, l2):
+                    csl = c * sl
+                    for kr, sr in _mono_mul(right, r1, r2):
+                        _accum(out, (kl, kr), csl * sr)
+    return {key: c for key, c in out.items() if c}
 
 
 def _packed_product(a: dict, b: dict, ranks: tuple) -> dict:
@@ -294,13 +290,25 @@ def _term_order_key(key: Key):
     return (sum(lam) + sum(mu),) + tuple(reversed(lam)) + tuple(mu)
 
 
+def _unit_key(rank) -> Key:
+    if type(rank) is tuple:
+        return tuple(map(_unit_key, rank))
+    return ((0,) * rank,) * 2
+
+
 class ZElement:
-    """A finite Q(q)-combination of ordered basis monomials of fixed rank."""
+    """A finite Q(q)-combination of ordered basis monomials.
+
+    rank is an int n for Z_n, with keys (lam, mu), or a pair (n1, n2) for
+    Z_n1 (x) Z_n2, with keys pairs of such monomials, one per factor; the
+    tensor product multiplies factorwise.  Elements of different ranks do
+    not mix."""
 
     __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms: dict | None = None):
-        _check_rank(rank)
+    def __init__(self, rank, terms: dict | None = None):
+        for r in rank if type(rank) is tuple and len(rank) == 2 else (rank,):
+            _check_rank(r)
         self.rank = rank
         self.terms: dict = {}
         if terms:
@@ -308,23 +316,32 @@ class ZElement:
                 if not isinstance(coeff, QRat):
                     coeff = QRat.from_int(coeff)
                 if coeff:
-                    lam, mu = key
-                    self.terms[(tuple(lam), tuple(mu))] = coeff
+                    self.terms[key] = coeff
+
+    def _like(self, terms: dict) -> "ZElement":
+        """An element of self's rank over terms with nonzero QRat coefficients."""
+        out = object.__new__(ZElement)
+        out.rank, out.terms = self.rank, terms
+        return out
+
+    @property
+    def ranks(self) -> tuple:
+        """The factor ranks: (n,) for Z_n, (n1, n2) for a tensor product."""
+        return self.rank if type(self.rank) is tuple else (self.rank,)
 
     # -- constructors
 
     @staticmethod
-    def zero(rank: int) -> "ZElement":
+    def zero(rank) -> "ZElement":
         return ZElement(rank)
 
     @staticmethod
-    def one(rank: int) -> "ZElement":
+    def one(rank) -> "ZElement":
         return ZElement.scalar(ONE, rank)
 
     @staticmethod
-    def scalar(c, rank: int) -> "ZElement":
-        zerov = (0,) * rank
-        return ZElement(rank, {(zerov, zerov): c})
+    def scalar(c, rank) -> "ZElement":
+        return ZElement(rank, {_unit_key(rank): c})
 
     def one_like(self) -> "ZElement":
         return ZElement.one(self.rank)
@@ -347,6 +364,9 @@ class ZElement:
         return len(self.terms)
 
     def sorted_terms(self) -> list:
+        if type(self.rank) is tuple:  # by left factor, then right
+            return sorted(self.terms.items(), reverse=True,
+                          key=lambda kv: tuple(map(_term_order_key, kv[0])))
         return sorted(self.terms.items(), key=lambda kv: _term_order_key(kv[0]), reverse=True)
 
     def coefficient(self, lam: Sequence[int], mu: Sequence[int]) -> QRat:
@@ -354,29 +374,30 @@ class ZElement:
 
     # -- ring operations
 
-    def _require_same_rank(self, other: "ZElement") -> None:
-        if self.rank != other.rank:
+    def _coerce(self, other):
+        """other as an element of self's rank; ValueError on a rank mismatch."""
+        if isinstance(other, (int, QRat)):
+            return ZElement.scalar(other, self.rank)
+        if isinstance(other, ZElement) and self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, QRat)):
-            other = ZElement.scalar(other, self.rank)
+        other = self._coerce(other)
         if not isinstance(other, ZElement):
             return NotImplemented
-        self._require_same_rank(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             _accum(out, key, c)
-        return ZElement(self.rank, out)
+        return self._like({k: c for k, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZElement(self.rank, {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, QRat)):
-            other = ZElement.scalar(other, self.rank)
+        other = self._coerce(other)
         if not isinstance(other, ZElement):
             return NotImplemented
         return self + (-other)
@@ -389,12 +410,12 @@ class ZElement:
             if not isinstance(other, QRat):
                 other = QRat.from_int(other)
             if not other:
-                return ZElement.zero(self.rank)
-            return ZElement(self.rank, {k: c * other for k, c in self.terms.items()})
+                return self._like({})
+            return self._like({k: c * other for k, c in self.terms.items()})
+        other = self._coerce(other)
         if not isinstance(other, ZElement):
             return NotImplemented
-        self._require_same_rank(other)
-        return ZElement(self.rank, _product(self.terms, other.terms, (self.rank,)))
+        return self._like(_product(self.terms, other.terms, self.ranks))
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRat)):
@@ -404,12 +425,14 @@ class ZElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("element powers take nonnegative integer exponents")
-        acc = ZElement.one(self.rank)
+        acc = self.one_like()
         for _ in range(k):
             acc = acc * self
         return acc
 
     def __eq__(self, other):
+        if isinstance(other, ZElement) and type(self.rank) is not type(other.rank):
+            raise ValueError(f"cannot compare elements of ranks {self.rank} and {other.rank}")
         if isinstance(other, (int, QRat)):
             other = ZElement.scalar(other, self.rank)
         if not isinstance(other, ZElement):
@@ -419,13 +442,20 @@ class ZElement:
     __hash__ = None
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (lam, mu), c in self.sorted_terms():
-            mono = _mono_str(lam, mu)
-            parts.append(f"({c}) {mono}" if mono else f"({c})")
-        return " + ".join(parts)
+        """The element in the expression grammar of `qdisk.cli`, so that the
+        parser re-evaluates the printout to the element.  A tensor term
+        prints its factors as (left (x) right), outside the grammar."""
+        tensor = type(self.rank) is tuple
+        pieces = []
+        for key, c in self.sorted_terms():
+            negative, body = _coeff_str(c)
+            mono = ("(" + " (x) ".join(_mono_str(*k) or "1" for k in key) + ")" if tensor
+                    else _mono_str(*key))
+            if mono:
+                body = mono if body == "1" else f"{body}*{mono}"
+            sign = ("-" if negative else "") if not pieces else ("- " if negative else "+ ")
+            pieces.append(sign + body)
+        return " ".join(pieces) or "0"
 
     def __repr__(self):
         return f"ZElement(rank={self.rank}, terms={len(self.terms)})"
@@ -433,17 +463,19 @@ class ZElement:
     # -- serialization
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "terms": [
-                {"lambda": list(lam), "mu": list(mu), "coeff": c.to_json()}
-                for (lam, mu), c in self.sorted_terms()
-            ],
-        }
+        def mono(key):
+            return {"lambda": list(key[0]), "mu": list(key[1])}
+
+        if type(self.rank) is tuple:
+            return {"ranks": list(self.rank), "terms": [
+                {"left": mono(kl), "right": mono(kr), "coeff": c.to_json()}
+                for (kl, kr), c in self.sorted_terms()]}
+        return {"rank": self.rank, "terms": [
+            {**mono(key), "coeff": c.to_json()} for key, c in self.sorted_terms()]}
 
     @staticmethod
     def from_json(obj: dict) -> "ZElement":
-        """Inverse of `to_json`; ValueError on any malformed document."""
+        """Inverse of `to_json` on Z_n; ValueError on any malformed document."""
         try:
             rank = int_from_json(obj["rank"])
             terms = {}
@@ -467,6 +499,25 @@ def _mono_str(lam, mu) -> str:
     parts += [f"w[{i}]" + (f"^{e}" if e > 1 else "")
               for i, e in reversed(list(enumerate(mu, start=1))) if e]
     return "*".join(parts)
+
+
+def _coeff_str(c: QRat) -> tuple:
+    """(negative, body): the sign of c and a factor-safe rendering of -c or
+    c, whose numerator and denominator lead (in ascending degree) with a
+    positive coefficient."""
+    num, den = c.num, c.den
+    if next(x for x in den if x) < 0:
+        num, den = poly_neg(num), poly_neg(den)
+    negative = next(x for x in num if x) < 0
+    num_s = poly_str(poly_neg(num) if negative else num)
+    if sum(map(bool, num)) > 1:
+        num_s = f"({num_s})"
+    if den == (1,):
+        return negative, num_s
+    den_s = poly_str(den)
+    if sum(map(bool, den)) > 1 or "*" in den_s:
+        den_s = f"({den_s})"
+    return negative, f"({num_s}/{den_s})"
 
 
 # ----------------------------------------------------------------------
@@ -502,9 +553,11 @@ def star(a: ZElement) -> ZElement:
     """The *-involution: anti-linear anti-homomorphism with z_i* = w_i.
 
     On basis monomials it swaps the exponent vectors, (z^lam w^mu)* =
-    z^mu w^lam, with no q-power; coefficients are fixed (they are their
-    own conjugates in Q(q))."""
-    return ZElement(a.rank, {(mu, lam): c for (lam, mu), c in a.terms.items()})
+    z^mu w^lam, with no q-power, in each factor of a tensor product;
+    coefficients are fixed (they are their own conjugates in Q(q))."""
+    if type(a.rank) is tuple:  # factorwise
+        return a._like({tuple((mu, lam) for lam, mu in key): c for key, c in a.terms.items()})
+    return a._like({(mu, lam): c for (lam, mu), c in a.terms.items()})
 
 
 ANY_BIDEGREE = "any"
@@ -566,103 +619,14 @@ def dim_h(l: int, m: int, n: int) -> int:
     return num // den
 
 
-# ----------------------------------------------------------------------
-# word rewriting
-
-
-def word_key(word: Word, rank: int) -> Key:
-    """Exponent key of a word already in normal order."""
-    lam = [0] * rank
-    mu = [0] * rank
-    for kind, i in word:
-        if kind == "z":
-            lam[i - 1] += 1
-        else:
-            mu[i - 1] += 1
-    return tuple(lam), tuple(mu)
-
-
-def _reducible_positions(word: Word) -> list:
-    out = []
-    for p in range(len(word) - 1):
-        (k1, i1), (k2, i2) = word[p], word[p + 1]
-        if k1 == "z" and k2 == "z" and i1 > i2:
-            out.append(p)
-        elif k1 == "w" and k2 == "w" and i1 < i2:
-            out.append(p)
-        elif k1 == "w" and k2 == "z":
-            out.append(p)
-    return out
-
-
-def _apply_rule(word: Word, p: int):
-    """One rewriting step at position p; returns [(coeff factor, new word)]."""
-    (k1, i1), (k2, i2) = word[p], word[p + 1]
-    head, tail = word[:p], word[p + 2:]
-    qinv = QRat.q_power(-1)
-    if k1 == "z" and k2 == "z":
-        return [(qinv, head + (("z", i2), ("z", i1)) + tail)]
-    if k1 == "w" and k2 == "w":
-        return [(qinv, head + (("w", i2), ("w", i1)) + tail)]
-    if i1 != i2:
-        return [(QRat.q_power(1), head + (("z", i2), ("w", i1)) + tail)]
-    out = [(ONE, head + (("z", i1), ("w", i1)) + tail)]
-    corr = ONE - QRat.q_power(2)
-    for k in range(1, i1):
-        out.append((corr, head + (("z", k), ("w", k)) + tail))
-    return out
-
-
-def normal_order_strategy(word: Iterable, rank: int, strategy: str = "leftmost") -> ZElement:
-    """Reference rewriter: applies one relation per step at the leftmost or
-    rightmost reducible position.  Independent of the memoized fast path;
-    the two are raced against each other in the confluence tests."""
-    _check_rank(rank)
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    pick = (lambda ps: ps[0]) if strategy == "leftmost" else (lambda ps: ps[-1])
-    word = tuple(word)
-    for kind, i in word:
-        _check_index(i, rank)
-        if kind not in ("z", "w"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-    pending = {word: ONE}
-    done: dict = {}
-    while pending:
-        nxt: dict = {}
-        for wd, coeff in pending.items():
-            ps = _reducible_positions(wd)
-            if not ps:
-                _accum(done, word_key(wd, rank), coeff)
-                continue
-            for factor, wd2 in _apply_rule(wd, pick(ps)):
-                _accum(nxt, wd2, coeff * factor)
-        pending = {w: c for w, c in nxt.items() if c}
-    return ZElement(rank, done)
-
-
 def normal_order(word: Iterable, rank: int) -> ZElement:
     """Normal form of a product of generators, given as a word of letters
-    ("z", i) / ("w", i), folded left to right through the memoized tables."""
+    ("z", i) / ("w", i), multiplied out left to right."""
     _check_rank(rank)
-    zero_vec = (0,) * rank
-    acc: dict = {(zero_vec, zero_vec): ONE}
-    for kind, i in tuple(word):
-        _check_index(i, rank)
-        i0 = i - 1
-        nxt: dict = {}
-        if kind == "z":
-            for (a, b), c in acc.items():
-                for (a2, b2), sc in _pull_through(rank, b, i):
-                    e = _z_merge_exp(a, a2)
-                    key = (tuple(x + y for x, y in zip(a, a2)), b2)
-                    _accum(nxt, key, c * sc * QRat.q_power(-e))
-        elif kind == "w":
-            for (a, b), c in acc.items():
-                e = -sum(b[k] for k in range(i0))
-                key = (a, tuple(v + 1 if t == i0 else v for t, v in enumerate(b)))
-                _accum(nxt, key, c * QRat.q_power(e))
-        else:
+    gens = {"z": z_gen, "w": w_gen}
+    acc = ZElement.one(rank)
+    for kind, i in word:
+        if kind not in gens:
             raise ValueError(f"unknown generator kind {kind!r}")
-        acc = {k: v for k, v in nxt.items() if v}
-    return ZElement(rank, acc)
+        acc = acc * gens[kind](i, rank)
+    return acc

@@ -18,23 +18,25 @@ full width.
 
 `haar_termwise` and `inner_via_product` are the oracles for the grouped Haar
 sums: normalize the whole product, then add c * h(monomial) one term at a
-time from the negative-base monomial formula, with a reduced fraction after
-every addition.
+time from the negative-base monomial formula (`reference.haar_monomial_alt`),
+with a reduced fraction after every addition.
 
 `pairwise_mul`, `disk_poly_termwise` and `addition_sides_termwise` are the
 oracles for the packed element products and the scaled disk sums: every
 term pair multiplies its QRat coefficients and expands the monomial product
 one structure constant at a time, and the disk polynomial is the plain sum
 over k of coef_k times its product of powers, each coefficient reduced.
+They take and return the package's `ZElement`, of a rank n or of the tensor
+rank (3, 2), but multiply term pair by term pair, not through `_product`.
 """
 
 from __future__ import annotations
 
-from qdisk.haar import haar_monomial_alt
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfunc import little_q_jacobi
-from qdisk.tensor import LEFT_RANK, RIGHT_RANK, TensorElement, coupling_const, xy_generators
+from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair, xy_generators
 from qdisk.zalgebra import ZElement, _mono_mul, star
+from reference import haar_monomial_alt
 
 _Q = QRat.q_power(1)
 _QINV = QRat.q_power(-1)
@@ -358,15 +360,15 @@ def _add_into(out: dict, key, c) -> None:
 
 
 def pairwise_mul(a, b):
-    """a * b for two ZElements or two TensorElements (factorwise)."""
+    """a * b for two ZElements of rank n or of the tensor rank (3, 2) (factorwise)."""
     out: dict = {}
-    if isinstance(a, TensorElement):
+    if a.rank == RANKS:
         for (l1, r1), c1 in a.terms.items():
             for (l2, r2), c2 in b.terms.items():
                 for kl, sl in _mono_mul(LEFT_RANK, l1, l2):
                     for kr, sr in _mono_mul(RIGHT_RANK, r1, r2):
                         _add_into(out, (kl, kr), c1 * c2 * sl * sr)
-        return TensorElement(out)
+        return ZElement(RANKS, out)
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
             for key, sc in _mono_mul(a.rank, k1, k2):
@@ -398,10 +400,9 @@ def disk_poly_termwise(l: int, m: int, alpha: int, A, B, C):
 
 
 def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
-    """(lhs, rhs) of the addition formula as TensorElements: the published
+    """(lhs, rhs) of the addition formula as tensor elements: the published
     arguments and coupling constants, each (r, s) piece times its constant."""
     g = xy_generators()
-    pair = TensorElement.from_pair
     if variant == "final":
         A = pair(g.X1, g.Y1s) * (-_Q) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1) * (-_Q) + pair(g.X2s, g.Y2s)
@@ -409,7 +410,7 @@ def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
         A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1s) * (_Q * _Q) + pair(g.X2s, g.Y2s)
     lhs = disk_poly_termwise(l, m, alpha, A, B, pair(g.Q, g.D))
-    rhs = TensorElement.zero()
+    rhs = ZElement.zero(RANKS)
     for r in range(l + 1):
         for s in range(m + 1):
             cc = coupling_const(l, m, r, s, alpha)

@@ -10,10 +10,11 @@ from fractions import Fraction
 from itertools import product
 
 from oracle import naive_addition_sides
+from reference import haar_monomial_alt, normal_order_strategy
 from test_haar import _fraction_matrix_is_positive_definite
 
 from qdisk.diskpoly import assoc_spherical, spherical
-from qdisk.haar import haar, haar_monomial, haar_monomial_alt, inner, norm_const
+from qdisk.haar import haar, haar_monomial, inner, norm_const
 from qdisk.qfield import ONE, QRat, ZERO, qpoch, solve_linear
 from qdisk.qfunc import (
     MultiQPoly,
@@ -29,7 +30,6 @@ from qdisk.uqaction import act_e, act_f, act_qh, invariant_subspace, is_invarian
 from qdisk.zalgebra import (
     ZElement,
     normal_order,
-    normal_order_strategy,
     q_element,
     w_gen,
     z_gen,

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisk.cli import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_GRID_CASES,
+    MAX_JOBS,
     MAX_NESTING,
     MAX_PAIRS,
     MAX_RANK,
     ExprError,
     eval_expr,
     format_element,
-    format_qrat,
     main,
     parse,
     parse_element,
@@ -114,18 +115,10 @@ def test_postfix_chains():
 
 
 def test_format_qrat_examples():
-    assert format_qrat(ONE) == "1"
-    assert format_qrat(-ONE) == "-1"
-    assert format_qrat(Q ** 2) == "q^2"
-    assert format_qrat(QRat.q_power(-2)) == "(1/q^2)"
-    assert format_qrat(ONE - Q ** 2) == "(1 - q^2)"
-    assert format_qrat((ONE - Q ** 2).inverse()) == "(1/(1 - q^2))"
-    assert format_qrat(-(ONE - Q ** 2)) == "-(1 - q^2)"
     value = (Q ** 2 - Q ** 6) / (ONE - Q ** 10)
-    assert format_qrat(value) == format_qrat(value)
     # every rendering must re-evaluate to the same coefficient
     for c in (value, -value, value.inverse(), QRat.fraction(-3, 7)):
-        elt = parse_element(format_qrat(c), 1)
+        elt = parse_element(str(c), 1)
         assert elt.terms.get(((0,), (0,)), QRat.from_int(0)) == c
 
 
@@ -149,7 +142,8 @@ def test_round_trip_random_elements(rank, seed):
         den = ONE - QRat.q_power(rng.randint(1, 3)) if rng.random() < 0.4 else ONE
         terms[(lam, mu)] = num / den if den else num
     elt = ZElement(rank, terms)
-    assert parse_element(format_element(elt), rank) == elt
+    assert str(elt) == format_element(elt)
+    assert parse_element(str(elt), rank) == elt
 
 
 # --------------------------------------------------------------- subcommands
@@ -270,6 +264,47 @@ def test_suite_rejects_jobs_below_one(capsys, monkeypatch, jobs):
     assert "--jobs must be at least 1" in err
 
 
+def test_suite_rejects_jobs_above_the_cap(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr("qdisk.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("qdisk.cli._run_case", no_pool)
+    code, out, err = run_cli(capsys, "suite", "--grid", "alpha=1;l=0;m=0",
+                             "--jobs", str(MAX_JOBS + 1))
+    assert (code, out) == (2, "")
+    assert f"at most {MAX_JOBS}" in err
+
+
+def test_suite_pool_has_no_more_workers_than_cases(capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and runs the cases in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cases):
+            return map(fn, cases)
+
+    monkeypatch.setattr("qdisk.cli.ProcessPoolExecutor", SerialPool)
+    code, out, _ = run_cli(capsys, "suite", "--grid", "alpha=1;l=0..2;m=0", "--variant", "final",
+                           "--jobs", str(MAX_JOBS))
+    assert (code, sizes) == (0, [3])
+    assert out.rstrip().endswith("suite: 3/3 passed")
+    # a single case runs without a pool
+    code, out, _ = run_cli(capsys, "suite", "--grid", "alpha=1;l=0;m=0", "--variant", "final",
+                           "--jobs", "4")
+    assert (code, sizes) == (0, [3])
+
+
 def test_grid_parsing():
     grid = _parse_grid("alpha=1..3;l=0..2;m=0..2")
     assert grid == {"alpha": [1, 2, 3], "l": [0, 1, 2], "m": [0, 1, 2]}
@@ -363,6 +398,21 @@ def test_nested_powers_exit_2_before_the_blowup(capsys):
     code, out, err = run_cli(capsys, "normalize", "--n", "1", "--expr", "((z[1]+1)^64)^64")
     assert (code, out) == (2, "")
     assert f"4225 term pairs, more than {MAX_PAIRS}" in err
+
+
+def test_coefficient_cap(capsys):
+    # the coefficient q^a counts a + 2 bits: a zero slots and a 1, over the denominator 1
+    assert MAX_COEFF_BITS == 4096
+    # q^4032 * q^60 multiplies 4034 + 62 bits, at the cap
+    assert parse_element("(q^64)^63*q^60", 1) == ZElement.scalar(QRat.q_power(4092), 1)
+    with pytest.raises(ExprError, match=f"coefficients of {MAX_COEFF_BITS + 1} bits, above"):
+        parse_element("(q^64)^63*q^61", 1)
+    # the last step of a power: 4034 + 66 bits
+    with pytest.raises(ExprError, match="coefficients of 4100 bits, above"):
+        parse_element("(q^64)^64", 1)
+    code, out, err = run_cli(capsys, "normalize", "--n", "1", "--expr", "((1+q)^64)^64")
+    assert (code, out) == (2, "")
+    assert f"bits, above {MAX_COEFF_BITS}" in err
 
 
 def test_rank_cap(capsys, monkeypatch):

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import haar_termwise, inner_via_product
+from reference import haar_monomial_alt
 from qdisk.diskpoly import spherical
 from qdisk.haar import (
     _haar_num,
     _pair_haar,
     haar,
     haar_monomial,
-    haar_monomial_alt,
     inner,
     norm_const,
 )

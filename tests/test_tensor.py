@@ -1,6 +1,8 @@
 """Tests for the tensor-product realization and the addition formula."""
 
 import copy
+import json
+import operator
 import pickle
 import random
 from itertools import product
@@ -9,18 +11,19 @@ import pytest
 
 from oracle import addition_sides_termwise
 from qdisk.diskpoly import DiskSpec
+from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfield import solve_linear
 from qdisk.tensor import (
-    TensorElement,
     Verdict,
     addition_lhs,
     addition_rhs,
     coupling_const,
+    pair,
     verify_addition,
     xy_generators,
 )
-from qdisk.zalgebra import ZElement
+from qdisk.zalgebra import ZElement, star, z_gen
 
 Q = QRat.q_power(1)
 Q2 = QRat.q_power(2)
@@ -36,10 +39,10 @@ def random_z(rng, rank, nterms=3, maxdeg=2):
 
 
 def random_tensor(rng, nterms=2):
-    acc = TensorElement.zero()
+    acc = ZElement.zero((3, 2))
     for _ in range(nterms):
-        acc = acc + TensorElement.from_pair(random_z(rng, 3, nterms=2, maxdeg=1),
-                                            random_z(rng, 2, nterms=2, maxdeg=1))
+        acc = acc + pair(random_z(rng, 3, nterms=2, maxdeg=1),
+                         random_z(rng, 2, nterms=2, maxdeg=1))
     return acc
 
 
@@ -121,8 +124,8 @@ def test_from_pair_is_multiplicative():
     for _ in range(10):
         a, c = random_z(rng, 3), random_z(rng, 3)
         b, d = random_z(rng, 2), random_z(rng, 2)
-        lhs = TensorElement.from_pair(a, b) * TensorElement.from_pair(c, d)
-        assert lhs == TensorElement.from_pair(a * c, b * d)
+        lhs = pair(a, b) * pair(c, d)
+        assert lhs == pair(a * c, b * d)
 
 
 def test_tensor_ring_axioms():
@@ -132,7 +135,7 @@ def test_tensor_ring_axioms():
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert (x + y) - y == x
-    one = TensorElement.one()
+    one = ZElement.one((3, 2))
     x = random_tensor(rng)
     assert one * x == x and x * one == x
     assert x.one_like() == one
@@ -143,19 +146,18 @@ def test_star_is_an_involutive_antihomomorphism():
     rng = random.Random(13)
     for _ in range(6):
         x, y = random_tensor(rng), random_tensor(rng)
-        assert x.star().star() == x
-        assert (x * y).star() == y.star() * x.star()
-        assert (x + y).star() == x.star() + y.star()
+        assert star(star(x)) == x
+        assert star(x * y) == star(y) * star(x)
+        assert star(x + y) == star(x) + star(y)
 
 
 def test_star_swaps_coupled_arguments():
     g = xy_generators()
-    pair = TensorElement.from_pair
     A = pair(g.X1, g.Y1s) * (-Q) + pair(g.X2, g.Y2)
     B = pair(g.X1s, g.Y1) * (-Q) + pair(g.X2s, g.Y2s)
     C = pair(g.Q, g.D)
-    assert A.star() == B
-    assert C.star() == C
+    assert star(A) == B
+    assert star(C) == C
     for name, other in (("A", A), ("B", B)):
         assert C * other == other * C, name
 
@@ -163,9 +165,9 @@ def test_star_swaps_coupled_arguments():
 def test_validation_errors():
     rng = random.Random(3)
     with pytest.raises(ValueError):
-        TensorElement.from_pair(random_z(rng, 2), random_z(rng, 2))
+        pair(random_z(rng, 2), random_z(rng, 2))
     with pytest.raises(ValueError):
-        TensorElement.one() ** -1
+        ZElement.one((3, 2)) ** -1
     with pytest.raises(ValueError):
         coupling_const(1, 0, 2, 0, 1)
     with pytest.raises(ValueError):
@@ -174,6 +176,32 @@ def test_validation_errors():
         verify_addition(1, 0, 0)
     with pytest.raises(ValueError):
         verify_addition(1, 0, 1, variant="bogus")
+
+
+def test_tensor_and_rank_n_elements_do_not_mix():
+    g = xy_generators()
+    x = pair(g.X1, g.Y1)
+    for other in (z_gen(1, 3), z_gen(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(ValueError):
+                op(x, other)
+            with pytest.raises(ValueError):
+                op(other, x)
+
+
+def test_haar_rejects_tensor_elements():
+    g = xy_generators()
+    x = pair(g.Q, g.D)
+    for call in (lambda: haar(x), lambda: inner(x, x)):
+        with pytest.raises(ValueError, match="acts on Z_n"):
+            call()
+
+
+def test_tensor_elements_print_factor_by_factor():
+    g = xy_generators()
+    x = pair(g.X1, g.Y1s) * (-Q) + ZElement.one((3, 2))
+    assert str(x) == "-q*(z[2] (x) w[1]) + (1 (x) 1)"
+    assert str(ZElement.zero((3, 2))) == "0"
 
 
 # ---------------------------------------------------------------- the formula
@@ -227,7 +255,7 @@ def test_residual_reported_on_mismatch():
 
 def test_to_json_structure():
     g = xy_generators()
-    elt = TensorElement.from_pair(g.X1, g.Y1) + TensorElement.one()
+    elt = pair(g.X1, g.Y1) + ZElement.one((3, 2))
     payload = elt.to_json()
     assert payload["ranks"] == [3, 2]
     assert len(payload["terms"]) == 2
@@ -243,6 +271,25 @@ def test_addition_sides_equal_the_termwise_oracle(l, m, alpha, variant):
     lhs, rhs = addition_sides_termwise(l, m, alpha, variant)
     assert addition_lhs(l, m, alpha, variant).terms == lhs.terms
     assert addition_rhs(l, m, alpha, variant).terms == rhs.terms
+
+
+# the residual of verify_addition(2, 1, 1) with its top rhs coefficient times q^2
+PLANTED_RESIDUAL = (
+    '[{"left": {"lambda": [0, 0, 2], "mu": [0, 1, 0]}, "right": {"lambda": [1, 2], "mu": [0, 0]}, '
+    '"coeff": {"num": [-1, 0, 1, 0, -1, 0, 1], "den": [0, 1]}}]')
+
+
+def test_planted_error_reports_its_residual(monkeypatch):
+    def planted(*args):
+        rhs = addition_rhs(*args)
+        key, c = rhs.sorted_terms()[0]
+        rhs.terms[key] = c * Q2
+        return rhs
+
+    monkeypatch.setattr("qdisk.tensor.addition_rhs", planted)
+    verdict = verify_addition(2, 1, 1)
+    assert not verdict.passed and (verdict.lhs_terms, verdict.rhs_terms) == (14, 14)
+    assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
 
 
 VERDICT_FIELDS = dict(l=2, m=1, alpha=1, variant="final", passed=False,

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import pairwise_mul
+from reference import normal_order_strategy
 from qdisk.qfield import ONE, QRat, ZERO, solve_linear
-from qdisk.tensor import LEFT_RANK, RIGHT_RANK, TensorElement
+from qdisk.tensor import LEFT_RANK, RIGHT_RANK
 from qdisk.zalgebra import (
     _PACK_MIN_PAIRS,
     ANY_BIDEGREE,
@@ -17,7 +18,6 @@ from qdisk.zalgebra import (
     dim_z,
     embed,
     normal_order,
-    normal_order_strategy,
     q_element,
     restrict,
     star,
@@ -71,6 +71,14 @@ def test_rank_validation():
         normal_order([("z", 5)], 4)
     with pytest.raises(ValueError):
         z_gen(1, 2) * z_gen(1, 3)
+
+
+def test_rank_is_a_positive_int_or_a_pair_of_them():
+    assert ZElement.one((3, 2)).terms == {(((0,) * 3,) * 2, ((0,) * 2,) * 2): ONE}
+    assert ZElement((3, 2)).ranks == (3, 2) and ZElement(3).ranks == (3,)
+    for bad in (0, (3,), (3, 0), (3, 2, 1), "3"):
+        with pytest.raises(ValueError):
+            ZElement(bad)
 
 
 @given(st.integers(2, 4), st.data())
@@ -419,8 +427,8 @@ def test_zelement_product_equals_the_pairwise_oracle(rank, large, laurent, data)
 def test_tensor_product_equals_the_pairwise_oracle(large, laurent, data):
     size = LARGE if large else SMALL
     keys = st.tuples(monomials(LEFT_RANK), monomials(RIGHT_RANK))
-    a = TensorElement(data.draw(terms_of(keys, size, laurent)))
-    b = TensorElement(data.draw(terms_of(keys, size, laurent)))
+    a = ZElement((LEFT_RANK, RIGHT_RANK), data.draw(terms_of(keys, size, laurent)))
+    b = ZElement((LEFT_RANK, RIGHT_RANK), data.draw(terms_of(keys, size, laurent)))
     assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == large
     assert a * b == pairwise_mul(a, b)
 
