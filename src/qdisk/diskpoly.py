@@ -28,6 +28,8 @@ H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .qfield import Record, common_denominator
 from .qfunc import little_q_jacobi
 from .zalgebra import ZElement, q_element, w_gen, z_gen
@@ -53,15 +55,16 @@ class DiskSpec(Record):
         return hash(self._values())
 
 
+@lru_cache(maxsize=None)
 def jacobi_scaled(spec: DiskSpec) -> tuple:
-    """(1/L, [L coef_k]) for the little q-Jacobi coefficients of the spec,
-    L the lcm of their denominators, each L coef_k a polynomial."""
+    """(1/L, (L coef_0, L coef_1, ...)) for the little q-Jacobi coefficients
+    of the spec, L the lcm of their denominators, each L coef_k a polynomial."""
     mm, beta = min(spec.l, spec.m), abs(spec.l - spec.m)
     return common_denominator(little_q_jacobi(mm, spec.alpha, beta, spec.base_exp).coeffs)
 
 
-def scaled_disk_poly(spec: DiskSpec, scaled: list, A, B, C):
-    """L R_{l,m}^(alpha)(A, B, C; q^base) for (1/L, scaled) = jacobi_scaled(spec),
+def scaled_disk_poly(spec: DiskSpec, A, B, C):
+    """L R_{l,m}^(alpha)(A, B, C; q^base), with (1/L, scaled) = jacobi_scaled(spec),
     by the Horner sum of the module docstring.
 
     Raises ValueError when C fails to commute with A or with B."""
@@ -69,6 +72,7 @@ def scaled_disk_poly(spec: DiskSpec, scaled: list, A, B, C):
         if C * other != other * C:
             raise ValueError(f"C does not commute with {name}")
     l, m = spec.l, spec.m
+    scaled = jacobi_scaled(spec)[1]
     D = C - A * B
     d_pow = A.one_like()
     result = d_pow * scaled[0]
@@ -88,8 +92,7 @@ def disk_poly(spec: DiskSpec, A, B, C):
     divided by L once per output term.
 
     Raises ValueError when C fails to commute with A or with B."""
-    inv_lcm, scaled = jacobi_scaled(spec)
-    return scaled_disk_poly(spec, scaled, A, B, C) * inv_lcm
+    return scaled_disk_poly(spec, A, B, C) * jacobi_scaled(spec)[0]
 
 
 def spherical(l: int, m: int, n: int) -> ZElement:

@@ -23,8 +23,10 @@ form, so the result is the same `QRat` as the term-by-term sum.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .qfield import ONE, QRat, ZERO, qpoch
-from .zalgebra import ZElement, _mono_mul
+from .zalgebra import ZElement, _mono_mul, _z_rank
 
 _NUM_CACHE: dict = {}
 _PAIR_HAAR_CACHE: dict = {}
@@ -67,15 +69,9 @@ def _group_sum(groups: dict, rank: int) -> QRat:
     return total
 
 
-def _z_rank(a: ZElement) -> int:
-    if type(a.rank) is not int:
-        raise ValueError(f"the Haar functional acts on Z_n, not on rank {a.rank}")
-    return a.rank
-
-
 def haar(a: ZElement) -> QRat:
     """The Haar functional, linear over the monomial expansion."""
-    rank = _z_rank(a)
+    rank = _z_rank(a, "the Haar functional")
     groups: dict = {}
     for (lam, mu), c in a.terms.items():
         if lam == mu:
@@ -101,7 +97,7 @@ def inner(a: ZElement, b: ZElement) -> QRat:
     """<a, b> = h(b* a), computed by pairing monomials directly."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    rank = _z_rank(a)
+    rank = _z_rank(a, "the Haar functional")
     a_terms = [(key, sum(key[0]) - sum(key[1]), c.den, _numerator(c))
                for key, c in a.terms.items()]
     groups: dict = {}
@@ -118,6 +114,7 @@ def inner(a: ZElement, b: ZElement) -> QRat:
     return _group_sum(groups, rank)
 
 
+@lru_cache(maxsize=None)
 def norm_const(l: int, m: int, alpha: int) -> QRat:
     """Squared norm c_{l,m}^(alpha) of the (l, m) q-disk polynomial:
 

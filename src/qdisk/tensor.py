@@ -23,10 +23,13 @@ Y generators through explicit constants built from the spherical norms.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
+from itertools import product
 
-from .diskpoly import DiskSpec, disk_poly, jacobi_scaled, scaled_disk_poly
+from .diskpoly import DiskSpec, jacobi_scaled, scaled_disk_poly
 from .haar import norm_const
-from .qfield import ONE, QRat, Record, common_denominator
+from .qfield import (ONE, QRat, Record, _eval_shift, _is_qpow, _width, common_denominator,
+                     laurent_products, mass, pack_laurent)
 from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -44,8 +47,8 @@ def pair(left: ZElement, right: ZElement) -> ZElement:
     """The simple tensor left (x) right."""
     if left.rank != LEFT_RANK or right.rank != RIGHT_RANK:
         raise ValueError(f"tensor factors must have ranks {RANKS}")
-    return ZElement(RANKS, {(kl, kr): cl * cr for kl, cl in left.terms.items()
-                            for kr, cr in right.terms.items()})
+    return ZElement(RANKS, dict(zip(product(left.terms, right.terms), laurent_products(
+        list(left.terms.values()), list(right.terms.values())))))
 
 
 # ----------------------------------------------------------------------
@@ -70,14 +73,9 @@ class XYGenerators:
         self.Qp = self.Q - self.X2 * self.X2s
 
 
-_GENS: XYGenerators | None = None
-
-
+@lru_cache(maxsize=None)
 def xy_generators() -> XYGenerators:
-    global _GENS
-    if _GENS is None:
-        _GENS = XYGenerators()
-    return _GENS
+    return XYGenerators()
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +108,9 @@ def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
         norm_const(l - r, m - s, alpha + r + s) * norm_const(r, s, alpha - 1))
 
 
-def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
-    """The disk polynomial of the coupled arguments, expanded in the tensor algebra."""
+def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
+    """(1/L, L lhs): the disk polynomial of the coupled arguments, expanded in
+    the tensor algebra and scaled by the lcm L of its Jacobi denominators."""
     _check_addition_args(l, m, alpha, variant)
     g = xy_generators()
     q = QRat.q_power(1)
@@ -121,18 +120,15 @@ def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement
     else:
         A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1s) * (q * q) + pair(g.X2s, g.Y2s)
-    C = pair(g.Q, g.D)
-    return disk_poly(DiskSpec(l, m, alpha), A, B, C)
+    spec = DiskSpec(l, m, alpha)
+    return jacobi_scaled(spec)[0], scaled_disk_poly(spec, A, B, pair(g.Q, g.D))
 
 
-def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
-    """The coupled sum of products of disk polynomials in the separate factors.
-
-    Each (r, s) piece is built from the L-scaled disk polynomials
-    (`scaled_disk_poly`), so its coefficients stay Laurent; its scalar
-    cc / (L_outer^2 L_inner) goes over the common denominator V of all the
-    pieces, the pieces are summed with polynomial weights, and the sum is
-    divided by V once per term."""
+def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
+    """(1/V, V rhs): the coupled sum of products of disk polynomials in the
+    separate factors, over the common denominator V of the scalars
+    cc / (L_outer^2 L_inner) of its (r, s) pieces.  The pieces are built from
+    L-scaled disk polynomials (`scaled_disk_poly`), so the sum stays Laurent."""
     _check_addition_args(l, m, alpha, variant)
     g = xy_generators()
     minus_q = -QRat.q_power(1)
@@ -140,25 +136,48 @@ def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement
     for r in range(l + 1):
         for s in range(m + 1):
             outer, inner = DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1)
-            inv_outer, outer_scaled = jacobi_scaled(outer)
-            inv_inner, inner_scaled = jacobi_scaled(inner)
             cc = coupling_const(l, m, r, s, alpha)
             if variant == "final":
                 cc = cc * minus_q ** (r - s)
-            factors.append(cc * inv_outer * inv_outer * inv_inner)
-            plan.append((r, s, outer, outer_scaled, inner, inner_scaled))
+            inv_outer = jacobi_scaled(outer)[0]
+            factors.append(cc * inv_outer * inv_outer * jacobi_scaled(inner)[0])
+            plan.append((r, s, outer, inner))
     inv_lcm, weights = common_denominator(factors)
     total = ZElement.zero(RANKS)
-    for (r, s, outer, outer_scaled, inner, inner_scaled), weight in zip(plan, weights):
-        left = (scaled_disk_poly(outer, outer_scaled, g.X2, g.X2s, g.Q)
-                * scaled_disk_poly(inner, inner_scaled, g.X1, g.X1s, g.Qp))
-        right = scaled_disk_poly(outer, outer_scaled, g.Y2, g.Y2s, g.D)
+    for (r, s, outer, inner), weight in zip(plan, weights):
+        left = (scaled_disk_poly(outer, g.X2, g.X2s, g.Q)
+                * scaled_disk_poly(inner, g.X1, g.X1s, g.Qp))
+        right = scaled_disk_poly(outer, g.Y2, g.Y2s, g.D)
         if variant == "final":
             right = right * g.Y1 ** s * g.Y1s ** r
         else:
             right = right * g.Y1 ** r * g.Y1s ** s
         total = total + pair(left, right * weight)
-    return total * inv_lcm
+    return inv_lcm, total
+
+
+def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
+    """The disk polynomial of the coupled arguments, expanded in the tensor algebra."""
+    inv_lcm, lhs = scaled_lhs(l, m, alpha, variant)
+    return lhs * inv_lcm
+
+
+def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
+    """The coupled sum of products of disk polynomials in the separate factors."""
+    inv_lcm, rhs = scaled_rhs(l, m, alpha, variant)
+    return rhs * inv_lcm
+
+
+def _equal_over(a: ZElement, den_a: tuple, b: ZElement, den_b: tuple) -> bool:
+    """Whether a / den_a == b / den_b for polynomials den_a, den_b (see `verify_addition`)."""
+    if a.terms.keys() != b.terms.keys():
+        return False
+    pairs = [(x, b.terms[key]) for key, x in a.terms.items()]
+    if not all(_is_qpow(c.den) for xy in pairs for c in xy):
+        return all(x * QRat(den_b) == y * QRat(den_a) for x, y in pairs)
+    s = _width((max(map(mass, pairs), default=0) * sum(map(abs, den_a + den_b))).bit_length() + 1)
+    xa, xb = _eval_shift(den_a, s), _eval_shift(den_b, s)
+    return all(px * xb == py * xa for _, (px, py) in (pack_laurent(xy, s) for xy in pairs))
 
 
 class Verdict(Record):
@@ -169,29 +188,26 @@ class Verdict(Record):
                  "lhs_terms", "rhs_terms", "millis")
 
     def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "m": self.m,
-            "alpha": self.alpha,
-            "variant": self.variant,
-            "pass": self.passed,
-            "residual_terms": self.residual_terms,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "millis": self.millis,
-        }
+        return {"pass" if k == "passed" else k: v for k, v in zip(self.__slots__, self._values())}
 
 
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:
-    """Expand both sides to normal form and compare exactly.
+    """Expand both sides to normal form and decide lhs = rhs exactly.
 
-    A failure is reported, not raised: the verdict carries the residual
-    terms of lhs - rhs so a discrepancy can be inspected."""
+    The sides come scaled, a = L lhs and b = V rhs with polynomials L and V,
+    and a / L = b / V if and only if a V = b L, so no coefficient is divided:
+    times q^K, K the larger q-power denominator of a and b, each a V = b L
+    is an identity in Z[q], checked at q = 2^s on packed integers
+    (`qfield.pack_laurent`).  Its coefficients are at most |a| |V| and |b| |L|
+    (sums of absolute values), below 2^(s-1), and symmetric base-2^s digits
+    are unique: equal values mean equal sides.  A failure is reported, not
+    raised: only then are the sides divided, for the residual lhs - rhs."""
     start = time.monotonic()
-    lhs = addition_lhs(l, m, alpha, variant)
-    rhs = addition_rhs(l, m, alpha, variant)
-    diff = lhs - rhs
-    residual = diff.to_json()["terms"]
+    inv_l, lhs = scaled_lhs(l, m, alpha, variant)
+    inv_v, rhs = scaled_rhs(l, m, alpha, variant)
+    residual = []
+    if not _equal_over(lhs, inv_l.den, rhs, inv_v.den):
+        residual = (lhs * inv_l - rhs * inv_v).to_json()["terms"]
     millis = int((time.monotonic() - start) * 1000)
-    return Verdict(l, m, alpha, variant, diff.is_zero(), residual,
+    return Verdict(l, m, alpha, variant, not residual, residual,
                    lhs.term_count(), rhs.term_count(), millis)

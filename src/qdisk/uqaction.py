@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .qfield import ONE, QRat, ZERO, qnumber, solve_sparse
-from .zalgebra import ZElement, _accum
+from .zalgebra import ZElement, _accum, _z_rank
 
 Weight = Sequence
 
@@ -32,7 +32,7 @@ def _qnum(m: int) -> QRat:
 
 def act_qh(h: Weight, a: ZElement) -> ZElement:
     """Apply q^h for an integer weight vector h of length rank."""
-    if len(h) != a.rank:
+    if len(h) != _z_rank(a, "q^h"):
         raise ValueError("weight length must equal the rank")
     out = {}
     for (lam, mu), c in a.terms.items():
@@ -41,13 +41,14 @@ def act_qh(h: Weight, a: ZElement) -> ZElement:
     return ZElement(a.rank, out)
 
 
-def _check_ladder_index(k: int, rank: int) -> None:
+def _check_ladder_index(k: int, a: ZElement) -> None:
+    rank = _z_rank(a, "a ladder operator")
     if not 1 <= k <= rank - 1:
         raise ValueError(f"ladder index {k} out of range for rank {rank}")
 
 
 def act_f(k: int, a: ZElement) -> ZElement:
-    _check_ladder_index(k, a.rank)
+    _check_ladder_index(k, a)
     k0 = k - 1
     out: dict = {}
     for (lam, mu), c in a.terms.items():
@@ -67,7 +68,7 @@ def act_f(k: int, a: ZElement) -> ZElement:
 
 
 def act_e(k: int, a: ZElement) -> ZElement:
-    _check_ladder_index(k, a.rank)
+    _check_ladder_index(k, a)
     k0 = k - 1
     out: dict = {}
     for (lam, mu), c in a.terms.items():
@@ -88,7 +89,7 @@ def act_e(k: int, a: ZElement) -> ZElement:
 
 def is_invariant(a: ZElement, p: int) -> bool:
     """Invariance under the rank-p subalgebra (1 <= p <= rank)."""
-    if not 1 <= p <= a.rank:
+    if not 1 <= p <= _z_rank(a, "the U_q(gl(n)) action"):
         raise ValueError(f"subalgebra rank {p} out of range for rank {a.rank}")
     for i in range(p):
         if act_qh([int(t == i) for t in range(a.rank)], a) != a:

@@ -22,34 +22,28 @@ One element type, `ZElement`, holds both an element of Z_n and one of a
 tensor product Z_n1 (x) Z_n2, which multiplies factorwise.  Its `__str__`
 is the printer of the `qdisk.cli` expression grammar.
 
-Element products all run through `_product`.  From _PACK_MIN_PAIRS
-term pairs on, a product is packed into integers (Kronecker substitution;
-Harvey, J. Symbolic Comput. 2009).  Let one side's coefficients be n_i/q^k_i
-with K the largest k_i.  Each becomes the integer n_i(2^s) 2^(s(K - k_i)),
-the value at q = 2^s of n_i q^(K - k_i).  The structure constants are packed
-the same way; their denominators are q-powers, because the relations have
-coefficients in Z[q, 1/q].  Evaluation at 2^s is a ring homomorphism.  So,
-for each output monomial, the integer sum of the products A_i B_j X over
-the contributing pairs and structure constants is F(2^s), where F is the
-output coefficient times q^Ktot and Ktot is the sum of the K's.  F is read
-back from the symmetric base-2^s digits of that sum.
+Coefficients are packed into integers by one kernel, `qfield.pack_laurent`
+(Kronecker substitution), which writes Laurent coefficients n_i/q^k_i, K
+the largest k_i, as the values n_i(2^s) 2^(s(K - k_i)) at q = 2^s.  An
+element times a scalar packs the scalar once (`qfield.laurent_products`,
+with its measured cutoff).  Element products run through `_product`: from
+_PACK_MIN_PAIRS term pairs on, both sides and the structure constants,
+over q-powers as the relations are over Z[q, 1/q], are packed.  Evaluation
+at 2^s is a ring homomorphism, so for each output monomial the sum of the
+products A_i B_j X over the contributing pairs and structure constants is
+F(2^s), F the output coefficient times q^Ktot (Ktot the sum of the K's),
+read back from its symmetric digits.
 
 Bound.  Write |f| for the sum of the absolute values of the integer
 coefficients of f, |a| for the sum of |n_i| over a's terms, and S for the
-largest mass of a structure-constant row, the sum of |X| over its
-entries.  In a tensor product S is the product of the factors' largest
-masses: the product row of two factor rows has mass at most the product of
-their masses, since |x y| <= |x| |y|.  Every coefficient of F is a sum of
-coefficients of products n_i n_j X, and |n_i n_j X| <= |n_i| |n_j| |X|.
-Summed over all pairs and row entries this gives |F_t| <= |a| |b| S = B.
-With s = B.bit_length() + 1 we have B < 2^(s-1).  An integer polynomial
-with coefficients in (-2^(s-1), 2^(s-1)) is recovered exactly from its
-value at 2^s by symmetric digits: the lowest digit is its constant term,
-and the rest follows by induction.
-
-Packing needs every coefficient over a power of q.  A product with any
-other coefficient runs the per-pair loop, whatever its size; the products
-of the q-disk sums and of the benchmark's CLI traffic have none.
+largest mass of a structure-constant row, the sum of |X| over its entries.
+In a tensor product S is the product of the factors' largest masses, since
+|x y| <= |x| |y|.  Every coefficient of F is a sum of coefficients of
+products n_i n_j X, and |n_i n_j X| <= |n_i| |n_j| |X|, so |F_t| <= |a| |b|
+S = B.  A slot width s >= B.bit_length() + 1 gives B < 2^(s-1), and an
+integer polynomial with coefficients in (-2^(s-1), 2^(s-1)) is its value's
+symmetric base-2^s digits.  Packing needs every coefficient over a power of
+q; a product with any other runs the per-pair loop, whatever its size.
 
 Cutoff.  Below 16 term pairs the per-pair loop runs.  Every product that
 the 128-case `qdisk suite` grid and the three `verify_addition` cases of
@@ -68,8 +62,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .qfield import (ONE, QRat, ZERO, _eval_shift, _from_digits, _is_qpow, _laurent,
-                     int_from_json, poly_neg, poly_str)
+from .qfield import (ONE, QRat, ZERO, _coerce, _from_digits, _is_qpow, _laurent, _width,
+                     int_from_json, laurent_products, mass, pack_laurent, poly_neg, poly_str)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -78,6 +72,13 @@ Key = tuple
 def _check_rank(rank: int) -> None:
     if not isinstance(rank, int) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
+
+
+def _z_rank(a: "ZElement", what: str) -> int:
+    """The rank n of a, for `what` defined on Z_n only; ValueError on a tensor element."""
+    if type(a.rank) is not int:
+        raise ValueError(f"{what} acts on Z_n, not on rank {a.rank}")
+    return a.rank
 
 
 def _check_index(i: int, rank: int) -> None:
@@ -229,29 +230,23 @@ def _product(a: dict, b: dict, ranks: tuple) -> dict:
 
 def _packed_product(a: dict, b: dict, ranks: tuple) -> dict:
     """`_product` by Kronecker substitution, for coefficients over powers of q."""
-    ka = max(len(c.den) for c in a.values()) - 1
-    kb = max(len(c.den) for c in b.values()) - 1
-    bound, ktot = _mass(a.values()) * _mass(b.values()), ka + kb
+    bound = mass(a.values()) * mass(b.values())
     # the rows each factor needs: every pair of its distinct keys on the two sides
     tables = []
     for f, rank in enumerate(ranks):
         xs, ys = (a, b) if len(ranks) == 1 else ({k[f] for k in a}, {k[f] for k in b})
         table = {(x, y): _mono_mul(rank, x, y) for x in xs for y in ys}
-        bound *= max(_mass(c for _, c in row) for row in table.values())
-        kf = max(len(c.den) - 1 for row in table.values() for _, c in row)
-        tables.append((table, kf))
-        ktot += kf
-    s = bound.bit_length() + 1
-
-    def pack(c, kmax):
-        return _eval_shift(c.num, s) << (s * (kmax - len(c.den) + 1))
-
+        bound *= max(mass(c for _, c in row) for row in table.values())
+        tables.append(table)
+    s = _width(bound.bit_length() + 1)
+    (ka, pa), (kb, pb) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
+    pa, pb, ktot = list(zip(a, pa)), list(zip(b, pb)), ka + kb
     prows = []
-    for table, kf in tables:
-        packed = {c: pack(c, kf) for row in table.values() for _, c in row}
+    for table in tables:
+        consts = list({c: None for row in table.values() for _, c in row})
+        kf, packed = pack_laurent(consts, s)
+        packed, ktot = dict(zip(consts, packed)), ktot + kf
         prows.append({pair: [(key, packed[c]) for key, c in row] for pair, row in table.items()})
-    pa = [(key, pack(c, ka)) for key, c in a.items()]
-    pb = [(key, pack(c, kb)) for key, c in b.items()]
     acc: dict = {}
     if len(ranks) == 1:
         prow, = prows
@@ -272,11 +267,6 @@ def _packed_product(a: dict, b: dict, ranks: tuple) -> dict:
                         key = (kl, kr)
                         acc[key] = acc.get(key, 0) + px * y
     return {key: _laurent(_from_digits(v, s), ktot) for key, v in acc.items() if v}
-
-
-def _mass(coeffs: Iterable) -> int:
-    """Sum of the absolute values of the numerator coefficients."""
-    return sum(sum(map(abs, c.num)) for c in coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +397,10 @@ class ZElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, QRat)):
-            if not isinstance(other, QRat):
-                other = QRat.from_int(other)
+            other = _coerce(other)
             if not other:
                 return self._like({})
-            return self._like({k: c * other for k, c in self.terms.items()})
+            return self._like(dict(zip(self.terms, laurent_products(list(self.terms.values()), [other]))))
         other = self._coerce(other)
         if not isinstance(other, ZElement):
             return NotImplemented
@@ -565,6 +554,7 @@ ANY_BIDEGREE = "any"
 
 def bidegree(a: ZElement):
     """(l, m) if a is bihomogeneous, the string "any" for zero, else None."""
+    _z_rank(a, "bidegree")
     if not a.terms:
         return ANY_BIDEGREE
     degs = {(sum(lam), sum(mu)) for lam, mu in a.terms}
@@ -575,7 +565,7 @@ def bidegree(a: ZElement):
 
 def embed(a: ZElement, n: int) -> ZElement:
     """Unital *-embedding of Z_s into Z_n (s <= n), z_i -> z_i."""
-    s = a.rank
+    s = _z_rank(a, "embed")
     if n < s:
         raise ValueError(f"cannot embed rank {s} into smaller rank {n}")
     pad = (0,) * (n - s)
@@ -585,7 +575,7 @@ def embed(a: ZElement, n: int) -> ZElement:
 def restrict(a: ZElement, s: int) -> ZElement:
     """Surjective *-homomorphism Z_n -> Z_s sending z_i -> 0 for i <= n - s
     and z_i -> z_{i-n+s} for i > n - s."""
-    n = a.rank
+    n = _z_rank(a, "restrict")
     if not 1 <= s <= n:
         raise ValueError(f"restriction target rank {s} out of range for rank {n}")
     cut = n - s
@@ -600,7 +590,7 @@ def restrict(a: ZElement, s: int) -> ZElement:
 def counit(a: ZElement) -> QRat:
     """Algebra character sending z_n -> 1 and z_i -> 0 for i < n."""
     total = ZERO
-    n = a.rank
+    n = _z_rank(a, "the counit")
     for (lam, mu), c in a.terms.items():
         if not any(lam[: n - 1]) and not any(mu[: n - 1]):
             total = total + c

@@ -21,6 +21,12 @@ sums: normalize the whole product, then add c * h(monomial) one term at a
 time from the negative-base monomial formula (`reference.haar_monomial_alt`),
 with a reduced fraction after every addition.
 
+`eval_shift_loop` and `from_digits_loop` are the oracles for the byte-level
+packing of `qfield`: one shift per coefficient, respectively one shift and
+one symmetric digit per slot.  `scalar_termwise` and `pair_termwise` are
+those of the pack-once Laurent products: one QRat product per term, or per
+term pair.
+
 `pairwise_mul`, `disk_poly_termwise` and `addition_sides_termwise` are the
 oracles for the packed element products and the scaled disk sums: every
 term pair multiplies its QRat coefficients and expands the monomial product
@@ -424,3 +430,40 @@ def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
                 ys = pairwise_mul(_pairwise_pow(g.Y1, r), _pairwise_pow(g.Y1s, s))
             rhs = rhs + pair(left, pairwise_mul(right, ys)) * cc
     return lhs, rhs
+
+
+# ----------------------------------------------------------------------
+# the packing kernel, one slot at a time, and coefficient products one by one
+
+
+def eval_shift_loop(a, s: int) -> int:
+    """a at q = 2^s, by Horner's rule on shifts."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << s) + c
+    return acc
+
+
+def from_digits_loop(n: int, s: int) -> tuple:
+    """The symmetric base-2^s digits of n, each in (-2^(s-1), 2^(s-1)], lowest first."""
+    x = 1 << s
+    mask, half = x - 1, x >> 1
+    out = []
+    while n:
+        d = n & mask
+        if d > half:
+            d -= x
+        out.append(d)
+        n = (n - d) >> s
+    return tuple(out)
+
+
+def scalar_termwise(a, c):
+    """a * c for a ZElement a and a QRat c, one coefficient product per term."""
+    return ZElement(a.rank, {key: x * c for key, x in a.terms.items()})
+
+
+def pair_termwise(left, right):
+    """The simple tensor left (x) right, one coefficient product per term pair."""
+    return ZElement(RANKS, {(kl, kr): cl * cr for kl, cl in left.terms.items()
+                            for kr, cr in right.terms.items()})

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import dense_solve_linear
+from oracle import dense_solve_linear, eval_shift_loop, from_digits_loop
 from qdisk import qfield
 from qdisk.qfield import (
     ONE,
     QRat,
     ZERO,
     LinearSolution,
+    _PACK_MIN_LEN,
+    _eval_shift,
+    _from_digits,
     _gcd_cofactors,
     _prs_gcd,
     _reduce,
     int_from_json,
+    laurent_products,
     poly_add,
     poly_divexact,
     poly_gcd,
@@ -432,6 +436,13 @@ def test_heuristic_answers_the_planted_cases():
     assert poly_mul(h, ca) == a and poly_mul(h, cb) == b
 
 
+@pytest.mark.parametrize("a", [(-1, 0, 1), (2, 0, -4, 6), (-3, 3), (0, 0, 5, 5), (7, 0, 0, -7)])
+def test_gcd_of_a_polynomial_and_itself_or_its_negative(a):
+    for b in (a, tuple(-x for x in a)):
+        g, ca, cb = _gcd_cofactors(a, b)
+        assert g == _prs_gcd(a, b) and poly_mul(g, ca) == a and poly_mul(g, cb) == b
+
+
 @given(planted_pairs, rationals(), rationals())
 @settings(max_examples=60)
 def test_forced_fallback_gives_identical_results(pair, x, y):
@@ -479,3 +490,97 @@ def test_laurent_fast_path_matches_generic_reduce(x, y):
     for fast, generic in routes:
         assert (fast.num, fast.den) == generic
         _assert_canonical(fast)
+
+
+# ---------------------------------------------------------------- packing kernel
+
+# the four array-code widths and two wider multiples of 8
+WIDTHS = [8, 16, 32, 64, 72, 200]
+
+
+@st.composite
+def slot_polys(draw, s, fit=True):
+    """Polynomials whose coefficients are symmetric digits of width s (fit),
+    with negative and extreme ones, or else may overflow the slot."""
+    h = 1 << (s - 1)
+    coeff = st.one_of(st.integers(-9, 9), st.sampled_from([h - 1, 1 - h, h]),
+                      st.integers(1 - h, h))
+    if not fit:
+        coeff = st.one_of(coeff, st.sampled_from([-h, 2 * h, -3 * h]),
+                          st.integers(-(h << 70), h << 70))
+    cs = draw(st.lists(coeff, max_size=12))
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+@given(st.sampled_from(WIDTHS), st.data())
+@settings(max_examples=300)
+def test_eval_shift_matches_the_shift_loop(s, data):
+    a = data.draw(slot_polys(s, fit=False))
+    assert _eval_shift(a, s) == eval_shift_loop(a, s)
+
+
+@given(st.sampled_from(WIDTHS), st.data())
+@settings(max_examples=300)
+def test_symmetric_digits_round_trip(s, data):
+    a = data.draw(slot_polys(s))
+    n = _eval_shift(a, s)
+    assert _from_digits(n, s) == from_digits_loop(n, s) == a
+    assert _from_digits(-n, s) == from_digits_loop(-n, s)
+
+
+@given(st.sampled_from(WIDTHS), st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                          st.integers(-2 ** 3000, 2 ** 3000)))
+@settings(max_examples=300)
+def test_from_digits_matches_the_digit_loop_on_any_integer(s, n):
+    assert _from_digits(n, s) == from_digits_loop(n, s)
+
+
+@pytest.mark.parametrize("s", WIDTHS)
+def test_packing_kernel_edge_cases(s):
+    h = 1 << (s - 1)
+    assert _from_digits(0, s) == () and _eval_shift((), s) == 0
+    # a digit of exactly +2^(s-1) in an unbounded integer, as _heu_gcd reads them
+    n = 5 + (h << s) + (7 << (3 * s)) - (1 << (40 * s))
+    assert _from_digits(n, s) == from_digits_loop(n, s) == (5, h, 0, 7) + (0,) * 36 + (-1,)
+    # -2^(s-1) is no symmetric digit: it reads as a borrow into the next slot
+    assert _from_digits(-h, s) == (h, -1)
+    # coefficients that overflow the array code of the width
+    for a in [(h,), (1, -h), (3, h, -5), (0, 1 << (s + 9), -1)]:
+        assert _eval_shift(a, s) == eval_shift_loop(a, s)
+
+
+@st.composite
+def laurent_lists(draw, long):
+    """Nonempty lists of Laurent coefficients; when long, one of each list
+    has a numerator of at least _PACK_MIN_LEN coefficients."""
+    ints = st.one_of(st.integers(-5, 5), big_ints)
+    size = (_PACK_MIN_LEN, _PACK_MIN_LEN + 20) if long else (1, _PACK_MIN_LEN - 1)
+    def laurent_coeff(n):
+        return st.builds(lambda num, k: QRat(num, (0,) * k + (1,)),
+                         st.lists(ints, min_size=n[0], max_size=n[1]).filter(any),
+                         st.integers(0, 6))
+    first = draw(laurent_coeff(size))
+    rest = draw(st.lists(laurent_coeff((1, _PACK_MIN_LEN + 4)), max_size=4))
+    return [first] + rest
+
+
+@given(st.booleans(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_laurent_products_equal_the_qrat_products(long_x, long_y, data):
+    xs, ys = data.draw(laurent_lists(long_x)), data.draw(laurent_lists(long_y))
+    assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
+    # a coefficient off the Laurent path takes the QRat products
+    ys.append(QRat((1, 2), (1, 1)))
+    assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
+
+
+def test_laurent_products_at_the_bound():
+    # the top coefficient n^2 of the first product nearly fills the bound
+    # |n_x| |n_y| = (n + 7)^2 that sets the digit width
+    n = (1 << 62) - 1
+    xs = [QRat((1,) * (_PACK_MIN_LEN - 1) + (n,), (0, 0, 1))]
+    ys = [QRat((-1,) * (_PACK_MIN_LEN - 1) + (n,), (0, 1)), QRat((2,) + (0,) * _PACK_MIN_LEN + (1,))]
+    assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
+    assert laurent_products([], ys) == [] and laurent_products(xs, []) == []

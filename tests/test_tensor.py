@@ -10,20 +10,23 @@ from itertools import product
 import pytest
 
 from oracle import addition_sides_termwise
+from qdisk import tensor
 from qdisk.diskpoly import DiskSpec
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
-from qdisk.qfield import solve_linear
+from qdisk.qfield import _is_qpow, solve_linear
 from qdisk.tensor import (
     Verdict,
     addition_lhs,
     addition_rhs,
     coupling_const,
     pair,
+    scaled_rhs,
     verify_addition,
     xy_generators,
 )
-from qdisk.zalgebra import ZElement, star, z_gen
+from qdisk.uqaction import act_e, act_f, act_qh, is_invariant
+from qdisk.zalgebra import ZElement, bidegree, counit, embed, restrict, star, z_gen
 
 Q = QRat.q_power(1)
 Q2 = QRat.q_power(2)
@@ -197,6 +200,25 @@ def test_haar_rejects_tensor_elements():
             call()
 
 
+ZN_ONLY = {
+    "bidegree": bidegree,
+    "embed": lambda x: embed(x, 4),
+    "restrict": lambda x: restrict(x, 1),
+    "counit": counit,
+    "act_qh": lambda x: act_qh([0, 1, 0], x),
+    "act_e": lambda x: act_e(1, x),
+    "act_f": lambda x: act_f(1, x),
+    "is_invariant": lambda x: is_invariant(x, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ZN_ONLY))
+def test_zn_only_functions_reject_tensor_elements(name):
+    g = xy_generators()
+    with pytest.raises(ValueError, match="acts on Z_n, not on rank"):
+        ZN_ONLY[name](pair(g.X1, g.Y1))
+
+
 def test_tensor_elements_print_factor_by_factor():
     g = xy_generators()
     x = pair(g.X1, g.Y1s) * (-Q) + ZElement.one((3, 2))
@@ -281,15 +303,92 @@ PLANTED_RESIDUAL = (
 
 def test_planted_error_reports_its_residual(monkeypatch):
     def planted(*args):
-        rhs = addition_rhs(*args)
+        inv, rhs = scaled_rhs(*args)
         key, c = rhs.sorted_terms()[0]
         rhs.terms[key] = c * Q2
-        return rhs
+        return inv, rhs
 
-    monkeypatch.setattr("qdisk.tensor.addition_rhs", planted)
+    monkeypatch.setattr("qdisk.tensor.scaled_rhs", planted)
     verdict = verify_addition(2, 1, 1)
     assert not verdict.passed and (verdict.lhs_terms, verdict.rhs_terms) == (14, 14)
     assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
+
+
+def _times_q2(index):
+    def edit(terms):
+        key, c = ZElement((3, 2), terms).sorted_terms()[index]
+        terms[key] = c * Q2
+    return edit
+
+
+def _drop_top(terms):
+    del terms[ZElement((3, 2), terms).sorted_terms()[0][0]]
+
+
+def _new_key():
+    """A key of neither side: X1^3 (x) Y1^3 has the wrong bidegree."""
+    g = xy_generators()
+    key, = pair(g.X1 ** 3, g.Y1 ** 3).terms
+    return key
+
+
+def _add_key(terms):
+    terms[_new_key()] = ONE
+
+
+def _move_top(terms):
+    key, c = ZElement((3, 2), terms).sorted_terms()[0]
+    del terms[key]
+    terms[_new_key()] = c
+
+
+# (side, edit, variant): one planted error each, on a scaled side of the formula
+PLANTS = {
+    "lhs top times q^2": ("scaled_lhs", _times_q2(0), "final"),
+    "lhs bottom times q^2": ("scaled_lhs", _times_q2(-1), "final"),
+    "rhs non-top times q^2": ("scaled_rhs", _times_q2(1), "final"),
+    "key on the lhs only": ("scaled_rhs", _drop_top, "final"),
+    "key on the rhs only": ("scaled_rhs", _add_key, "final"),
+    "top key moved on the rhs": ("scaled_rhs", _move_top, "final"),
+    "precursor rhs top times q^2": ("scaled_rhs", _times_q2(0), "precursor"),
+    "precursor lhs non-top times q^2": ("scaled_lhs", _times_q2(2), "precursor"),
+}
+
+
+@pytest.mark.parametrize("plant", list(PLANTS))
+@pytest.mark.parametrize("l,m,alpha", [(2, 1, 1), (2, 2, 2)])
+def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, alpha):
+    name, edit, variant = PLANTS[plant]
+    builder = getattr(tensor, name)
+
+    def planted(*args):
+        inv, side = builder(*args)
+        edit(side.terms)
+        return inv, side
+
+    monkeypatch.setattr(tensor, name, planted)
+    # the division route: divide both sides, subtract and report every term
+    lhs, rhs = addition_lhs(l, m, alpha, variant), addition_rhs(l, m, alpha, variant)
+    diff = lhs - rhs
+    want = Verdict(l, m, alpha, variant, False, diff.to_json()["terms"],
+                   lhs.term_count(), rhs.term_count(), 0).to_json()
+    got = verify_addition(l, m, alpha, variant).to_json()
+    assert not diff.is_zero() and {**got, "millis": 0} == want
+
+
+def test_passing_decision_never_divides_an_element(monkeypatch):
+    # the decision on cleared denominators scales no element by a quotient
+    # over a denominator other than a power of q; only scalars are divided
+    times = ZElement.__mul__
+
+    def laurent_scalars_only(self, other):
+        assert not isinstance(other, QRat) or _is_qpow(other.den)
+        return times(self, other)
+
+    monkeypatch.setattr(ZElement, "__mul__", laurent_scalars_only)
+    assert verify_addition(3, 2, 1).passed and verify_addition(2, 3, 2, "precursor").passed
+    with pytest.raises(AssertionError):
+        addition_lhs(1, 1, 1)
 
 
 VERDICT_FIELDS = dict(l=2, m=1, alpha=1, variant="final", passed=False,

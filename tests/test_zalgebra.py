@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import pairwise_mul
+from oracle import pair_termwise, pairwise_mul, scalar_termwise
 from reference import normal_order_strategy
-from qdisk.qfield import ONE, QRat, ZERO, solve_linear
-from qdisk.tensor import LEFT_RANK, RIGHT_RANK
+from qdisk.qfield import _PACK_MIN_LEN, ONE, QRat, ZERO, solve_linear
+from qdisk.tensor import LEFT_RANK, RIGHT_RANK, pair
 from qdisk.zalgebra import (
     _PACK_MIN_PAIRS,
     ANY_BIDEGREE,
@@ -448,3 +448,35 @@ def test_packed_product_at_the_bound():
     assert product.coefficient((0,), (0,)) == n * m
     assert product == pairwise_mul(a, b)
     assert (-a) * b == -product
+
+
+def long_coefficients(laurent):
+    """Like `coefficients`, with numerators of up to twice _PACK_MIN_LEN terms."""
+    ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 42, 2 ** 42))
+    num = st.lists(ints, min_size=1, max_size=2 * _PACK_MIN_LEN).map(QRat)
+    dens = [st.just(ONE), st.integers(1, 5).map(qp)]
+    if not laurent:
+        dens.append(st.integers(1, 4).map(lambda k: ONE - qp(k)))
+    return st.tuples(num, st.one_of(dens)).map(lambda nd: nd[0] / nd[1]).filter(bool)
+
+
+def long_terms(rank, laurent):
+    return st.dictionaries(monomials(rank), long_coefficients(laurent), min_size=0, max_size=5)
+
+
+@given(st.booleans(), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_scalar_products_equal_the_termwise_oracle(laurent, laurent_scalar, data):
+    # numerators on both sides of _PACK_MIN_LEN, with and without non-Laurent coefficients
+    a = ZElement(2, data.draw(long_terms(2, laurent)))
+    c = data.draw(long_coefficients(laurent_scalar))
+    assert a * c == c * a == scalar_termwise(a, c)
+    assert a * 3 == scalar_termwise(a, QRat.from_int(3)) and (a * 0).is_zero()
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_equals_the_termwise_oracle(laurent, data):
+    left = ZElement(LEFT_RANK, data.draw(long_terms(LEFT_RANK, laurent)))
+    right = ZElement(RIGHT_RANK, data.draw(long_terms(RIGHT_RANK, True)))
+    assert pair(left, right) == pair_termwise(left, right)
