@@ -667,15 +667,17 @@ def laurent_products(xs: Sequence[QRat], ys: Sequence[QRat]) -> list:
     """[x * y for x in xs for y in ys].  If all are Laurent and each side has a
     numerator of at least _PACK_MIN_LEN coefficients, every x and y is packed
     once (`pack_laurent`) and a product is one integer multiply read back by
-    its digits: its coefficients are at most |n_x| |n_y| < 2^(s-1) (sums of
-    absolute values).  The cutoff: replaying the calls of the three benchmark
+    its digits: its coefficients are at most |n_x| |n_y| (sums of absolute
+    values), so the largest |n_x| times the largest |n_y| below 2^(s-1)
+    bounds them all.  The cutoff: replaying the calls of the three benchmark
     addition cases and the 128-case suite grid (2-vCPU x86 VM, best of five),
     8 took 150 and 73 ms, the best (12, 16) 150 and 70, packing always 164
     and 140, never 397 and 77."""
     if (min(max((len(c.num) for c in cs), default=0) for cs in (xs, ys)) < _PACK_MIN_LEN
             or not all(_is_qpow(c.den) for cs in (xs, ys) for c in cs)):
         return [x * y for x in xs for y in ys]
-    s = _width((mass(xs) * mass(ys)).bit_length() + 1)
+    bound = max(sum(map(abs, x.num)) for x in xs) * max(sum(map(abs, y.num)) for y in ys)
+    s = _width(bound.bit_length() + 1)
     (kx, px), (ky, py) = pack_laurent(xs, s), pack_laurent(ys, s)
     return [_laurent(_from_digits(a * b, s), kx + ky) for a in px for b in py]
 

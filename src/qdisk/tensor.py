@@ -169,12 +169,14 @@ def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement
 
 
 def _equal_over(a: ZElement, den_a: tuple, b: ZElement, den_b: tuple) -> bool:
-    """Whether a / den_a == b / den_b for polynomials den_a, den_b (see `verify_addition`)."""
+    """Whether a / den_a == b / den_b for polynomials den_a, den_b (see
+    `verify_addition`).  False also when a coefficient is not Laurent: the
+    caller's exact residual then decides."""
     if a.terms.keys() != b.terms.keys():
         return False
     pairs = [(x, b.terms[key]) for key, x in a.terms.items()]
     if not all(_is_qpow(c.den) for xy in pairs for c in xy):
-        return all(x * QRat(den_b) == y * QRat(den_a) for x, y in pairs)
+        return False
     s = _width((max(map(mass, pairs), default=0) * sum(map(abs, den_a + den_b))).bit_length() + 1)
     xa, xb = _eval_shift(den_a, s), _eval_shift(den_b, s)
     return all(px * xb == py * xa for _, (px, py) in (pack_laurent(xy, s) for xy in pairs))
@@ -188,7 +190,17 @@ class Verdict(Record):
                  "lhs_terms", "rhs_terms", "millis")
 
     def to_json(self) -> dict:
-        return {"pass" if k == "passed" else k: v for k, v in zip(self.__slots__, self._values())}
+        return {
+            "l": self.l,
+            "m": self.m,
+            "alpha": self.alpha,
+            "variant": self.variant,
+            "pass": self.passed,
+            "residual_terms": self.residual_terms,
+            "lhs_terms": self.lhs_terms,
+            "rhs_terms": self.rhs_terms,
+            "millis": self.millis,
+        }
 
 
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:

@@ -576,10 +576,11 @@ def test_laurent_products_equal_the_qrat_products(long_x, long_y, data):
     assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
 
 
-def test_laurent_products_at_the_bound():
+@pytest.mark.parametrize("n", [(1 << 62) - 1, math.isqrt(1 << 63) - (_PACK_MIN_LEN - 1)])
+def test_laurent_products_at_the_bound(n):
     # the top coefficient n^2 of the first product nearly fills the bound
-    # |n_x| |n_y| = (n + 7)^2 that sets the digit width
-    n = (1 << 62) - 1
+    # |n_x| |n_y| = (n + 7)^2 that sets the digit width; the second n puts
+    # it just below 2^63, in the widest array slot
     xs = [QRat((1,) * (_PACK_MIN_LEN - 1) + (n,), (0, 0, 1))]
     ys = [QRat((-1,) * (_PACK_MIN_LEN - 1) + (n,), (0, 1)), QRat((2,) + (0,) * _PACK_MIN_LEN + (1,))]
     assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]

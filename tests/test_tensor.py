@@ -321,6 +321,11 @@ def _times_q2(index):
     return edit
 
 
+def _over_one_minus_q(terms):
+    key, c = ZElement((3, 2), terms).sorted_terms()[1]
+    terms[key] = c / (ONE - Q)
+
+
 def _drop_top(terms):
     del terms[ZElement((3, 2), terms).sorted_terms()[0][0]]
 
@@ -350,6 +355,7 @@ PLANTS = {
     "key on the lhs only": ("scaled_rhs", _drop_top, "final"),
     "key on the rhs only": ("scaled_rhs", _add_key, "final"),
     "top key moved on the rhs": ("scaled_rhs", _move_top, "final"),
+    "rhs non-top over 1 - q": ("scaled_rhs", _over_one_minus_q, "final"),
     "precursor rhs top times q^2": ("scaled_rhs", _times_q2(0), "precursor"),
     "precursor lhs non-top times q^2": ("scaled_lhs", _times_q2(2), "precursor"),
 }
@@ -374,6 +380,18 @@ def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, a
                    lhs.term_count(), rhs.term_count(), 0).to_json()
     got = verify_addition(l, m, alpha, variant).to_json()
     assert not diff.is_zero() and {**got, "millis": 0} == want
+
+
+def test_non_laurent_sides_are_decided_by_the_residual(monkeypatch):
+    # the same rhs, divided by 1 - q with its 1/V times 1 - q: the packed
+    # check declines a non-Laurent side, and the exact residual passes it
+    def planted(*args):
+        inv, rhs = scaled_rhs(*args)
+        return inv * (ONE - Q), rhs * (ONE / (ONE - Q))
+
+    monkeypatch.setattr(tensor, "scaled_rhs", planted)
+    verdict = verify_addition(2, 1, 1)
+    assert verdict.passed and verdict.residual_terms == []
 
 
 def test_passing_decision_never_divides_an_element(monkeypatch):
