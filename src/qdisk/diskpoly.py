@@ -23,7 +23,8 @@ Each L coef_k is a polynomial, so when A, B and C have Laurent
 coefficients every sum and product stays on the gcd-free path, and
 `disk_poly` divides by L once per output term.  C commutes with A and B,
 hence with D, so H is evaluated by Horner's rule in C:
-H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.
+H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.  `_DiskArgs` evaluates it; it
+checks C once and keeps the powers it forms, so a bundle kept by `tensor` shares them.
 """
 
 from __future__ import annotations
@@ -63,27 +64,43 @@ def jacobi_scaled(spec: DiskSpec) -> tuple:
     return common_denominator(little_q_jacobi(mm, spec.alpha, beta, spec.base_exp).coeffs)
 
 
+class _DiskArgs:
+    """Arguments (A, B, C), checked once: C commutes with A and B, else ValueError.
+    Powers of A, B and D = C - AB are kept by exponent, so rewrites are idempotent."""
+
+    def __init__(self, A, B, C):
+        for name, other in (("A", A), ("B", B)):
+            if C * other != other * C:
+                raise ValueError(f"C does not commute with {name}")
+        self.C, one = C, A.one_like()
+        self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}}
+
+    def power(self, name: str, k: int):
+        pows = self.pows[name]
+        for j in range(len(pows), k + 1):
+            pows[j] = pows[j - 1] * pows[1]
+        return pows[k]
+
+    def scaled(self, spec: DiskSpec):
+        """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
+        l, m = spec.l, spec.m
+        scaled = jacobi_scaled(spec)[1]
+        result = self.power("D", 0) * scaled[0]
+        for k in range(1, min(l, m) + 1):
+            result = result * self.C + self.power("D", k) * scaled[k]
+        if l > m:
+            result = self.power("A", l - m) * result
+        elif m > l:
+            result = result * self.power("B", m - l)
+        return result
+
+
 def scaled_disk_poly(spec: DiskSpec, A, B, C):
     """L R_{l,m}^(alpha)(A, B, C; q^base), with (1/L, scaled) = jacobi_scaled(spec),
     by the Horner sum of the module docstring.
 
     Raises ValueError when C fails to commute with A or with B."""
-    for name, other in (("A", A), ("B", B)):
-        if C * other != other * C:
-            raise ValueError(f"C does not commute with {name}")
-    l, m = spec.l, spec.m
-    scaled = jacobi_scaled(spec)[1]
-    D = C - A * B
-    d_pow = A.one_like()
-    result = d_pow * scaled[0]
-    for k in range(1, min(l, m) + 1):
-        d_pow = d_pow * D
-        result = result * C + d_pow * scaled[k]
-    if l > m:
-        result = A ** (l - m) * result
-    elif m > l:
-        result = result * B ** (m - l)
-    return result
+    return _DiskArgs(A, B, C).scaled(spec)
 
 
 def disk_poly(spec: DiskSpec, A, B, C):

@@ -28,20 +28,17 @@ from functools import lru_cache
 from .qfield import ONE, QRat, ZERO, qpoch
 from .zalgebra import ZElement, _mono_mul, _z_rank
 
-_NUM_CACHE: dict = {}
 _PAIR_HAAR_CACHE: dict = {}
 
 
+@lru_cache(maxsize=None)
 def _haar_num(lam: tuple, n: int) -> QRat:
     """N_lam, the polynomial numerator of h(z^lam w^lam), memoized."""
-    value = _NUM_CACHE.get((lam, n))
-    if value is None:
-        t = sum(lam)
-        e = t * t + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
-        value = QRat.q_power(e) * qpoch(2, 2, n - 1)
-        for li in lam:
-            value = value * qpoch(2, 2, li)
-        _NUM_CACHE[(lam, n)] = value
+    t = sum(lam)
+    e = t * t + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
+    value = QRat.q_power(e) * qpoch(2, 2, n - 1)
+    for li in lam:
+        value = value * qpoch(2, 2, li)
     return value
 
 

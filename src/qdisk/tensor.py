@@ -9,8 +9,8 @@ pair (Y1, Y2) is realized faithfully inside Z_3 (x) Z_2 via
 so both sides of the addition formula become concrete elements of the
 tensor product, where equality is decidable by exact normal forms.  Those
 elements are `ZElement`s of rank RANKS = (3, 2), made from simple tensors
-by `pair`, and they multiply factorwise.  Two
-variants are verified: the coupled-argument identity with arguments
+by `pair`, and they multiply factorwise.  Two variants are verified: the
+coupled-argument identity with arguments
 
     A = -q X1 (x) Y1* + X2 (x) Y2,  B = -q X1* (x) Y1 + X2* (x) Y2*,
     C = Q (x) D,
@@ -18,6 +18,11 @@ variants are verified: the coupled-argument identity with arguments
 and its precursor with A = X1 (x) Y1 + X2 (x) Y2, B = q^2 X1* (x) Y1* +
 X2* (x) Y2*.  The right-hand side couples disk polynomials in the X and
 Y generators through explicit constants built from the spherical norms.
+
+Case-independent work is done once per process, in `lru_cache` tables:
+`_args` (checked argument bundles by name), `_factor` (scaled rhs disk
+polynomials by triple and `DiskSpec`) and `coupling_const`; callers never
+receive a cached element.
 """
 
 from __future__ import annotations
@@ -26,16 +31,14 @@ import time
 from functools import lru_cache
 from itertools import product
 
-from .diskpoly import DiskSpec, jacobi_scaled, scaled_disk_poly
+from .diskpoly import DiskSpec, _DiskArgs, jacobi_scaled
 from .haar import norm_const
 from .qfield import (ONE, QRat, Record, _eval_shift, _is_qpow, _width, common_denominator,
                      laurent_products, mass, pack_laurent)
-from .zalgebra import ZElement, q_element, w_gen, z_gen
+from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
-
-
 RANKS = (LEFT_RANK, RIGHT_RANK)
 
 # tensor elements are ZElements of rank RANKS; the name of their former class
@@ -73,9 +76,7 @@ class XYGenerators:
         self.Qp = self.Q - self.X2 * self.X2s
 
 
-@lru_cache(maxsize=None)
-def xy_generators() -> XYGenerators:
-    return XYGenerators()
+xy_generators = lru_cache(maxsize=None)(XYGenerators)
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +95,7 @@ def _check_addition_args(l: int, m: int, alpha: int, variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}")
 
 
+@lru_cache(maxsize=None)
 def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
     """Coupling coefficient of the (r, s) term on the right-hand side:
 
@@ -108,50 +110,62 @@ def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
         norm_const(l - r, m - s, alpha + r + s) * norm_const(r, s, alpha - 1))
 
 
-def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/L, L lhs): the disk polynomial of the coupled arguments, expanded in
-    the tensor algebra and scaled by the lcm L of its Jacobi denominators."""
-    _check_addition_args(l, m, alpha, variant)
+@lru_cache(maxsize=None)
+def _args(name: str) -> _DiskArgs:
+    """The checked arguments of a variant's lhs, or of the rhs triple named."""
     g = xy_generators()
     q = QRat.q_power(1)
-    if variant == "final":
+    if name in ("X", "Y"):
+        return _DiskArgs(*{"X": (g.X2, g.X2s, g.Q), "Y": (g.Y2, g.Y2s, g.D)}[name])
+    if name == "final":
         A = pair(g.X1, g.Y1s) * (-q) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1) * (-q) + pair(g.X2s, g.Y2s)
     else:
         A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1s) * (q * q) + pair(g.X2s, g.Y2s)
+    return _DiskArgs(A, B, pair(g.Q, g.D))
+
+
+@lru_cache(maxsize=None)
+def _factor(name: str, spec: DiskSpec) -> ZElement:
+    """L R(spec) on the rhs triple "X", "Y" or "inner" = (X1, X1*, Q'), which is
+    (z_2, w_2, Q_2): the image of (Y2, Y2*, D) under Z_2 -> Z_3 (`embed`)."""
+    if name == "inner":
+        return embed(_factor("Y", spec), LEFT_RANK)
+    return _args(name).scaled(spec)
+
+
+def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
+    """(1/L, L lhs): the disk polynomial of the coupled arguments, expanded in
+    the tensor algebra and scaled by the lcm L of its Jacobi denominators."""
+    _check_addition_args(l, m, alpha, variant)
     spec = DiskSpec(l, m, alpha)
-    return jacobi_scaled(spec)[0], scaled_disk_poly(spec, A, B, pair(g.Q, g.D))
+    return jacobi_scaled(spec)[0], _args(variant).scaled(spec)
 
 
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/V, V rhs): the coupled sum of products of disk polynomials in the
     separate factors, over the common denominator V of the scalars
     cc / (L_outer^2 L_inner) of its (r, s) pieces.  The pieces are built from
-    L-scaled disk polynomials (`scaled_disk_poly`), so the sum stays Laurent."""
+    L-scaled disk polynomials (the factor tables), so the sum stays Laurent."""
     _check_addition_args(l, m, alpha, variant)
     g = xy_generators()
     minus_q = -QRat.q_power(1)
-    plan, factors = [], []
-    for r in range(l + 1):
-        for s in range(m + 1):
-            outer, inner = DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1)
-            cc = coupling_const(l, m, r, s, alpha)
-            if variant == "final":
-                cc = cc * minus_q ** (r - s)
-            inv_outer = jacobi_scaled(outer)[0]
-            factors.append(cc * inv_outer * inv_outer * jacobi_scaled(inner)[0])
-            plan.append((r, s, outer, inner))
+    plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
+            for r in range(l + 1) for s in range(m + 1)]
+    factors = []
+    for r, s, outer, inner in plan:
+        cc = coupling_const(l, m, r, s, alpha)
+        if variant == "final":
+            cc = cc * minus_q ** (r - s)
+        inv_outer = jacobi_scaled(outer)[0]
+        factors.append(cc * inv_outer * inv_outer * jacobi_scaled(inner)[0])
     inv_lcm, weights = common_denominator(factors)
     total = ZElement.zero(RANKS)
     for (r, s, outer, inner), weight in zip(plan, weights):
-        left = (scaled_disk_poly(outer, g.X2, g.X2s, g.Q)
-                * scaled_disk_poly(inner, g.X1, g.X1s, g.Qp))
-        right = scaled_disk_poly(outer, g.Y2, g.Y2s, g.D)
-        if variant == "final":
-            right = right * g.Y1 ** s * g.Y1s ** r
-        else:
-            right = right * g.Y1 ** r * g.Y1s ** s
+        left = _factor("X", outer) * _factor("inner", inner)
+        ys = (s, r) if variant == "final" else (r, s)
+        right = _factor("Y", outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
         total = total + pair(left, right * weight)
     return inv_lcm, total
 

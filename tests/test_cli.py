@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisk.cli import (
+    MAX_ALPHA,
     MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_DISK_DEGREE,
     MAX_EXPONENT,
     MAX_GRID_CASES,
     MAX_JOBS,
@@ -463,8 +465,43 @@ def test_grid_at_the_cap_is_accepted(capsys, monkeypatch):
                 "residual_terms": [], "lhs_terms": 1, "rhs_terms": 1, "millis": 0}
 
     monkeypatch.setattr("qdisk.cli._run_case", fake_case)
-    # 2 alphas * 128 l's * 2 m's * 2 variants
-    grid = f"alpha=1..2;l=0..{MAX_GRID_CASES // 8 - 1};m=0,1"
+    # 16 alphas * 8 l's * 4 m's * 2 variants, every value within the disk caps
+    grid = "alpha=1..16;l=0..7;m=0..3"
     code, out, _ = run_cli(capsys, "suite", "--grid", grid)
     assert code == 0
     assert out.rstrip().endswith(f"suite: {MAX_GRID_CASES}/{MAX_GRID_CASES} passed")
+
+
+OVER_DEGREE, OVER_ALPHA = str(MAX_DISK_DEGREE + 1), str(MAX_ALPHA + 1)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-addition", "--alpha", "1000000", "--l", "1", "--m", "1"], "alpha 1000000, above"),
+    (["verify-addition", "--alpha", OVER_ALPHA, "--l", "1", "--m", "1"],
+     f"alpha {OVER_ALPHA}, above"),
+    (["verify-addition", "--alpha", "1", "--l", "40", "--m", "40"], "disk degree 40, above"),
+    (["verify-addition", "--alpha", "1", "--l", "0", "--m", OVER_DEGREE],
+     f"disk degree {OVER_DEGREE}, above"),
+    (["spherical", "--n", "3", "--l", "400", "--m", "400"], "disk degree 400, above"),
+    (["spherical", "--n", "3", "--l", "1", "--m", "1", "--assoc", f"{OVER_DEGREE},0"],
+     f"disk degree {OVER_DEGREE}, above"),
+    (["suite", "--grid", "l=60;m=60"], "disk degree 60, above"),
+    (["suite", "--grid", f"alpha=1,{OVER_ALPHA};l=0;m=0"], f"alpha {OVER_ALPHA}, above"),
+])
+def test_disk_caps_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    for name in ("spherical", "assoc_spherical", "verify_addition", "_run_case",
+                 "ProcessPoolExecutor"):
+        monkeypatch.setattr(f"qdisk.cli.{name}", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_disk_caps_admit_their_values(capsys):
+    assert (MAX_DISK_DEGREE, MAX_ALPHA) == (8, 16)
+    code, out, _ = run_cli(capsys, "verify-addition", "--alpha", str(MAX_ALPHA),
+                           "--l", str(MAX_DISK_DEGREE), "--m", "0")
+    assert code == 0 and "pass" in out
+    code, out, _ = run_cli(capsys, "spherical", "--n", "2", "--l", "0",
+                           "--m", str(MAX_DISK_DEGREE))
+    assert (code, out.strip()) == (0, f"w[2]^{MAX_DISK_DEGREE}")

@@ -1,7 +1,7 @@
 import pytest
 
 from oracle import disk_poly_termwise
-from qdisk.diskpoly import DiskSpec, assoc_spherical, disk_poly, spherical
+from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, spherical
 from qdisk.haar import inner, norm_const
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
 from qdisk.uqaction import is_invariant
@@ -31,6 +31,27 @@ def test_commutation_precondition():
         disk_poly(spec, z_gen(2, 2), w_gen(2, 2), q_element(1, 2))
     with pytest.raises(ValueError, match="commute with B"):
         disk_poly(spec, q_element(2, 2), z_gen(2, 2), q_element(1, 2))
+
+
+def test_argument_bundle_checks_at_construction():
+    with pytest.raises(ValueError, match="commute with A"):
+        _DiskArgs(z_gen(2, 2), w_gen(2, 2), q_element(1, 2))
+    with pytest.raises(ValueError, match="commute with B"):
+        _DiskArgs(q_element(2, 2), z_gen(2, 2), q_element(1, 2))
+
+
+def test_argument_bundle_shares_powers_across_specs():
+    # one bundle evaluates every spec as the transient bundle of disk_poly does,
+    # in any order, and hands out no power it keeps
+    args = _DiskArgs(z_gen(3, 3), w_gen(3, 3), q_element(3, 3))
+    specs = [DiskSpec(3, 3, 1), DiskSpec(0, 0, 2), DiskSpec(1, 4, 0), DiskSpec(4, 1, 1),
+             DiskSpec(2, 2, 1)]
+    for spec in specs + specs[::-1]:
+        got = args.scaled(spec)
+        assert got == _DiskArgs(z_gen(3, 3), w_gen(3, 3), q_element(3, 3)).scaled(spec)
+        assert all(got is not p for pows in args.pows.values() for p in pows.values())
+    assert args.power("A", 2) == z_gen(3, 3) ** 2
+    assert args.power("D", 3) == q_element(2, 3) ** 3
 
 
 def test_spec_validation():

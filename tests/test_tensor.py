@@ -10,17 +10,19 @@ from itertools import product
 import pytest
 
 from oracle import addition_sides_termwise
-from qdisk import tensor
-from qdisk.diskpoly import DiskSpec
+from qdisk import cli, tensor
+from qdisk.diskpoly import DiskSpec, scaled_disk_poly
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfield import _is_qpow, solve_linear
 from qdisk.tensor import (
+    VARIANTS,
     Verdict,
     addition_lhs,
     addition_rhs,
     coupling_const,
     pair,
+    scaled_lhs,
     scaled_rhs,
     verify_addition,
     xy_generators,
@@ -293,6 +295,67 @@ def test_addition_sides_equal_the_termwise_oracle(l, m, alpha, variant):
     lhs, rhs = addition_sides_termwise(l, m, alpha, variant)
     assert addition_lhs(l, m, alpha, variant).terms == lhs.terms
     assert addition_rhs(l, m, alpha, variant).terms == rhs.terms
+
+
+def test_inner_factor_is_the_embedded_circle_factor():
+    # (X1, X1*, Q') = (z_2, w_2, Q_2) in Z_3 is the image of (Y2, Y2*, D) in Z_2
+    g = xy_generators()
+    for a, b, alpha in product(range(5), range(5), range(4)):
+        spec = DiskSpec(a, b, alpha)
+        assert (embed(scaled_disk_poly(spec, g.Y2, g.Y2s, g.D), 3)
+                == scaled_disk_poly(spec, g.X1, g.X1s, g.Qp)), spec
+
+
+def _clear_tables():
+    for table in (tensor._args, tensor._factor, coupling_const):
+        table.cache_clear()
+
+
+def test_warm_tables_give_the_termwise_sides_in_any_order():
+    _clear_tables()
+    for l, m, alpha, variant in ((2, 2, 2, "final"), (3, 2, 1, "precursor"), (2, 3, 2, "final"),
+                                 (2, 2, 2, "precursor"), (3, 2, 1, "final")):
+        lhs, rhs = addition_sides_termwise(l, m, alpha, variant)
+        assert addition_lhs(l, m, alpha, variant).terms == lhs.terms
+        assert addition_rhs(l, m, alpha, variant).terms == rhs.terms
+        # a caller may mutate what it receives: no table hands out its own element
+        for builder in (scaled_lhs, scaled_rhs):
+            builder(l, m, alpha, variant)[1].terms.clear()
+        assert verify_addition(l, m, alpha, variant).passed
+
+
+def _suite_verdicts(cases) -> list:
+    _clear_tables()
+    return [{**cli._run_case(case), "millis": 0} for case in cases]
+
+
+def test_suite_verdicts_do_not_depend_on_the_case_order():
+    cases = [(l, m, alpha, variant) for alpha in (1, 2) for l in (1, 2) for m in (1, 2)
+             for variant in VARIANTS]
+    forward = _suite_verdicts(cases)
+    assert json.dumps(_suite_verdicts(cases[::-1])[::-1]) == json.dumps(forward)
+    assert all(v["pass"] for v in forward)
+
+
+def test_lhs_arguments_are_checked_once_per_variant(monkeypatch):
+    # the commutation check multiplies C = Q (x) D on the left of A and of B;
+    # nothing else in a verification does
+    g = xy_generators()
+    c = pair(g.Q, g.D)
+    times, lefts = ZElement.__mul__, []
+
+    def counting(self, other):
+        if isinstance(other, ZElement) and self.rank == c.rank and self.terms == c.terms:
+            lefts.append(other)
+        return times(self, other)
+
+    tensor._args.cache_clear()
+    monkeypatch.setattr(ZElement, "__mul__", counting)
+    assert verify_addition(2, 1, 1).passed and verify_addition(1, 2, 2).passed
+    assert len(lefts) == 2
+    assert verify_addition(2, 2, 1, "precursor").passed
+    assert verify_addition(1, 1, 1, "precursor").passed
+    assert len(lefts) == 4
 
 
 # the residual of verify_addition(2, 1, 1) with its top rhs coefficient times q^2
