@@ -22,6 +22,9 @@ worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32,
 disk degrees (spherical l, m, r, s; verify-addition and suite l, m) at
 MAX_DISK_DEGREE = 8 and alpha at MAX_ALPHA = 16: verify-addition (8, 8, 16),
 the slowest case inside both, took 14 s and 80 MB on a 2-vCPU x86-64 host.
+Spherical elements are capped at MAX_SPHERICAL_TERMS = 1716 terms, C(n - 1 + k, k)
+for k = min(l, m), by factor with --assoc: the slowest admitted case found, --n 8
+--l 8 --m 8 --assoc 2,0, took 4.9 s and 80 MB there (spherical (5, 5, 16), 17 s).
 Before each product, and each step of a power, evaluation checks that the
 result's total degree in the generators stays at most MAX_DEGREE = 128,
 that it multiplies at most MAX_PAIRS = 4096 pairs of terms, and that the
@@ -38,6 +41,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import comb
 
 from .diskpoly import assoc_spherical, spherical
 from .haar import haar, inner
@@ -55,6 +59,7 @@ MAX_COEFF_BITS = 4096
 MAX_JOBS = 32
 MAX_DISK_DEGREE = 8
 MAX_ALPHA = 16
+MAX_SPHERICAL_TERMS = 1716
 
 
 class ExprError(ValueError):
@@ -332,6 +337,11 @@ def _check_disk(degrees, alphas=()) -> None:
 def _cmd_spherical(args) -> int:
     n = _default_rank(args)
     _check_disk((args.l, args.m) + (args.assoc or ()))
+    r, s = args.assoc or (0, 0)  # the inner factor of a spherical element has 1 term
+    k, j = min(args.l - r, args.m - s), min(r, s)
+    terms = comb(n - 1 + k, k) * comb(n - 2 + j, j) if min(k, j, n - 2) >= 0 else 0
+    if terms > MAX_SPHERICAL_TERMS:
+        raise ValueError(f"spherical element of {terms} terms, above {MAX_SPHERICAL_TERMS}")
     if args.assoc is None:
         return _emit(args, spherical(args.l, args.m, n))
     return _emit(args, assoc_spherical(args.l, args.m, *args.assoc, n))

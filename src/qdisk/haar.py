@@ -11,21 +11,27 @@ and extends linearly.  It descends to the quotient by Q_n - 1 (checked
 functionally: h(Q_n x) = h(x)); the quotient itself is never built.
 The sesquilinear pairing is <a, b> = h(b* a).
 
-`haar` and `inner` add numerators only: a summand c N_lam joins the group
-keyed by t and the denominators of its coefficients, and only numerators
-(over 1) enter the group sum.  Z_n products keep the z-degree and have
-Laurent structure constants, so all group arithmetic takes the gcd-free path
-of `qfield`.  Each group is divided once, by its coefficient denominators
-times (q^2; q^2)_{t + n - 1}.  Exactness does not rest on the Laurent shape
-(other coefficients take the general path), and Q(q) has one canonical
-form, so the result is the same `QRat` as the term-by-term sum.
+Packed group sums.  `haar` (c N_lam), `_pair_haar` (the same over a monomial
+product, undivided) and `inner` (nb na P) sum products of factors n / (q^k d),
+d(0) != 0.  `_packed_sum` packs each distinct factor once (N_lam once per slot
+width s) as n(2^s) 2^(s (K_j - k)), K_j the largest k in its column j, and
+adds the products' integers per group keyed by t and the d's other than 1
+(Laurent coefficients share one group per t): F(2^s) for F = sum prod_j n_j
+q^(K_j - k_j), the group sum times q^(K_1 + ... + K_r), is read back and
+divided once, by the d's and (q^2; q^2)_{t + n - 1}: the term-by-term sum.
+Width: |f g| <= |f| |g| for |f| the sum of f's absolute coefficients, so F's
+coefficients are at most B, the sum of prod_j |n_j| over the call's products,
+and s > B.bit_length() makes F its value's symmetric base-2^s digits.  No size
+cutoff, which would keep the per-term route: the 1997 haar and inner calls of
+the perfbench CLI stream took 18 us each, not 14 us (2-vCPU x86-64).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import prod
 
-from .qfield import ONE, QRat, ZERO, qpoch
+from .qfield import ONE, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
 from .zalgebra import ZElement, _mono_mul, _z_rank
 
 _PAIR_HAAR_CACHE: dict = {}
@@ -50,31 +56,53 @@ def haar_monomial(lam, mu, n: int) -> QRat:
     return _haar_num(lam, n) / qpoch(2, 2, sum(lam) + n - 1) if lam == mu else ZERO
 
 
-def _numerator(c: QRat) -> QRat:
-    return QRat(c.num, (1,), _canonical=True)
+def _factor(x: QRat) -> tuple:
+    """x = n / (q^k d), d(0) != 0, as (d, k, |n|, pack), pack(s) = n(2^s)."""
+    k = next(i for i, c in enumerate(x.den) if c) if not x.den[0] else 0
+    return x.den[k:], k, sum(map(abs, x.num)), partial(_eval_shift, x.num)
 
 
-def _group_sum(groups: dict, rank: int) -> QRat:
-    """Sum of s / (d_1 ... d_k (q^2; q^2)_{t + rank - 1}) over the groups
-    {(t, d_1, ..., d_k): s}, one division per group."""
+@lru_cache(maxsize=None)
+def _haar_packed(lam: tuple, n: int, s: int) -> int:
+    return _eval_shift(_haar_num(lam, n).num, s)
+
+
+@lru_cache(maxsize=None)
+def _haar_factor(lam: tuple, n: int) -> tuple:
+    return (*_factor(_haar_num(lam, n))[:3], partial(_haar_packed, lam, n))
+
+
+def _packed_sum(cols: list, items: list, rank=None) -> QRat:
+    """The sum over items (t, i_1, ..., i_r) of cols[0][i_1] ... cols[r-1][i_r]
+    (`_factor`s), divided by (q^2; q^2)_{t + rank - 1} unless rank is None."""
+    if not items:
+        return ZERO
+    s = _width(sum(prod([c[i][2] for c, i in zip(cols, idx)]) for _, *idx in items).bit_length() + 1)
+    ks = [max(f[1] for f in col) for col in cols]
+    packed = [[(d, pack(s) << s * (top - k)) for d, k, _, pack in col] for col, top in zip(cols, ks)]
+    groups: dict = {}
+    for t, *idx in items:
+        fs = [p[i] for p, i in zip(packed, idx)]
+        key = (t, *sorted(d for d, _ in fs if d != (1,)))
+        groups[key] = groups.get(key, 0) + prod([v for _, v in fs])
     total = ZERO
-    for (t, *dens), s in groups.items():
-        den = qpoch(2, 2, t + rank - 1)
-        for d in dens:
-            den = den * QRat(d, (1,), _canonical=True)
-        total = total + s / den
+    for (t, *ds), v in groups.items():
+        den = prod(map(QRat, ds), start=ONE if rank is None else qpoch(2, 2, t + rank - 1))
+        total = total + _laurent(_from_digits(v, s), sum(ks)) / den
     return total
+
+
+def _diagonal_sum(terms, rank: int, den_rank) -> QRat:
+    """`_packed_sum` of c N_lam over the diagonal terms c z^lam w^lam, rank den_rank."""
+    diag = [(lam, c) for (lam, mu), c in terms if lam == mu]
+    cols = [[_factor(c) for _, c in diag], [_haar_factor(lam, rank) for lam, _ in diag]]
+    return _packed_sum(cols, [(sum(lam), i, i) for i, (lam, _) in enumerate(diag)], den_rank)
 
 
 def haar(a: ZElement) -> QRat:
     """The Haar functional, linear over the monomial expansion."""
     rank = _z_rank(a, "the Haar functional")
-    groups: dict = {}
-    for (lam, mu), c in a.terms.items():
-        if lam == mu:
-            key = (sum(lam), c.den)
-            groups[key] = groups.get(key, ZERO) + _numerator(c) * _haar_num(lam, rank)
-    return _group_sum(groups, rank)
+    return _diagonal_sum(a.terms.items(), rank, rank)
 
 
 def _pair_haar(rank: int, key1, key2) -> tuple:
@@ -82,11 +110,8 @@ def _pair_haar(rank: int, key1, key2) -> tuple:
     z-degree and P sums c N_lam over its diagonal terms c z^lam w^lam."""
     cached = _PAIR_HAAR_CACHE.get((rank, key1, key2))
     if cached is None:
-        total = ZERO
-        for (lam, mu), c in _mono_mul(rank, key1, key2):
-            if lam == mu:
-                total = total + c * _haar_num(lam, rank)
-        cached = _PAIR_HAAR_CACHE[(rank, key1, key2)] = (sum(key1[0]) + sum(key2[0]), total)
+        cached = _PAIR_HAAR_CACHE[(rank, key1, key2)] = (
+            sum(key1[0]) + sum(key2[0]), _diagonal_sum(_mono_mul(rank, key1, key2), rank, None))
     return cached
 
 
@@ -95,20 +120,20 @@ def inner(a: ZElement, b: ZElement) -> QRat:
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     rank = _z_rank(a, "the Haar functional")
-    a_terms = [(key, sum(key[0]) - sum(key[1]), c.den, _numerator(c))
-               for key, c in a.terms.items()]
-    groups: dict = {}
-    for (lam_b, mu_b), cb in b.terms.items():
-        bkey = (mu_b, lam_b)  # star of a basis monomial swaps the exponents
-        db, nb = sum(mu_b) - sum(lam_b), _numerator(cb)
-        for akey, da, den_a, na in a_terms:
+    a_terms = [(i, key, sum(key[0]) - sum(key[1])) for i, key in enumerate(a.terms)]
+    ps, items = [], []
+    for j, (lam_b, mu_b) in enumerate(b.terms):
+        # star of a basis monomial swaps the exponents
+        bkey, db = (mu_b, lam_b), sum(mu_b) - sum(lam_b)
+        for i, akey, da in a_terms:
             # h vanishes unless the product can hit the diagonal
             if db + da == 0:
                 t, v = _pair_haar(rank, bkey, akey)
                 if v:
-                    key = (t, cb.den, den_a)
-                    groups[key] = groups.get(key, ZERO) + nb * na * v
-    return _group_sum(groups, rank)
+                    items.append((t, j, i, len(ps)))
+                    ps.append(v)
+    cols = [b.terms.values(), a.terms.values(), ps]
+    return _packed_sum([list(map(_factor, col)) for col in cols], items, rank)
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,8 @@ Y generators through explicit constants built from the spherical norms.
 
 Case-independent work is done once per process, in `lru_cache` tables:
 `_args` (checked argument bundles by name), `_factor` (scaled rhs disk
-polynomials by triple and `DiskSpec`) and `coupling_const`; callers never
-receive a cached element.
+polynomials by triple and `DiskSpec`), `coupling_const` and `_rhs_pieces`
+(a case's rhs scalars, in tuples); callers never receive a cached element.
 """
 
 from __future__ import annotations
@@ -143,24 +143,29 @@ def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     return jacobi_scaled(spec)[0], _args(variant).scaled(spec)
 
 
-def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/V, V rhs): the coupled sum of products of disk polynomials in the
-    separate factors, over the common denominator V of the scalars
-    cc / (L_outer^2 L_inner) of its (r, s) pieces.  The pieces are built from
-    L-scaled disk polynomials (the factor tables), so the sum stays Laurent."""
-    _check_addition_args(l, m, alpha, variant)
-    g = xy_generators()
-    minus_q = -QRat.q_power(1)
+@lru_cache(maxsize=None)
+def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
+    """(pieces (r, s, outer, inner), 1/V, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each)."""
     plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
             for r in range(l + 1) for s in range(m + 1)]
     factors = []
     for r, s, outer, inner in plan:
         cc = coupling_const(l, m, r, s, alpha)
         if variant == "final":
-            cc = cc * minus_q ** (r - s)
+            cc = cc * (-QRat.q_power(1)) ** (r - s)
         inv_outer = jacobi_scaled(outer)[0]
         factors.append(cc * inv_outer * inv_outer * jacobi_scaled(inner)[0])
-    inv_lcm, weights = common_denominator(factors)
+    return (tuple(plan), *common_denominator(factors))
+
+
+def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
+    """(1/V, V rhs): the coupled sum of products of disk polynomials in the
+    separate factors, over the common denominator V of the scalars of its
+    (r, s) pieces (`_rhs_pieces`).  The pieces are built from L-scaled disk
+    polynomials (the factor tables), so the sum stays Laurent."""
+    _check_addition_args(l, m, alpha, variant)
+    g = xy_generators()
+    plan, inv_lcm, weights = _rhs_pieces(l, m, alpha, variant)
     total = ZElement.zero(RANKS)
     for (r, s, outer, inner), weight in zip(plan, weights):
         left = _factor("X", outer) * _factor("inner", inner)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from qdisk.cli import (
     MAX_NESTING,
     MAX_PAIRS,
     MAX_RANK,
+    MAX_SPHERICAL_TERMS,
     ExprError,
     eval_expr,
     format_element,
@@ -26,6 +28,7 @@ from qdisk.cli import (
     parse_element,
     _parse_grid,
 )
+from qdisk.diskpoly import spherical
 from qdisk.qfield import ONE, QRat
 from qdisk.zalgebra import ZElement, q_element, star, w_gen, z_gen
 
@@ -505,3 +508,40 @@ def test_disk_caps_admit_their_values(capsys):
     code, out, _ = run_cli(capsys, "spherical", "--n", "2", "--l", "0",
                            "--m", str(MAX_DISK_DEGREE))
     assert (code, out.strip()) == (0, f"w[2]^{MAX_DISK_DEGREE}")
+
+
+def test_spherical_term_counts_follow_the_closed_form():
+    # the count the cap is checked on: C(n - 1 + k, k) terms, k = min(l, m)
+    for n in range(2, 6):
+        for l in range(4):
+            for m in range(4):
+                k = min(l, m)
+                assert comb(n - 1 + k, k) == spherical(l, m, n).term_count(), (l, m, n)
+
+
+# the cap is met exactly: C(13, 7) terms, and C(13, 6) for the outer (7, 6)
+# factor on level 8 times 1 for the inner (1, 0) one; just over it, the
+# smallest counts above it: C(16, 4) = 1820 terms, and 84 * 21 = 1764
+AT_THE_CAP = [["--n", "7", "--l", "8", "--m", "7"],
+              ["--n", "8", "--l", "8", "--m", "6", "--assoc", "1,0"]]
+OVER_THE_CAP = [(["--n", "13", "--l", "4", "--m", "4"], 1820),
+                (["--n", "7", "--l", "5", "--m", "5", "--assoc", "2,2"], 1764)]
+
+
+@pytest.mark.parametrize("argv", AT_THE_CAP)
+def test_spherical_term_cap_admits_its_value(capsys, monkeypatch, argv):
+    assert MAX_SPHERICAL_TERMS == 1716
+    calls = []
+    for name in ("spherical", "assoc_spherical"):
+        monkeypatch.setattr(f"qdisk.cli.{name}", lambda *args: calls.append(args) or ZElement.one(2))
+    code, out, _ = run_cli(capsys, "spherical", *argv)
+    assert (code, out.strip(), len(calls)) == (0, "1", 1)
+
+
+@pytest.mark.parametrize("argv,terms", OVER_THE_CAP)
+def test_spherical_term_cap_exits_2_before_any_work(capsys, monkeypatch, argv, terms):
+    for name in ("spherical", "assoc_spherical"):
+        monkeypatch.setattr(f"qdisk.cli.{name}", no_work)
+    code, out, err = run_cli(capsys, "spherical", *argv)
+    assert (code, out) == (2, "")
+    assert f"spherical element of {terms} terms, above {MAX_SPHERICAL_TERMS}" in err

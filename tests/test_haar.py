@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from oracle import haar_termwise, inner_via_product
 from reference import haar_monomial_alt
+from qdisk.cli import main, parse_element
 from qdisk.diskpoly import spherical
 from qdisk.haar import (
+    _factor,
     _haar_num,
+    _packed_sum,
     _pair_haar,
     haar,
     haar_monomial,
@@ -252,3 +255,77 @@ def test_monomial_numerators_are_polynomials():
 def test_rank_four_spherical_norms(l, m):
     s = spherical(l, m, 4)
     assert inner(s, s) == norm_const(l, m, 2)
+
+
+# ----------------------------------------------------------------------
+# the packed group sums: wide slots, the width bound, mixed groups
+
+
+@st.composite
+def wide_coefficients(draw):
+    """Numerators of 8 to 12 coefficients up to 2^40 in absolute value, over
+    1, q^j, (1 - q^k) or q^j (1 - q^k): products need slots over 64 bits."""
+    big = st.integers(-2 ** 40, 2 ** 40)
+    num = QRat(tuple(draw(st.lists(big, min_size=8, max_size=12).filter(any))))
+    j, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return num / draw(st.sampled_from([ONE, qp(j), ONE - qp(k), qp(j) * (ONE - qp(k))]))
+
+
+@st.composite
+def wide_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 2)] * rank)
+    terms = st.dictionaries(st.tuples(expo, expo), wide_coefficients(), min_size=1, max_size=3)
+    return ZElement(rank, draw(terms)), ZElement(rank, draw(terms))
+
+
+@given(wide_pairs())
+@settings(max_examples=30, deadline=None)
+def test_packed_sums_match_the_oracle_in_wide_slots(pair):
+    a, b = pair
+    assert haar(a) == haar_termwise(a)
+    assert inner(a, b) == inner_via_product(a, b)
+    for k1, k2 in itertools.product(a.terms, b.terms):
+        t, p = _pair_haar(a.rank, k1, k2)
+        product = ZElement(a.rank, {k1: ONE}) * ZElement(a.rank, {k2: ONE})
+        assert p / qpoch(2, 2, t + a.rank - 1) == haar_termwise(product)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_coefficient_at_the_width_bound_reads_back(sign):
+    # every product lands on q^0 with one sign, so that coefficient is the
+    # whole bound 2^64 - 1: a slot one bit narrower would wrap it
+    c = 2 ** 32 - 1
+    xs = [QRat((0, sign * c)), QRat((0, 0, sign * 2))]  # c q and 2 q^2
+    ys = [QRat((c,), (0, 1)), QRat((c,), (0, 0, 1))]    # c / q and c / q^2
+    cols = [list(map(_factor, xs)), list(map(_factor, ys))]
+    assert _packed_sum(cols, [(0, 0, 0), (0, 1, 1)]) == sign * (2 ** 64 - 1)
+    # the same bound through the public sums, in Z_1 where h(1) = 1
+    unit = ((0,), (0,))
+    x, y = ZElement(1, {unit: QRat((sign * c,))}), ZElement(1, {unit: QRat((c + 2,))})
+    assert haar(ZElement(1, {unit: QRat((sign * (2 ** 64 - 1),))})) == sign * (2 ** 64 - 1)
+    assert inner(x, y) == sign * (2 ** 64 - 1)
+
+
+def test_laurent_and_non_laurent_coefficients_in_one_call():
+    n = 2
+    z1, w1, z2, w2 = z_gen(1, n), w_gen(1, n), z_gen(2, n), w_gen(2, n)
+    a = (z1 * w1 * (ONE + qp(-2)) + z2 * w2 * (ONE / (ONE - qp(1)))
+         + z1 * w1 * z2 * w2 * (qp(-1) / (ONE - qp(3))) + z2 * qp(2) + ZElement.one(n) * qp(-3))
+    b = (w1 * z1 * (ONE / (qp(2) * (ONE - qp(2)))) + z2 * w2 * qp(1)
+         + z1 * z2 * w1 * w2 * (ONE - qp(2)) + ZElement.one(n) * (ONE / (ONE - qp(1))))
+    assert haar(a) == haar_termwise(a) and haar(b) == haar_termwise(b)
+    for x, y in itertools.product((a, b), repeat=2):
+        assert inner(x, y) == inner_via_product(x, y)
+
+
+@pytest.mark.parametrize("n,lhs,rhs", [
+    (2, "z[1]*w[1]/(1 - q) + q*z[2]*w[2]/(1 - q^2) + z[1]*w[2]/q", "w[1]*z[1]/(1 + q) - z[2]*w[2]"),
+    (3, "(z[3]*w[3] - z[1]*w[1]/q^2)/(1 - q^3) + 2*w[2]*z[2]", "z[2]*w[2]/(q - q^4) + 3"),
+])
+def test_cli_sums_with_scalar_divisors_print_the_oracle_value(capsys, n, lhs, rhs):
+    x, y = parse_element(lhs, n), parse_element(rhs, n)
+    assert main(["haar", "--n", str(n), "--expr", lhs]) == 0
+    assert capsys.readouterr().out.strip() == str(haar_termwise(x))
+    assert main(["inner", "--n", str(n), "--lhs", lhs, "--rhs", rhs]) == 0
+    assert capsys.readouterr().out.strip() == str(inner_via_product(x, y))

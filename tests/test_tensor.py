@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from oracle import addition_sides_termwise
-from qdisk import cli, tensor
+from qdisk import cli, qfield, tensor
 from qdisk.diskpoly import DiskSpec, scaled_disk_poly
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
@@ -375,6 +375,16 @@ def test_planted_error_reports_its_residual(monkeypatch):
     verdict = verify_addition(2, 1, 1)
     assert not verdict.passed and (verdict.lhs_terms, verdict.rhs_terms) == (14, 14)
     assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
+
+
+def test_warm_verification_computes_no_scalar_gcd(monkeypatch):
+    # the rhs scalars of a case are memoized, in tuples no caller can mutate
+    assert verify_addition(3, 2, 1).passed
+    plan, _, weights = tensor._rhs_pieces(3, 2, 1, "final")
+    assert type(plan) is tuple and type(weights) is tuple and len(plan) == len(weights) == 12
+    calls, gcd = [], qfield._gcd_cofactors
+    monkeypatch.setattr(qfield, "_gcd_cofactors", lambda a, b: calls.append(a) or gcd(a, b))
+    assert verify_addition(3, 2, 1).passed and calls == []
 
 
 def _times_q2(index):
