@@ -40,14 +40,14 @@ class DiskSpec(Record):
     """Degrees and parameter of one q-disk polynomial; base fixed at q^2.
     Immutable, hashable and compared by value."""
 
-    __slots__ = ("l", "m", "alpha", "base_exp")
+    __slots__ = ("l", "m", "alpha")
 
-    def __init__(self, l: int, m: int, alpha: int, base_exp: int = 2):
+    def __init__(self, l: int, m: int, alpha: int):
         if l < 0 or m < 0:
             raise ValueError("degrees must be nonnegative")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        super().__init__(l, m, alpha, base_exp)
+        super().__init__(l, m, alpha)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a DiskSpec")
@@ -61,7 +61,7 @@ def jacobi_scaled(spec: DiskSpec) -> tuple:
     """(1/L, (L coef_0, L coef_1, ...)) for the little q-Jacobi coefficients
     of the spec, L the lcm of their denominators, each L coef_k a polynomial."""
     mm, beta = min(spec.l, spec.m), abs(spec.l - spec.m)
-    return common_denominator(little_q_jacobi(mm, spec.alpha, beta, spec.base_exp).coeffs)
+    return common_denominator(little_q_jacobi(mm, spec.alpha, beta, 2).coeffs)
 
 
 class _DiskArgs:

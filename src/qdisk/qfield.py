@@ -135,10 +135,11 @@ def poly_divexact(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _primitive(a: Coeffs) -> Coeffs:
-    c = poly_content(a)
-    if c <= 1:
+    """a over its content, with a positive leading coefficient; () stays ()."""
+    if not a:
         return a
-    return tuple(x // c for x in a)
+    c = poly_content(a) if a[-1] > 0 else -poly_content(a)
+    return a if c == 1 else tuple(x // c for x in a)
 
 
 def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -162,14 +163,8 @@ def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
 
 def _prs_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     """Primitive gcd with positive leading coefficient (primitive PRS)."""
-    if not a:
-        if not b:
-            return ()
-        g = _primitive(b)
-        return g if g[-1] > 0 else poly_neg(g)
-    if not b:
-        g = _primitive(a)
-        return g if g[-1] > 0 else poly_neg(g)
+    if not a or not b:
+        return _primitive(a or b)
     va, vb = poly_valuation(a), poly_valuation(b)
     v = min(va, vb)
     a = _primitive(a[va:])
@@ -184,8 +179,6 @@ def _prs_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
             a, b = b, a
         r = _prem(a, b)
         a, b = b, _primitive(r)
-    if a[-1] < 0:
-        a = poly_neg(a)
     if v:
         a = (0,) * v + a
     return a
@@ -210,8 +203,9 @@ def _heu_gcd(a: Coeffs, b: Coeffs):
     if len(a) == 1 or len(b) == 1:
         return (1,), a, b
     if len(a) == len(b) and (a == b or a == poly_neg(b)):  # h = a up to its content
-        c = poly_content(a) if a[-1] > 0 else -poly_content(a)
-        return tuple(x // c for x in a), (c,), (c if a == b else -c,)
+        h = _primitive(a)
+        c = a[-1] // h[-1]
+        return h, (c,), (c if a == b else -c,)
     # x = 2^s > 2M + 2 (a slot width, so maybe larger) makes the check sound;
     # 8 spare bits make a point rare where spurious factors spoil the digits
     s = _width((2 * min(max(map(abs, a)), max(map(abs, b))) + 3).bit_length() + 8)
@@ -219,11 +213,7 @@ def _heu_gcd(a: Coeffs, b: Coeffs):
         h = _from_digits(math.gcd(_eval_shift(a, s), _eval_shift(b, s)), s)
         if len(h) == 1:
             return (1,), a, b
-        c = poly_content(h)
-        if h[-1] < 0:
-            c = -c
-        if c != 1:
-            h = tuple(x // c for x in h)
+        h = _primitive(h)
         try:
             return h, poly_divexact(a, h), poly_divexact(b, h)
         except ArithmeticError:
@@ -344,17 +334,19 @@ def _reduce(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
         return (), (1,)
     if den == (1,):
         return num, den
-    # cancel the polynomial gcd
     _, num, den = _gcd_cofactors(num, den)
-    # overall content of the pair
+    return _unit_normal(num, den)
+
+
+def _unit_normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """(num, den) over the integer content of the pair, den with a positive
+    leading coefficient: the canonical form once the polynomial gcd is 1."""
     c = math.gcd(poly_content(num), poly_content(den))
-    if c > 1:
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
     if den[-1] < 0:
-        num = poly_neg(num)
-        den = poly_neg(den)
-    return num, den
+        c = -c
+    if c == 1:
+        return num, den
+    return tuple(x // c for x in num), tuple(x // c for x in den)
 
 
 def _normal(num: Coeffs, den: Coeffs) -> "QRat":
@@ -463,26 +455,8 @@ class QRat:
             out = list(map(operator.add, n1, n2))
             out += n1[len(n2):]
             return _laurent(out, k1)
-        if b == d:
-            return _normal(poly_add(self.num, other.num), b)
-        if b == (1,):
-            return _normal(poly_add(poly_mul(self.num, d), other.num), d)
-        if d == (1,):
-            return _normal(poly_add(self.num, poly_mul(other.num, b)), b)
-        g, b1, d1 = _gcd_cofactors(b, d)
-        if g == (1,):
-            num = poly_add(poly_mul(self.num, d), poly_mul(other.num, b))
-            den = poly_mul(b, d)
-            # coprime denominators: only content can still cancel
-            c = math.gcd(poly_content(num), poly_content(den))
-            if c > 1:
-                num = tuple(x // c for x in num)
-                den = tuple(x // c for x in den)
-            if not num:
-                return ZERO
-            if den[-1] < 0:
-                num, den = poly_neg(num), poly_neg(den)
-            return QRat(num, den, _canonical=True)
+        # over the lcm b1 d of b = g b1 and d = g d1
+        _, b1, d1 = _gcd_cofactors(b, d)
         t = poly_add(poly_mul(self.num, d1), poly_mul(other.num, b1))
         return _normal(t, poly_mul(b1, d))
 
@@ -523,15 +497,7 @@ class QRat:
             _, n1, d2 = _gcd_cofactors(n1, d2)
         if d1 != (1,):
             _, n2, d1 = _gcd_cofactors(n2, d1)
-        num = poly_mul(n1, n2)
-        den = poly_mul(d1, d2)
-        c = math.gcd(poly_content(num), poly_content(den))
-        if c > 1:
-            num = tuple(x // c for x in num)
-            den = tuple(x // c for x in den)
-        if den[-1] < 0:
-            num, den = poly_neg(num), poly_neg(den)
-        return QRat(num, den, _canonical=True)
+        return QRat(*_unit_normal(poly_mul(n1, n2), poly_mul(d1, d2)), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -628,6 +594,12 @@ class QRat:
         if not any(den):
             raise ValueError(f"zero denominator in {obj!r}")
         return QRat([int_from_json(c) for c in obj["num"]], den)
+
+
+def _accum(acc: dict, key, coeff) -> None:
+    """acc[key] += coeff, an absent key counting as zero."""
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
 
 
 def _coerce(x):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .qfield import ONE, QRat, ZERO, qpoch
+from .qfield import ONE, QRat, ZERO, _accum, qpoch
 
 # ----------------------------------------------------------------------
 # univariate polynomials over Q(q)
@@ -120,22 +120,22 @@ def little_q_jacobi(m: int, a_exp: int, b_exp: int, base_exp: int = 1) -> UniPol
     return UniPoly(coeffs)
 
 
+def _weight(exps) -> UniPoly:
+    """The product of the factors (1 - q^e x) over e in exps, as a polynomial in x."""
+    out = UniPoly((ONE,))
+    for e in exps:
+        out = out * UniPoly((ONE, -QRat.q_power(e)))
+    return out
+
+
 def rising_weight(beta: int, base_exp: int = 1) -> UniPoly:
     """(q x; q)_beta in base q^base_exp, as a polynomial in x."""
-    b = base_exp
-    out = UniPoly((ONE,))
-    for i in range(beta):
-        out = out * UniPoly((ONE, -QRat.q_power(b * (1 + i))))
-    return out
+    return _weight(base_exp * (1 + i) for i in range(beta))
 
 
 def falling_weight(beta: int, base_exp: int = 1) -> UniPoly:
     """(x; q^-1)_beta in base q^base_exp, as a polynomial in x."""
-    b = base_exp
-    out = UniPoly((ONE,))
-    for i in range(beta):
-        out = out * UniPoly((ONE, -QRat.q_power(-b * i)))
-    return out
+    return _weight(-base_exp * i for i in range(beta))
 
 
 # ----------------------------------------------------------------------
@@ -143,14 +143,8 @@ def falling_weight(beta: int, base_exp: int = 1) -> UniPoly:
 
 
 def jackson_integral(p: UniPoly, base_exp: int = 1) -> QRat:
-    """int_0^1 p(x) d_q x in base q^base_exp, by the monomial rule."""
-    b = base_exp
-    one_minus_q = ONE - QRat.q_power(b)
-    total = ZERO
-    for k, c in enumerate(p.coeffs):
-        if c:
-            total = total + c * one_minus_q / (ONE - QRat.q_power(b * (k + 1)))
-    return total
+    """int_0^1 p(x) d_q x in base q^base_exp: `jackson_scale` at C = 1."""
+    return jackson_scale(p, base_exp).eval_at(ONE)
 
 
 def jackson_scale(p: UniPoly, base_exp: int = 1) -> UniPoly:
@@ -221,8 +215,7 @@ class MultiQPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = c if prev is None else prev + c
+            _accum(out, e, c)
         return MultiQPoly(self.nvars, out)
 
     def __sub__(self, other):
@@ -234,10 +227,7 @@ class MultiQPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prev = out.get(e)
-                add = c1 * c2
-                out[e] = add if prev is None else prev + add
+                _accum(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return MultiQPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -266,10 +256,7 @@ def multi_jackson_partial(phi: MultiQPoly, n: int) -> UniPoly:
             ne = list(expo)
             ne[step] = 0
             ne[step + 1] += a + 1
-            ne = tuple(ne)
-            add = c * factor
-            prev = out.get(ne)
-            out[ne] = add if prev is None else prev + add
+            _accum(out, tuple(ne), c * factor)
         current = MultiQPoly(n - 1, out)
     coeffs: list = []
     for expo, c in current.terms.items():

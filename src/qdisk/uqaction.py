@@ -10,24 +10,21 @@ moves whose coefficients are q-integers in base q^-2:
     e_k  . z^lam w^mu = -q^(-1) q^(mu_{k+1} + lam_k - lam_{k+1}) [mu_k] z^lam w^(mu + e_{k+1} - e_k)
                         + q^(lam_k) [lam_{k+1}] z^(lam + e_k - e_{k+1}) w^mu
 
-with [m] = (1 - q^(-2m))/(1 - q^(-2)).  Invariance under the rank-p
-subalgebra means being fixed by q^(e_i) for i <= p and killed by e_k, f_k
-for k <= p-1.  An invariant slice is the nullspace of these conditions,
-given as sparse rows to the exact solver `qfield.solve_sparse`.
+with [m] = (1 - q^(-2m))/(1 - q^(-2)): each move carries [m] for the
+exponent m it takes its unit from.  Invariance under the rank-p subalgebra
+means being fixed by q^(e_i) for i <= p and killed by e_k, f_k for
+k <= p-1.  An invariant slice is the nullspace of these conditions, given
+as sparse rows to the exact solver `qfield.solve_sparse`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .qfield import ONE, QRat, ZERO, qnumber, solve_sparse
-from .zalgebra import ZElement, _accum, _z_rank
+from .qfield import ONE, QRat, _accum, qnumber, solve_sparse
+from .zalgebra import ZElement, _z_rank
 
 Weight = Sequence
-
-
-def _qnum(m: int) -> QRat:
-    return qnumber(m, -2) if m > 0 else ZERO
 
 
 def act_qh(h: Weight, a: ZElement) -> ZElement:
@@ -47,44 +44,36 @@ def _check_ladder_index(k: int, a: ZElement) -> None:
         raise ValueError(f"ladder index {k} out of range for rank {rank}")
 
 
+def _ladder(a: ZElement, moves) -> ZElement:
+    """The sum over the terms c z^lam w^mu of a and over the moves (side, src,
+    dst, prefactor) of c prefactor(lam, mu) [x] times the monomial with one unit
+    of lam (side 0) or mu (side 1) moved from index src to dst, x the source
+    exponent; a move with x = 0 contributes nothing and builds no coefficient."""
+    out: dict = {}
+    for key, c in a.terms.items():
+        for side, src, dst, prefactor in moves:
+            x = key[side][src]
+            if x:
+                e = list(key[side])
+                e[src] -= 1
+                e[dst] += 1
+                moved = (key[0], tuple(e)) if side else (tuple(e), key[1])
+                _accum(out, moved, c * (prefactor(*key) * qnumber(x, -2)))
+    return ZElement(a.rank, out)
+
+
 def act_f(k: int, a: ZElement) -> ZElement:
     _check_ladder_index(k, a)
-    k0 = k - 1
-    out: dict = {}
-    for (lam, mu), c in a.terms.items():
-        if mu[k0 + 1]:
-            coeff = -QRat.q_power(mu[k0] + 1) * _qnum(mu[k0 + 1])
-            nmu = list(mu)
-            nmu[k0 + 1] -= 1
-            nmu[k0] += 1
-            _accum(out, (lam, tuple(nmu)), c * coeff)
-        if lam[k0]:
-            coeff = QRat.q_power(lam[k0 + 1] + mu[k0] - mu[k0 + 1]) * _qnum(lam[k0])
-            nlam = list(lam)
-            nlam[k0] -= 1
-            nlam[k0 + 1] += 1
-            _accum(out, (tuple(nlam), mu), c * coeff)
-    return ZElement(a.rank, out)
+    i, j = k - 1, k
+    return _ladder(a, ((1, j, i, lambda lam, mu: -QRat.q_power(mu[i] + 1)),
+                       (0, i, j, lambda lam, mu: QRat.q_power(lam[j] + mu[i] - mu[j]))))
 
 
 def act_e(k: int, a: ZElement) -> ZElement:
     _check_ladder_index(k, a)
-    k0 = k - 1
-    out: dict = {}
-    for (lam, mu), c in a.terms.items():
-        if mu[k0]:
-            coeff = -QRat.q_power(-1) * QRat.q_power(mu[k0 + 1] + lam[k0] - lam[k0 + 1]) * _qnum(mu[k0])
-            nmu = list(mu)
-            nmu[k0] -= 1
-            nmu[k0 + 1] += 1
-            _accum(out, (lam, tuple(nmu)), c * coeff)
-        if lam[k0 + 1]:
-            coeff = QRat.q_power(lam[k0]) * _qnum(lam[k0 + 1])
-            nlam = list(lam)
-            nlam[k0 + 1] -= 1
-            nlam[k0] += 1
-            _accum(out, (tuple(nlam), mu), c * coeff)
-    return ZElement(a.rank, out)
+    i, j = k - 1, k
+    return _ladder(a, ((1, i, j, lambda lam, mu: -QRat.q_power(mu[j] + lam[i] - lam[j] - 1)),
+                       (0, j, i, lambda lam, mu: QRat.q_power(lam[i]))))
 
 
 def is_invariant(a: ZElement, p: int) -> bool:

@@ -18,6 +18,11 @@ and it is confluent (checked in the test suite by racing single-step
 reduction strategies against the products here).  Products of basis
 monomials come from memoized tables built on the expansion of w^mu z_j.
 
+The relations are closed under the *-involution, which fixes q, swaps z_i
+and w_i and reverses products: the w-relation is the *-image of the
+z-relation.  Since (z^a)* = w^a, w^b w^a = (z^a z^b)* merges with the
+q-power of z^a z^b, so `_merge_exp` is the one merge rule of both blocks.
+
 One element type, `ZElement`, holds both an element of Z_n and one of a
 tensor product Z_n1 (x) Z_n2, which multiplies factorwise.  Its `__str__`
 is the printer of the `qdisk.cli` expression grammar.
@@ -62,7 +67,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .qfield import (ONE, QRat, ZERO, _coerce, _from_digits, _is_qpow, _laurent, _width,
+from .qfield import (ONE, QRat, ZERO, _accum, _coerce, _from_digits, _is_qpow, _laurent, _width,
                      int_from_json, laurent_products, mass, pack_laurent, poly_neg, poly_str)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
@@ -100,25 +105,16 @@ _WZ_CACHE: dict = {}
 _MONO_CACHE: dict = {}
 
 
-def _z_merge_exp(left: Sequence[int], right: Sequence[int]) -> int:
-    """q-exponent from commuting z^right leftwards into z^left (result z^(left+right))."""
+def _merge_exp(left: Sequence[int], right: Sequence[int]) -> int:
+    """q-exponent from commuting z^right leftwards into z^left (result
+    z^(left+right)); by the *-mirror, merging the w-blocks w^left w^right
+    into w^(left+right) gives _merge_exp(right, left)."""
     total = 0
     for i, ri in enumerate(right):
         if ri:
             for j in range(i + 1, len(left)):
                 if left[j]:
                     total += left[j] * ri
-    return total
-
-
-def _w_merge_exp(left: Sequence[int], right: Sequence[int]) -> int:
-    """q-exponent from merging the w-blocks w^left w^right into w^(left+right)."""
-    total = 0
-    for i, li in enumerate(left):
-        if li:
-            for j in range(i + 1, len(right)):
-                if right[j]:
-                    total += li * right[j]
     return total
 
 
@@ -134,20 +130,19 @@ def _pull_through(rank: int, mu: tuple, j: int):
         return result
     i0 = next(i for i in range(rank) if mu[i])  # rightmost letter of the w block
     mu_rest = tuple(m - 1 if i == i0 else m for i, m in enumerate(mu))
-    acc: dict = {}
+    # w^mu z_j = w^mu_rest (w_i0 z_j), where w_i0 z_j is q z_j w_i0 for i0 != j0,
+    # else z_i0 w_i0 + (1 - q^2) sum_{t < i0} z_t w_t: a move (t, j', factor) is
+    # factor times the normal form of w^mu_rest z_j' with w_t merged into its w-block
     if i0 != j0:
-        for (lam, nu), c in _pull_through(rank, mu_rest, j):
-            e = -sum(nu[k] for k in range(i0))
-            key = (lam, tuple(v + 1 if i == i0 else v for i, v in enumerate(nu)))
-            _accum(acc, key, c * QRat.q_power(1 + e))
+        moves = [(i0, j, QRat.q_power(1))]
     else:
         one_minus_q2 = ONE - QRat.q_power(2)
-        for t in range(i0 + 1):
-            factor = ONE if t == i0 else one_minus_q2
-            for (lam, nu), c in _pull_through(rank, mu_rest, t + 1):
-                e = -sum(nu[k] for k in range(t))
-                key = (lam, tuple(v + 1 if i == t else v for i, v in enumerate(nu)))
-                _accum(acc, key, factor * c * QRat.q_power(e))
+        moves = [(t, t + 1, ONE if t == i0 else one_minus_q2) for t in range(i0 + 1)]
+    acc: dict = {}
+    for t, jt, factor in moves:
+        for (lam, nu), c in _pull_through(rank, mu_rest, jt):
+            key = (lam, tuple(v + 1 if i == t else v for i, v in enumerate(nu)))
+            _accum(acc, key, factor * c * QRat.q_power(-sum(nu[:t])))
     result = tuple((k, v) for k, v in acc.items() if v)
     _PULL_CACHE[(rank, mu, j)] = result
     return result
@@ -166,7 +161,7 @@ def _wz(rank: int, mu: tuple, lam: tuple):
     acc: dict = {}
     for (a, b), c in _pull_through(rank, mu, j0 + 1):
         for (a2, b2), c2 in _wz(rank, b, rest):
-            e = _z_merge_exp(a, a2)
+            e = _merge_exp(a, a2)
             key = (tuple(x + y for x, y in zip(a, a2)), b2)
             _accum(acc, key, c * c2 * QRat.q_power(-e))
     result = tuple((k, v) for k, v in acc.items() if v)
@@ -181,18 +176,13 @@ def _mono_mul(rank: int, k1: Key, k2: Key):
     (l1, m1), (l2, m2) = k1, k2
     acc: dict = {}
     for (a, b), c in _wz(rank, m1, l2):
-        e = _z_merge_exp(l1, a) + _w_merge_exp(b, m2)
+        e = _merge_exp(l1, a) + _merge_exp(m2, b)
         key = (tuple(x + y for x, y in zip(l1, a)),
                tuple(x + y for x, y in zip(b, m2)))
         _accum(acc, key, c * QRat.q_power(-e))
     result = tuple((k, v) for k, v in acc.items() if v)
     _MONO_CACHE[(rank, k1, k2)] = result
     return result
-
-
-def _accum(acc: dict, key, coeff) -> None:
-    prev = acc.get(key)
-    acc[key] = coeff if prev is None else prev + coeff
 
 
 # ----------------------------------------------------------------------
@@ -521,10 +511,7 @@ def z_gen(i: int, rank: int) -> ZElement:
 
 
 def w_gen(i: int, rank: int) -> ZElement:
-    _check_rank(rank)
-    _check_index(i, rank)
-    mu = tuple(1 if k == i - 1 else 0 for k in range(rank))
-    return ZElement.monomial(rank, (0,) * rank, mu)
+    return star(z_gen(i, rank))
 
 
 def q_element(i: int, rank: int) -> ZElement:

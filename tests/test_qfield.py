@@ -476,10 +476,41 @@ def _assert_canonical(x):
     assert math.gcd(*x.num, *x.den) == 1
 
 
-@given(laurent(), laurent())
-@settings(max_examples=150)
-def test_laurent_fast_path_matches_generic_reduce(x, y):
-    assert qfield._is_qpow(x.den) and qfield._is_qpow(y.den)
+# pairwise coprime irreducibles over Q, for denominators with a planted gcd
+FACTORS = [(1, -1), (1, 1), (1, 0, 1), (3, 2), (1, 1, 1), (-2, 0, 1)]
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two fractions over products of FACTORS (times a constant), the second
+    with a denominator of 1, equal to, coprime to or sharing a factor with
+    the first's, or else the negative of the first, in either order."""
+    def frac(factors):
+        den = (draw(st.sampled_from([1, -2, 3])),)
+        for f in factors:
+            den = poly_mul(den, FACTORS[f])
+        return QRat(draw(small_polys), den)
+
+    fx = draw(st.sets(st.integers(0, len(FACTORS) - 1), min_size=1, max_size=3))
+    rest = sorted(set(range(len(FACTORS))) - fx)
+    shape = draw(st.sampled_from(["one", "equal", "coprime", "shared", "cancel"]))
+    x = frac(fx)
+    if shape == "cancel":
+        y = -x
+    elif shape == "equal":  # x + a polynomial keeps x's canonical denominator
+        y = QRat(poly_add(x.num, poly_mul(draw(nonzero_polys), x.den)), x.den)
+    else:
+        fy = {"one": set(), "coprime": {draw(st.sampled_from(rest))},
+              "shared": {min(fx), draw(st.sampled_from(rest))}}[shape]
+        y = frac(fy)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@given(st.one_of(st.tuples(laurent(), laurent()), fraction_pairs()))
+@settings(max_examples=300)
+def test_laurent_fast_path_matches_generic_reduce(pair):
+    # Laurent pairs take the gcd-free path, the others the lcm path
+    x, y = pair
     cross = (poly_mul(x.num, y.den), poly_mul(y.num, x.den))
     den = poly_mul(x.den, y.den)
     routes = [

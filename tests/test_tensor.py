@@ -486,7 +486,7 @@ VERDICT_FIELDS = dict(l=2, m=1, alpha=1, variant="final", passed=False,
                       residual_terms=[{"coeff": "q"}], lhs_terms=7, rhs_terms=6, millis=3)
 RECORDS = [
     DiskSpec(2, 1, 3),
-    DiskSpec(l=0, m=4, alpha=0, base_exp=4),
+    DiskSpec(l=0, m=4, alpha=5),
     LinearSolution(consistent=True, particular=[ONE, Q2], nullspace=[[ZERO, Q]]),
     LinearSolution(False, None, []),
     Verdict(**VERDICT_FIELDS),
