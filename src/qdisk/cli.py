@@ -17,7 +17,8 @@ Exit codes: 0 success / verification pass, 1 verification failure, 2 usage,
 parse, or evaluation errors.  Hostile input exits 2 before any large
 allocation or process pool: the rank (--n, $QDISK_DEFAULT_N) is capped at
 MAX_RANK = 16, '^' exponents at MAX_EXPONENT = 64, parenthesis nesting at
-MAX_NESTING = 100, the cases of a suite grid at MAX_GRID_CASES = 1024, its
+MAX_NESTING = 100, the cases of a suite grid and the values of each of its
+clauses (counted while the clause is read) at MAX_GRID_CASES = 1024, its
 worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32,
 disk degrees (spherical l, m, r, s; verify-addition and suite l, m) at
 MAX_DISK_DEGREE = 8 and alpha at MAX_ALPHA = 16: verify-addition (8, 8, 16),
@@ -25,11 +26,12 @@ the slowest case inside both, took 14 s and 80 MB on a 2-vCPU x86-64 host.
 Spherical elements are capped at MAX_SPHERICAL_TERMS = 1716 terms, C(n - 1 + k, k)
 for k = min(l, m), by factor with --assoc: the slowest admitted case found, --n 8
 --l 8 --m 8 --assoc 2,0, took 4.9 s and 80 MB there (spherical (5, 5, 16), 17 s).
-Before each product, and each step of a power, evaluation checks that the
-result's total degree in the generators stays at most MAX_DEGREE = 128,
-that it multiplies at most MAX_PAIRS = 4096 pairs of terms, and that the
-sizes of the two factors' largest coefficients (their integers' bits) add
-up to at most MAX_COEFF_BITS = 4096.
+Before each product, each step of a power, each division by a scalar (a
+product with its inverse) and, for `inner` a b, the product b* a, evaluation
+checks that the result's total degree in the generators stays at most
+MAX_DEGREE = 128, that it multiplies at most MAX_PAIRS = 4096 pairs of terms,
+and that the sizes of the two factors' largest coefficients (their integers'
+bits) add up to at most MAX_COEFF_BITS = 4096.
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ MAX_SPHERICAL_TERMS = 1716
 
 
 class ExprError(ValueError):
-    """Syntax or evaluation error, carrying a byte offset into the source."""
+    """Syntax or evaluation error, carrying a byte offset into the source
+    (None for an error that no one source holds)."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
+    def __init__(self, message: str, offset: int | None):
+        super().__init__(message if offset is None else f"{message} (byte {offset})")
         self.offset = offset
 
 
@@ -230,8 +233,8 @@ def _coeff_bits(elt: ZElement) -> int:
                default=0)
 
 
-def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
-    """a * b, once its size is known to stay within the caps."""
+def _check_product(a: ZElement, b: ZElement, offset: int | None) -> None:
+    """ExprError at offset when the product a * b would pass a cap."""
     pairs = len(a.terms) * len(b.terms)
     if pairs > MAX_PAIRS:
         raise ExprError(f"product of {pairs} term pairs, more than {MAX_PAIRS}", offset)
@@ -241,6 +244,11 @@ def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
     bits = _coeff_bits(a) + _coeff_bits(b)
     if bits > MAX_COEFF_BITS:
         raise ExprError(f"product of coefficients of {bits} bits, above {MAX_COEFF_BITS}", offset)
+
+
+def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
+    """a * b, once its size is known to stay within the caps."""
+    _check_product(a, b, offset)
     return a * b
 
 
@@ -272,7 +280,7 @@ def eval_expr(node, n: int) -> ZElement:
             divisor = _scalar_of(eval_expr(rest[0], n), rest[1])
             if not divisor:
                 raise ExprError("division by zero", rest[1])
-            value = value * divisor.inverse()
+            value = _checked_mul(value, ZElement.scalar(divisor.inverse(), n), rest[1])
         elif kind == "pow":
             base, value = value, ZElement.one(n)
             for _ in range(rest[0]):
@@ -324,7 +332,9 @@ def _cmd_haar(args) -> int:
 
 def _cmd_inner(args) -> int:
     n = _default_rank(args)
-    return _emit(args, inner(parse_element(args.lhs, n), parse_element(args.rhs, n)))
+    a, b = parse_element(args.lhs, n), parse_element(args.rhs, n)
+    _check_product(star(b), a, None)  # <a, b> = h(b* a)
+    return _emit(args, inner(a, b))
 
 
 def _check_disk(degrees, alphas=()) -> None:
@@ -377,15 +387,11 @@ def _parse_grid(text: str) -> dict:
             raise ValueError(f"bad grid clause {clause!r}")
         values = []
         for piece in spec_part.split(","):
-            piece = piece.strip()
-            if ".." in piece:
-                lo, _, hi = piece.partition("..")
-                lo, hi = int(lo), int(hi)
-                if hi - lo >= MAX_GRID_CASES:
-                    raise ValueError(f"grid clause {clause!r} selects more than {MAX_GRID_CASES} values")
-                values.extend(range(lo, hi + 1))
-            else:
-                values.append(int(piece))
+            lo, dots, hi = piece.partition("..")
+            lo, hi = int(lo), int(hi if dots else lo)
+            if len(values) + hi - lo >= MAX_GRID_CASES:  # the running count passes the cap
+                raise ValueError(f"grid clause {clause!r} selects more than {MAX_GRID_CASES} values")
+            values.extend(range(lo, hi + 1))
         if not values:
             raise ValueError(f"grid clause {clause!r} selects no values")
         grid[name] = values

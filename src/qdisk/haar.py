@@ -32,9 +32,7 @@ from functools import lru_cache, partial
 from math import prod
 
 from .qfield import ONE, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
-from .zalgebra import ZElement, _mono_mul, _z_rank
-
-_PAIR_HAAR_CACHE: dict = {}
+from .zalgebra import ZElement, _Memo, _mono_mul, _z_rank
 
 
 @lru_cache(maxsize=None)
@@ -108,11 +106,11 @@ def haar(a: ZElement) -> QRat:
 def _pair_haar(rank: int, key1, key2) -> tuple:
     """(t, P) for the product of two basis monomials, memoized: t is its
     z-degree and P sums c N_lam over its diagonal terms c z^lam w^lam."""
-    cached = _PAIR_HAAR_CACHE.get((rank, key1, key2))
-    if cached is None:
-        cached = _PAIR_HAAR_CACHE[(rank, key1, key2)] = (
-            sum(key1[0]) + sum(key2[0]), _diagonal_sum(_mono_mul(rank, key1, key2), rank, None))
-    return cached
+    return _PAIR_HAAR_CACHE[rank, key1, key2]
+
+
+_PAIR_HAAR_CACHE = _Memo(lambda rank, key1, key2: (
+    sum(key1[0]) + sum(key2[0]), _diagonal_sum(_mono_mul(rank, key1, key2), rank, None)))
 
 
 def inner(a: ZElement, b: ZElement) -> QRat:

@@ -409,17 +409,12 @@ class QRat:
         return QRat((num,) if num else (), (den,))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def q_power(k: int) -> "QRat":
-        """q^k for any integer k (negative powers become denominators)."""
-        cached = _QPOW_CACHE.get(k)
-        if cached is not None:
-            return cached
+        """q^k for any integer k (negative powers become denominators), memoized."""
         if k >= 0:
-            r = QRat((0,) * k + (1,), (1,), _canonical=True)
-        else:
-            r = QRat((1,), (0,) * (-k) + (1,), _canonical=True)
-        _QPOW_CACHE[k] = r
-        return r
+            return QRat((0,) * k + (1,), (1,), _canonical=True)
+        return QRat((1,), (0,) * (-k) + (1,), _canonical=True)
 
     # -- predicates
 
@@ -614,7 +609,6 @@ ZERO = QRat((), (1,), _canonical=True)
 ONE = QRat((1,), (1,), _canonical=True)
 _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
               2: QRat((2,), (1,), _canonical=True)}
-_QPOW_CACHE: dict = {0: ONE}
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ into this basis terminates, because each rule either lowers the number of
 w-before-z inversions or keeps it while lowering an index-inversion count,
 and it is confluent (checked in the test suite by racing single-step
 reduction strategies against the products here).  Products of basis
-monomials come from memoized tables built on the expansion of w^mu z_j.
+monomials come from memo tables (`_Memo`) on the expansion of w^mu z_j,
+their Laurent entries built on integer numerators, with no Q(q) product.
 
 The relations are closed under the *-involution, which fixes q, swaps z_i
 and w_i and reverses products: the w-relation is the *-image of the
@@ -68,7 +69,7 @@ import math
 from typing import Iterable, Sequence
 
 from .qfield import (ONE, QRat, ZERO, _accum, _coerce, _from_digits, _is_qpow, _laurent, _width,
-                     int_from_json, laurent_products, mass, pack_laurent, poly_neg, poly_str)
+                     int_from_json, laurent_products, mass, pack_laurent, poly_mul, poly_neg, poly_str)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -94,15 +95,25 @@ def _check_index(i: int, rank: int) -> None:
 # ----------------------------------------------------------------------
 # memoized structure constants
 #
-# _pull_through(rank, mu, j): normal form of w^mu z_j
-# _wz(rank, mu, lam):         normal form of w^mu z^lam
-# _mono_mul(rank, k1, k2):    normal form of (z^lam1 w^mu1)(z^lam2 w^mu2)
+# _PULL_CACHE[rank, mu, j]:   normal form of w^mu z_j
+# _WZ_CACHE[rank, mu, lam]:   normal form of w^mu z^lam
+# _MONO_CACHE[rank, k1, k2]:  normal form of (z^lam1 w^mu1)(z^lam2 w^mu2), read through _mono_mul
 #
-# all return tuples of (key, coeff) pairs.
+# each a tuple of (key, coeff) pairs, coeff a nonzero Laurent QRat.  The
+# relations are over Z[q, 1/q], so a row is built on integer numerators: f
+# times n / q^k times q^-e is _laurent(poly_mul(f, n), k + e), no Q(q) product.
 
-_PULL_CACHE: dict = {}
-_WZ_CACHE: dict = {}
-_MONO_CACHE: dict = {}
+
+class _Memo(dict):
+    """A memo table: a missing key is built by build(*key) and stored."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(*key)
+        return value
 
 
 def _merge_exp(left: Sequence[int], right: Sequence[int]) -> int:
@@ -118,71 +129,57 @@ def _merge_exp(left: Sequence[int], right: Sequence[int]) -> int:
     return total
 
 
-def _pull_through(rank: int, mu: tuple, j: int):
-    cached = _PULL_CACHE.get((rank, mu, j))
-    if cached is not None:
-        return cached
+def _pull_row(rank: int, mu: tuple, j: int):
     j0 = j - 1
     if not any(mu):
         lam = tuple(1 if i == j0 else 0 for i in range(rank))
-        result = (((lam, mu), ONE),)
-        _PULL_CACHE[(rank, mu, j)] = result
-        return result
+        return (((lam, mu), ONE),)
     i0 = next(i for i in range(rank) if mu[i])  # rightmost letter of the w block
     mu_rest = tuple(m - 1 if i == i0 else m for i, m in enumerate(mu))
     # w^mu z_j = w^mu_rest (w_i0 z_j), where w_i0 z_j is q z_j w_i0 for i0 != j0,
     # else z_i0 w_i0 + (1 - q^2) sum_{t < i0} z_t w_t: a move (t, j', factor) is
     # factor times the normal form of w^mu_rest z_j' with w_t merged into its w-block
     if i0 != j0:
-        moves = [(i0, j, QRat.q_power(1))]
+        moves = [(i0, j, (0, 1))]
     else:
-        one_minus_q2 = ONE - QRat.q_power(2)
-        moves = [(t, t + 1, ONE if t == i0 else one_minus_q2) for t in range(i0 + 1)]
+        moves = [(t, t + 1, (1,) if t == i0 else (1, 0, -1)) for t in range(i0 + 1)]
     acc: dict = {}
     for t, jt, factor in moves:
-        for (lam, nu), c in _pull_through(rank, mu_rest, jt):
+        for (lam, nu), c in _PULL_CACHE[rank, mu_rest, jt]:
             key = (lam, tuple(v + 1 if i == t else v for i, v in enumerate(nu)))
-            _accum(acc, key, factor * c * QRat.q_power(-sum(nu[:t])))
-    result = tuple((k, v) for k, v in acc.items() if v)
-    _PULL_CACHE[(rank, mu, j)] = result
-    return result
+            _accum(acc, key, _laurent(poly_mul(factor, c.num), len(c.den) - 1 + sum(nu[:t])))
+    return tuple((k, v) for k, v in acc.items() if v)
 
 
-def _wz(rank: int, mu: tuple, lam: tuple):
-    cached = _WZ_CACHE.get((rank, mu, lam))
-    if cached is not None:
-        return cached
+def _wz_row(rank: int, mu: tuple, lam: tuple):
     if not any(lam):
-        result = (((lam, mu), ONE),)
-        _WZ_CACHE[(rank, mu, lam)] = result
-        return result
+        return (((lam, mu), ONE),)
     j0 = next(i for i in range(rank) if lam[i])
     rest = tuple(v - 1 if i == j0 else v for i, v in enumerate(lam))
     acc: dict = {}
-    for (a, b), c in _pull_through(rank, mu, j0 + 1):
-        for (a2, b2), c2 in _wz(rank, b, rest):
-            e = _merge_exp(a, a2)
+    for (a, b), c in _PULL_CACHE[rank, mu, j0 + 1]:
+        for (a2, b2), c2 in _WZ_CACHE[rank, b, rest]:
             key = (tuple(x + y for x, y in zip(a, a2)), b2)
-            _accum(acc, key, c * c2 * QRat.q_power(-e))
-    result = tuple((k, v) for k, v in acc.items() if v)
-    _WZ_CACHE[(rank, mu, lam)] = result
-    return result
+            e = len(c.den) + len(c2.den) - 2 + _merge_exp(a, a2)
+            _accum(acc, key, _laurent(poly_mul(c.num, c2.num), e))
+    return tuple((k, v) for k, v in acc.items() if v)
+
+
+def _mono_row(rank: int, k1: Key, k2: Key):
+    # (a, b) -> (lam1 + a, b + mu2) is one-to-one, so no two terms merge
+    (l1, m1), (l2, m2) = k1, k2
+    return tuple(((tuple(x + y for x, y in zip(l1, a)), tuple(x + y for x, y in zip(b, m2))),
+                  _laurent(c.num, len(c.den) - 1 + _merge_exp(l1, a) + _merge_exp(m2, b)))
+                 for (a, b), c in _WZ_CACHE[rank, m1, l2])
+
+
+_PULL_CACHE = _Memo(_pull_row)
+_WZ_CACHE = _Memo(_wz_row)
+_MONO_CACHE = _Memo(_mono_row)
 
 
 def _mono_mul(rank: int, k1: Key, k2: Key):
-    cached = _MONO_CACHE.get((rank, k1, k2))
-    if cached is not None:
-        return cached
-    (l1, m1), (l2, m2) = k1, k2
-    acc: dict = {}
-    for (a, b), c in _wz(rank, m1, l2):
-        e = _merge_exp(l1, a) + _merge_exp(m2, b)
-        key = (tuple(x + y for x, y in zip(l1, a)),
-               tuple(x + y for x, y in zip(b, m2)))
-        _accum(acc, key, c * QRat.q_power(-e))
-    result = tuple((k, v) for k, v in acc.items() if v)
-    _MONO_CACHE[(rank, k1, k2)] = result
-    return result
+    return _MONO_CACHE[rank, k1, k2]
 
 
 # ----------------------------------------------------------------------

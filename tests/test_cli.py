@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -26,9 +27,11 @@ from qdisk.cli import (
     main,
     parse,
     parse_element,
+    _degree,
     _parse_grid,
 )
 from qdisk.diskpoly import spherical
+from qdisk.haar import inner
 from qdisk.qfield import ONE, QRat
 from qdisk.zalgebra import ZElement, q_element, star, w_gen, z_gen
 
@@ -420,6 +423,34 @@ def test_coefficient_cap(capsys):
     assert f"bits, above {MAX_COEFF_BITS}" in err
 
 
+def test_division_is_under_the_coefficient_cap(capsys):
+    # dividing by a scalar multiplies by its inverse, under the same bit check as '*'
+    for op in ("/", "*"):
+        code, out, err = run_cli(capsys, "normalize", "--n", "3", "--expr", "z[1]" + f"{op}(1-q)^32" * 8)
+        assert (code, out) == (2, "")
+        assert f"coefficients of 7067 bits, above {MAX_COEFF_BITS} (byte 31)" in err
+    # the fourth quotient (at byte 31) is the first over the cap
+    assert parse_element("z[1]" + "/(1-q)^32" * 3, 1) * (1 - Q) ** 96 == z_gen(1, 1)
+
+
+def test_inner_is_under_the_product_caps(capsys, monkeypatch):
+    # <a, b> = h(b* a): the product b* a is checked before inner runs
+    mono = "z[1]^{e}*z[2]^{e}*w[1]^{e}*w[2]^{e}"
+    code, out, _ = run_cli(capsys, "inner", "--n", "3", "--lhs", mono.format(e=16),
+                           "--rhs", mono.format(e=16))
+    a = parse_element(mono.format(e=16), 3)
+    assert _degree(star(a) * a) == MAX_DEGREE
+    assert (code, out.strip()) == (0, str(inner(a, a)))
+    monkeypatch.setattr("qdisk.cli.inner", no_work)
+    code, out, err = run_cli(capsys, "inner", "--n", "3", "--lhs", mono.format(e=24),
+                             "--rhs", mono.format(e=24))
+    assert (code, out) == (2, "")
+    assert f"product of total degree 192, above {MAX_DEGREE}" in err
+    code, out, err = run_cli(capsys, "inner", "--n", "1", "--lhs", "(q^64)^32", "--rhs", "(q^64)^32")
+    assert (code, out) == (2, "")
+    assert f"coefficients of 4100 bits, above {MAX_COEFF_BITS}" in err
+
+
 def test_rank_cap(capsys, monkeypatch):
     assert parse_element(f"z[{MAX_RANK}]", MAX_RANK) == z_gen(MAX_RANK, MAX_RANK)
     with pytest.raises(ValueError, match="rank must be between"):
@@ -459,6 +490,24 @@ def test_grid_over_the_cap_exits_2_before_any_work(capsys, monkeypatch, grid, me
     code, out, err = run_cli(capsys, "suite", "--grid", grid, "--variant", "final", "--jobs", "2")
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_grid_clause_is_capped_while_it_is_read(capsys, monkeypatch):
+    # each piece is within the cap, their running value count is not
+    monkeypatch.setattr("qdisk.cli._run_case", no_work)
+    code, out, err = run_cli(capsys, "suite", "--grid", "l=" + ",".join(["0..1000"] * 10000))
+    assert (code, out) == (2, "")
+    assert f"selects more than {MAX_GRID_CASES} values" in err
+    clause = "l=" + ",".join(["0..1000"] * 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"selects more than {MAX_GRID_CASES} values"):
+            _parse_grid(clause)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000  # a million values would take tens of MB
+    assert _parse_grid("l=0..511,512..1023;m=2,0..1")["l"] == list(range(MAX_GRID_CASES))
 
 
 def test_grid_at_the_cap_is_accepted(capsys, monkeypatch):

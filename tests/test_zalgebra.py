@@ -1,15 +1,18 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import pair_termwise, pairwise_mul, scalar_termwise
+from oracle import naive_normal_form, pair_termwise, pairwise_mul, scalar_termwise
 from reference import normal_order_strategy
-from qdisk.qfield import _PACK_MIN_LEN, ONE, QRat, ZERO, solve_linear
+from qdisk.haar import _pair_haar, haar
+from qdisk.qfield import _PACK_MIN_LEN, ONE, QRat, ZERO, _is_qpow, _reduce, qpoch, solve_linear
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, pair
 from qdisk.zalgebra import (
     _PACK_MIN_PAIRS,
+    _mono_mul,
     ANY_BIDEGREE,
     ZElement,
     bidegree,
@@ -100,6 +103,39 @@ def test_multiplication_associative(rank, seed):
     b = random_element(rng, rank, nterms=2, maxdeg=1)
     c = random_element(rng, rank, nterms=2, maxdeg=1)
     assert (a * b) * c == a * (b * c)
+
+
+def _keys(rank, degree):
+    """Every monomial key (lam, mu) of Z_rank of total degree at most degree."""
+    vectors = [v for v in itertools.product(range(degree + 1), repeat=rank) if sum(v) <= degree]
+    return [(lam, mu) for lam in vectors for mu in vectors if sum(lam) + sum(mu) <= degree]
+
+
+def _word(key):
+    """The letters of z^lam w^mu: z's ascending, then w's descending by index."""
+    lam, mu = key
+    return (tuple(("z", i + 1) for i, e in enumerate(lam) for _ in range(e))
+            + tuple(("w", i + 1) for i, e in reversed(list(enumerate(mu))) for _ in range(e)))
+
+
+@pytest.mark.parametrize("rank,degree", [(1, 8), (2, 6), (3, 5)])
+def test_structure_rows_match_the_naive_rewriter(rank, degree):
+    # the mono and pair-Haar rows, read through _mono_mul and _pair_haar, of
+    # each key pair (k1, k2) of total degree at most degree
+    keys = _keys(rank, degree)
+    pairs = [(k1, k2) for k1 in keys for k2 in keys
+             if sum(map(sum, k1)) + sum(map(sum, k2)) <= degree]
+    for k1, k2 in pairs:
+        row = _mono_mul(rank, k1, k2)
+        assert dict(row) == naive_normal_form({_word(k1) + _word(k2): ONE}, rank), (k1, k2)
+        assert len({key for key, _ in row}) == len(row)
+        for _, c in row:
+            # nonzero, canonical and Laurent: what _packed_product packs
+            assert type(c) is QRat and c and _is_qpow(c.den)
+            assert (c.num, c.den) == _reduce(c.num, c.den)
+        t, p = _pair_haar(rank, k1, k2)
+        assert t == sum(k1[0]) + sum(k2[0])
+        assert p / qpoch(2, 2, t + rank - 1) == haar(ZElement(rank, dict(row)))
 
 
 # ---------------------------------------------------------------- ladder identities
