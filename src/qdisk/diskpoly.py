@@ -21,7 +21,9 @@ The sum is taken scaled: with L the lcm of the denominators of the coef_k
 with the power of A present only for l > m and that of B only for m > l.
 Each L coef_k is a polynomial, so when A, B and C have Laurent
 coefficients every sum and product stays on the gcd-free path, and
-`disk_poly` divides by L once per output term.  C commutes with A and B,
+`disk_poly` divides by L once per output term.  The coef_k are `Cyclo`s
+(`qfield`), so L is their exponent lcm, and `jacobi_scaled` expands each L
+coef_k to a polynomial once per spec, with no gcd.  C commutes with A and B,
 hence with D, so H is evaluated by Horner's rule in C:
 H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.  `_DiskArgs` evaluates it; it
 checks C once and keeps the powers it forms, so a bundle kept by `tensor` shares them.
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qfield import Record, common_denominator
-from .qfunc import little_q_jacobi
+from .qfield import Cyclo, Record
+from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 
@@ -57,11 +59,20 @@ class DiskSpec(Record):
 
 
 @lru_cache(maxsize=None)
+def _jacobi(spec: DiskSpec) -> tuple:
+    """(L, (L coef_0, L coef_1, ...)) as `Cyclo`s: the little q-Jacobi
+    coefficients of the spec, L the lcm of their denominators."""
+    coeffs = _jacobi_coeffs(min(spec.l, spec.m), spec.alpha, abs(spec.l - spec.m), 2)
+    lcm = Cyclo.lcm(coeffs)
+    return lcm, tuple(lcm * c for c in coeffs)
+
+
+@lru_cache(maxsize=None)
 def jacobi_scaled(spec: DiskSpec) -> tuple:
     """(1/L, (L coef_0, L coef_1, ...)) for the little q-Jacobi coefficients
     of the spec, L the lcm of their denominators, each L coef_k a polynomial."""
-    mm, beta = min(spec.l, spec.m), abs(spec.l - spec.m)
-    return common_denominator(little_q_jacobi(mm, spec.alpha, beta, 2).coeffs)
+    lcm, scaled = _jacobi(spec)
+    return (Cyclo() / lcm).to_qrat(), tuple(c.to_qrat() for c in scaled)
 
 
 class _DiskArgs:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import prod
 
-from .qfield import ONE, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
+from .qfield import ONE, Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
 from .zalgebra import ZElement, _Memo, _mono_mul, _z_rank
 
 
@@ -135,6 +135,17 @@ def inner(a: ZElement, b: ZElement) -> QRat:
 
 
 @lru_cache(maxsize=None)
+def _norm(l: int, m: int, alpha: int) -> Cyclo:
+    """`norm_const` as a `Cyclo`."""
+    if l < 0 or m < 0 or alpha < 0:
+        raise ValueError("norm constant parameters must be nonnegative")
+    a = 2 * (alpha + 1)
+    num = Cyclo.one_minus(a) * Cyclo(1, m * a) * Cyclo.qpoch(2, 2, l) * Cyclo.qpoch(2, 2, m)
+    den = Cyclo.one_minus(2 * (alpha + l + m + 1)) * Cyclo.qpoch(a, 2, l) * Cyclo.qpoch(a, 2, m)
+    return num / den
+
+
+@lru_cache(maxsize=None)
 def norm_const(l: int, m: int, alpha: int) -> QRat:
     """Squared norm c_{l,m}^(alpha) of the (l, m) q-disk polynomial:
 
@@ -143,10 +154,4 @@ def norm_const(l: int, m: int, alpha: int) -> QRat:
         / ((q^(2(alpha+1)); q^2)_l (q^(2(alpha+1)); q^2)_m).
 
     Not symmetric in l and m: the q-power weights the w-side degree."""
-    if l < 0 or m < 0 or alpha < 0:
-        raise ValueError("norm constant parameters must be nonnegative")
-    num = (ONE - QRat.q_power(2 * (alpha + 1))) * QRat.q_power(2 * m * (alpha + 1))
-    num = num * qpoch(2, 2, l) * qpoch(2, 2, m)
-    den = (ONE - QRat.q_power(2 * (alpha + l + m + 1)))
-    den = den * qpoch(2 * (alpha + 1), 2, l) * qpoch(2 * (alpha + 1), 2, m)
-    return num / den
+    return _norm(l, m, alpha).to_qrat()

@@ -24,6 +24,16 @@ the field operations use in place of dividing again.  When no evaluation
 point gives such a candidate, the primitive PRS gcd `_prs_gcd` decides;
 it is also the oracle the tests compare the heuristic against.
 
+The closed-form scalars (q-Pochhammers, the little q-Jacobi coefficients,
+the norm and coupling constants of the addition formula, and the common
+denominators over them) all have the form +-q^e prod (1 - q^k)^(e_k).  Since
+q^k - 1 = prod_{d | k} Phi_d(q), a `Cyclo` holds one as a sign, a power of q
+and exponents of cyclotomic polynomials Phi_d: products, quotients and the
+lcm of denominators are exponent arithmetic.  `Cyclo.to_qrat` converts once,
+with no gcd: the Phi_d are distinct, monic, irreducible and prime to q, so
+the products over the positive and over the negative exponents are coprime,
+the denominator is monic and the pair has content 1, which is canonical form.
+
 A polynomial is packed into its value at q = 2^s and read back from its
 symmetric base-2^s digits, in (-2^(s-1), 2^(s-1)], by one C-level array
 call for slot widths s of 8, 16, 32 or 64 bits on little-endian hosts, else
@@ -287,21 +297,6 @@ def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return _prs_gcd(a, b)
     return _gcd_cofactors(a, b)[0]
-
-
-def common_denominator(cs: Sequence["QRat"]) -> tuple:
-    """(1/L, (L c for c in cs)), a tuple: L is a common multiple of the
-    denominators and each L c is a polynomial (a QRat over 1), so sums of
-    L-scaled Laurent terms stay on the gcd-free path.
-
-    L grows as L d / gcd(L, d); the gcd is primitive, so by Gauss's lemma
-    d / gcd(L, d) and L / d are integer polynomials, and L keeps a positive
-    leading coefficient."""
-    lcm = (1,)
-    for c in cs:
-        lcm = poly_mul(lcm, poly_divexact(c.den, poly_gcd(lcm, c.den)))
-    return QRat((1,), lcm, _canonical=True), tuple(
-        QRat(poly_mul(c.num, poly_divexact(lcm, c.den)), (1,), _canonical=True) for c in cs)
 
 
 def poly_str(a: Coeffs, var: str = "q") -> str:
@@ -667,7 +662,129 @@ def int_from_json(c) -> int:
 
 
 # ----------------------------------------------------------------------
-# q-combinatorics
+# q-combinatorics: cyclotomic-factored scalars (see the module docstring)
+
+
+@lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple:
+    return tuple(d for d in range(1, k + 1) if not k % d)
+
+
+@lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    """The Moebius function: 0 unless n is squarefree, else -1 to the number of its primes."""
+    if n == 1:
+        return 1
+    p = next(d for d in range(2, n + 1) if not n % d)
+    return 0 if not n // p % p else -_mobius(n // p)
+
+
+def _phi_product(exps: dict) -> Coeffs:
+    """prod Phi_d^e over exps {d: e > 0}, as prod (q^k - 1)^f_k: by Moebius
+    inversion of q^d - 1 = prod_{k | d} Phi_k, f_k sums e mu(d/k) over the
+    multiples d of k.  Each factor multiplied in is a shift and a subtraction;
+    they all come first, so each one then divided out divides exactly, by a
+    block recurrence."""
+    fs: dict = {}
+    for d, e in exps.items():
+        for k in _divisors(d):
+            fs[k] = fs.get(k, 0) + e * _mobius(d // k)
+    acc = [1]
+    for k, f in fs.items():
+        for _ in range(f):
+            acc = list(map(operator.sub, [0] * k + acc, acc + [0] * k))
+    for k, f in fs.items():
+        for _ in range(-f):
+            # the quotient u of acc by q^k - 1 has u_i = u_(i-k) - acc_i
+            n, u = len(acc) - k, [-c for c in acc[:k]]
+            for j in range(k, n, k):
+                u += map(operator.sub, u[j - k:j], acc[j:j + k])
+            acc = u[:n]
+    return tuple(acc)
+
+
+class Cyclo:
+    """sign q^qexp prod Phi_d^e over the items (d, e) of the dict phi, e != 0:
+    a q-Pochhammer constant in factored form; sign 0 is zero.  Immutable: no
+    method changes a value, and products, quotients and `lcm` build new ones
+    by exponent arithmetic."""
+
+    __slots__ = ("sign", "qexp", "phi")
+
+    def __init__(self, sign: int = 1, qexp: int = 0, phi: dict | None = None):
+        self.sign, self.qexp, self.phi = (sign, qexp, phi or {}) if sign else (0, 0, {})
+
+    @staticmethod
+    def one_minus(*ks: int) -> "Cyclo":
+        """prod (1 - q^k) over ks: 1 - q^k is -prod_{d | k} Phi_d for k > 0,
+        q^k prod_{d | -k} Phi_d for k < 0, and zero for k = 0."""
+        sign, qexp, phi = 1, 0, {}
+        for k in ks:
+            if k > 0:
+                sign = -sign
+            elif k < 0:
+                qexp += k
+            else:
+                return Cyclo(0)
+            for d in _divisors(abs(k)):
+                phi[d] = phi.get(d, 0) + 1
+        return Cyclo(sign, qexp, phi)
+
+    @staticmethod
+    def qpoch(a_exp: int, step_exp: int, k: int) -> "Cyclo":
+        """(q^a_exp; q^step_exp)_k, factored; see `qpoch`."""
+        if k < 0:
+            raise ValueError("qpoch length must be nonnegative")
+        return Cyclo.one_minus(*(a_exp + i * step_exp for i in range(k)))
+
+    def _combine(self, other: "Cyclo", s: int) -> "Cyclo":
+        """self * other^s for s = 1 or -1."""
+        if not (self.sign and other.sign):
+            return Cyclo(0)
+        phi = self.phi.copy()
+        for d, e in other.phi.items():
+            e = phi.get(d, 0) + s * e
+            if e:
+                phi[d] = e
+            else:
+                del phi[d]
+        return Cyclo(self.sign * other.sign, self.qexp + s * other.qexp, phi)
+
+    def __mul__(self, other: "Cyclo") -> "Cyclo":
+        return self._combine(other, 1)
+
+    def __truediv__(self, other: "Cyclo") -> "Cyclo":
+        if not other.sign:
+            raise ZeroDivisionError("division by zero in Q(q)")
+        return self._combine(other, -1)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cyclo):
+            return NotImplemented
+        return (self.sign, self.qexp, self.phi) == (other.sign, other.qexp, other.phi)
+
+    @staticmethod
+    def lcm(cs: Iterable["Cyclo"]) -> "Cyclo":
+        """The lcm of the denominators of cs: each index, q included, at its
+        largest negative exponent; so every L c is a polynomial."""
+        qexp, phi = 0, {}
+        for c in cs:
+            qexp = max(qexp, -c.qexp)
+            for d, e in c.phi.items():
+                if -e > phi.get(d, 0):
+                    phi[d] = -e
+        return Cyclo(1, qexp, phi)
+
+    def to_qrat(self) -> QRat:
+        """The canonical QRat, with no gcd (see the module docstring)."""
+        if not self.sign:
+            return ZERO
+        num = _phi_product({d: e for d, e in self.phi.items() if e > 0})
+        den = _phi_product({d: -e for d, e in self.phi.items() if e < 0})
+        if self.sign < 0:
+            num = poly_neg(num)
+        return QRat((0,) * max(self.qexp, 0) + num, (0,) * max(-self.qexp, 0) + den,
+                    _canonical=True)
 
 
 @lru_cache(maxsize=None)
@@ -677,17 +794,7 @@ def qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
     Both exponents may be negative; negative powers of q land in the
     denominator, e.g. qpoch(-2, 2, 1) = (q^2 - 1)/q^2.
     """
-    if k < 0:
-        raise ValueError("qpoch length must be nonnegative")
-    if k == 0:
-        return ONE
-    acc = ONE
-    for i in range(k):
-        e = a_exp + i * step_exp
-        acc = acc * (ONE - QRat.q_power(e))
-        if acc.is_zero():
-            return ZERO
-    return acc
+    return Cyclo.qpoch(a_exp, step_exp, k).to_qrat()
 
 
 @lru_cache(maxsize=None)
@@ -697,9 +804,7 @@ def qnumber(m: int, base_exp: int) -> QRat:
         raise ValueError("qnumber index must be nonnegative")
     if base_exp == 0:
         raise ValueError("qnumber base exponent must be nonzero")
-    if m == 0:
-        return ZERO
-    return (ONE - QRat.q_power(m * base_exp)) / (ONE - QRat.q_power(base_exp))
+    return (Cyclo.one_minus(m * base_exp) / Cyclo.one_minus(base_exp)).to_qrat()
 
 
 # ----------------------------------------------------------------------

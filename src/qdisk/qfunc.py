@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .qfield import ONE, QRat, ZERO, _accum, qpoch
+from .qfield import ONE, Cyclo, QRat, ZERO, _accum, qpoch
 
 # ----------------------------------------------------------------------
 # univariate polynomials over Q(q)
@@ -97,6 +97,22 @@ class UniPoly:
 # little q-Jacobi
 
 
+def _jacobi_coeffs(m: int, a_exp: int, b_exp: int, base_exp: int) -> list:
+    """The coefficients of `little_q_jacobi` as `Cyclo`s, each the one before
+    it times (1 - q^(k-m)) (1 - a b q^(m+1+k)) q / ((1 - a q^(1+k)) (1 - q^(1+k)))."""
+    if m < 0:
+        raise ValueError("polynomial degree must be nonnegative")
+    if base_exp == 0:
+        raise ValueError("base exponent must be nonzero")
+    if 0 <= -(a_exp + 1) < m:
+        raise ValueError("vanishing Pochhammer denominator: a q^(1+i) = 1")
+    b, coeffs = base_exp, [Cyclo()]
+    for k in range(m):
+        step = Cyclo.one_minus((k - m) * b, (a_exp + b_exp + m + 1 + k) * b) * Cyclo(1, b)
+        coeffs.append(coeffs[-1] * step / Cyclo.one_minus((a_exp + 1 + k) * b, (k + 1) * b))
+    return coeffs
+
+
 def little_q_jacobi(m: int, a_exp: int, b_exp: int, base_exp: int = 1) -> UniPoly:
     """p_m(x; q^(a*b), q^(b*b'); q^b) with b = base_exp: the terminating series
 
@@ -104,20 +120,7 @@ def little_q_jacobi(m: int, a_exp: int, b_exp: int, base_exp: int = 1) -> UniPol
 
     in base q^base_exp, with a = q^(a_exp*base), b = q^(b_exp*base).
     Degree is exactly m and the constant term is 1."""
-    if m < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    if base_exp == 0:
-        raise ValueError("base exponent must be nonzero")
-    b = base_exp
-    for i in range(m):
-        if a_exp + 1 + i == 0:
-            raise ValueError("vanishing Pochhammer denominator: a q^(1+i) = 1")
-    coeffs = []
-    for k in range(m + 1):
-        num = qpoch(-m * b, b, k) * qpoch((a_exp + b_exp + m + 1) * b, b, k)
-        den = qpoch((a_exp + 1) * b, b, k) * qpoch(b, b, k)
-        coeffs.append(num / den * QRat.q_power(b * k))
-    return UniPoly(coeffs)
+    return UniPoly([c.to_qrat() for c in _jacobi_coeffs(m, a_exp, b_exp, base_exp)])
 
 
 def _weight(exps) -> UniPoly:

@@ -19,10 +19,17 @@ and its precursor with A = X1 (x) Y1 + X2 (x) Y2, B = q^2 X1* (x) Y1* +
 X2* (x) Y2*.  The right-hand side couples disk polynomials in the X and
 Y generators through explicit constants built from the spherical norms.
 
+The rhs scalars are closed forms: the coupling constants (built on the
+norm constants), the sign and q-power of the final variant and the Jacobi
+denominators of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes
+their lcm V by exponent arithmetic and converts 1/V and each weight once,
+with no gcd.
+
 Case-independent work is done once per process, in `lru_cache` tables:
 `_args` (checked argument bundles by name), `_factor` (scaled rhs disk
-polynomials by triple and `DiskSpec`), `coupling_const` and `_rhs_pieces`
-(a case's rhs scalars, in tuples); callers never receive a cached element.
+polynomials by triple and `DiskSpec`), `coupling_const` and its factored
+`_coupling`, and `_rhs_pieces` (a case's rhs scalars, in tuples); callers
+never receive a cached element.
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ import time
 from functools import lru_cache
 from itertools import product
 
-from .diskpoly import DiskSpec, _DiskArgs, jacobi_scaled
-from .haar import norm_const
-from .qfield import (ONE, QRat, Record, _eval_shift, _is_qpow, _width, common_denominator,
-                     laurent_products, mass, pack_laurent)
+from .diskpoly import DiskSpec, _DiskArgs, _jacobi, jacobi_scaled
+from .haar import _norm
+from .qfield import (Cyclo, QRat, Record, _eval_shift, _is_qpow, _width, laurent_products,
+                     mass, pack_laurent)
 from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -96,18 +103,23 @@ def _check_addition_args(l: int, m: int, alpha: int, variant: str) -> None:
 
 
 @lru_cache(maxsize=None)
+def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
+    """`coupling_const` as a `Cyclo`."""
+    if not (0 <= r <= l and 0 <= s <= m):
+        raise ValueError("need 0 <= r <= l and 0 <= s <= m")
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
+    ratio = Cyclo.one_minus(2 * (alpha + r + s + 1)) / Cyclo.one_minus(2 * (alpha + 1))
+    return ratio * _norm(l, m, alpha) / (_norm(l - r, m - s, alpha + r + s) * _norm(r, s, alpha - 1))
+
+
+@lru_cache(maxsize=None)
 def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
     """Coupling coefficient of the (r, s) term on the right-hand side:
 
     (1 - q^(2(alpha+r+s+1))) / (1 - q^(2(alpha+1)))
         * c_{l,m}^(alpha) / (c_{l-r,m-s}^(alpha+r+s) c_{r,s}^(alpha-1))."""
-    if not (0 <= r <= l and 0 <= s <= m):
-        raise ValueError("need 0 <= r <= l and 0 <= s <= m")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
-    ratio = (ONE - QRat.q_power(2 * (alpha + r + s + 1))) / (ONE - QRat.q_power(2 * (alpha + 1)))
-    return ratio * norm_const(l, m, alpha) / (
-        norm_const(l - r, m - s, alpha + r + s) * norm_const(r, s, alpha - 1))
+    return _coupling(l, m, r, s, alpha).to_qrat()
 
 
 @lru_cache(maxsize=None)
@@ -145,17 +157,19 @@ def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
 
 @lru_cache(maxsize=None)
 def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
-    """(pieces (r, s, outer, inner), 1/V, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each)."""
+    """(pieces (r, s, outer, inner), 1/V, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each),
+    V the lcm of the denominators, built as `Cyclo`s and converted once."""
     plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
             for r in range(l + 1) for s in range(m + 1)]
     factors = []
     for r, s, outer, inner in plan:
-        cc = coupling_const(l, m, r, s, alpha)
+        cc = _coupling(l, m, r, s, alpha)
         if variant == "final":
-            cc = cc * (-QRat.q_power(1)) ** (r - s)
-        inv_outer = jacobi_scaled(outer)[0]
-        factors.append(cc * inv_outer * inv_outer * jacobi_scaled(inner)[0])
-    return (tuple(plan), *common_denominator(factors))
+            cc = cc * Cyclo((-1) ** (r - s), r - s)
+        lcm_outer = _jacobi(outer)[0]
+        factors.append(cc / (lcm_outer * lcm_outer * _jacobi(inner)[0]))
+    lcm = Cyclo.lcm(factors)
+    return tuple(plan), (Cyclo() / lcm).to_qrat(), tuple((lcm * c).to_qrat() for c in factors)
 
 
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:

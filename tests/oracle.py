@@ -27,6 +27,12 @@ one symmetric digit per slot.  `scalar_termwise` and `pair_termwise` are
 those of the pack-once Laurent products: one QRat product per term, or per
 term pair.
 
+`qpoch_product`, `jacobi_coeffs_product`, `norm_const_product`,
+`coupling_const_product`, `jacobi_scaled_product` and `rhs_pieces_product`
+are the oracles for the cyclotomic-factored verification scalars: the same
+closed forms, built from QRat products and divisions (each reduced by a
+gcd), over denominators found by the gcd-based `common_denominator`.
+
 `pairwise_mul`, `disk_poly_termwise` and `addition_sides_termwise` are the
 oracles for the packed element products and the scaled disk sums: every
 term pair multiplies its QRat coefficients and expands the monomial product
@@ -38,7 +44,10 @@ rank (3, 2), but multiply term pair by term pair, not through `_product`.
 
 from __future__ import annotations
 
-from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
+from functools import lru_cache
+
+from qdisk.diskpoly import DiskSpec
+from qdisk.qfield import ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair, xy_generators
 from qdisk.zalgebra import ZElement, _mono_mul, star
@@ -467,3 +476,67 @@ def pair_termwise(left, right):
     """The simple tensor left (x) right, one coefficient product per term pair."""
     return ZElement(RANKS, {(kl, kr): cl * cr for kl, cl in left.terms.items()
                             for kr, cr in right.terms.items()})
+
+
+# ----------------------------------------------------------------------
+# the verification scalars, by QRat products and divisions
+
+
+def qpoch_product(a_exp: int, step_exp: int, k: int) -> QRat:
+    """(q^a_exp; q^step_exp)_k as a product of QRat factors 1 - q^e."""
+    acc = ONE
+    for i in range(k):
+        acc = acc * (ONE - QRat.q_power(a_exp + i * step_exp))
+    return acc
+
+
+def jacobi_coeffs_product(m: int, a_exp: int, b_exp: int, base_exp: int) -> list:
+    """The coefficients of the little q-Jacobi series, each a quotient of
+    q-Pochhammers; ZeroDivisionError where a denominator vanishes."""
+    b = base_exp
+    return [qpoch_product(-m * b, b, k) * qpoch_product((a_exp + b_exp + m + 1) * b, b, k)
+            * QRat.q_power(b * k) / (qpoch_product((a_exp + 1) * b, b, k) * qpoch_product(b, b, k))
+            for k in range(m + 1)]
+
+
+@lru_cache(maxsize=None)
+def norm_const_product(l: int, m: int, alpha: int) -> QRat:
+    a = 2 * (alpha + 1)
+    num = (ONE - QRat.q_power(a)) * QRat.q_power(m * a) * qpoch_product(2, 2, l) * qpoch_product(2, 2, m)
+    den = (ONE - QRat.q_power(2 * (alpha + l + m + 1))) * qpoch_product(a, 2, l) * qpoch_product(a, 2, m)
+    return num / den
+
+
+def coupling_const_product(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
+    ratio = (ONE - QRat.q_power(2 * (alpha + r + s + 1))) / (ONE - QRat.q_power(2 * (alpha + 1)))
+    return ratio * norm_const_product(l, m, alpha) / (
+        norm_const_product(l - r, m - s, alpha + r + s) * norm_const_product(r, s, alpha - 1))
+
+
+def common_denominator(cs) -> tuple:
+    """(1/L, (L c for c in cs)): L grows as L d / gcd(L, d) over the
+    denominators d; the gcd is primitive, so by Gauss's lemma d / gcd(L, d)
+    and L / d are integer polynomials, and L keeps a positive leading
+    coefficient."""
+    lcm = (1,)
+    for c in cs:
+        lcm = poly_mul(lcm, poly_divexact(c.den, poly_gcd(lcm, c.den)))
+    return QRat((1,), lcm), tuple(QRat(poly_mul(c.num, poly_divexact(lcm, c.den))) for c in cs)
+
+
+def jacobi_scaled_product(spec: DiskSpec) -> tuple:
+    return common_denominator(
+        jacobi_coeffs_product(min(spec.l, spec.m), spec.alpha, abs(spec.l - spec.m), 2))
+
+
+def rhs_pieces_product(l: int, m: int, alpha: int, variant: str) -> tuple:
+    """(1/V, weights) of the rhs pieces (r, s), in the order of r, then s."""
+    factors = []
+    for r in range(l + 1):
+        for s in range(m + 1):
+            cc = coupling_const_product(l, m, r, s, alpha)
+            if variant == "final":
+                cc = cc * (-_Q) ** (r - s)
+            inv_outer = jacobi_scaled_product(DiskSpec(l - r, m - s, alpha + r + s))[0]
+            factors.append(cc * inv_outer * inv_outer * jacobi_scaled_product(DiskSpec(r, s, alpha - 1))[0])
+    return common_denominator(factors)

@@ -20,6 +20,7 @@ from qdisk.cli import (
     MAX_NESTING,
     MAX_PAIRS,
     MAX_RANK,
+    MAX_ROW,
     MAX_SPHERICAL_TERMS,
     ExprError,
     eval_expr,
@@ -451,6 +452,20 @@ def test_inner_is_under_the_product_caps(capsys, monkeypatch):
     assert f"coefficients of 4100 bits, above {MAX_COEFF_BITS}" in err
 
 
+def test_structure_row_cap(capsys):
+    # w^mu z^lam needs the row of |mu| |lam|: 32 * 32 at the cap, 33 * 32 just over it
+    assert MAX_ROW == 32 * 32
+    assert parse_element("w[1]^32*z[1]^32", 1) == ZElement.monomial(1, [32], [32])
+    for expr, row in (("w[1]^33*z[1]^32", 1056), ("w[2]^64*z[2]^64", 4096)):
+        code, out, err = run_cli(capsys, "normalize", "--n", "3", "--expr", expr)
+        assert (code, out) == (2, "")
+        assert f"|mu| |lambda| = {row}, above {MAX_ROW} (byte 7)" in err
+    # the row is that of the left factor's w and the right factor's z
+    assert parse_element("z[1]^64*w[1]^64", 1) == ZElement.monomial(1, [64], [64])
+    with pytest.raises(ExprError, match=f"= {33 * 32}, above"):
+        parse_element("(z[1]+w[1]^33)*(z[1]^32+w[1])", 1)
+
+
 def test_rank_cap(capsys, monkeypatch):
     assert parse_element(f"z[{MAX_RANK}]", MAX_RANK) == z_gen(MAX_RANK, MAX_RANK)
     with pytest.raises(ValueError, match="rank must be between"):
@@ -497,7 +512,11 @@ def test_grid_clause_is_capped_while_it_is_read(capsys, monkeypatch):
     monkeypatch.setattr("qdisk.cli._run_case", no_work)
     code, out, err = run_cli(capsys, "suite", "--grid", "l=" + ",".join(["0..1000"] * 10000))
     assert (code, out) == (2, "")
-    assert f"selects more than {MAX_GRID_CASES} values" in err
+    assert f"grid clause for l selects more than {MAX_GRID_CASES} values" in err
+    assert len(err.encode()) < 200  # the 80 KB clause is not echoed
+    with pytest.raises(ValueError, match="bad grid clause for 'xxx") as error:
+        _parse_grid("x" * 80000 + "=1")
+    assert len(str(error.value)) < 200
     clause = "l=" + ",".join(["0..1000"] * 1000)
     tracemalloc.start()
     try:

@@ -387,6 +387,21 @@ def test_warm_verification_computes_no_scalar_gcd(monkeypatch):
     assert verify_addition(3, 2, 1).passed and calls == []
 
 
+def test_cold_verification_computes_no_scalar_gcd(monkeypatch):
+    # every rhs and Jacobi scalar is built in cyclotomic-factored form and
+    # converted once, so even a cold case divides no polynomials by a gcd
+    from qdisk import diskpoly, haar
+    calls = []
+    for name in ("_gcd_cofactors", "poly_gcd"):
+        monkeypatch.setattr(qfield, name, lambda *args, f=getattr(qfield, name): calls.append(args) or f(*args))
+    for case in ((3, 2, 1, "final"), (2, 3, 2, "precursor")):
+        for table in (tensor._args, tensor._factor, tensor._rhs_pieces, tensor._coupling, coupling_const,
+                      diskpoly._jacobi, diskpoly.jacobi_scaled, haar._norm, haar.norm_const,
+                      qfield.qpoch, qfield._divisors, qfield._mobius):
+            table.cache_clear()
+        assert verify_addition(*case).passed and calls == []
+
+
 def _times_q2(index):
     def edit(terms):
         key, c = ZElement((3, 2), terms).sorted_terms()[index]
