@@ -35,8 +35,13 @@ bits) add up to at most MAX_COEFF_BITS = 4096, and that |mu_1| |lambda_2|, over
 the pairs of a term z^lambda_1 w^mu_1 of the left factor and z^lambda_2 w^mu_2
 of the right, stays at most MAX_ROW = 1024: the product builds the structure
 row of w^mu_1 z^lambda_2, whose coefficients have q-degree about that size
-(--n 3 w[2]^32*z[2]^32, at the cap, took 1.1 to 1.3 s and 75 MB on a 2-vCPU
-x86-64 host; w[2]^64*z[2]^64 took 35 s before the cap).
+(--n 3 w[2]^32*z[2]^32, at the cap, took 1.1 to 1.5 s and 75 MB on a 2-vCPU
+x86-64 host; w[2]^64*z[2]^64 took 35 s before the cap).  The row's term count
+grows with the largest generator index i among those w's and z's: the row of
+w_i^k z_i^k has C(i - 1 + k, k) terms, and with k = min(|mu_1|, |lambda_2|)
+that count times |mu_1| |lambda_2| stays at most MAX_ROW_SIZE = 40000 (the
+slowest admitted row found, --n 3 w[3]^16*z[3]^16 of 153 terms, took 1.7 s
+there; --n 4 w[4]^16*z[4]^16, of 969 terms, ran 27 s before this cap).
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ import operator
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from .diskpoly import assoc_spherical, spherical
@@ -64,6 +68,7 @@ MAX_DEGREE = 128
 MAX_PAIRS = 4096
 MAX_COEFF_BITS = 4096
 MAX_ROW = 1024
+MAX_ROW_SIZE = 40_000
 MAX_JOBS = 32
 MAX_DISK_DEGREE = 8
 MAX_ALPHA = 16
@@ -250,11 +255,18 @@ def _check_product(a: ZElement, b: ZElement, offset: int | None) -> None:
     bits = _coeff_bits(a) + _coeff_bits(b)
     if bits > MAX_COEFF_BITS:
         raise ExprError(f"product of coefficients of {bits} bits, above {MAX_COEFF_BITS}", offset)
-    row = (max((sum(mu) for _, mu in a.terms), default=0)
-           * max((sum(lam) for lam, _ in b.terms), default=0))
+    ws = max((sum(mu) for _, mu in a.terms), default=0)
+    zs = max((sum(lam) for lam, _ in b.terms), default=0)
+    row = ws * zs
     if row > MAX_ROW:
         raise ExprError(f"product needs a structure row of |mu| |lambda| = {row}, above {MAX_ROW}",
                         offset)
+    top = max([i for _, mu in a.terms for i, e in enumerate(mu, 1) if e]
+              + [i for lam, _ in b.terms for i, e in enumerate(lam, 1) if e], default=1)
+    terms = comb(top - 1 + min(ws, zs), min(ws, zs))
+    if terms * row > MAX_ROW_SIZE:
+        raise ExprError(f"product needs a structure row of {terms} terms at |mu| |lambda| = {row}: "
+                        f"{terms * row}, above {MAX_ROW_SIZE}", offset)
 
 
 def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
@@ -381,6 +393,13 @@ def _cmd_verify_addition(args) -> int:
     verdict = verify_addition(args.l, args.m, args.alpha, variant).to_json()
     print(json.dumps(verdict) if args.json else _verdict_line(verdict))
     return 0 if verdict["pass"] else 1
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
+    import loads multiprocessing, which no other subcommand needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(*args, **kwargs)
 
 
 def _run_case(case) -> dict:

@@ -38,9 +38,17 @@ from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 
-class DiskSpec(Record):
+class _Hashed(Record):
+    """A Record with a slot for its hash: a Record's fields are its class's
+    __slots__, so the slot sits in this base."""
+
+    __slots__ = ("_hash",)
+
+
+class DiskSpec(_Hashed):
     """Degrees and parameter of one q-disk polynomial; base fixed at q^2.
-    Immutable, hashable and compared by value."""
+    Immutable, hashable and compared by value.  The hash is computed once,
+    as specs key the `lru_cache` tables of the verification path."""
 
     __slots__ = ("l", "m", "alpha")
 
@@ -50,12 +58,13 @@ class DiskSpec(Record):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         super().__init__(l, m, alpha)
+        object.__setattr__(self, "_hash", hash((l, m, alpha)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a DiskSpec")
 
     def __hash__(self):
-        return hash(self._values())
+        return self._hash
 
 
 @lru_cache(maxsize=None)

@@ -614,8 +614,8 @@ _PACK_MIN_LEN = 8
 
 def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
     """(K, [n(2^s) 2^(s(K - k)) for n/q^k in cs]) for Laurent cs, K the
-    largest k: the numerators over q^K, evaluated at q = 2^s."""
-    k = max(len(c.den) for c in cs) - 1
+    largest k (0 for no cs): the numerators over q^K, evaluated at q = 2^s."""
+    k = max((len(c.den) for c in cs), default=1) - 1
     return k, [_eval_shift(c.num, s) << (s * (k + 1 - len(c.den))) for c in cs]
 
 

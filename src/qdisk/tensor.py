@@ -25,6 +25,18 @@ denominators of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes
 their lcm V by exponent arithmetic and converts 1/V and each weight once,
 with no gcd.
 
+The rhs is assembled as one packed sum of simple tensors, `_pair_sum`
+(`pair` is its one-piece case).  Piece (r, s) is left (x) right, with left =
+X_rs I_rs and right = Y_rs times the weighted basis monomial z_1^a w_1^b of
+Z_2, one product.  Every left coefficient is packed in one
+`qfield.pack_laurent` call and every right one in another, at one slot width
+s; times q^(Kl + Kr), each output coefficient is the sum of the integer
+products over its term pairs, read back from its digits once.  Bound: with
+|x| the sum of the absolute values of the numerator coefficients over x's
+terms, no integer coefficient of an output numerator exceeds
+sum_rs |left| |right|, and s makes that below 2^(s-1).  Any coefficient not
+over a power of q sends the whole sum through per-pair `QRat` products.
+
 Case-independent work is done once per process, in `lru_cache` tables:
 `_args` (checked argument bundles by name), `_factor` (scaled rhs disk
 polynomials by triple and `DiskSpec`), `coupling_const` and its factored
@@ -36,12 +48,11 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import product
 
 from .diskpoly import DiskSpec, _DiskArgs, _jacobi, jacobi_scaled
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _eval_shift, _is_qpow, _width, laurent_products,
-                     mass, pack_laurent)
+from .qfield import (Cyclo, QRat, Record, _accum, _eval_shift, _from_digits, _is_qpow, _laurent,
+                     _width, mass, pack_laurent)
 from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -53,12 +64,38 @@ RANKS = (LEFT_RANK, RIGHT_RANK)
 TensorElement = ZElement
 
 
+def _pair_sum(sides) -> dict:
+    """Nonzero terms of sum_i left_i (x) right_i over the pairs (left_i, right_i)
+    in sides, of ranks LEFT_RANK and RIGHT_RANK (packing and bound: see the
+    module docstring)."""
+    lefts = [c for left, _ in sides for c in left.terms.values()]
+    rights = [c for _, right in sides for c in right.terms.values()]
+    acc: dict = {}
+    if not all(_is_qpow(c.den) for c in lefts + rights):
+        for left, right in sides:
+            for kx, x in left.terms.items():
+                for ky, y in right.terms.items():
+                    _accum(acc, (kx, ky), x * y)
+        return {key: c for key, c in acc.items() if c}
+    bound = sum(mass(left.terms.values()) * mass(right.terms.values()) for left, right in sides)
+    s = _width(bound.bit_length() + 1)
+    (kl, pl), (kr, pr) = pack_laurent(lefts, s), pack_laurent(rights, s)
+    pl, pr = iter(pl), iter(pr)
+    for left, right in sides:
+        # zip stops at the keys, so each side takes its own slots off the iterators
+        xs, ys = list(zip(left.terms, pl)), list(zip(right.terms, pr))
+        for kx, x in xs:
+            for ky, y in ys:
+                key = (kx, ky)
+                acc[key] = acc.get(key, 0) + x * y
+    return {key: _laurent(_from_digits(v, s), kl + kr) for key, v in acc.items() if v}
+
+
 def pair(left: ZElement, right: ZElement) -> ZElement:
     """The simple tensor left (x) right."""
     if left.rank != LEFT_RANK or right.rank != RIGHT_RANK:
         raise ValueError(f"tensor factors must have ranks {RANKS}")
-    return ZElement(RANKS, dict(zip(product(left.terms, right.terms), laurent_products(
-        list(left.terms.values()), list(right.terms.values())))))
+    return ZElement(RANKS, _pair_sum([(left, right)]))
 
 
 # ----------------------------------------------------------------------
@@ -178,15 +215,13 @@ def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     (r, s) pieces (`_rhs_pieces`).  The pieces are built from L-scaled disk
     polynomials (the factor tables), so the sum stays Laurent."""
     _check_addition_args(l, m, alpha, variant)
-    g = xy_generators()
     plan, inv_lcm, weights = _rhs_pieces(l, m, alpha, variant)
-    total = ZElement.zero(RANKS)
+    sides = []
     for (r, s, outer, inner), weight in zip(plan, weights):
-        left = _factor("X", outer) * _factor("inner", inner)
-        ys = (s, r) if variant == "final" else (r, s)
-        right = _factor("Y", outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
-        total = total + pair(left, right * weight)
-    return inv_lcm, total
+        a, b = (s, r) if variant == "final" else (r, s)
+        sides.append((_factor("X", outer) * _factor("inner", inner),
+                      _factor("Y", outer) * ZElement.monomial(RIGHT_RANK, (a, 0), (b, 0), weight)))
+    return inv_lcm, ZElement(RANKS, _pair_sum(sides))
 
 
 def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:
@@ -207,12 +242,15 @@ def _equal_over(a: ZElement, den_a: tuple, b: ZElement, den_b: tuple) -> bool:
     caller's exact residual then decides."""
     if a.terms.keys() != b.terms.keys():
         return False
-    pairs = [(x, b.terms[key]) for key, x in a.terms.items()]
-    if not all(_is_qpow(c.den) for xy in pairs for c in xy):
+    xs, ys = list(a.terms.values()), [b.terms[key] for key in a.terms]
+    if not all(_is_qpow(c.den) for c in xs + ys):
         return False
-    s = _width((max(map(mass, pairs), default=0) * sum(map(abs, den_a + den_b))).bit_length() + 1)
-    xa, xb = _eval_shift(den_a, s), _eval_shift(den_b, s)
-    return all(px * xb == py * xa for _, (px, py) in (pack_laurent(xy, s) for xy in pairs))
+    s = _width((max(map(mass, zip(xs, ys)), default=0) * sum(map(abs, den_a + den_b))).bit_length() + 1)
+    (ka, pa), (kb, pb) = pack_laurent(xs, s), pack_laurent(ys, s)
+    # pa holds a q^ka and pb holds b q^kb, so a den_b = b den_a times q^(ka + kb)
+    # reads pa den_b q^kb = pb den_a q^ka
+    xb, xa = _eval_shift(den_b, s) << (s * kb), _eval_shift(den_a, s) << (s * ka)
+    return all(x * xb == y * xa for x, y in zip(pa, pb))
 
 
 class Verdict(Record):
@@ -240,13 +278,14 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     """Expand both sides to normal form and decide lhs = rhs exactly.
 
     The sides come scaled, a = L lhs and b = V rhs with polynomials L and V,
-    and a / L = b / V if and only if a V = b L, so no coefficient is divided:
-    times q^K, K the larger q-power denominator of a and b, each a V = b L
-    is an identity in Z[q], checked at q = 2^s on packed integers
-    (`qfield.pack_laurent`).  Its coefficients are at most |a| |V| and |b| |L|
-    (sums of absolute values), below 2^(s-1), and symmetric base-2^s digits
-    are unique: equal values mean equal sides.  A failure is reported, not
-    raised: only then are the sides divided, for the residual lhs - rhs."""
+    and a / L = b / V if and only if a V = b L, so no coefficient is divided.
+    Each side is packed once (`qfield.pack_laurent`), as a q^Ka and b q^Kb
+    with Ka and Kb its largest q-power denominators, and a q^Ka V q^Kb =
+    b q^Kb L q^Ka, an identity in Z[q] for each key, is checked at q = 2^s.
+    Its coefficients are at most |a| |V| and |b| |L| (sums of absolute
+    values), below 2^(s-1), and symmetric base-2^s digits are unique: equal
+    values mean equal sides.  A failure is reported, not raised: only then
+    are the sides divided, for the residual lhs - rhs."""
     start = time.monotonic()
     inv_l, lhs = scaled_lhs(l, m, alpha, variant)
     inv_v, rhs = scaled_rhs(l, m, alpha, variant)

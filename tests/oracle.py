@@ -27,6 +27,12 @@ one symmetric digit per slot.  `scalar_termwise` and `pair_termwise` are
 those of the pack-once Laurent products: one QRat product per term, or per
 term pair.
 
+`rhs_per_piece` is the oracle for the packed rhs sum of `tensor.scaled_rhs`:
+the same factor tables and scalars, but each (r, s) piece is its own simple
+tensor, with the Y1 powers multiplied in, the weight applied to the right
+factor and one QRat product per term pair, and the pieces are added by
+QRat sums.
+
 `qpoch_product`, `jacobi_coeffs_product`, `norm_const_product`,
 `coupling_const_product`, `jacobi_scaled_product` and `rhs_pieces_product`
 are the oracles for the cyclotomic-factored verification scalars: the same
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from qdisk import tensor
 from qdisk.diskpoly import DiskSpec
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul
 from qdisk.qfunc import little_q_jacobi
@@ -476,6 +483,19 @@ def pair_termwise(left, right):
     """The simple tensor left (x) right, one coefficient product per term pair."""
     return ZElement(RANKS, {(kl, kr): cl * cr for kl, cl in left.terms.items()
                             for kr, cr in right.terms.items()})
+
+
+def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
+    """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own."""
+    g = xy_generators()
+    plan, inv_lcm, weights = tensor._rhs_pieces(l, m, alpha, variant)
+    total = ZElement.zero(RANKS)
+    for (r, s, outer, inner), weight in zip(plan, weights):
+        left = tensor._factor("X", outer) * tensor._factor("inner", inner)
+        ys = (s, r) if variant == "final" else (r, s)
+        right = tensor._factor("Y", outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
+        total = total + pair_termwise(left, right * weight)
+    return inv_lcm, total
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -21,6 +22,7 @@ from qdisk.cli import (
     MAX_PAIRS,
     MAX_RANK,
     MAX_ROW,
+    MAX_ROW_SIZE,
     MAX_SPHERICAL_TERMS,
     ExprError,
     eval_expr,
@@ -28,6 +30,7 @@ from qdisk.cli import (
     main,
     parse,
     parse_element,
+    _check_product,
     _degree,
     _parse_grid,
 )
@@ -464,6 +467,32 @@ def test_structure_row_cap(capsys):
     assert parse_element("z[1]^64*w[1]^64", 1) == ZElement.monomial(1, [64], [64])
     with pytest.raises(ExprError, match=f"= {33 * 32}, above"):
         parse_element("(z[1]+w[1]^33)*(z[1]^32+w[1])", 1)
+
+
+@pytest.mark.parametrize("n,k", [(4, 16), (8, 8), (16, 8)])
+def test_structure_row_size_cap(capsys, n, k):
+    # each passes MAX_ROW, but the row of w_n^k z_n^k has C(n - 1 + k, k) terms
+    terms, row = comb(n - 1 + k, k), k * k
+    assert row <= MAX_ROW
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "normalize", "--n", str(n), "--expr", f"w[{n}]^{k}*z[{n}]^{k}")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert f"row of {terms} terms at |mu| |lambda| = {row}: {terms * row}, above {MAX_ROW_SIZE}" in err
+
+
+def test_structure_row_size_counts_the_largest_index():
+    # in Z_3, w[2]^32*z[2]^32 builds a row of 33 terms (the largest index is 2,
+    # not the rank) at |mu| |lambda| = 1024, and w[3]^16*z[3]^16 one of 153 at
+    # 256: both are inside the cap, and w[3]^17*z[3]^17 is not
+    def check(k, i):
+        _check_product(parse_element(f"w[{i}]^{k}", 3), parse_element(f"z[{i}]^{k}", 3), None)
+
+    check(32, 2)
+    check(16, 3)
+    with pytest.raises(ExprError, match=f"row of {comb(19, 17)} terms at"):
+        check(17, 3)
+    assert parse_element("w[3]^8*z[3]^8", 3).term_count() == comb(10, 8)
 
 
 def test_rank_cap(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from oracle import addition_sides_termwise
+from oracle import addition_sides_termwise, rhs_per_piece
 from qdisk import cli, qfield, tensor
 from qdisk.diskpoly import DiskSpec, scaled_disk_poly
 from qdisk.haar import haar, inner
@@ -356,6 +356,28 @@ def test_lhs_arguments_are_checked_once_per_variant(monkeypatch):
     assert verify_addition(2, 2, 1, "precursor").passed
     assert verify_addition(1, 1, 1, "precursor").passed
     assert len(lefts) == 4
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_packed_rhs_equals_the_per_piece_sum(variant):
+    cases = [(l, m, alpha) for l in range(5) for m in range(5) for alpha in range(1, 5)]
+    for case in cases + [(6, 6, 2)]:
+        assert scaled_rhs(*case, variant) == rhs_per_piece(*case, variant), case
+
+
+# the 128-case `qdisk suite` grid, and the benchmark's addition cases in both variants
+DECISION_CASES = ([(l, m, alpha, variant) for alpha in range(1, 5) for l in range(4)
+                   for m in range(4) for variant in VARIANTS]
+                  + [case + (variant,) for case in ((4, 4, 1), (5, 5, 2), (6, 6, 2))
+                     for variant in VARIANTS])
+
+
+def test_packed_decision_accepts_every_suite_and_benchmark_case():
+    # a packed check that wrongly declines is overruled by the exact residual,
+    # so a verdict cannot show it: the decision is asserted on its own
+    for case in DECISION_CASES:
+        (inv_l, lhs), (inv_v, rhs) = scaled_lhs(*case), scaled_rhs(*case)
+        assert tensor._equal_over(lhs, inv_l.den, rhs, inv_v.den), case
 
 
 # the residual of verify_addition(2, 1, 1) with its top rhs coefficient times q^2

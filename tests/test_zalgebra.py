@@ -9,7 +9,7 @@ from oracle import naive_normal_form, pair_termwise, pairwise_mul, scalar_termwi
 from reference import normal_order_strategy
 from qdisk.haar import _pair_haar, haar
 from qdisk.qfield import _PACK_MIN_LEN, ONE, QRat, ZERO, _is_qpow, _reduce, qpoch, solve_linear
-from qdisk.tensor import LEFT_RANK, RIGHT_RANK, pair
+from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, _pair_sum, pair
 from qdisk.zalgebra import (
     _PACK_MIN_PAIRS,
     _mono_mul,
@@ -516,3 +516,18 @@ def test_pair_equals_the_termwise_oracle(laurent, data):
     left = ZElement(LEFT_RANK, data.draw(long_terms(LEFT_RANK, laurent)))
     right = ZElement(RIGHT_RANK, data.draw(long_terms(RIGHT_RANK, True)))
     assert pair(left, right) == pair_termwise(left, right)
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_sum_equals_the_termwise_oracle(laurent, data):
+    # pieces that share their keys (one piece scaled) and cancel (one negated)
+    sides = [(ZElement(LEFT_RANK, data.draw(long_terms(LEFT_RANK, laurent))),
+              ZElement(RIGHT_RANK, data.draw(long_terms(RIGHT_RANK, True))))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    left, right = sides[0]
+    sides += [(left, right * data.draw(long_coefficients(True))), (left, -right)]
+    want = ZElement.zero(RANKS)
+    for left, right in sides:
+        want = want + pair_termwise(left, right)
+    assert ZElement(RANKS, _pair_sum(sides)) == want
