@@ -8,10 +8,7 @@ with coef_k the base-q^2 Jacobi coefficient of x^k (q^2k included), it is
 
 where the Jacobi parameters are (alpha, l-m) at degree m, respectively
 (alpha, m-l) at degree l.  C must commute with A and with B (checked);
-no inverses of C are ever formed.  Specializing (A, B, C) to
-(z_n, w_n, Q_n) gives the zonal spherical elements of the quantum
-sphere; with a second factor in the next lower rank it gives the
-associated spherical elements.
+no inverses of C are ever formed.
 
 The sum is taken scaled: with L the lcm of the denominators of the coef_k
 (products of q-powers and factors 1 - q^2j) and mm = min(l, m),
@@ -26,45 +23,43 @@ coefficients every sum and product stays on the gcd-free path, and
 coef_k to a polynomial once per spec, with no gcd.  C commutes with A and B,
 hence with D, so H is evaluated by Horner's rule in C:
 H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.  `_DiskArgs` evaluates it; it
-checks C once and keeps the powers it forms, so a bundle kept by `tensor` shares them.
+checks C once and keeps the powers it forms for every spec it evaluates.
+
+On (z_i, w_i, Q_i) in Z_n, L R gives the spherical elements (i = n), the two
+factors of the associated ones (i = n, n - 1) and the rhs factors of the
+addition formula (`tensor`).  `_sphere` is their one memo, on one bundle per
+rank, embedding Z_i into Z_n for i < n.  Callers never receive a cached element.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
-from .qfield import Cyclo, Record
+from .qfield import Cyclo
 from .qfunc import _jacobi_coeffs
-from .zalgebra import ZElement, q_element, w_gen, z_gen
+from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
 
 
-class _Hashed(Record):
-    """A Record with a slot for its hash: a Record's fields are its class's
-    __slots__, so the slot sits in this base."""
-
-    __slots__ = ("_hash",)
-
-
-class DiskSpec(_Hashed):
+class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
     """Degrees and parameter of one q-disk polynomial; base fixed at q^2.
-    Immutable, hashable and compared by value.  The hash is computed once,
-    as specs key the `lru_cache` tables of the verification path."""
+    A named tuple, so immutable, hashable and compared by value at C speed
+    (specs key the `lru_cache` tables); every construction is checked."""
 
-    __slots__ = ("l", "m", "alpha")
+    __slots__ = ()
 
-    def __init__(self, l: int, m: int, alpha: int):
+    def __new__(cls, l: int, m: int, alpha: int):
+        if not all(isinstance(x, int) for x in (l, m, alpha)):
+            raise ValueError(f"degrees and alpha must be integers, got {(l, m, alpha)!r}")
         if l < 0 or m < 0:
             raise ValueError("degrees must be nonnegative")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        super().__init__(l, m, alpha)
-        object.__setattr__(self, "_hash", hash((l, m, alpha)))
+        return super().__new__(cls, l, m, alpha)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a DiskSpec")
-
-    def __hash__(self):
-        return self._hash
+    @classmethod
+    def _make(cls, iterable):  # also serves _replace
+        return cls(*iterable)
 
 
 @lru_cache(maxsize=None)
@@ -132,12 +127,27 @@ def disk_poly(spec: DiskSpec, A, B, C):
     return scaled_disk_poly(spec, A, B, C) * jacobi_scaled(spec)[0]
 
 
+@lru_cache(maxsize=None)
+def _rank_args(n: int) -> _DiskArgs:
+    """The checked bundle (z_n, w_n, Q_n) of Z_n."""
+    return _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n))
+
+
+@lru_cache(maxsize=None)
+def _sphere(i: int, n: int, spec: DiskSpec) -> ZElement:
+    """L R_spec(z_i, w_i, Q_i) in Z_n, L the lcm of the spec's Jacobi denominators."""
+    if i < n:
+        return embed(_sphere(i, i, spec), n)
+    return _rank_args(n).scaled(spec)
+
+
 def spherical(l: int, m: int, n: int) -> ZElement:
     """Bidegree-(l, m) zonal spherical element of the rank-n quantum sphere,
     as its homogeneous representative R_{l,m}^(n-2)(z_n, w_n, Q_n; q^2)."""
     if n < 2:
         raise ValueError("spherical elements need rank at least 2")
-    return disk_poly(DiskSpec(l, m, n - 2), z_gen(n, n), w_gen(n, n), q_element(n, n))
+    spec = DiskSpec(l, m, n - 2)
+    return _sphere(n, n, spec) * jacobi_scaled(spec)[0]
 
 
 def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
@@ -147,8 +157,6 @@ def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
         raise ValueError("associated spherical elements need rank at least 3")
     if not (0 <= r <= l and 0 <= s <= m):
         raise ValueError("need 0 <= r <= l and 0 <= s <= m")
-    outer = disk_poly(DiskSpec(l - r, m - s, n - 2 + r + s),
-                      z_gen(n, n), w_gen(n, n), q_element(n, n))
-    inner = disk_poly(DiskSpec(r, s, n - 3),
-                      z_gen(n - 1, n), w_gen(n - 1, n), q_element(n - 1, n))
-    return outer * inner
+    outer, inner = DiskSpec(l - r, m - s, n - 2 + r + s), DiskSpec(r, s, n - 3)
+    return (_sphere(n, n, outer) * _sphere(n - 1, n, inner)
+            * (jacobi_scaled(outer)[0] * jacobi_scaled(inner)[0]))

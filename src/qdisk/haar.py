@@ -134,18 +134,18 @@ def inner(a: ZElement, b: ZElement) -> QRat:
     return _packed_sum([list(map(_factor, col)) for col in cols], items, rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _norm(l: int, m: int, alpha: int) -> Cyclo:
     """`norm_const` as a `Cyclo`."""
-    if l < 0 or m < 0 or alpha < 0:
-        raise ValueError("norm constant parameters must be nonnegative")
+    if not all(isinstance(x, int) and x >= 0 for x in (l, m, alpha)):
+        raise ValueError("norm constant parameters must be nonnegative integers")
     a = 2 * (alpha + 1)
     num = Cyclo.one_minus(a) * Cyclo(1, m * a) * Cyclo.qpoch(2, 2, l) * Cyclo.qpoch(2, 2, m)
     den = Cyclo.one_minus(2 * (alpha + l + m + 1)) * Cyclo.qpoch(a, 2, l) * Cyclo.qpoch(a, 2, m)
     return num / den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def norm_const(l: int, m: int, alpha: int) -> QRat:
     """Squared norm c_{l,m}^(alpha) of the (l, m) q-disk polynomial:
 

@@ -814,10 +814,10 @@ def qnumber(m: int, base_exp: int) -> QRat:
 
 
 class Record:
-    """A plain record: the constructor sets the fields named in __slots__
-    from its arguments, positional or by name; equality, repr and pickling
-    go by the fields.  It stands in for dataclasses, whose import (with
-    inspect) costs every process 7 to 10 ms."""
+    """A plain record, the base of `LinearSolution` and `Verdict`: the
+    constructor sets the fields named in __slots__ from its arguments,
+    positional or by name; equality, repr and pickling go by the fields.
+    It stands in for dataclasses, whose import (with inspect) costs each process 7 to 10 ms."""
 
     __slots__ = ()
 

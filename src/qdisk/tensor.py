@@ -38,10 +38,9 @@ sum_rs |left| |right|, and s makes that below 2^(s-1).  Any coefficient not
 over a power of q sends the whole sum through per-pair `QRat` products.
 
 Case-independent work is done once per process, in `lru_cache` tables:
-`_args` (checked argument bundles by name), `_factor` (scaled rhs disk
-polynomials by triple and `DiskSpec`), `coupling_const` and its factored
-`_coupling`, and `_rhs_pieces` (a case's rhs scalars, in tuples); callers
-never receive a cached element.
+`_args` (a variant's checked lhs arguments), `coupling_const` and its factored
+`_coupling`, and `_rhs_pieces` (a case's rhs scalars, in tuples); the rhs disk
+polynomials come from `diskpoly._sphere`.  Callers never receive a cached element.
 """
 
 from __future__ import annotations
@@ -49,11 +48,11 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
-from .diskpoly import DiskSpec, _DiskArgs, _jacobi, jacobi_scaled
+from .diskpoly import DiskSpec, _DiskArgs, _jacobi, _sphere, jacobi_scaled
 from .haar import _norm
 from .qfield import (Cyclo, QRat, Record, _accum, _eval_shift, _from_digits, _is_qpow, _laurent,
                      _width, mass, pack_laurent)
-from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
+from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
@@ -139,9 +138,11 @@ def _check_addition_args(l: int, m: int, alpha: int, variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
     """`coupling_const` as a `Cyclo`."""
+    if not all(isinstance(x, int) for x in (l, m, r, s, alpha)):
+        raise ValueError("coupling constant parameters must be integers")
     if not (0 <= r <= l and 0 <= s <= m):
         raise ValueError("need 0 <= r <= l and 0 <= s <= m")
     if alpha < 1:
@@ -150,7 +151,7 @@ def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
     return ratio * _norm(l, m, alpha) / (_norm(l - r, m - s, alpha + r + s) * _norm(r, s, alpha - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
     """Coupling coefficient of the (r, s) term on the right-hand side:
 
@@ -160,28 +161,17 @@ def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
 
 
 @lru_cache(maxsize=None)
-def _args(name: str) -> _DiskArgs:
-    """The checked arguments of a variant's lhs, or of the rhs triple named."""
+def _args(variant: str) -> _DiskArgs:
+    """The checked arguments of a variant's lhs."""
     g = xy_generators()
     q = QRat.q_power(1)
-    if name in ("X", "Y"):
-        return _DiskArgs(*{"X": (g.X2, g.X2s, g.Q), "Y": (g.Y2, g.Y2s, g.D)}[name])
-    if name == "final":
+    if variant == "final":
         A = pair(g.X1, g.Y1s) * (-q) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1) * (-q) + pair(g.X2s, g.Y2s)
     else:
         A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1s) * (q * q) + pair(g.X2s, g.Y2s)
     return _DiskArgs(A, B, pair(g.Q, g.D))
-
-
-@lru_cache(maxsize=None)
-def _factor(name: str, spec: DiskSpec) -> ZElement:
-    """L R(spec) on the rhs triple "X", "Y" or "inner" = (X1, X1*, Q'), which is
-    (z_2, w_2, Q_2): the image of (Y2, Y2*, D) under Z_2 -> Z_3 (`embed`)."""
-    if name == "inner":
-        return embed(_factor("Y", spec), LEFT_RANK)
-    return _args(name).scaled(spec)
 
 
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
@@ -212,15 +202,16 @@ def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/V, V rhs): the coupled sum of products of disk polynomials in the
     separate factors, over the common denominator V of the scalars of its
-    (r, s) pieces (`_rhs_pieces`).  The pieces are built from L-scaled disk
-    polynomials (the factor tables), so the sum stays Laurent."""
+    (r, s) pieces (`_rhs_pieces`).  They are products of the L-scaled disk
+    polynomials `diskpoly._sphere` on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*,
+    Q') = (z_2, w_2, Q_2) and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent."""
     _check_addition_args(l, m, alpha, variant)
     plan, inv_lcm, weights = _rhs_pieces(l, m, alpha, variant)
     sides = []
     for (r, s, outer, inner), weight in zip(plan, weights):
         a, b = (s, r) if variant == "final" else (r, s)
-        sides.append((_factor("X", outer) * _factor("inner", inner),
-                      _factor("Y", outer) * ZElement.monomial(RIGHT_RANK, (a, 0), (b, 0), weight)))
+        sides.append((_sphere(3, 3, outer) * _sphere(2, 3, inner),
+                      _sphere(2, 2, outer) * ZElement.monomial(RIGHT_RANK, (a, 0), (b, 0), weight)))
     return inv_lcm, ZElement(RANKS, _pair_sum(sides))
 
 

@@ -88,8 +88,8 @@ def _z_rank(a: "ZElement", what: str) -> int:
 
 
 def _check_index(i: int, rank: int) -> None:
-    if not 1 <= i <= rank:
-        raise ValueError(f"generator index {i} out of range for rank {rank}")
+    if not isinstance(i, int) or not 1 <= i <= rank:
+        raise ValueError(f"generator index {i!r} out of range for rank {rank}")
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +328,8 @@ class ZElement:
         lam, mu = tuple(lam), tuple(mu)
         if len(lam) != rank or len(mu) != rank:
             raise ValueError("exponent vectors must have length equal to the rank")
-        if any(e < 0 for e in lam + mu):
-            raise ValueError("exponents must be nonnegative")
+        if not all(isinstance(e, int) and e >= 0 for e in lam + mu):
+            raise ValueError("exponents must be nonnegative integers")
         return ZElement(rank, {(lam, mu): coeff})
 
     # -- structure queries

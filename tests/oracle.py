@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from qdisk import tensor
+from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul
 from qdisk.qfunc import little_q_jacobi
@@ -491,9 +491,9 @@ def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     plan, inv_lcm, weights = tensor._rhs_pieces(l, m, alpha, variant)
     total = ZElement.zero(RANKS)
     for (r, s, outer, inner), weight in zip(plan, weights):
-        left = tensor._factor("X", outer) * tensor._factor("inner", inner)
+        left = diskpoly._sphere(3, 3, outer) * diskpoly._sphere(2, 3, inner)
         ys = (s, r) if variant == "final" else (r, s)
-        right = tensor._factor("Y", outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
+        right = diskpoly._sphere(2, 2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
         total = total + pair_termwise(left, right * weight)
     return inv_lcm, total
 

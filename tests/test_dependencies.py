@@ -2,6 +2,8 @@
 pyproject.toml, and no import in src/qdisk outside the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,6 +39,18 @@ def test_library_imports_only_the_standard_library():
                for name in imported_modules(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"qdisk"}]
     assert foreign == []
+
+
+def test_cli_import_loads_no_heavy_standard_module():
+    # Record stands in for dataclasses (which loads inspect), the suite pool
+    # is imported lazily and QRat is not fractions: each costs every process
+    # milliseconds of import
+    heavy = ("dataclasses", "multiprocessing", "concurrent.futures", "fractions", "inspect")
+    code = f"import sys, qdisk.cli, qdisk.uqaction; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_the_import_scan_sees_third_party_imports(tmp_path):

@@ -1,9 +1,11 @@
 import pytest
 
 from oracle import disk_poly_termwise
+from qdisk import diskpoly
 from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, spherical
 from qdisk.haar import inner, norm_const
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
+from qdisk.tensor import coupling_const, verify_addition
 from qdisk.uqaction import is_invariant
 from qdisk.zalgebra import ZElement, bidegree, counit, q_element, star, w_gen, z_gen
 
@@ -61,6 +63,72 @@ def test_spec_validation():
         DiskSpec(0, 0, -1)
     with pytest.raises(ValueError):
         spherical(1, 1, 1)
+    # the named tuple's own constructors check too
+    spec = DiskSpec(1, 2, 3)
+    assert spec._replace(m=4) == DiskSpec(1, 4, 3) and DiskSpec._make((0, 1, 2)) == DiskSpec(0, 1, 2)
+    with pytest.raises(ValueError):
+        spec._replace(alpha=-1)
+    with pytest.raises(ValueError):
+        DiskSpec._make((0, -1, 2))
+    # bools are integers, as for ranks
+    assert DiskSpec(True, 0, 0) == DiskSpec(1, 0, 0) and z_gen(True, 2) == z_gen(1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: z_gen(1.5, 3),
+    lambda: w_gen(2.0, 3),
+    lambda: ZElement.monomial(2, (1.0, 0), (0, 0)),
+    lambda: DiskSpec(1, 1.0, 0),
+    lambda: spherical(1.5, 1, 3),
+    lambda: assoc_spherical(2, 2, 1.0, 1, 3),
+    lambda: verify_addition(1.5, 1, 1),
+    lambda: verify_addition(1, 1, 1.5),
+    lambda: norm_const(1.5, 1, 1),
+    lambda: norm_const(1.0, 1, 1),
+    lambda: coupling_const(2, 2, 1.0, 1, 1),
+], ids=range(11))
+def test_non_integer_arguments_raise_value_error(call):
+    # a float equal to an int must not be answered from the int's table entry
+    assert norm_const(1, 1, 1) and coupling_const(2, 2, 1, 1, 1)
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_sphere_memo_equals_the_disk_poly_route():
+    for n in range(2, 6):
+        for l in range(4):
+            for m in range(4):
+                spec = DiskSpec(l, m, n - 2)
+                assert spherical(l, m, n) == disk_poly(spec, z_gen(n, n), w_gen(n, n), q_element(n, n))
+                if n < 3:
+                    continue
+                for r in range(l + 1):
+                    for s in range(m + 1):
+                        outer = disk_poly(DiskSpec(l - r, m - s, n - 2 + r + s),
+                                          z_gen(n, n), w_gen(n, n), q_element(n, n))
+                        inner = disk_poly(DiskSpec(r, s, n - 3),
+                                          z_gen(n - 1, n), w_gen(n - 1, n), q_element(n - 1, n))
+                        assert assoc_spherical(l, m, r, s, n) == outer * inner, (l, m, r, s, n)
+
+
+def test_sphere_memo_hands_out_no_cached_element():
+    want, want_assoc = spherical(2, 2, 3), assoc_spherical(2, 2, 1, 1, 3)
+    spherical(2, 2, 3).terms.clear()
+    assoc_spherical(2, 2, 1, 1, 3).terms.clear()
+    assert spherical(2, 2, 3) == want and want.terms
+    assert assoc_spherical(2, 2, 1, 1, 3) == want_assoc and want_assoc.terms
+
+
+def test_cold_norms_grid_checks_one_argument_bundle(monkeypatch):
+    # every spec of a rank is evaluated on the one checked (z_n, w_n, Q_n)
+    built, init = [], _DiskArgs.__init__
+    monkeypatch.setattr(_DiskArgs, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    diskpoly._rank_args.cache_clear()
+    diskpoly._sphere.cache_clear()
+    for l in range(6):
+        for m in range(6):
+            spherical(l, m, 3)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from oracle import addition_sides_termwise, rhs_per_piece
-from qdisk import cli, qfield, tensor
+from qdisk import cli, diskpoly, qfield, tensor
 from qdisk.diskpoly import DiskSpec, scaled_disk_poly
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
@@ -307,7 +307,7 @@ def test_inner_factor_is_the_embedded_circle_factor():
 
 
 def _clear_tables():
-    for table in (tensor._args, tensor._factor, coupling_const):
+    for table in (tensor._args, diskpoly._rank_args, diskpoly._sphere, coupling_const):
         table.cache_clear()
 
 
@@ -412,14 +412,14 @@ def test_warm_verification_computes_no_scalar_gcd(monkeypatch):
 def test_cold_verification_computes_no_scalar_gcd(monkeypatch):
     # every rhs and Jacobi scalar is built in cyclotomic-factored form and
     # converted once, so even a cold case divides no polynomials by a gcd
-    from qdisk import diskpoly, haar
+    from qdisk import haar
     calls = []
     for name in ("_gcd_cofactors", "poly_gcd"):
         monkeypatch.setattr(qfield, name, lambda *args, f=getattr(qfield, name): calls.append(args) or f(*args))
     for case in ((3, 2, 1, "final"), (2, 3, 2, "precursor")):
-        for table in (tensor._args, tensor._factor, tensor._rhs_pieces, tensor._coupling, coupling_const,
-                      diskpoly._jacobi, diskpoly.jacobi_scaled, haar._norm, haar.norm_const,
-                      qfield.qpoch, qfield._divisors, qfield._mobius):
+        for table in (tensor._args, diskpoly._rank_args, diskpoly._sphere, tensor._rhs_pieces,
+                      tensor._coupling, coupling_const, diskpoly._jacobi, diskpoly.jacobi_scaled,
+                      haar._norm, haar.norm_const, qfield.qpoch, qfield._divisors, qfield._mobius):
             table.cache_clear()
         assert verify_addition(*case).passed and calls == []
 
