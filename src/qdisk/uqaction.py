@@ -13,8 +13,11 @@ moves whose coefficients are q-integers in base q^-2:
 with [m] = (1 - q^(-2m))/(1 - q^(-2)): each move carries [m] for the
 exponent m it takes its unit from.  Invariance under the rank-p subalgebra
 means being fixed by q^(e_i) for i <= p and killed by e_k, f_k for
-k <= p-1.  An invariant slice is the nullspace of these conditions, given
-as sparse rows to the exact solver `qfield.solve_sparse`.
+k <= p-1.  The torus q^(e_i) is diagonal on monomials, so it fixes exactly
+the span of the torus-fixed keys, those with lam[:p] == mu[:p]: the torus
+conditions select keys and give no equations.  An invariant slice is the
+nullspace of the ladder conditions on those keys, given as sparse rows to
+the exact solver `qfield.solve_sparse`.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from .qfield import ONE, QRat, _accum, qnumber, solve_sparse
-from .zalgebra import ZElement, _z_rank
+from .zalgebra import ZElement, _check_rank, _z_rank
 
 Weight = Sequence
 
 
 def act_qh(h: Weight, a: ZElement) -> ZElement:
     """Apply q^h for an integer weight vector h of length rank."""
-    if len(h) != _z_rank(a, "q^h"):
-        raise ValueError("weight length must equal the rank")
+    if len(h) != _z_rank(a, "q^h") or not all(isinstance(hi, int) for hi in h):
+        raise ValueError("weight must be an integer vector of length the rank")
     out = {}
     for (lam, mu), c in a.terms.items():
         e = sum(hi * (li - mi) for hi, li, mi in zip(h, lam, mu))
@@ -40,8 +43,8 @@ def act_qh(h: Weight, a: ZElement) -> ZElement:
 
 def _check_ladder_index(k: int, a: ZElement) -> None:
     rank = _z_rank(a, "a ladder operator")
-    if not 1 <= k <= rank - 1:
-        raise ValueError(f"ladder index {k} out of range for rank {rank}")
+    if not isinstance(k, int) or not 1 <= k <= rank - 1:
+        raise ValueError(f"ladder index {k!r} out of range for rank {rank}")
 
 
 def _ladder(a: ZElement, moves) -> ZElement:
@@ -77,42 +80,39 @@ def act_e(k: int, a: ZElement) -> ZElement:
 
 
 def is_invariant(a: ZElement, p: int) -> bool:
-    """Invariance under the rank-p subalgebra (1 <= p <= rank)."""
-    if not 1 <= p <= _z_rank(a, "the U_q(gl(n)) action"):
-        raise ValueError(f"subalgebra rank {p} out of range for rank {a.rank}")
-    for i in range(p):
-        if act_qh([int(t == i) for t in range(a.rank)], a) != a:
-            return False
-    for k in range(1, p):
-        if not act_e(k, a).is_zero() or not act_f(k, a).is_zero():
-            return False
-    return True
+    """Invariance under the rank-p subalgebra (1 <= p <= rank): every key of a
+    is torus-fixed, and e_k, f_k kill a for k < p."""
+    if not isinstance(p, int) or not 1 <= p <= _z_rank(a, "the U_q(gl(n)) action"):
+        raise ValueError(f"subalgebra rank {p!r} out of range for rank {a.rank}")
+    if any(lam[:p] != mu[:p] for lam, mu in a.terms):
+        return False
+    return all(act_e(k, a).is_zero() and act_f(k, a).is_zero() for k in range(1, p))
 
 
-def _slice_keys(l: int, m: int, n: int) -> list:
-    def comps(total, parts):
-        if parts == 1:
-            return [(total,)]
-        return [(f,) + rest for f in range(total + 1) for rest in comps(total - f, parts - 1)]
-
-    return [(lam, mu) for lam in comps(l, n) for mu in comps(m, n)]
+def _comps(total: int, parts: int) -> list:
+    """The compositions of total into parts nonnegative parts, in lexicographic order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(f,) + rest for f in range(total + 1) for rest in _comps(total - f, parts - 1)]
 
 
 def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
     """Basis of the rank-p invariants inside the bidegree-(l, m) slice of Z_n.
 
-    Sparse condition rows: one entry per weight condition, then the images
-    of e_k, f_k transposed from their terms (none for p = 1)."""
-    if l < 0 or m < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    The unknowns are the torus-fixed keys (lam, mu = lam[:p] + tail), in
+    lexicographic order.  The torus condition on any other key would be a
+    one-entry row, making it a pivot column with nullspace entry 0, so the
+    reduced echelon basis is the one of the full slice.  Only the ladders
+    give rows: the images of e_k, f_k on the kept keys, transposed from their
+    terms (none for p = 1)."""
+    _check_rank(n)
+    if not all(isinstance(x, int) and x >= 0 for x in (l, m, p)):
+        raise ValueError("bidegree and subalgebra rank must be nonnegative integers")
     if not 1 <= p <= n:
         raise ValueError(f"subalgebra rank {p} out of range for rank {n}")
-    keys = _slice_keys(l, m, n)
+    keys = [(lam, lam[:p] + tail)
+            for lam in _comps(l, n) for tail in _comps(m - sum(lam[:p]), n - p)]
     rows = []
-    for t, (lam, mu) in enumerate(keys):
-        i = next((i for i in range(p) if lam[i] != mu[i]), None)
-        if i is not None:
-            rows.append({t: QRat.q_power(lam[i] - mu[i]) - ONE})
     for k in range(1, p):
         for op in (act_e, act_f):
             by_out: dict = {}

@@ -550,8 +550,8 @@ def bidegree(a: ZElement):
 def embed(a: ZElement, n: int) -> ZElement:
     """Unital *-embedding of Z_s into Z_n (s <= n), z_i -> z_i."""
     s = _z_rank(a, "embed")
-    if n < s:
-        raise ValueError(f"cannot embed rank {s} into smaller rank {n}")
+    if not isinstance(n, int) or n < s:
+        raise ValueError(f"cannot embed rank {s} into rank {n!r}")
     pad = (0,) * (n - s)
     return ZElement(n, {(lam + pad, mu + pad): c for (lam, mu), c in a.terms.items()})
 
@@ -560,8 +560,8 @@ def restrict(a: ZElement, s: int) -> ZElement:
     """Surjective *-homomorphism Z_n -> Z_s sending z_i -> 0 for i <= n - s
     and z_i -> z_{i-n+s} for i > n - s."""
     n = _z_rank(a, "restrict")
-    if not 1 <= s <= n:
-        raise ValueError(f"restriction target rank {s} out of range for rank {n}")
+    if not isinstance(s, int) or not 1 <= s <= n:
+        raise ValueError(f"restriction target rank {s!r} out of range for rank {n}")
     cut = n - s
     out: dict = {}
     for (lam, mu), c in a.terms.items():

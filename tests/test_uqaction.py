@@ -4,9 +4,10 @@ import random
 import pytest
 
 from oracle import dense_solve_linear
+from qdisk import uqaction
 from qdisk.qfield import ONE, QRat, ZERO, solve_linear
 from qdisk.uqaction import act_e, act_f, act_qh, invariant_subspace, is_invariant
-from qdisk.zalgebra import ZElement, bidegree, q_element, w_gen, z_gen
+from qdisk.zalgebra import ZElement, bidegree, embed, q_element, restrict, w_gen, z_gen
 
 qp = QRat.q_power
 
@@ -173,7 +174,12 @@ def _dense_conditions(maps, keys, n):
     return rows
 
 
-@pytest.mark.parametrize("l, m, n, p", [(4, 4, 3, 2), (2, 2, 3, 3)])
+@pytest.mark.parametrize("l, m, n, p", [
+    (4, 4, 3, 2), (2, 2, 3, 3),
+    (2, 1, 3, 1),  # p = 1: no ladder rows
+    (3, 2, 4, 4),  # no torus-fixed key: the answer is []
+    (2, 2, 4, 4), (2, 2, 4, 2),
+])
 def test_invariant_subspace_matches_the_dense_oracle(l, m, n, p):
     def comps(total):
         return [c for c in itertools.product(range(total + 1), repeat=n) if sum(c) == total]
@@ -187,3 +193,51 @@ def test_invariant_subspace_matches_the_dense_oracle(l, m, n, p):
     assert got == [ZElement(n, dict(zip(keys, vec))) for vec in want]
     assert [sorted(b.terms.items()) for b in got] == \
         [sorted((k, c) for k, c in zip(keys, vec) if c) for vec in want]
+
+
+@pytest.mark.parametrize("l, m, n, p, dim", [
+    (3, 3, 4, 4, 1), (3, 3, 4, 3, 4), (5, 5, 3, 3, 1), (4, 4, 3, 2, 5),
+])
+def test_invariant_dimensions_of_the_benchmark_slices(l, m, n, p, dim):
+    # closed forms: 1 (resp. 0) for l == m (l != m) at p = n, min(l, m) + 1 at p = n - 1
+    basis = invariant_subspace(l, m, n, p)
+    assert len(basis) == dim
+    assert all(is_invariant(b, p) for b in basis)
+
+
+def test_ladders_see_only_torus_fixed_keys(monkeypatch):
+    calls = []
+    ladder = uqaction._ladder
+
+    def counted(a, moves):
+        calls.append(a)
+        return ladder(a, moves)
+
+    monkeypatch.setattr(uqaction, "_ladder", counted)
+    assert len(invariant_subspace(3, 3, 4, 4)) == 1
+    # 2(p - 1) ladders on the 20 keys with lam == mu, not on all 400 of the slice
+    assert len(calls) == 2 * 3 * 20
+    assert all(lam == mu for a in calls for lam, mu in a.terms)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: invariant_subspace(1.5, 1, 3, 3),
+    lambda: invariant_subspace(1, 1.0, 3, 3),
+    lambda: invariant_subspace(1, 1, 3.0, 3),
+    lambda: invariant_subspace(1, 1, 3, 2.0),
+    lambda: act_e(1.5, z_gen(1, 3)),
+    lambda: act_f(1.0, z_gen(1, 3)),
+    lambda: is_invariant(z_gen(1, 3), 1.5),
+    lambda: act_qh((1.5, 0, 0), z_gen(1, 3)),
+    lambda: restrict(z_gen(1, 3), 1.5),
+    lambda: embed(z_gen(1, 3), 4.0),
+], ids=range(10))
+def test_non_integer_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_bool_arguments_count_as_integers():
+    assert invariant_subspace(True, True, 2, 2) == invariant_subspace(1, 1, 2, 2)
+    assert act_e(True, z_gen(2, 2)) == z_gen(1, 2)
+    assert is_invariant(q_element(2, 2), True)
