@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .qfield import Cyclo
+from .qfield import Cyclo, _check_ints
 from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
 
@@ -49,8 +49,7 @@ class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
     __slots__ = ()
 
     def __new__(cls, l: int, m: int, alpha: int):
-        if not all(isinstance(x, int) for x in (l, m, alpha)):
-            raise ValueError(f"degrees and alpha must be integers, got {(l, m, alpha)!r}")
+        _check_ints(l, m, alpha)
         if l < 0 or m < 0:
             raise ValueError("degrees must be nonnegative")
         if alpha < 0:
@@ -110,21 +109,13 @@ class _DiskArgs:
         return result
 
 
-def scaled_disk_poly(spec: DiskSpec, A, B, C):
-    """L R_{l,m}^(alpha)(A, B, C; q^base), with (1/L, scaled) = jacobi_scaled(spec),
-    by the Horner sum of the module docstring.
-
-    Raises ValueError when C fails to commute with A or with B."""
-    return _DiskArgs(A, B, C).scaled(spec)
-
-
 def disk_poly(spec: DiskSpec, A, B, C):
     """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of any algebra
-    supporting +, -, * and scalar multiplication by QRat: the scaled sum,
-    divided by L once per output term.
+    supporting +, -, * and scalar multiplication by QRat: the scaled sum
+    L R of `_DiskArgs.scaled`, divided by L once per output term.
 
     Raises ValueError when C fails to commute with A or with B."""
-    return scaled_disk_poly(spec, A, B, C) * jacobi_scaled(spec)[0]
+    return _DiskArgs(A, B, C).scaled(spec) * jacobi_scaled(spec)[0]
 
 
 @lru_cache(maxsize=None)

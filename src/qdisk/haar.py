@@ -31,7 +31,8 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import prod
 
-from .qfield import ONE, Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
+from .qfield import (ONE, Cyclo, QRat, ZERO, _check_ints, _eval_shift, _from_digits, _laurent,
+                     _width, qpoch)
 from .zalgebra import ZElement, _Memo, _mono_mul, _z_rank
 
 
@@ -49,6 +50,7 @@ def _haar_num(lam: tuple, n: int) -> QRat:
 def haar_monomial(lam, mu, n: int) -> QRat:
     """h applied to the basis monomial z^lam w^mu of Z_n."""
     lam, mu = tuple(lam), tuple(mu)
+    _check_ints(n, *lam, *mu)
     if len(lam) != n or len(mu) != n:
         raise ValueError("exponent vectors must have length n")
     return _haar_num(lam, n) / qpoch(2, 2, sum(lam) + n - 1) if lam == mu else ZERO

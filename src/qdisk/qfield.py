@@ -373,6 +373,12 @@ def _laurent(cs: Sequence, k: int) -> "QRat":
 PolyLike = Union[int, Sequence]
 
 
+def _check_ints(*xs) -> None:
+    """ValueError unless every x is an int (bools count, as everywhere)."""
+    if not all(isinstance(x, int) for x in xs):
+        raise ValueError(f"expected integers, got {xs!r}")
+
+
 def _as_poly(x: PolyLike) -> Coeffs:
     if type(x) is int:
         return (x,) if x else ()
@@ -404,9 +410,10 @@ class QRat:
         return QRat((num,) if num else (), (den,))
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None, typed=True)
     def q_power(k: int) -> "QRat":
         """q^k for any integer k (negative powers become denominators), memoized."""
+        _check_ints(k)
         if k >= 0:
             return QRat((0,) * k + (1,), (1,), _canonical=True)
         return QRat((1,), (0,) * (-k) + (1,), _canonical=True)
@@ -787,19 +794,21 @@ class Cyclo:
                     _canonical=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
     """q-shifted factorial (q^a_exp; q^step_exp)_k = prod (1 - q^(a_exp + i*step_exp)).
 
     Both exponents may be negative; negative powers of q land in the
     denominator, e.g. qpoch(-2, 2, 1) = (q^2 - 1)/q^2.
     """
+    _check_ints(a_exp, step_exp, k)
     return Cyclo.qpoch(a_exp, step_exp, k).to_qrat()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qnumber(m: int, base_exp: int) -> QRat:
     """The q-integer [m] in base q^base_exp: (1 - q^(m*base_exp))/(1 - q^base_exp)."""
+    _check_ints(m, base_exp)
     if m < 0:
         raise ValueError("qnumber index must be nonnegative")
     if base_exp == 0:
@@ -851,7 +860,9 @@ class LinearSolution(Record):
     """Outcome of an exact linear solve: inconsistency is a result, not an error.
 
     Fields: consistent (bool), particular (list[QRat] when consistent, else
-    None) and nullspace (list[list[QRat]], basis of the homogeneous space)."""
+    None) and nullspace, the basis of the homogeneous space.  `solve_sparse`
+    gives each basis vector as a {col: QRat} dict of its nonzeros, in column
+    order; `solve_linear` gives it as a dense list[QRat]."""
 
     __slots__ = ("consistent", "particular", "nullspace")
 
@@ -867,6 +878,8 @@ def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:
     columns 0) and the `nullspace` basis (free column 1, each pivot column
     minus its row's entry there) equal those of any Gauss-Jordan order.
     """
+    if not isinstance(ncols, int) or ncols < 0:
+        raise ValueError(f"column count {ncols!r} is not a nonnegative integer")
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     index = [set() for _ in range(ncols + 1)]  # col -> rows holding it
     for i, row in enumerate(rows):
@@ -902,19 +915,19 @@ def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:
             particular[col_of[r]] = rows[r][ncols]
     nullspace = []
     for fc in sorted(set(range(ncols)) - set(col_of.values())):
-        vec = [ZERO] * ncols
+        vec = {col_of[r]: -rows[r][fc] for r in index[fc]}
         vec[fc] = ONE
-        for r in index[fc]:
-            vec[col_of[r]] = -rows[r][fc]
-        nullspace.append(vec)
+        nullspace.append(dict(sorted(vec.items())))
     return LinearSolution(consistent, particular, nullspace)
 
 
 def solve_linear(matrix: Sequence[Sequence[QRat]], rhs: Sequence[QRat]) -> LinearSolution:
-    """Solve M x = rhs exactly over Q(q); M is dense, one list per row."""
+    """Solve M x = rhs exactly over Q(q); M and each nullspace vector are dense lists."""
     ncols = len(matrix[0]) if matrix else 0
     if any(len(row) != ncols for row in matrix):
         raise ValueError("matrix rows must all have the same length")
     if len(rhs) != len(matrix):
         raise ValueError(f"rhs has {len(rhs)} entries for {len(matrix)} matrix rows")
-    return solve_sparse([dict(enumerate([*row, b])) for row, b in zip(matrix, rhs)], ncols)
+    sol = solve_sparse([dict(enumerate([*row, b])) for row, b in zip(matrix, rhs)], ncols)
+    dense = [[vec.get(c, ZERO) for c in range(ncols)] for vec in sol.nullspace]
+    return LinearSolution(sol.consistent, sol.particular, dense)

@@ -1,105 +1,19 @@
-"""Little q-Jacobi polynomials and Jackson integration, exactly over Q(q).
-
-All routines are parameterized by a base exponent b, replacing q by q^b
-throughout; the Haar computations downstream run everything in base q^2.
-Jackson integrals of polynomials reduce to the monomial rule
-
-    int_0^1 x^k d_q x = (1 - q)/(1 - q^(k+1)),
-
-and the iterated ladder integral used by the Haar functional applies the
-same rule with a symbolic upper limit, sending a polynomial in Q_i to a
-polynomial in Q_{i+1}.
+"""Little q-Jacobi coefficients, exactly over Q(q), in base q^b (q replaced by
+q^b throughout; the q-disk polynomials of `diskpoly` take base q^2).  Each is
+the one before it times a ratio of factors 1 - q^k, so they are `Cyclo`s,
+converted to `QRat` once.  The Jackson q-integral routes that check them
+(orthogonality, the integral shift identity) are in the tests' `reference`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .qfield import ONE, Cyclo, QRat, ZERO, _accum, qpoch
-
-# ----------------------------------------------------------------------
-# univariate polynomials over Q(q)
-
-
-class UniPoly:
-    """Dense univariate polynomial with QRat coefficients, ascending."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [c if isinstance(c, QRat) else QRat.from_int(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def x_power(k: int) -> "UniPoly":
-        return UniPoly((ZERO,) * k + (ONE,))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def constant_term(self) -> QRat:
-        return self.coeffs[0] if self.coeffs else ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + UniPoly([-c for c in other.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QRat)):
-            return UniPoly([c * other for c in self.coeffs])
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale_argument(self, factor: QRat) -> "UniPoly":
-        """Substitute x -> factor * x."""
-        out, f = [], ONE
-        for c in self.coeffs:
-            out.append(c * f)
-            f = f * factor
-        return UniPoly(out)
-
-    def eval_at(self, value: QRat) -> QRat:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"UniPoly({[str(c) for c in self.coeffs]})"
-
-
-# ----------------------------------------------------------------------
-# little q-Jacobi
+from .qfield import Cyclo, _check_ints
 
 
 def _jacobi_coeffs(m: int, a_exp: int, b_exp: int, base_exp: int) -> list:
     """The coefficients of `little_q_jacobi` as `Cyclo`s, each the one before
     it times (1 - q^(k-m)) (1 - a b q^(m+1+k)) q / ((1 - a q^(1+k)) (1 - q^(1+k)))."""
+    _check_ints(m, a_exp, b_exp, base_exp)
     if m < 0:
         raise ValueError("polynomial degree must be nonnegative")
     if base_exp == 0:
@@ -113,169 +27,13 @@ def _jacobi_coeffs(m: int, a_exp: int, b_exp: int, base_exp: int) -> list:
     return coeffs
 
 
-def little_q_jacobi(m: int, a_exp: int, b_exp: int, base_exp: int = 1) -> UniPoly:
-    """p_m(x; q^(a*b), q^(b*b'); q^b) with b = base_exp: the terminating series
+def little_q_jacobi(m: int, a_exp: int, b_exp: int, base_exp: int = 1) -> tuple:
+    """The coefficients of x^0 .. x^m, ascending, of p_m(x; q^(a*b), q^(b*b'); q^b)
+    with b = base_exp: the terminating series
 
     sum_k  (q^-m; q)_k (a b q^(m+1); q)_k / ((a q; q)_k (q; q)_k) (qx)^k
 
-    in base q^base_exp, with a = q^(a_exp*base), b = q^(b_exp*base).
-    Degree is exactly m and the constant term is 1."""
-    return UniPoly([c.to_qrat() for c in _jacobi_coeffs(m, a_exp, b_exp, base_exp)])
-
-
-def _weight(exps) -> UniPoly:
-    """The product of the factors (1 - q^e x) over e in exps, as a polynomial in x."""
-    out = UniPoly((ONE,))
-    for e in exps:
-        out = out * UniPoly((ONE, -QRat.q_power(e)))
-    return out
-
-
-def rising_weight(beta: int, base_exp: int = 1) -> UniPoly:
-    """(q x; q)_beta in base q^base_exp, as a polynomial in x."""
-    return _weight(base_exp * (1 + i) for i in range(beta))
-
-
-def falling_weight(beta: int, base_exp: int = 1) -> UniPoly:
-    """(x; q^-1)_beta in base q^base_exp, as a polynomial in x."""
-    return _weight(-base_exp * i for i in range(beta))
-
-
-# ----------------------------------------------------------------------
-# Jackson integration
-
-
-def jackson_integral(p: UniPoly, base_exp: int = 1) -> QRat:
-    """int_0^1 p(x) d_q x in base q^base_exp: `jackson_scale` at C = 1."""
-    return jackson_scale(p, base_exp).eval_at(ONE)
-
-
-def jackson_scale(p: UniPoly, base_exp: int = 1) -> UniPoly:
-    """int_0^C p(x) d_q x with a symbolic upper limit C, as a polynomial in C.
-
-    This is the substitution rule iterated by multi_jackson:
-    x^k integrates to C^(k+1) (1 - q)/(1 - q^(k+1))."""
-    b = base_exp
-    one_minus_q = ONE - QRat.q_power(b)
-    out = [ZERO]
-    for k, c in enumerate(p.coeffs):
-        out.append(c * one_minus_q / (ONE - QRat.q_power(b * (k + 1))))
-    return UniPoly(out)
-
-
-def shift_identity_check(f: UniPoly, alpha: int, beta: int, base_exp: int = 1) -> bool:
-    """Exact check of the integral shift identity
-
-    int_0^1 f(q^-beta x) x^alpha (x; q^-1)_beta d_q x
-        = q^(beta (alpha + 1)) int_0^1 f(x) x^alpha (q x; q)_beta d_q x
-
-    in base q^base_exp."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
-    b = base_exp
-    xa = UniPoly.x_power(alpha)
-    lhs = jackson_integral(f.scale_argument(QRat.q_power(-beta * b)) * xa * falling_weight(beta, b), b)
-    rhs = QRat.q_power(beta * (alpha + 1) * b) * jackson_integral(f * xa * rising_weight(beta, b), b)
-    return lhs == rhs
-
-
-# ----------------------------------------------------------------------
-# multivariate ladder polynomials and the iterated integral
-
-
-class MultiQPoly:
-    """Sparse polynomial in the ladder variables Q_1 .. Q_nvars over Q(q)."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        self.nvars = nvars
-        self.terms: dict = {}
-        if terms:
-            for expo, c in terms.items():
-                expo = tuple(expo)
-                if len(expo) != nvars:
-                    raise ValueError("exponent length must equal nvars")
-                if not isinstance(c, QRat):
-                    c = QRat.from_int(c)
-                if c:
-                    self.terms[expo] = c
-
-    @staticmethod
-    def monomial(nvars: int, expo: Sequence[int], coeff=ONE) -> "MultiQPoly":
-        return MultiQPoly(nvars, {tuple(expo): coeff})
-
-    @staticmethod
-    def one(nvars: int) -> "MultiQPoly":
-        return MultiQPoly(nvars, {(0,) * nvars: ONE})
-
-    @staticmethod
-    def zero(nvars: int) -> "MultiQPoly":
-        return MultiQPoly(nvars)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _accum(out, e, c)
-        return MultiQPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + (other * QRat.from_int(-1))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QRat)):
-            return MultiQPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accum(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return MultiQPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiQPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-
-def multi_jackson_partial(phi: MultiQPoly, n: int) -> UniPoly:
-    """All inner integrals of the rank-n ladder integral, leaving a
-    polynomial in the outermost variable Q_{n-1} (no prefactor)."""
-    if n < 2:
-        raise ValueError("ladder integral needs rank at least 2")
-    if phi.nvars != n - 1:
-        raise ValueError(f"expected a polynomial in {n - 1} ladder variables")
-    current = phi
-    for step in range(n - 2):
-        # integrate out variable index `step` with upper limit variable step+1
-        out: dict = {}
-        for expo, c in current.terms.items():
-            a = expo[step]
-            factor = (ONE - QRat.q_power(2)) / (ONE - QRat.q_power(2 * (a + 1)))
-            ne = list(expo)
-            ne[step] = 0
-            ne[step + 1] += a + 1
-            _accum(out, tuple(ne), c * factor)
-        current = MultiQPoly(n - 1, out)
-    coeffs: list = []
-    for expo, c in current.terms.items():
-        d = expo[n - 2]
-        if len(coeffs) <= d:
-            coeffs.extend([ZERO] * (d + 1 - len(coeffs)))
-        coeffs[d] = coeffs[d] + c
-    return UniPoly(coeffs)
-
-
-def multi_jackson(phi: MultiQPoly, n: int) -> QRat:
-    """The normalized iterated Jackson integral in base q^2:
-
-    (q^2; q^2)_{n-1} / (1 - q^2)^(n-1) *
-        int_0^1 d_{q^2}Q_{n-1} ... int_0^{Q_2} d_{q^2}Q_1  phi."""
-    inner = multi_jackson_partial(phi, n)
-    value = jackson_integral(inner, 2)
-    prefactor = qpoch(2, 2, n - 1) / (ONE - QRat.q_power(2)) ** (n - 1)
-    return prefactor * value
+    in base q^base_exp, with a = q^(a_exp*base), b = q^(b_exp*base).  The
+    constant term is 1; a factor 1 - a b q^(m+1+k) that vanishes zeroes
+    every coefficient from x^(k+1) on."""
+    return tuple(c.to_qrat() for c in _jacobi_coeffs(m, a_exp, b_exp, base_exp))

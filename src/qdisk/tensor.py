@@ -50,8 +50,8 @@ from functools import lru_cache
 
 from .diskpoly import DiskSpec, _DiskArgs, _jacobi, _sphere, jacobi_scaled
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _accum, _eval_shift, _from_digits, _is_qpow, _laurent,
-                     _width, mass, pack_laurent)
+from .qfield import (Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _from_digits, _is_qpow,
+                     _laurent, _width, mass, pack_laurent)
 from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -141,8 +141,7 @@ def _check_addition_args(l: int, m: int, alpha: int, variant: str) -> None:
 @lru_cache(maxsize=None, typed=True)
 def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
     """`coupling_const` as a `Cyclo`."""
-    if not all(isinstance(x, int) for x in (l, m, r, s, alpha)):
-        raise ValueError("coupling constant parameters must be integers")
+    _check_ints(l, m, r, s, alpha)
     if not (0 <= r <= l and 0 <= s <= m):
         raise ValueError("need 0 <= r <= l and 0 <= s <= m")
     if alpha < 1:

@@ -22,12 +22,21 @@ the exact solver `qfield.solve_sparse`.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .qfield import ONE, QRat, _accum, qnumber, solve_sparse
 from .zalgebra import ZElement, _check_rank, _z_rank
 
 Weight = Sequence
+
+# Caps on an invariant slice: its torus-fixed keys, and its degrees l, m, since
+# the nullspace coefficients grow in degree with them.  The slowest admitted
+# slice found, (12, 12, 5, 5) with 1820 keys, took 5.6 s and 50 MB on a 2-vCPU
+# x86-64 host; (61, 61, 3, 3) ran 100 s before the degree cap.
+MAX_INVARIANT_KEYS = 2000
+MAX_INVARIANT_DEGREE = 16
 
 
 def act_qh(h: Weight, a: ZElement) -> ZElement:
@@ -90,28 +99,48 @@ def is_invariant(a: ZElement, p: int) -> bool:
 
 
 def _comps(total: int, parts: int) -> list:
-    """The compositions of total into parts nonnegative parts, in lexicographic order."""
+    """The compositions of total into parts nonnegative parts, in lexicographic
+    order: the gaps between parts - 1 bars among total + parts - 1 slots."""
     if parts == 0:
         return [()] if total == 0 else []
-    return [(f,) + rest for f in range(total + 1) for rest in _comps(total - f, parts - 1)]
+    end = (total + parts - 1,)
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+            for bars in combinations(range(end[0]), parts - 1)]
+
+
+def _count_comps(total: int, parts: int) -> int:
+    """len(_comps(total, parts)), in at most total steps."""
+    return comb(total + parts - 1, total) if parts else int(total == 0)
 
 
 def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
     """Basis of the rank-p invariants inside the bidegree-(l, m) slice of Z_n.
 
-    The unknowns are the torus-fixed keys (lam, mu = lam[:p] + tail), in
-    lexicographic order.  The torus condition on any other key would be a
-    one-entry row, making it a pivot column with nullspace entry 0, so the
-    reduced echelon basis is the one of the full slice.  Only the ladders
-    give rows: the images of e_k, f_k on the kept keys, transposed from their
-    terms (none for p = 1)."""
+    The unknowns are the torus-fixed keys (lam, mu), lam[:p] == mu[:p], in
+    lexicographic order: sum over j = |lam[:p]| of |comps(j, p)| |comps(l - j,
+    n - p)| |comps(m - j, n - p)|, counted first.  A degree above
+    MAX_INVARIANT_DEGREE or a count above MAX_INVARIANT_KEYS raises ValueError
+    before any key is enumerated.  The torus condition on any other key is a
+    one-entry row, a pivot with nullspace entry 0, so the reduced echelon
+    basis is the full slice's.  The rows are the ladder images of e_k, f_k on
+    the kept keys, transposed from their terms (none for p = 1).  Each basis
+    element is built from its vector's nonzeros only, in key order."""
     _check_rank(n)
     if not all(isinstance(x, int) and x >= 0 for x in (l, m, p)):
         raise ValueError("bidegree and subalgebra rank must be nonnegative integers")
     if not 1 <= p <= n:
         raise ValueError(f"subalgebra rank {p} out of range for rank {n}")
-    keys = [(lam, lam[:p] + tail)
-            for lam in _comps(l, n) for tail in _comps(m - sum(lam[:p]), n - p)]
+    if max(l, m) > MAX_INVARIANT_DEGREE:
+        raise ValueError(f"bidegree {(l, m)} above {MAX_INVARIANT_DEGREE}")
+    # j = |lam[:p]|; for p = n only j = l = m has keys
+    js, size = range(min(l, m) if p == n else 0, min(l, m) + 1), 0
+    for j in js:
+        size += _count_comps(j, p) * _count_comps(l - j, n - p) * _count_comps(m - j, n - p)
+        if size > MAX_INVARIANT_KEYS:
+            raise ValueError(f"slice {(l, m, n, p)} has over {MAX_INVARIANT_KEYS} torus-fixed keys")
+    keys = sorted((head + rest, head + tail) for j in js
+                  for rest in _comps(l - j, n - p) for tail in _comps(m - j, n - p)
+                  for head in _comps(j, p))
     rows = []
     for k in range(1, p):
         for op in (act_e, act_f):
@@ -120,4 +149,5 @@ def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
                 for kk, c in op(k, ZElement(n, {key: ONE})).terms.items():
                     by_out.setdefault(kk, {})[t] = c
             rows.extend(by_out[kk] for kk in sorted(by_out))
-    return [ZElement(n, dict(zip(keys, vec))) for vec in solve_sparse(rows, len(keys)).nullspace]
+    return [ZElement(n, {keys[c]: x for c, x in vec.items()})
+            for vec in solve_sparse(rows, len(keys)).nullspace]

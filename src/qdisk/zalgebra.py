@@ -65,8 +65,7 @@ pairs.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .qfield import (ONE, QRat, ZERO, _accum, _coerce, _from_digits, _is_qpow, _laurent, _width,
                      int_from_json, laurent_products, mass, pack_laurent, poly_mul, poly_neg, poly_str)
@@ -580,27 +579,3 @@ def counit(a: ZElement) -> QRat:
             total = total + c
     return total
 
-
-def dim_z(l: int, m: int, n: int) -> int:
-    """Dimension of the bidegree-(l, m) slice of Z_n."""
-    return math.comb(l + n - 1, n - 1) * math.comb(m + n - 1, n - 1)
-
-
-def dim_h(l: int, m: int, n: int) -> int:
-    """Dimension of the bidegree-(l, m) slice of the quotient sphere algebra."""
-    num = (l + m + n - 1) * math.factorial(l + n - 2) * math.factorial(m + n - 2)
-    den = math.factorial(l) * math.factorial(m) * math.factorial(n - 1) * math.factorial(n - 2)
-    return num // den
-
-
-def normal_order(word: Iterable, rank: int) -> ZElement:
-    """Normal form of a product of generators, given as a word of letters
-    ("z", i) / ("w", i), multiplied out left to right."""
-    _check_rank(rank)
-    gens = {"z": z_gen, "w": w_gen}
-    acc = ZElement.one(rank)
-    for kind, i in word:
-        if kind not in gens:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        acc = acc * gens[kind](i, rank)
-    return acc

@@ -269,7 +269,7 @@ def naive_disk(l: int, m: int, alpha: int, A, B, C):
     Same published expansion as the engine, but with no commutation
     checks and no normalization along the way."""
     mm, beta = min(l, m), abs(l - m)
-    coeffs = little_q_jacobi(mm, alpha, beta, 2).coeffs
+    coeffs = little_q_jacobi(mm, alpha, beta, 2)
     D = C - A * B
     one = A.one_like()
     result = one * QRat.from_int(0)
@@ -408,7 +408,7 @@ def _pairwise_pow(a, k: int):
 def disk_poly_termwise(l: int, m: int, alpha: int, A, B, C):
     """sum_k coef_k C^(mm-k) A^(l-m) D^k (l >= m) or coef_k C^(mm-k) D^k B^(m-l)."""
     mm, beta = min(l, m), abs(l - m)
-    coeffs = little_q_jacobi(mm, alpha, beta, 2).coeffs
+    coeffs = little_q_jacobi(mm, alpha, beta, 2)
     D = C - pairwise_mul(A, B)
     result = A.one_like() * ZERO
     for k in range(mm + 1):

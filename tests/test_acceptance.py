@@ -10,26 +10,27 @@ from fractions import Fraction
 from itertools import product
 
 from oracle import naive_addition_sides
-from reference import haar_monomial_alt, normal_order_strategy
+from reference import (
+    MultiQPoly,
+    UniPoly,
+    haar_monomial_alt,
+    jackson_integral,
+    little_q_jacobi,
+    multi_jackson,
+    normal_order,
+    normal_order_strategy,
+    rising_weight,
+    shift_identity_check,
+)
 from test_haar import _fraction_matrix_is_positive_definite
 
 from qdisk.diskpoly import assoc_spherical, spherical
 from qdisk.haar import haar, haar_monomial, inner, norm_const
 from qdisk.qfield import ONE, QRat, ZERO, qpoch, solve_linear
-from qdisk.qfunc import (
-    MultiQPoly,
-    UniPoly,
-    jackson_integral,
-    little_q_jacobi,
-    multi_jackson,
-    rising_weight,
-    shift_identity_check,
-)
 from qdisk.tensor import addition_lhs, addition_rhs, verify_addition
 from qdisk.uqaction import act_e, act_f, act_qh, invariant_subspace, is_invariant
 from qdisk.zalgebra import (
     ZElement,
-    normal_order,
     q_element,
     w_gen,
     z_gen,

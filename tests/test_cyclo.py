@@ -19,7 +19,7 @@ from qdisk import tensor
 from qdisk.diskpoly import DiskSpec, jacobi_scaled
 from qdisk.haar import norm_const
 from qdisk.qfield import ONE, Cyclo, QRat, ZERO, qnumber, qpoch
-from qdisk.qfunc import UniPoly, _jacobi_coeffs, little_q_jacobi
+from qdisk.qfunc import _jacobi_coeffs, little_q_jacobi
 from qdisk.tensor import VARIANTS, coupling_const
 
 Q = QRat.q_power(1)
@@ -103,7 +103,7 @@ def test_jacobi_coefficients_match_the_quotients():
         for x, y in zip(got, expect):
             same(x, y)
         zeros += any(not y for y in expect)
-        assert little_q_jacobi(m, a, b, base).coeffs == UniPoly(got).coeffs
+        assert little_q_jacobi(m, a, b, base) == tuple(got)
     assert zeros
 
 

@@ -53,6 +53,16 @@ def test_cli_import_loads_no_heavy_standard_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_qfunc_defines_no_class_after_the_cli_loads():
+    # the polynomial types of the q-integral checks live in tests/reference.py
+    code = ("import sys, qdisk.cli, qdisk.uqaction; f = sys.modules['qdisk.qfunc']; "
+            "print([n for n, v in vars(f).items() if isinstance(v, type) and v.__module__ == f.__name__])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_the_import_scan_sees_third_party_imports(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import os\nfrom numpy.linalg import solve\nfrom . import x\n"

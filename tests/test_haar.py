@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import haar_termwise, inner_via_product
-from reference import haar_monomial_alt
+from reference import MultiQPoly, haar_monomial_alt, multi_jackson
 from qdisk.cli import main, parse_element
 from qdisk.diskpoly import spherical
 from qdisk.haar import (
@@ -22,7 +22,6 @@ from qdisk.haar import (
     norm_const,
 )
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
-from qdisk.qfunc import MultiQPoly, multi_jackson
 from qdisk.uqaction import act_e, act_f, act_qh
 from qdisk.zalgebra import ZElement, q_element, star, w_gen, z_gen
 

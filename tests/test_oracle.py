@@ -5,7 +5,7 @@ import random
 from oracle import NaiveElement, gen_word, ladder_sum, naive_addition_sides, naive_normal_form
 from qdisk.qfield import ONE, QRat
 from qdisk.tensor import addition_lhs, addition_rhs
-from qdisk.zalgebra import normal_order
+from reference import normal_order
 
 Q2 = QRat.q_power(2)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import dense_solve_linear, eval_shift_loop, from_digits_loop
 from qdisk import qfield
+from qdisk.haar import haar_monomial
 from qdisk.qfield import (
     ONE,
     QRat,
@@ -29,6 +30,7 @@ from qdisk.qfield import (
     solve_linear,
     solve_sparse,
 )
+from qdisk.qfunc import little_q_jacobi
 
 
 def qr(num, den=1):
@@ -286,6 +288,43 @@ def test_solve_linear_equals_the_dense_oracle(system):
     assert got.consistent == want.consistent
     assert got.particular == want.particular
     assert got.nullspace == want.nullspace
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_sparse_stores_only_the_nonzeros_of_each_nullspace_vector(system):
+    mat, rhs = system
+    nc = len(mat[0])
+    got = solve_sparse([dict(enumerate([*row, b])) for row, b in zip(mat, rhs)], nc)
+    want = dense_solve_linear(mat, rhs).nullspace
+    assert all(all(vec.values()) and list(vec) == sorted(vec) for vec in got.nullspace)
+    assert [[vec.get(c, ZERO) for c in range(nc)] for vec in got.nullspace] == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qpoch(1.5, 1, 2),
+    lambda: qnumber(2, 1.5),
+    lambda: QRat.q_power(1.5),
+    lambda: haar_monomial([1.5], [1.5], 1),
+    lambda: haar_monomial([1], [1], 1.0),
+    lambda: little_q_jacobi(1.5, 1, 1),
+    lambda: little_q_jacobi(1, 1, 1, 2.0),
+    lambda: solve_sparse([], 2.5),
+    # a float equal to an int whose entry is cached must not answer from it
+    lambda: (qpoch(2, 2, 3), qpoch(2, 2, 3.0)),
+    lambda: (qnumber(3, -2), qnumber(3.0, -2)),
+    lambda: (QRat.q_power(3), QRat.q_power(3.0)),
+], ids=range(11))
+def test_non_integer_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_bool_arguments_count_as_integers():
+    assert qpoch(True, 1, 2) == qpoch(1, 1, 2)
+    assert qnumber(2, True) == qnumber(2, 1)
+    assert QRat.q_power(True) == QRat.q_power(1)
+    assert solve_sparse([], True) == LinearSolution(True, [ZERO], [{0: ONE}])
 
 
 # ---------------------------------------------------------------- serialization

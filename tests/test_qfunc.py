@@ -1,7 +1,7 @@
 import pytest
 
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
-from qdisk.qfunc import (
+from reference import (
     MultiQPoly,
     UniPoly,
     falling_weight,

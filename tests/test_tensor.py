@@ -11,7 +11,7 @@ import pytest
 
 from oracle import addition_sides_termwise, rhs_per_piece
 from qdisk import cli, diskpoly, qfield, tensor
-from qdisk.diskpoly import DiskSpec, scaled_disk_poly
+from qdisk.diskpoly import DiskSpec, disk_poly
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfield import _is_qpow, solve_linear
@@ -302,8 +302,8 @@ def test_inner_factor_is_the_embedded_circle_factor():
     g = xy_generators()
     for a, b, alpha in product(range(5), range(5), range(4)):
         spec = DiskSpec(a, b, alpha)
-        assert (embed(scaled_disk_poly(spec, g.Y2, g.Y2s, g.D), 3)
-                == scaled_disk_poly(spec, g.X1, g.X1s, g.Qp)), spec
+        assert (embed(disk_poly(spec, g.Y2, g.Y2s, g.D), 3)
+                == disk_poly(spec, g.X1, g.X1s, g.Qp)), spec
 
 
 def _clear_tables():

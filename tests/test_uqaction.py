@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from qdisk.uqaction import act_e, act_f, act_qh, invariant_subspace, is_invarian
 from qdisk.zalgebra import ZElement, bidegree, embed, q_element, restrict, w_gen, z_gen
 
 qp = QRat.q_power
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def random_element(rng, rank, nterms=3, maxdeg=2):
@@ -241,3 +244,65 @@ def test_bool_arguments_count_as_integers():
     assert invariant_subspace(True, True, 2, 2) == invariant_subspace(1, 1, 2, 2)
     assert act_e(True, z_gen(2, 2)) == z_gen(1, 2)
     assert is_invariant(q_element(2, 2), True)
+
+
+def _lex_comps(total, parts):
+    return sorted(c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total)
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_rank_one_invariants_are_the_unit_vectors(l):
+    # p = 1 gives no rows: one element z^lam w^mu per torus-fixed key, in key order
+    basis = invariant_subspace(l, l, 4, 1)
+    keys = [key for b in basis for key in b.terms]
+    assert all(list(b.terms.values()) == [ONE] for b in basis)
+    assert keys == sorted(set(keys))
+    assert keys == [(lam, mu) for lam, mu in itertools.product(_lex_comps(l, 4), repeat=2)
+                    if lam[0] == mu[0]]
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 4)])
+def test_the_key_count_is_exact_at_the_cap(monkeypatch, n, p):
+    for l, m in itertools.product(range(4), repeat=2):
+        size = sum(lam[:p] == mu[:p] for lam in _lex_comps(l, n) for mu in _lex_comps(m, n))
+        monkeypatch.setattr(uqaction, "MAX_INVARIANT_KEYS", size)
+        invariant_subspace(l, m, n, p)
+        if size:
+            monkeypatch.setattr(uqaction, "MAX_INVARIANT_KEYS", size - 1)
+            with pytest.raises(ValueError, match="torus-fixed keys"):
+                invariant_subspace(l, m, n, p)
+
+
+@pytest.mark.parametrize("l, m, n, p, why", [
+    (8, 8, 5, 1, "keys"),  # 53559 keys
+    (16, 16, 10 ** 6, 1, "keys"),
+    (2, 1, 10 ** 6, 10 ** 6 - 1, "keys"),
+    (10 ** 6, 10 ** 6, 4, 1, "bidegree"),
+    (10 ** 6, 10 ** 6 - 1, 4, 4, "bidegree"),
+    (17, 0, 2, 1, "bidegree"),
+])
+def test_hostile_slices_raise_before_any_key_is_enumerated(monkeypatch, l, m, n, p, why):
+    def enumerated(total, parts):
+        raise AssertionError("keys enumerated")
+
+    monkeypatch.setattr(uqaction, "_comps", enumerated)
+    with pytest.raises(ValueError, match=why):
+        invariant_subspace(l, m, n, p)
+
+
+@pytest.mark.parametrize("l, m, n, p", [(0, 0, 5000, 1), (16, 0, 1000, 999)])
+def test_huge_ranks_with_one_key_run(l, m, n, p):
+    # the keys come from their count, not from all of comps(l, n), and no
+    # recursion runs as deep as the rank
+    (basis,) = invariant_subspace(l, m, n, p)
+    assert basis.term_count() == 1
+
+
+def test_every_benchmark_slice_is_admitted(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    slices = workloads.INVARIANT_CASES + workloads.INVARIANT_CASES_SMOKE
+    assert len(slices) == 6
+    for l, m, n, p in slices:
+        assert all(is_invariant(b, p) for b in invariant_subspace(l, m, n, p))
+    assert len(invariant_subspace(6, 6, 4, 1)) == 1596  # the largest slice in the tests

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_normal_form, pair_termwise, pairwise_mul, scalar_termwise
-from reference import normal_order_strategy
+from reference import dim_h, dim_z, normal_order, normal_order_strategy
 from qdisk.haar import _pair_haar, haar
 from qdisk.qfield import _PACK_MIN_LEN, ONE, QRat, ZERO, _is_qpow, _reduce, qpoch, solve_linear
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, _pair_sum, pair
@@ -17,10 +17,7 @@ from qdisk.zalgebra import (
     ZElement,
     bidegree,
     counit,
-    dim_h,
-    dim_z,
     embed,
-    normal_order,
     q_element,
     restrict,
     star,
