@@ -22,10 +22,10 @@ clauses (counted while the clause is read) at MAX_GRID_CASES = 1024, its
 worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32,
 disk degrees (spherical l, m, r, s; verify-addition and suite l, m) at
 MAX_DISK_DEGREE = 8 and alpha at MAX_ALPHA = 16: verify-addition (8, 8, 16),
-the slowest case inside both, took 14 s and 80 MB on a 2-vCPU x86-64 host.
+the slowest case inside both, took 7.8 s and 102 MB on a 2-vCPU x86-64 host.
 Spherical elements are capped at MAX_SPHERICAL_TERMS = 1716 terms, C(n - 1 + k, k)
 for k = min(l, m), by factor with --assoc: the slowest admitted case found, --n 8
---l 8 --m 8 --assoc 2,0, took 4.9 s and 80 MB there (spherical (5, 5, 16), 17 s).
+--l 8 --m 8 --assoc 2,0, took 3.5 s and 87 MB there (spherical (5, 5, 16), 17 s).
 Before each product, each step of a power, each division by a scalar (a
 product with its inverse) and, for `inner` a b, the product b* a, evaluation
 checks that the result's total degree in the generators stays at most

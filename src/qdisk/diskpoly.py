@@ -25,6 +25,17 @@ hence with D, so H is evaluated by Horner's rule in C:
 H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.  `_DiskArgs` evaluates it; it
 checks C once and keeps the powers it forms for every spec it evaluates.
 
+For `ZElement`s with Laurent coefficients H stays packed (`zalgebra`) from
+start to end, at one slot width s: C, each D^k and each L coef_k are packed
+once, each step is one `zalgebra._core` pass over the shifted rows of
+H_(k-1) C, and H is read back once.  With |x| the sum of the absolute values
+of x's integer coefficients and S_k the largest row mass of step k, |H_k| <=
+|H_(k-1)| |C| S_k + |D^k| |L coef_k| bounds every coefficient, and s puts
+that bound on H below 2^(s-1).  A step's plan (the keys H_k may have, the
+rows of H_(k-1) C, S_k) depends on neither alpha nor mm: the bundle keeps it
+with its powers.  Other coefficients, and sums whose last step has fewer
+than `zalgebra._PACK_MIN_PAIRS` term pairs, take the Horner rule on `QRat`s.
+
 On (z_i, w_i, Q_i) in Z_n, L R gives the spherical elements (i = n), the two
 factors of the associated ones (i = n, n - 1) and the rhs factors of the
 addition formula (`tensor`).  `_sphere` is their one memo, on one bundle per
@@ -36,9 +47,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .qfield import Cyclo, _check_ints
+from .qfield import Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent
 from .qfunc import _jacobi_coeffs
-from .zalgebra import ZElement, embed, q_element, w_gen, z_gen
+from .zalgebra import (_PACK_MIN_PAIRS, ZElement, _core, _row_mass, _shift_sum, _shifted, _tables,
+                       _unpacked, embed, q_element, w_gen, z_gen)
 
 
 class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
@@ -88,6 +100,7 @@ class _DiskArgs:
                 raise ValueError(f"C does not commute with {name}")
         self.C, one = C, A.one_like()
         self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}}
+        self.steps = [(set(one.terms), [], 0)]
 
     def power(self, name: str, k: int):
         pows = self.pows[name]
@@ -95,13 +108,51 @@ class _DiskArgs:
             pows[j] = pows[j - 1] * pows[1]
         return pows[k]
 
+    def step(self, k: int) -> tuple:
+        """The plan (keys, tables, S) of Horner step k: the keys H_k may have (those
+        the core reaches), the structure rows of H_(k-1) C and their largest mass."""
+        for j in range(len(self.steps), k + 1):
+            prev, C = self.steps[j - 1][0], self.C.terms
+            tables, keys = _tables(prev, C, self.C.ranks), dict.fromkeys(self.power("D", j).terms)
+            _core([(x, 0) for x in prev], [(y, 0) for y in C], tables, keys, lambda v, p, c: p, 0)
+            self.steps.append((set(keys), tables, _row_mass(tables)))
+        return self.steps[k]
+
+    def _packed_horner(self, coefs: tuple):
+        """H by the packed Horner sum (module docstring), or None where it does not apply."""
+        C, pows = self.C, [self.power("D", k) for k in range(len(coefs))]
+        if (not isinstance(C, ZElement) or len(coefs) < 2
+                or not all(_is_qpow(c.den) for x in [C] + pows for c in x.terms.values())
+                or not all(_is_qpow(c.den) for c in coefs)
+                or len(self.step(len(coefs) - 2)[0]) * len(C.terms) < _PACK_MIN_PAIRS):
+            return None
+        bound, mass_c = 0, mass(C.terms.values())
+        for k, coef in enumerate(coefs):
+            bound = bound * mass_c * self.step(k)[2] + mass(pows[k].terms.values()) * mass([coef])
+        s, acc, kh = _width(bound.bit_length() + 1), {}, 0
+        kc, pc = pack_laurent(list(C.terms.values()), s)
+        for k, coef in enumerate(coefs):
+            if k:  # H_(k-1) C
+                prev, acc = [(key, v) for key, v in acc.items() if v], {}
+                kf, rows = _shifted(self.step(k)[1], s)
+                _core(prev, list(zip(C.terms, pc)), rows, acc, _shift_sum, 0)
+                kh += kc + kf
+            (kx, (x,)), (kd, pd) = pack_laurent([coef], s), pack_laurent(list(pows[k].terms.values()), s)
+            if kx + kd > kh:  # over the larger power of q
+                acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
+            for key, y in zip(pows[k].terms, pd):
+                acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd)))
+        return C._like(_unpacked(acc, s, kh))
+
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
         l, m = spec.l, spec.m
-        scaled = jacobi_scaled(spec)[1]
-        result = self.power("D", 0) * scaled[0]
-        for k in range(1, min(l, m) + 1):
-            result = result * self.C + self.power("D", k) * scaled[k]
+        scaled = jacobi_scaled(spec)[1][:min(l, m) + 1]
+        result = self._packed_horner(scaled)
+        if result is None:
+            result = self.power("D", 0) * scaled[0]
+            for k in range(1, len(scaled)):
+                result = result * self.C + self.power("D", k) * scaled[k]
         if l > m:
             result = self.power("A", l - m) * result
         elif m > l:

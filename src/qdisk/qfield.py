@@ -616,8 +616,6 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 # ----------------------------------------------------------------------
 # packed Laurent products (Kronecker substitution; Harvey, J. Symbolic Comput. 2009)
 
-_PACK_MIN_LEN = 8
-
 
 def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
     """(K, [n(2^s) 2^(s(K - k)) for n/q^k in cs]) for Laurent cs, K the
@@ -629,25 +627,6 @@ def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
 def mass(cs: Iterable[QRat]) -> int:
     """Sum of the absolute values of the numerator coefficients over cs."""
     return sum(sum(map(abs, c.num)) for c in cs)
-
-
-def laurent_products(xs: Sequence[QRat], ys: Sequence[QRat]) -> list:
-    """[x * y for x in xs for y in ys].  If all are Laurent and each side has a
-    numerator of at least _PACK_MIN_LEN coefficients, every x and y is packed
-    once (`pack_laurent`) and a product is one integer multiply read back by
-    its digits: its coefficients are at most |n_x| |n_y| (sums of absolute
-    values), so the largest |n_x| times the largest |n_y| below 2^(s-1)
-    bounds them all.  The cutoff: replaying the calls of the three benchmark
-    addition cases and the 128-case suite grid (2-vCPU x86 VM, best of five),
-    8 took 150 and 73 ms, the best (12, 16) 150 and 70, packing always 164
-    and 140, never 397 and 77."""
-    if (min(max((len(c.num) for c in cs), default=0) for cs in (xs, ys)) < _PACK_MIN_LEN
-            or not all(_is_qpow(c.den) for cs in (xs, ys) for c in cs)):
-        return [x * y for x in xs for y in ys]
-    bound = max(sum(map(abs, x.num)) for x in xs) * max(sum(map(abs, y.num)) for y in ys)
-    s = _width(bound.bit_length() + 1)
-    (kx, px), (ky, py) = pack_laurent(xs, s), pack_laurent(ys, s)
-    return [_laurent(_from_digits(a * b, s), kx + ky) for a in px for b in py]
 
 
 # JSON integer policy: values outside the IEEE-exact window are emitted as

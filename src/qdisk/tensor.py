@@ -51,7 +51,7 @@ from functools import lru_cache
 from .diskpoly import DiskSpec, _DiskArgs, _jacobi, _sphere, jacobi_scaled
 from .haar import _norm
 from .qfield import (Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _from_digits, _is_qpow,
-                     _laurent, _width, mass, pack_laurent)
+                     _laurent, _width, mass, pack_laurent, poly_divexact, poly_mul)
 from .zalgebra import ZElement, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -269,18 +269,28 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
 
     The sides come scaled, a = L lhs and b = V rhs with polynomials L and V,
     and a / L = b / V if and only if a V = b L, so no coefficient is divided.
-    Each side is packed once (`qfield.pack_laurent`), as a q^Ka and b q^Kb
-    with Ka and Kb its largest q-power denominators, and a q^Ka V q^Kb =
-    b q^Kb L q^Ka, an identity in Z[q] for each key, is checked at q = 2^s.
-    Its coefficients are at most |a| |V| and |b| |L| (sums of absolute
-    values), below 2^(s-1), and symmetric base-2^s digits are unique: equal
-    values mean equal sides.  A failure is reported, not raised: only then
-    are the sides divided, for the residual lhs - rhs."""
+    L divides V in all 2592 cases with alpha <= 16 and l, m <= 8 (both
+    variants), so the check is a W = b, W = V / L from the scalars the sides
+    returned, and a V = b L where L does not divide V.  (The scalars' own
+    numerators, 1 when the sides are right, multiply in.)  Each side is
+    packed once (`qfield.pack_laurent`), as a q^Ka and b q^Kb with Ka and Kb
+    its largest q-power denominators, and a q^Ka V q^Kb = b q^Kb L q^Ka, an
+    identity in Z[q] for each key, is checked at q = 2^s.  Its coefficients
+    are at most |a| |V| and |b| |L| (sums of absolute values), below
+    2^(s-1), and symmetric base-2^s digits are unique: equal values mean
+    equal sides.  A failure is reported, not raised: only then are the sides
+    divided, for the residual lhs - rhs."""
     start = time.monotonic()
     inv_l, lhs = scaled_lhs(l, m, alpha, variant)
     inv_v, rhs = scaled_rhs(l, m, alpha, variant)
+    # lhs = a nl / L and rhs = b nv / V, for the numerators nl and nv of 1/L and 1/V
+    l_den, v_den = poly_mul(inv_l.den, inv_v.num), poly_mul(inv_v.den, inv_l.num)
+    try:
+        dens = (1,), poly_divexact(v_den, l_den)
+    except ArithmeticError:
+        dens = l_den, v_den
     residual = []
-    if not _equal_over(lhs, inv_l.den, rhs, inv_v.den):
+    if not _equal_over(lhs, dens[0], rhs, dens[1]):
         residual = (lhs * inv_l - rhs * inv_v).to_json()["terms"]
     millis = int((time.monotonic() - start) * 1000)
     return Verdict(l, m, alpha, variant, not residual, residual,

@@ -31,14 +31,17 @@ is the printer of the `qdisk.cli` expression grammar.
 Coefficients are packed into integers by one kernel, `qfield.pack_laurent`
 (Kronecker substitution), which writes Laurent coefficients n_i/q^k_i, K
 the largest k_i, as the values n_i(2^s) 2^(s(K - k_i)) at q = 2^s.  An
-element times a scalar packs the scalar once (`qfield.laurent_products`,
-with its measured cutoff).  Element products run through `_product`: from
-_PACK_MIN_PAIRS term pairs on, both sides and the structure constants,
-over q-powers as the relations are over Z[q, 1/q], are packed.  Evaluation
-at 2^s is a ring homomorphism, so for each output monomial the sum of the
-products A_i B_j X over the contributing pairs and structure constants is
-F(2^s), F the output coefficient times q^Ktot (Ktot the sum of the K's),
-read back from its symmetric digits.
+element times a scalar is one `QRat` product per term.  Element products
+run through one loop, `_core`, on `QRat`s or, from _PACK_MIN_PAIRS term
+pairs on, on both sides packed; the structure constants are over q-powers,
+as the relations are over Z[q, 1/q].  A constant n/q^k is applied as
+shifts: over its table's largest k, K_f, it is the sum of n_i 2^(s(K_f - k
++ i)), so a product with it is a small-integer product and a shift per
+nonzero n_i, not a multiply by a long integer.  Evaluation at 2^s is a ring
+homomorphism, so for each output monomial the sum of the products A_i B_j X
+over the contributing pairs and structure constants is F(2^s), F the output
+coefficient times q^Ktot (Ktot the sum of the K's), read back from its
+symmetric digits once.
 
 Bound.  Write |f| for the sum of the absolute values of the integer
 coefficients of f, |a| for the sum of |n_i| over a's terms, and S for the
@@ -65,10 +68,11 @@ pairs.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .qfield import (ONE, QRat, ZERO, _accum, _coerce, _from_digits, _is_qpow, _laurent, _width,
-                     int_from_json, laurent_products, mass, pack_laurent, poly_mul, poly_neg, poly_str)
+                     int_from_json, mass, pack_laurent, poly_mul, poly_neg, poly_str)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -191,68 +195,91 @@ def _product(a: dict, b: dict, ranks: tuple) -> dict:
     """Nonzero terms {key: coeff} of the product of the elements with terms a and b:
     ranks = (n,) multiplies in Z_n, keys being monomials (lam, mu); ranks =
     (n1, n2) multiplies in Z_n1 (x) Z_n2 factorwise, keys being pairs."""
-    if len(a) * len(b) >= _PACK_MIN_PAIRS and all(
+    tables, acc = _tables(a, b, ranks), {}
+    if len(a) * len(b) < _PACK_MIN_PAIRS or not all(
             _is_qpow(c.den) for terms in (a, b) for c in terms.values()):
-        return _packed_product(a, b, ranks)
-    out: dict = {}
-    if len(ranks) == 1:
-        rank, = ranks
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                c = c1 * c2
-                for key, sc in _mono_mul(rank, k1, k2):
-                    _accum(out, key, c * sc)
-    else:
-        left, right = ranks
-        for (l1, r1), c1 in a.items():
-            for (l2, r2), c2 in b.items():
-                c = c1 * c2
-                for kl, sl in _mono_mul(left, l1, l2):
-                    csl = c * sl
-                    for kr, sr in _mono_mul(right, r1, r2):
-                        _accum(out, (kl, kr), csl * sr)
-    return {key: c for key, c in out.items() if c}
-
-
-def _packed_product(a: dict, b: dict, ranks: tuple) -> dict:
-    """`_product` by Kronecker substitution, for coefficients over powers of q."""
-    bound = mass(a.values()) * mass(b.values())
-    # the rows each factor needs: every pair of its distinct keys on the two sides
-    tables = []
-    for f, rank in enumerate(ranks):
-        xs, ys = (a, b) if len(ranks) == 1 else ({k[f] for k in a}, {k[f] for k in b})
-        table = {(x, y): _mono_mul(rank, x, y) for x in xs for y in ys}
-        bound *= max(mass(c for _, c in row) for row in table.values())
-        tables.append(table)
-    s = _width(bound.bit_length() + 1)
+        _core(list(a.items()), list(b.items()), tables, acc, _mul_add, None)
+        return {key: c for key, c in acc.items() if c}
+    s = _width((mass(a.values()) * mass(b.values()) * _row_mass(tables)).bit_length() + 1)
     (ka, pa), (kb, pb) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
-    pa, pb, ktot = list(zip(a, pa)), list(zip(b, pb)), ka + kb
-    prows = []
-    for table in tables:
-        consts = list({c: None for row in table.values() for _, c in row})
-        kf, packed = pack_laurent(consts, s)
-        packed, ktot = dict(zip(consts, packed)), ktot + kf
-        prows.append({pair: [(key, packed[c]) for key, c in row] for pair, row in table.items()})
-    acc: dict = {}
+    k, rows = _shifted(tables, s)
+    _core(list(zip(a, pa)), list(zip(b, pb)), rows, acc, _shift_sum, 0)
+    return _unpacked(acc, s, ka + kb + k)
+
+
+def _tables(xs, ys, ranks: tuple) -> list:
+    """Per factor, the structure row of every pair of its distinct keys on the
+    two sides, the keys of the one side being xs and of the other ys."""
     if len(ranks) == 1:
-        prow, = prows
+        return [{(x, y): _mono_mul(ranks[0], x, y) for x in xs for y in ys}]
+    return [{(x, y): _mono_mul(rank, x, y) for x in {k[f] for k in xs} for y in {k[f] for k in ys}}
+            for f, rank in enumerate(ranks)]
+
+
+def _row_mass(tables: list) -> int:
+    """S, the product over the tables of their largest row mass."""
+    return math.prod(max(mass(c for _, c in row) for row in table.values()) for table in tables)
+
+
+def _shifted(tables: list, s: int) -> tuple:
+    """(K, rows): the tables with each constant n/q^k as the shifts s (K_f - k + i)
+    of its nonzero n_i, K_f the largest k of its table and K the sum of the K_f."""
+    ktot, rows = 0, []
+    for table in tables:
+        consts = {c: None for row in table.values() for _, c in row}
+        k = max(len(c.den) for c in consts) - 1
+        for c in consts:
+            consts[c] = [(n, s * (k + 1 - len(c.den) + i)) for i, n in enumerate(c.num) if n]
+        rows.append({pair: [(key, consts[c]) for key, c in row] for pair, row in table.items()})
+        ktot += k
+    return ktot, rows
+
+
+def _core(pa, pb, rows: list, acc: dict, mul_add, zero) -> None:
+    """acc[key] = mul_add(acc[key], x_a x_b, X), an absent key reading zero, over
+    the pairs of (key_a, x_a) in pa and (key_b, x_b) in pb and the constants X of
+    their rows, one table per factor, that land on key: `_mul_add` on `QRat`s
+    (zero None), `_shift_sum` on packed values and `_shifted` rows (zero 0)."""
+    if len(rows) == 1:
+        row, = rows
         for k1, x1 in pa:
             for k2, x2 in pb:
                 p = x1 * x2
-                for key, x in prow[(k1, k2)]:
-                    acc[key] = acc.get(key, 0) + p * x
+                for key, c in row[k1, k2]:
+                    acc[key] = mul_add(acc.get(key, zero), p, c)
     else:
-        lrow, rrow = prows
+        lrow, rrow = rows
         for (l1, r1), x1 in pa:
             for (l2, r2), x2 in pb:
                 p = x1 * x2
-                right = rrow[(r1, r2)]
-                for kl, x in lrow[(l1, l2)]:
-                    px = p * x
-                    for kr, y in right:
+                right = rrow[r1, r2]
+                for kl, cl in lrow[l1, l2]:
+                    pl = mul_add(zero, p, cl)
+                    for kr, cr in right:
                         key = (kl, kr)
-                        acc[key] = acc.get(key, 0) + px * y
-    return {key: _laurent(_from_digits(v, s), ktot) for key, v in acc.items() if v}
+                        acc[key] = mul_add(acc.get(key, zero), pl, cr)
+
+
+def _mul_add(v, p: QRat, c: QRat) -> QRat:
+    """v + p c on `QRat`s, v None reading zero."""
+    return p * c if v is None else v + p * c
+
+
+def _shift_sum(v: int, p: int, shifts) -> int:
+    """v + p X for a constant X given as its (n_i, shift_i) (`_shifted`)."""
+    for n, sh in shifts:
+        if n == 1:
+            v += p << sh
+        elif n == -1:
+            v -= p << sh
+        else:
+            v += (p * n) << sh
+    return v
+
+
+def _unpacked(acc: dict, s: int, k: int) -> dict:
+    """The nonzero terms {key: F/q^k} of packed values {key: F(2^s)}."""
+    return {key: _laurent(_from_digits(v, s), k) for key, v in acc.items() if v}
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +413,7 @@ class ZElement:
             other = _coerce(other)
             if not other:
                 return self._like({})
-            return self._like(dict(zip(self.terms, laurent_products(list(self.terms.values()), [other]))))
+            return self._like({key: c * other for key, c in self.terms.items()})
         other = self._coerce(other)
         if not isinstance(other, ZElement):
             return NotImplemented

@@ -421,6 +421,21 @@ def disk_poly_termwise(l: int, m: int, alpha: int, A, B, C):
     return result
 
 
+def horner_stepwise(args, spec: DiskSpec):
+    """L R_spec(A, B, C) on a checked argument bundle by the Horner sum one
+    element operation at a time: H_k = H_(k-1) C + (L coef_k) D^k."""
+    l, m = spec.l, spec.m
+    scaled = diskpoly.jacobi_scaled(spec)[1]
+    result = args.power("D", 0) * scaled[0]
+    for k in range(1, min(l, m) + 1):
+        result = result * args.C + args.power("D", k) * scaled[k]
+    if l > m:
+        result = args.power("A", l - m) * result
+    elif m > l:
+        result = result * args.power("B", m - l)
+    return result
+
+
 def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
     """(lhs, rhs) of the addition formula as tensor elements: the published
     arguments and coupling constants, each (r, s) piece times its constant."""

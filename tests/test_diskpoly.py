@@ -1,11 +1,11 @@
 import pytest
 
-from oracle import disk_poly_termwise
-from qdisk import diskpoly
-from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, spherical
+from oracle import disk_poly_termwise, horner_stepwise, pairwise_mul
+from qdisk import diskpoly, tensor
+from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
-from qdisk.qfield import ONE, QRat, ZERO, qpoch
-from qdisk.tensor import coupling_const, verify_addition
+from qdisk.qfield import ONE, QRat, ZERO, _width, qpoch
+from qdisk.tensor import VARIANTS, coupling_const, verify_addition
 from qdisk.uqaction import is_invariant
 from qdisk.zalgebra import ZElement, bidegree, counit, q_element, star, w_gen, z_gen
 
@@ -197,3 +197,72 @@ def test_disk_poly_equals_the_termwise_sum(l, m, alpha):
     f = (ONE - qp(2)) / (ONE - qp(4))
     for A, B, C in ((x, y, c), (x * f + z_gen(2, 3) * qp(-1), y * f, c * f)):
         assert disk_poly(DiskSpec(l, m, alpha), A, B, C) == disk_poly_termwise(l, m, alpha, A, B, C)
+
+
+# the suite grid and the benchmark's addition cases, as specs of the lhs bundles
+ADDITION_SPECS = ([DiskSpec(l, m, alpha) for alpha in range(1, 5) for l in range(4) for m in range(4)]
+                  + [DiskSpec(4, 4, 1), DiskSpec(5, 5, 2), DiskSpec(6, 6, 2)])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_packed_horner_equals_the_stepwise_horner_on_the_addition_bundles(variant):
+    args = tensor._args(variant)
+    for spec in ADDITION_SPECS:
+        assert args.scaled(spec) == horner_stepwise(args, spec), spec
+    # the benchmark cases take the packed sum
+    for spec in ADDITION_SPECS[-3:]:
+        assert args._packed_horner(jacobi_scaled(spec)[1]) is not None, spec
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_horner_equals_the_stepwise_horner_on_the_rank_bundles(n):
+    args, packed = diskpoly._rank_args(n), 0
+    for l in range(5):
+        for m in range(5):
+            for alpha in sorted({0, max(n - 2, 0), n + 1}):
+                spec = DiskSpec(l, m, alpha)
+                assert args.scaled(spec) == horner_stepwise(args, spec), spec
+                packed += args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1]) is not None
+    assert packed if n > 2 else not packed
+
+
+def test_non_laurent_argument_takes_the_qrat_horner():
+    # C = Q_3 / (1 - q^2) is central, so it commutes; the packed sum declines it
+    x, y, c = z_gen(3, 3), w_gen(3, 3), q_element(3, 3) * (ONE / (ONE - qp(2)))
+    spec = DiskSpec(4, 3, 1)
+    args = _DiskArgs(x, y, c)
+    assert args._packed_horner(jacobi_scaled(spec)[1][:4]) is None
+    assert diskpoly._rank_args(3)._packed_horner(jacobi_scaled(spec)[1][:4]) is not None
+    assert disk_poly(spec, x, y, c) == disk_poly_termwise(4, 3, 1, x, y, c)
+
+
+@pytest.mark.parametrize("c,s", [(2 ** 62 - 15, 64), (2 ** 62 + 1, 72)])
+def test_packed_horner_at_the_bound(c, s):
+    # Z_1 is commutative, so every structure row is one entry 1 (S = 1).  With
+    # A = B = 1 and C = c + z_1 + .. + z_1^15, D = C - 1, the sum H = C + D
+    # (coefficients 1, 1) has mass |C| + |D| = 2c + 29, which the bound meets
+    # exactly, and its unit coefficient 2c - 1 is over half of it.  At s = 64
+    # that mass is 2^63 - 1; at s = 72 the coefficient is past 2^63, so a bound
+    # missing either term would choose s = 64 and misread it
+    C = ZElement(1, {((i,), (0,)): c if i == 0 else 1 for i in range(16)})
+    one = ZElement.one(1)
+    args = _DiskArgs(one, one, C)
+    bound = 2 * c + 29
+    assert _width(bound.bit_length() + 1) == s
+    assert bound == 2 ** 63 - 1 if s == 64 else 2 * c - 1 > 2 ** 63
+    H = args._packed_horner((ONE, ONE))
+    assert H.coefficient((0,), (0,)) == 2 * c - 1
+    assert H == C + (C - one) and args._packed_horner((-ONE, ONE)) == -one
+
+
+def test_packed_horner_bound_counts_the_row_mass():
+    # H = C^2 (coefficients 1, 0, 0) for C = x z_3^3 w_3^3 plus fifteen terms z_1^i:
+    # the row of w_3^3 z_3^3 has mass 73 and a coefficient 4, so H has a
+    # coefficient 4 x^2 = 2^64, while |C|^2 < 2^63: a bound without the row
+    # mass S would choose s = 64 and misread it
+    x, key = 2 ** 31, ((0, 0, 3), (0, 0, 3))
+    C = ZElement(3, {key: x, **{((i, 0, 0), (0, 0, 0)): 1 for i in range(1, 16)}})
+    one = ZElement.one(3)
+    H = _DiskArgs(one, one, C)._packed_horner((ONE, ZERO, ZERO))
+    assert max(abs(n) for c in H.terms.values() for n in c.num) == 2 ** 64
+    assert (x + 15) ** 2 < 2 ** 63 and H == pairwise_mul(C, C)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import dense_solve_linear, eval_shift_loop, from_digits_loop
+from oracle import dense_solve_linear, eval_shift_loop, from_digits_loop, scalar_termwise
 from qdisk import qfield
 from qdisk.haar import haar_monomial
 from qdisk.qfield import (
@@ -13,14 +13,12 @@ from qdisk.qfield import (
     QRat,
     ZERO,
     LinearSolution,
-    _PACK_MIN_LEN,
     _eval_shift,
     _from_digits,
     _gcd_cofactors,
     _prs_gcd,
     _reduce,
     int_from_json,
-    laurent_products,
     poly_add,
     poly_divexact,
     poly_gcd,
@@ -31,6 +29,7 @@ from qdisk.qfield import (
     solve_sparse,
 )
 from qdisk.qfunc import little_q_jacobi
+from qdisk.zalgebra import ZElement
 
 
 def qr(num, den=1):
@@ -624,34 +623,45 @@ def test_packing_kernel_edge_cases(s):
 @st.composite
 def laurent_lists(draw, long):
     """Nonempty lists of Laurent coefficients; when long, one of each list
-    has a numerator of at least _PACK_MIN_LEN coefficients."""
+    has a numerator of at least 8 coefficients."""
     ints = st.one_of(st.integers(-5, 5), big_ints)
-    size = (_PACK_MIN_LEN, _PACK_MIN_LEN + 20) if long else (1, _PACK_MIN_LEN - 1)
+    size = (8, 28) if long else (1, 7)
     def laurent_coeff(n):
         return st.builds(lambda num, k: QRat(num, (0,) * k + (1,)),
                          st.lists(ints, min_size=n[0], max_size=n[1]).filter(any),
                          st.integers(0, 6))
     first = draw(laurent_coeff(size))
-    rest = draw(st.lists(laurent_coeff((1, _PACK_MIN_LEN + 4)), max_size=4))
+    rest = draw(st.lists(laurent_coeff((1, 12)), max_size=4))
     return [first] + rest
+
+
+def _element(xs):
+    """The element of Z_1 with coefficients xs on the monomials z_1^i."""
+    return ZElement(1, {((i,), (0,)): x for i, x in enumerate(xs)})
+
+
+def _assert_scalar_products(xs, ys):
+    # an element times a scalar is the per-term QRat products, in both orders
+    a = _element(xs)
+    for y in ys:
+        assert a * y == y * a == scalar_termwise(a, y)
+        assert [c for _, c in sorted((a * y).terms.items())] == [x * y for x in xs]
 
 
 @given(st.booleans(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_laurent_products_equal_the_qrat_products(long_x, long_y, data):
     xs, ys = data.draw(laurent_lists(long_x)), data.draw(laurent_lists(long_y))
-    assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
-    # a coefficient off the Laurent path takes the QRat products
-    ys.append(QRat((1, 2), (1, 1)))
-    assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
+    _assert_scalar_products(xs, ys)
+    # a coefficient off the Laurent path
+    _assert_scalar_products(xs, ys + [QRat((1, 2), (1, 1))])
 
 
-@pytest.mark.parametrize("n", [(1 << 62) - 1, math.isqrt(1 << 63) - (_PACK_MIN_LEN - 1)])
+@pytest.mark.parametrize("n", [(1 << 62) - 1, math.isqrt(1 << 63) - 7])
 def test_laurent_products_at_the_bound(n):
-    # the top coefficient n^2 of the first product nearly fills the bound
-    # |n_x| |n_y| = (n + 7)^2 that sets the digit width; the second n puts
-    # it just below 2^63, in the widest array slot
-    xs = [QRat((1,) * (_PACK_MIN_LEN - 1) + (n,), (0, 0, 1))]
-    ys = [QRat((-1,) * (_PACK_MIN_LEN - 1) + (n,), (0, 1)), QRat((2,) + (0,) * _PACK_MIN_LEN + (1,))]
-    assert laurent_products(xs, ys) == [x * y for x in xs for y in ys]
-    assert laurent_products([], ys) == [] and laurent_products(xs, []) == []
+    # the top coefficient n^2 of the first product nearly fills |n_x| |n_y| =
+    # (n + 7)^2, and the second n puts it just below 2^63
+    xs = [QRat((1,) * 7 + (n,), (0, 0, 1))]
+    ys = [QRat((-1,) * 7 + (n,), (0, 1)), QRat((2,) + (0,) * 8 + (1,))]
+    _assert_scalar_products(xs, ys)
+    assert (_element([]) * ys[0]).is_zero()

@@ -492,6 +492,19 @@ def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, a
     assert not diff.is_zero() and {**got, "millis": 0} == want
 
 
+@pytest.mark.parametrize("name", ["scaled_lhs", "scaled_rhs"])
+@pytest.mark.parametrize("factor", [QRat(3), Q2, QRat((1,) + (0,) * 6 + (1,)),
+                                    ONE / QRat((1,) + (0,) * 6 + (1,))], ids=range(4))
+def test_planted_scalar_change_fails_the_verdict(monkeypatch, name, factor):
+    # W = V / L comes from the scalars the sides return, numerators included:
+    # a change to 1/L or 1/V alone, in its numerator or its denominator, fails
+    builder = getattr(tensor, name)
+    monkeypatch.setattr(tensor, name, lambda *args: (builder(*args)[0] * factor, builder(*args)[1]))
+    for case in ((2, 1, 1), (4, 4, 1)):
+        verdict = verify_addition(*case)
+        assert not verdict.passed and verdict.residual_terms, case
+
+
 def test_non_laurent_sides_are_decided_by_the_residual(monkeypatch):
     # the same rhs, divided by 1 - q with its 1/V times 1 - q: the packed
     # check declines a non-Laurent side, and the exact residual passes it

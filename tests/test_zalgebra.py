@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from oracle import naive_normal_form, pair_termwise, pairwise_mul, scalar_termwise
 from reference import dim_h, dim_z, normal_order, normal_order_strategy
 from qdisk.haar import _pair_haar, haar
-from qdisk.qfield import _PACK_MIN_LEN, ONE, QRat, ZERO, _is_qpow, _reduce, qpoch, solve_linear
+from qdisk.qfield import ONE, QRat, ZERO, _is_qpow, _reduce, qpoch, solve_linear
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, _pair_sum, pair
 from qdisk.zalgebra import (
     _PACK_MIN_PAIRS,
     _mono_mul,
+    _tables,
     ANY_BIDEGREE,
     ZElement,
     bidegree,
@@ -483,10 +484,40 @@ def test_packed_product_at_the_bound():
     assert (-a) * b == -product
 
 
+def _multi_term_rows(a, b, ranks):
+    """How many structure rows of a * b hold a constant with two or more
+    nonzero numerator coefficients."""
+    rows = [row for table in _tables(a.terms, b.terms, ranks) for row in table.values()]
+    return sum(any(sum(map(bool, c.num)) > 1 for _, c in row) for row in rows)
+
+
+def top_keys(rank, side):
+    """Keys of Z_rank with a w_rank (side "w") or a z_rank (side "z") factor:
+    the rows of w^mu z^lam then carry (1 - q^2)-sums over powers of q."""
+    vec = st.tuples(*[st.integers(0, 1)] * (rank - 1), st.integers(1, 3))
+    zero = st.just((0,) * rank)
+    return st.tuples(zero, vec) if side == "w" else st.tuples(vec, zero)
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_shifted_constants_equal_the_pairwise_oracle(tensor, data):
+    # packed products whose rows hold multi-term constants over q^k, with
+    # coefficients over mixed powers of q on both sides: w_3^a z_3^b in Z_3,
+    # and in Z_3 (x) Z_2 with w_2^c z_2^d on the right
+    ranks = RANKS if tensor else (3,)
+    keys = {side: st.tuples(*(top_keys(rank, side) for rank in ranks)) if tensor
+            else top_keys(3, side) for side in "wz"}
+    a = ZElement(RANKS if tensor else 3, data.draw(terms_of(keys["w"], LARGE, True)))
+    b = ZElement(RANKS if tensor else 3, data.draw(terms_of(keys["z"], LARGE, True)))
+    assert len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS and _multi_term_rows(a, b, ranks)
+    assert a * b == pairwise_mul(a, b)
+
+
 def long_coefficients(laurent):
-    """Like `coefficients`, with numerators of up to twice _PACK_MIN_LEN terms."""
+    """Like `coefficients`, with numerators of up to 16 terms."""
     ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 42, 2 ** 42))
-    num = st.lists(ints, min_size=1, max_size=2 * _PACK_MIN_LEN).map(QRat)
+    num = st.lists(ints, min_size=1, max_size=16).map(QRat)
     dens = [st.just(ONE), st.integers(1, 5).map(qp)]
     if not laurent:
         dens.append(st.integers(1, 4).map(lambda k: ONE - qp(k)))
@@ -500,7 +531,7 @@ def long_terms(rank, laurent):
 @given(st.booleans(), st.booleans(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_scalar_products_equal_the_termwise_oracle(laurent, laurent_scalar, data):
-    # numerators on both sides of _PACK_MIN_LEN, with and without non-Laurent coefficients
+    # numerators of 1 to 16 terms, with and without non-Laurent coefficients
     a = ZElement(2, data.draw(long_terms(2, laurent)))
     c = data.draw(long_coefficients(laurent_scalar))
     assert a * c == c * a == scalar_termwise(a, c)
