@@ -11,19 +11,25 @@ and extends linearly.  It descends to the quotient by Q_n - 1 (checked
 functionally: h(Q_n x) = h(x)); the quotient itself is never built.
 The sesquilinear pairing is <a, b> = h(b* a).
 
-Packed group sums.  `haar` (c N_lam), `_pair_haar` (the same over a monomial
-product, undivided) and `inner` (nb na P) sum products of factors n / (q^k d),
-d(0) != 0.  `_packed_sum` packs each distinct factor once (N_lam once per slot
-width s) as n(2^s) 2^(s (K_j - k)), K_j the largest k in its column j, and
-adds the products' integers per group keyed by t and the d's other than 1
-(Laurent coefficients share one group per t): F(2^s) for F = sum prod_j n_j
-q^(K_j - k_j), the group sum times q^(K_1 + ... + K_r), is read back and
-divided once, by the d's and (q^2; q^2)_{t + n - 1}: the term-by-term sum.
-Width: |f g| <= |f| |g| for |f| the sum of f's absolute coefficients, so F's
-coefficients are at most B, the sum of prod_j |n_j| over the call's products,
-and s > B.bit_length() makes F its value's symmetric base-2^s digits.  No size
-cutoff, which would keep the per-term route: the 1997 haar and inner calls of
-the perfbench CLI stream took 18 us each, not 14 us (2-vCPU x86-64).
+Packed sums.  `haar` (c N_lam) and `inner` (nb na P) sum products of factors
+n / (q^k d), d(0) != 0.  `_packed_sum` packs each distinct factor once (N_lam
+once per slot width s) as n(2^s) 2^(s (K_j - k)), K_j the largest k in its
+column j, and adds the products' integers per group keyed by t and the d's
+other than 1: F(2^s) for F = sum prod_j n_j q^(K_j - k_j), the group sum times
+q^(K_1 + ... + K_r), is read back and divided once, by the d's and (q^2;
+q^2)_{t + n - 1}.  Width: |f g| <= |f| |g| for |f| the sum of f's absolute
+coefficients, so F's coefficients are at most B, the sum of prod_j |n_j| over
+the products, and s > B.bit_length() makes F its value's symmetric base-2^s
+digits.  The memoized pair value P of (z^l1 w^m1)(z^l2 w^m2) = z^l1 (w^m1
+z^l2) w^m2 sums x N_lam over the diagonal terms of the row of w^m1 z^l2
+(`zalgebra._WZ_CACHE`; no product row is stored), each x = n / q^k with the
+merge q-powers in k.  It is a packed sum of its own, with B = sum |x| |N_lam|:
+each x is applied to N_lam(2^s) as shifts (`zalgebra._shift_sum`), read back
+once, with no groups and no division.  Normal ordering keeps the torus weight
+lam - mu of a monomial, so `inner` pairs only terms whose weights cancel.  No
+size cutoff: the 1997 haar and inner calls of the perfbench CLI stream (seeds
+1-40, in one process) took 29 us each, 30 us on the per-term route, in CLI
+processes of 124 ms (median, traced cli run; 2-vCPU x86-64).
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import prod
 
-from .qfield import (ONE, Cyclo, QRat, ZERO, _check_ints, _eval_shift, _from_digits, _laurent,
+from .qfield import (Cyclo, QRat, ZERO, _check_ints, _eval_shift, _from_digits, _laurent,
                      _width, qpoch)
-from .zalgebra import ZElement, _Memo, _mono_mul, _z_rank
+from .zalgebra import _WZ_CACHE, ZElement, _check_rank, _Memo, _merge_exp, _shift_sum, _z_rank
 
 
 @lru_cache(maxsize=None)
@@ -51,8 +57,11 @@ def haar_monomial(lam, mu, n: int) -> QRat:
     """h applied to the basis monomial z^lam w^mu of Z_n."""
     lam, mu = tuple(lam), tuple(mu)
     _check_ints(n, *lam, *mu)
+    _check_rank(n)
     if len(lam) != n or len(mu) != n:
         raise ValueError("exponent vectors must have length n")
+    if min(lam + mu) < 0:
+        raise ValueError("exponents must be nonnegative integers")
     return _haar_num(lam, n) / qpoch(2, 2, sum(lam) + n - 1) if lam == mu else ZERO
 
 
@@ -72,9 +81,9 @@ def _haar_factor(lam: tuple, n: int) -> tuple:
     return (*_factor(_haar_num(lam, n))[:3], partial(_haar_packed, lam, n))
 
 
-def _packed_sum(cols: list, items: list, rank=None) -> QRat:
+def _packed_sum(cols: list, items: list, rank: int) -> QRat:
     """The sum over items (t, i_1, ..., i_r) of cols[0][i_1] ... cols[r-1][i_r]
-    (`_factor`s), divided by (q^2; q^2)_{t + rank - 1} unless rank is None."""
+    (`_factor`s), each divided by (q^2; q^2)_{t + rank - 1}."""
     if not items:
         return ZERO
     s = _width(sum(prod([c[i][2] for c, i in zip(cols, idx)]) for _, *idx in items).bit_length() + 1)
@@ -87,32 +96,43 @@ def _packed_sum(cols: list, items: list, rank=None) -> QRat:
         groups[key] = groups.get(key, 0) + prod([v for _, v in fs])
     total = ZERO
     for (t, *ds), v in groups.items():
-        den = prod(map(QRat, ds), start=ONE if rank is None else qpoch(2, 2, t + rank - 1))
+        den = prod(map(QRat, ds), start=qpoch(2, 2, t + rank - 1))
         total = total + _laurent(_from_digits(v, s), sum(ks)) / den
     return total
-
-
-def _diagonal_sum(terms, rank: int, den_rank) -> QRat:
-    """`_packed_sum` of c N_lam over the diagonal terms c z^lam w^lam, rank den_rank."""
-    diag = [(lam, c) for (lam, mu), c in terms if lam == mu]
-    cols = [[_factor(c) for _, c in diag], [_haar_factor(lam, rank) for lam, _ in diag]]
-    return _packed_sum(cols, [(sum(lam), i, i) for i, (lam, _) in enumerate(diag)], den_rank)
 
 
 def haar(a: ZElement) -> QRat:
     """The Haar functional, linear over the monomial expansion."""
     rank = _z_rank(a, "the Haar functional")
-    return _diagonal_sum(a.terms.items(), rank, rank)
+    diag = [(lam, c) for (lam, mu), c in a.terms.items() if lam == mu]
+    cols = [[_factor(c) for _, c in diag], [_haar_factor(lam, rank) for lam, _ in diag]]
+    return _packed_sum(cols, [(sum(lam), i, i) for i, (lam, _) in enumerate(diag)], rank)
 
 
 def _pair_haar(rank: int, key1, key2) -> tuple:
-    """(t, P) for the product of two basis monomials, memoized: t is its
-    z-degree and P sums c N_lam over its diagonal terms c z^lam w^lam."""
+    """(t, P, `_factor`(P) or None for P = 0), memoized: t is the z-degree of the
+    product of two basis monomials and P sums c N_lam over its diagonal terms."""
     return _PAIR_HAAR_CACHE[rank, key1, key2]
 
 
-_PAIR_HAAR_CACHE = _Memo(lambda rank, key1, key2: (
-    sum(key1[0]) + sum(key2[0]), _diagonal_sum(_mono_mul(rank, key1, key2), rank, None)))
+def _pair_row(rank: int, key1, key2) -> tuple:
+    # (z^l1 w^m1)(z^l2 w^m2) = z^l1 (w^m1 z^l2) w^m2: the row of w^m1 z^l2, its
+    # diagonal terms' constants n/q^k as (lam, n, k), summed as in the docstring
+    (l1, m1), (l2, m2), diag = key1, key2, []
+    for (a, b), c in _WZ_CACHE[rank, m1, l2]:
+        lam = tuple(x + y for x, y in zip(l1, a))
+        if lam == tuple(x + y for x, y in zip(b, m2)):
+            diag.append((lam, c.num, len(c.den) - 1 + _merge_exp(l1, a) + _merge_exp(m2, b)))
+    s = _width(sum(sum(map(abs, n)) * _haar_factor(lam, rank)[2] for lam, n, _ in diag).bit_length() + 1)
+    top, v = max((k for *_, k in diag), default=0), 0
+    for lam, n, k in diag:
+        v = _shift_sum(v, _haar_packed(lam, rank, s),
+                       [(x, s * (top - k + i)) for i, x in enumerate(n) if x])
+    p = _laurent(_from_digits(v, s), top)
+    return sum(l1) + sum(l2), p, _factor(p) if p else None
+
+
+_PAIR_HAAR_CACHE = _Memo(_pair_row)
 
 
 def inner(a: ZElement, b: ZElement) -> QRat:
@@ -120,20 +140,19 @@ def inner(a: ZElement, b: ZElement) -> QRat:
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     rank = _z_rank(a, "the Haar functional")
-    a_terms = [(i, key, sum(key[0]) - sum(key[1])) for i, key in enumerate(a.terms)]
-    ps, items = [], []
+    a_terms = [(i, key, tuple(x - y for x, y in zip(*key))) for i, key in enumerate(a.terms)]
+    fs, items = [], []
     for j, (lam_b, mu_b) in enumerate(b.terms):
-        # star of a basis monomial swaps the exponents
-        bkey, db = (mu_b, lam_b), sum(mu_b) - sum(lam_b)
-        for i, akey, da in a_terms:
-            # h vanishes unless the product can hit the diagonal
-            if db + da == 0:
-                t, v = _pair_haar(rank, bkey, akey)
-                if v:
-                    items.append((t, j, i, len(ps)))
-                    ps.append(v)
-    cols = [b.terms.values(), a.terms.values(), ps]
-    return _packed_sum([list(map(_factor, col)) for col in cols], items, rank)
+        # star swaps the exponents: b*'s weight mu_b - lam_b must cancel a's weight
+        bkey, wb = (mu_b, lam_b), tuple(x - y for x, y in zip(lam_b, mu_b))
+        for i, akey, wa in a_terms:
+            if wa == wb:
+                t, _, f = _pair_haar(rank, bkey, akey)
+                if f:
+                    items.append((t, j, i, len(fs)))
+                    fs.append(f)
+    cols = [list(map(_factor, b.terms.values())), list(map(_factor, a.terms.values())), fs]
+    return _packed_sum(cols, items, rank)
 
 
 @lru_cache(maxsize=None, typed=True)

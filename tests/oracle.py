@@ -19,7 +19,9 @@ full width.
 `haar_termwise` and `inner_via_product` are the oracles for the grouped Haar
 sums: normalize the whole product, then add c * h(monomial) one term at a
 time from the negative-base monomial formula (`reference.haar_monomial_alt`),
-with a reduced fraction after every addition.
+with a reduced fraction after every addition.  `pair_haar_termwise` is the
+oracle for the memoized pair values of `haar._pair_haar`: the full product row
+from `_mono_mul`, with c * N_lam added over its diagonal terms as QRats.
 
 `eval_shift_loop` and `from_digits_loop` are the oracles for the byte-level
 packing of `qfield`: one shift per coefficient, respectively one shift and
@@ -54,7 +56,8 @@ from functools import lru_cache
 
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
-from qdisk.qfield import ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul
+from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul,
+                          qpoch)
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair, xy_generators
 from qdisk.zalgebra import ZElement, _mono_mul, star
@@ -370,6 +373,18 @@ def haar_termwise(a) -> QRat:
 def inner_via_product(a, b) -> QRat:
     """<a, b>: normalize b* a fully, then apply h term by term."""
     return haar_termwise(star(b) * a)
+
+
+def pair_haar_termwise(rank: int, key1, key2) -> tuple:
+    """(t, P) for the product of two basis monomials: t its z-degree and P the
+    sum of c N_lam over the diagonal terms c z^lam w^lam of its full row, with
+    N_lam = h(z^lam w^lam) (q^2; q^2)_{t + rank - 1}."""
+    t = sum(key1[0]) + sum(key2[0])
+    total = ZERO
+    for (lam, mu), c in _mono_mul(rank, key1, key2):
+        if lam == mu:
+            total = total + c * haar_monomial_alt(lam, mu, rank) * qpoch(2, 2, t + rank - 1)
+    return t, total
 
 
 # ----------------------------------------------------------------------

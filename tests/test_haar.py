@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import haar_termwise, inner_via_product
+from oracle import haar_termwise, inner_via_product, pair_haar_termwise
 from reference import MultiQPoly, haar_monomial_alt, multi_jackson
 from qdisk.cli import main, parse_element
 from qdisk.diskpoly import spherical
 from qdisk.haar import (
+    _PAIR_HAAR_CACHE,
     _factor,
     _haar_num,
     _packed_sum,
@@ -23,7 +24,7 @@ from qdisk.haar import (
 )
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
 from qdisk.uqaction import act_e, act_f, act_qh
-from qdisk.zalgebra import ZElement, q_element, star, w_gen, z_gen
+from qdisk.zalgebra import _MONO_CACHE, ZElement, q_element, star, w_gen, z_gen
 
 qp = QRat.q_power
 
@@ -237,7 +238,7 @@ def test_pair_haar_is_numerator_over_the_degree_denominator(pair, data):
     a, b = pair
     k1 = data.draw(st.sampled_from(sorted(a.terms)))
     k2 = data.draw(st.sampled_from(sorted(b.terms)))
-    t, p = _pair_haar(a.rank, k1, k2)
+    t, p, _ = _pair_haar(a.rank, k1, k2)
     assert t == sum(k1[0]) + sum(k2[0])
     product = ZElement(a.rank, {k1: ONE}) * ZElement(a.rank, {k2: ONE})
     assert p / qpoch(2, 2, t + a.rank - 1) == haar_termwise(product)
@@ -254,6 +255,55 @@ def test_monomial_numerators_are_polynomials():
 def test_rank_four_spherical_norms(l, m):
     s = spherical(l, m, 4)
     assert inner(s, s) == norm_const(l, m, 2)
+
+
+SPHERICAL_CASES = ([(l, m, 3) for l in range(6) for m in range(6)]
+                   + [(l, m, 4) for l in range(3) for m in range(3)])
+
+
+@pytest.mark.parametrize("l,m,n", SPHERICAL_CASES)
+def test_spherical_pair_values_match_the_full_rows(l, m, n):
+    s = spherical(l, m, n)
+    # a cold inner reads the w^mu z^lam rows and stores no product row
+    _PAIR_HAAR_CACHE.clear()
+    rows = len(_MONO_CACHE)
+    assert inner(s, s) == norm_const(l, m, n - 2)
+    assert len(_MONO_CACHE) == rows and _PAIR_HAAR_CACHE
+    # every key pair that inner(s, s) could ask for, with weights cancelling or not
+    for k1 in star(s).terms:
+        for k2 in s.terms:
+            t, p, f = _pair_haar(n, k1, k2)
+            assert (t, p) == pair_haar_termwise(n, k1, k2), (k1, k2)
+            assert f[:3] == _factor(p)[:3] if p else f is None
+
+
+def test_pairs_whose_weights_do_not_cancel_are_not_evaluated():
+    # <z_1, z_2> pairs w_2 with z_1 (weight -e_2 + e_1): no term of the product
+    # is diagonal, so inner asks for no pair value; <z_1, z_1> asks for one
+    z1, z2 = z_gen(1, 2), z_gen(2, 2)
+    _PAIR_HAAR_CACHE.clear()
+    assert inner(z1, z2) == ZERO
+    assert not _PAIR_HAAR_CACHE
+    assert inner(z1, z1) == haar_monomial((1, 0), (1, 0), 2)
+    assert list(_PAIR_HAAR_CACHE) == [(2, ((0, 0), (1, 0)), ((1, 0), (0, 0)))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: haar_monomial([-1], [-1], 1),
+    lambda: haar_monomial([1, -1], [0, 0], 2),
+])
+def test_negative_exponents_are_rejected(call):
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: haar_monomial([], [], 0),
+    lambda: haar_monomial([], [], -1),
+])
+def test_ranks_below_one_are_rejected(call):
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        call()
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +335,7 @@ def test_packed_sums_match_the_oracle_in_wide_slots(pair):
     assert haar(a) == haar_termwise(a)
     assert inner(a, b) == inner_via_product(a, b)
     for k1, k2 in itertools.product(a.terms, b.terms):
-        t, p = _pair_haar(a.rank, k1, k2)
+        t, p, _ = _pair_haar(a.rank, k1, k2)
         product = ZElement(a.rank, {k1: ONE}) * ZElement(a.rank, {k2: ONE})
         assert p / qpoch(2, 2, t + a.rank - 1) == haar_termwise(product)
 
@@ -298,7 +348,7 @@ def test_a_coefficient_at_the_width_bound_reads_back(sign):
     xs = [QRat((0, sign * c)), QRat((0, 0, sign * 2))]  # c q and 2 q^2
     ys = [QRat((c,), (0, 1)), QRat((c,), (0, 0, 1))]    # c / q and c / q^2
     cols = [list(map(_factor, xs)), list(map(_factor, ys))]
-    assert _packed_sum(cols, [(0, 0, 0), (0, 1, 1)]) == sign * (2 ** 64 - 1)
+    assert _packed_sum(cols, [(0, 0, 0), (0, 1, 1)], 1) == sign * (2 ** 64 - 1)
     # the same bound through the public sums, in Z_1 where h(1) = 1
     unit = ((0,), (0,))
     x, y = ZElement(1, {unit: QRat((sign * c,))}), ZElement(1, {unit: QRat((c + 2,))})

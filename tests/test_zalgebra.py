@@ -131,7 +131,7 @@ def test_structure_rows_match_the_naive_rewriter(rank, degree):
             # nonzero, canonical and Laurent: what _packed_product packs
             assert type(c) is QRat and c and _is_qpow(c.den)
             assert (c.num, c.den) == _reduce(c.num, c.den)
-        t, p = _pair_haar(rank, k1, k2)
+        t, p, _ = _pair_haar(rank, k1, k2)
         assert t == sum(k1[0]) + sum(k2[0])
         assert p / qpoch(2, 2, t + rank - 1) == haar(ZElement(rank, dict(row)))
 
