@@ -30,6 +30,13 @@ lam - mu of a monomial, so `inner` pairs only terms whose weights cancel.  No
 size cutoff: the 1997 haar and inner calls of the perfbench CLI stream (seeds
 1-40, in one process) took 29 us each, 30 us on the per-term route, in CLI
 processes of 124 ms (median, traced cli run; 2-vCPU x86-64).
+
+Symmetries.  h is real on *-images, h(x*) = h(x), and a twisted trace, the
+modular property of the Haar state (S. L. Woronowicz, Comm. Math. Phys. 111,
+1987): h(x y) = q^tau(y) h(y x) on monomials, tau(z^lam w^mu) = -2 sum_i (i - 1)
+(lam_i - mu_i).  So P(k1, k2) = P(k2*, k1*) = q^tau(k2) P(k2, k1) = q^tau(k1*)
+P(k1*, k2*) when the weights cancel, and only the orbit member whose row w^mu1
+z^lam2 has the least degree (ties: the least keys) is summed; the rest scale it.
 """
 
 from __future__ import annotations
@@ -116,9 +123,19 @@ def _pair_haar(rank: int, key1, key2) -> tuple:
 
 
 def _pair_row(rank: int, key1, key2) -> tuple:
+    (l1, m1), (l2, m2), diag = key1, key2, []
+    t, e = sum(l1) + sum(l2), 2 * sum(i * (a - b) for i, (a, b) in enumerate(zip(l1, m1)))
+    if any(a - b + c - d for a, b, c, d in zip(l1, m1, l2, m2)):
+        return t, ZERO, None
+    # the orbit as (f, k1, k2), P(key1, key2) = q^f P(k1, k2), e = tau(key2) = tau(key1*)
+    orbit = [(0, key1, key2), (0, key2[::-1], key1[::-1]), (e, key2, key1),
+             (e, key1[::-1], key2[::-1])]
+    f, k1, k2 = min(orbit, key=lambda o: (sum(o[1][1]) + sum(o[2][0]), o[1:]))
+    if (k1, k2) != (key1, key2):
+        p = _PAIR_HAAR_CACHE[rank, k1, k2][1] * QRat.q_power(f)
+        return t, p, _factor(p) if p else None
     # (z^l1 w^m1)(z^l2 w^m2) = z^l1 (w^m1 z^l2) w^m2: the row of w^m1 z^l2, its
     # diagonal terms' constants n/q^k as (lam, n, k), summed as in the docstring
-    (l1, m1), (l2, m2), diag = key1, key2, []
     for (a, b), c in _WZ_CACHE[rank, m1, l2]:
         lam = tuple(x + y for x, y in zip(l1, a))
         if lam == tuple(x + y for x, y in zip(b, m2)):
@@ -129,7 +146,7 @@ def _pair_row(rank: int, key1, key2) -> tuple:
         v = _shift_sum(v, _haar_packed(lam, rank, s),
                        [(x, s * (top - k + i)) for i, x in enumerate(n) if x])
     p = _laurent(_from_digits(v, s), top)
-    return sum(l1) + sum(l2), p, _factor(p) if p else None
+    return t, p, _factor(p) if p else None
 
 
 _PAIR_HAAR_CACHE = _Memo(_pair_row)
@@ -137,9 +154,9 @@ _PAIR_HAAR_CACHE = _Memo(_pair_row)
 
 def inner(a: ZElement, b: ZElement) -> QRat:
     """<a, b> = h(b* a), computed by pairing monomials directly."""
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     rank = _z_rank(a, "the Haar functional")
+    if _z_rank(b, "the Haar functional") != rank:
+        raise ValueError(f"rank mismatch: {rank} vs {b.rank}")
     a_terms = [(i, key, tuple(x - y for x, y in zip(*key))) for i, key in enumerate(a.terms)]
     fs, items = [], []
     for j, (lam_b, mu_b) in enumerate(b.terms):

@@ -84,7 +84,9 @@ def _check_rank(rank: int) -> None:
 
 
 def _z_rank(a: "ZElement", what: str) -> int:
-    """The rank n of a, for `what` defined on Z_n only; ValueError on a tensor element."""
+    """The rank n of a, for `what` defined on Z_n only; ValueError on anything else."""
+    if not isinstance(a, ZElement):
+        raise ValueError(f"{what} acts on elements of Z_n, not on {type(a).__name__}")
     if type(a.rank) is not int:
         raise ValueError(f"{what} acts on Z_n, not on rank {a.rank}")
     return a.rank

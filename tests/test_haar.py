@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracle import haar_termwise, inner_via_product, pair_haar_termwise
 from reference import MultiQPoly, haar_monomial_alt, multi_jackson
 from qdisk.cli import main, parse_element
+import qdisk.haar as haar_module
 from qdisk.diskpoly import spherical
 from qdisk.haar import (
     _PAIR_HAAR_CACHE,
@@ -24,7 +25,8 @@ from qdisk.haar import (
 )
 from qdisk.qfield import ONE, QRat, ZERO, qpoch
 from qdisk.uqaction import act_e, act_f, act_qh
-from qdisk.zalgebra import _MONO_CACHE, ZElement, q_element, star, w_gen, z_gen
+from qdisk.zalgebra import (_MONO_CACHE, _WZ_CACHE, ZElement, _Memo, q_element, star, w_gen,
+                            z_gen)
 
 qp = QRat.q_power
 
@@ -277,15 +279,115 @@ def test_spherical_pair_values_match_the_full_rows(l, m, n):
             assert f[:3] == _factor(p)[:3] if p else f is None
 
 
+def orbit(k1, k2):
+    """The key pairs that the star mirror and the modular swap reach from (k1, k2)."""
+    return {(k1, k2), (k2[::-1], k1[::-1]), (k2, k1), (k1[::-1], k2[::-1])}
+
+
 def test_pairs_whose_weights_do_not_cancel_are_not_evaluated():
     # <z_1, z_2> pairs w_2 with z_1 (weight -e_2 + e_1): no term of the product
-    # is diagonal, so inner asks for no pair value; <z_1, z_1> asks for one
+    # is diagonal, so inner asks for no pair value; <z_1, z_1> asks for one,
+    # w_1 z_1, and may store its orbit's representative z_1 w_1 too
     z1, z2 = z_gen(1, 2), z_gen(2, 2)
     _PAIR_HAAR_CACHE.clear()
     assert inner(z1, z2) == ZERO
     assert not _PAIR_HAAR_CACHE
     assert inner(z1, z1) == haar_monomial((1, 0), (1, 0), 2)
-    assert list(_PAIR_HAAR_CACHE) == [(2, ((0, 0), (1, 0)), ((1, 0), (0, 0)))]
+    asked = (((0, 0), (1, 0)), ((1, 0), (0, 0)))
+    assert (2, *asked) in _PAIR_HAAR_CACHE
+    assert {key[1:] for key in _PAIR_HAAR_CACHE} <= orbit(*asked)
+    assert all(key[0] == 2 for key in _PAIR_HAAR_CACHE)
+
+
+def test_a_pair_whose_weights_do_not_cancel_reads_no_row(monkeypatch):
+    # w_2 z_1 and the product w^(1,1) z^(2,0): h vanishes on every term, and
+    # with an empty row table and a cold memo the value needs no row
+    monkeypatch.setattr(haar_module, "_WZ_CACHE", {})
+    monkeypatch.setattr(haar_module, "_PAIR_HAAR_CACHE", _Memo(haar_module._pair_row))
+    for key1, key2 in [(((0, 0), (0, 1)), ((1, 0), (0, 0))),
+                       (((0, 1), (1, 1)), ((2, 0), (0, 1)))]:
+        t, p, f = _pair_haar(2, key1, key2)
+        assert (t, p, f) == (sum(key1[0]) + sum(key2[0]), ZERO, None)
+        assert pair_haar_termwise(2, key1, key2) == (t, ZERO)
+    assert not haar_module._WZ_CACHE
+
+
+def weight(key):
+    lam, mu = key
+    return tuple(x - y for x, y in zip(lam, mu))
+
+
+def twist(key):
+    """tau(z^lam w^mu) = -2 sum_i (i - 1) (lam_i - mu_i), i from 1."""
+    return -2 * sum((i - 1) * w for i, w in enumerate(weight(key), 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_values_follow_the_star_and_modular_symmetries(n):
+    # every key pair of total degree <= 4 whose weights cancel, from a cold
+    # memo: the oracle's full rows obey h(x*) = h(x) and h(x y) = q^tau(y) h(y x),
+    # and each pair value, whether read from a row or derived, is the oracle's
+    keys = [(lam, mu) for d in range(5) for dl in range(d + 1)
+            for lam in compositions(dl, n) for mu in compositions(d - dl, n)]
+    _PAIR_HAAR_CACHE.clear()
+    pairs = 0
+    for k1, k2 in itertools.product(keys, repeat=2):
+        if sum(map(sum, k1 + k2)) > 4 or any(weight(k1)[i] + weight(k2)[i] for i in range(n)):
+            continue
+        pairs += 1
+        t, p = pair_haar_termwise(n, k1, k2)
+        assert pair_haar_termwise(n, k2[::-1], k1[::-1]) == (t, p)
+        assert pair_haar_termwise(n, k2, k1) == (t, p / qp(twist(k2)))
+        assert pair_haar_termwise(n, k1[::-1], k2[::-1]) == (t, p / qp(twist(k1[::-1])))
+        got = _pair_haar(n, k1, k2)
+        assert got[:2] == (t, p), (k1, k2)
+        assert got[2][:3] == _factor(p)[:3] if p else got[2] is None
+    assert pairs == {2: 43, 3: 88, 4: 149}[n]
+
+
+def test_a_cold_norms_pass_evaluates_one_pair_per_orbit(monkeypatch):
+    # inner(s, s) for s = spherical(l, m, 3), l, m <= 5, reads one row per
+    # orbit, of degree 2 min(l, m); the other 1200 or so values are derived
+    cases = {(l, m): spherical(l, m, 3) for l in range(6) for m in range(6)}
+    reads = []
+
+    class CountingRows:
+        def __getitem__(self, key):
+            reads.append(key)
+            return _WZ_CACHE[key]
+
+    monkeypatch.setattr(haar_module, "_WZ_CACHE", CountingRows())
+    _PAIR_HAAR_CACHE.clear()
+    for (l, m), s in cases.items():
+        first = len(reads)
+        assert inner(s, s) == norm_const(l, m, 1)
+        assert all(sum(mu) + sum(lam) <= 2 * min(l, m) for _, mu, lam in reads[first:])
+    assert len(reads) <= 800 < len(_PAIR_HAAR_CACHE)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_a_pair_value_at_its_width_bound_reads_back(monkeypatch, sign, bits):
+    # in Z_1 with the row of w^0 z^0 replaced by the one constant c / q, c =
+    # 2^bits - 1, the pair value of (1, 1) is c / q: the bound itself, one bit
+    # over the slot of the next narrower width
+    c, unit = sign * (2 ** bits - 1), ((0,), (0,))
+    monkeypatch.setitem(_WZ_CACHE, (1, (0,), (0,)), ((unit, QRat((c,), (0, 1))),))
+    monkeypatch.setattr(haar_module, "_PAIR_HAAR_CACHE", _Memo(haar_module._pair_row))
+    t, p, f = _pair_haar(1, unit, unit)
+    assert (t, p) == (0, QRat((c,), (0, 1))) and f[:3] == _factor(p)[:3]
+    assert inner(ZElement.one(1), ZElement.one(1)) == p
+
+
+@pytest.mark.parametrize("call", [
+    lambda: haar(3),
+    lambda: inner(z_gen(1, 2), 3),
+    lambda: inner(3, z_gen(1, 2)),
+    lambda: inner(None, None),
+])
+def test_non_elements_are_rejected(call):
+    with pytest.raises(ValueError, match="acts on elements of Z_n, not on"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
