@@ -56,9 +56,9 @@ from math import comb
 
 from .diskpoly import assoc_spherical, spherical
 from .haar import haar, inner
-from .qfield import QRat
+from .qfield import ZERO, QRat
 from .tensor import verify_addition
-from .zalgebra import ZElement, q_element, star, w_gen, z_gen
+from .zalgebra import ZElement, _unit_key, q_element, star, w_gen, z_gen
 
 MAX_RANK = 16
 MAX_EXPONENT = 64
@@ -227,10 +227,10 @@ def parse(src: str, n: int):
 
 
 def _scalar_of(elt: ZElement, offset: int) -> QRat:
-    zero_key = ((0,) * elt.rank, (0,) * elt.rank)
-    if any(key != zero_key for key in elt.terms):
+    unit = _unit_key(elt.rank)
+    if any(key != unit for key in elt.terms):
         raise ExprError("division by a non-scalar element", offset)
-    return elt.terms.get(zero_key, QRat.from_int(0))
+    return elt.terms.get(unit, ZERO)
 
 
 def _degree(elt: ZElement) -> int:

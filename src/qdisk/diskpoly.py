@@ -49,8 +49,8 @@ from functools import lru_cache
 
 from .qfield import Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent
 from .qfunc import _jacobi_coeffs
-from .zalgebra import (_PACK_MIN_PAIRS, ZElement, _core, _row_mass, _shift_sum, _shifted, _tables,
-                       _unpacked, embed, q_element, w_gen, z_gen)
+from .zalgebra import (_PACK_MIN_PAIRS, ZElement, _core, _element, _row_mass, _shift_sum, _shifted,
+                       _tables, _unpacked, embed, q_element, w_gen, z_gen)
 
 
 class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
@@ -95,6 +95,8 @@ class _DiskArgs:
     Powers of A, B and D = C - AB are kept by exponent, so rewrites are idempotent."""
 
     def __init__(self, A, B, C):
+        for x in (A, B, C):
+            _element(x, "disk_poly")
         for name, other in (("A", A), ("B", B)):
             if C * other != other * C:
                 raise ValueError(f"C does not commute with {name}")
@@ -121,7 +123,7 @@ class _DiskArgs:
     def _packed_horner(self, coefs: tuple):
         """H by the packed Horner sum (module docstring), or None where it does not apply."""
         C, pows = self.C, [self.power("D", k) for k in range(len(coefs))]
-        if (not isinstance(C, ZElement) or len(coefs) < 2
+        if (len(coefs) < 2
                 or not all(_is_qpow(c.den) for x in [C] + pows for c in x.terms.values())
                 or not all(_is_qpow(c.den) for c in coefs)
                 or len(self.step(len(coefs) - 2)[0]) * len(C.terms) < _PACK_MIN_PAIRS):
@@ -161,11 +163,12 @@ class _DiskArgs:
 
 
 def disk_poly(spec: DiskSpec, A, B, C):
-    """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of any algebra
-    supporting +, -, * and scalar multiplication by QRat: the scaled sum
-    L R of `_DiskArgs.scaled`, divided by L once per output term.
-
-    Raises ValueError when C fails to commute with A or with B."""
+    """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of Z_n or of a
+    tensor product: the scaled sum L R of `_DiskArgs.scaled`, divided by L
+    once per output term.  ValueError on a spec that is not a `DiskSpec`, on a
+    non-element and when C fails to commute with A or with B."""
+    if not isinstance(spec, DiskSpec):
+        raise ValueError(f"disk_poly takes a DiskSpec, not {spec!r}")
     return _DiskArgs(A, B, C).scaled(spec) * jacobi_scaled(spec)[0]
 
 

@@ -12,24 +12,24 @@ functionally: h(Q_n x) = h(x)); the quotient itself is never built.
 The sesquilinear pairing is <a, b> = h(b* a).
 
 Packed sums.  `haar` (c N_lam) and `inner` (nb na P) sum products of factors
-n / (q^k d), d(0) != 0.  `_packed_sum` packs each distinct factor once (N_lam
-once per slot width s) as n(2^s) 2^(s (K_j - k)), K_j the largest k in its
-column j, and adds the products' integers per group keyed by t and the d's
-other than 1: F(2^s) for F = sum prod_j n_j q^(K_j - k_j), the group sum times
-q^(K_1 + ... + K_r), is read back and divided once, by the d's and (q^2;
-q^2)_{t + n - 1}.  Width: |f g| <= |f| |g| for |f| the sum of f's absolute
-coefficients, so F's coefficients are at most B, the sum of prod_j |n_j| over
-the products, and s > B.bit_length() makes F its value's symmetric base-2^s
-digits.  The memoized pair value P of (z^l1 w^m1)(z^l2 w^m2) = z^l1 (w^m1
-z^l2) w^m2 sums x N_lam over the diagonal terms of the row of w^m1 z^l2
-(`zalgebra._WZ_CACHE`; no product row is stored), each x = n / q^k with the
-merge q-powers in k.  It is a packed sum of its own, with B = sum |x| |N_lam|:
-each x is applied to N_lam(2^s) as shifts (`zalgebra._shift_sum`), read back
-once, with no groups and no division.  Normal ordering keeps the torus weight
-lam - mu of a monomial, so `inner` pairs only terms whose weights cancel.  No
-size cutoff: the 1997 haar and inner calls of the perfbench CLI stream (seeds
-1-40, in one process) took 29 us each, 30 us on the per-term route, in CLI
-processes of 124 ms (median, traced cli run; 2-vCPU x86-64).
+n / (q^k d), d(0) != 0.  `_packed_sum` packs each distinct factor once, the
+memoized N_lam and P once per slot width s (`_packed`), as n(2^s) 2^(s (K_j -
+k)), K_j the largest k in its column j, and adds the products' integers per
+group keyed by t and the d's other than 1: F(2^s) for F = sum prod_j n_j
+q^(K_j - k_j), the group sum times q^(K_1 + ... + K_r), is read back and
+divided once, by the d's and (q^2; q^2)_{t + n - 1}.  Width: |f g| <= |f| |g|
+for |f| the sum of f's absolute coefficients, so F's coefficients are at most
+B, the sum of prod_j |n_j| over the products, and s > B.bit_length() makes F
+its value's symmetric base-2^s digits.  The pair value P of (z^l1 w^m1)(z^l2
+w^m2) sums x N_lam over the diagonal terms x z^lam w^lam of the product
+(`zalgebra._product_terms`; no product row is stored), x = n / q^k.  It is a
+packed sum of its own, with B = sum |x| |N_lam|: each x is applied to
+N_lam(2^s) as shifts (`zalgebra._shift_sum`), read back once, with no groups
+and no division.  Normal ordering keeps the torus weight lam - mu of a
+monomial, so `inner` pairs only terms whose weights cancel.  No size cutoff:
+the 1997 haar and inner calls of the perfbench CLI stream (seeds 1-40, in one
+process) took 29 us each, 30 us on the per-term route, in CLI processes of
+124 ms (median, traced cli run; 2-vCPU x86-64).
 
 Symmetries.  h is real on *-images, h(x*) = h(x), and a twisted trace, the
 modular property of the Haar state (S. L. Woronowicz, Comm. Math. Phys. 111,
@@ -44,9 +44,8 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import prod
 
-from .qfield import (Cyclo, QRat, ZERO, _check_ints, _eval_shift, _from_digits, _laurent,
-                     _width, qpoch)
-from .zalgebra import _WZ_CACHE, ZElement, _check_rank, _Memo, _merge_exp, _shift_sum, _z_rank
+from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
+from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _shift_sum, _z_rank
 
 
 @lru_cache(maxsize=None)
@@ -62,30 +61,22 @@ def _haar_num(lam: tuple, n: int) -> QRat:
 
 def haar_monomial(lam, mu, n: int) -> QRat:
     """h applied to the basis monomial z^lam w^mu of Z_n."""
-    lam, mu = tuple(lam), tuple(mu)
-    _check_ints(n, *lam, *mu)
-    _check_rank(n)
-    if len(lam) != n or len(mu) != n:
-        raise ValueError("exponent vectors must have length n")
-    if min(lam + mu) < 0:
-        raise ValueError("exponents must be nonnegative integers")
-    return _haar_num(lam, n) / qpoch(2, 2, sum(lam) + n - 1) if lam == mu else ZERO
+    return haar(ZElement.monomial(n, lam, mu))
 
 
-def _factor(x: QRat) -> tuple:
+# the packing n(2^s) of a memoized numerator n (N_lam, P) at each width s
+_packed = lru_cache(maxsize=None)(_eval_shift)
+
+
+def _factor(x: QRat, pack=_eval_shift) -> tuple:
     """x = n / (q^k d), d(0) != 0, as (d, k, |n|, pack), pack(s) = n(2^s)."""
     k = next(i for i, c in enumerate(x.den) if c) if not x.den[0] else 0
-    return x.den[k:], k, sum(map(abs, x.num)), partial(_eval_shift, x.num)
-
-
-@lru_cache(maxsize=None)
-def _haar_packed(lam: tuple, n: int, s: int) -> int:
-    return _eval_shift(_haar_num(lam, n).num, s)
+    return x.den[k:], k, sum(map(abs, x.num)), partial(pack, x.num)
 
 
 @lru_cache(maxsize=None)
 def _haar_factor(lam: tuple, n: int) -> tuple:
-    return (*_factor(_haar_num(lam, n))[:3], partial(_haar_packed, lam, n))
+    return _factor(_haar_num(lam, n), _packed)
 
 
 def _packed_sum(cols: list, items: list, rank: int) -> QRat:
@@ -123,7 +114,7 @@ def _pair_haar(rank: int, key1, key2) -> tuple:
 
 
 def _pair_row(rank: int, key1, key2) -> tuple:
-    (l1, m1), (l2, m2), diag = key1, key2, []
+    (l1, m1), (l2, m2) = key1, key2
     t, e = sum(l1) + sum(l2), 2 * sum(i * (a - b) for i, (a, b) in enumerate(zip(l1, m1)))
     if any(a - b + c - d for a, b, c, d in zip(l1, m1, l2, m2)):
         return t, ZERO, None
@@ -131,22 +122,19 @@ def _pair_row(rank: int, key1, key2) -> tuple:
     orbit = [(0, key1, key2), (0, key2[::-1], key1[::-1]), (e, key2, key1),
              (e, key1[::-1], key2[::-1])]
     f, k1, k2 = min(orbit, key=lambda o: (sum(o[1][1]) + sum(o[2][0]), o[1:]))
-    if (k1, k2) != (key1, key2):
+    if (k1, k2) == (key1, key2):
+        # the diagonal terms of the product, from the row of w^m1 z^l2, as
+        # (N_lam factor, n, k), summed as in the docstring
+        terms = _product_terms(_WZ_CACHE[rank, m1, l2], key1, key2)
+        diag = [(_haar_factor(lam, rank), n, k) for lam, mu, n, k in terms if lam == mu]
+        s = _width(sum(sum(map(abs, n)) * h[2] for h, n, _ in diag).bit_length() + 1)
+        top, v = max((k for *_, k in diag), default=0), 0
+        for h, n, k in diag:
+            v = _shift_sum(v, h[3](s), [(x, s * (top - k + i)) for i, x in enumerate(n) if x])
+        p = _laurent(_from_digits(v, s), top)
+    else:
         p = _PAIR_HAAR_CACHE[rank, k1, k2][1] * QRat.q_power(f)
-        return t, p, _factor(p) if p else None
-    # (z^l1 w^m1)(z^l2 w^m2) = z^l1 (w^m1 z^l2) w^m2: the row of w^m1 z^l2, its
-    # diagonal terms' constants n/q^k as (lam, n, k), summed as in the docstring
-    for (a, b), c in _WZ_CACHE[rank, m1, l2]:
-        lam = tuple(x + y for x, y in zip(l1, a))
-        if lam == tuple(x + y for x, y in zip(b, m2)):
-            diag.append((lam, c.num, len(c.den) - 1 + _merge_exp(l1, a) + _merge_exp(m2, b)))
-    s = _width(sum(sum(map(abs, n)) * _haar_factor(lam, rank)[2] for lam, n, _ in diag).bit_length() + 1)
-    top, v = max((k for *_, k in diag), default=0), 0
-    for lam, n, k in diag:
-        v = _shift_sum(v, _haar_packed(lam, rank, s),
-                       [(x, s * (top - k + i)) for i, x in enumerate(n) if x])
-    p = _laurent(_from_digits(v, s), top)
-    return t, p, _factor(p) if p else None
+    return t, p, _factor(p, _packed) if p else None
 
 
 _PAIR_HAAR_CACHE = _Memo(_pair_row)

@@ -272,11 +272,7 @@ def _from_digits(n: int, s: int) -> Coeffs:
 
 def _gcd_cofactors(a: Coeffs, b: Coeffs) -> tuple:
     """(g, a/g, b/g) for nonzero a and b, where g = poly_gcd(a, b)."""
-    va = vb = 0
-    while not a[va]:
-        va += 1
-    while not b[vb]:
-        vb += 1
+    va, vb = poly_valuation(a), poly_valuation(b)
     a1, b1 = a[va:], b[vb:]
     found = _heu_gcd(a1, b1)
     if found is None:
@@ -403,6 +399,7 @@ class QRat:
 
     @staticmethod
     def from_int(n: int) -> "QRat":
+        _check_ints(n)
         return _INT_CACHE.get(n) or QRat((n,) if n else (), (1,), _canonical=True)
 
     @staticmethod
@@ -862,9 +859,9 @@ def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     index = [set() for _ in range(ncols + 1)]  # col -> rows holding it
     for i, row in enumerate(rows):
-        for c in row:
-            if not 0 <= c <= ncols:
-                raise ValueError(f"column {c} outside 0..{ncols}")
+        for c, x in row.items():
+            if not 0 <= c <= ncols or not isinstance(x, QRat):
+                raise ValueError(f"entry {x!r} at column {c}: not a QRat, or outside 0..{ncols}")
             index[c].add(i)
     col_of: dict = {}  # pivot row -> its column
     for col in range(ncols):

@@ -52,7 +52,7 @@ from .diskpoly import DiskSpec, _DiskArgs, _jacobi, _sphere, jacobi_scaled
 from .haar import _norm
 from .qfield import (Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _from_digits, _is_qpow,
                      _laurent, _width, mass, pack_laurent, poly_divexact, poly_mul)
-from .zalgebra import ZElement, q_element, w_gen, z_gen
+from .zalgebra import ZElement, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
@@ -92,9 +92,9 @@ def _pair_sum(sides) -> dict:
 
 def pair(left: ZElement, right: ZElement) -> ZElement:
     """The simple tensor left (x) right."""
-    if left.rank != LEFT_RANK or right.rank != RIGHT_RANK:
+    if _z_rank(left, "pair") != LEFT_RANK or _z_rank(right, "pair") != RIGHT_RANK:
         raise ValueError(f"tensor factors must have ranks {RANKS}")
-    return ZElement(RANKS, _pair_sum([(left, right)]))
+    return ZElement._of(RANKS, _pair_sum([(left, right)]))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +211,7 @@ def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
         a, b = (s, r) if variant == "final" else (r, s)
         sides.append((_sphere(3, 3, outer) * _sphere(2, 3, inner),
                       _sphere(2, 2, outer) * ZElement.monomial(RIGHT_RANK, (a, 0), (b, 0), weight)))
-    return inv_lcm, ZElement(RANKS, _pair_sum(sides))
+    return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 
 
 def addition_lhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement:

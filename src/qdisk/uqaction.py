@@ -47,7 +47,7 @@ def act_qh(h: Weight, a: ZElement) -> ZElement:
     for (lam, mu), c in a.terms.items():
         e = sum(hi * (li - mi) for hi, li, mi in zip(h, lam, mu))
         out[(lam, mu)] = c * QRat.q_power(e)
-    return ZElement(a.rank, out)
+    return a._like(out)
 
 
 def _check_ladder_index(k: int, a: ZElement) -> None:
@@ -71,7 +71,7 @@ def _ladder(a: ZElement, moves) -> ZElement:
                 e[dst] += 1
                 moved = (key[0], tuple(e)) if side else (tuple(e), key[1])
                 _accum(out, moved, c * (prefactor(*key) * qnumber(x, -2)))
-    return ZElement(a.rank, out)
+    return a._like({key: c for key, c in out.items() if c})
 
 
 def act_f(k: int, a: ZElement) -> ZElement:
@@ -146,8 +146,8 @@ def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
         for op in (act_e, act_f):
             by_out: dict = {}
             for t, key in enumerate(keys):
-                for kk, c in op(k, ZElement(n, {key: ONE})).terms.items():
+                for kk, c in op(k, ZElement._of(n, {key: ONE})).terms.items():
                     by_out.setdefault(kk, {})[t] = c
             rows.extend(by_out[kk] for kk in sorted(by_out))
-    return [ZElement(n, {keys[c]: x for c, x in vec.items()})
+    return [ZElement._of(n, {keys[c]: x for c, x in vec.items()})
             for vec in solve_sparse(rows, len(keys)).nullspace]

@@ -54,16 +54,15 @@ integer polynomial with coefficients in (-2^(s-1), 2^(s-1)) is its value's
 symmetric base-2^s digits.  Packing needs every coefficient over a power of
 q; a product with any other runs the per-pair loop, whatever its size.
 
-Cutoff.  Below 16 term pairs the per-pair loop runs.  Every product that
-the 128-case `qdisk suite` grid and the three `verify_addition` cases of
-the benchmark make was replayed through both paths on warm tables (2-vCPU
-x86 VM, best of five).  Below 16 pairs the per-pair loop was faster (up to
-2x on single pairs); any cutoff from 8 to 32 gave totals within 3% of each
-other.  End to end the loop is needed: in ten alternating pairs of
-benchmark runs (`perfbench/run.py --seconds 20`, same VM), packing every
-product instead of cutting off at 16 raised the median `solve_s` from 0.99
-to 1.32 s on cli and from 0.97 to 1.05 s on addition, and lost all twenty
-pairs.
+Cutoff.  Below 16 term pairs the per-pair loop runs.  The 2119 products of
+the 128-case `qdisk suite` grid and the 879 of the three benchmark
+`verify_addition` cases were replayed through both paths on warm tables
+(2-vCPU x86-64, best of five): the loop was 3-4x faster on one pair, packing
+3x faster on the largest, and cutoffs from 8 to 64 gave totals within 5%,
+16 the least (164 ms; 246 ms with every product packed).  End to end, five
+alternating fresh runs each: the suite grid took 0.22-0.25 s in one process
+at 16 and 0.28-0.36 s with every product packed; the addition cases did not
+move (0.35-0.48 s).
 """
 
 from __future__ import annotations
@@ -83,13 +82,33 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
 
 
-def _z_rank(a: "ZElement", what: str) -> int:
-    """The rank n of a, for `what` defined on Z_n only; ValueError on anything else."""
+def _element(a, what: str) -> "ZElement":
+    """a, for `what` defined on elements; ValueError on anything else."""
     if not isinstance(a, ZElement):
         raise ValueError(f"{what} acts on elements of Z_n, not on {type(a).__name__}")
-    if type(a.rank) is not int:
+    return a
+
+
+def _z_rank(a: "ZElement", what: str) -> int:
+    """The rank n of a, for `what` defined on Z_n only; ValueError on anything else."""
+    if type(_element(a, what).rank) is not int:
         raise ValueError(f"{what} acts on Z_n, not on rank {a.rank}")
     return a.rank
+
+
+def _check_key(key, rank) -> Key:
+    """key, if it is a monomial (lam, mu) of rank n, two tuples of n nonnegative
+    ints, or for a tensor rank a tuple of one per factor; else ValueError."""
+    if type(rank) is tuple:
+        ok = type(key) is tuple and len(key) == len(rank) and all(map(_check_key, key, rank))
+    else:
+        ok = type(key) is tuple and len(key) == 2 and all(
+            type(e) is tuple and len(e) == rank and all(isinstance(x, int) and x >= 0 for x in e)
+            for e in key)
+    if not ok:
+        raise ValueError(f"exponents must be nonnegative integers: a key of rank {rank} is "
+                         f"(lam, mu), two tuples of {rank} nonnegative exponents, got {key!r}")
+    return key
 
 
 def _check_index(i: int, rank: int) -> None:
@@ -170,12 +189,19 @@ def _wz_row(rank: int, mu: tuple, lam: tuple):
     return tuple((k, v) for k, v in acc.items() if v)
 
 
+def _product_terms(row, k1: Key, k2: Key):
+    """The terms (lam, mu, n, k), n/q^k times z^lam w^mu, of (z^lam1 w^mu1)(z^lam2
+    w^mu2) = z^lam1 (w^mu1 z^lam2) w^mu2, row the normal form of w^mu1 z^lam2.
+    (a, b) -> (lam1 + a, b + mu2) is one-to-one, so no two terms merge."""
+    (l1, _), (_, m2) = k1, k2
+    for (a, b), c in row:
+        yield (tuple(x + y for x, y in zip(l1, a)), tuple(x + y for x, y in zip(b, m2)),
+               c.num, len(c.den) - 1 + _merge_exp(l1, a) + _merge_exp(m2, b))
+
+
 def _mono_row(rank: int, k1: Key, k2: Key):
-    # (a, b) -> (lam1 + a, b + mu2) is one-to-one, so no two terms merge
-    (l1, m1), (l2, m2) = k1, k2
-    return tuple(((tuple(x + y for x, y in zip(l1, a)), tuple(x + y for x, y in zip(b, m2))),
-                  _laurent(c.num, len(c.den) - 1 + _merge_exp(l1, a) + _merge_exp(m2, b)))
-                 for (a, b), c in _WZ_CACHE[rank, m1, l2])
+    return tuple(((lam, mu), _laurent(n, k))
+                 for lam, mu, n, k in _product_terms(_WZ_CACHE[rank, k1[1], k2[0]], k1, k2))
 
 
 _PULL_CACHE = _Memo(_pull_row)
@@ -307,7 +333,8 @@ class ZElement:
     rank is an int n for Z_n, with keys (lam, mu), or a pair (n1, n2) for
     Z_n1 (x) Z_n2, with keys pairs of such monomials, one per factor; the
     tensor product multiplies factorwise.  Elements of different ranks do
-    not mix."""
+    not mix.  The constructor checks every term (`_check_key`, an int or QRat
+    coefficient); builders over terms of checked elements take `_of`."""
 
     __slots__ = ("rank", "terms")
 
@@ -316,18 +343,21 @@ class ZElement:
             _check_rank(r)
         self.rank = rank
         self.terms: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(coeff, QRat):
-                    coeff = QRat.from_int(coeff)
-                if coeff:
-                    self.terms[key] = coeff
+        for key, coeff in (terms or {}).items():
+            coeff = coeff if isinstance(coeff, QRat) else QRat.from_int(coeff)
+            if _check_key(key, rank) and coeff:
+                self.terms[key] = coeff
+
+    @staticmethod
+    def _of(rank, terms: dict) -> "ZElement":
+        """An element of rank over checked terms: `_check_key` keys, nonzero QRats."""
+        out = object.__new__(ZElement)
+        out.rank, out.terms = rank, terms
+        return out
 
     def _like(self, terms: dict) -> "ZElement":
-        """An element of self's rank over terms with nonzero QRat coefficients."""
-        out = object.__new__(ZElement)
-        out.rank, out.terms = self.rank, terms
-        return out
+        """An element of self's rank over checked terms (`_of`)."""
+        return ZElement._of(self.rank, terms)
 
     @property
     def ranks(self) -> tuple:
@@ -353,12 +383,7 @@ class ZElement:
 
     @staticmethod
     def monomial(rank: int, lam: Sequence[int], mu: Sequence[int], coeff=ONE) -> "ZElement":
-        lam, mu = tuple(lam), tuple(mu)
-        if len(lam) != rank or len(mu) != rank:
-            raise ValueError("exponent vectors must have length equal to the rank")
-        if not all(isinstance(e, int) and e >= 0 for e in lam + mu):
-            raise ValueError("exponents must be nonnegative integers")
-        return ZElement(rank, {(lam, mu): coeff})
+        return ZElement(rank, {(tuple(lam), tuple(mu)): coeff})
 
     # -- structure queries
 
@@ -488,8 +513,6 @@ class ZElement:
                     raise ValueError(f"lambda and mu must be lists, got {t!r}")
                 key = (tuple(int_from_json(x) for x in t["lambda"]),
                        tuple(int_from_json(x) for x in t["mu"]))
-                if any(len(e) != rank or min(e) < 0 for e in key):
-                    raise ValueError(f"lambda and mu must be {rank} nonnegative exponents, got {key}")
                 _accum(terms, key, QRat.from_json(t["coeff"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed element JSON: {type(exc).__name__} {exc}") from None
@@ -543,11 +566,7 @@ def q_element(i: int, rank: int) -> ZElement:
     """Q_i = sum_{k <= i} z_k w_k; Q_rank is central."""
     _check_rank(rank)
     _check_index(i, rank)
-    terms = {}
-    for k in range(i):
-        key = (tuple(1 if t == k else 0 for t in range(rank)),) * 2
-        terms[key] = ONE
-    return ZElement(rank, terms)
+    return ZElement(rank, {(tuple(int(t == k) for t in range(rank)),) * 2: ONE for k in range(i)})
 
 
 def star(a: ZElement) -> ZElement:
@@ -556,7 +575,7 @@ def star(a: ZElement) -> ZElement:
     On basis monomials it swaps the exponent vectors, (z^lam w^mu)* =
     z^mu w^lam, with no q-power, in each factor of a tensor product;
     coefficients are fixed (they are their own conjugates in Q(q))."""
-    if type(a.rank) is tuple:  # factorwise
+    if type(_element(a, "the *-involution").rank) is tuple:  # factorwise
         return a._like({tuple((mu, lam) for lam, mu in key): c for key, c in a.terms.items()})
     return a._like({(mu, lam): c for (lam, mu), c in a.terms.items()})
 
@@ -581,7 +600,7 @@ def embed(a: ZElement, n: int) -> ZElement:
     if not isinstance(n, int) or n < s:
         raise ValueError(f"cannot embed rank {s} into rank {n!r}")
     pad = (0,) * (n - s)
-    return ZElement(n, {(lam + pad, mu + pad): c for (lam, mu), c in a.terms.items()})
+    return ZElement._of(n, {(lam + pad, mu + pad): c for (lam, mu), c in a.terms.items()})
 
 
 def restrict(a: ZElement, s: int) -> ZElement:
@@ -590,21 +609,13 @@ def restrict(a: ZElement, s: int) -> ZElement:
     n = _z_rank(a, "restrict")
     if not isinstance(s, int) or not 1 <= s <= n:
         raise ValueError(f"restriction target rank {s!r} out of range for rank {n}")
-    cut = n - s
-    out: dict = {}
-    for (lam, mu), c in a.terms.items():
-        if any(lam[:cut]) or any(mu[:cut]):
-            continue
-        _accum(out, (lam[cut:], mu[cut:]), c)
-    return ZElement(s, out)
+    cut = n - s  # the kept keys are zero below cut, so no two of them merge
+    return ZElement._of(s, {(lam[cut:], mu[cut:]): c for (lam, mu), c in a.terms.items()
+                            if not any(lam[:cut] + mu[:cut])})
 
 
 def counit(a: ZElement) -> QRat:
     """Algebra character sending z_n -> 1 and z_i -> 0 for i < n."""
-    total = ZERO
     n = _z_rank(a, "the counit")
-    for (lam, mu), c in a.terms.items():
-        if not any(lam[: n - 1]) and not any(mu[: n - 1]):
-            total = total + c
-    return total
+    return sum((c for (lam, mu), c in a.terms.items() if not any(lam[:n - 1] + mu[:n - 1])), ZERO)
 

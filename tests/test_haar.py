@@ -11,7 +11,8 @@ from oracle import haar_termwise, inner_via_product, pair_haar_termwise
 from reference import MultiQPoly, haar_monomial_alt, multi_jackson
 from qdisk.cli import main, parse_element
 import qdisk.haar as haar_module
-from qdisk.diskpoly import spherical
+import qdisk.tensor as tensor
+from qdisk.diskpoly import DiskSpec, disk_poly, spherical
 from qdisk.haar import (
     _PAIR_HAAR_CACHE,
     _factor,
@@ -23,7 +24,7 @@ from qdisk.haar import (
     inner,
     norm_const,
 )
-from qdisk.qfield import ONE, QRat, ZERO, qpoch
+from qdisk.qfield import ONE, QRat, ZERO, qpoch, solve_sparse
 from qdisk.uqaction import act_e, act_f, act_qh
 from qdisk.zalgebra import (_MONO_CACHE, _WZ_CACHE, ZElement, _Memo, q_element, star, w_gen,
                             z_gen)
@@ -388,6 +389,29 @@ def test_a_pair_value_at_its_width_bound_reads_back(monkeypatch, sign, bits):
 def test_non_elements_are_rejected(call):
     with pytest.raises(ValueError, match="acts on elements of Z_n, not on"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: star(3),
+    lambda: tensor.pair(3, 3),
+    lambda: disk_poly(DiskSpec(1, 1, 0), 1, 2, 3),
+    lambda: disk_poly((1, 1, 0), z_gen(2, 2), w_gen(2, 2), q_element(2, 2)),
+    lambda: solve_sparse([{0: 1}], 1),
+], ids=["star", "pair", "disk_poly-elements", "disk_poly-spec", "solve_sparse"])
+def test_other_entry_points_reject_non_elements(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_a_warm_inner_packs_no_memoized_value_again():
+    # N_lam and the pair values P are packed once per slot width (`_packed`)
+    cases = [spherical(l, m, 3) for l in range(4) for m in range(4)]
+    cold = [inner(s, s) for s in cases]
+    misses = haar_module._packed.cache_info().misses
+    assert [inner(s, s) for s in cases] == cold
+    assert haar_module._packed.cache_info().misses == misses
+    assert all(f is None or f[3].func is haar_module._packed
+               for _, _, f in haar_module._PAIR_HAAR_CACHE.values())
 
 
 @pytest.mark.parametrize("call", [

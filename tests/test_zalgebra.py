@@ -417,6 +417,41 @@ def test_from_json_raises_value_error_on_malformed_documents(obj):
         ZElement.from_json(obj)
 
 
+LEFT_UNIT = ((0, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    # coefficients: ints and QRats only, no float or string enters Q(q)
+    lambda: ZElement(2, {((1, 0), (0, 0)): 1.5}),
+    lambda: ZElement.scalar(2.5, 2),
+    lambda: ZElement.monomial(2, (1, 0), (0, 0), 0.5),
+    lambda: ZElement.monomial(2, (1, 0), (0, 0), "x"),
+    lambda: QRat.from_int(1.5),
+    # keys: two tuples of rank nonnegative int exponents, one pair per tensor factor
+    lambda: ZElement(2, {((1,), (0,)): 1}),
+    lambda: ZElement(2, {((-1, 0), (0, 0)): 1}),
+    lambda: ZElement(2, {((1, 0), (0, 0.0)): 1}),
+    lambda: ZElement(2, {((1, 0), (0, 0), (0, 0)): 1}),
+    lambda: ZElement(2, {"z1": 1}),
+    lambda: ZElement(2, {((-1, 0), (0, 0)): 0}),
+    lambda: ZElement(RANKS, {(LEFT_UNIT, ((1,), (0, 0))): 1}),
+    lambda: ZElement(RANKS, {(LEFT_UNIT,): 1}),
+    lambda: ZElement(RANKS, {((0, 0, 0), (0, 0, 0)): 1}),
+    lambda: ZElement.monomial(2, (1, 0, 0), (0, 0)),
+    lambda: ZElement.monomial(2, (1, -1), (0, 0)),
+], ids=range(16))
+def test_element_terms_are_checked_at_construction(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_the_key_message_names_the_rule():
+    for bad in (((1,), (0,)), ((-1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers.*"
+                                             "nonnegative exponents"):
+            ZElement(2, {bad: 1})
+
+
 # ---------------------------------------------------------------- element products
 
 
