@@ -25,16 +25,19 @@ hence with D, so H is evaluated by Horner's rule in C:
 H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.  `_DiskArgs` evaluates it; it
 checks C once and keeps the powers it forms for every spec it evaluates.
 
-For `ZElement`s with Laurent coefficients H stays packed (`zalgebra`) from
-start to end, at one slot width s: C, each D^k and each L coef_k are packed
-once, each step is one `zalgebra._core` pass over the shifted rows of
-H_(k-1) C, and H is read back once.  With |x| the sum of the absolute values
-of x's integer coefficients and S_k the largest row mass of step k, |H_k| <=
-|H_(k-1)| |C| S_k + |D^k| |L coef_k| bounds every coefficient, and s puts
-that bound on H below 2^(s-1).  A step's plan (the keys H_k may have, the
-rows of H_(k-1) C, S_k) depends on neither alpha nor mm: the bundle keeps it
-with its powers.  Other coefficients, and sums whose last step has fewer
-than `zalgebra._PACK_MIN_PAIRS` term pairs, take the Horner rule on `QRat`s.
+H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2, as
+in every bundle here and in `tensor`: moving z_a left past z_j and w_a right
+past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
+
+    z^lam w^mu Q_n = sum_a (z^lam z_a)(w_a w^mu) = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a),
+
+and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients
+H then stays packed (`zalgebra`) at one slot width s: D^k and L coef_k are
+packed once, a step adds each term shifted by s (big - t) onto its moves (big
+the largest t_1 of the keys), and H is read back once.  Moves have mass 1, so
+|H_k| <= |C| |H_(k-1)| + |D^k| |L coef_k| (|x| the sum of x's absolute integer
+coefficients, |C| = n or n1 n2) bounds every coefficient, and s puts it below
+2^(s-1).  Any other sum takes `QRat`s, and no size cutoff pays (CHANGES.md).
 
 On (z_i, w_i, Q_i) in Z_n, L R gives the spherical elements (i = n), the two
 factors of the associated ones (i = n, n - 1) and the rhs factors of the
@@ -47,10 +50,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .qfield import Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent
+from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent
 from .qfunc import _jacobi_coeffs
-from .zalgebra import (_PACK_MIN_PAIRS, ZElement, _core, _element, _row_mass, _shift_sum, _shifted,
-                       _tables, _unpacked, embed, q_element, w_gen, z_gen)
+from .zalgebra import ZElement, _element, _Memo, _unpacked, embed, q_element, w_gen, z_gen
 
 
 class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
@@ -90,9 +92,15 @@ def jacobi_scaled(spec: DiskSpec) -> tuple:
     return (Cyclo() / lcm).to_qrat(), tuple(c.to_qrat() for c in scaled)
 
 
+def _moves(lam: tuple, mu: tuple) -> tuple:
+    """The moves (key, t_a) of z^lam w^mu times Q_n (module docstring), a = n, .., 1."""
+    return tuple(((lam[:a] + (lam[a] + 1,) + lam[a + 1:], mu[:a] + (mu[a] + 1,) + mu[a + 1:]),
+                  sum(lam[a + 1:]) + sum(mu[a + 1:])) for a in reversed(range(len(lam))))
+
+
 class _DiskArgs:
     """Arguments (A, B, C), checked once: C commutes with A and B, else ValueError.
-    Powers of A, B and D = C - AB are kept by exponent, so rewrites are idempotent."""
+    Powers of A, B and D = C - AB, and moves, are kept, so rewrites are idempotent."""
 
     def __init__(self, A, B, C):
         for x in (A, B, C):
@@ -102,7 +110,9 @@ class _DiskArgs:
                 raise ValueError(f"C does not commute with {name}")
         self.C, one = C, A.one_like()
         self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}}
-        self.steps = [(set(one.terms), [], 0)]
+        qs = [q_element(n, n).terms for n in C.ranks]  # the moves serve C = Q_n, Q_n1 (x) Q_n2
+        central = qs[0] if len(qs) == 1 else {(x, y): ONE for x in qs[0] for y in qs[1]}
+        self.moves = _Memo(_moves) if C.terms == central else None
 
     def power(self, name: str, k: int):
         pows = self.pows[name]
@@ -110,41 +120,43 @@ class _DiskArgs:
             pows[j] = pows[j - 1] * pows[1]
         return pows[k]
 
-    def step(self, k: int) -> tuple:
-        """The plan (keys, tables, S) of Horner step k: the keys H_k may have (those
-        the core reaches), the structure rows of H_(k-1) C and their largest mass."""
-        for j in range(len(self.steps), k + 1):
-            prev, C = self.steps[j - 1][0], self.C.terms
-            tables, keys = _tables(prev, C, self.C.ranks), dict.fromkeys(self.power("D", j).terms)
-            _core([(x, 0) for x in prev], [(y, 0) for y in C], tables, keys, lambda v, p, c: p, 0)
-            self.steps.append((set(keys), tables, _row_mass(tables)))
-        return self.steps[k]
+    def _times_c(self, acc: dict, s: int, kh: int) -> tuple:
+        """(H C, kh + big) for H packed at slot width s over q^kh (module docstring)."""
+        moves, out = self.moves, {}
+        if len(self.C.ranks) == 1:  # the last move has the largest t, t_1
+            big = max(moves[key][-1][1] for key in acc)
+            for key, v in acc.items():
+                for key2, t in moves[key]:
+                    out[key2] = out.get(key2, 0) + (v << s * (big - t))
+            return out, kh + big
+        bl, br = (max(moves[key[f]][-1][1] for key in acc) for f in (0, 1))
+        for (kl, kr), v in acc.items():
+            right = [(k2, s * (br - t)) for k2, t in moves[kr]]
+            for k1, t in moves[kl]:
+                sl = s * (bl - t)
+                for k2, sr in right:
+                    out[k1, k2] = out.get((k1, k2), 0) + (v << (sl + sr))
+        return out, kh + bl + br
 
     def _packed_horner(self, coefs: tuple):
         """H by the packed Horner sum (module docstring), or None where it does not apply."""
-        C, pows = self.C, [self.power("D", k) for k in range(len(coefs))]
-        if (len(coefs) < 2
-                or not all(_is_qpow(c.den) for x in [C] + pows for c in x.terms.values())
-                or not all(_is_qpow(c.den) for c in coefs)
-                or len(self.step(len(coefs) - 2)[0]) * len(C.terms) < _PACK_MIN_PAIRS):
+        pows = [self.power("D", k) for k in range(len(coefs))]
+        if self.moves is None or len(coefs) < 2 or not all(  # each L coef_k is a polynomial
+                _is_qpow(c.den) for x in pows for c in x.terms.values()):
             return None
-        bound, mass_c = 0, mass(C.terms.values())
-        for k, coef in enumerate(coefs):
-            bound = bound * mass_c * self.step(k)[2] + mass(pows[k].terms.values()) * mass([coef])
+        bound = 0
+        for coef, x in zip(coefs, pows):
+            bound = bound * len(self.C.terms) + mass(x.terms.values()) * mass([coef])
         s, acc, kh = _width(bound.bit_length() + 1), {}, 0
-        kc, pc = pack_laurent(list(C.terms.values()), s)
         for k, coef in enumerate(coefs):
             if k:  # H_(k-1) C
-                prev, acc = [(key, v) for key, v in acc.items() if v], {}
-                kf, rows = _shifted(self.step(k)[1], s)
-                _core(prev, list(zip(C.terms, pc)), rows, acc, _shift_sum, 0)
-                kh += kc + kf
+                acc, kh = self._times_c(acc, s, kh)
             (kx, (x,)), (kd, pd) = pack_laurent([coef], s), pack_laurent(list(pows[k].terms.values()), s)
             if kx + kd > kh:  # over the larger power of q
                 acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
             for key, y in zip(pows[k].terms, pd):
                 acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd)))
-        return C._like(_unpacked(acc, s, kh))
+        return self.C._like(_unpacked(acc, s, kh))
 
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""

@@ -123,10 +123,10 @@ def _pair_row(rank: int, key1, key2) -> tuple:
              (e, key1[::-1], key2[::-1])]
     f, k1, k2 = min(orbit, key=lambda o: (sum(o[1][1]) + sum(o[2][0]), o[1:]))
     if (k1, k2) == (key1, key2):
-        # the diagonal terms of the product, from the row of w^m1 z^l2, as
-        # (N_lam factor, n, k), summed as in the docstring
+        # the terms (N_lam factor, n, k) of the product, from the row of w^m1 z^l2, all
+        # diagonal (the weights cancel, and normal ordering keeps the weight)
         terms = _product_terms(_WZ_CACHE[rank, m1, l2], key1, key2)
-        diag = [(_haar_factor(lam, rank), n, k) for lam, mu, n, k in terms if lam == mu]
+        diag = [(_haar_factor(lam, rank), n, k) for lam, _, n, k in terms]
         s = _width(sum(sum(map(abs, n)) * h[2] for h, n, _ in diag).bit_length() + 1)
         top, v = max((k for *_, k in diag), default=0), 0
         for h, n, k in diag:

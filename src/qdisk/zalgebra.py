@@ -54,15 +54,15 @@ integer polynomial with coefficients in (-2^(s-1), 2^(s-1)) is its value's
 symmetric base-2^s digits.  Packing needs every coefficient over a power of
 q; a product with any other runs the per-pair loop, whatever its size.
 
-Cutoff.  Below 16 term pairs the per-pair loop runs.  The 2119 products of
-the 128-case `qdisk suite` grid and the 879 of the three benchmark
-`verify_addition` cases were replayed through both paths on warm tables
-(2-vCPU x86-64, best of five): the loop was 3-4x faster on one pair, packing
-3x faster on the largest, and cutoffs from 8 to 64 gave totals within 5%,
-16 the least (164 ms; 246 ms with every product packed).  End to end, five
-alternating fresh runs each: the suite grid took 0.22-0.25 s in one process
-at 16 and 0.28-0.36 s with every product packed; the addition cases did not
-move (0.35-0.48 s).
+Cutoff.  Below 16 term pairs the per-pair loop runs.  At commit 320f6a7 the
+2119 products of the 128-case `qdisk suite` grid and the 879 of the three
+benchmark `verify_addition` cases (1921 and 517 since `diskpoly` moves by
+Q_n) were replayed through both paths on warm tables (2-vCPU x86-64, best of
+five): the loop was 3-4x faster on one pair, packing 3x faster on the
+largest, cutoffs from 8 to 64 gave totals within 5%, 16 the least (164 ms;
+246 ms with every product packed).  End to end, five alternating fresh runs
+each: the suite grid took 0.22-0.25 s in one process at 16 and 0.28-0.36 s
+with every product packed; the addition cases did not move (0.35-0.48 s).
 """
 
 from __future__ import annotations
@@ -98,17 +98,16 @@ def _z_rank(a: "ZElement", what: str) -> int:
 
 def _check_key(key, rank) -> Key:
     """key, if it is a monomial (lam, mu) of rank n, two tuples of n nonnegative
-    ints, or for a tensor rank a tuple of one per factor; else ValueError."""
+    ints (bools made ints), or for a tensor rank one per factor; else ValueError."""
     if type(rank) is tuple:
-        ok = type(key) is tuple and len(key) == len(rank) and all(map(_check_key, key, rank))
-    else:
-        ok = type(key) is tuple and len(key) == 2 and all(
+        if type(key) is tuple and len(key) == len(rank):
+            return tuple(map(_check_key, key, rank))
+    elif type(key) is tuple and len(key) == 2 and all(
             type(e) is tuple and len(e) == rank and all(isinstance(x, int) and x >= 0 for x in e)
-            for e in key)
-    if not ok:
-        raise ValueError(f"exponents must be nonnegative integers: a key of rank {rank} is "
-                         f"(lam, mu), two tuples of {rank} nonnegative exponents, got {key!r}")
-    return key
+            for e in key):
+        return tuple(tuple(map(int, e)) for e in key)
+    raise ValueError(f"exponents must be nonnegative integers: a key of rank {rank} is "
+                     f"(lam, mu), two tuples of {rank} nonnegative exponents, got {key!r}")
 
 
 def _check_index(i: int, rank: int) -> None:
@@ -228,11 +227,19 @@ def _product(a: dict, b: dict, ranks: tuple) -> dict:
             _is_qpow(c.den) for terms in (a, b) for c in terms.values()):
         _core(list(a.items()), list(b.items()), tables, acc, _mul_add, None)
         return {key: c for key, c in acc.items() if c}
-    s = _width((mass(a.values()) * mass(b.values()) * _row_mass(tables)).bit_length() + 1)
-    (ka, pa), (kb, pb) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
-    k, rows = _shifted(tables, s)
+    S = math.prod(max(mass(c for _, c in row) for row in table.values()) for table in tables)
+    s = _width((mass(a.values()) * mass(b.values()) * S).bit_length() + 1)
+    (k, pa), (kb, pb) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
+    rows = []
+    for table in tables:  # each constant n/q^j as the shifts s (K_f - j + i) of its nonzero n_i
+        consts = {c: None for row in table.values() for _, c in row}
+        kf = max(len(c.den) for c in consts) - 1  # K_f, the largest j of the table
+        for c in consts:
+            consts[c] = [(n, s * (kf + 1 - len(c.den) + i)) for i, n in enumerate(c.num) if n]
+        rows.append({pair: [(key, consts[c]) for key, c in row] for pair, row in table.items()})
+        k += kf
     _core(list(zip(a, pa)), list(zip(b, pb)), rows, acc, _shift_sum, 0)
-    return _unpacked(acc, s, ka + kb + k)
+    return _unpacked(acc, s, k + kb)
 
 
 def _tables(xs, ys, ranks: tuple) -> list:
@@ -244,30 +251,11 @@ def _tables(xs, ys, ranks: tuple) -> list:
             for f, rank in enumerate(ranks)]
 
 
-def _row_mass(tables: list) -> int:
-    """S, the product over the tables of their largest row mass."""
-    return math.prod(max(mass(c for _, c in row) for row in table.values()) for table in tables)
-
-
-def _shifted(tables: list, s: int) -> tuple:
-    """(K, rows): the tables with each constant n/q^k as the shifts s (K_f - k + i)
-    of its nonzero n_i, K_f the largest k of its table and K the sum of the K_f."""
-    ktot, rows = 0, []
-    for table in tables:
-        consts = {c: None for row in table.values() for _, c in row}
-        k = max(len(c.den) for c in consts) - 1
-        for c in consts:
-            consts[c] = [(n, s * (k + 1 - len(c.den) + i)) for i, n in enumerate(c.num) if n]
-        rows.append({pair: [(key, consts[c]) for key, c in row] for pair, row in table.items()})
-        ktot += k
-    return ktot, rows
-
-
 def _core(pa, pb, rows: list, acc: dict, mul_add, zero) -> None:
     """acc[key] = mul_add(acc[key], x_a x_b, X), an absent key reading zero, over
     the pairs of (key_a, x_a) in pa and (key_b, x_b) in pb and the constants X of
     their rows, one table per factor, that land on key: `_mul_add` on `QRat`s
-    (zero None), `_shift_sum` on packed values and `_shifted` rows (zero 0)."""
+    (zero None), `_shift_sum` on packed values and shifted rows (zero 0)."""
     if len(rows) == 1:
         row, = rows
         for k1, x1 in pa:
@@ -294,7 +282,7 @@ def _mul_add(v, p: QRat, c: QRat) -> QRat:
 
 
 def _shift_sum(v: int, p: int, shifts) -> int:
-    """v + p X for a constant X given as its (n_i, shift_i) (`_shifted`)."""
+    """v + p X for a constant X given as its (n_i, shift_i) (`_product`)."""
     for n, sh in shifts:
         if n == 1:
             v += p << sh
@@ -345,7 +333,7 @@ class ZElement:
         self.terms: dict = {}
         for key, coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, QRat) else QRat.from_int(coeff)
-            if _check_key(key, rank) and coeff:
+            if (key := _check_key(key, rank)) and coeff:
                 self.terms[key] = coeff
 
     @staticmethod

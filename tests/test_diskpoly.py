@@ -1,13 +1,16 @@
+import itertools
+
 import pytest
 
 from oracle import disk_poly_termwise, horner_stepwise, pairwise_mul
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
-from qdisk.qfield import ONE, QRat, ZERO, _width, qpoch
+from qdisk.qfield import ONE, QRat, ZERO, _width, mass, qpoch
 from qdisk.tensor import VARIANTS, coupling_const, verify_addition
 from qdisk.uqaction import is_invariant
-from qdisk.zalgebra import ZElement, bidegree, counit, q_element, star, w_gen, z_gen
+from qdisk.zalgebra import (_MONO_CACHE, _WZ_CACHE, ZElement, _unpacked, bidegree, counit, q_element,
+                            star, w_gen, z_gen)
 
 qp = QRat.q_power
 
@@ -216,14 +219,15 @@ def test_packed_horner_equals_the_stepwise_horner_on_the_addition_bundles(varian
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_packed_horner_equals_the_stepwise_horner_on_the_rank_bundles(n):
-    args, packed = diskpoly._rank_args(n), 0
+    # no size cutoff: every sum of two or more terms takes the packed step
+    args = diskpoly._rank_args(n)
     for l in range(5):
         for m in range(5):
             for alpha in sorted({0, max(n - 2, 0), n + 1}):
                 spec = DiskSpec(l, m, alpha)
                 assert args.scaled(spec) == horner_stepwise(args, spec), spec
-                packed += args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1]) is not None
-    assert packed if n > 2 else not packed
+                packed = args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1])
+                assert (packed is not None) == (min(l, m) > 0), spec
 
 
 def test_non_laurent_argument_takes_the_qrat_horner():
@@ -238,31 +242,88 @@ def test_non_laurent_argument_takes_the_qrat_horner():
 
 @pytest.mark.parametrize("c,s", [(2 ** 62 - 15, 64), (2 ** 62 + 1, 72)])
 def test_packed_horner_at_the_bound(c, s):
-    # Z_1 is commutative, so every structure row is one entry 1 (S = 1).  With
-    # A = B = 1 and C = c + z_1 + .. + z_1^15, D = C - 1, the sum H = C + D
-    # (coefficients 1, 1) has mass |C| + |D| = 2c + 29, which the bound meets
-    # exactly, and its unit coefficient 2c - 1 is over half of it.  At s = 64
-    # that mass is 2^63 - 1; at s = 72 the coefficient is past 2^63, so a bound
-    # missing either term would choose s = 64 and misread it
-    C = ZElement(1, {((i,), (0,)): c if i == 0 else 1 for i in range(16)})
-    one = ZElement.one(1)
-    args = _DiskArgs(one, one, C)
-    bound = 2 * c + 29
-    assert _width(bound.bit_length() + 1) == s
-    assert bound == 2 ** 63 - 1 if s == 64 else 2 * c - 1 > 2 ** 63
-    H = args._packed_horner((ONE, ONE))
-    assert H.coefficient((0,), (0,)) == 2 * c - 1
-    assert H == C + (C - one) and args._packed_horner((-ONE, ONE)) == -one
+    # C = Q_n is central, so it commutes with B = -P, P = c + z_1 + .. + z_1^j.
+    # With A = 1, D = Q_n + P, and the sum H = C + 2 D = 3 Q_n + 2 P (coefficients
+    # 1, 2) has mass 3n + 2 (c + j) = |C| + 2 |D|, which the bound meets exactly;
+    # j = (29 - 3n) / 2 makes it 2c + 29 for every n.  At s = 64 that mass is
+    # 2^63 - 1; at s = 72 the unit coefficient 2c is past 2^63, so a bound short
+    # of it would choose s = 64 and misread it
+    for n in (1, 3, 5):
+        P = ZElement(n, {((i,) + (0,) * (n - 1), (0,) * n): c if i == 0 else 1
+                         for i in range((29 - 3 * n) // 2 + 1)})
+        one, C = ZElement.one(n), q_element(n, n)
+        args = _DiskArgs(one, -P, C)
+        bound = n + 2 * (n + mass(P.terms.values()))
+        assert bound == 2 * c + 29 and _width(bound.bit_length() + 1) == s
+        assert bound == 2 ** 63 - 1 if s == 64 else 2 * c > 2 ** 63
+        H = args._packed_horner((ONE, QRat.from_int(2)))
+        assert H.coefficient((0,) * n, (0,) * n) == 2 * c
+        assert H == C * 3 + P * 2 and args._packed_horner((-ONE, ONE)) == P
 
 
-def test_packed_horner_bound_counts_the_row_mass():
-    # H = C^2 (coefficients 1, 0, 0) for C = x z_3^3 w_3^3 plus fifteen terms z_1^i:
-    # the row of w_3^3 z_3^3 has mass 73 and a coefficient 4, so H has a
-    # coefficient 4 x^2 = 2^64, while |C|^2 < 2^63: a bound without the row
-    # mass S would choose s = 64 and misread it
-    x, key = 2 ** 31, ((0, 0, 3), (0, 0, 3))
-    C = ZElement(3, {key: x, **{((i, 0, 0), (0, 0, 0)): 1 for i in range(1, 16)}})
-    one = ZElement.one(3)
-    H = _DiskArgs(one, one, C)._packed_horner((ONE, ZERO, ZERO))
-    assert max(abs(n) for c in H.terms.values() for n in c.num) == 2 ** 64
-    assert (x + 15) ** 2 < 2 ** 63 and H == pairwise_mul(C, C)
+def test_packed_horner_bound_counts_the_mass_of_c():
+    # H = x C^3 (coefficients x, 0, 0, 0) for C = Q_3 and A = B = 1: Q_3^3 has
+    # the coefficient 1 + 2 q^-2 + 2 q^-4 + q^-6 at z_1 z_2 z_3 w_3 w_2 w_1, so H
+    # has a coefficient 2 x = 2^63 + 2.  A bound without the factor |C| = 3 would
+    # be x < 2^63 and choose s = 64, whose symmetric digits stop at 2^63
+    x, C, one = 2 ** 62 + 1, q_element(3, 3), ZElement.one(3)
+    H = _DiskArgs(one, one, C)._packed_horner((QRat.from_int(x), ZERO, ZERO, ZERO))
+    assert max(abs(n) for c in H.terms.values() for n in c.num) == 2 ** 63 + 2
+    assert _width(x.bit_length() + 1) == 64 and H == pairwise_mul(pairwise_mul(C, C), C) * x
+
+
+def test_non_central_c_takes_the_qrat_horner():
+    # Q_2 in Z_3 commutes with z_2 and w_2 but not with z_3, and 2 Q_3 is
+    # central but not Q_3: both are Laurent, and the packed sum declines both
+    x, y, c = z_gen(2, 3), w_gen(2, 3), q_element(2, 3)
+    assert c * z_gen(3, 3) != z_gen(3, 3) * c
+    assert _DiskArgs(z_gen(3, 3), w_gen(3, 3), q_element(3, 3) * 2).moves is None
+    args = _DiskArgs(x, y, c)
+    assert args.moves is None
+    for l, m, alpha in ((3, 3, 1), (4, 2, 0), (1, 3, 2)):
+        spec = DiskSpec(l, m, alpha)
+        assert args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1]) is None
+        assert disk_poly(spec, x, y, c) == disk_poly_termwise(l, m, alpha, x, y, c)
+
+
+def _moved(args, key) -> ZElement:
+    """The basis monomial key times the bundle's C, by its moves."""
+    out, k = args._times_c({key: 1}, 8, 0)
+    return args.C._like(_unpacked(out, 8, k))
+
+
+def _keys(n: int, top: int) -> list:
+    """Every key (lam, mu) of rank n with total degree at most top."""
+    vecs = [v for v in itertools.product(range(top + 1), repeat=n) if sum(v) <= top]
+    return [(lam, mu) for lam in vecs for mu in vecs if sum(lam) + sum(mu) <= top]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_moves_are_the_product_with_q_n(n):
+    args = diskpoly._rank_args(n)
+    for key in _keys(n, 3):
+        assert _moved(args, key) == ZElement._of(n, {key: ONE}) * q_element(n, n), key
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tensor_moves_are_the_product_with_q3_q2(variant):
+    # on every key the (4, 4) lhs reaches: those of H_k for k <= 4
+    args, g = tensor._args(variant), tensor.xy_generators()
+    c = tensor.pair(g.Q, g.D)
+    assert args.C == c
+    keys = {key for alpha in (1, 2) for mm in range(5)
+            for key in args.scaled(DiskSpec(mm, mm, alpha)).terms}
+    for key in keys:
+        assert _moved(args, key) == ZElement._of(tensor.RANKS, {key: ONE}) * c, key
+
+
+def test_warm_horner_sums_build_no_structure_row():
+    # once D's powers are formed, a Horner sum reads and stores no product row
+    for args, spec in ((diskpoly._rank_args(3), DiskSpec(5, 5, 1)),
+                       (tensor._args("final"), DiskSpec(5, 5, 2))):
+        for k in range(6):
+            args.power("D", k)
+        sizes = len(_MONO_CACHE), len(_WZ_CACHE)
+        assert args._packed_horner(jacobi_scaled(spec)[1]) is not None
+        args.scaled(spec)
+        assert (len(_MONO_CACHE), len(_WZ_CACHE)) == sizes

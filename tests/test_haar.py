@@ -26,8 +26,8 @@ from qdisk.haar import (
 )
 from qdisk.qfield import ONE, QRat, ZERO, qpoch, solve_sparse
 from qdisk.uqaction import act_e, act_f, act_qh
-from qdisk.zalgebra import (_MONO_CACHE, _WZ_CACHE, ZElement, _Memo, q_element, star, w_gen,
-                            z_gen)
+from qdisk.zalgebra import (_MONO_CACHE, _WZ_CACHE, ZElement, _Memo, _product_terms, q_element,
+                            star, w_gen, z_gen)
 
 qp = QRat.q_power
 
@@ -311,6 +311,26 @@ def test_a_pair_whose_weights_do_not_cancel_reads_no_row(monkeypatch):
         assert (t, p, f) == (sum(key1[0]) + sum(key2[0]), ZERO, None)
         assert pair_haar_termwise(2, key1, key2) == (t, ZERO)
     assert not haar_module._WZ_CACHE
+
+
+def test_the_spherical_norms_walk_only_diagonal_terms(monkeypatch):
+    # a pair value sums over every term of its product: the weights cancel and
+    # normal ordering keeps the weight, so each of them is diagonal
+    walked = []
+
+    def record(*args):
+        for term in _product_terms(*args):
+            walked.append(term)
+            yield term
+
+    monkeypatch.setattr(haar_module, "_product_terms", record)
+    monkeypatch.setattr(haar_module, "_PAIR_HAAR_CACHE", _Memo(haar_module._pair_row))
+    for n in (2, 3, 4):
+        for l in range(4):
+            for m in range(4):
+                s = spherical(l, m, n)
+                assert inner(s, s) == norm_const(l, m, n - 2)
+    assert len(walked) == 1375 and all(lam == mu for lam, mu, _, _ in walked)
 
 
 def weight(key):

@@ -393,6 +393,17 @@ def test_from_json_rejects_the_reported_inputs():
             ZElement.from_json(obj)
 
 
+def test_bool_exponents_read_as_ints():
+    # bools count as integers, as everywhere, and the key keeps them as ints,
+    # so the element prints and serializes as the (1, 0) monomial
+    a, b = ZElement.monomial(2, (True, 0), (0, False)), ZElement.monomial(2, (1, 0), (0, 0))
+    assert a == b and str(a) == str(b) and a.to_json() == b.to_json()
+    assert all(type(x) is int for key in a.terms for e in key for x in e)
+    assert ZElement.from_json(a.to_json()) == a
+    t = ZElement(RANKS, {(((True, 0, 0), (0, 0, 0)), ((0, 0), (0, True))): ONE})
+    assert t.to_json() == ZElement(RANKS, {(((1, 0, 0), (0, 0, 0)), ((0, 0), (0, 1))): ONE}).to_json()
+
+
 def test_json_term_order_breaks_ties_lexicographically():
     a = ZElement(2, {((1, 0), (0, 0)): ONE, ((0, 1), (0, 0)): ONE})
     lams = [tuple(t["lambda"]) for t in a.to_json()["terms"]]
