@@ -11,19 +11,18 @@ where the Jacobi parameters are (alpha, l-m) at degree m, respectively
 no inverses of C are ever formed.
 
 The sum is taken scaled: with L the lcm of the denominators of the coef_k
-(products of q-powers and factors 1 - q^2j) and mm = min(l, m),
+(products of q-powers and factors 1 - q^2j) and mm = min(l, m), it is
 
-    L R = A^(l-m) H B^(m-l),   H = sum_k (L coef_k) C^(mm-k) D^k,  D = C - AB,
+    L R = H = sum_k (L coef_k) C^(mm-k) E_k,   E_k = A^(l-m) D^k or D^k B^(m-l),   D = C - AB,
 
-with the power of A present only for l > m and that of B only for m > l.
-Each L coef_k is a polynomial, so when A, B and C have Laurent
+as above.  Each L coef_k is a polynomial, so when A, B and C have Laurent
 coefficients every sum and product stays on the gcd-free path, and
 `disk_poly` divides by L once per output term.  The coef_k are `Cyclo`s
 (`qfield`), so L is their exponent lcm, and `jacobi_scaled` expands each L
-coef_k to a polynomial once per spec, with no gcd.  C commutes with A and B,
-hence with D, so H is evaluated by Horner's rule in C:
-H_0 = L coef_0, H_k = H_(k-1) C + (L coef_k) D^k.  `_DiskArgs` evaluates it; it
-checks C once and keeps the powers it forms for every spec it evaluates.
+coef_k to a polynomial once per spec, with no gcd.  C commutes with A, B, D
+and so with each E_k, and H is taken by Horner's rule in C: H_0 = (L coef_0)
+E_0, H_k = H_(k-1) C + (L coef_k) E_k.  `_DiskArgs` checks C once and keeps
+the powers and E_k it forms across specs, so no element product follows H.
 
 H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2, as
 in every bundle here and in `tensor`: moving z_a left past z_j and w_a right
@@ -32,10 +31,10 @@ past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
     z^lam w^mu Q_n = sum_a (z^lam z_a)(w_a w^mu) = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a),
 
 and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients
-H then stays packed (`zalgebra`) at one slot width s: D^k and L coef_k are
+H then stays packed (`zalgebra`) at one slot width s: each E_k and L coef_k is
 packed once, a step adds each term shifted by s (big - t) onto its moves (big
 the largest t_1 of the keys), and H is read back once.  Moves have mass 1, so
-|H_k| <= |C| |H_(k-1)| + |D^k| |L coef_k| (|x| the sum of x's absolute integer
+|H_k| <= |C| |H_(k-1)| + |E_k| |L coef_k| (|x| the sum of x's absolute integer
 coefficients, |C| = n or n1 n2) bounds every coefficient, and s puts it below
 2^(s-1).  Any other sum takes `QRat`s, and no size cutoff pays (CHANGES.md).
 
@@ -100,7 +99,7 @@ def _moves(lam: tuple, mu: tuple) -> tuple:
 
 class _DiskArgs:
     """Arguments (A, B, C), checked once: C commutes with A and B, else ValueError.
-    Powers of A, B and D = C - AB, and moves, are kept, so rewrites are idempotent."""
+    Powers of A, B and D = C - AB, the E_k and the moves are kept, so rewrites are idempotent."""
 
     def __init__(self, A, B, C):
         for x in (A, B, C):
@@ -109,7 +108,7 @@ class _DiskArgs:
             if C * other != other * C:
                 raise ValueError(f"C does not commute with {name}")
         self.C, one = C, A.one_like()
-        self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}}
+        self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}, "E": {}}
         qs = [q_element(n, n).terms for n in C.ranks]  # the moves serve C = Q_n, Q_n1 (x) Q_n2
         central = qs[0] if len(qs) == 1 else {(x, y): ONE for x in qs[0] for y in qs[1]}
         self.moves = _Memo(_moves) if C.terms == central else None
@@ -119,6 +118,13 @@ class _DiskArgs:
         for j in range(len(pows), k + 1):
             pows[j] = pows[j - 1] * pows[1]
         return pows[k]
+
+    def fold(self, j: int, k: int):
+        """E_k = A^j D^k for j >= 0, D^k B^-j for j < 0 (module docstring), kept per (j, k)."""
+        if (j, k) not in self.pows["E"]:
+            x, d = self.power("A" if j >= 0 else "B", abs(j)), self.power("D", k)
+            self.pows["E"][j, k] = d if not j else x if not k else x * d if j > 0 else d * x
+        return self.pows["E"][j, k]
 
     def _times_c(self, acc: dict, s: int, kh: int) -> tuple:
         """(H C, kh + big) for H packed at slot width s over q^kh (module docstring)."""
@@ -138,39 +144,34 @@ class _DiskArgs:
                     out[k1, k2] = out.get((k1, k2), 0) + (v << (sl + sr))
         return out, kh + bl + br
 
-    def _packed_horner(self, coefs: tuple):
-        """H by the packed Horner sum (module docstring), or None where it does not apply."""
-        pows = [self.power("D", k) for k in range(len(coefs))]
+    def _packed_horner(self, coefs: tuple, j: int = 0):
+        """H over the E_k of A^j or B^-j by the packed Horner sum (module docstring), or None."""
+        es = [self.fold(j, k) for k in range(len(coefs))]
         if self.moves is None or len(coefs) < 2 or not all(  # each L coef_k is a polynomial
-                _is_qpow(c.den) for x in pows for c in x.terms.values()):
+                _is_qpow(c.den) for x in es for c in x.terms.values()):
             return None
         bound = 0
-        for coef, x in zip(coefs, pows):
+        for coef, x in zip(coefs, es):
             bound = bound * len(self.C.terms) + mass(x.terms.values()) * mass([coef])
         s, acc, kh = _width(bound.bit_length() + 1), {}, 0
         for k, coef in enumerate(coefs):
             if k:  # H_(k-1) C
                 acc, kh = self._times_c(acc, s, kh)
-            (kx, (x,)), (kd, pd) = pack_laurent([coef], s), pack_laurent(list(pows[k].terms.values()), s)
+            (kx, (x,)), (kd, pd) = pack_laurent([coef], s), pack_laurent(list(es[k].terms.values()), s)
             if kx + kd > kh:  # over the larger power of q
                 acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
-            for key, y in zip(pows[k].terms, pd):
+            for key, y in zip(es[k].terms, pd):
                 acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd)))
         return self.C._like(_unpacked(acc, s, kh))
 
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
-        l, m = spec.l, spec.m
-        scaled = jacobi_scaled(spec)[1][:min(l, m) + 1]
-        result = self._packed_horner(scaled)
+        j, scaled = spec.l - spec.m, jacobi_scaled(spec)[1][:min(spec.l, spec.m) + 1]
+        result = self._packed_horner(scaled, j)
         if result is None:
-            result = self.power("D", 0) * scaled[0]
+            result = self.fold(j, 0) * scaled[0]
             for k in range(1, len(scaled)):
-                result = result * self.C + self.power("D", k) * scaled[k]
-        if l > m:
-            result = self.power("A", l - m) * result
-        elif m > l:
-            result = result * self.power("B", m - l)
+                result = result * self.C + self.fold(j, k) * scaled[k]
         return result
 
 

@@ -25,17 +25,18 @@ denominators of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes
 their lcm V by exponent arithmetic and converts 1/V and each weight once,
 with no gcd.
 
-The rhs is assembled as one packed sum of simple tensors, `_pair_sum`
-(`pair` is its one-piece case).  Piece (r, s) is left (x) right, with left =
-X_rs I_rs and right = Y_rs times the weighted basis monomial z_1^a w_1^b of
-Z_2, one product.  Every left coefficient is packed in one
-`qfield.pack_laurent` call and every right one in another, at one slot width
-s; times q^(Kl + Kr), each output coefficient is the sum of the integer
-products over its term pairs, read back from its digits once.  Bound: with
-|x| the sum of the absolute values of the numerator coefficients over x's
-terms, no integer coefficient of an output numerator exceeds
-sum_rs |left| |right|, and s makes that below 2^(s-1).  Any coefficient not
-over a power of q sends the whole sum through per-pair `QRat` products.
+The rhs is one packed sum of weighted simple tensors, `_pair_sum` (`pair`
+is its one-piece case, of weight 1).  Piece (r, s) is w left (x) right,
+with left = X_rs I_rs, one product, and right = Y_rs z_1^a w_1^b in closed
+form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2,
+z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1) w^(mu + b e_1).
+Left and right coefficients and weights are packed in one `pack_laurent`
+call each, at one slot width s; times q^(Kl + Kr + Kw), each output
+coefficient is the sum of the integer products left right w over its term
+pairs, read back from its digits once.  With |x| the sum of the absolute
+values of x's integer numerator coefficients, over its terms, each output
+coefficient is at most sum_rs |left| |right| |w|, which s puts below
+2^(s-1).  A coefficient not over a power of q sends the sum to `QRat`s.
 
 Case-independent work is done once per process, in `lru_cache` tables:
 `_args` (a variant's checked lhs arguments), `coupling_const` and its factored
@@ -50,7 +51,7 @@ from functools import lru_cache
 
 from .diskpoly import DiskSpec, _DiskArgs, _jacobi, _sphere, jacobi_scaled
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _from_digits, _is_qpow,
+from .qfield import (ONE, Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _from_digits, _is_qpow,
                      _laurent, _width, mass, pack_laurent, poly_divexact, poly_mul)
 from .zalgebra import ZElement, _z_rank, q_element, w_gen, z_gen
 
@@ -64,30 +65,38 @@ TensorElement = ZElement
 
 
 def _pair_sum(sides) -> dict:
-    """Nonzero terms of sum_i left_i (x) right_i over the pairs (left_i, right_i)
-    in sides, of ranks LEFT_RANK and RIGHT_RANK (packing and bound: see the
-    module docstring)."""
-    lefts = [c for left, _ in sides for c in left.terms.values()]
-    rights = [c for _, right in sides for c in right.terms.values()]
-    acc: dict = {}
-    if not all(_is_qpow(c.den) for c in lefts + rights):
-        for left, right in sides:
+    """Nonzero terms of sum_i w_i left_i (x) right_i over the sides (left_i, right_i, w_i),
+    w_i = 1 for a pair (left_i, right_i), of ranks LEFT_RANK and RIGHT_RANK (module docstring)."""
+    sides = [(left, right, w[0] if w else ONE) for left, right, *w in sides]
+    lefts = [c for left, _, _ in sides for c in left.terms.values()]
+    rights = [c for _, right, _ in sides for c in right.terms.values()]
+    weights, acc = [w for _, _, w in sides], {}
+    if not all(_is_qpow(c.den) for c in lefts + rights + weights):
+        for left, right, w in sides:
             for kx, x in left.terms.items():
                 for ky, y in right.terms.items():
-                    _accum(acc, (kx, ky), x * y)
+                    _accum(acc, (kx, ky), x * y * w)
         return {key: c for key, c in acc.items() if c}
-    bound = sum(mass(left.terms.values()) * mass(right.terms.values()) for left, right in sides)
+    bound = sum(mass(x.terms.values()) * mass(y.terms.values()) * mass([w]) for x, y, w in sides)
     s = _width(bound.bit_length() + 1)
-    (kl, pl), (kr, pr) = pack_laurent(lefts, s), pack_laurent(rights, s)
+    (kl, pl), (kr, pr), (kw, pw) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
     pl, pr = iter(pl), iter(pr)
-    for left, right in sides:
+    for (left, right, _), w in zip(sides, pw):
         # zip stops at the keys, so each side takes its own slots off the iterators
-        xs, ys = list(zip(left.terms, pl)), list(zip(right.terms, pr))
+        xs, ys = list(zip(left.terms, pl)), [(ky, y * w) for ky, y in zip(right.terms, pr)]
         for kx, x in xs:
             for ky, y in ys:
                 key = (kx, ky)
                 acc[key] = acc.get(key, 0) + x * y
-    return {key: _laurent(_from_digits(v, s), kl + kr) for key, v in acc.items() if v}
+    return {key: _laurent(_from_digits(v, s), kl + kr + kw) for key, v in acc.items() if v}
+
+
+def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
+    """y z_1^a w_1^b for y in Z_2 with Laurent coefficients (module docstring): the
+    term n / q^k z^lam w^mu goes to n q^(a mu_2) / q^(k + a lam_2) z^(lam + a e_1) w^(mu + b e_1)."""
+    return y._like({((l1 + a, l2), (m1 + b, m2)):
+                    _laurent((0,) * a * m2 + c.num, len(c.den) - 1 + a * l2)
+                    for ((l1, l2), (m1, m2)), c in y.terms.items()})
 
 
 def pair(left: ZElement, right: ZElement) -> ZElement:
@@ -206,11 +215,9 @@ def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     Q') = (z_2, w_2, Q_2) and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent."""
     _check_addition_args(l, m, alpha, variant)
     plan, inv_lcm, weights = _rhs_pieces(l, m, alpha, variant)
-    sides = []
-    for (r, s, outer, inner), weight in zip(plan, weights):
-        a, b = (s, r) if variant == "final" else (r, s)
-        sides.append((_sphere(3, 3, outer) * _sphere(2, 3, inner),
-                      _sphere(2, 2, outer) * ZElement.monomial(RIGHT_RANK, (a, 0), (b, 0), weight)))
+    sides = [(_sphere(3, 3, outer) * _sphere(2, 3, inner),
+              _circle_shift(_sphere(2, 2, outer), *((s, r) if variant == "final" else (r, s))), weight)
+             for (r, s, outer, inner), weight in zip(plan, weights)]
     return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 
 
@@ -251,17 +258,9 @@ class Verdict(Record):
                  "lhs_terms", "rhs_terms", "millis")
 
     def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "m": self.m,
-            "alpha": self.alpha,
-            "variant": self.variant,
-            "pass": self.passed,
-            "residual_terms": self.residual_terms,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "millis": self.millis,
-        }
+        """The fields in order, `passed` under the key "pass"."""
+        return {"pass" if name == "passed" else name: value
+                for name, value in zip(self.__slots__, self._values())}
 
 
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:

@@ -56,12 +56,12 @@ q; a product with any other runs the per-pair loop, whatever its size.
 
 Cutoff.  Below 16 term pairs the per-pair loop runs.  At commit 320f6a7 the
 2119 products of the 128-case `qdisk suite` grid and the 879 of the three
-benchmark `verify_addition` cases (1921 and 517 since `diskpoly` moves by
-Q_n) were replayed through both paths on warm tables (2-vCPU x86-64, best of
-five): the loop was 3-4x faster on one pair, packing 3x faster on the
-largest, cutoffs from 8 to 64 gave totals within 5%, 16 the least (164 ms;
-246 ms with every product packed).  End to end, five alternating fresh runs
-each: the suite grid took 0.22-0.25 s in one process at 16 and 0.28-0.36 s
+benchmark `verify_addition` cases (869 and 221 since A^(l-m) and the circle
+factors fold into packed sums) were replayed through both paths on warm tables
+(2-vCPU x86-64, best of five): the loop was 3-4x faster on one pair, packing 3x
+faster on the largest, cutoffs from 8 to 64 gave totals within 5%, 16 the least
+(164 ms; 246 ms with every product packed).  End to end, five alternating fresh
+runs each: the suite grid took 0.22-0.25 s in one process at 16 and 0.28-0.36 s
 with every product packed; the addition cases did not move (0.35-0.48 s).
 """
 
@@ -77,9 +77,10 @@ from .qfield import (ONE, QRat, ZERO, _accum, _coerce, _from_digits, _is_qpow, _
 Key = tuple
 
 
-def _check_rank(rank: int) -> None:
+def _check_rank(rank: int) -> int:  # a bool rank is made an int, as are exponents
     if not isinstance(rank, int) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    return int(rank)
 
 
 def _element(a, what: str) -> "ZElement":
@@ -327,13 +328,12 @@ class ZElement:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms: dict | None = None):
-        for r in rank if type(rank) is tuple and len(rank) == 2 else (rank,):
-            _check_rank(r)
-        self.rank = rank
+        self.rank = (tuple(map(_check_rank, rank)) if type(rank) is tuple and len(rank) == 2
+                     else _check_rank(rank))
         self.terms: dict = {}
         for key, coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, QRat) else QRat.from_int(coeff)
-            if (key := _check_key(key, rank)) and coeff:
+            if (key := _check_key(key, self.rank)) and coeff:
                 self.terms[key] = coeff
 
     @staticmethod
@@ -588,7 +588,7 @@ def embed(a: ZElement, n: int) -> ZElement:
     if not isinstance(n, int) or n < s:
         raise ValueError(f"cannot embed rank {s} into rank {n!r}")
     pad = (0,) * (n - s)
-    return ZElement._of(n, {(lam + pad, mu + pad): c for (lam, mu), c in a.terms.items()})
+    return ZElement._of(int(n), {(lam + pad, mu + pad): c for (lam, mu), c in a.terms.items()})
 
 
 def restrict(a: ZElement, s: int) -> ZElement:
@@ -598,8 +598,8 @@ def restrict(a: ZElement, s: int) -> ZElement:
     if not isinstance(s, int) or not 1 <= s <= n:
         raise ValueError(f"restriction target rank {s!r} out of range for rank {n}")
     cut = n - s  # the kept keys are zero below cut, so no two of them merge
-    return ZElement._of(s, {(lam[cut:], mu[cut:]): c for (lam, mu), c in a.terms.items()
-                            if not any(lam[:cut] + mu[:cut])})
+    return ZElement._of(int(s), {(lam[cut:], mu[cut:]): c for (lam, mu), c in a.terms.items()
+                                 if not any(lam[:cut] + mu[:cut])})
 
 
 def counit(a: ZElement) -> QRat:

@@ -327,3 +327,71 @@ def test_warm_horner_sums_build_no_structure_row():
         assert args._packed_horner(jacobi_scaled(spec)[1]) is not None
         args.scaled(spec)
         assert (len(_MONO_CACHE), len(_WZ_CACHE)) == sizes
+
+
+def _unfolded(args, spec: DiskSpec) -> ZElement:
+    """L R_spec on a bundle by the route without the fold: H = sum_k (L coef_k)
+    C^(mm-k) D^k by Horner's rule, then A^(l-m) H or H B^(m-l), every element
+    product the oracle's."""
+    j, coefs = spec.l - spec.m, jacobi_scaled(spec)[1][:min(spec.l, spec.m) + 1]
+    H = args.power("D", 0) * coefs[0]
+    for k in range(1, len(coefs)):
+        H = pairwise_mul(H, args.C) + args.power("D", k) * coefs[k]
+    if j > 0:
+        return pairwise_mul(args.power("A", j), H)
+    return pairwise_mul(H, args.power("B", -j)) if j < 0 else H
+
+
+FOLD_DEGREES = [(l, m) for l in range(5) for m in range(5) if l != m]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_folded_sum_equals_the_unfolded_route_on_the_rank_bundles(n):
+    # every l != m, mm = 0 included, on the rank bundle and on a fresh one
+    for l, m in FOLD_DEGREES:
+        for alpha in sorted({0, n - 2, n}):
+            spec = DiskSpec(l, m, alpha)
+            want = _unfolded(diskpoly._rank_args(n), spec)
+            assert diskpoly._rank_args(n).scaled(spec) == want, spec
+            assert _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n)).scaled(spec) == want, spec
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_folded_sum_equals_the_unfolded_route_on_the_addition_bundles(variant):
+    args = tensor._args(variant)
+    for l, m in FOLD_DEGREES:
+        spec = DiskSpec(l, m, 1 + (l + m) % 2)
+        assert args.scaled(spec) == _unfolded(args, spec), spec
+
+
+def test_folded_sum_with_a_non_central_c_takes_the_qrat_horner():
+    # Q_2 in Z_3 commutes with z_2 and w_2 but is not central: no moves, so the
+    # fold runs on QRats, through the public entry point
+    x, y, c = z_gen(2, 3), w_gen(2, 3), q_element(2, 3)
+    for l, m, alpha in ((4, 1, 0), (1, 4, 2), (3, 0, 1), (0, 2, 1)):
+        spec = DiskSpec(l, m, alpha)
+        assert _DiskArgs(x, y, c)._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1], l - m) is None
+        assert disk_poly(spec, x, y, c) == _unfolded(_DiskArgs(x, y, c), spec) * jacobi_scaled(spec)[0]
+
+
+def test_warm_folded_sums_make_no_element_product(monkeypatch):
+    # once its E_k are formed, a sum with l != m multiplies no elements: the
+    # packed sum makes no product at all, and for mm = 0 E_0 takes one scalar
+    specs = [DiskSpec(5, 2, 1), DiskSpec(2, 5, 1), DiskSpec(4, 1, 2), DiskSpec(3, 0, 1), DiskSpec(0, 4, 2)]
+    bundles = (diskpoly._rank_args(3), tensor._args("final"), tensor._args("precursor"))
+    for args in bundles:
+        for spec in specs:
+            args.scaled(spec)
+    calls = []
+    mul = ZElement.__mul__
+
+    def counting(self, other):
+        calls.append(isinstance(other, ZElement))
+        return mul(self, other)
+
+    monkeypatch.setattr(ZElement, "__mul__", counting)
+    for args in bundles:
+        for spec in specs:
+            calls.clear()
+            args.scaled(spec)
+            assert calls == ([] if min(spec.l, spec.m) else [False]), spec

@@ -365,6 +365,51 @@ def test_packed_rhs_equals_the_per_piece_sum(variant):
         assert scaled_rhs(*case, variant) == rhs_per_piece(*case, variant), case
 
 
+def test_circle_shift_is_the_product_with_z1a_w1b():
+    # every rank-2 key with exponents <= 3, times z_1^a w_1^b for a, b <= 3
+    vecs = list(product(range(4), repeat=2))
+    for lam, mu, a, b in product(vecs, vecs, range(4), range(4)):
+        want = ZElement.monomial(2, lam, mu) * ZElement.monomial(2, (a, 0), (b, 0))
+        assert tensor._circle_shift(ZElement.monomial(2, lam, mu), a, b) == want, (lam, mu, a, b)
+    # and on the circle factors of the rhs, whose coefficients are over powers of q
+    for spec in (DiskSpec(3, 1, 2), DiskSpec(2, 4, 3), DiskSpec(3, 3, 1)):
+        y = diskpoly._sphere(2, 2, spec)
+        for a, b in ((0, 2), (3, 1), (2, 2)):
+            assert tensor._circle_shift(y, a, b) == y * ZElement.monomial(2, (a, 0), (b, 0)), (spec, a, b)
+
+
+def test_weighted_pair_sum_equals_the_termwise_sum():
+    # packed with Laurent weights, and per pair when a weight is not over a power of q
+    g = xy_generators()
+    left, right = g.Q * 2 - g.X2 * g.X1s, g.D * g.Y2 + g.Y1s * QRat.q_power(-3)
+    laurent, other = (ONE - QRat.q_power(5)) * QRat.q_power(-2), ONE / (ONE - QRat.q_power(2))
+    for w in (laurent, other):
+        sides = [(left, right, w), (g.X1, g.Y2s, QRat.q_power(4)), (left, right)]
+        want = pair(left, right * w) + pair(g.X1, g.Y2s * QRat.q_power(4)) + pair(left, right)
+        assert ZElement._of(tensor.RANKS, tensor._pair_sum(sides)) == want
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_warm_rhs_multiplies_only_the_left_pieces(monkeypatch, variant):
+    # the right factors are shifted in closed form and the weights applied packed:
+    # a warm rhs makes one element product per piece, X_rs I_rs, and nothing else
+    cases = [(3, 1, 2), (2, 3, 1), (4, 4, 1)]
+    for case in cases:
+        scaled_rhs(*case, variant)
+    calls = []
+    mul = ZElement.__mul__
+
+    def counting(self, other):
+        calls.append(isinstance(other, ZElement))
+        return mul(self, other)
+
+    monkeypatch.setattr(ZElement, "__mul__", counting)
+    for l, m, alpha in cases:
+        calls.clear()
+        scaled_rhs(l, m, alpha, variant)
+        assert calls == [True] * ((l + 1) * (m + 1)), (l, m, alpha)
+
+
 # the 128-case `qdisk suite` grid, and the benchmark's addition cases in both variants
 DECISION_CASES = ([(l, m, alpha, variant) for alpha in range(1, 5) for l in range(4)
                    for m in range(4) for variant in VARIANTS]

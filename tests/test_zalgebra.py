@@ -404,6 +404,15 @@ def test_bool_exponents_read_as_ints():
     assert t.to_json() == ZElement(RANKS, {(((1, 0, 0), (0, 0, 0)), ((0, 0), (0, 1))): ONE}).to_json()
 
 
+def test_bool_ranks_read_as_ints():
+    # a bool rank is stored as the int it counts as, so the element round-trips
+    for a, b in ((ZElement.one(True), ZElement.one(1)), (z_gen(1, True), z_gen(1, 1))):
+        assert type(a.rank) is int and a == b and str(a) == str(b) and a.to_json() == b.to_json()
+        assert ZElement.from_json(a.to_json()) == b
+    assert ZElement((True, 2)).rank == (1, 2) and type(ZElement((True, 2)).rank[0]) is int
+    assert type(embed(z_gen(1, 1), True).rank) is int and type(restrict(z_gen(2, 2), True).rank) is int
+
+
 def test_json_term_order_breaks_ties_lexicographically():
     a = ZElement(2, {((1, 0), (0, 0)): ONE, ((0, 1), (0, 0)): ONE})
     lams = [tuple(t["lambda"]) for t in a.to_json()["terms"]]
