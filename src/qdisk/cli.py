@@ -19,16 +19,14 @@ allocation or process pool: the rank (--n, $QDISK_DEFAULT_N) is capped at
 MAX_RANK = 16, '^' exponents at MAX_EXPONENT = 64, parenthesis nesting at
 MAX_NESTING = 100, the cases of a suite grid and the values of each of its
 clauses (counted while the clause is read) at MAX_GRID_CASES = 1024, its
-worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32,
-disk degrees (spherical l, m, r, s; verify-addition and suite l, m) at
-MAX_DISK_DEGREE = 8 and alpha at MAX_ALPHA = 16: verify-addition (8, 8, 16),
-the slowest case inside both, took 7.8 s and 102 MB on a 2-vCPU x86-64 host.
-Spherical elements are capped at MAX_SPHERICAL_TERMS = 1716 terms, C(n - 1 + k, k)
-for k = min(l, m), by factor with --assoc: the slowest admitted case found, --n 8
---l 8 --m 8 --assoc 2,0, took 3.5 s and 87 MB there (spherical (5, 5, 16), 17 s).
-Before each product, each step of a power, each division by a scalar (a
-product with its inverse) and, for `inner` a b, the product b* a, evaluation
-checks that the result's total degree in the generators stays at most
+worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32.
+Those caps are this module's; the disk degrees, alpha and the terms of a
+spherical element take the library's (MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS of
+`diskpoly`, MAX_ALPHA of `tensor`), through its gates `_check_spherical` and
+`_check_addition`, called on every case before any case runs.  Before each
+product, each step of a power, each division by a scalar (a product with its
+inverse) and, for `inner` a b, the product b* a, evaluation checks that the
+result's total degree in the generators stays at most
 MAX_DEGREE = 128, that it multiplies at most MAX_PAIRS = 4096 pairs of terms,
 that the sizes of the two factors' largest coefficients (their integers'
 bits) add up to at most MAX_COEFF_BITS = 4096, and that |mu_1| |lambda_2|, over
@@ -54,10 +52,10 @@ import re
 import sys
 from math import comb
 
-from .diskpoly import assoc_spherical, spherical
+from .diskpoly import MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS, _check_spherical, assoc_spherical, spherical
 from .haar import haar, inner
 from .qfield import ZERO, QRat
-from .tensor import verify_addition
+from .tensor import MAX_ALPHA, _check_addition, verify_addition
 from .zalgebra import ZElement, _unit_key, q_element, star, w_gen, z_gen
 
 MAX_RANK = 16
@@ -70,9 +68,6 @@ MAX_COEFF_BITS = 4096
 MAX_ROW = 1024
 MAX_ROW_SIZE = 40_000
 MAX_JOBS = 32
-MAX_DISK_DEGREE = 8
-MAX_ALPHA = 16
-MAX_SPHERICAL_TERMS = 1716
 
 
 class ExprError(ValueError):
@@ -360,21 +355,9 @@ def _cmd_inner(args) -> int:
     return _emit(args, inner(a, b))
 
 
-def _check_disk(degrees, alphas=()) -> None:
-    """ValueError when a disk degree or an alpha is above its cap."""
-    for what, values, cap in (("disk degree", degrees, MAX_DISK_DEGREE), ("alpha", alphas, MAX_ALPHA)):
-        if max(values, default=0) > cap:
-            raise ValueError(f"{what} {max(values)}, above {cap}")
-
-
 def _cmd_spherical(args) -> int:
     n = _default_rank(args)
-    _check_disk((args.l, args.m) + (args.assoc or ()))
-    r, s = args.assoc or (0, 0)  # the inner factor of a spherical element has 1 term
-    k, j = min(args.l - r, args.m - s), min(r, s)
-    terms = comb(n - 1 + k, k) * comb(n - 2 + j, j) if min(k, j, n - 2) >= 0 else 0
-    if terms > MAX_SPHERICAL_TERMS:
-        raise ValueError(f"spherical element of {terms} terms, above {MAX_SPHERICAL_TERMS}")
+    _check_spherical(args.l, args.m, n, *(args.assoc or ()))
     if args.assoc is None:
         return _emit(args, spherical(args.l, args.m, n))
     return _emit(args, assoc_spherical(args.l, args.m, *args.assoc, n))
@@ -389,7 +372,7 @@ def _verdict_line(v: dict) -> str:
 
 def _cmd_verify_addition(args) -> int:
     variant = "precursor" if args.precursor else "final"
-    _check_disk((args.l, args.m), (args.alpha,))
+    _check_addition(args.l, args.m, args.alpha, variant)
     verdict = verify_addition(args.l, args.m, args.alpha, variant).to_json()
     print(json.dumps(verdict) if args.json else _verdict_line(verdict))
     return 0 if verdict["pass"] else 1
@@ -437,8 +420,7 @@ def _cmd_suite(args) -> int:
     size = len(grid["alpha"]) * len(grid["l"]) * len(grid["m"]) * len(variants)
     if size > MAX_GRID_CASES:
         raise ValueError(f"grid has {size} cases, more than {MAX_GRID_CASES}")
-    _check_disk(grid["l"] + grid["m"], grid["alpha"])
-    cases = [(l, m, alpha, variant)
+    cases = [(*_check_addition(l, m, alpha, variant), variant)  # all checked before any runs
              for alpha in grid["alpha"]
              for l in grid["l"]
              for m in grid["m"]

@@ -48,10 +48,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import comb
 
 from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent
 from .qfunc import _jacobi_coeffs
-from .zalgebra import ZElement, _element, _Memo, _unpacked, embed, q_element, w_gen, z_gen
+from .zalgebra import ZElement, _check_rank, _element, _Memo, _unpacked, embed, q_element, w_gen, z_gen
+
+# Caps on disk degrees (`_check_degrees`) and spherical terms.  The slowest admitted cases found,
+# verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 7.8 s and 102 MB, and 3.5 s
+# and 87 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
+MAX_DISK_DEGREE = 8
+MAX_SPHERICAL_TERMS = 1716
 
 
 class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
@@ -62,12 +69,8 @@ class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
     __slots__ = ()
 
     def __new__(cls, l: int, m: int, alpha: int):
-        _check_ints(l, m, alpha)
-        if l < 0 or m < 0:
-            raise ValueError("degrees must be nonnegative")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        return super().__new__(cls, l, m, alpha)
+        _check_ints(l, m, alpha, least=0)
+        return super().__new__(cls, int(l), int(m), int(alpha))  # bools made ints
 
     @classmethod
     def _make(cls, iterable):  # also serves _replace
@@ -199,22 +202,41 @@ def _sphere(i: int, n: int, spec: DiskSpec) -> ZElement:
     return _rank_args(n).scaled(spec)
 
 
+def _check_degrees(*degrees: int) -> None:
+    if max(degrees) > MAX_DISK_DEGREE:
+        raise ValueError(f"disk degree {max(degrees)}, above {MAX_DISK_DEGREE}")
+
+
+def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:
+    """(n, DiskSpec(l, m, n - 2)) of `spherical`, or of `assoc_spherical` for rs = (r, s); ValueError,
+    before any element is built, past any cap or rule: C(n - 1 + k, k) C(n - 2 + j, j) terms,
+    k = min(l - r, m - s) and j = min(r, s), and Q_n's n terms."""
+    n, least = _check_rank(n), 3 if rs else 2
+    if n < least:
+        raise ValueError(f"{'associated ' if rs else ''}spherical elements need rank at least {least}")
+    spec, (r, s, _) = DiskSpec(l, m, n - 2), DiskSpec(*(rs or (0, 0)), n - 2)
+    _check_degrees(spec.l, spec.m, r, s)
+    if r > spec.l or s > spec.m:
+        raise ValueError("need 0 <= r <= l and 0 <= s <= m")
+    k, j = min(spec.l - r, spec.m - s), min(r, s)
+    terms = comb(n - 1 + k, k) * comb(n - 2 + j, j)
+    if terms > MAX_SPHERICAL_TERMS:
+        raise ValueError(f"spherical element of {terms} terms, above {MAX_SPHERICAL_TERMS}")
+    _check_rank(n, max(n, terms))
+    return n, spec
+
+
 def spherical(l: int, m: int, n: int) -> ZElement:
     """Bidegree-(l, m) zonal spherical element of the rank-n quantum sphere,
     as its homogeneous representative R_{l,m}^(n-2)(z_n, w_n, Q_n; q^2)."""
-    if n < 2:
-        raise ValueError("spherical elements need rank at least 2")
-    spec = DiskSpec(l, m, n - 2)
+    n, spec = _check_spherical(l, m, n)
     return _sphere(n, n, spec) * jacobi_scaled(spec)[0]
 
 
 def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
     """Associated spherical element: the (l-r, m-s) disk polynomial on the
     top generators times the (r, s) one on the next level down."""
-    if n < 3:
-        raise ValueError("associated spherical elements need rank at least 3")
-    if not (0 <= r <= l and 0 <= s <= m):
-        raise ValueError("need 0 <= r <= l and 0 <= s <= m")
+    n, (l, m, _) = _check_spherical(l, m, n, r, s)
     outer, inner = DiskSpec(l - r, m - s, n - 2 + r + s), DiskSpec(r, s, n - 3)
     return (_sphere(n, n, outer) * _sphere(n - 1, n, inner)
             * (jacobi_scaled(outer)[0] * jacobi_scaled(inner)[0]))

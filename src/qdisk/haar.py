@@ -44,6 +44,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import prod
 
+from .diskpoly import DiskSpec
 from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
 from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _shift_sum, _z_rank
 
@@ -162,9 +163,8 @@ def inner(a: ZElement, b: ZElement) -> QRat:
 
 @lru_cache(maxsize=None, typed=True)
 def _norm(l: int, m: int, alpha: int) -> Cyclo:
-    """`norm_const` as a `Cyclo`."""
-    if not all(isinstance(x, int) and x >= 0 for x in (l, m, alpha)):
-        raise ValueError("norm constant parameters must be nonnegative integers")
+    """`norm_const` as a `Cyclo`; ValueError unless (l, m, alpha) is a `DiskSpec`."""
+    l, m, alpha = DiskSpec(l, m, alpha)
     a = 2 * (alpha + 1)
     num = Cyclo.one_minus(a) * Cyclo(1, m * a) * Cyclo.qpoch(2, 2, l) * Cyclo.qpoch(2, 2, m)
     den = Cyclo.one_minus(2 * (alpha + l + m + 1)) * Cyclo.qpoch(a, 2, l) * Cyclo.qpoch(a, 2, m)

@@ -369,10 +369,10 @@ def _laurent(cs: Sequence, k: int) -> "QRat":
 PolyLike = Union[int, Sequence]
 
 
-def _check_ints(*xs) -> None:
-    """ValueError unless every x is an int (bools count, as everywhere)."""
-    if not all(isinstance(x, int) for x in xs):
-        raise ValueError(f"expected integers, got {xs!r}")
+def _check_ints(*xs, least: int | None = None) -> None:
+    """ValueError unless every x is an int (bools count, as everywhere), and >= least if given."""
+    if not all(isinstance(x, int) for x in xs) or least is not None and min(xs) < least:
+        raise ValueError(f"expected integers{'' if least is None else f' >= {least}'}, got {xs!r}")
 
 
 def _as_poly(x: PolyLike) -> Coeffs:
@@ -716,8 +716,7 @@ class Cyclo:
     @staticmethod
     def qpoch(a_exp: int, step_exp: int, k: int) -> "Cyclo":
         """(q^a_exp; q^step_exp)_k, factored; see `qpoch`."""
-        if k < 0:
-            raise ValueError("qpoch length must be nonnegative")
+        _check_ints(k, least=0)
         return Cyclo.one_minus(*(a_exp + i * step_exp for i in range(k)))
 
     def _combine(self, other: "Cyclo", s: int) -> "Cyclo":
@@ -784,9 +783,8 @@ def qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
 @lru_cache(maxsize=None, typed=True)
 def qnumber(m: int, base_exp: int) -> QRat:
     """The q-integer [m] in base q^base_exp: (1 - q^(m*base_exp))/(1 - q^base_exp)."""
-    _check_ints(m, base_exp)
-    if m < 0:
-        raise ValueError("qnumber index must be nonnegative")
+    _check_ints(base_exp)
+    _check_ints(m, least=0)
     if base_exp == 0:
         raise ValueError("qnumber base exponent must be nonzero")
     return (Cyclo.one_minus(m * base_exp) / Cyclo.one_minus(base_exp)).to_qrat()
@@ -854,14 +852,13 @@ def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:
     columns 0) and the `nullspace` basis (free column 1, each pivot column
     minus its row's entry there) equal those of any Gauss-Jordan order.
     """
-    if not isinstance(ncols, int) or ncols < 0:
-        raise ValueError(f"column count {ncols!r} is not a nonnegative integer")
+    _check_ints(ncols, least=0)
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     index = [set() for _ in range(ncols + 1)]  # col -> rows holding it
     for i, row in enumerate(rows):
         for c, x in row.items():
-            if not 0 <= c <= ncols or not isinstance(x, QRat):
-                raise ValueError(f"entry {x!r} at column {c}: not a QRat, or outside 0..{ncols}")
+            if not isinstance(c, int) or not 0 <= c <= ncols or not isinstance(x, QRat):
+                raise ValueError(f"entry {x!r} at column {c!r}: not a QRat, or outside 0..{ncols}")
             index[c].add(i)
     col_of: dict = {}  # pivot row -> its column
     for col in range(ncols):

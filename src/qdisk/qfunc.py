@@ -13,9 +13,8 @@ from .qfield import Cyclo, _check_ints
 def _jacobi_coeffs(m: int, a_exp: int, b_exp: int, base_exp: int) -> list:
     """The coefficients of `little_q_jacobi` as `Cyclo`s, each the one before
     it times (1 - q^(k-m)) (1 - a b q^(m+1+k)) q / ((1 - a q^(1+k)) (1 - q^(1+k)))."""
-    _check_ints(m, a_exp, b_exp, base_exp)
-    if m < 0:
-        raise ValueError("polynomial degree must be nonnegative")
+    _check_ints(a_exp, b_exp, base_exp)
+    _check_ints(m, least=0)
     if base_exp == 0:
         raise ValueError("base exponent must be nonzero")
     if 0 <= -(a_exp + 1) < m:

@@ -49,11 +49,11 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
-from .diskpoly import DiskSpec, _DiskArgs, _jacobi, _sphere, jacobi_scaled
+from .diskpoly import DiskSpec, _check_degrees, _DiskArgs, _jacobi, _sphere, jacobi_scaled
 from .haar import _norm
-from .qfield import (ONE, Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _from_digits, _is_qpow,
-                     _laurent, _width, mass, pack_laurent, poly_divexact, poly_mul)
-from .zalgebra import ZElement, _z_rank, q_element, w_gen, z_gen
+from .qfield import (ONE, Cyclo, QRat, Record, _accum, _eval_shift, _is_qpow, _laurent, _width, mass,
+                     pack_laurent, poly_divexact, poly_mul)
+from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
@@ -88,7 +88,7 @@ def _pair_sum(sides) -> dict:
             for ky, y in ys:
                 key = (kx, ky)
                 acc[key] = acc.get(key, 0) + x * y
-    return {key: _laurent(_from_digits(v, s), kl + kr + kw) for key, v in acc.items() if v}
+    return _unpacked(acc, s, kl + kr + kw)
 
 
 def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
@@ -136,27 +136,29 @@ xy_generators = lru_cache(maxsize=None)(XYGenerators)
 
 
 VARIANTS = ("final", "precursor")
+MAX_ALPHA = 16  # l and m take `diskpoly.MAX_DISK_DEGREE`, where the slowest admitted case is timed
 
 
-def _check_addition_args(l: int, m: int, alpha: int, variant: str) -> None:
-    if l < 0 or m < 0:
-        raise ValueError("degrees must be nonnegative")
-    if alpha < 1:
+def _check_addition(l: int, m: int, alpha: int, variant: str) -> DiskSpec:
+    """The `DiskSpec` (l, m, alpha) of an addition-formula case; ValueError, before any work,
+    unless alpha >= 1, variant is in VARIANTS and the caps hold."""
+    spec = DiskSpec(l, m, alpha)
+    if spec.alpha < 1:
         raise ValueError("alpha must be at least 1 (alpha - 1 appears on the right)")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    _check_degrees(spec.l, spec.m)
+    if spec.alpha > MAX_ALPHA:
+        raise ValueError(f"alpha {spec.alpha}, above {MAX_ALPHA}")
+    return spec
 
 
 @lru_cache(maxsize=None, typed=True)
 def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
-    """`coupling_const` as a `Cyclo`."""
-    _check_ints(l, m, r, s, alpha)
-    if not (0 <= r <= l and 0 <= s <= m):
-        raise ValueError("need 0 <= r <= l and 0 <= s <= m")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    """`coupling_const` as a `Cyclo`; `_norm` checks its three specs, (l, m, alpha) first."""
+    whole, inner = _norm(l, m, alpha), _norm(r, s, alpha - 1)
     ratio = Cyclo.one_minus(2 * (alpha + r + s + 1)) / Cyclo.one_minus(2 * (alpha + 1))
-    return ratio * _norm(l, m, alpha) / (_norm(l - r, m - s, alpha + r + s) * _norm(r, s, alpha - 1))
+    return ratio * whole / (_norm(l - r, m - s, alpha + r + s) * inner)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -185,8 +187,7 @@ def _args(variant: str) -> _DiskArgs:
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/L, L lhs): the disk polynomial of the coupled arguments, expanded in
     the tensor algebra and scaled by the lcm L of its Jacobi denominators."""
-    _check_addition_args(l, m, alpha, variant)
-    spec = DiskSpec(l, m, alpha)
+    spec = _check_addition(l, m, alpha, variant)
     return jacobi_scaled(spec)[0], _args(variant).scaled(spec)
 
 
@@ -213,8 +214,7 @@ def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     (r, s) pieces (`_rhs_pieces`).  They are products of the L-scaled disk
     polynomials `diskpoly._sphere` on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*,
     Q') = (z_2, w_2, Q_2) and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent."""
-    _check_addition_args(l, m, alpha, variant)
-    plan, inv_lcm, weights = _rhs_pieces(l, m, alpha, variant)
+    plan, inv_lcm, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
     sides = [(_sphere(3, 3, outer) * _sphere(2, 3, inner),
               _circle_shift(_sphere(2, 2, outer), *((s, r) if variant == "final" else (r, s))), weight)
              for (r, s, outer, inner), weight in zip(plan, weights)]
@@ -280,8 +280,9 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     equal sides.  A failure is reported, not raised: only then are the sides
     divided, for the residual lhs - rhs."""
     start = time.monotonic()
-    inv_l, lhs = scaled_lhs(l, m, alpha, variant)
-    inv_v, rhs = scaled_rhs(l, m, alpha, variant)
+    spec = _check_addition(l, m, alpha, variant)
+    inv_l, lhs = scaled_lhs(*spec, variant)
+    inv_v, rhs = scaled_rhs(*spec, variant)
     # lhs = a nl / L and rhs = b nv / V, for the numerators nl and nv of 1/L and 1/V
     l_den, v_den = poly_mul(inv_l.den, inv_v.num), poly_mul(inv_v.den, inv_l.num)
     try:
@@ -292,5 +293,4 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     if not _equal_over(lhs, dens[0], rhs, dens[1]):
         residual = (lhs * inv_l - rhs * inv_v).to_json()["terms"]
     millis = int((time.monotonic() - start) * 1000)
-    return Verdict(l, m, alpha, variant, not residual, residual,
-                   lhs.term_count(), rhs.term_count(), millis)
+    return Verdict(*spec, variant, not residual, residual, lhs.term_count(), rhs.term_count(), millis)

@@ -26,8 +26,8 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .qfield import ONE, QRat, _accum, qnumber, solve_sparse
-from .zalgebra import ZElement, _check_rank, _z_rank
+from .qfield import ONE, QRat, _accum, _check_ints, qnumber, solve_sparse
+from .zalgebra import ZElement, _check_index, _check_rank, _z_rank
 
 Weight = Sequence
 
@@ -50,12 +50,6 @@ def act_qh(h: Weight, a: ZElement) -> ZElement:
     return a._like(out)
 
 
-def _check_ladder_index(k: int, a: ZElement) -> None:
-    rank = _z_rank(a, "a ladder operator")
-    if not isinstance(k, int) or not 1 <= k <= rank - 1:
-        raise ValueError(f"ladder index {k!r} out of range for rank {rank}")
-
-
 def _ladder(a: ZElement, moves) -> ZElement:
     """The sum over the terms c z^lam w^mu of a and over the moves (side, src,
     dst, prefactor) of c prefactor(lam, mu) [x] times the monomial with one unit
@@ -75,14 +69,14 @@ def _ladder(a: ZElement, moves) -> ZElement:
 
 
 def act_f(k: int, a: ZElement) -> ZElement:
-    _check_ladder_index(k, a)
+    _check_index(k, _z_rank(a, "a ladder operator") - 1, "ladder index")
     i, j = k - 1, k
     return _ladder(a, ((1, j, i, lambda lam, mu: -QRat.q_power(mu[i] + 1)),
                        (0, i, j, lambda lam, mu: QRat.q_power(lam[j] + mu[i] - mu[j]))))
 
 
 def act_e(k: int, a: ZElement) -> ZElement:
-    _check_ladder_index(k, a)
+    _check_index(k, _z_rank(a, "a ladder operator") - 1, "ladder index")
     i, j = k - 1, k
     return _ladder(a, ((1, i, j, lambda lam, mu: -QRat.q_power(mu[j] + lam[i] - lam[j] - 1)),
                        (0, j, i, lambda lam, mu: QRat.q_power(lam[i]))))
@@ -91,8 +85,7 @@ def act_e(k: int, a: ZElement) -> ZElement:
 def is_invariant(a: ZElement, p: int) -> bool:
     """Invariance under the rank-p subalgebra (1 <= p <= rank): every key of a
     is torus-fixed, and e_k, f_k kill a for k < p."""
-    if not isinstance(p, int) or not 1 <= p <= _z_rank(a, "the U_q(gl(n)) action"):
-        raise ValueError(f"subalgebra rank {p!r} out of range for rank {a.rank}")
+    _check_index(p, _z_rank(a, "the U_q(gl(n)) action"), "subalgebra rank")
     if any(lam[:p] != mu[:p] for lam, mu in a.terms):
         return False
     return all(act_e(k, a).is_zero() and act_f(k, a).is_zero() for k in range(1, p))
@@ -119,17 +112,15 @@ def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
     The unknowns are the torus-fixed keys (lam, mu), lam[:p] == mu[:p], in
     lexicographic order: sum over j = |lam[:p]| of |comps(j, p)| |comps(l - j,
     n - p)| |comps(m - j, n - p)|, counted first.  A degree above
-    MAX_INVARIANT_DEGREE or a count above MAX_INVARIANT_KEYS raises ValueError
-    before any key is enumerated.  The torus condition on any other key is a
-    one-entry row, a pivot with nullspace entry 0, so the reduced echelon
-    basis is the full slice's.  The rows are the ladder images of e_k, f_k on
-    the kept keys, transposed from their terms (none for p = 1).  Each basis
-    element is built from its vector's nonzeros only, in key order."""
-    _check_rank(n)
-    if not all(isinstance(x, int) and x >= 0 for x in (l, m, p)):
-        raise ValueError("bidegree and subalgebra rank must be nonnegative integers")
-    if not 1 <= p <= n:
-        raise ValueError(f"subalgebra rank {p} out of range for rank {n}")
+    MAX_INVARIANT_DEGREE, a count above MAX_INVARIANT_KEYS or a rank times count
+    above `zalgebra.MAX_RANK_TERMS` raises ValueError before any key is
+    enumerated.  The torus condition on any other key is a one-entry row, a
+    pivot with nullspace entry 0, so the reduced echelon basis is the full
+    slice's.  The rows are the ladder images of e_k, f_k on the kept keys,
+    transposed from their terms (none for p = 1).  Each basis element is built
+    from its vector's nonzeros only, in key order."""
+    _check_ints(l, m, n, least=0)  # the rank's size is checked once the keys are counted
+    _check_index(p, n, "subalgebra rank")
     if max(l, m) > MAX_INVARIANT_DEGREE:
         raise ValueError(f"bidegree {(l, m)} above {MAX_INVARIANT_DEGREE}")
     # j = |lam[:p]|; for p = n only j = l = m has keys
@@ -138,6 +129,7 @@ def invariant_subspace(l: int, m: int, n: int, p: int) -> list:
         size += _count_comps(j, p) * _count_comps(l - j, n - p) * _count_comps(m - j, n - p)
         if size > MAX_INVARIANT_KEYS:
             raise ValueError(f"slice {(l, m, n, p)} has over {MAX_INVARIANT_KEYS} torus-fixed keys")
+    n = _check_rank(n, size)
     keys = sorted((head + rest, head + tail) for j in js
                   for rest in _comps(l - j, n - p) for tail in _comps(m - j, n - p)
                   for head in _comps(j, p))

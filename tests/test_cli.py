@@ -558,6 +558,14 @@ def test_grid_clause_is_capped_while_it_is_read(capsys, monkeypatch):
     assert _parse_grid("l=0..511,512..1023;m=2,0..1")["l"] == list(range(MAX_GRID_CASES))
 
 
+def test_every_grid_case_is_checked_before_any_runs(capsys, monkeypatch):
+    # the bad cases (l = -1) come after two good ones in the grid's order
+    monkeypatch.setattr("qdisk.cli._run_case", no_work)
+    code, out, err = run_cli(capsys, "suite", "--grid", "alpha=1;l=3,-1;m=3")
+    assert (code, out) == (2, "")
+    assert "got (-1, 3, 1)" in err
+
+
 def test_grid_at_the_cap_is_accepted(capsys, monkeypatch):
     def fake_case(case):
         l, m, alpha, variant = case

@@ -68,3 +68,17 @@ def test_the_import_scan_sees_third_party_imports(tmp_path):
     path.write_text("import os\nfrom numpy.linalg import solve\nfrom . import x\n"
                     "def f():\n    import sympy\n")
     assert imported_modules(path) == ["os", "numpy.linalg", "sympy"]
+
+
+def test_the_cli_takes_the_library_caps_and_defines_no_copy():
+    from qdisk import cli, diskpoly, tensor
+
+    for name, owner in (("MAX_DISK_DEGREE", diskpoly), ("MAX_SPHERICAL_TERMS", diskpoly),
+                        ("MAX_ALPHA", tensor)):
+        assert getattr(cli, name) is getattr(owner, name), name
+    assert not hasattr(cli, "_check_disk")
+    # identity cannot tell small ints apart, so no module-level assignment either
+    tree = ast.parse((ROOT / "src" / "qdisk" / "cli.py").read_text())
+    assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert assigned & {"MAX_DISK_DEGREE", "MAX_ALPHA", "MAX_SPHERICAL_TERMS"} == set()

@@ -240,7 +240,7 @@ def test_solve_linear_zero_matrix_is_all_free():
     assert solve_linear([], []) == LinearSolution(True, [], [])
 
 
-@pytest.mark.parametrize("col", [-1, 3])
+@pytest.mark.parametrize("col", [-1, 3, "a"])
 def test_solve_sparse_rejects_columns_out_of_range(col):
     with pytest.raises(ValueError, match="outside"):
         solve_sparse([{0: ONE}, {col: ONE}], 2)

@@ -260,6 +260,14 @@ def test_verify_addition_degree_two():
     assert payload["residual_terms"] == []
 
 
+def test_bool_arguments_give_int_fields():
+    # the verdict is built from the checked spec, so bools do not reach the JSON
+    payload = verify_addition(True, False, True).to_json()
+    assert json.dumps(payload).startswith('{"l": 1, "m": 0, "alpha": 1, "variant": "final", "pass": true')
+    assert [type(payload[k]) for k in ("l", "m", "alpha")] == [int] * 3
+    assert repr(DiskSpec(True, 0, 0)) == "DiskSpec(l=1, m=0, alpha=0)"
+
+
 def test_variants_do_not_mix():
     lhs = addition_lhs(1, 0, 1, "final")
     rhs = addition_rhs(1, 0, 1, "precursor")
