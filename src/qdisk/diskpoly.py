@@ -18,7 +18,7 @@ The sum is taken scaled: with L the lcm of the denominators of the coef_k
 as above.  Each L coef_k is a polynomial, so when A, B and C have Laurent
 coefficients every sum and product stays on the gcd-free path, and
 `disk_poly` divides by L once per output term.  The coef_k are `Cyclo`s
-(`qfield`), so L is their exponent lcm, and `jacobi_scaled` expands each L
+(`qfield`), so L is their exponent lcm, and `_jacobi` expands each L
 coef_k to a polynomial once per spec, with no gcd.  C commutes with A, B, D
 and so with each E_k, and H is taken by Horner's rule in C: H_0 = (L coef_0)
 E_0, H_k = H_(k-1) C + (L coef_k) E_k.  `_DiskArgs` checks C once and keeps
@@ -38,10 +38,11 @@ the largest t_1 of the keys), and H is read back once.  Moves have mass 1, so
 coefficients, |C| = n or n1 n2) bounds every coefficient, and s puts it below
 2^(s-1).  Any other sum takes `QRat`s, and no size cutoff pays (CHANGES.md).
 
-On (z_i, w_i, Q_i) in Z_n, L R gives the spherical elements (i = n), the two
-factors of the associated ones (i = n, n - 1) and the rhs factors of the
-addition formula (`tensor`).  `_sphere` is their one memo, on one bundle per
-rank, embedding Z_i into Z_n for i < n.  Callers never receive a cached element.
+The spherical and associated elements and the rhs factors of the addition
+formula (`tensor`) are products down Z_n > Z_(n-1) > ..., level n on the left,
+of L R(z_i, w_i, Q_i).  `_chain` is their one memo, kept for the process: each
+level is built on its rank's one bundle, and the levels below are embedded
+once.  Callers never receive a cached element.
 """
 
 from __future__ import annotations
@@ -79,19 +80,18 @@ class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
 
 @lru_cache(maxsize=None)
 def _jacobi(spec: DiskSpec) -> tuple:
-    """(L, (L coef_0, L coef_1, ...)) as `Cyclo`s: the little q-Jacobi
-    coefficients of the spec, L the lcm of their denominators."""
+    """(L, 1/L, (L coef_0, L coef_1, ...)) of `jacobi_scaled`, L a `Cyclo` and the rest `QRat`s."""
     coeffs = _jacobi_coeffs(min(spec.l, spec.m), spec.alpha, abs(spec.l - spec.m), 2)
     lcm = Cyclo.lcm(coeffs)
-    return lcm, tuple(lcm * c for c in coeffs)
+    return lcm, (Cyclo() / lcm).to_qrat(), tuple((lcm * c).to_qrat() for c in coeffs)
 
 
-@lru_cache(maxsize=None)
 def jacobi_scaled(spec: DiskSpec) -> tuple:
-    """(1/L, (L coef_0, L coef_1, ...)) for the little q-Jacobi coefficients
-    of the spec, L the lcm of their denominators, each L coef_k a polynomial."""
-    lcm, scaled = _jacobi(spec)
-    return (Cyclo() / lcm).to_qrat(), tuple(c.to_qrat() for c in scaled)
+    """(1/L, (L coef_0, L coef_1, ...)) for the little q-Jacobi coefficients of the spec,
+    L the lcm of their denominators, each L coef_k a polynomial; ValueError unless a `DiskSpec`."""
+    if not isinstance(spec, DiskSpec):
+        raise ValueError(f"expected a DiskSpec, got {spec!r}")
+    return _jacobi(spec)[1:]
 
 
 def _moves(lam: tuple, mu: tuple) -> tuple:
@@ -169,7 +169,7 @@ class _DiskArgs:
 
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
-        j, scaled = spec.l - spec.m, jacobi_scaled(spec)[1][:min(spec.l, spec.m) + 1]
+        j, scaled = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
         result = self._packed_horner(scaled, j)
         if result is None:
             result = self.fold(j, 0) * scaled[0]
@@ -183,9 +183,8 @@ def disk_poly(spec: DiskSpec, A, B, C):
     tensor product: the scaled sum L R of `_DiskArgs.scaled`, divided by L
     once per output term.  ValueError on a spec that is not a `DiskSpec`, on a
     non-element and when C fails to commute with A or with B."""
-    if not isinstance(spec, DiskSpec):
-        raise ValueError(f"disk_poly takes a DiskSpec, not {spec!r}")
-    return _DiskArgs(A, B, C).scaled(spec) * jacobi_scaled(spec)[0]
+    inv_lcm = jacobi_scaled(spec)[0]  # checks the spec before any element work
+    return _DiskArgs(A, B, C).scaled(spec) * inv_lcm
 
 
 @lru_cache(maxsize=None)
@@ -195,11 +194,12 @@ def _rank_args(n: int) -> _DiskArgs:
 
 
 @lru_cache(maxsize=None)
-def _sphere(i: int, n: int, spec: DiskSpec) -> ZElement:
-    """L R_spec(z_i, w_i, Q_i) in Z_n, L the lcm of the spec's Jacobi denominators."""
-    if i < n:
-        return embed(_sphere(i, i, spec), n)
-    return _rank_args(n).scaled(spec)
+def _chain(n: int, *specs: DiskSpec) -> ZElement:
+    """The product in Z_n, level n on the left, of L R_spec(z_i, w_i, Q_i) over the specs for
+    i = n, n - 1, ..., each L the lcm of its spec's Jacobi denominators."""
+    if len(specs) == 1:
+        return _rank_args(n).scaled(specs[0])
+    return _chain(n, specs[0]) * embed(_chain(n - 1, *specs[1:]), n)
 
 
 def _check_degrees(*degrees: int) -> None:
@@ -230,7 +230,7 @@ def spherical(l: int, m: int, n: int) -> ZElement:
     """Bidegree-(l, m) zonal spherical element of the rank-n quantum sphere,
     as its homogeneous representative R_{l,m}^(n-2)(z_n, w_n, Q_n; q^2)."""
     n, spec = _check_spherical(l, m, n)
-    return _sphere(n, n, spec) * jacobi_scaled(spec)[0]
+    return _chain(n, spec) * _jacobi(spec)[1]
 
 
 def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
@@ -238,5 +238,4 @@ def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
     top generators times the (r, s) one on the next level down."""
     n, (l, m, _) = _check_spherical(l, m, n, r, s)
     outer, inner = DiskSpec(l - r, m - s, n - 2 + r + s), DiskSpec(r, s, n - 3)
-    return (_sphere(n, n, outer) * _sphere(n - 1, n, inner)
-            * (jacobi_scaled(outer)[0] * jacobi_scaled(inner)[0]))
+    return _chain(n, outer, inner) * (_jacobi(outer)[1] * _jacobi(inner)[1])

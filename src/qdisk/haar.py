@@ -45,7 +45,7 @@ from functools import lru_cache, partial
 from math import prod
 
 from .diskpoly import DiskSpec
-from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _width, qpoch
+from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _q_power, _qpoch, _width
 from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _shift_sum, _z_rank
 
 
@@ -54,9 +54,9 @@ def _haar_num(lam: tuple, n: int) -> QRat:
     """N_lam, the polynomial numerator of h(z^lam w^lam), memoized."""
     t = sum(lam)
     e = t * t + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
-    value = QRat.q_power(e) * qpoch(2, 2, n - 1)
+    value = _q_power(e) * _qpoch(2, 2, n - 1)
     for li in lam:
-        value = value * qpoch(2, 2, li)
+        value = value * _qpoch(2, 2, li)
     return value
 
 
@@ -95,7 +95,7 @@ def _packed_sum(cols: list, items: list, rank: int) -> QRat:
         groups[key] = groups.get(key, 0) + prod([v for _, v in fs])
     total = ZERO
     for (t, *ds), v in groups.items():
-        den = prod(map(QRat, ds), start=qpoch(2, 2, t + rank - 1))
+        den = prod(map(QRat, ds), start=_qpoch(2, 2, t + rank - 1))
         total = total + _laurent(_from_digits(v, s), sum(ks)) / den
     return total
 
@@ -134,7 +134,7 @@ def _pair_row(rank: int, key1, key2) -> tuple:
             v = _shift_sum(v, h[3](s), [(x, s * (top - k + i)) for i, x in enumerate(n) if x])
         p = _laurent(_from_digits(v, s), top)
     else:
-        p = _PAIR_HAAR_CACHE[rank, k1, k2][1] * QRat.q_power(f)
+        p = _PAIR_HAAR_CACHE[rank, k1, k2][1] * _q_power(f)
     return t, p, _factor(p, _packed) if p else None
 
 
@@ -171,7 +171,6 @@ def _norm(l: int, m: int, alpha: int) -> Cyclo:
     return num / den
 
 
-@lru_cache(maxsize=None, typed=True)
 def norm_const(l: int, m: int, alpha: int) -> QRat:
     """Squared norm c_{l,m}^(alpha) of the (l, m) q-disk polynomial:
 
@@ -180,4 +179,4 @@ def norm_const(l: int, m: int, alpha: int) -> QRat:
         / ((q^(2(alpha+1)); q^2)_l (q^(2(alpha+1)); q^2)_m).
 
     Not symmetric in l and m: the q-power weights the w-side degree."""
-    return _norm(l, m, alpha).to_qrat()
+    return _norm(*DiskSpec(l, m, alpha)).to_qrat()

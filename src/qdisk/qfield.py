@@ -363,16 +363,17 @@ def _laurent(cs: Sequence, k: int) -> "QRat":
     m = 0
     while m < k and not cs[m]:
         m += 1
-    return QRat(tuple(cs[m:n]), QRat.q_power(m - k).den, _canonical=True)
+    return QRat(tuple(cs[m:n]), _q_power(m - k).den, _canonical=True)
 
 
 PolyLike = Union[int, Sequence]
 
 
-def _check_ints(*xs, least: int | None = None) -> None:
-    """ValueError unless every x is an int (bools count, as everywhere), and >= least if given."""
+def _check_ints(*xs, least: int | None = None) -> tuple:
+    """xs; ValueError unless every x is an int (bools count, as everywhere), and >= least if given."""
     if not all(isinstance(x, int) for x in xs) or least is not None and min(xs) < least:
         raise ValueError(f"expected integers{'' if least is None else f' >= {least}'}, got {xs!r}")
+    return xs
 
 
 def _as_poly(x: PolyLike) -> Coeffs:
@@ -407,13 +408,9 @@ class QRat:
         return QRat((num,) if num else (), (den,))
 
     @staticmethod
-    @lru_cache(maxsize=None, typed=True)
     def q_power(k: int) -> "QRat":
         """q^k for any integer k (negative powers become denominators), memoized."""
-        _check_ints(k)
-        if k >= 0:
-            return QRat((0,) * k + (1,), (1,), _canonical=True)
-        return QRat((1,), (0,) * (-k) + (1,), _canonical=True)
+        return _q_power(*_check_ints(k))
 
     # -- predicates
 
@@ -769,24 +766,39 @@ class Cyclo:
                     _canonical=True)
 
 
-@lru_cache(maxsize=None, typed=True)
 def qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
-    """q-shifted factorial (q^a_exp; q^step_exp)_k = prod (1 - q^(a_exp + i*step_exp)).
+    """q-shifted factorial (q^a_exp; q^step_exp)_k = prod (1 - q^(a_exp + i*step_exp)), memoized.
 
     Both exponents may be negative; negative powers of q land in the
     denominator, e.g. qpoch(-2, 2, 1) = (q^2 - 1)/q^2.
     """
-    _check_ints(a_exp, step_exp, k)
-    return Cyclo.qpoch(a_exp, step_exp, k).to_qrat()
+    return _qpoch(*_check_ints(a_exp, step_exp, k))
 
 
-@lru_cache(maxsize=None, typed=True)
 def qnumber(m: int, base_exp: int) -> QRat:
-    """The q-integer [m] in base q^base_exp: (1 - q^(m*base_exp))/(1 - q^base_exp)."""
+    """The q-integer [m] in base q^base_exp: (1 - q^(m*base_exp))/(1 - q^base_exp), memoized."""
     _check_ints(base_exp)
     _check_ints(m, least=0)
     if base_exp == 0:
         raise ValueError("qnumber base exponent must be nonzero")
+    return _qnumber(m, base_exp)
+
+
+# the memos of `QRat.q_power`, `qpoch` and `qnumber` without their checks, for callers holding ints
+@lru_cache(maxsize=None, typed=True)
+def _q_power(k: int) -> QRat:
+    if k >= 0:
+        return QRat((0,) * k + (1,), (1,), _canonical=True)
+    return QRat((1,), (0,) * (-k) + (1,), _canonical=True)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
+    return Cyclo.qpoch(a_exp, step_exp, k).to_qrat()
+
+
+@lru_cache(maxsize=None, typed=True)
+def _qnumber(m: int, base_exp: int) -> QRat:
     return (Cyclo.one_minus(m * base_exp) / Cyclo.one_minus(base_exp)).to_qrat()
 
 

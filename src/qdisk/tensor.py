@@ -26,9 +26,9 @@ their lcm V by exponent arithmetic and converts 1/V and each weight once,
 with no gcd.
 
 The rhs is one packed sum of weighted simple tensors, `_pair_sum` (`pair`
-is its one-piece case, of weight 1).  Piece (r, s) is w left (x) right,
-with left = X_rs I_rs, one product, and right = Y_rs z_1^a w_1^b in closed
-form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2,
+is its one-piece case, of weight 1).  Piece (r, s) is w left (x) right, with
+left = X_rs I_rs, a `diskpoly._chain` entry, and right = Y_rs z_1^a w_1^b in
+closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2,
 z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1) w^(mu + b e_1).
 Left and right coefficients and weights are packed in one `pack_laurent`
 call each, at one slot width s; times q^(Kl + Kr + Kw), each output
@@ -38,21 +38,23 @@ values of x's integer numerator coefficients, over its terms, each output
 coefficient is at most sum_rs |left| |right| |w|, which s puts below
 2^(s-1).  A coefficient not over a power of q sends the sum to `QRat`s.
 
-Case-independent work is done once per process, in `lru_cache` tables:
-`_args` (a variant's checked lhs arguments), `coupling_const` and its factored
-`_coupling`, and `_rhs_pieces` (a case's rhs scalars, in tuples); the rhs disk
-polynomials come from `diskpoly._sphere`.  Callers never receive a cached element.
+Case-independent work is done once per process, in `lru_cache` tables: `_args`
+(a variant's checked lhs arguments), `_coupling` (the coupling constants) and
+`_rhs_pieces` (a case's rhs scalars, in tuples); with left and right kept by
+`_chain`, every case and variant that shares a left piece shares its one
+product.  Callers never receive a cached element.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
-from .diskpoly import DiskSpec, _check_degrees, _DiskArgs, _jacobi, _sphere, jacobi_scaled
+from .diskpoly import DiskSpec, _chain, _check_degrees, _DiskArgs, _jacobi
 from .haar import _norm
-from .qfield import (ONE, Cyclo, QRat, Record, _accum, _eval_shift, _is_qpow, _laurent, _width, mass,
-                     pack_laurent, poly_divexact, poly_mul)
+from .qfield import (ONE, Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _is_qpow, _laurent,
+                     _width, mass, pack_laurent, poly_divexact, poly_mul)
 from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -110,25 +112,13 @@ def pair(left: ZElement, right: ZElement) -> ZElement:
 # generator bundle
 
 
-class XYGenerators:
-    """The disk and circle generator images and their tensor lifts."""
-
-    def __init__(self):
-        self.X1 = z_gen(2, LEFT_RANK)
-        self.X2 = z_gen(3, LEFT_RANK)
-        self.X1s = w_gen(2, LEFT_RANK)
-        self.X2s = w_gen(3, LEFT_RANK)
-        self.Q = q_element(3, LEFT_RANK)
-        self.Y1 = z_gen(1, RIGHT_RANK)
-        self.Y2 = z_gen(2, RIGHT_RANK)
-        self.Y1s = w_gen(1, RIGHT_RANK)
-        self.Y2s = w_gen(2, RIGHT_RANK)
-        self.D = q_element(2, RIGHT_RANK)
-        # Q' = Q - X2 X2*, the central element of the inner disk pair (X1, X1*)
-        self.Qp = self.Q - self.X2 * self.X2s
-
-
-xy_generators = lru_cache(maxsize=None)(XYGenerators)
+@lru_cache(maxsize=None)
+def xy_generators() -> SimpleNamespace:
+    """The images X1, X2, their stars X1s, X2s and Q of Z_3, and Y1, Y2, Y1s, Y2s and D of Z_2."""
+    return SimpleNamespace(X1=z_gen(2, LEFT_RANK), X2=z_gen(3, LEFT_RANK), X1s=w_gen(2, LEFT_RANK),
+                           X2s=w_gen(3, LEFT_RANK), Q=q_element(3, LEFT_RANK), Y1=z_gen(1, RIGHT_RANK),
+                           Y2=z_gen(2, RIGHT_RANK), Y1s=w_gen(1, RIGHT_RANK), Y2s=w_gen(2, RIGHT_RANK),
+                           D=q_element(2, RIGHT_RANK))
 
 
 # ----------------------------------------------------------------------
@@ -161,13 +151,12 @@ def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
     return ratio * whole / (_norm(l - r, m - s, alpha + r + s) * inner)
 
 
-@lru_cache(maxsize=None, typed=True)
 def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
     """Coupling coefficient of the (r, s) term on the right-hand side:
 
     (1 - q^(2(alpha+r+s+1))) / (1 - q^(2(alpha+1)))
         * c_{l,m}^(alpha) / (c_{l-r,m-s}^(alpha+r+s) c_{r,s}^(alpha-1))."""
-    return _coupling(l, m, r, s, alpha).to_qrat()
+    return _coupling(*_check_ints(l, m, r, s, alpha)).to_qrat()
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +177,7 @@ def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/L, L lhs): the disk polynomial of the coupled arguments, expanded in
     the tensor algebra and scaled by the lcm L of its Jacobi denominators."""
     spec = _check_addition(l, m, alpha, variant)
-    return jacobi_scaled(spec)[0], _args(variant).scaled(spec)
+    return _jacobi(spec)[1], _args(variant).scaled(spec)
 
 
 @lru_cache(maxsize=None)
@@ -211,12 +200,13 @@ def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/V, V rhs): the coupled sum of products of disk polynomials in the
     separate factors, over the common denominator V of the scalars of its
-    (r, s) pieces (`_rhs_pieces`).  They are products of the L-scaled disk
-    polynomials `diskpoly._sphere` on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*,
-    Q') = (z_2, w_2, Q_2) and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent."""
+    (r, s) pieces (`_rhs_pieces`).  Its factors are L-scaled disk polynomials on
+    (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*, Q') = (z_2, w_2, Q_2), Q' = Q - X2 X2*,
+    and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent: X_rs I_rs is the chain
+    `diskpoly._chain(3, outer, inner)` and Y_rs is `_chain(2, outer)`."""
     plan, inv_lcm, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
-    sides = [(_sphere(3, 3, outer) * _sphere(2, 3, inner),
-              _circle_shift(_sphere(2, 2, outer), *((s, r) if variant == "final" else (r, s))), weight)
+    sides = [(_chain(3, outer, inner),
+              _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)
              for (r, s, outer, inner), weight in zip(plan, weights)]
     return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 

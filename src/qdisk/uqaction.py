@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .qfield import ONE, QRat, _accum, _check_ints, qnumber, solve_sparse
+from .qfield import ONE, _accum, _check_ints, _q_power, _qnumber, solve_sparse
 from .zalgebra import ZElement, _check_index, _check_rank, _z_rank
 
 Weight = Sequence
@@ -46,7 +46,7 @@ def act_qh(h: Weight, a: ZElement) -> ZElement:
     out = {}
     for (lam, mu), c in a.terms.items():
         e = sum(hi * (li - mi) for hi, li, mi in zip(h, lam, mu))
-        out[(lam, mu)] = c * QRat.q_power(e)
+        out[(lam, mu)] = c * _q_power(e)
     return a._like(out)
 
 
@@ -64,22 +64,22 @@ def _ladder(a: ZElement, moves) -> ZElement:
                 e[src] -= 1
                 e[dst] += 1
                 moved = (key[0], tuple(e)) if side else (tuple(e), key[1])
-                _accum(out, moved, c * (prefactor(*key) * qnumber(x, -2)))
+                _accum(out, moved, c * (prefactor(*key) * _qnumber(x, -2)))
     return a._like({key: c for key, c in out.items() if c})
 
 
 def act_f(k: int, a: ZElement) -> ZElement:
     _check_index(k, _z_rank(a, "a ladder operator") - 1, "ladder index")
     i, j = k - 1, k
-    return _ladder(a, ((1, j, i, lambda lam, mu: -QRat.q_power(mu[i] + 1)),
-                       (0, i, j, lambda lam, mu: QRat.q_power(lam[j] + mu[i] - mu[j]))))
+    return _ladder(a, ((1, j, i, lambda lam, mu: -_q_power(mu[i] + 1)),
+                       (0, i, j, lambda lam, mu: _q_power(lam[j] + mu[i] - mu[j]))))
 
 
 def act_e(k: int, a: ZElement) -> ZElement:
     _check_index(k, _z_rank(a, "a ladder operator") - 1, "ladder index")
     i, j = k - 1, k
-    return _ladder(a, ((1, i, j, lambda lam, mu: -QRat.q_power(mu[j] + lam[i] - lam[j] - 1)),
-                       (0, j, i, lambda lam, mu: QRat.q_power(lam[i]))))
+    return _ladder(a, ((1, i, j, lambda lam, mu: -_q_power(mu[j] + lam[i] - lam[j] - 1)),
+                       (0, j, i, lambda lam, mu: _q_power(lam[i]))))
 
 
 def is_invariant(a: ZElement, p: int) -> bool:

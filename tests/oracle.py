@@ -60,7 +60,7 @@ from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_g
                           qpoch)
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair, xy_generators
-from qdisk.zalgebra import ZElement, _mono_mul, star
+from qdisk.zalgebra import ZElement, _mono_mul, embed, star
 from reference import haar_monomial_alt
 
 _Q = QRat.q_power(1)
@@ -463,11 +463,12 @@ def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
         B = pair(g.X1s, g.Y1s) * (_Q * _Q) + pair(g.X2s, g.Y2s)
     lhs = disk_poly_termwise(l, m, alpha, A, B, pair(g.Q, g.D))
     rhs = ZElement.zero(RANKS)
+    qp = g.Q - g.X2 * g.X2s  # Q', the central element of the inner disk pair (X1, X1*)
     for r in range(l + 1):
         for s in range(m + 1):
             cc = coupling_const(l, m, r, s, alpha)
             left = pairwise_mul(disk_poly_termwise(l - r, m - s, alpha + r + s, g.X2, g.X2s, g.Q),
-                                disk_poly_termwise(r, s, alpha - 1, g.X1, g.X1s, g.Qp))
+                                disk_poly_termwise(r, s, alpha - 1, g.X1, g.X1s, qp))
             right = disk_poly_termwise(l - r, m - s, alpha + r + s, g.Y2, g.Y2s, g.D)
             if variant == "final":
                 ys = pairwise_mul(_pairwise_pow(g.Y1, s), _pairwise_pow(g.Y1s, r))
@@ -516,14 +517,15 @@ def pair_termwise(left, right):
 
 
 def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own."""
+    """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own: the left
+    piece is multiplied here from one-level chains, never read as the two-level one."""
     g = xy_generators()
     plan, inv_lcm, weights = tensor._rhs_pieces(l, m, alpha, variant)
     total = ZElement.zero(RANKS)
     for (r, s, outer, inner), weight in zip(plan, weights):
-        left = diskpoly._sphere(3, 3, outer) * diskpoly._sphere(2, 3, inner)
+        left = diskpoly._chain(3, outer) * embed(diskpoly._chain(2, inner), 3)
         ys = (s, r) if variant == "final" else (r, s)
-        right = diskpoly._sphere(2, 2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
+        right = diskpoly._chain(2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
         total = total + pair_termwise(left, right * weight)
     return inv_lcm, total
 

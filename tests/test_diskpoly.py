@@ -127,7 +127,7 @@ def test_cold_norms_grid_checks_one_argument_bundle(monkeypatch):
     built, init = [], _DiskArgs.__init__
     monkeypatch.setattr(_DiskArgs, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     diskpoly._rank_args.cache_clear()
-    diskpoly._sphere.cache_clear()
+    diskpoly._chain.cache_clear()
     for l in range(6):
         for m in range(6):
             spherical(l, m, 3)

@@ -8,9 +8,10 @@ import pytest
 
 from qdisk import diskpoly, tensor, zalgebra
 from qdisk.diskpoly import (MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS, DiskSpec, _check_spherical,
-                            assoc_spherical, spherical)
-from qdisk.qfield import ONE, solve_sparse
-from qdisk.tensor import MAX_ALPHA, _check_addition, scaled_rhs, verify_addition
+                            assoc_spherical, jacobi_scaled, spherical)
+from qdisk.haar import norm_const
+from qdisk.qfield import ONE, QRat, qnumber, qpoch, solve_sparse
+from qdisk.tensor import MAX_ALPHA, _check_addition, coupling_const, scaled_rhs, verify_addition
 from qdisk.uqaction import invariant_subspace
 from qdisk.zalgebra import MAX_RANK_TERMS, ZElement, _check_rank, embed, q_element, z_gen
 
@@ -29,6 +30,13 @@ HOSTILE = {
     "q_element-huge-rank": lambda: q_element(1, 10 ** 8),
     "embed-huge-rank": lambda: embed(GENERATOR, 10 ** 9),
     "embed-zero-huge-rank": lambda: embed(ZERO_ELEMENT, 10 ** 9),
+    # memoized entry points: each checks before its table hashes the arguments
+    "norm_const-list-degree": lambda: norm_const([1], 1, 1),
+    "coupling_const-list-degree": lambda: coupling_const([1], 1, 0, 0, 1),
+    "qpoch-list-length": lambda: qpoch(1, 1, [2]),
+    "qnumber-dict-degree": lambda: qnumber({}, 2),
+    "q_power-list-exponent": lambda: QRat.q_power([1]),
+    "jacobi_scaled-tuple-spec": lambda: jacobi_scaled((1, 1, 1)),
 }
 
 
@@ -40,7 +48,7 @@ def test_hostile_calls_raise_value_error_within_a_millisecond(monkeypatch):
     # every builder of a rank-length tuple and every case's work fails, so a
     # call that passed its gate would raise AssertionError, not ValueError; the
     # patches fail at once on a tree without the gates, so no hostile rank runs
-    for module, name in ((zalgebra, "_exponents"), (diskpoly, "_sphere"), (tensor, "_sphere"),
+    for module, name in ((zalgebra, "_exponents"), (diskpoly, "_chain"), (tensor, "_chain"),
                          (tensor, "_args"), (tensor, "_rhs_pieces")):
         monkeypatch.setattr(module, name, refuse)
     slow = {}

@@ -5,6 +5,7 @@ import json
 import operator
 import pickle
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
 from qdisk.qfield import _is_qpow, solve_linear
 from qdisk.tensor import (
+    LEFT_RANK,
     VARIANTS,
     Verdict,
     addition_lhs,
@@ -28,7 +30,7 @@ from qdisk.tensor import (
     xy_generators,
 )
 from qdisk.uqaction import act_e, act_f, act_qh, is_invariant
-from qdisk.zalgebra import ZElement, bidegree, counit, embed, restrict, star, z_gen
+from qdisk.zalgebra import ZElement, bidegree, counit, embed, q_element, restrict, star, z_gen
 
 Q = QRat.q_power(1)
 Q2 = QRat.q_power(2)
@@ -80,10 +82,12 @@ def test_circle_pair_images_satisfy_relations():
 
 
 def test_inner_disk_center_commutes():
+    # Q' = Q - X2 X2*, the central element of the inner disk pair (X1, X1*), is Q_2 in Z_3
     g = xy_generators()
-    assert g.Qp == g.Q - g.X2 * g.X2s
+    qp = g.Q - g.X2 * g.X2s
+    assert qp == embed(q_element(2, 2), 3)
     for x in (g.X1, g.X1s):
-        assert g.Qp * x == x * g.Qp
+        assert qp * x == x * qp
 
 
 # -------------------------------------------------------- basis faithfulness
@@ -308,14 +312,15 @@ def test_addition_sides_equal_the_termwise_oracle(l, m, alpha, variant):
 def test_inner_factor_is_the_embedded_circle_factor():
     # (X1, X1*, Q') = (z_2, w_2, Q_2) in Z_3 is the image of (Y2, Y2*, D) in Z_2
     g = xy_generators()
+    qp = g.Q - g.X2 * g.X2s
     for a, b, alpha in product(range(5), range(5), range(4)):
         spec = DiskSpec(a, b, alpha)
         assert (embed(disk_poly(spec, g.Y2, g.Y2s, g.D), 3)
-                == disk_poly(spec, g.X1, g.X1s, g.Qp)), spec
+                == disk_poly(spec, g.X1, g.X1s, qp)), spec
 
 
 def _clear_tables():
-    for table in (tensor._args, diskpoly._rank_args, diskpoly._sphere, coupling_const):
+    for table in (tensor._args, tensor._coupling, tensor._rhs_pieces, diskpoly._rank_args, diskpoly._chain):
         table.cache_clear()
 
 
@@ -381,7 +386,7 @@ def test_circle_shift_is_the_product_with_z1a_w1b():
         assert tensor._circle_shift(ZElement.monomial(2, lam, mu), a, b) == want, (lam, mu, a, b)
     # and on the circle factors of the rhs, whose coefficients are over powers of q
     for spec in (DiskSpec(3, 1, 2), DiskSpec(2, 4, 3), DiskSpec(3, 3, 1)):
-        y = diskpoly._sphere(2, 2, spec)
+        y = diskpoly._chain(2, spec)
         for a, b in ((0, 2), (3, 1), (2, 2)):
             assert tensor._circle_shift(y, a, b) == y * ZElement.monomial(2, (a, 0), (b, 0)), (spec, a, b)
 
@@ -397,25 +402,60 @@ def test_weighted_pair_sum_equals_the_termwise_sum():
         assert ZElement._of(tensor.RANKS, tensor._pair_sum(sides)) == want
 
 
+def _record_products(monkeypatch) -> list:
+    """From now on, (rank, caller, the caller's specs) for each element product."""
+    made, mul = [], ZElement.__mul__
+
+    def recording(self, other):
+        if isinstance(other, ZElement):
+            caller = sys._getframe(1)
+            made.append((self.rank, caller.f_code.co_name, caller.f_locals.get("specs")))
+        return mul(self, other)
+
+    monkeypatch.setattr(ZElement, "__mul__", recording)
+    return made
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_warm_rhs_multiplies_only_the_left_pieces(monkeypatch, variant):
-    # the right factors are shifted in closed form and the weights applied packed:
-    # a warm rhs makes one element product per piece, X_rs I_rs, and nothing else
+    # each left piece X_rs I_rs is one `diskpoly._chain` product, kept and shared by
+    # both variants; the right factors are shifted in closed form and the weights
+    # applied packed, so a warm rhs makes no element product at all, and neither
+    # does a case's other variant, run cold after this one
+    other = VARIANTS[1 - VARIANTS.index(variant)]
     cases = [(3, 1, 2), (2, 3, 1), (4, 4, 1)]
     for case in cases:
         scaled_rhs(*case, variant)
-    calls = []
-    mul = ZElement.__mul__
+    made = _record_products(monkeypatch)
+    for case in cases:
+        scaled_rhs(*case, variant)
+    assert made == []
+    for case in cases:
+        _clear_tables()
+        scaled_rhs(*case, variant)
+        made.clear()
+        rhs = scaled_rhs(*case, other)
+        assert made == [], case
+        assert rhs == rhs_per_piece(*case, other), case
 
-    def counting(self, other):
-        calls.append(isinstance(other, ZElement))
-        return mul(self, other)
 
-    monkeypatch.setattr(ZElement, "__mul__", counting)
-    for l, m, alpha in cases:
-        calls.clear()
-        scaled_rhs(l, m, alpha, variant)
-        assert calls == [True] * ((l + 1) * (m + 1)), (l, m, alpha)
+def test_cold_suite_grid_makes_each_left_piece_once(monkeypatch):
+    # the 128-case `qdisk suite` grid has 400 distinct (outer, inner) pieces over
+    # both variants: cold, each is one rank-3 product in `_chain`, and the other
+    # rank-3 products are the powers of the one (z_3, w_3, Q_3) bundle; warm, none
+    cases = [(l, m, alpha, variant) for alpha in range(1, 5) for l in range(4)
+             for m in range(4) for variant in VARIANTS]
+    _clear_tables()
+    made = _record_products(monkeypatch)
+    assert all(cli._run_case(case)["pass"] for case in cases)
+    pieces = {(outer, inner) for case in cases for *_, outer, inner in tensor._rhs_pieces(*case)[0]}
+    lefts = [specs for rank, caller, specs in made if rank == LEFT_RANK and caller == "_chain"]
+    assert len(pieces) == 400 and len(lefts) == 400 and set(lefts) == pieces
+    assert {caller for rank, caller, _ in made
+            if rank == LEFT_RANK and caller != "_chain"} <= {"__init__", "power", "fold"}
+    made.clear()
+    assert all(cli._run_case(case)["pass"] for case in cases)
+    assert [rank for rank, *_ in made if rank == LEFT_RANK] == []
 
 
 # the 128-case `qdisk suite` grid, and the benchmark's addition cases in both variants
@@ -470,9 +510,9 @@ def test_cold_verification_computes_no_scalar_gcd(monkeypatch):
     for name in ("_gcd_cofactors", "poly_gcd"):
         monkeypatch.setattr(qfield, name, lambda *args, f=getattr(qfield, name): calls.append(args) or f(*args))
     for case in ((3, 2, 1, "final"), (2, 3, 2, "precursor")):
-        for table in (tensor._args, diskpoly._rank_args, diskpoly._sphere, tensor._rhs_pieces,
-                      tensor._coupling, coupling_const, diskpoly._jacobi, diskpoly.jacobi_scaled,
-                      haar._norm, haar.norm_const, qfield.qpoch, qfield._divisors, qfield._mobius):
+        for table in (tensor._args, diskpoly._rank_args, diskpoly._chain, tensor._rhs_pieces,
+                      tensor._coupling, diskpoly._jacobi, haar._norm, qfield._qpoch, qfield._divisors,
+                      qfield._mobius):
             table.cache_clear()
         assert verify_addition(*case).passed and calls == []
 
