@@ -23,10 +23,10 @@ worker processes (--jobs, and never more than the cases) at MAX_JOBS = 32.
 Those caps are this module's; the disk degrees, alpha and the terms of a
 spherical element take the library's (MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS of
 `diskpoly`, MAX_ALPHA of `tensor`), through its gates `_check_spherical` and
-`_check_addition`, called on every case before any case runs.  Before each
-product, each step of a power, each division by a scalar (a product with its
-inverse) and, for `inner` a b, the product b* a, evaluation checks that the
-result's total degree in the generators stays at most
+`_check_addition`, which `suite` calls on every case before any case runs.
+Before each product, each step of a power, each division by a scalar (a
+product with its inverse) and, for `inner` a b, the product b* a, evaluation
+checks that the result's total degree in the generators stays at most
 MAX_DEGREE = 128, that it multiplies at most MAX_PAIRS = 4096 pairs of terms,
 that the sizes of the two factors' largest coefficients (their integers'
 bits) add up to at most MAX_COEFF_BITS = 4096, and that |mu_1| |lambda_2|, over
@@ -52,7 +52,7 @@ import re
 import sys
 from math import comb
 
-from .diskpoly import MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS, _check_spherical, assoc_spherical, spherical
+from .diskpoly import MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS, assoc_spherical, spherical
 from .haar import haar, inner
 from .qfield import ZERO, QRat
 from .tensor import MAX_ALPHA, _check_addition, verify_addition
@@ -357,7 +357,6 @@ def _cmd_inner(args) -> int:
 
 def _cmd_spherical(args) -> int:
     n = _default_rank(args)
-    _check_spherical(args.l, args.m, n, *(args.assoc or ()))
     if args.assoc is None:
         return _emit(args, spherical(args.l, args.m, n))
     return _emit(args, assoc_spherical(args.l, args.m, *args.assoc, n))
@@ -372,7 +371,6 @@ def _verdict_line(v: dict) -> str:
 
 def _cmd_verify_addition(args) -> int:
     variant = "precursor" if args.precursor else "final"
-    _check_addition(args.l, args.m, args.alpha, variant)
     verdict = verify_addition(args.l, args.m, args.alpha, variant).to_json()
     print(json.dumps(verdict) if args.json else _verdict_line(verdict))
     return 0 if verdict["pass"] else 1

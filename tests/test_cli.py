@@ -521,6 +521,13 @@ def no_work(*args, **kwargs):
     raise AssertionError("a case was run or a process pool was created")
 
 
+# where the work of each subcommand starts: the level-chain table of the disk
+# polynomials, the addition formula's argument bundles and scalars, a suite's
+# cases and its process pool
+WORK = ("qdisk.diskpoly._chain", "qdisk.tensor._chain", "qdisk.tensor._args",
+        "qdisk.tensor._rhs_pieces", "qdisk.cli._run_case", "qdisk.cli.ProcessPoolExecutor")
+
+
 @pytest.mark.parametrize("grid,message", [
     # one clause just over the cap, and one far over it (never materialized)
     (f"alpha=1;l=0..{MAX_GRID_CASES};m=0", f"selects more than {MAX_GRID_CASES} values"),
@@ -597,9 +604,8 @@ OVER_DEGREE, OVER_ALPHA = str(MAX_DISK_DEGREE + 1), str(MAX_ALPHA + 1)
     (["suite", "--grid", f"alpha=1,{OVER_ALPHA};l=0;m=0"], f"alpha {OVER_ALPHA}, above"),
 ])
 def test_disk_caps_exit_2_before_any_work(capsys, monkeypatch, argv, message):
-    for name in ("spherical", "assoc_spherical", "verify_addition", "_run_case",
-                 "ProcessPoolExecutor"):
-        monkeypatch.setattr(f"qdisk.cli.{name}", no_work)
+    for name in WORK:
+        monkeypatch.setattr(name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
@@ -637,16 +643,15 @@ OVER_THE_CAP = [(["--n", "13", "--l", "4", "--m", "4"], 1820),
 def test_spherical_term_cap_admits_its_value(capsys, monkeypatch, argv):
     assert MAX_SPHERICAL_TERMS == 1716
     calls = []
-    for name in ("spherical", "assoc_spherical"):
-        monkeypatch.setattr(f"qdisk.cli.{name}", lambda *args: calls.append(args) or ZElement.one(2))
+    monkeypatch.setattr("qdisk.diskpoly._chain", lambda *args: calls.append(args) or ZElement.zero(2))
     code, out, _ = run_cli(capsys, "spherical", *argv)
-    assert (code, out.strip(), len(calls)) == (0, "1", 1)
+    assert (code, out.strip(), len(calls)) == (0, "0", 1)
 
 
 @pytest.mark.parametrize("argv,terms", OVER_THE_CAP)
 def test_spherical_term_cap_exits_2_before_any_work(capsys, monkeypatch, argv, terms):
-    for name in ("spherical", "assoc_spherical"):
-        monkeypatch.setattr(f"qdisk.cli.{name}", no_work)
+    for name in WORK:
+        monkeypatch.setattr(name, no_work)
     code, out, err = run_cli(capsys, "spherical", *argv)
     assert (code, out) == (2, "")
     assert f"spherical element of {terms} terms, above {MAX_SPHERICAL_TERMS}" in err
