@@ -33,10 +33,10 @@ past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
 and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients
 H then stays packed (`zalgebra`) at one slot width s: each E_k and L coef_k is
 packed once, a step adds each term shifted by s (big - t) onto its moves (big
-the largest t_1 of the keys), and H is read back once.  Moves have mass 1, so
-|H_k| <= |C| |H_(k-1)| + |E_k| |L coef_k| (|x| the sum of x's absolute integer
-coefficients, |C| = n or n1 n2) bounds every coefficient, and s puts it below
-2^(s-1).  Any other sum takes `QRat`s, and no size cutoff pays (CHANGES.md).
+the largest t_1 of the keys), and H is read back once.  A key of H_(k-1) C
+takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the largest sum of
+absolute integer coefficients in one coefficient of x, |H_k| <= |C| |H_(k-1)|
++ |E_k| |L coef_k| < 2^(s-1).  Other sums take `QRat`s; no size cutoff pays (CHANGES.md).
 
 The spherical and associated elements and the rhs factors of the addition
 formula (`tensor`) are products down Z_n > Z_(n-1) > ..., level n on the left,
@@ -51,7 +51,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent
+from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent, peak
 from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, _check_rank, _element, _Memo, _unpacked, embed, q_element, w_gen, z_gen
 
@@ -155,7 +155,7 @@ class _DiskArgs:
             return None
         bound = 0
         for coef, x in zip(coefs, es):
-            bound = bound * len(self.C.terms) + mass(x.terms.values()) * mass([coef])
+            bound = bound * len(self.C.terms) + peak(x.terms.values()) * mass([coef])
         s, acc, kh = _width(bound.bit_length() + 1), {}, 0
         for k, coef in enumerate(coefs):
             if k:  # H_(k-1) C

@@ -34,9 +34,9 @@ with no gcd: the Phi_d are distinct, monic, irreducible and prime to q, so
 the products over the positive and over the negative exponents are coprime,
 the denominator is monic and the pair has content 1, which is canonical form.
 
-A polynomial is packed into its value at q = 2^s and read back from its
-symmetric base-2^s digits, in (-2^(s-1), 2^(s-1)], by one C-level array
-call for slot widths s of 8, 16, 32 or 64 bits on little-endian hosts, else
+A polynomial is packed into its value at q = 2^s and read back as signed
+s-bit words, its symmetric base-2^s digits in (-2^(s-1), 2^(s-1)]: by one
+C-level array call for s of 8, 16, 32 or 64 bits on little-endian hosts, else
 slot by slot (s a multiple of 8); a bound asking 2^s large holds rounded up.
 """
 
@@ -239,35 +239,34 @@ def _width(bits: int) -> int:
     return 8 << max(0, (bits - 1).bit_length() - 3) if bits <= 64 else -(-bits // 8) * 8
 
 
-def _spread(d: int, s: int, n: int) -> int:
-    """The integer whose n base-2^s digits all equal d (0 <= d < 2^s)."""
-    return int.from_bytes(d.to_bytes(s // 8, "little") * n, "little")
-
-
 def _eval_shift(a: Coeffs, s: int) -> int:
-    """a at q = 2^s, s a slot width: the coefficients as s-bit two's-complement
-    slots read as one unsigned u, less each negative slot's borrow,
-    u - 2 (u & topbits).  A coefficient too wide for its slot is shifted in."""
+    """a at q = 2^s, s a slot width: the coefficients as s-bit two's-complement slots
+    read as one unsigned u; (u ^ m) - m, m holding 2^(s-1) in each slot, flips each
+    top bit and takes 2^(s-1) off.  A coefficient too wide for its slot is shifted in."""
     try:
         raw = (array(_CODES[s], a).tobytes() if s in _CODES else
                b"".join(c.to_bytes(s // 8, "little", signed=True) for c in a))
     except OverflowError:
         return sum(c << (s * i) for i, c in enumerate(a))
-    u = int.from_bytes(raw, "little")
-    return u - 2 * (u & _spread(1 << (s - 1), s, len(a)))
+    m = int.from_bytes((1 << (s - 1)).to_bytes(s // 8, "little") * len(a), "little")
+    return (int.from_bytes(raw, "little") ^ m) - m
 
 
-def _from_digits(n: int, s: int) -> Coeffs:
-    """The polynomial of the symmetric base-2^s digits of any integer n, s a
-    slot width: a bias of 2^(s-1) - 1 per slot, over two slots more than n
-    needs, makes each digit an unsigned, carry-free slot until unpacked."""
-    slots, bias, w = n.bit_length() // s + 2, (1 << (s - 1)) - 1, s // 8
-    raw = (n + _spread(bias, s, slots)).to_bytes(slots * w, "little")
-    digits = (array(_CODES[s].upper(), raw) if s in _CODES else
-              [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)])
-    while digits and digits[-1] == bias:
-        digits.pop()
-    return tuple([d - bias for d in digits])
+def _from_digits(n: int, s: int, negate: bool = False) -> Coeffs:
+    """The polynomial of the symmetric base-2^s digits of any integer n, or of -n
+    when negate, s a slot width: with m holding h = 2^(s-1) in each slot, over two
+    slots more than n needs, each digit in [-h, h) is a carry-free slot of n + m,
+    and (n + m) ^ m flips each top bit to leave signed words, read by one array call
+    for s of 8, 16, 32 or 64 bits.  A word -h is no symmetric digit: -n's, negated, are."""
+    h, w = 1 << (s - 1), s // 8
+    m = int.from_bytes(h.to_bytes(w, "little") * (n.bit_length() // s + 2), "little")
+    x = (n + m) ^ m
+    raw = x.to_bytes(-(-x.bit_length() // s) * w, "little")
+    words = (array(_CODES[s], raw) if s in _CODES else
+             [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)])
+    if negate:
+        return tuple(map(operator.neg, words))
+    return tuple(words) if -h not in words else _from_digits(-n, s, True)
 
 
 def _gcd_cofactors(a: Coeffs, b: Coeffs) -> tuple:
@@ -338,10 +337,6 @@ def _unit_normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     if c == 1:
         return num, den
     return tuple(x // c for x in num), tuple(x // c for x in den)
-
-
-def _normal(num: Coeffs, den: Coeffs) -> "QRat":
-    return QRat(*_reduce(num, den), _canonical=True)
 
 
 def _is_qpow(den: Coeffs) -> bool:
@@ -449,7 +444,7 @@ class QRat:
         # over the lcm b1 d of b = g b1 and d = g d1
         _, b1, d1 = _gcd_cofactors(b, d)
         t = poly_add(poly_mul(self.num, d1), poly_mul(other.num, b1))
-        return _normal(t, poly_mul(b1, d))
+        return QRat(*_reduce(t, poly_mul(b1, d)), _canonical=True)
 
     __radd__ = __add__
 
@@ -621,6 +616,11 @@ def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
 def mass(cs: Iterable[QRat]) -> int:
     """Sum of the absolute values of the numerator coefficients over cs."""
     return sum(sum(map(abs, c.num)) for c in cs)
+
+
+def peak(cs: Iterable[QRat]) -> int:
+    """The largest mass of one of cs, 0 for no cs: a bound on one packed key."""
+    return max((sum(map(abs, c.num)) for c in cs), default=0)
 
 
 # JSON integer policy: values outside the IEEE-exact window are emitted as

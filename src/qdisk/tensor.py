@@ -33,10 +33,10 @@ z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1) w^(mu + b e_1).
 Left and right coefficients and weights are packed in one `pack_laurent`
 call each, at one slot width s; times q^(Kl + Kr + Kw), each output
 coefficient is the sum of the integer products left right w over its term
-pairs, read back from its digits once.  With |x| the sum of the absolute
-values of x's integer numerator coefficients, over its terms, each output
-coefficient is at most sum_rs |left| |right| |w|, which s puts below
-2^(s-1).  A coefficient not over a power of q sends the sum to `QRat`s.
+pairs, one per piece, read back from its digits once.  With |x| the sum of
+the absolute values of x's integer numerator coefficients, largest over x's
+terms, each output coefficient is at most sum_rs |left| |right| |w|, which s
+puts below 2^(s-1).  A coefficient not over a power of q sends the sum to `QRat`s.
 
 Case-independent work is done once per process, in `lru_cache` tables: `_args`
 (a variant's checked lhs arguments), `_coupling` (the coupling constants) and
@@ -54,7 +54,7 @@ from types import SimpleNamespace
 from .diskpoly import DiskSpec, _chain, _check_degrees, _DiskArgs, _jacobi
 from .haar import _norm
 from .qfield import (ONE, Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _is_qpow, _laurent,
-                     _width, mass, pack_laurent, poly_divexact, poly_mul)
+                     _width, mass, pack_laurent, peak, poly_divexact, poly_mul)
 from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -79,7 +79,7 @@ def _pair_sum(sides) -> dict:
                 for ky, y in right.terms.items():
                     _accum(acc, (kx, ky), x * y * w)
         return {key: c for key, c in acc.items() if c}
-    bound = sum(mass(x.terms.values()) * mass(y.terms.values()) * mass([w]) for x, y, w in sides)
+    bound = sum(peak(x.terms.values()) * peak(y.terms.values()) * mass([w]) for x, y, w in sides)
     s = _width(bound.bit_length() + 1)
     (kl, pl), (kr, pr), (kw, pw) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
     pl, pr = iter(pl), iter(pr)

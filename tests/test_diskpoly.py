@@ -244,7 +244,7 @@ def test_non_laurent_argument_takes_the_qrat_horner():
 def test_packed_horner_at_the_bound(c, s):
     # C = Q_n is central, so it commutes with B = -P, P = c + z_1 + .. + z_1^j.
     # With A = 1, D = Q_n + P, and the sum H = C + 2 D = 3 Q_n + 2 P (coefficients
-    # 1, 2) has mass 3n + 2 (c + j) = |C| + 2 |D|, which the bound meets exactly;
+    # 1, 2) has mass 3n + 2 (c + j) = |C| + 2 |D|, a bound over the whole sum;
     # j = (29 - 3n) / 2 makes it 2c + 29 for every n.  At s = 64 that mass is
     # 2^63 - 1; at s = 72 the unit coefficient 2c is past 2^63, so a bound short
     # of it would choose s = 64 and misread it
@@ -270,6 +270,43 @@ def test_packed_horner_bound_counts_the_mass_of_c():
     H = _DiskArgs(one, one, C)._packed_horner((QRat.from_int(x), ZERO, ZERO, ZERO))
     assert max(abs(n) for c in H.terms.values() for n in c.num) == 2 ** 63 + 2
     assert _width(x.bit_length() + 1) == 64 and H == pairwise_mul(pairwise_mul(C, C), C) * x
+
+
+def _widths(monkeypatch, module) -> list:
+    """From now on, each slot width the module's `_width` returns."""
+    chosen, width = [], module._width
+    monkeypatch.setattr(module, "_width", lambda bits: chosen.append(width(bits)) or chosen[-1])
+    return chosen
+
+
+def test_final_lhs_of_the_benchmark_case_packs_at_32_bits(monkeypatch):
+    # its coefficients are bounded key by key; the mass of each E_k, all keys at once, asked 64 bits
+    chosen = _widths(monkeypatch, diskpoly)
+    tensor._args("final").scaled(DiskSpec(6, 6, 2))
+    assert chosen == [32] and verify_addition(6, 6, 2).passed
+
+
+def _all_moves_onto(n: int, coeffs) -> ZElement:
+    """sum_a x_a q^(t_a) z^(1 - e_a) w^(1 - e_a) in Z_n: times Q_n, every term moves onto the
+    key z_1 .. z_n w_n .. w_1 with the coefficient q^0, so that key holds sum_a x_a."""
+    ones = (1,) * n
+    return ZElement(n, {tuple(ones[:a] + (0,) + ones[a + 1:] for _ in "zw"): x * qp(2 * (n - 1 - a))
+                        for a, x in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("n,x,coefs,s", [(7, (2 ** 63 - 1) // 7, (1, 0), 64),
+                                          (3, 2 ** 63 // 6 + 1, (1, 1), 72)])
+def test_packed_horner_bound_per_key(monkeypatch, n, x, coefs, s):
+    # B = 0, so D = C and H = (c0 + c1) A C over E_0 = A, E_1 = A C, at one key n (c0 + c1) x.
+    # The per-key bound n peak(A) c0 + peak(A C) c1 = n x (c0 + c1) is that value: at n = 7 it
+    # is 2^63 - 1, the top of s = 64; at n = 3 it is past 2^63, where a bound without the
+    # factor |C| (4x) or with the larger step alone (3x) would choose s = 64 and misread it
+    (c0, c1), top = map(QRat.from_int, coefs), ((1,) * n,) * 2
+    A, C = _all_moves_onto(n, [x] * n), q_element(n, n)
+    chosen = _widths(monkeypatch, diskpoly)
+    H = _DiskArgs(A, ZElement.zero(n), C)._packed_horner((c0, c1), 1)
+    assert chosen == [s] and H.terms[top] == n * x * (c0 + c1)
+    assert H == pairwise_mul(A, C) * (c0 + c1)
 
 
 def test_non_central_c_takes_the_qrat_horner():

@@ -620,6 +620,20 @@ def test_packing_kernel_edge_cases(s):
         assert _eval_shift(a, s) == eval_shift_loop(a, s)
 
 
+@pytest.mark.parametrize("s", [8, 16, 32, 64])
+def test_signed_word_read_edge_cases(s):
+    h = 1 << (s - 1)
+    cases = [(3, -4, 5), (0, 0, 7), (-1, 2, -3),  # a top word with high zero bytes (s > 8), or negative
+             (h - 1, 1 - h, h - 1), (1 - h,) * 3,  # words of +-(2^(s-1) - 1)
+             (h,), (h, 5), (2, h), (1, h, h, -1), (h, h, h)]  # +2^(s-1) at the bottom, the top, in a row
+    assert _from_digits(0, s) == from_digits_loop(0, s) == ()
+    for digits in cases:
+        n = eval_shift_loop(digits, s)
+        assert _eval_shift(digits, s) == n and _from_digits(n, s) == from_digits_loop(n, s) == digits
+        assert _from_digits(-n, s) == from_digits_loop(-n, s)
+        assert _from_digits(n << s, s) == (0,) + digits
+
+
 @st.composite
 def laurent_lists(draw, long):
     """Nonempty lists of Laurent coefficients; when long, one of each list

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from oracle import addition_sides_termwise, rhs_per_piece
+from oracle import addition_sides_termwise, pair_termwise, rhs_per_piece
 from qdisk import cli, diskpoly, qfield, tensor
 from qdisk.diskpoly import DiskSpec, disk_poly
 from qdisk.haar import haar, inner
@@ -399,6 +399,36 @@ def test_weighted_pair_sum_equals_the_termwise_sum():
         sides = [(left, right, w), (g.X1, g.Y2s, QRat.q_power(4)), (left, right)]
         want = pair(left, right * w) + pair(g.X1, g.Y2s * QRat.q_power(4)) + pair(left, right)
         assert ZElement._of(tensor.RANKS, tensor._pair_sum(sides)) == want
+
+
+def _widths(monkeypatch) -> list:
+    """From now on, each slot width `tensor._width` returns."""
+    chosen, width = [], tensor._width
+    monkeypatch.setattr(tensor, "_width", lambda bits: chosen.append(width(bits)) or chosen[-1])
+    return chosen
+
+
+def test_pair_sum_bound_adds_the_pieces_on_one_key(monkeypatch):
+    # three pieces land on the key X1 (x) Y2* with one product each, 2^62 + (2^61 + 1) 2
+    # + 3 q^3 2: its unit coefficient 2^63 + 2 is past 2^63, though no piece's peak
+    # product is; a bound from the largest piece alone would choose s = 64 and misread it
+    g, h = xy_generators(), 2 ** 61
+    sides = [(g.X1 * (2 * h), g.Y2s, ONE), (g.X1 * (h + 1), g.Y2s * 2, ONE),
+             (g.X1 * 3, g.Y2s * Q ** 3, QRat.from_int(2))]
+    chosen = _widths(monkeypatch)
+    got = ZElement._of(tensor.RANKS, tensor._pair_sum(sides))
+    assert chosen == [72] and got == pair(g.X1, g.Y2s) * (2 ** 63 + 2 + 6 * Q ** 3)
+
+
+def test_pair_sum_of_many_small_terms_packs_narrow(monkeypatch):
+    # 35 x 15 unit terms: each key holds one product of mass 1, so 8-bit slots,
+    # where the mass of the whole factors (525) asked 16
+    left = ZElement(LEFT_RANK, {((i, 0, j), (0, 0, 0)): ONE for i, j in product(range(7), range(5))})
+    right = ZElement(tensor.RIGHT_RANK, {((i, 0), (0, j)): ONE for i, j in product(range(5), range(3))})
+    chosen = _widths(monkeypatch)
+    got = pair(left, right)
+    assert chosen == [8] and got.term_count() == 35 * 15
+    assert got == pair_termwise(left, right)
 
 
 def _record_products(monkeypatch) -> list:
