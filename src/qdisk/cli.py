@@ -11,7 +11,10 @@ with explicit '*' (juxtaposition is not multiplication), postfix ' for the
 *-involution, '/' restricted to scalar divisors, and subcommands for
 normalization, Haar evaluation, inner products, spherical elements, and the
 addition-formula verification suite.  Printing normal forms stays inside the
-grammar, so parse(print(x)) always re-evaluates to x.
+grammar, so parse(print(x)) always re-evaluates to x.  An expression is
+evaluated as it is read, with the caps below checked before each product: the
+whole source is tokenized first, so a character outside the grammar is
+rejected before any product, and otherwise the first error in reading order wins.
 
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage,
 parse, or evaluation errors.  Hostile input exits 2 before any large
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import re
 import sys
@@ -117,7 +119,8 @@ def _tokenize(src: str):
 
 
 # ----------------------------------------------------------------------
-# parser: tuple-shaped AST
+# parser: each rule returns the element it reads, checking the caps before each product;
+# operator chains are loops, so only parentheses recurse
 
 
 class _Parser:
@@ -141,35 +144,40 @@ class _Parser:
             raise ExprError(f"expected {kind!r}", tok[2])
         return tok
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> ZElement:
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "END":
             raise ExprError("trailing input", tok[2])
-        return node
+        return value
 
-    def expr(self):
+    def expr(self) -> ZElement:
         if self.peek()[0] == "-":
-            offset = self.advance()[2]
-            node = ("neg", self.term(), offset)
+            self.advance()
+            value = -self.term()
         else:
-            node = self.term()
+            value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op, _, offset = self.advance()
+            op = self.advance()[0]
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs, offset)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> ZElement:
+        value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, offset = self.advance()
             rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs, offset)
-        return node
+            if op == "/":  # a product with the scalar's inverse
+                divisor = _scalar_of(rhs, offset)
+                if not divisor:
+                    raise ExprError("division by zero", offset)
+                rhs = ZElement.scalar(divisor.inverse(), self.n)
+            value = _checked_mul(value, rhs, offset)
+        return value
 
-    def factor(self):
-        node = self.atom()
+    def factor(self) -> ZElement:
+        value = self.atom()
         while True:
             tok = self.peek()
             if tok[0] == "^":
@@ -177,32 +185,33 @@ class _Parser:
                 exp = self.expect("INT")
                 if int(exp[1]) > MAX_EXPONENT:
                     raise ExprError(f"exponent above {MAX_EXPONENT}", exp[2])
-                node = ("pow", node, int(exp[1]), offset)
+                base, value = value, ZElement.one(self.n)
+                for _ in range(int(exp[1])):
+                    value = _checked_mul(value, base, offset)
             elif tok[0] == "'":
-                offset = self.advance()[2]
-                node = ("star", node, offset)
+                self.advance()
+                value = star(value)
             else:
-                return node
+                return value
 
-    def atom(self):
-        tok = self.advance()
-        kind, value, offset = tok
+    def atom(self) -> ZElement:
+        kind, value, offset = self.advance()
         if kind in ("z", "w", "Q"):
             if not 1 <= value <= self.n:
                 raise ExprError(f"index {value} out of range for rank {self.n}", offset)
-            return ("gen", kind, value, offset)
+            return {"z": z_gen, "w": w_gen, "Q": q_element}[kind](value, self.n)
         if kind == "INT":
-            return ("int", int(value), offset)
+            return ZElement.scalar(QRat.from_int(int(value)), self.n)
         if kind == "QLIT":
-            return ("q", offset)
+            return ZElement.scalar(QRat.q_power(1), self.n)
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", offset)
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
             self.depth -= 1
-            return node
+            return value
         raise ExprError("expected an atom", offset)
 
 
@@ -212,13 +221,16 @@ def _checked_rank(n: int) -> int:
     return n
 
 
-def parse(src: str, n: int):
-    """Parse source text against rank n, returning the syntax tree."""
+def parse(src: str, n: int) -> ZElement:
+    """The element of Z_n that source text stands for, evaluated as it is read."""
     return _Parser(src, _checked_rank(n)).parse()
 
 
+parse_element = parse
+
+
 # ----------------------------------------------------------------------
-# evaluation
+# evaluation caps
 
 
 def _scalar_of(elt: ZElement, offset: int) -> QRat:
@@ -268,50 +280,6 @@ def _checked_mul(a: ZElement, b: ZElement, offset: int) -> ZElement:
     """a * b, once its size is known to stay within the caps."""
     _check_product(a, b, offset)
     return a * b
-
-
-_BINARY = {"add": operator.add, "sub": operator.sub}
-
-
-def eval_expr(node, n: int) -> ZElement:
-    """Interpret a syntax tree as an element of Z_n.
-
-    Operator chains nest to the left (node[1] is the left operand), so that
-    spine is walked in a loop: only parentheses make evaluation recurse."""
-    spine = []
-    while node[0] not in ("gen", "int", "q"):
-        spine.append(node)
-        node = node[1]
-    if node[0] == "gen":
-        value = {"z": z_gen, "w": w_gen, "Q": q_element}[node[1]](node[2], n)
-    else:
-        c = QRat.from_int(node[1]) if node[0] == "int" else QRat.q_power(1)
-        value = ZElement.scalar(c, n)
-    for kind, _, *rest in reversed(spine):
-        if kind in _BINARY:
-            value = _BINARY[kind](value, eval_expr(rest[0], n))
-        elif kind == "mul":
-            value = _checked_mul(value, eval_expr(rest[0], n), rest[1])
-        elif kind == "neg":
-            value = -value
-        elif kind == "div":
-            divisor = _scalar_of(eval_expr(rest[0], n), rest[1])
-            if not divisor:
-                raise ExprError("division by zero", rest[1])
-            value = _checked_mul(value, ZElement.scalar(divisor.inverse(), n), rest[1])
-        elif kind == "pow":
-            base, value = value, ZElement.one(n)
-            for _ in range(rest[0]):
-                value = _checked_mul(value, base, rest[1])
-        elif kind == "star":
-            value = star(value)
-        else:
-            raise AssertionError(f"unknown node {kind!r}")
-    return value
-
-
-def parse_element(src: str, n: int) -> ZElement:
-    return eval_expr(parse(src, n), n)
 
 
 # the printers of `ZElement` and `QRat`, under the names this module gave them

@@ -55,9 +55,9 @@ from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_lauren
 from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, _check_rank, _element, _Memo, _unpacked, embed, q_element, w_gen, z_gen
 
-# Caps on disk degrees (`_check_degrees`) and spherical terms.  The slowest admitted cases found,
-# verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 7.8 s and 102 MB, and 3.5 s
-# and 87 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
+# Caps on disk degrees, which `DiskSpec` owns, and on spherical terms.  The slowest admitted cases
+# found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 7.8 s and 102 MB, and
+# 3.5 s and 87 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
 MAX_DISK_DEGREE = 8
 MAX_SPHERICAL_TERMS = 1716
 
@@ -65,12 +65,15 @@ MAX_SPHERICAL_TERMS = 1716
 class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
     """Degrees and parameter of one q-disk polynomial; base fixed at q^2.
     A named tuple, so immutable, hashable and compared by value at C speed
-    (specs key the `lru_cache` tables); every construction is checked."""
+    (specs key the `lru_cache` tables); every construction is checked,
+    the degrees against MAX_DISK_DEGREE."""
 
     __slots__ = ()
 
     def __new__(cls, l: int, m: int, alpha: int):
         _check_ints(l, m, alpha, least=0)
+        if max(l, m) > MAX_DISK_DEGREE:
+            raise ValueError(f"disk degree {max(l, m)}, above {MAX_DISK_DEGREE}")
         return super().__new__(cls, int(l), int(m), int(alpha))  # bools made ints
 
     @classmethod
@@ -202,11 +205,6 @@ def _chain(n: int, *specs: DiskSpec) -> ZElement:
     return _chain(n, specs[0]) * embed(_chain(n - 1, *specs[1:]), n)
 
 
-def _check_degrees(*degrees: int) -> None:
-    if max(degrees) > MAX_DISK_DEGREE:
-        raise ValueError(f"disk degree {max(degrees)}, above {MAX_DISK_DEGREE}")
-
-
 def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:
     """(n, DiskSpec(l, m, n - 2)) of `spherical`, or of `assoc_spherical` for rs = (r, s); ValueError,
     before any element is built, past any cap or rule: C(n - 1 + k, k) C(n - 2 + j, j) terms,
@@ -215,7 +213,6 @@ def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:
     if n < least:
         raise ValueError(f"{'associated ' if rs else ''}spherical elements need rank at least {least}")
     spec, (r, s, _) = DiskSpec(l, m, n - 2), DiskSpec(*(rs or (0, 0)), n - 2)
-    _check_degrees(spec.l, spec.m, r, s)
     if r > spec.l or s > spec.m:
         raise ValueError("need 0 <= r <= l and 0 <= s <= m")
     k, j = min(spec.l - r, spec.m - s), min(r, s)

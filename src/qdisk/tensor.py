@@ -25,8 +25,8 @@ denominators of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes
 their lcm V by exponent arithmetic and converts 1/V and each weight once,
 with no gcd.
 
-The rhs is one packed sum of weighted simple tensors, `_pair_sum` (`pair`
-is its one-piece case, of weight 1).  Piece (r, s) is w left (x) right, with
+The rhs is one packed sum of weighted simple tensors, `_pair_sum`, whose sides
+are Laurent by construction.  Piece (r, s) is w left (x) right, with
 left = X_rs I_rs, a `diskpoly._chain` entry, and right = Y_rs z_1^a w_1^b in
 closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2,
 z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1) w^(mu + b e_1).
@@ -36,7 +36,7 @@ coefficient is the sum of the integer products left right w over its term
 pairs, one per piece, read back from its digits once.  With |x| the sum of
 the absolute values of x's integer numerator coefficients, largest over x's
 terms, each output coefficient is at most sum_rs |left| |right| |w|, which s
-puts below 2^(s-1).  A coefficient not over a power of q sends the sum to `QRat`s.
+puts below 2^(s-1).
 
 Case-independent work is done once per process, in `lru_cache` tables: `_args`
 (a variant's checked lhs arguments), `_coupling` (the coupling constants) and
@@ -51,10 +51,10 @@ import time
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .diskpoly import DiskSpec, _chain, _check_degrees, _DiskArgs, _jacobi
+from .diskpoly import DiskSpec, _chain, _DiskArgs, _jacobi
 from .haar import _norm
-from .qfield import (ONE, Cyclo, QRat, Record, _accum, _check_ints, _eval_shift, _is_qpow, _laurent,
-                     _width, mass, pack_laurent, peak, poly_divexact, poly_mul)
+from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _is_qpow, _laurent, _width, mass,
+                     pack_laurent, peak, poly_divexact, poly_mul)
 from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -67,18 +67,11 @@ TensorElement = ZElement
 
 
 def _pair_sum(sides) -> dict:
-    """Nonzero terms of sum_i w_i left_i (x) right_i over the sides (left_i, right_i, w_i),
-    w_i = 1 for a pair (left_i, right_i), of ranks LEFT_RANK and RIGHT_RANK (module docstring)."""
-    sides = [(left, right, w[0] if w else ONE) for left, right, *w in sides]
+    """Nonzero terms of sum_i w_i left_i (x) right_i over the sides (left_i, right_i, w_i), left_i
+    and right_i of ranks LEFT_RANK and RIGHT_RANK, all Laurent (module docstring)."""
     lefts = [c for left, _, _ in sides for c in left.terms.values()]
     rights = [c for _, right, _ in sides for c in right.terms.values()]
     weights, acc = [w for _, _, w in sides], {}
-    if not all(_is_qpow(c.den) for c in lefts + rights + weights):
-        for left, right, w in sides:
-            for kx, x in left.terms.items():
-                for ky, y in right.terms.items():
-                    _accum(acc, (kx, ky), x * y * w)
-        return {key: c for key, c in acc.items() if c}
     bound = sum(peak(x.terms.values()) * peak(y.terms.values()) * mass([w]) for x, y, w in sides)
     s = _width(bound.bit_length() + 1)
     (kl, pl), (kr, pr), (kw, pw) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
@@ -105,7 +98,9 @@ def pair(left: ZElement, right: ZElement) -> ZElement:
     """The simple tensor left (x) right."""
     if _z_rank(left, "pair") != LEFT_RANK or _z_rank(right, "pair") != RIGHT_RANK:
         raise ValueError(f"tensor factors must have ranks {RANKS}")
-    return ZElement._of(RANKS, _pair_sum([(left, right)]))
+    # distinct keys and nonzero products: nothing to add up
+    return ZElement._of(RANKS, {(kx, ky): x * y for kx, x in left.terms.items()
+                                for ky, y in right.terms.items()})
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +132,6 @@ def _check_addition(l: int, m: int, alpha: int, variant: str) -> DiskSpec:
         raise ValueError("alpha must be at least 1 (alpha - 1 appears on the right)")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    _check_degrees(spec.l, spec.m)
     if spec.alpha > MAX_ALPHA:
         raise ValueError(f"alpha {spec.alpha}, above {MAX_ALPHA}")
     return spec

@@ -25,7 +25,6 @@ from qdisk.cli import (
     MAX_ROW_SIZE,
     MAX_SPHERICAL_TERMS,
     ExprError,
-    eval_expr,
     format_element,
     main,
     parse,
@@ -43,22 +42,6 @@ Q = QRat.q_power(1)
 
 
 # ------------------------------------------------------------------- parsing
-
-
-def test_parse_tree_shapes():
-    node = parse("w[2]*z[2]", 2)
-    assert node[0] == "mul"
-    assert node[1][:3] == ("gen", "w", 2)
-    assert node[2][:3] == ("gen", "z", 2)
-
-    node = parse("(1-q^2)*Q[1]", 2)
-    assert node[0] == "mul"
-    assert node[1][0] == "sub"
-    assert node[2][:3] == ("gen", "Q", 1)
-
-    node = parse("z[1]'", 2)
-    assert node[0] == "star"
-    assert node[1][:3] == ("gen", "z", 1)
 
 
 def test_parse_errors_carry_byte_offsets():
@@ -121,6 +104,51 @@ def test_scalar_division():
 def test_postfix_chains():
     assert parse_element("z[1]^2'", 2) == w_gen(1, 2) ** 2
     assert parse_element("(z[1]+w[1])^2", 2) == (z_gen(1, 2) + w_gen(1, 2)) ** 2
+
+
+# the pieces of the benchmark stream's expressions, each with the element it stands for
+COEFFS = {"": ONE, "2*": QRat.from_int(2), "q*": Q, "(1 - q)*": ONE - Q, "q^2*": Q * Q,
+          "3*": QRat.from_int(3)}
+GENERATORS = {"z": z_gen, "w": w_gen, "Q": q_element}
+
+
+@st.composite
+def monomial_sources(draw, n):
+    factors, value = [], ZElement.one(n)
+    for _ in range(draw(st.integers(1, 3))):
+        gen, idx, power = draw(st.sampled_from("zwQ")), draw(st.integers(1, n)), draw(st.integers(1, 2))
+        factors.append(f"{gen}[{idx}]" + (f"^{power}" if power > 1 else ""))
+        value = value * GENERATORS[gen](idx, n) ** power
+    return "*".join(factors), value
+
+
+@st.composite
+def chain_sources(draw, n, groups):
+    """(source, element) of a +/- chain of coefficient * monomial terms, the first
+    one negated or not; with groups, a term may be a coefficient times a
+    parenthesized chain, squared or not."""
+    text, value = "", ZElement.zero(n)
+    for i in range(draw(st.integers(1, 3))):
+        coeff = draw(st.sampled_from(sorted(COEFFS)))
+        if groups and draw(st.booleans()):
+            inner, elt = draw(chain_sources(n, False))
+            power = draw(st.integers(1, 2))
+            src, elt = f"({inner})" + (f"^{power}" if power > 1 else ""), elt ** power
+        else:
+            src, elt = draw(monomial_sources(n))
+        op = draw(st.sampled_from(("+", "-"))) if i else draw(st.sampled_from(("", "-")))
+        text += (f" {op} " if i else op) + coeff + src
+        term = COEFFS[coeff] * elt
+        value = value - term if op == "-" else value + term
+    return text, value
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_stream_shaped_expressions_evaluate_to_the_element_built_from_their_pieces(data):
+    n = data.draw(st.integers(1, 3))
+    src, want = data.draw(chain_sources(n, True))
+    assert parse_element is parse and parse(src, n) == want, src
 
 
 # ------------------------------------------------------------------ printing
@@ -345,6 +373,17 @@ def test_parse_error_exit_code(capsys):
     assert "byte 5" in err
 
 
+def test_errors_are_reported_in_reading_order(capsys):
+    # evaluation runs as the source is read, so its error comes before a later grammar error
+    code, out, err = run_cli(capsys, "normalize", "--n", "2", "--expr", "w[1]/z[1] +")
+    assert (code, out) == (2, "")
+    assert "division by a non-scalar element (byte 4)" in err
+    # the whole source is tokenized first: a character outside the grammar comes before any product
+    code, out, err = run_cli(capsys, "normalize", "--n", "2", "--expr", "z[1]/w[1] $")
+    assert (code, out) == (2, "")
+    assert "unexpected character '$' (byte 10)" in err
+
+
 # ------------------------------------------------------- hostile input caps
 
 
@@ -370,7 +409,7 @@ def test_nesting_over_the_cap_exits_2(capsys, depth):
 
 
 def test_long_operator_chains_do_not_recurse():
-    # syntax trees thousands of levels deep along the left operand, no parentheses
+    # operator chains thousands of operators long, no parentheses
     assert parse_element("+".join(["z[1]"] * 3000), 2) == 3000 * z_gen(1, 2)
     assert parse_element("z[1]" + "^1" * 3000, 2) == z_gen(1, 2)
     assert parse_element("z[1]" + "'" * 3001, 2) == w_gen(1, 2)

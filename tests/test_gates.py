@@ -37,6 +37,10 @@ HOSTILE = {
     "qnumber-dict-degree": lambda: qnumber({}, 2),
     "q_power-list-exponent": lambda: QRat.q_power([1]),
     "jacobi_scaled-tuple-spec": lambda: jacobi_scaled((1, 1, 1)),
+    # the degree cap is the spec's, so the scalars built on a spec take it too
+    "DiskSpec-over-degree": lambda: DiskSpec(MAX_DISK_DEGREE + 1, 0, 0),
+    "norm_const-over-degree": lambda: norm_const(MAX_DISK_DEGREE + 1, 0, 1),
+    "coupling_const-over-degree": lambda: coupling_const(MAX_DISK_DEGREE + 1, 0, 0, 0, 1),
 }
 
 

@@ -391,14 +391,32 @@ def test_circle_shift_is_the_product_with_z1a_w1b():
 
 
 def test_weighted_pair_sum_equals_the_termwise_sum():
-    # packed with Laurent weights, and per pair when a weight is not over a power of q
+    # packed with Laurent weights, a piece repeated at weight 1
     g = xy_generators()
     left, right = g.Q * 2 - g.X2 * g.X1s, g.D * g.Y2 + g.Y1s * QRat.q_power(-3)
-    laurent, other = (ONE - QRat.q_power(5)) * QRat.q_power(-2), ONE / (ONE - QRat.q_power(2))
-    for w in (laurent, other):
-        sides = [(left, right, w), (g.X1, g.Y2s, QRat.q_power(4)), (left, right)]
-        want = pair(left, right * w) + pair(g.X1, g.Y2s * QRat.q_power(4)) + pair(left, right)
-        assert ZElement._of(tensor.RANKS, tensor._pair_sum(sides)) == want
+    w = (ONE - QRat.q_power(5)) * QRat.q_power(-2)
+    sides = [(left, right, w), (g.X1, g.Y2s, QRat.q_power(4)), (left, right, ONE)]
+    want = pair(left, right * w) + pair(g.X1, g.Y2s * QRat.q_power(4)) + pair(left, right)
+    assert ZElement._of(tensor.RANKS, tensor._pair_sum(sides)) == want
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scaled_rhs_hands_the_pair_sum_laurent_sides_only(monkeypatch, variant):
+    # `_pair_sum` packs every denominator as a power of q, so each coefficient and weight
+    # it is given must be one: over the suite grid and the benchmark cases
+    pair_sum, seen = tensor._pair_sum, []
+
+    def laurent_only(sides):
+        for left, right, w in sides:
+            assert all(_is_qpow(c.den) for c in [*left.terms.values(), *right.terms.values(), w])
+        seen.append(len(sides))
+        return pair_sum(sides)
+
+    monkeypatch.setattr(tensor, "_pair_sum", laurent_only)
+    cases = [(l, m, alpha) for alpha in range(1, 5) for l in range(4) for m in range(4)]
+    for case in cases + [(4, 4, 1), (5, 5, 2), (6, 6, 2)]:
+        scaled_rhs(*case, variant)
+    assert len(seen) == len(cases) + 3 and all(seen)
 
 
 def _widths(monkeypatch) -> list:
@@ -426,7 +444,7 @@ def test_pair_sum_of_many_small_terms_packs_narrow(monkeypatch):
     left = ZElement(LEFT_RANK, {((i, 0, j), (0, 0, 0)): ONE for i, j in product(range(7), range(5))})
     right = ZElement(tensor.RIGHT_RANK, {((i, 0), (0, j)): ONE for i, j in product(range(5), range(3))})
     chosen = _widths(monkeypatch)
-    got = pair(left, right)
+    got = ZElement._of(tensor.RANKS, tensor._pair_sum([(left, right, ONE)]))
     assert chosen == [8] and got.term_count() == 35 * 15
     assert got == pair_termwise(left, right)
 

@@ -604,13 +604,16 @@ def test_pair_equals_the_termwise_oracle(laurent, data):
 @given(st.booleans(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_pair_sum_equals_the_termwise_oracle(laurent, data):
-    # pieces that share their keys (one piece scaled) and cancel (one negated)
+    # pieces that share their keys (one piece scaled) and cancel (one negated); the
+    # sum of their `pair`s, and with Laurent sides their packed `_pair_sum` at weight 1
     sides = [(ZElement(LEFT_RANK, data.draw(long_terms(LEFT_RANK, laurent))),
               ZElement(RIGHT_RANK, data.draw(long_terms(RIGHT_RANK, True))))
              for _ in range(data.draw(st.integers(1, 3)))]
     left, right = sides[0]
     sides += [(left, right * data.draw(long_coefficients(True))), (left, -right)]
-    want = ZElement.zero(RANKS)
+    want, got = ZElement.zero(RANKS), ZElement.zero(RANKS)
     for left, right in sides:
-        want = want + pair_termwise(left, right)
-    assert ZElement(RANKS, _pair_sum(sides)) == want
+        want, got = want + pair_termwise(left, right), got + pair(left, right)
+    assert got == want
+    if laurent:
+        assert ZElement(RANKS, _pair_sum([(left, right, ONE) for left, right in sides])) == want
