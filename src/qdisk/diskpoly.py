@@ -1,28 +1,17 @@
 """q-disk polynomials in three noncommuting arguments, divisionlessly.
 
-R_{l,m}^(alpha)(A, B, C; q^2) homogenizes the little q-Jacobi expansion:
-with coef_k the base-q^2 Jacobi coefficient of x^k (q^2k included), it is
+R_{l,m}^(alpha)(A, B, C; q^2) homogenizes the little q-Jacobi expansion: with
+coef_k the base-q^2 Jacobi coefficient of x^k (q^2k included), Jacobi parameters
+(alpha, |l-m|) at degree mm = min(l, m), L the lcm of their denominators
+(products of q-powers and factors 1 - q^2j) and D = C - AB, it is taken scaled,
 
-    l >= m:  sum_k coef_k C^(m-k) A^(l-m) (C - AB)^k
-    l <= m:  sum_k coef_k C^(l-k) (C - AB)^k B^(m-l)
+    L R = H = sum_k (L coef_k) C^(mm-k) E_k,   E_k = A^(l-m) D^k (l >= m) or D^k B^(m-l).
 
-where the Jacobi parameters are (alpha, l-m) at degree m, respectively
-(alpha, m-l) at degree l.  C must commute with A and with B (checked);
-no inverses of C are ever formed.
-
-The sum is taken scaled: with L the lcm of the denominators of the coef_k
-(products of q-powers and factors 1 - q^2j) and mm = min(l, m), it is
-
-    L R = H = sum_k (L coef_k) C^(mm-k) E_k,   E_k = A^(l-m) D^k or D^k B^(m-l),   D = C - AB,
-
-as above.  Each L coef_k is a polynomial, so when A, B and C have Laurent
-coefficients every sum and product stays on the gcd-free path, and
-`disk_poly` divides by L once per output term.  The coef_k are `Cyclo`s
-(`qfield`), so L is their exponent lcm, and `_jacobi` expands each L
-coef_k to a polynomial once per spec, with no gcd.  C commutes with A, B, D
-and so with each E_k, and H is taken by Horner's rule in C: H_0 = (L coef_0)
-E_0, H_k = H_(k-1) C + (L coef_k) E_k.  `_DiskArgs` checks C once and keeps
-the powers and E_k it forms across specs, so no element product follows H.
+C must commute with A and B (checked); no inverse of C is formed.  The coef_k
+are `Cyclo`s (`qfield`), so `_jacobi` expands each L coef_k to a Laurent
+polynomial once per spec, with no gcd, and `disk_poly` divides by L once per
+term.  H is taken by Horner's rule in C, H_k = H_(k-1) C + (L coef_k) E_k, and
+`_DiskArgs` checks C once and keeps the powers and E_k it forms across specs.
 
 H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2, as
 in every bundle here and in `tensor`: moving z_a left past z_j and w_a right
@@ -30,43 +19,49 @@ past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
 
     z^lam w^mu Q_n = sum_a (z^lam z_a)(w_a w^mu) = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a),
 
-and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients
-H then stays packed (`zalgebra`) at one slot width s: each E_k and L coef_k is
-packed once, a step adds each term shifted by s (big - t) onto its moves (big
-the largest t_1 of the keys), and H is read back once.  A key of H_(k-1) C
-takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the largest sum of
-absolute integer coefficients in one coefficient of x, |H_k| <= |C| |H_(k-1)|
-+ |E_k| |L coef_k| < 2^(s-1).  Other sums take `QRat`s; no size cutoff pays (CHANGES.md).
+and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients H
+stays packed (`zalgebra`) at one slot width s: a step adds each term, shifted by
+s (big - t), onto its moves (big the largest t_1), and H is read back once.  A key
+of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the
+largest sum of absolute integer coefficients of one coefficient of x, |H_k| <=
+|C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  Other sums take `QRat`s; no size
+cutoff pays (CHANGES.md).
 
-The spherical and associated elements and the rhs factors of the addition
-formula (`tensor`) are products down Z_n > Z_(n-1) > ..., level n on the left,
-of L R(z_i, w_i, Q_i).  `_chain` is their one memo, kept for the process: each
-level is built on its rank's one bundle, and the levels below are embedded
-once.  Callers never receive a cached element.
+The spherical and associated elements and the rhs factors of `tensor` are
+products down Z_n > Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i);
+`_chain` builds and keeps each with no element product.  On (z_n, w_n, Q_n),
+D = Q_n - z_n w_n is Q_(n-1), central in Z_(n-1); for I in Z_(n-1), z_n^a w_n^b
+z^lam w^mu = q^((b-a)|lam|) z^(lam + a e_n) w^(mu + b e_n); and Q_(n-1) w_n =
+q^-2 w_n Q_(n-1).  So with J_k = Q_(n-1)^k I by central moves at rank n - 1,
+E_k I is z_n^j J_k (l >= m, j = l - m) or q^(-2kb) w_n^b J_k (l < m, b = m - l),
+a shift of J_k's keys, which all have |lam| = |lam of I| + k, times one power of
+q, and L R I is one packed Horner sum in Q_n over them, with |E_k I| <= (n-1)^k
+|I|, read back once.  Callers never receive a `_chain` entry.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent, peak
 from .qfunc import _jacobi_coeffs
-from .zalgebra import ZElement, _check_rank, _element, _Memo, _unpacked, embed, q_element, w_gen, z_gen
+from .zalgebra import ZElement, _check_rank, _element, _exponents, _Memo, _unpacked, q_element
 
-# Caps on disk degrees, which `DiskSpec` owns, and on spherical terms.  The slowest admitted cases
-# found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 7.8 s and 102 MB, and
-# 3.5 s and 87 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
+# Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted
+# cases found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 4.4-6.3 s and 92 MB,
+# and 0.28-0.44 s and 27 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
+# No route passes alpha above 263 (assoc_spherical(8, 8, 8, 1, 256)); norm_const(8, 8, 512): 0.07 s.
 MAX_DISK_DEGREE = 8
+MAX_DISK_ALPHA = 512
 MAX_SPHERICAL_TERMS = 1716
 
 
 class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
-    """Degrees and parameter of one q-disk polynomial; base fixed at q^2.
-    A named tuple, so immutable, hashable and compared by value at C speed
-    (specs key the `lru_cache` tables); every construction is checked,
-    the degrees against MAX_DISK_DEGREE."""
+    """Degrees and parameter of one q-disk polynomial; base fixed at q^2.  A named tuple, so
+    immutable, hashable and compared by value at C speed (specs key the `lru_cache` tables);
+    every construction is checked, the degrees against MAX_DISK_DEGREE, alpha MAX_DISK_ALPHA."""
 
     __slots__ = ()
 
@@ -74,6 +69,8 @@ class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
         _check_ints(l, m, alpha, least=0)
         if max(l, m) > MAX_DISK_DEGREE:
             raise ValueError(f"disk degree {max(l, m)}, above {MAX_DISK_DEGREE}")
+        if alpha > MAX_DISK_ALPHA:
+            raise ValueError(f"alpha {alpha}, above {MAX_DISK_ALPHA}")
         return super().__new__(cls, int(l), int(m), int(alpha))  # bools made ints
 
     @classmethod
@@ -103,9 +100,45 @@ def _moves(lam: tuple, mu: tuple) -> tuple:
                   sum(lam[a + 1:]) + sum(mu[a + 1:])) for a in reversed(range(len(lam))))
 
 
+_MOVES = _Memo(_moves)  # the moves of every key met, of any rank
+
+
+def _pair_moves(key) -> list:
+    """The moves of a tensor key (k1, k2) times Q_n1 (x) Q_n2: the pairs of its factors' moves."""
+    return [((k1, k2), t1 + t2) for k1, t1 in _MOVES[key[0]] for k2, t2 in _MOVES[key[1]]]
+
+
+def _times_q(acc: dict, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
+    """(H C, kh + big) for H packed at width s over q^kh, C = Q_n (or Q_n1 (x) Q_n2: `_pair_moves`)."""
+    acc = [(v, moves(key)) for key, v in acc.items()]
+    out, big = {}, max(ms[-1][1] for _, ms in acc)  # the last move has the largest t
+    for v, ms in acc:
+        for key2, t in ms:
+            out[key2] = out.get(key2, 0) + (v << s * (big - t))
+    return out, kh + big
+
+
+def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> dict:
+    """The terms of H = sum_k coef_k C^(mm-k) E_k, packed (module docstring): times_c moves a key onto
+    fan keys, |E_k| <= peaks[k], and terms(s) yields (K, E_k q^K at 2^s, E_k's keys) per k."""
+    bound = 0
+    for coef, p in zip(coefs, peaks):
+        bound = bound * fan + p * mass([coef])
+    s, acc, kh = _width(bound.bit_length() + 1), {}, 0
+    for k, (coef, (kd, pd, keys)) in enumerate(zip(coefs, terms(s))):
+        if k:  # H_(k-1) C
+            acc, kh = times_c(acc, s, kh)
+        kx, (x,) = pack_laurent([coef], s)
+        if kx + kd > kh:  # over the larger power of q
+            acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
+        for key, y in zip(keys, pd):
+            acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd)))
+    return _unpacked(acc, s, kh)
+
+
 class _DiskArgs:
     """Arguments (A, B, C), checked once: C commutes with A and B, else ValueError.
-    Powers of A, B and D = C - AB, the E_k and the moves are kept, so rewrites are idempotent."""
+    Powers of A, B and D = C - AB and the E_k are kept, so rewrites are idempotent."""
 
     def __init__(self, A, B, C):
         for x in (A, B, C):
@@ -117,7 +150,7 @@ class _DiskArgs:
         self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}, "E": {}}
         qs = [q_element(n, n).terms for n in C.ranks]  # the moves serve C = Q_n, Q_n1 (x) Q_n2
         central = qs[0] if len(qs) == 1 else {(x, y): ONE for x in qs[0] for y in qs[1]}
-        self.moves = _Memo(_moves) if C.terms == central else None
+        self.moves = None if C.terms != central else _pair_moves if len(qs) == 2 else _MOVES.__getitem__
 
     def power(self, name: str, k: int):
         pows = self.pows[name]
@@ -132,43 +165,18 @@ class _DiskArgs:
             self.pows["E"][j, k] = d if not j else x if not k else x * d if j > 0 else d * x
         return self.pows["E"][j, k]
 
-    def _times_c(self, acc: dict, s: int, kh: int) -> tuple:
-        """(H C, kh + big) for H packed at slot width s over q^kh (module docstring)."""
-        moves, out = self.moves, {}
-        if len(self.C.ranks) == 1:  # the last move has the largest t, t_1
-            big = max(moves[key][-1][1] for key in acc)
-            for key, v in acc.items():
-                for key2, t in moves[key]:
-                    out[key2] = out.get(key2, 0) + (v << s * (big - t))
-            return out, kh + big
-        bl, br = (max(moves[key[f]][-1][1] for key in acc) for f in (0, 1))
-        for (kl, kr), v in acc.items():
-            right = [(k2, s * (br - t)) for k2, t in moves[kr]]
-            for k1, t in moves[kl]:
-                sl = s * (bl - t)
-                for k2, sr in right:
-                    out[k1, k2] = out.get((k1, k2), 0) + (v << (sl + sr))
-        return out, kh + bl + br
-
     def _packed_horner(self, coefs: tuple, j: int = 0):
         """H over the E_k of A^j or B^-j by the packed Horner sum (module docstring), or None."""
         es = [self.fold(j, k) for k in range(len(coefs))]
         if self.moves is None or len(coefs) < 2 or not all(  # each L coef_k is a polynomial
                 _is_qpow(c.den) for x in es for c in x.terms.values()):
             return None
-        bound = 0
-        for coef, x in zip(coefs, es):
-            bound = bound * len(self.C.terms) + peak(x.terms.values()) * mass([coef])
-        s, acc, kh = _width(bound.bit_length() + 1), {}, 0
-        for k, coef in enumerate(coefs):
-            if k:  # H_(k-1) C
-                acc, kh = self._times_c(acc, s, kh)
-            (kx, (x,)), (kd, pd) = pack_laurent([coef], s), pack_laurent(list(es[k].terms.values()), s)
-            if kx + kd > kh:  # over the larger power of q
-                acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
-            for key, y in zip(es[k].terms, pd):
-                acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd)))
-        return self.C._like(_unpacked(acc, s, kh))
+
+        def terms(s):
+            return ((*pack_laurent(list(x.terms.values()), s), x.terms) for x in es)
+        peaks = [peak(x.terms.values()) for x in es]
+        times_c = partial(_times_q, moves=self.moves)
+        return self.C._like(_horner_sum(coefs, peaks, len(self.C.terms), terms, times_c))
 
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
@@ -182,27 +190,30 @@ class _DiskArgs:
 
 
 def disk_poly(spec: DiskSpec, A, B, C):
-    """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of Z_n or of a
-    tensor product: the scaled sum L R of `_DiskArgs.scaled`, divided by L
-    once per output term.  ValueError on a spec that is not a `DiskSpec`, on a
-    non-element and when C fails to commute with A or with B."""
+    """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of Z_n or of a tensor product: the
+    scaled sum L R of `_DiskArgs.scaled`, divided by L once per output term.  ValueError on a spec
+    that is not a `DiskSpec`, on a non-element and when C fails to commute with A or with B."""
     inv_lcm = jacobi_scaled(spec)[0]  # checks the spec before any element work
     return _DiskArgs(A, B, C).scaled(spec) * inv_lcm
 
 
 @lru_cache(maxsize=None)
-def _rank_args(n: int) -> _DiskArgs:
-    """The checked bundle (z_n, w_n, Q_n) of Z_n."""
-    return _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n))
+def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> ZElement:
+    """The product in Z_n (n >= 2), level n on the left, of L R_spec(z_i, w_i, Q_i) over the specs for
+    i = n, n - 1, ..., each L the lcm of its spec's Jacobi denominators: one packed Horner sum on I,
+    the chain of the rest (1 for none), over key shifts of J_k = Q_(n-1)^k I (module docstring)."""
+    low = _chain(n - 1, *rest).terms if rest else {(_exponents(n - 1),) * 2: ONE}
+    j, coefs = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
+    deg, (zn, wn) = sum(x.l for x in rest), ((j,), (0,)) if j >= 0 else ((0,), (-j,))
 
-
-@lru_cache(maxsize=None)
-def _chain(n: int, *specs: DiskSpec) -> ZElement:
-    """The product in Z_n, level n on the left, of L R_spec(z_i, w_i, Q_i) over the specs for
-    i = n, n - 1, ..., each L the lcm of its spec's Jacobi denominators."""
-    if len(specs) == 1:
-        return _rank_args(n).scaled(specs[0])
-    return _chain(n, specs[0]) * embed(_chain(n - 1, *specs[1:]), n)
+    def terms(s):  # E_k I = J_k q^(-j deg - |j| k) shifted, J_k over q^kj
+        kj, packed = pack_laurent(list(low.values()), s)
+        acc = dict(zip(low, packed))
+        for k in range(len(coefs)):
+            acc, kj = _times_q(acc, s, kj) if k else (acc, kj)
+            yield kj + j * deg + abs(j) * k, acc.values(), ((lam + zn, mu + wn) for lam, mu in acc)
+    peaks = [(n - 1) ** k * peak(low.values()) for k in range(len(coefs))]
+    return ZElement._of(n, _horner_sum(coefs, peaks, n, terms, _times_q))
 
 
 def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:

@@ -26,10 +26,8 @@ w^m2) sums x N_lam over the diagonal terms x z^lam w^lam of the product
 packed sum of its own, with B = sum |x| |N_lam|: each x is applied to
 N_lam(2^s) as shifts (`zalgebra._shift_sum`), read back once, with no groups
 and no division.  Normal ordering keeps the torus weight lam - mu of a
-monomial, so `inner` pairs only terms whose weights cancel.  No size cutoff:
-the 1997 haar and inner calls of the perfbench CLI stream (seeds 1-40, in one
-process) took 29 us each, 30 us on the per-term route, in CLI processes of
-124 ms (median, traced cli run; 2-vCPU x86-64).
+monomial, so `inner` pairs only terms whose weights cancel.  No size cutoff
+pays (CHANGES.md).
 
 Symmetries.  h is real on *-images, h(x*) = h(x), and a twisted trace, the
 modular property of the Haar state (S. L. Woronowicz, Comm. Math. Phys. 111,

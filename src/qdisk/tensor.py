@@ -15,34 +15,32 @@ coupled-argument identity with arguments
     A = -q X1 (x) Y1* + X2 (x) Y2,  B = -q X1* (x) Y1 + X2* (x) Y2*,
     C = Q (x) D,
 
-and its precursor with A = X1 (x) Y1 + X2 (x) Y2, B = q^2 X1* (x) Y1* +
-X2* (x) Y2*.  The right-hand side couples disk polynomials in the X and
-Y generators through explicit constants built from the spherical norms.
+and its precursor with A = X1 (x) Y1 + X2 (x) Y2, B = q^2 X1* (x) Y1* + X2* (x)
+Y2*.  The right-hand side couples disk polynomials in the X and Y generators
+through explicit constants built from the spherical norms.
 
-The rhs scalars are closed forms: the coupling constants (built on the
-norm constants), the sign and q-power of the final variant and the Jacobi
-denominators of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes
-their lcm V by exponent arithmetic and converts 1/V and each weight once,
-with no gcd.
+The rhs scalars are closed forms: the coupling constants (built on the norm
+constants), the sign and q-power of the final variant and the Jacobi denominators
+of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes their lcm V by
+exponent arithmetic and converts 1/V and each weight once, with no gcd.
 
 The rhs is one packed sum of weighted simple tensors, `_pair_sum`, whose sides
-are Laurent by construction.  Piece (r, s) is w left (x) right, with
-left = X_rs I_rs, a `diskpoly._chain` entry, and right = Y_rs z_1^a w_1^b in
-closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2,
-z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1) w^(mu + b e_1).
-Left and right coefficients and weights are packed in one `pack_laurent`
-call each, at one slot width s; times q^(Kl + Kr + Kw), each output
-coefficient is the sum of the integer products left right w over its term
-pairs, one per piece, read back from its digits once.  With |x| the sum of
-the absolute values of x's integer numerator coefficients, largest over x's
-terms, each output coefficient is at most sum_rs |left| |right| |w|, which s
-puts below 2^(s-1).
+are Laurent by construction.  Piece (r, s) is w left (x) right, with left =
+X_rs I_rs the two-level `diskpoly._chain` entry, built with no element product
+(D = Q_3 - z_3 w_3 is Q_2, and z_3, w_3 pass Z_2 as key shifts), and right =
+Y_rs z_1^a w_1^b in closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and
+z_2 z_1 = q^-1 z_1 z_2, z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1)
+w^(mu + b e_1).  Left and right coefficients and weights are packed in one
+`pack_laurent` call each, at one slot width s; times q^(Kl + Kr + Kw), each
+output coefficient is the sum of the integer products left right w over its
+term pairs, one per piece, read back once.  With |x| the largest sum of the
+absolute integer coefficients of one of x's coefficients, each is at most
+sum_rs |left| |right| |w|, which s puts below 2^(s-1).
 
-Case-independent work is done once per process, in `lru_cache` tables: `_args`
-(a variant's checked lhs arguments), `_coupling` (the coupling constants) and
-`_rhs_pieces` (a case's rhs scalars, in tuples); with left and right kept by
-`_chain`, every case and variant that shares a left piece shares its one
-product.  Callers never receive a cached element.
+Case-independent work is done once per process, in `lru_cache` tables: `_args` (a
+variant's checked lhs arguments), `_coupling` (the coupling constants), `_rhs_pieces`
+(a case's rhs scalars, in tuples) and `_chain`, whose entries every case and variant
+that has them shares.  Callers never receive a cached element.
 """
 
 from __future__ import annotations
@@ -192,12 +190,11 @@ def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
 
 
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/V, V rhs): the coupled sum of products of disk polynomials in the
-    separate factors, over the common denominator V of the scalars of its
-    (r, s) pieces (`_rhs_pieces`).  Its factors are L-scaled disk polynomials on
-    (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*, Q') = (z_2, w_2, Q_2), Q' = Q - X2 X2*,
-    and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent: X_rs I_rs is the chain
-    `diskpoly._chain(3, outer, inner)` and Y_rs is `_chain(2, outer)`."""
+    """(1/V, V rhs): the coupled sum of products of disk polynomials in the separate factors,
+    over the common denominator V of the scalars of its (r, s) pieces (`_rhs_pieces`).  Its
+    factors are L-scaled disk polynomials on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*, Q') =
+    (z_2, w_2, Q_2), Q' = Q - X2 X2*, and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent:
+    X_rs I_rs is the chain `diskpoly._chain(3, outer, inner)` and Y_rs is `_chain(2, outer)`."""
     plan, inv_lcm, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
     sides = [(_chain(3, outer, inner),
               _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)

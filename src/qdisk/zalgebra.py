@@ -54,15 +54,9 @@ integer polynomial with coefficients in (-2^(s-1), 2^(s-1)) is its value's
 symmetric base-2^s digits.  Packing needs every coefficient over a power of
 q; a product with any other runs the per-pair loop, whatever its size.
 
-Cutoff.  Below 16 term pairs the per-pair loop runs.  At commit 320f6a7 the
-2119 products of the 128-case `qdisk suite` grid and the 879 of the three
-benchmark `verify_addition` cases (869 and 221 since A^(l-m) and the circle
-factors fold into packed sums) were replayed through both paths on warm tables
-(2-vCPU x86-64, best of five): the loop was 3-4x faster on one pair, packing 3x
-faster on the largest, cutoffs from 8 to 64 gave totals within 5%, 16 the least
-(164 ms; 246 ms with every product packed).  End to end, five alternating fresh
-runs each: the suite grid took 0.22-0.25 s in one process at 16 and 0.28-0.36 s
-with every product packed; the addition cases did not move (0.35-0.48 s).
+Cutoff.  Below 16 term pairs the per-pair loop runs: on replayed products the
+loop was 3-4x faster on one pair, packing 3x faster on the largest, and cutoffs
+from 8 to 64 gave totals within 5%, 16 the least (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -76,8 +70,8 @@ from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _from_digits
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
 # Cap on rank times terms, checked before any exponent tuple of that rank is built.  The
-# slowest admitted case found, assoc_spherical(1, 1, 1, 1, 256) (bundles with Q_256 and Q_255,
-# 256 and 255 terms), took 0.86 s and 47 MB on a 2-vCPU x86-64 host.
+# slowest admitted case found, assoc_spherical(1, 1, 1, 1, 256) (moves by Q_256 and Q_255,
+# 256 and 255 terms), took 0.06-0.09 s and 21 MB on a 2-vCPU x86-64 host.
 MAX_RANK_TERMS = 2 ** 16
 
 

@@ -29,11 +29,13 @@ one symmetric digit per slot.  `scalar_termwise` and `pair_termwise` are
 those of the pack-once Laurent products: one QRat product per term, or per
 term pair.
 
-`rhs_per_piece` is the oracle for the packed rhs sum of `tensor.scaled_rhs`:
-the same factor tables and scalars, but each (r, s) piece is its own simple
-tensor, with the Y1 powers multiplied in, the weight applied to the right
-factor and one QRat product per term pair, and the pieces are added by
-QRat sums.
+`chain_product` is the oracle for the level chains of `diskpoly._chain`: each
+level on a fresh (z_n, w_n, Q_n) argument bundle, the levels multiplied as
+elements.  `rhs_per_piece` is the oracle for the packed rhs sum of
+`tensor.scaled_rhs`: the same scalars, with factors from `chain_product`, but
+each (r, s) piece is its own simple tensor, with the Y1 powers multiplied in,
+the weight applied to the right factor and one QRat product per term pair,
+and the pieces are added by QRat sums.
 
 `qpoch_product`, `jacobi_coeffs_product`, `norm_const_product`,
 `coupling_const_product`, `jacobi_scaled_product` and `rhs_pieces_product`
@@ -60,7 +62,7 @@ from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_g
                           qpoch)
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair, xy_generators
-from qdisk.zalgebra import ZElement, _mono_mul, embed, star
+from qdisk.zalgebra import ZElement, _mono_mul, embed, q_element, star, w_gen, z_gen
 from reference import haar_monomial_alt
 
 _Q = QRat.q_power(1)
@@ -516,16 +518,23 @@ def pair_termwise(left, right):
                             for kr, cr in right.terms.items()})
 
 
+def chain_product(n: int, spec: DiskSpec, *rest: DiskSpec) -> ZElement:
+    """`diskpoly._chain(n, spec, *rest)` by the product route: each level L R_spec(z_i, w_i, Q_i)
+    on a fresh argument bundle of its rank, the levels below embedded and multiplied on the right."""
+    level = diskpoly._DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n)).scaled(spec)
+    return level * embed(chain_product(n - 1, *rest), n) if rest else level
+
+
 def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own: the left
-    piece is multiplied here from one-level chains, never read as the two-level one."""
+    """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own by element
+    products of levels on fresh bundles (`chain_product`), never read from `diskpoly._chain`."""
     g = xy_generators()
     plan, inv_lcm, weights = tensor._rhs_pieces(l, m, alpha, variant)
     total = ZElement.zero(RANKS)
     for (r, s, outer, inner), weight in zip(plan, weights):
-        left = diskpoly._chain(3, outer) * embed(diskpoly._chain(2, inner), 3)
+        left = chain_product(3, outer, inner)
         ys = (s, r) if variant == "final" else (r, s)
-        right = diskpoly._chain(2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
+        right = chain_product(2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
         total = total + pair_termwise(left, right * weight)
     return inv_lcm, total
 

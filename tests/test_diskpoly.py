@@ -1,18 +1,42 @@
 import itertools
+from functools import cache
 
 import pytest
 
-from oracle import disk_poly_termwise, horner_stepwise, pairwise_mul
+from oracle import chain_product, disk_poly_termwise, horner_stepwise, pairwise_mul
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
-from qdisk.qfield import ONE, QRat, ZERO, _width, mass, qpoch
+from qdisk.qfield import ONE, QRat, ZERO, _width, mass, peak, qpoch
 from qdisk.tensor import VARIANTS, coupling_const, verify_addition
 from qdisk.uqaction import is_invariant
-from qdisk.zalgebra import (_MONO_CACHE, _WZ_CACHE, ZElement, _unpacked, bidegree, counit, q_element,
-                            star, w_gen, z_gen)
+from qdisk.zalgebra import (_MONO_CACHE, _PULL_CACHE, _WZ_CACHE, ZElement, _unpacked, bidegree, counit,
+                            embed, q_element, star, w_gen, z_gen)
 
 qp = QRat.q_power
+
+
+@cache
+def _rank_bundle(n: int) -> _DiskArgs:
+    """The checked bundle (z_n, w_n, Q_n) of Z_n, one per rank, kept across these tests."""
+    return _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n))
+
+
+def _record_products(monkeypatch) -> list:
+    """From now on, (rank, whether the other factor is an element) for each `ZElement` product."""
+    made, mul = [], ZElement.__mul__
+
+    def recording(self, other):
+        made.append((self.rank, isinstance(other, ZElement)))
+        return mul(self, other)
+
+    monkeypatch.setattr(ZElement, "__mul__", recording)
+    return made
+
+
+def _table_sizes() -> tuple:
+    """The sizes of the structure-row tables."""
+    return len(_PULL_CACHE), len(_WZ_CACHE), len(_MONO_CACHE)
 
 
 def test_one_one_expansion():
@@ -123,15 +147,29 @@ def test_sphere_memo_hands_out_no_cached_element():
 
 
 def test_cold_norms_grid_checks_one_argument_bundle(monkeypatch):
-    # every spec of a rank is evaluated on the one checked (z_n, w_n, Q_n)
+    # the level chain needs no argument bundle: the cold norms grid (n = 3, l, m <= 5) builds
+    # none, multiplies no two elements (only each result by its scalar 1/L) and adds no
+    # structure row
     built, init = [], _DiskArgs.__init__
     monkeypatch.setattr(_DiskArgs, "__init__", lambda self, *args: built.append(args) or init(self, *args))
-    diskpoly._rank_args.cache_clear()
     diskpoly._chain.cache_clear()
+    sizes, made = _table_sizes(), _record_products(monkeypatch)
     for l in range(6):
         for m in range(6):
             spherical(l, m, 3)
-    assert len(built) == 1
+    assert built == [] and made == [(3, False)] * 36 and _table_sizes() == sizes
+
+
+def test_cold_associated_elements_make_no_element_product(monkeypatch):
+    # every (r, s) for n = 3, 4 and l, m <= 3: the two-level chains too are key shifts and
+    # central moves, with one scalar product per element and no structure row
+    cases = [(l, m, r, s, n) for n in (3, 4) for l in range(4) for m in range(4)
+             for r in range(l + 1) for s in range(m + 1)]
+    diskpoly._chain.cache_clear()
+    sizes, made = _table_sizes(), _record_products(monkeypatch)
+    for case in cases:
+        assoc_spherical(*case)
+    assert made == [(n, False) for *_, n in cases] and _table_sizes() == sizes
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -220,7 +258,7 @@ def test_packed_horner_equals_the_stepwise_horner_on_the_addition_bundles(varian
 @pytest.mark.parametrize("n", range(1, 6))
 def test_packed_horner_equals_the_stepwise_horner_on_the_rank_bundles(n):
     # no size cutoff: every sum of two or more terms takes the packed step
-    args = diskpoly._rank_args(n)
+    args = _rank_bundle(n)
     for l in range(5):
         for m in range(5):
             for alpha in sorted({0, max(n - 2, 0), n + 1}):
@@ -236,7 +274,7 @@ def test_non_laurent_argument_takes_the_qrat_horner():
     spec = DiskSpec(4, 3, 1)
     args = _DiskArgs(x, y, c)
     assert args._packed_horner(jacobi_scaled(spec)[1][:4]) is None
-    assert diskpoly._rank_args(3)._packed_horner(jacobi_scaled(spec)[1][:4]) is not None
+    assert _rank_bundle(3)._packed_horner(jacobi_scaled(spec)[1][:4]) is not None
     assert disk_poly(spec, x, y, c) == disk_poly_termwise(4, 3, 1, x, y, c)
 
 
@@ -325,7 +363,7 @@ def test_non_central_c_takes_the_qrat_horner():
 
 def _moved(args, key) -> ZElement:
     """The basis monomial key times the bundle's C, by its moves."""
-    out, k = args._times_c({key: 1}, 8, 0)
+    out, k = diskpoly._times_q({key: 1}, 8, 0, args.moves)
     return args.C._like(_unpacked(out, 8, k))
 
 
@@ -337,7 +375,7 @@ def _keys(n: int, top: int) -> list:
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_moves_are_the_product_with_q_n(n):
-    args = diskpoly._rank_args(n)
+    args = _rank_bundle(n)
     for key in _keys(n, 3):
         assert _moved(args, key) == ZElement._of(n, {key: ONE}) * q_element(n, n), key
 
@@ -356,7 +394,7 @@ def test_tensor_moves_are_the_product_with_q3_q2(variant):
 
 def test_warm_horner_sums_build_no_structure_row():
     # once D's powers are formed, a Horner sum reads and stores no product row
-    for args, spec in ((diskpoly._rank_args(3), DiskSpec(5, 5, 1)),
+    for args, spec in ((_rank_bundle(3), DiskSpec(5, 5, 1)),
                        (tensor._args("final"), DiskSpec(5, 5, 2))):
         for k in range(6):
             args.power("D", k)
@@ -388,8 +426,8 @@ def test_folded_sum_equals_the_unfolded_route_on_the_rank_bundles(n):
     for l, m in FOLD_DEGREES:
         for alpha in sorted({0, n - 2, n}):
             spec = DiskSpec(l, m, alpha)
-            want = _unfolded(diskpoly._rank_args(n), spec)
-            assert diskpoly._rank_args(n).scaled(spec) == want, spec
+            want = _unfolded(_rank_bundle(n), spec)
+            assert _rank_bundle(n).scaled(spec) == want, spec
             assert _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n)).scaled(spec) == want, spec
 
 
@@ -415,7 +453,7 @@ def test_warm_folded_sums_make_no_element_product(monkeypatch):
     # once its E_k are formed, a sum with l != m multiplies no elements: the
     # packed sum makes no product at all, and for mm = 0 E_0 takes one scalar
     specs = [DiskSpec(5, 2, 1), DiskSpec(2, 5, 1), DiskSpec(4, 1, 2), DiskSpec(3, 0, 1), DiskSpec(0, 4, 2)]
-    bundles = (diskpoly._rank_args(3), tensor._args("final"), tensor._args("precursor"))
+    bundles = (_rank_bundle(3), tensor._args("final"), tensor._args("precursor"))
     for args in bundles:
         for spec in specs:
             args.scaled(spec)
@@ -432,3 +470,56 @@ def test_warm_folded_sums_make_no_element_product(monkeypatch):
             calls.clear()
             args.scaled(spec)
             assert calls == ([] if min(spec.l, spec.m) else [False]), spec
+
+
+# one level for n = 2..5, l, m <= 5 and four alphas; two levels, the (r, s) chains of
+# `assoc_spherical`, for n = 3, 4 and l, m <= 3; and a three- and a four-level chain
+CHAINS = ([(n, DiskSpec(l, m, alpha)) for n in range(2, 6) for l in range(6) for m in range(6)
+           for alpha in (0, 1, 2, 5)]
+          + [(n, DiskSpec(l - r, m - s, n - 2 + r + s), DiskSpec(r, s, n - 3)) for n in (3, 4)
+             for l in range(4) for m in range(4) for r in range(l + 1) for s in range(m + 1)]
+          + [(5, DiskSpec(2, 1, 4), DiskSpec(1, 2, 3), DiskSpec(2, 2, 1)),
+             (5, DiskSpec(1, 3, 6), DiskSpec(3, 1, 3), DiskSpec(2, 1, 1), DiskSpec(1, 1, 0))])
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_chain_equals_the_product_route(n):
+    # the packed sum of key shifts and central moves against levels on fresh bundles,
+    # multiplied as elements, term by term: (num, den) of every key
+    diskpoly._chain.cache_clear()
+    for chain in [chain for chain in CHAINS if chain[0] == n]:
+        assert diskpoly._chain(*chain).terms == chain_product(*chain).terms, chain
+
+
+def _read_widths(monkeypatch) -> list:
+    """From now on, the slot width at which `diskpoly` reads back each packed sum."""
+    widths, unpacked = [], diskpoly._unpacked
+    monkeypatch.setattr(diskpoly, "_unpacked", lambda acc, s, k: widths.append(s) or unpacked(acc, s, k))
+    return widths
+
+
+@pytest.mark.parametrize("chain,widths", [
+    ((3, DiskSpec(4, 4, 7), DiskSpec(4, 4, 0)), [16, 32]),
+    ((5, DiskSpec(2, 3, 6), DiskSpec(3, 3, 2)), [16, 32]),
+    ((4, DiskSpec(8, 8, 2)), [64]),
+    ((4, DiskSpec(4, 5, 2)), [32]),
+])
+def test_chain_slot_width(monkeypatch, chain, widths):
+    # the per-key bound b_k = n b_(k-1) + (n-1)^k |I| |L coef_k| sets the width at which each
+    # level's sum is read back, the level below first.  By element products, every E_k I =
+    # z_n^j Q_(n-1)^k I or Q_(n-1)^k w_n^b I has |E_k I| <= (n-1)^k |I|, every partial Horner
+    # sum H_k has |H_k| <= b_k, and the chain is H
+    chosen = _read_widths(monkeypatch)
+    diskpoly._chain.cache_clear()
+    got, chosen = diskpoly._chain(*chain), list(chosen)  # the product route below packs too
+    n, spec, *rest = chain
+    low = embed(chain_product(n - 1, *rest), n) if rest else ZElement.one(n)
+    x, y, c, d, j = z_gen(n, n), w_gen(n, n), q_element(n, n), q_element(n - 1, n), spec.l - spec.m
+    top, H, bound = peak(low.terms.values()), ZElement.zero(n), 0
+    for k, coef in enumerate(jacobi_scaled(spec)[1][:min(spec.l, spec.m) + 1]):
+        e = (x ** j * d ** k if j >= 0 else d ** k * y ** -j) * low
+        assert peak(e.terms.values()) <= (n - 1) ** k * top, k
+        H, bound = H * c + e * coef, bound * n + (n - 1) ** k * top * mass([coef])
+        assert peak(H.terms.values()) <= bound, k
+    assert chosen == widths and widths[-1] == _width(bound.bit_length() + 1) >= 32
+    assert got == H

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from qdisk import diskpoly, tensor, zalgebra
-from qdisk.diskpoly import (MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS, DiskSpec, _check_spherical,
-                            assoc_spherical, jacobi_scaled, spherical)
+from qdisk.diskpoly import (MAX_DISK_ALPHA, MAX_DISK_DEGREE, MAX_SPHERICAL_TERMS, DiskSpec,
+                            _check_spherical, assoc_spherical, jacobi_scaled, spherical)
 from qdisk.haar import norm_const
 from qdisk.qfield import ONE, QRat, qnumber, qpoch, solve_sparse
 from qdisk.tensor import MAX_ALPHA, _check_addition, coupling_const, scaled_rhs, verify_addition
@@ -41,6 +41,10 @@ HOSTILE = {
     "DiskSpec-over-degree": lambda: DiskSpec(MAX_DISK_DEGREE + 1, 0, 0),
     "norm_const-over-degree": lambda: norm_const(MAX_DISK_DEGREE + 1, 0, 1),
     "coupling_const-over-degree": lambda: coupling_const(MAX_DISK_DEGREE + 1, 0, 0, 0, 1),
+    # and so is the alpha cap
+    "DiskSpec-over-alpha": lambda: DiskSpec(0, 0, MAX_DISK_ALPHA + 1),
+    "norm_const-over-alpha": lambda: norm_const(8, 8, MAX_DISK_ALPHA + 1),
+    "norm_const-huge-alpha": lambda: norm_const(8, 8, 2 ** 16),
 }
 
 
@@ -113,4 +117,28 @@ def test_the_rank_gate_admits_its_cap_and_refuses_one_past_it():
                  lambda: _check_spherical(0, 0, top + 1),
                  lambda: invariant_subspace(0, 0, MAX_RANK_TERMS + 1, 1)):
         with pytest.raises(ValueError, match=f"above {MAX_RANK_TERMS}"):
+            call()
+
+
+def _admitted(*args) -> bool:
+    try:
+        _check_spherical(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_alpha_cap_admits_every_library_route_and_refuses_one_past_it():
+    # the largest alpha a library route passes is an assoc_spherical outer level,
+    # n - 2 + r + s.  It does not depend on l and m, and l = r makes k = min(l - r, m - s)
+    # zero, the fewest terms, so its largest value over admitted cases is at l = r and m = 8
+    largest = max(n - 2 + r + s for n in range(3, 257) for r in range(MAX_DISK_DEGREE + 1)
+                  for s in range(MAX_DISK_DEGREE + 1) if _admitted(r, MAX_DISK_DEGREE, n, r, s))
+    assert largest == 263 and MAX_ALPHA + 2 * MAX_DISK_DEGREE < largest < MAX_DISK_ALPHA == 512
+    element = assoc_spherical(8, 8, 8, 1, 256)  # outer DiskSpec(0, 7, 263)
+    assert element.term_count() == 255
+    assert DiskSpec(8, 8, MAX_DISK_ALPHA).alpha == MAX_DISK_ALPHA and norm_const(8, 8, MAX_DISK_ALPHA)
+    for call in (lambda: DiskSpec(0, 0, MAX_DISK_ALPHA + 1), lambda: norm_const(0, 0, MAX_DISK_ALPHA + 1),
+                 lambda: coupling_const(1, 1, 0, 0, MAX_DISK_ALPHA + 1)):
+        with pytest.raises(ValueError, match="alpha 513, above 512"):
             call()

@@ -29,7 +29,8 @@ from qdisk.tensor import (
     xy_generators,
 )
 from qdisk.uqaction import act_e, act_f, act_qh, is_invariant
-from qdisk.zalgebra import ZElement, bidegree, counit, embed, q_element, restrict, star, z_gen
+from qdisk.zalgebra import (_MONO_CACHE, _PULL_CACHE, _WZ_CACHE, ZElement, bidegree, counit, embed,
+                            q_element, restrict, star, z_gen)
 
 Q = QRat.q_power(1)
 Q2 = QRat.q_power(2)
@@ -319,7 +320,7 @@ def test_inner_factor_is_the_embedded_circle_factor():
 
 
 def _clear_tables():
-    for table in (tensor._args, tensor._coupling, tensor._rhs_pieces, diskpoly._rank_args, diskpoly._chain):
+    for table in (tensor._args, tensor._coupling, tensor._rhs_pieces, diskpoly._chain):
         table.cache_clear()
 
 
@@ -463,7 +464,7 @@ def _record_products(monkeypatch) -> list:
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_warm_rhs_multiplies_only_the_left_pieces(monkeypatch, variant):
-    # each left piece X_rs I_rs is one `diskpoly._chain` product, kept and shared by
+    # each left piece X_rs I_rs is one `diskpoly._chain` entry, kept and shared by
     # both variants; the right factors are shifted in closed form and the weights
     # applied packed, so a warm rhs makes no product at all, by an element or a
     # scalar, and neither does a case's other variant, run cold after this one
@@ -485,26 +486,28 @@ def test_warm_rhs_multiplies_only_the_left_pieces(monkeypatch, variant):
 
 
 def test_cold_suite_grid_makes_each_left_piece_once(monkeypatch):
-    # the 128-case `qdisk suite` grid has 400 distinct (outer, inner) pieces over
-    # both variants.  Cold, it makes 417 rank-3 element products: one per piece, and
-    # 17 powers of the one (z_3, w_3, Q_3) bundle, kept apart from the chain table, so
-    # a pass with only the chain table cold makes exactly the 400; warm, it makes none
+    # the 128-case `qdisk suite` grid has 400 distinct (outer, inner) pieces over both
+    # variants.  Cold, its rhs builds each as one two-level chain entry, from key shifts
+    # and central moves, with the one-level entries of its rank-2 factors: no product at
+    # all, by an element or a scalar, and no structure row.  The whole grid, lhs included
+    # (which multiplies in the tensor bundles), then makes no rank-3 product
     cases = [(l, m, alpha, variant) for alpha in range(1, 5) for l in range(4)
              for m in range(4) for variant in VARIANTS]
-    pieces = {(outer, inner) for case in cases for *_, outer, inner in tensor._rhs_pieces(*case)[0]}
+    plans = [tensor._rhs_pieces(*case)[0] for case in cases]
+    pieces = {(outer, inner) for plan in plans for *_, outer, inner in plan}
     assert len(pieces) == 400
-
-    def rank3_products():
-        made.clear()
-        assert all(cli._run_case(case)["pass"] for case in cases)
-        return sum(rank == LEFT_RANK and by_element for rank, by_element in made)
+    levels = {spec for plan in plans for *_, outer, inner in plan for spec in (outer, inner)}
 
     _clear_tables()
     made = _record_products(monkeypatch)
-    assert rank3_products() == 417
-    assert rank3_products() == 0
-    diskpoly._chain.cache_clear()
-    assert rank3_products() == 400
+    sizes = len(_PULL_CACHE), len(_WZ_CACHE), len(_MONO_CACHE)
+    for case in cases:
+        scaled_rhs(*case)
+    assert made == [] and (len(_PULL_CACHE), len(_WZ_CACHE), len(_MONO_CACHE)) == sizes
+    assert diskpoly._chain.cache_info().currsize == len(pieces) + len(levels)
+    _clear_tables()
+    assert all(cli._run_case(case)["pass"] for case in cases)
+    assert made and not any(rank == LEFT_RANK and by_element for rank, by_element in made)
 
 
 # the 128-case `qdisk suite` grid, and the benchmark's addition cases in both variants
@@ -559,7 +562,7 @@ def test_cold_verification_computes_no_scalar_gcd(monkeypatch):
     for name in ("_gcd_cofactors", "poly_gcd"):
         monkeypatch.setattr(qfield, name, lambda *args, f=getattr(qfield, name): calls.append(args) or f(*args))
     for case in ((3, 2, 1, "final"), (2, 3, 2, "precursor")):
-        for table in (tensor._args, diskpoly._rank_args, diskpoly._chain, tensor._rhs_pieces,
+        for table in (tensor._args, diskpoly._chain, tensor._rhs_pieces,
                       tensor._coupling, diskpoly._jacobi, haar._norm, qfield._qpoch, qfield._divisors,
                       qfield._mobius):
             table.cache_clear()
