@@ -50,7 +50,7 @@ from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, _check_rank, _element, _exponents, _Memo, _unpacked, q_element
 
 # Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted
-# cases found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 4.4-6.3 s and 92 MB,
+# cases found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 2.9-4.8 s and 67 MB,
 # and 0.28-0.44 s and 27 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
 # No route passes alpha above 263 (assoc_spherical(8, 8, 8, 1, 256)); norm_const(8, 8, 512): 0.07 s.
 MAX_DISK_DEGREE = 8

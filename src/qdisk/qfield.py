@@ -47,6 +47,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Coeffs = tuple  # tuple[int, ...], ascending by degree, no trailing zeros
@@ -659,12 +660,19 @@ def _mobius(n: int) -> int:
     return 0 if not n // p % p else -_mobius(n // p)
 
 
+def _over_qk_minus_1(a: list, k: int) -> list:
+    """a / (q^k - 1) for a multiple a of it: u_i = u_(i-k) - a_i, a running sum per class mod k."""
+    u = [0] * (len(a) - k)
+    for r in range(min(k, len(u))):
+        u[r::k] = map(operator.neg, accumulate(a[r:len(u):k]))
+    return u
+
+
 def _phi_product(exps: dict) -> Coeffs:
     """prod Phi_d^e over exps {d: e > 0}, as prod (q^k - 1)^f_k: by Moebius
     inversion of q^d - 1 = prod_{k | d} Phi_k, f_k sums e mu(d/k) over the
     multiples d of k.  Each factor multiplied in is a shift and a subtraction;
-    they all come first, so each one then divided out divides exactly, by a
-    block recurrence."""
+    they all come first, so each one then divided out divides exactly."""
     fs: dict = {}
     for d, e in exps.items():
         for k in _divisors(d):
@@ -675,11 +683,7 @@ def _phi_product(exps: dict) -> Coeffs:
             acc = list(map(operator.sub, [0] * k + acc, acc + [0] * k))
     for k, f in fs.items():
         for _ in range(-f):
-            # the quotient u of acc by q^k - 1 has u_i = u_(i-k) - acc_i
-            n, u = len(acc) - k, [-c for c in acc[:k]]
-            for j in range(k, n, k):
-                u += map(operator.sub, u[j - k:j], acc[j:j + k])
-            acc = u[:n]
+            acc = _over_qk_minus_1(acc, k)
     return tuple(acc)
 
 

@@ -33,9 +33,9 @@ z_2 z_1 = q^-1 z_1 z_2, z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a 
 w^(mu + b e_1).  Left and right coefficients and weights are packed in one
 `pack_laurent` call each, at one slot width s; times q^(Kl + Kr + Kw), each
 output coefficient is the sum of the integer products left right w over its
-term pairs, one per piece, read back once.  With |x| the largest sum of the
-absolute integer coefficients of one of x's coefficients, each is at most
-sum_rs |left| |right| |w|, which s puts below 2^(s-1).
+term pairs, one per piece, read back once by `scaled_rhs`, never by `verify_addition`.
+With |x| the largest sum of the absolute integer coefficients of one of x's
+coefficients, each is at most sum_rs |left| |right| |w|, which s puts below 2^(s-1).
 
 Case-independent work is done once per process, in `lru_cache` tables: `_args` (a
 variant's checked lhs arguments), `_coupling` (the coupling constants), `_rhs_pieces`
@@ -64,24 +64,30 @@ RANKS = (LEFT_RANK, RIGHT_RANK)
 TensorElement = ZElement
 
 
-def _pair_sum(sides) -> dict:
-    """Nonzero terms of sum_i w_i left_i (x) right_i over the sides (left_i, right_i, w_i), left_i
-    and right_i of ranks LEFT_RANK and RIGHT_RANK, all Laurent (module docstring)."""
+def _pair_sum(sides, less: dict | None = None, d1: tuple = (1,)) -> dict:
+    """Nonzero terms of sum_i w_i left_i (x) right_i - d1 less over the sides (left_i, right_i, w_i),
+    left_i and right_i of ranks LEFT_RANK and RIGHT_RANK, less {key: coefficient} (none by
+    default) and d1 a polynomial, all Laurent (module docstring)."""
+    less, weights = less or {}, [w for _, _, w in sides]
     lefts = [c for left, _, _ in sides for c in left.terms.values()]
     rights = [c for _, right, _ in sides for c in right.terms.values()]
-    weights, acc = [w for _, _, w in sides], {}
     bound = sum(peak(x.terms.values()) * peak(y.terms.values()) * mass([w]) for x, y, w in sides)
-    s = _width(bound.bit_length() + 1)
-    (kl, pl), (kr, pr), (kw, pw) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
-    pl, pr = iter(pl), iter(pr)
+    s = _width((bound + peak(less.values()) * sum(map(abs, d1))).bit_length() + 1)
+    (kl, pl), (kr, pr), (kw, pw), (ka, pa) = (pack_laurent(cs, s) for cs in
+                                              (lefts, rights, weights, list(less.values())))
+    # both sums are taken over q^k: the products shift by k - (kl + kr + kw), less by k - ka
+    k = max(kl + kr + kw, ka)
+    d, pl, pr = -_eval_shift(d1, s) << s * (k - ka), iter(pl), iter(pr)
+    acc = {key: a * d for key, a in zip(less, pa)}
     for (left, right, _), w in zip(sides, pw):
         # zip stops at the keys, so each side takes its own slots off the iterators
+        w <<= s * (k - kl - kr - kw)
         xs, ys = list(zip(left.terms, pl)), [(ky, y * w) for ky, y in zip(right.terms, pr)]
         for kx, x in xs:
             for ky, y in ys:
                 key = (kx, ky)
                 acc[key] = acc.get(key, 0) + x * y
-    return _unpacked(acc, s, kl + kr + kw)
+    return _unpacked(acc, s, k)
 
 
 def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
@@ -189,16 +195,21 @@ def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
     return tuple(plan), (Cyclo() / lcm).to_qrat(), tuple((lcm * c).to_qrat() for c in factors)
 
 
+def _rhs_sides(l: int, m: int, alpha: int, variant: str) -> tuple:
+    """(1/V, sides (X_rs I_rs, Y_rs z_1^a w_1^b, V-scaled weight)) of the rhs: see `scaled_rhs`."""
+    plan, inv_lcm, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
+    return inv_lcm, [(_chain(3, outer, inner),
+                      _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)
+                     for (r, s, outer, inner), weight in zip(plan, weights)]
+
+
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/V, V rhs): the coupled sum of products of disk polynomials in the separate factors,
     over the common denominator V of the scalars of its (r, s) pieces (`_rhs_pieces`).  Its
     factors are L-scaled disk polynomials on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*, Q') =
     (z_2, w_2, Q_2), Q' = Q - X2 X2*, and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent:
     X_rs I_rs is the chain `diskpoly._chain(3, outer, inner)` and Y_rs is `_chain(2, outer)`."""
-    plan, inv_lcm, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
-    sides = [(_chain(3, outer, inner),
-              _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)
-             for (r, s, outer, inner), weight in zip(plan, weights)]
+    inv_lcm, sides = _rhs_sides(l, m, alpha, variant)
     return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 
 
@@ -214,26 +225,9 @@ def addition_rhs(l: int, m: int, alpha: int, variant: str = "final") -> ZElement
     return rhs * inv_lcm
 
 
-def _equal_over(a: ZElement, den_a: tuple, b: ZElement, den_b: tuple) -> bool:
-    """Whether a / den_a == b / den_b for polynomials den_a, den_b (see
-    `verify_addition`).  False also when a coefficient is not Laurent: the
-    caller's exact residual then decides."""
-    if a.terms.keys() != b.terms.keys():
-        return False
-    xs, ys = list(a.terms.values()), [b.terms[key] for key in a.terms]
-    if not all(_is_qpow(c.den) for c in xs + ys):
-        return False
-    s = _width((max(map(mass, zip(xs, ys)), default=0) * sum(map(abs, den_a + den_b))).bit_length() + 1)
-    (ka, pa), (kb, pb) = pack_laurent(xs, s), pack_laurent(ys, s)
-    # pa holds a q^ka and pb holds b q^kb, so a den_b = b den_a times q^(ka + kb)
-    # reads pa den_b q^kb = pb den_a q^ka
-    xb, xa = _eval_shift(den_b, s) << (s * kb), _eval_shift(den_a, s) << (s * ka)
-    return all(x * xb == y * xa for x, y in zip(pa, pb))
-
-
 class Verdict(Record):
-    """Outcome of one addition-formula verification: l, m, alpha, variant,
-    passed, residual_terms, lhs_terms, rhs_terms, millis."""
+    """Outcome of one addition-formula verification: l, m, alpha, variant, passed,
+    residual_terms, lhs_terms, rhs_terms (lhs_terms on a packed pass), millis."""
 
     __slots__ = ("l", "m", "alpha", "variant", "passed", "residual_terms",
                  "lhs_terms", "rhs_terms", "millis")
@@ -247,31 +241,33 @@ class Verdict(Record):
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:
     """Expand both sides to normal form and decide lhs = rhs exactly.
 
-    The sides come scaled, a = L lhs and b = V rhs with polynomials L and V,
-    and a / L = b / V if and only if a V = b L, so no coefficient is divided.
-    L divides V in all 2592 cases with alpha <= 16 and l, m <= 8 (both
-    variants), so the check is a W = b, W = V / L from the scalars the sides
-    returned, and a V = b L where L does not divide V.  (The scalars' own
-    numerators, 1 when the sides are right, multiply in.)  Each side is
-    packed once (`qfield.pack_laurent`), as a q^Ka and b q^Kb with Ka and Kb
-    its largest q-power denominators, and a q^Ka V q^Kb = b q^Kb L q^Ka, an
-    identity in Z[q] for each key, is checked at q = 2^s.  Its coefficients
-    are at most |a| |V| and |b| |L| (sums of absolute values), below
-    2^(s-1), and symmetric base-2^s digits are unique: equal values mean
-    equal sides.  A failure is reported, not raised: only then are the sides
-    divided, for the residual lhs - rhs."""
+    The sides come scaled, a = L lhs and b = V rhs with polynomials L and V, and
+    a / L = b / V iff a d1 = b d0: d0 = 1 and d1 = W = V / L where L divides V, as
+    in all 2592 cases with alpha <= 16 and l, m <= 8 (both variants), else d0 = L
+    and d1 = V, from the scalars the sides returned, numerators included.  b is not
+    read back: the packed pair sum of its sides, weights times d0, starts at -a d1 on
+    each key of a (`_pair_sum`), and the case passes when every packed value is 0;
+    each key's coefficients are at most sum_rs |left| |right| |w d0| + |a| |d1| < 2^(s-1)
+    (module docstring), so the sum is 0 only if it is 0 at q = 2^s.  Only a failure,
+    reported and not raised, reads b back (or, where a coefficient or weight is not
+    Laurent and so not packed, builds it unpacked) and divides for the residual."""
     start = time.monotonic()
     spec = _check_addition(l, m, alpha, variant)
     inv_l, lhs = scaled_lhs(*spec, variant)
-    inv_v, rhs = scaled_rhs(*spec, variant)
+    inv_v, sides = _rhs_sides(*spec, variant)
     # lhs = a nl / L and rhs = b nv / V, for the numerators nl and nv of 1/L and 1/V
     l_den, v_den = poly_mul(inv_l.den, inv_v.num), poly_mul(inv_v.den, inv_l.num)
     try:
-        dens = (1,), poly_divexact(v_den, l_den)
+        d0, d1 = (1,), poly_divexact(v_den, l_den)
     except ArithmeticError:
-        dens = l_den, v_den
-    residual = []
-    if not _equal_over(lhs, dens[0], rhs, dens[1]):
-        residual = (lhs * inv_l - rhs * inv_v).to_json()["terms"]
+        d0, d1 = l_den, v_den
+    coeffs = [c for x, y, w in sides for c in (*x.terms.values(), *y.terms.values(), w)]
+    laurent = all(_is_qpow(c.den) for c in [*coeffs, *lhs.terms.values()])
+    weighted = sides if d0 == (1,) else [(x, y, w * QRat(d0)) for x, y, w in sides]
+    residual, rhs_terms = [], lhs.term_count()
+    if not laurent or _pair_sum(weighted, lhs.terms, d1):
+        rhs = (ZElement._of(RANKS, _pair_sum(sides)) if laurent
+               else sum((pair(x, y * w) for x, y, w in sides), ZElement.zero(RANKS)))
+        residual, rhs_terms = (lhs * inv_l - rhs * inv_v).to_json()["terms"], rhs.term_count()
     millis = int((time.monotonic() - start) * 1000)
-    return Verdict(*spec, variant, not residual, residual, lhs.term_count(), rhs.term_count(), millis)
+    return Verdict(*spec, variant, not residual, residual, lhs.term_count(), rhs_terms, millis)

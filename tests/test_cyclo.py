@@ -12,13 +12,15 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle import (common_denominator, coupling_const_product, jacobi_coeffs_product,
                     jacobi_scaled_product, norm_const_product, qpoch_product, rhs_pieces_product)
-from qdisk import tensor
+from qdisk import qfield, tensor
 from qdisk.diskpoly import DiskSpec, jacobi_scaled
 from qdisk.haar import norm_const
-from qdisk.qfield import ONE, Cyclo, QRat, ZERO, qnumber, qpoch
+from qdisk.qfield import ONE, Cyclo, QRat, ZERO, poly_divexact, poly_mul, qnumber, qpoch
 from qdisk.qfunc import _jacobi_coeffs, little_q_jacobi
 from qdisk.tensor import VARIANTS, coupling_const
 
@@ -142,3 +144,17 @@ def test_oracle_common_denominator_is_the_lcm():
     inv, scaled = common_denominator([ONE / (ONE - Q * Q), Q / (ONE - Q), ZERO, QRat.q_power(-2)])
     same(inv, ONE / (QRat.q_power(4) - QRat.q_power(2)))
     assert [x.num for x in scaled] == [(0, 0, -1), (0, 0, 0, -1, -1), (), (-1, 0, 1)]
+
+
+@given(st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=12), st.integers(-10 ** 20, 10 ** 20).filter(bool),
+       st.integers(1, 24))
+@example([], 1, 1)
+@example([3, -1], 2, 2)
+@example([5, 0, -7], 4, 9)  # k above half the length of the product
+@settings(max_examples=200, deadline=None)
+def test_division_by_qk_minus_1_is_exact_division(cs, top, k):
+    # the running sums per residue class mod k give the quotient of a product
+    # p (q^k - 1) that poly_divexact gives, for any k against the length of p
+    qk_minus_1 = (-1,) + (0,) * (k - 1) + (1,)
+    a = poly_mul(tuple(cs) + (top,), qk_minus_1)
+    assert tuple(qfield._over_qk_minus_1(list(a), k)) == poly_divexact(a, qk_minus_1)

@@ -519,10 +519,82 @@ DECISION_CASES = ([(l, m, alpha, variant) for alpha in range(1, 5) for l in rang
 
 def test_packed_decision_accepts_every_suite_and_benchmark_case():
     # a packed check that wrongly declines is overruled by the exact residual,
-    # so a verdict cannot show it: the decision is asserted on its own
+    # so a verdict cannot show it: the decision is asserted on its own, a W - b = 0
+    # on the packed pair sum of the rhs sides, W = V / L
     for case in DECISION_CASES:
-        (inv_l, lhs), (inv_v, rhs) = scaled_lhs(*case), scaled_rhs(*case)
-        assert tensor._equal_over(lhs, inv_l.den, rhs, inv_v.den), case
+        (inv_l, lhs), (inv_v, sides) = scaled_lhs(*case), tensor._rhs_sides(*case)
+        assert inv_l.num == inv_v.num == (1,), case
+        assert tensor._pair_sum(sides, lhs.terms, qfield.poly_divexact(inv_v.den, inv_l.den)) == {}, case
+
+
+def test_decision_bound_adds_the_lhs_term(monkeypatch):
+    # on X1 (x) Y2*, the one side gives 100 / q and -d1 less gives 2 * 50 / q: the key's
+    # coefficient 200 / q is at the bound 100 + 50 * 2, in 16-bit slots; a bound from the
+    # products alone, or from the larger of the two terms (100 each), would choose 8 bits
+    # and misread it
+    g, q_inv = xy_generators(), QRat.q_power(-1)
+    key, = pair(g.X1, g.Y2s).terms
+    chosen = _widths(monkeypatch)
+    got = tensor._pair_sum([(g.X1 * 100, g.Y2s * q_inv, ONE)], {key: q_inv * -50}, (2,))
+    assert chosen == [16] and got == {key: q_inv * 200}
+
+
+def _read_backs(monkeypatch) -> list:
+    """From now on, (key count, nonzero count) of each packed sum `tensor._unpacked` is given."""
+    seen, unpacked = [], tensor._unpacked
+
+    def recording(acc, s, k):
+        seen.append((len(acc), sum(1 for v in acc.values() if v)))
+        return unpacked(acc, s, k)
+
+    monkeypatch.setattr(tensor, "_unpacked", recording)
+    return seen
+
+
+BENCH_CASES = {(4, 4, 1): 205, (5, 5, 2): 406, (6, 6, 2): 728}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_passing_verdicts_read_back_no_rhs_key(monkeypatch, variant):
+    # the verdict's one pair sum starts at -a W on the keys of a and ends at 0 on each
+    # of them: no rhs coefficient is read back, and the rhs has the lhs's keys
+    seen = _read_backs(monkeypatch)
+    for case, terms in BENCH_CASES.items():
+        verdict = verify_addition(*case, variant)
+        assert verdict.passed and verdict.lhs_terms == verdict.rhs_terms == terms, case
+    assert seen == [(terms, 0) for terms in BENCH_CASES.values()]
+
+
+def _plant_rhs(monkeypatch, case, edit):
+    """edit(terms) on V rhs of case, planted where the verdict reads the rhs: each key
+    the edit changes becomes one more side (x, y, c), x (x) y the key and c the change
+    on it.  The edited V rhs."""
+    inv, sides = tensor._rhs_sides(*case)
+    rhs = scaled_rhs(*case)[1]
+    edited = rhs._like(dict(rhs.terms))
+    edit(edited.terms)
+    extra = [(ZElement.monomial(LEFT_RANK, *kx), ZElement.monomial(tensor.RIGHT_RANK, *ky), c)
+             for (kx, ky), c in (edited - rhs).terms.items()]
+    monkeypatch.setattr(tensor, "_rhs_sides", lambda *args: (inv, sides + extra))
+    return edited
+
+
+def test_verdicts_where_l_does_not_divide_v(monkeypatch):
+    # with no W, the check is a V = b L: the weights carry L, and the pair sum starts
+    # at -a V.  The benchmark cases pass packed, and a planted error reports its residual
+    def no_quotient(a, b):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(tensor, "poly_divexact", no_quotient)
+    seen = _read_backs(monkeypatch)
+    for case, terms in BENCH_CASES.items():
+        verdict = verify_addition(*case)
+        assert verdict.passed and verdict.rhs_terms == terms, case
+    assert seen == [(terms, 0) for terms in BENCH_CASES.values()]
+    _plant_rhs(monkeypatch, (2, 1, 1, "final"), _times_q2(0))
+    verdict = verify_addition(2, 1, 1)
+    assert not verdict.passed and (verdict.lhs_terms, verdict.rhs_terms) == (14, 14)
+    assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
 
 
 # the residual of verify_addition(2, 1, 1) with its top rhs coefficient times q^2
@@ -532,13 +604,8 @@ PLANTED_RESIDUAL = (
 
 
 def test_planted_error_reports_its_residual(monkeypatch):
-    def planted(*args):
-        inv, rhs = scaled_rhs(*args)
-        key, c = rhs.sorted_terms()[0]
-        rhs.terms[key] = c * Q2
-        return inv, rhs
-
-    monkeypatch.setattr("qdisk.tensor.scaled_rhs", planted)
+    # the top coefficient c of V rhs times q^2: one more side, of weight c (q^2 - 1)
+    _plant_rhs(monkeypatch, (2, 1, 1, "final"), _times_q2(0))
     verdict = verify_addition(2, 1, 1)
     assert not verdict.passed and (verdict.lhs_terms, verdict.rhs_terms) == (14, 14)
     assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
@@ -604,33 +671,32 @@ def _move_top(terms):
 
 # (side, edit, variant): one planted error each, on a scaled side of the formula
 PLANTS = {
-    "lhs top times q^2": ("scaled_lhs", _times_q2(0), "final"),
-    "lhs bottom times q^2": ("scaled_lhs", _times_q2(-1), "final"),
-    "rhs non-top times q^2": ("scaled_rhs", _times_q2(1), "final"),
-    "key on the lhs only": ("scaled_rhs", _drop_top, "final"),
-    "key on the rhs only": ("scaled_rhs", _add_key, "final"),
-    "top key moved on the rhs": ("scaled_rhs", _move_top, "final"),
-    "rhs non-top over 1 - q": ("scaled_rhs", _over_one_minus_q, "final"),
-    "precursor rhs top times q^2": ("scaled_rhs", _times_q2(0), "precursor"),
-    "precursor lhs non-top times q^2": ("scaled_lhs", _times_q2(2), "precursor"),
+    "lhs top times q^2": ("lhs", _times_q2(0), "final"),
+    "lhs bottom times q^2": ("lhs", _times_q2(-1), "final"),
+    "rhs non-top times q^2": ("rhs", _times_q2(1), "final"),
+    "key on the lhs only": ("rhs", _drop_top, "final"),
+    "key on the rhs only": ("rhs", _add_key, "final"),
+    "top key moved on the rhs": ("rhs", _move_top, "final"),
+    "rhs non-top over 1 - q": ("rhs", _over_one_minus_q, "final"),
+    "lhs non-top over 1 - q": ("lhs", _over_one_minus_q, "final"),
+    "precursor rhs top times q^2": ("rhs", _times_q2(0), "precursor"),
+    "precursor lhs non-top times q^2": ("lhs", _times_q2(2), "precursor"),
 }
 
 
 @pytest.mark.parametrize("plant", list(PLANTS))
 @pytest.mark.parametrize("l,m,alpha", [(2, 1, 1), (2, 2, 2)])
 def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, alpha):
-    name, edit, variant = PLANTS[plant]
-    builder = getattr(tensor, name)
-
-    def planted(*args):
-        inv, side = builder(*args)
-        edit(side.terms)
-        return inv, side
-
-    monkeypatch.setattr(tensor, name, planted)
+    side, edit, variant = PLANTS[plant]
+    case = (l, m, alpha, variant)
+    (inv_l, lhs), (inv_v, rhs) = scaled_lhs(*case), scaled_rhs(*case)
+    if side == "lhs":
+        edit(lhs.terms)
+        monkeypatch.setattr(tensor, "scaled_lhs", lambda *args, lhs=lhs: (inv_l, lhs))
+    else:
+        rhs = _plant_rhs(monkeypatch, case, edit)
     # the division route: divide both sides, subtract and report every term
-    lhs, rhs = addition_lhs(l, m, alpha, variant), addition_rhs(l, m, alpha, variant)
-    diff = lhs - rhs
+    diff = lhs * inv_l - rhs * inv_v
     want = Verdict(l, m, alpha, variant, False, diff.to_json()["terms"],
                    lhs.term_count(), rhs.term_count(), 0).to_json()
     got = verify_addition(l, m, alpha, variant).to_json()
@@ -642,7 +708,9 @@ def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, a
                                     ONE / QRat((1,) + (0,) * 6 + (1,))], ids=range(4))
 def test_planted_scalar_change_fails_the_verdict(monkeypatch, name, factor):
     # W = V / L comes from the scalars the sides return, numerators included:
-    # a change to 1/L or 1/V alone, in its numerator or its denominator, fails
+    # a change to 1/L or 1/V alone, in its numerator or its denominator, fails.
+    # The verdict reads 1/V, with the rhs sides, from `_rhs_sides`
+    name = {"scaled_rhs": "_rhs_sides"}.get(name, name)
     builder = getattr(tensor, name)
     monkeypatch.setattr(tensor, name, lambda *args: (builder(*args)[0] * factor, builder(*args)[1]))
     for case in ((2, 1, 1), (4, 4, 1)):
@@ -651,15 +719,21 @@ def test_planted_scalar_change_fails_the_verdict(monkeypatch, name, factor):
 
 
 def test_non_laurent_sides_are_decided_by_the_residual(monkeypatch):
-    # the same rhs, divided by 1 - q with its 1/V times 1 - q: the packed
-    # check declines a non-Laurent side, and the exact residual passes it
-    def planted(*args):
-        inv, rhs = scaled_rhs(*args)
-        return inv * (ONE - Q), rhs * (ONE / (ONE - Q))
+    # the same rhs, each weight divided by 1 - q with its 1/V times 1 - q: the packed
+    # check packs no side that is not Laurent, and the exact residual passes it
+    rhs_sides = tensor._rhs_sides
 
-    monkeypatch.setattr(tensor, "scaled_rhs", planted)
+    def planted(*args):
+        inv, sides = rhs_sides(*args)
+        return inv * (ONE - Q), [(x, y, w / (ONE - Q)) for x, y, w in sides]
+
+    def unpackable(*args):
+        raise AssertionError("a side that is not Laurent was packed")
+
+    monkeypatch.setattr(tensor, "_rhs_sides", planted)
+    monkeypatch.setattr(tensor, "_pair_sum", unpackable)
     verdict = verify_addition(2, 1, 1)
-    assert verdict.passed and verdict.residual_terms == []
+    assert verdict.passed and verdict.residual_terms == [] and verdict.rhs_terms == 14
 
 
 def test_passing_decision_never_divides_an_element(monkeypatch):
