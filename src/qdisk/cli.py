@@ -81,10 +81,6 @@ class ExprError(ValueError):
         self.offset = offset
 
 
-def _byte_offset(src: str, pos: int) -> int:
-    return len(src[:pos].encode("utf-8"))
-
-
 # ----------------------------------------------------------------------
 # lexer
 
@@ -98,23 +94,22 @@ _TOKEN_RE = re.compile(r"""
 
 
 def _tokenize(src: str):
-    tokens = []
-    pos = 0
+    """The tokens (kind, value, byte offset) of src, END last; the offset is a running count,
+    each token's text encoded once."""
+    tokens, pos, offset = [], 0, 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
-            raise ExprError(f"unexpected character {src[pos]!r}", _byte_offset(src, pos))
-        if m.lastgroup != "WS" and m.lastgroup != "IDX":
-            kind = m.lastgroup
-            text = m.group()
-            if kind == "GEN":
-                tokens.append((text[0], int(m.group("IDX")), _byte_offset(src, pos)))
-            elif kind == "OP":
-                tokens.append((text, None, _byte_offset(src, pos)))
-            else:
-                tokens.append((kind, text, _byte_offset(src, pos)))
-        pos = m.end()
-    tokens.append(("END", None, _byte_offset(src, len(src))))
+            raise ExprError(f"unexpected character {src[pos]!r}", offset)
+        kind, text = m.lastgroup, m.group()
+        if kind == "GEN":
+            tokens.append((text[0], int(m.group("IDX")), offset))
+        elif kind == "OP":
+            tokens.append((text, None, offset))
+        elif kind != "WS":
+            tokens.append((kind, text, offset))
+        pos, offset = m.end(), offset + len(text.encode("utf-8"))
+    tokens.append(("END", None, offset))
     return tokens
 
 

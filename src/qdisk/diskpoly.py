@@ -24,8 +24,9 @@ stays packed (`zalgebra`) at one slot width s: a step adds each term, shifted by
 s (big - t), onto its moves (big the largest t_1), and H is read back once.  A key
 of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the
 largest sum of absolute integer coefficients of one coefficient of x, |H_k| <=
-|C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  Other sums take `QRat`s; no size
-cutoff pays (CHANGES.md).
+|C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  Every lhs of `tensor` takes this
+route, mm = 0 included, and no size cutoff pays (CHANGES.md); the `QRat` Horner
+serves only `disk_poly` arguments with another C or an E_k that is not Laurent.
 
 The spherical and associated elements and the rhs factors of `tensor` are
 products down Z_n > Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i);
@@ -168,7 +169,7 @@ class _DiskArgs:
     def _packed_horner(self, coefs: tuple, j: int = 0):
         """H over the E_k of A^j or B^-j by the packed Horner sum (module docstring), or None."""
         es = [self.fold(j, k) for k in range(len(coefs))]
-        if self.moves is None or len(coefs) < 2 or not all(  # each L coef_k is a polynomial
+        if self.moves is None or not all(  # each L coef_k is a polynomial
                 _is_qpow(c.den) for x in es for c in x.terms.values()):
             return None
 

@@ -22,10 +22,14 @@ through explicit constants built from the spherical norms.
 The rhs scalars are closed forms: the coupling constants (built on the norm
 constants), the sign and q-power of the final variant and the Jacobi denominators
 of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes their lcm V by
-exponent arithmetic and converts 1/V and each weight once, with no gcd.
+exponent arithmetic and converts 1/V, W = V / L and each weight once, with no gcd.
+W is a polynomial: the piece (r, s) = (0, 0) has coupling constant 1 and inner
+lcm 1, so its scalar is 1/L^2, and V has each index, q included, at least twice L's.
 
 The rhs is one packed sum of weighted simple tensors, `_pair_sum`, whose sides
-are Laurent by construction.  Piece (r, s) is w left (x) right, with left =
+are Laurent by construction: each left and right coefficient comes out of
+`_unpacked` or `_laurent`, and each weight, V times a scalar whose denominator
+divides V, is a polynomial.  Piece (r, s) is w left (x) right, with left =
 X_rs I_rs the two-level `diskpoly._chain` entry, built with no element product
 (D = Q_3 - z_3 w_3 is Q_2, and z_3, w_3 pass Z_2 as key shifts), and right =
 Y_rs z_1^a w_1^b in closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and
@@ -51,8 +55,8 @@ from types import SimpleNamespace
 
 from .diskpoly import DiskSpec, _chain, _DiskArgs, _jacobi
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _is_qpow, _laurent, _width, mass,
-                     pack_laurent, peak, poly_divexact, poly_mul)
+from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _laurent, _width, mass, pack_laurent,
+                     peak)
 from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -180,8 +184,9 @@ def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
 
 @lru_cache(maxsize=None)
 def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
-    """(pieces (r, s, outer, inner), 1/V, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each),
-    V the lcm of the denominators, built as `Cyclo`s and converted once."""
+    """(pieces (r, s, outer, inner), 1/V, W, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each), V the
+    lcm of the denominators and W = V / L the polynomial of the module docstring, L the lhs's lcm,
+    built as `Cyclo`s and converted once."""
     plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
             for r in range(l + 1) for s in range(m + 1)]
     factors = []
@@ -192,15 +197,16 @@ def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
         lcm_outer = _jacobi(outer)[0]
         factors.append(cc / (lcm_outer * lcm_outer * _jacobi(inner)[0]))
     lcm = Cyclo.lcm(factors)
-    return tuple(plan), (Cyclo() / lcm).to_qrat(), tuple((lcm * c).to_qrat() for c in factors)
+    return (tuple(plan), (Cyclo() / lcm).to_qrat(), (lcm / _jacobi(DiskSpec(l, m, alpha))[0]).to_qrat().num,
+            tuple((lcm * c).to_qrat() for c in factors))
 
 
 def _rhs_sides(l: int, m: int, alpha: int, variant: str) -> tuple:
-    """(1/V, sides (X_rs I_rs, Y_rs z_1^a w_1^b, V-scaled weight)) of the rhs: see `scaled_rhs`."""
-    plan, inv_lcm, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
-    return inv_lcm, [(_chain(3, outer, inner),
-                      _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)
-                     for (r, s, outer, inner), weight in zip(plan, weights)]
+    """(1/V, W, sides (X_rs I_rs, Y_rs z_1^a w_1^b, V-scaled weight)) of the rhs: see `scaled_rhs`."""
+    plan, inv_lcm, w, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
+    return inv_lcm, w, [(_chain(3, outer, inner),
+                         _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)
+                        for (r, s, outer, inner), weight in zip(plan, weights)]
 
 
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
@@ -209,7 +215,7 @@ def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     factors are L-scaled disk polynomials on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*, Q') =
     (z_2, w_2, Q_2), Q' = Q - X2 X2*, and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent:
     X_rs I_rs is the chain `diskpoly._chain(3, outer, inner)` and Y_rs is `_chain(2, outer)`."""
-    inv_lcm, sides = _rhs_sides(l, m, alpha, variant)
+    inv_lcm, _, sides = _rhs_sides(l, m, alpha, variant)
     return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 
 
@@ -241,33 +247,20 @@ class Verdict(Record):
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:
     """Expand both sides to normal form and decide lhs = rhs exactly.
 
-    The sides come scaled, a = L lhs and b = V rhs with polynomials L and V, and
-    a / L = b / V iff a d1 = b d0: d0 = 1 and d1 = W = V / L where L divides V, as
-    in all 2592 cases with alpha <= 16 and l, m <= 8 (both variants), else d0 = L
-    and d1 = V, from the scalars the sides returned, numerators included.  b is not
-    read back: the packed pair sum of its sides, weights times d0, starts at -a d1 on
-    each key of a (`_pair_sum`), and the case passes when every packed value is 0;
-    each key's coefficients are at most sum_rs |left| |right| |w d0| + |a| |d1| < 2^(s-1)
-    (module docstring), so the sum is 0 only if it is 0 at q = 2^s.  Only a failure,
-    reported and not raised, reads b back (or, where a coefficient or weight is not
-    Laurent and so not packed, builds it unpacked) and divides for the residual."""
+    The sides come scaled, a = L lhs and b = V rhs, and V = W L with W a polynomial
+    (module docstring), so lhs = rhs iff a W = b.  b is not read back: the packed pair
+    sum of its sides starts at -a W on each key of a (`_pair_sum`), and the case passes
+    when every packed value is 0; each key's coefficients are at most
+    sum_rs |left| |right| |w| + |a| |W| < 2^(s-1) (module docstring), so the sum is 0
+    only if it is 0 at q = 2^s.  Only a failure, reported and not raised, reads b back
+    for the residual (a W - b) / V."""
     start = time.monotonic()
     spec = _check_addition(l, m, alpha, variant)
-    inv_l, lhs = scaled_lhs(*spec, variant)
-    inv_v, sides = _rhs_sides(*spec, variant)
-    # lhs = a nl / L and rhs = b nv / V, for the numerators nl and nv of 1/L and 1/V
-    l_den, v_den = poly_mul(inv_l.den, inv_v.num), poly_mul(inv_v.den, inv_l.num)
-    try:
-        d0, d1 = (1,), poly_divexact(v_den, l_den)
-    except ArithmeticError:
-        d0, d1 = l_den, v_den
-    coeffs = [c for x, y, w in sides for c in (*x.terms.values(), *y.terms.values(), w)]
-    laurent = all(_is_qpow(c.den) for c in [*coeffs, *lhs.terms.values()])
-    weighted = sides if d0 == (1,) else [(x, y, w * QRat(d0)) for x, y, w in sides]
+    lhs = scaled_lhs(*spec, variant)[1]
+    inv_v, w, sides = _rhs_sides(*spec, variant)
     residual, rhs_terms = [], lhs.term_count()
-    if not laurent or _pair_sum(weighted, lhs.terms, d1):
-        rhs = (ZElement._of(RANKS, _pair_sum(sides)) if laurent
-               else sum((pair(x, y * w) for x, y, w in sides), ZElement.zero(RANKS)))
-        residual, rhs_terms = (lhs * inv_l - rhs * inv_v).to_json()["terms"], rhs.term_count()
+    if _pair_sum(sides, lhs.terms, w):
+        rhs = ZElement._of(RANKS, _pair_sum(sides))
+        residual, rhs_terms = ((lhs * QRat(w) - rhs) * inv_v).to_json()["terms"], rhs.term_count()
     millis = int((time.monotonic() - start) * 1000)
     return Verdict(*spec, variant, not residual, residual, lhs.term_count(), rhs_terms, millis)

@@ -65,7 +65,7 @@ import math
 from typing import Sequence
 
 from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _from_digits, _is_qpow, _laurent,
-                     _width, int_from_json, mass, pack_laurent, poly_mul, poly_neg, poly_str)
+                     _width, int_from_json, mass, pack_laurent, poly_mul, poly_neg)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -522,22 +522,15 @@ def _mono_str(lam, mu) -> str:
 
 
 def _coeff_str(c: QRat) -> tuple:
-    """(negative, body): the sign of c and a factor-safe rendering of -c or
-    c, whose numerator and denominator lead (in ascending degree) with a
-    positive coefficient."""
+    """(negative, body): the sign of c and a factor-safe rendering of -c or c, by
+    `QRat.__str__`, whose numerator and denominator lead (in ascending degree) with
+    a positive coefficient; bracketed unless a single term."""
     num, den = c.num, c.den
     if next(x for x in den if x) < 0:
         num, den = poly_neg(num), poly_neg(den)
     negative = next(x for x in num if x) < 0
-    num_s = poly_str(poly_neg(num) if negative else num)
-    if sum(map(bool, num)) > 1:
-        num_s = f"({num_s})"
-    if den == (1,):
-        return negative, num_s
-    den_s = poly_str(den)
-    if sum(map(bool, den)) > 1 or "*" in den_s:
-        den_s = f"({den_s})"
-    return negative, f"({num_s}/{den_s})"
+    body = str(QRat(poly_neg(num) if negative else num, den, _canonical=True))
+    return negative, f"({body})" if den != (1,) or sum(map(bool, num)) > 1 else body
 
 
 # ----------------------------------------------------------------------

@@ -529,7 +529,7 @@ def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own by element
     products of levels on fresh bundles (`chain_product`), never read from `diskpoly._chain`."""
     g = xy_generators()
-    plan, inv_lcm, weights = tensor._rhs_pieces(l, m, alpha, variant)
+    plan, inv_lcm, _, weights = tensor._rhs_pieces(l, m, alpha, variant)
     total = ZElement.zero(RANKS)
     for (r, s, outer, inner), weight in zip(plan, weights):
         left = chain_product(3, outer, inner)

@@ -32,6 +32,7 @@ from qdisk.cli import (
     _check_product,
     _degree,
     _parse_grid,
+    _tokenize,
 )
 from qdisk.diskpoly import spherical
 from qdisk.haar import inner
@@ -61,6 +62,11 @@ def test_parse_errors_carry_byte_offsets():
         parse("z[1])", 2)
     assert err.value.offset == 4
 
+    # after the three UTF-8 bytes of an ideographic space, U+3000
+    with pytest.raises(ExprError) as err:
+        parse("z[1]\u3000*+", 2)
+    assert err.value.offset == 8
+
     with pytest.raises(ExprError) as err:
         parse("w[5]", 2)
     assert err.value.offset == 0
@@ -68,6 +74,19 @@ def test_parse_errors_carry_byte_offsets():
 
     with pytest.raises(ExprError):
         parse("", 2)
+
+
+def test_tokenizing_costs_linear_time():
+    # offsets are a running byte count, so 4n characters cost well under the 16 times
+    # n characters that encoding each token's prefix would
+    def cost(n):
+        src = "1+" * n + "1"
+        start = time.perf_counter()
+        _tokenize(src)
+        return time.perf_counter() - start
+
+    small, large = min(cost(20_000) for _ in range(5)), min(cost(80_000) for _ in range(3))
+    assert large < 6 * small
 
 
 # ---------------------------------------------------------------- evaluation

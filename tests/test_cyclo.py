@@ -131,10 +131,12 @@ def test_jacobi_scaled_matches_the_gcd_common_denominator():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rhs_pieces_match_the_gcd_common_denominator(variant):
     for l, m, alpha in [*product(range(5), range(5), range(1, 4)), (5, 5, 2)]:
-        plan, inv, weights = tensor._rhs_pieces(l, m, alpha, variant)
+        plan, inv, w, weights = tensor._rhs_pieces(l, m, alpha, variant)
         inv_x, weights_x = rhs_pieces_product(l, m, alpha, variant)
         assert [(r, s) for r, s, _, _ in plan] == list(product(range(l + 1), range(m + 1)))
         same(inv, inv_x)
+        # W = V / L, a polynomial: W / V is the lhs's 1/L
+        same(QRat(w) * inv_x, jacobi_scaled_product(DiskSpec(l, m, alpha))[0])
         assert len(weights) == len(weights_x)
         for x, y in zip(weights, weights_x):
             same(x, y)

@@ -257,7 +257,7 @@ def test_packed_horner_equals_the_stepwise_horner_on_the_addition_bundles(varian
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_packed_horner_equals_the_stepwise_horner_on_the_rank_bundles(n):
-    # no size cutoff: every sum of two or more terms takes the packed step
+    # no size cutoff: every sum takes the packed step, mm = 0 included
     args = _rank_bundle(n)
     for l in range(5):
         for m in range(5):
@@ -265,7 +265,7 @@ def test_packed_horner_equals_the_stepwise_horner_on_the_rank_bundles(n):
                 spec = DiskSpec(l, m, alpha)
                 assert args.scaled(spec) == horner_stepwise(args, spec), spec
                 packed = args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1])
-                assert (packed is not None) == (min(l, m) > 0), spec
+                assert packed is not None, spec
 
 
 def test_non_laurent_argument_takes_the_qrat_horner():
@@ -450,8 +450,8 @@ def test_folded_sum_with_a_non_central_c_takes_the_qrat_horner():
 
 
 def test_warm_folded_sums_make_no_element_product(monkeypatch):
-    # once its E_k are formed, a sum with l != m multiplies no elements: the
-    # packed sum makes no product at all, and for mm = 0 E_0 takes one scalar
+    # once its E_k are formed, a sum with l != m makes no product at all, by an
+    # element or a scalar: the packed sum serves mm = 0 too
     specs = [DiskSpec(5, 2, 1), DiskSpec(2, 5, 1), DiskSpec(4, 1, 2), DiskSpec(3, 0, 1), DiskSpec(0, 4, 2)]
     bundles = (_rank_bundle(3), tensor._args("final"), tensor._args("precursor"))
     for args in bundles:
@@ -469,7 +469,7 @@ def test_warm_folded_sums_make_no_element_product(monkeypatch):
         for spec in specs:
             calls.clear()
             args.scaled(spec)
-            assert calls == ([] if min(spec.l, spec.m) else [False]), spec
+            assert calls == [], spec
 
 
 # one level for n = 2..5, l, m <= 5 and four alphas; two levels, the (r, s) chains of

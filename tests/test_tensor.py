@@ -520,11 +520,25 @@ DECISION_CASES = ([(l, m, alpha, variant) for alpha in range(1, 5) for l in rang
 def test_packed_decision_accepts_every_suite_and_benchmark_case():
     # a packed check that wrongly declines is overruled by the exact residual,
     # so a verdict cannot show it: the decision is asserted on its own, a W - b = 0
-    # on the packed pair sum of the rhs sides, W = V / L
+    # on the packed pair sum of the rhs sides, W = V / L the exact polynomial quotient.
+    # The decision packs every lhs coefficient, side coefficient and weight with no
+    # check: each is Laurent by construction, out of `_unpacked` or `_laurent`, or V c
     for case in DECISION_CASES:
-        (inv_l, lhs), (inv_v, sides) = scaled_lhs(*case), tensor._rhs_sides(*case)
+        (inv_l, lhs), (inv_v, w, sides) = scaled_lhs(*case), tensor._rhs_sides(*case)
         assert inv_l.num == inv_v.num == (1,), case
-        assert tensor._pair_sum(sides, lhs.terms, qfield.poly_divexact(inv_v.den, inv_l.den)) == {}, case
+        assert w == qfield.poly_divexact(inv_v.den, inv_l.den), case
+        coeffs = [c for x, y, weight in sides for c in (*x.terms.values(), *y.terms.values(), weight)]
+        assert all(_is_qpow(c.den) for c in [*coeffs, *lhs.terms.values()]), case
+        assert tensor._pair_sum(sides, lhs.terms, w) == {}, case
+
+
+def test_zero_piece_scalar_is_one_over_l_squared():
+    # the premise of W = V / L being a polynomial: the (0, 0) piece has coupling constant 1,
+    # inner lcm 1 and, in the final variant, sign and q-power (-q)^0 = 1, for every admitted case
+    degrees = range(diskpoly.MAX_DISK_DEGREE + 1)
+    for l, m, alpha in product(degrees, degrees, range(1, tensor.MAX_ALPHA + 1)):
+        assert tensor._coupling(l, m, 0, 0, alpha) == qfield.Cyclo(), (l, m, alpha)
+        assert diskpoly._jacobi(DiskSpec(0, 0, alpha - 1))[0] == qfield.Cyclo(), alpha
 
 
 def test_decision_bound_adds_the_lhs_term(monkeypatch):
@@ -569,32 +583,14 @@ def _plant_rhs(monkeypatch, case, edit):
     """edit(terms) on V rhs of case, planted where the verdict reads the rhs: each key
     the edit changes becomes one more side (x, y, c), x (x) y the key and c the change
     on it.  The edited V rhs."""
-    inv, sides = tensor._rhs_sides(*case)
+    inv, w, sides = tensor._rhs_sides(*case)
     rhs = scaled_rhs(*case)[1]
     edited = rhs._like(dict(rhs.terms))
     edit(edited.terms)
     extra = [(ZElement.monomial(LEFT_RANK, *kx), ZElement.monomial(tensor.RIGHT_RANK, *ky), c)
              for (kx, ky), c in (edited - rhs).terms.items()]
-    monkeypatch.setattr(tensor, "_rhs_sides", lambda *args: (inv, sides + extra))
+    monkeypatch.setattr(tensor, "_rhs_sides", lambda *args: (inv, w, sides + extra))
     return edited
-
-
-def test_verdicts_where_l_does_not_divide_v(monkeypatch):
-    # with no W, the check is a V = b L: the weights carry L, and the pair sum starts
-    # at -a V.  The benchmark cases pass packed, and a planted error reports its residual
-    def no_quotient(a, b):
-        raise ArithmeticError("planted")
-
-    monkeypatch.setattr(tensor, "poly_divexact", no_quotient)
-    seen = _read_backs(monkeypatch)
-    for case, terms in BENCH_CASES.items():
-        verdict = verify_addition(*case)
-        assert verdict.passed and verdict.rhs_terms == terms, case
-    assert seen == [(terms, 0) for terms in BENCH_CASES.values()]
-    _plant_rhs(monkeypatch, (2, 1, 1, "final"), _times_q2(0))
-    verdict = verify_addition(2, 1, 1)
-    assert not verdict.passed and (verdict.lhs_terms, verdict.rhs_terms) == (14, 14)
-    assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
 
 
 # the residual of verify_addition(2, 1, 1) with its top rhs coefficient times q^2
@@ -614,8 +610,9 @@ def test_planted_error_reports_its_residual(monkeypatch):
 def test_warm_verification_computes_no_scalar_gcd(monkeypatch):
     # the rhs scalars of a case are memoized, in tuples no caller can mutate
     assert verify_addition(3, 2, 1).passed
-    plan, _, weights = tensor._rhs_pieces(3, 2, 1, "final")
+    plan, _, w, weights = tensor._rhs_pieces(3, 2, 1, "final")
     assert type(plan) is tuple and type(weights) is tuple and len(plan) == len(weights) == 12
+    assert type(w) is tuple
     calls, gcd = [], qfield._gcd_cofactors
     monkeypatch.setattr(qfield, "_gcd_cofactors", lambda a, b: calls.append(a) or gcd(a, b))
     assert verify_addition(3, 2, 1).passed and calls == []
@@ -643,9 +640,14 @@ def _times_q2(index):
     return edit
 
 
-def _over_one_minus_q(terms):
+def _over_q(terms):
     key, c = ZElement((3, 2), terms).sorted_terms()[1]
-    terms[key] = c / (ONE - Q)
+    terms[key] = c / Q
+
+
+def _times_one_minus_q(terms):
+    key, c = ZElement((3, 2), terms).sorted_terms()[1]
+    terms[key] = c * (ONE - Q)
 
 
 def _drop_top(terms):
@@ -677,8 +679,8 @@ PLANTS = {
     "key on the lhs only": ("rhs", _drop_top, "final"),
     "key on the rhs only": ("rhs", _add_key, "final"),
     "top key moved on the rhs": ("rhs", _move_top, "final"),
-    "rhs non-top over 1 - q": ("rhs", _over_one_minus_q, "final"),
-    "lhs non-top over 1 - q": ("lhs", _over_one_minus_q, "final"),
+    "rhs non-top over q": ("rhs", _over_q, "final"),
+    "lhs non-top times 1 - q": ("lhs", _times_one_minus_q, "final"),
     "precursor rhs top times q^2": ("rhs", _times_q2(0), "precursor"),
     "precursor lhs non-top times q^2": ("lhs", _times_q2(2), "precursor"),
 }
@@ -703,37 +705,20 @@ def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, a
     assert not diff.is_zero() and {**got, "millis": 0} == want
 
 
-@pytest.mark.parametrize("name", ["scaled_lhs", "scaled_rhs"])
-@pytest.mark.parametrize("factor", [QRat(3), Q2, QRat((1,) + (0,) * 6 + (1,)),
-                                    ONE / QRat((1,) + (0,) * 6 + (1,))], ids=range(4))
-def test_planted_scalar_change_fails_the_verdict(monkeypatch, name, factor):
-    # W = V / L comes from the scalars the sides return, numerators included:
-    # a change to 1/L or 1/V alone, in its numerator or its denominator, fails.
-    # The verdict reads 1/V, with the rhs sides, from `_rhs_sides`
-    name = {"scaled_rhs": "_rhs_sides"}.get(name, name)
-    builder = getattr(tensor, name)
-    monkeypatch.setattr(tensor, name, lambda *args: (builder(*args)[0] * factor, builder(*args)[1]))
-    for case in ((2, 1, 1), (4, 4, 1)):
-        verdict = verify_addition(*case)
-        assert not verdict.passed and verdict.residual_terms, case
-
-
-def test_non_laurent_sides_are_decided_by_the_residual(monkeypatch):
-    # the same rhs, each weight divided by 1 - q with its 1/V times 1 - q: the packed
-    # check packs no side that is not Laurent, and the exact residual passes it
+@pytest.mark.parametrize("factor", [(3,), (0, 0, 1), (1,) + (0,) * 6 + (1,), (-1,)], ids=range(4))
+def test_planted_scalar_change_fails_the_verdict(monkeypatch, factor):
+    # W = V / L is the one scalar the decision reads, with the rhs sides, from `_rhs_sides`:
+    # W times a polynomial other than 1 fails
     rhs_sides = tensor._rhs_sides
 
     def planted(*args):
-        inv, sides = rhs_sides(*args)
-        return inv * (ONE - Q), [(x, y, w / (ONE - Q)) for x, y, w in sides]
-
-    def unpackable(*args):
-        raise AssertionError("a side that is not Laurent was packed")
+        inv, w, sides = rhs_sides(*args)
+        return inv, qfield.poly_mul(w, factor), sides
 
     monkeypatch.setattr(tensor, "_rhs_sides", planted)
-    monkeypatch.setattr(tensor, "_pair_sum", unpackable)
-    verdict = verify_addition(2, 1, 1)
-    assert verdict.passed and verdict.residual_terms == [] and verdict.rhs_terms == 14
+    for case in ((2, 1, 1), (4, 4, 1)):
+        verdict = verify_addition(*case)
+        assert not verdict.passed and verdict.residual_terms, case
 
 
 def test_passing_decision_never_divides_an_element(monkeypatch):
