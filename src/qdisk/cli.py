@@ -415,20 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="reduce an expression to normal form")
     add_rank(p)
     p.add_argument("--expr", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_normalize)
 
     p = sub.add_parser("haar", help="evaluate the Haar functional")
     add_rank(p)
     p.add_argument("--expr", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_haar)
 
     p = sub.add_parser("inner", help="Haar inner product of two expressions")
     add_rank(p)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_inner)
 
     p = sub.add_parser("spherical", help="spherical or associated spherical element")
@@ -436,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--assoc", type=_assoc_pair, default=None, metavar="R,S")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_spherical)
 
     p = sub.add_parser("verify-addition", help="verify one addition-formula case")
@@ -444,16 +440,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--precursor", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify_addition)
 
     p = sub.add_parser("suite", help="verification battery over a parameter grid")
     p.add_argument("--grid", required=True, help='e.g. "alpha=1..3;l=0..2;m=0..2"')
     p.add_argument("--variant", choices=("final", "precursor", "both"), default="both")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_suite)
-
+    for p in sub.choices.values():  # every subcommand takes --json, as its last option
+        p.add_argument("--json", action="store_true")
     return parser
 
 

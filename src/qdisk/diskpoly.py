@@ -19,14 +19,15 @@ past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
 
     z^lam w^mu Q_n = sum_a (z^lam z_a)(w_a w^mu) = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a),
 
-and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients H
-stays packed (`zalgebra`) at one slot width s: a step adds each term, shifted by
-s (big - t), onto its moves (big the largest t_1), and H is read back once.  A key
-of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the
-largest sum of absolute integer coefficients of one coefficient of x, |H_k| <=
-|C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  Every lhs of `tensor` takes this
-route, mm = 0 included, and no size cutoff pays (CHANGES.md); the `QRat` Horner
-serves only `disk_poly` arguments with another C or an E_k that is not Laurent.
+and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients H stays
+packed (`zalgebra`) at one slot width s: a step adds each term, shifted by s (big - t),
+onto its moves (big the largest t_1), then each product L coef_k E_k, multiplied at the
+operands' own powers of q and shifted after (`qfield.pack_laurent`), and H is read back
+once.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x|
+the largest sum of absolute integer coefficients of one coefficient of x, |H_k| <=
+|C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  Every lhs of `tensor` takes this route,
+mm = 0 included, and no size cutoff pays (CHANGES.md); the `QRat` Horner serves only
+`disk_poly` arguments with another C or an E_k that is not Laurent.
 
 The spherical and associated elements and the rhs factors of `tensor` are
 products down Z_n > Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i);
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
+from itertools import repeat
 from math import comb
 
 from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent, peak
@@ -121,19 +123,19 @@ def _times_q(acc: dict, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
 
 def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> dict:
     """The terms of H = sum_k coef_k C^(mm-k) E_k, packed (module docstring): times_c moves a key onto
-    fan keys, |E_k| <= peaks[k], and terms(s) yields (K, E_k q^K at 2^s, E_k's keys) per k."""
+    fan keys, |E_k| <= peaks[k], and terms(s) yields E_k's (K, values, offsets) (`pack_laurent`) and keys."""
     bound = 0
     for coef, p in zip(coefs, peaks):
         bound = bound * fan + p * mass([coef])
     s, acc, kh = _width(bound.bit_length() + 1), {}, 0
-    for k, (coef, (kd, pd, keys)) in enumerate(zip(coefs, terms(s))):
+    for k, (coef, (kd, pd, od, keys)) in enumerate(zip(coefs, terms(s))):
         if k:  # H_(k-1) C
             acc, kh = times_c(acc, s, kh)
-        kx, (x,) = pack_laurent([coef], s)
+        kx, (x,), (ox,) = pack_laurent([coef], s)
         if kx + kd > kh:  # over the larger power of q
             acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
-        for key, y in zip(keys, pd):
-            acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd)))
+        for key, y, oy in zip(keys, pd, od):  # x y over q^(kx + kd), shifted by its offsets
+            acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd + ox + oy)))
     return _unpacked(acc, s, kh)
 
 
@@ -207,12 +209,12 @@ def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> ZElement:
     j, coefs = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
     deg, (zn, wn) = sum(x.l for x in rest), ((j,), (0,)) if j >= 0 else ((0,), (-j,))
 
-    def terms(s):  # E_k I = J_k q^(-j deg - |j| k) shifted, J_k over q^kj
-        kj, packed = pack_laurent(list(low.values()), s)
-        acc = dict(zip(low, packed))
+    def terms(s):  # E_k I = J_k q^(-j deg - |j| k) shifted, J_k aligned over q^kj
+        kj, packed, offsets = pack_laurent(list(low.values()), s)
+        acc = {key: x << s * o for key, x, o in zip(low, packed, offsets)}
         for k in range(len(coefs)):
             acc, kj = _times_q(acc, s, kj) if k else (acc, kj)
-            yield kj + j * deg + abs(j) * k, acc.values(), ((lam + zn, mu + wn) for lam, mu in acc)
+            yield kj + j * deg + abs(j) * k, acc.values(), repeat(0), ((lam + zn, mu + wn) for lam, mu in acc)
     peaks = [(n - 1) ** k * peak(low.values()) for k in range(len(coefs))]
     return ZElement._of(n, _horner_sum(coefs, peaks, n, terms, _times_q))
 

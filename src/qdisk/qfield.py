@@ -346,7 +346,7 @@ def _is_qpow(den: Coeffs) -> bool:
 
 
 def _laurent(cs: Sequence, k: int) -> "QRat":
-    """cs / q^k in canonical form.
+    """cs / q^k in canonical form, for any integer k (q^-k cs for k < 0).
 
     cs is a sum or product of canonical Laurent numerators, so the only
     factor it can share with q^k is a power of q: stripping that is the
@@ -359,7 +359,7 @@ def _laurent(cs: Sequence, k: int) -> "QRat":
     m = 0
     while m < k and not cs[m]:
         m += 1
-    return QRat(tuple(cs[m:n]), _q_power(m - k).den, _canonical=True)
+    return QRat(tuple(cs[m:n]) if k >= 0 else (0,) * -k + tuple(cs[:n]), _q_power(m - k).den, _canonical=True)
 
 
 PolyLike = Union[int, Sequence]
@@ -608,10 +608,16 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 
 
 def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
-    """(K, [n(2^s) 2^(s(K - k)) for n/q^k in cs]) for Laurent cs, K the
-    largest k (0 for no cs): the numerators over q^K, evaluated at q = 2^s."""
-    k = max((len(c.den) for c in cs), default=1) - 1
-    return k, [_eval_shift(c.num, s) << (s * (k + 1 - len(c.den))) for c in cs]
+    """(K, values, offsets) for Laurent cs: each n/q^k, n = q^v n' with n'(0) != 0, as the value n'(2^s)
+    at its own power of q and the offset K - (k - v), K = max(0, largest k - v).  Shifted by s times
+    its offset a value is n(2^s) 2^(s(K - k)), aligned over q^K: multiply values, then shift."""
+    values, nets = [], []
+    for c in cs:  # v, the index of the numerator's first nonzero
+        v = c.num.index(next(filter(None, c.num))) if c.num[:1] == (0,) else 0
+        values.append(_eval_shift(c.num[v:], s))
+        nets.append(len(c.den) - 1 - v)
+    k = max([0, *nets])
+    return k, values, [k - e for e in nets]
 
 
 def mass(cs: Iterable[QRat]) -> int:

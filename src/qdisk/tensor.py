@@ -26,18 +26,18 @@ exponent arithmetic and converts 1/V, W = V / L and each weight once, with no gc
 W is a polynomial: the piece (r, s) = (0, 0) has coupling constant 1 and inner
 lcm 1, so its scalar is 1/L^2, and V has each index, q included, at least twice L's.
 
-The rhs is one packed sum of weighted simple tensors, `_pair_sum`, whose sides
-are Laurent by construction: each left and right coefficient comes out of
-`_unpacked` or `_laurent`, and each weight, V times a scalar whose denominator
-divides V, is a polynomial.  Piece (r, s) is w left (x) right, with left =
-X_rs I_rs the two-level `diskpoly._chain` entry, built with no element product
-(D = Q_3 - z_3 w_3 is Q_2, and z_3, w_3 pass Z_2 as key shifts), and right =
-Y_rs z_1^a w_1^b in closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 = q z_1 w_2 and
-z_2 z_1 = q^-1 z_1 z_2, z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2)) z^(lam + a e_1)
-w^(mu + b e_1).  Left and right coefficients and weights are packed in one
-`pack_laurent` call each, at one slot width s; times q^(Kl + Kr + Kw), each
-output coefficient is the sum of the integer products left right w over its
-term pairs, one per piece, read back once by `scaled_rhs`, never by `verify_addition`.
+The rhs is one packed sum of weighted simple tensors, `_pair_sum`, whose sides are Laurent
+by construction: each left and right coefficient comes out of `_unpacked` or `_laurent`,
+and each weight, V times a scalar whose denominator divides V, is a polynomial.  Piece
+(r, s) is w left (x) right, with left = X_rs I_rs the two-level `diskpoly._chain` entry,
+built with no element product (D = Q_3 - z_3 w_3 is Q_2, and z_3, w_3 pass Z_2 as key
+shifts), and right = Y_rs z_1^a w_1^b in closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 =
+q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2, z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2))
+z^(lam + a e_1) w^(mu + b e_1).  Left and right coefficients and weights are packed in
+one `pack_laurent` call each, at one slot width s, each value at its own power of q;
+times q^(Kl + Kr + Kw), each output coefficient is the sum of the integer products left
+right w over its term pairs, one per piece, each shifted by s times its three offsets
+once multiplied, and is read back once by `scaled_rhs`, never by `verify_addition`.
 With |x| the largest sum of the absolute integer coefficients of one of x's
 coefficients, each is at most sum_rs |left| |right| |w|, which s puts below 2^(s-1).
 
@@ -56,7 +56,7 @@ from types import SimpleNamespace
 from .diskpoly import DiskSpec, _chain, _DiskArgs, _jacobi
 from .haar import _norm
 from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _laurent, _width, mass, pack_laurent,
-                     peak)
+                     peak, poly_valuation)
 from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
 
 LEFT_RANK = 3
@@ -73,32 +73,30 @@ def _pair_sum(sides, less: dict | None = None, d1: tuple = (1,)) -> dict:
     left_i and right_i of ranks LEFT_RANK and RIGHT_RANK, less {key: coefficient} (none by
     default) and d1 a polynomial, all Laurent (module docstring)."""
     less, weights = less or {}, [w for _, _, w in sides]
-    lefts = [c for left, _, _ in sides for c in left.terms.values()]
-    rights = [c for _, right, _ in sides for c in right.terms.values()]
+    lefts, rights = ([c for side in sides for c in side[i].terms.values()] for i in (0, 1))
     bound = sum(peak(x.terms.values()) * peak(y.terms.values()) * mass([w]) for x, y, w in sides)
     s = _width((bound + peak(less.values()) * sum(map(abs, d1))).bit_length() + 1)
-    (kl, pl), (kr, pr), (kw, pw), (ka, pa) = (pack_laurent(cs, s) for cs in
-                                              (lefts, rights, weights, list(less.values())))
-    # both sums are taken over q^k: the products shift by k - (kl + kr + kw), less by k - ka
-    k = max(kl + kr + kw, ka)
-    d, pl, pr = -_eval_shift(d1, s) << s * (k - ka), iter(pl), iter(pr)
-    acc = {key: a * d for key, a in zip(less, pa)}
-    for (left, right, _), w in zip(sides, pw):
-        # zip stops at the keys, so each side takes its own slots off the iterators
-        w <<= s * (k - kl - kr - kw)
-        xs, ys = list(zip(left.terms, pl)), [(ky, y * w) for ky, y in zip(right.terms, pr)]
-        for kx, x in xs:
-            for ky, y in ys:
+    (kl, *pl), (kr, *pr), (kw, pw, ow), (ka, pa, oa) = (
+        pack_laurent(cs, s) for cs in (lefts, rights, weights, list(less.values())))
+    # over q^k: a product shifts by its offsets and k - (kl + kr + kw), less by its offset, v and k - ka
+    k, v, pl, pr = max(kl + kr + kw, ka), poly_valuation(d1), zip(*pl), zip(*pr)
+    d, base = -_eval_shift(d1[v:], s), k - kl - kr - kw
+    acc = {key: (a * d) << s * (o + v + k - ka) for key, a, o in zip(less, pa, oa)}
+    for (left, right, _), w, o in zip(sides, pw, ow):
+        # zip stops at the keys, so each side takes its own (value, offset) pairs off pl and pr
+        xs = [(kx, x, s * ox) for kx, (x, ox) in zip(left.terms, pl)]
+        ys = [(ky, y * w, s * (oy + o + base)) for ky, (y, oy) in zip(right.terms, pr)]
+        for kx, x, sx in xs:
+            for ky, y, sy in ys:
                 key = (kx, ky)
-                acc[key] = acc.get(key, 0) + x * y
+                acc[key] = acc.get(key, 0) + ((x * y) << (sx + sy))
     return _unpacked(acc, s, k)
 
 
 def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
     """y z_1^a w_1^b for y in Z_2 with Laurent coefficients (module docstring): the
-    term n / q^k z^lam w^mu goes to n q^(a mu_2) / q^(k + a lam_2) z^(lam + a e_1) w^(mu + b e_1)."""
-    return y._like({((l1 + a, l2), (m1 + b, m2)):
-                    _laurent((0,) * a * m2 + c.num, len(c.den) - 1 + a * l2)
+    term n / q^k z^lam w^mu goes to n / q^(k + a (lam_2 - mu_2)) z^(lam + a e_1) w^(mu + b e_1)."""
+    return y._like({((l1 + a, l2), (m1 + b, m2)): _laurent(c.num, len(c.den) - 1 + a * (l2 - m2))
                     for ((l1, l2), (m1, m2)), c in y.terms.items()})
 
 
@@ -247,13 +245,12 @@ class Verdict(Record):
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:
     """Expand both sides to normal form and decide lhs = rhs exactly.
 
-    The sides come scaled, a = L lhs and b = V rhs, and V = W L with W a polynomial
-    (module docstring), so lhs = rhs iff a W = b.  b is not read back: the packed pair
-    sum of its sides starts at -a W on each key of a (`_pair_sum`), and the case passes
-    when every packed value is 0; each key's coefficients are at most
-    sum_rs |left| |right| |w| + |a| |W| < 2^(s-1) (module docstring), so the sum is 0
-    only if it is 0 at q = 2^s.  Only a failure, reported and not raised, reads b back
-    for the residual (a W - b) / V."""
+    The sides come scaled, a = L lhs and b = V rhs, and V = W L with W a polynomial (module
+    docstring), so lhs = rhs iff a W = b.  b is not read back: the packed pair sum of its
+    sides starts at -a W on each key of a (`_pair_sum`), and the case passes when every
+    packed value is 0; each key's coefficients are at most sum_rs |left| |right| |w| +
+    |a| |W| < 2^(s-1) (module docstring), so the sum is 0 only if it is 0 at q = 2^s.
+    Only a failure, reported and not raised, reads b back for the residual (a W - b) / V."""
     start = time.monotonic()
     spec = _check_addition(l, m, alpha, variant)
     lhs = scaled_lhs(*spec, variant)[1]

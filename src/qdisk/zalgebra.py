@@ -28,20 +28,19 @@ One element type, `ZElement`, holds both an element of Z_n and one of a
 tensor product Z_n1 (x) Z_n2, which multiplies factorwise.  Its `__str__`
 is the printer of the `qdisk.cli` expression grammar.
 
-Coefficients are packed into integers by one kernel, `qfield.pack_laurent`
-(Kronecker substitution), which writes Laurent coefficients n_i/q^k_i, K
-the largest k_i, as the values n_i(2^s) 2^(s(K - k_i)) at q = 2^s.  An
-element times a scalar is one `QRat` product per term.  Element products
-run through one loop, `_core`, on `QRat`s or, from _PACK_MIN_PAIRS term
-pairs on, on both sides packed; the structure constants are over q-powers,
-as the relations are over Z[q, 1/q].  A constant n/q^k is applied as
-shifts: over its table's largest k, K_f, it is the sum of n_i 2^(s(K_f - k
-+ i)), so a product with it is a small-integer product and a shift per
-nonzero n_i, not a multiply by a long integer.  Evaluation at 2^s is a ring
-homomorphism, so for each output monomial the sum of the products A_i B_j X
-over the contributing pairs and structure constants is F(2^s), F the output
-coefficient times q^Ktot (Ktot the sum of the K's), read back from its
-symmetric digits once.
+Coefficients are packed into integers by one kernel, `qfield.pack_laurent` (Kronecker
+substitution): n_i/q^k_i, n_i = q^v_i n'_i with n'_i(0) != 0, is the value n'_i(2^s) at
+q = 2^s and the offset K - k_i + v_i, K = max(0, largest k_i - v_i), which shifts it to
+n_i(2^s) 2^(s(K - k_i)), over q^K; `_product` aligns its operands at once.  An element
+times a scalar is one `QRat` product per term.  Element products run through one loop,
+`_core`, on `QRat`s or, from _PACK_MIN_PAIRS term pairs on, on both sides packed; the
+structure constants are over q-powers, as the relations are over Z[q, 1/q].  A constant
+n/q^k is applied as shifts: over its table's largest k, K_f, it is the sum of n_i
+2^(s(K_f - k + i)), so a product with it is a small-integer product and a shift per
+nonzero n_i, not a multiply by a long integer.  Evaluation at 2^s is a ring homomorphism,
+so for each output monomial the sum of the products A_i B_j X over the contributing pairs
+and structure constants is F(2^s), F the output coefficient times q^Ktot (Ktot the sum of
+the K's), read back from its symmetric digits once.
 
 Bound.  Write |f| for the sum of the absolute values of the integer
 coefficients of f, |a| for the sum of |n_i| over a's terms, and S for the
@@ -236,7 +235,8 @@ def _product(a: dict, b: dict, ranks: tuple) -> dict:
         return {key: c for key, c in acc.items() if c}
     S = math.prod(max(mass(c for _, c in row) for row in table.values()) for table in tables)
     s = _width((mass(a.values()) * mass(b.values()) * S).bit_length() + 1)
-    (k, pa), (kb, pb) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
+    (k, pa, oa), (kb, pb, ob) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
+    pa, pb = [x << s * o for x, o in zip(pa, oa)], [x << s * o for x, o in zip(pb, ob)]
     rows = []
     for table in tables:  # each constant n/q^j as the shifts s (K_f - j + i) of its nonzero n_i
         consts = {c: None for row in table.values() for _, c in row}

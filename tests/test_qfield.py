@@ -16,9 +16,11 @@ from qdisk.qfield import (
     _eval_shift,
     _from_digits,
     _gcd_cofactors,
+    _laurent,
     _prs_gcd,
     _reduce,
     int_from_json,
+    pack_laurent,
     poly_add,
     poly_divexact,
     poly_gcd,
@@ -632,6 +634,56 @@ def test_signed_word_read_edge_cases(s):
         assert _eval_shift(digits, s) == n and _from_digits(n, s) == from_digits_loop(n, s) == digits
         assert _from_digits(-n, s) == from_digits_loop(-n, s)
         assert _from_digits(n << s, s) == (0,) + digits
+
+
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_laurent_is_exact_for_every_power_of_q(k):
+    # cs / q^k for any integer k, q^-k cs for k < 0; trailing zeros of cs are dropped
+    assert _laurent((1,), -2) == QRat.q_power(2) and _laurent((0, 1), -1) == QRat.q_power(2)
+    for cs in [(1,), (0, 1), (0, 0, 3, -1), (2, 0, 0), (0, 5, 0), (-7, 0, 4)]:
+        got, want = _laurent(cs, k), QRat(cs) * QRat.q_power(-k)
+        assert (got.num, got.den) == (want.num, want.den), (cs, k)
+    assert _laurent((), k) == _laurent((0, 0), k) == ZERO
+
+
+@st.composite
+def offset_laurents(draw, s):
+    """Lists of Laurent coefficients q^j n / q^k, j and k up to 40, whose integers fit
+    slots of width s: numerators with q-power factors, q^k denominators and both."""
+    h = 1 << (s - 1)
+    ints = st.one_of(st.integers(-9, 9), st.integers(1 - h, h - 1))
+    num = st.lists(ints, min_size=1, max_size=6).filter(lambda ns: ns[0] and ns[-1])
+    j, k = st.integers(0, 40), st.integers(0, 40)
+    coeff = st.builds(lambda n, j, k: QRat(n) * QRat.q_power(j - k), num, j, k)
+    return draw(st.lists(coeff, min_size=1, max_size=6))
+
+
+@given(st.sampled_from(WIDTHS), st.data())
+@settings(max_examples=300)
+def test_pack_laurent_packs_each_value_at_its_own_power_of_q(s, data):
+    cs = data.draw(offset_laurents(s))
+    k, values, offsets = pack_laurent(cs, s)
+    nets = [len(c.den) - 1 - next(i for i, x in enumerate(c.num) if x) for c in cs]
+    assert k == max(0, *nets) and offsets == [k - e for e in nets] and min(offsets) >= 0
+    for c, x, o, e in zip(cs, values, offsets, nets):
+        assert x % (1 << s), c  # a value's lowest slot is n'(0) != 0
+        assert _laurent(_from_digits(x, s), e) == c  # x alone is c at q^-e
+        # shifted by its offset, x is the numerator over q^K as packed before the products
+        aligned = eval_shift_loop(c.num, s) << s * (k + 1 - len(c.den))
+        assert x << s * o == aligned and _laurent(_from_digits(aligned, s), k) == c
+
+
+@pytest.mark.parametrize("s", WIDTHS)
+def test_pack_laurent_edge_cases(s):
+    assert pack_laurent([], s) == (0, [], [])
+    assert pack_laurent([ZERO, ONE], s) == (0, [0, 1], [0, 0])
+    # a coefficient wider than its slot takes `_eval_shift`'s shift loop: still exact
+    wide = [QRat((0, 0, 1 << (s + 9), -3)), QRat((1 << (s + 3), 1), (0, 1))]
+    k, values, offsets = pack_laurent(wide, s)
+    assert (k, offsets) == (1, [3, 0])
+    assert values == [eval_shift_loop((1 << (s + 9), -3), s), eval_shift_loop((1 << (s + 3), 1), s)]
+    assert [x << s * o for x, o in zip(values, offsets)] == [
+        eval_shift_loop(c.num, s) << s * (k + 1 - len(c.den)) for c in wide]
 
 
 @st.composite

@@ -579,6 +579,42 @@ def test_passing_verdicts_read_back_no_rhs_key(monkeypatch, variant):
     assert seen == [(terms, 0) for terms in BENCH_CASES.values()]
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_packed_products_multiply_no_zero_low_slot(monkeypatch, variant):
+    # `qfield.pack_laurent` packs each value at its own power of q, and the verdict's pair sum
+    # and the lhs's packed Horner sum shift the products, not the operands: no operand of
+    # their products starts with a zero slot, so no padding is multiplied
+    assert verify_addition(6, 6, 2, variant).passed  # the chains built, before any recording
+    seen = []
+
+    class Packed(int):
+        """A packed value at slot width s: its products are recorded, its shifts stay packed."""
+
+        def __mul__(self, other):
+            seen.append((self.s, int(self), int(other)))
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+        def __lshift__(self, n):
+            return packed(int(self) << n, self.s)
+
+    def packed(x, s):
+        value = Packed(x)
+        value.s = s
+        return value
+
+    def recording(cs, s):
+        k, values, offsets = qfield.pack_laurent(cs, s)
+        return k, [packed(x, s) for x in values], offsets
+
+    monkeypatch.setattr(tensor, "pack_laurent", recording)
+    monkeypatch.setattr(diskpoly, "pack_laurent", recording)
+    assert verify_addition(6, 6, 2, variant).passed
+    assert len(seen) > 1000
+    assert all(x % (1 << s) and y % (1 << s) for s, x, y in seen)
+
+
 def _plant_rhs(monkeypatch, case, edit):
     """edit(terms) on V rhs of case, planted where the verdict reads the rhs: each key
     the edit changes becomes one more side (x, y, c), x (x) y the key and c the change

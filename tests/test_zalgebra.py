@@ -617,3 +617,40 @@ def test_pair_sum_equals_the_termwise_oracle(laurent, data):
     assert got == want
     if laurent:
         assert ZElement(RANKS, _pair_sum([(left, right, ONE) for left, right in sides])) == want
+
+
+def offset_coefficients():
+    """Laurent coefficients q^j n / q^k with j and k up to 40, at far-apart powers of q."""
+    ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 42, 2 ** 42))
+    num = st.lists(ints, min_size=1, max_size=6).filter(any).map(QRat)
+    return st.builds(lambda n, j, k: n * qp(j) / qp(k), num, st.integers(0, 40), st.integers(0, 40))
+
+
+def offset_terms(rank):
+    return st.dictionaries(monomials(rank), offset_coefficients(), max_size=4)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_verdict_pair_sum_equals_the_termwise_oracle(data):
+    # the verdict form sum_i w_i left_i (x) right_i - d1 less, with numerators over q^0..q^40,
+    # weights and d1 carrying q-power factors: each packed value sits at its own power of q
+    sides = [(ZElement(LEFT_RANK, data.draw(offset_terms(LEFT_RANK))),
+              ZElement(RIGHT_RANK, data.draw(offset_terms(RIGHT_RANK))),
+              data.draw(offset_coefficients().map(lambda c: c * qp(len(c.den) - 1))))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    total = ZElement.zero(RANKS)
+    for left, right, w in sides:
+        total = total + pair_termwise(left, scalar_termwise(right, w))
+    # less on keys of the sum (so terms cancel) and off them; d1 a polynomial q^j d'
+    keys = st.tuples(monomials(LEFT_RANK), monomials(RIGHT_RANK))
+    if total.terms:
+        keys = st.one_of(st.sampled_from(sorted(total.terms)), keys)
+    less = data.draw(st.dictionaries(keys, offset_coefficients(), max_size=4))
+    d1 = (0,) * data.draw(st.integers(0, 40)) + tuple(data.draw(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda cs: cs[-1])))
+    want = total - ZElement(RANKS, less) * QRat(d1)
+    assert ZElement(RANKS, _pair_sum(sides, less, d1)) == want
+    # the passing verdict: less = the sum over d1 = q^j cancels it exactly
+    j = data.draw(st.integers(0, 40))
+    assert _pair_sum(sides, (total * qp(-j)).terms, (0,) * j + (1,)) == {}
