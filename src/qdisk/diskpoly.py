@@ -1,44 +1,36 @@
 """q-disk polynomials in three noncommuting arguments, divisionlessly.
 
-R_{l,m}^(alpha)(A, B, C; q^2) homogenizes the little q-Jacobi expansion: with
-coef_k the base-q^2 Jacobi coefficient of x^k (q^2k included), Jacobi parameters
-(alpha, |l-m|) at degree mm = min(l, m), L the lcm of their denominators
-(products of q-powers and factors 1 - q^2j) and D = C - AB, it is taken scaled,
+R_{l,m}^(alpha)(A, B, C; q^2) homogenizes the little q-Jacobi expansion: with coef_k the base-q^2
+Jacobi coefficient of x^k (q^2k included), Jacobi parameters (alpha, |l-m|) at degree mm = min(l, m),
+L the lcm of their denominators (q-powers times factors 1 - q^2j) and D = C - AB, it is taken scaled,
 
     L R = H = sum_k (L coef_k) C^(mm-k) E_k,   E_k = A^(l-m) D^k (l >= m) or D^k B^(m-l).
 
-C must commute with A and B (checked); no inverse of C is formed.  The coef_k
-are `Cyclo`s (`qfield`), so `_jacobi` expands each L coef_k to a Laurent
-polynomial once per spec, with no gcd, and `disk_poly` divides by L once per
-term.  H is taken by Horner's rule in C, H_k = H_(k-1) C + (L coef_k) E_k, and
-`_DiskArgs` checks C once and keeps the powers and E_k it forms across specs.
+C must commute with A and B (checked); no inverse of C is formed.  The coef_k are `Cyclo`s
+(`qfield`), so `_jacobi` expands each L coef_k to a Laurent polynomial once per spec, with no
+gcd, and `disk_poly` divides by L once per term.  H is taken by Horner's rule in C, H_k =
+H_(k-1) C + (L coef_k) E_k, over E_k that `disk_poly`'s bundle `_DiskArgs` forms by products.
 
-H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2, as
-in every bundle here and in `tensor`: moving z_a left past z_j and w_a right
-past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
+H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2: moving z_a left
+past z_j and w_a right past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
+z^lam w^mu Q_n = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor,
+the t's added.  With Laurent coefficients `_packed_sum` keeps H packed (`zalgebra`) at one slot
+width s: a step adds each term, shifted by s (big - t), onto its moves (big the largest t_1),
+then each product L coef_k E_k, multiplied at the operands' own powers of q and shifted after
+(`qfield.pack_laurent`), and H is read back once.  A key of H_(k-1) C takes at most |C| = n or
+n1 n2 moves of mass 1, so with |x| the largest sum of absolute integer coefficients of one
+coefficient of x, |H_k| <= |C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` and
+`disk_poly` take it with no size cutoff; the `QRat` Horner serves other C and non-Laurent E_k.
 
-    z^lam w^mu Q_n = sum_a (z^lam z_a)(w_a w^mu) = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a),
-
-and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients H stays
-packed (`zalgebra`) at one slot width s: a step adds each term, shifted by s (big - t),
-onto its moves (big the largest t_1), then each product L coef_k E_k, multiplied at the
-operands' own powers of q and shifted after (`qfield.pack_laurent`), and H is read back
-once.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x|
-the largest sum of absolute integer coefficients of one coefficient of x, |H_k| <=
-|C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  Every lhs of `tensor` takes this route,
-mm = 0 included, and no size cutoff pays (CHANGES.md); the `QRat` Horner serves only
-`disk_poly` arguments with another C or an E_k that is not Laurent.
-
-The spherical and associated elements and the rhs factors of `tensor` are
-products down Z_n > Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i);
-`_chain` builds and keeps each with no element product.  On (z_n, w_n, Q_n),
-D = Q_n - z_n w_n is Q_(n-1), central in Z_(n-1); for I in Z_(n-1), z_n^a w_n^b
-z^lam w^mu = q^((b-a)|lam|) z^(lam + a e_n) w^(mu + b e_n); and Q_(n-1) w_n =
-q^-2 w_n Q_(n-1).  So with J_k = Q_(n-1)^k I by central moves at rank n - 1,
-E_k I is z_n^j J_k (l >= m, j = l - m) or q^(-2kb) w_n^b J_k (l < m, b = m - l),
-a shift of J_k's keys, which all have |lam| = |lam of I| + k, times one power of
-q, and L R I is one packed Horner sum in Q_n over them, with |E_k I| <= (n-1)^k
-|I|, read back once.  Callers never receive a `_chain` entry.
+The spherical and associated elements and the rhs factors of `tensor` are products down Z_n >
+Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i); `_chain` builds and keeps each with
+no element product.  On (z_n, w_n, Q_n), D = Q_n - z_n w_n is Q_(n-1), central in Z_(n-1); for
+I in Z_(n-1), z_n^a w_n^b z^lam w^mu = q^((b-a)|lam|) z^(lam + a e_n) w^(mu + b e_n); and
+Q_(n-1) w_n = q^-2 w_n Q_(n-1).  So with J_k = Q_(n-1)^k I by central moves at rank n - 1,
+E_k I is z_n^j J_k (l >= m, j = l - m) or q^(-2kb) w_n^b J_k (l < m, b = m - l), a shift of
+J_k's keys, which all have |lam| = |lam of I| + k, times one power of q, and L R I is one
+packed Horner sum in Q_n over them, with |E_k I| <= (n-1)^k |I|, read back once.  Callers
+never receive a `_chain` entry.
 """
 
 from __future__ import annotations
@@ -52,10 +44,10 @@ from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_lauren
 from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, _check_rank, _element, _exponents, _Memo, _unpacked, q_element
 
-# Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted
-# cases found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 2.9-4.8 s and 67 MB,
-# and 0.28-0.44 s and 27 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).
-# No route passes alpha above 263 (assoc_spherical(8, 8, 8, 1, 256)); norm_const(8, 8, 512): 0.07 s.
+# Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted cases
+# found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 2.0-2.6 s and 60 MB, and 0.28-0.44
+# s and 27 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).  No route passes
+# alpha above 263 (assoc_spherical(8, 8, 8, 1, 256)); norm_const(8, 8, 512): 0.07 s.
 MAX_DISK_DEGREE = 8
 MAX_DISK_ALPHA = 512
 MAX_SPHERICAL_TERMS = 1716
@@ -139,6 +131,13 @@ def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> dict:
     return _unpacked(acc, s, kh)
 
 
+def _packed_sum(coefs: tuple, es: list, fan: int, moves) -> dict:
+    """`_horner_sum` over the E_k of es, {key: Laurent coefficient} each, packed as they stand, with C
+    by its moves onto fan keys (`_times_q`)."""
+    return _horner_sum(coefs, [peak(x.values()) for x in es], fan, lambda s: (
+        (*pack_laurent(list(x.values()), s), x) for x in es), partial(_times_q, moves=moves))
+
+
 class _DiskArgs:
     """Arguments (A, B, C), checked once: C commutes with A and B, else ValueError.
     Powers of A, B and D = C - AB and the E_k are kept, so rewrites are idempotent."""
@@ -174,12 +173,7 @@ class _DiskArgs:
         if self.moves is None or not all(  # each L coef_k is a polynomial
                 _is_qpow(c.den) for x in es for c in x.terms.values()):
             return None
-
-        def terms(s):
-            return ((*pack_laurent(list(x.terms.values()), s), x.terms) for x in es)
-        peaks = [peak(x.terms.values()) for x in es]
-        times_c = partial(_times_q, moves=self.moves)
-        return self.C._like(_horner_sum(coefs, peaks, len(self.C.terms), terms, times_c))
+        return self.C._like(_packed_sum(coefs, [x.terms for x in es], len(self.C.terms), self.moves))
 
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""

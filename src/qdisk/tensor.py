@@ -1,71 +1,60 @@
 """Verification of the q-disk polynomial addition formula in a tensor algebra.
 
-The abstract algebra generated by a q-disk pair (X1, X2) and a q-circle
-pair (Y1, Y2) is realized faithfully inside Z_3 (x) Z_2 via
+The algebra of a q-disk pair (X1, X2) and a q-circle pair (Y1, Y2) is realized faithfully in
+Z_3 (x) Z_2 by X1 -> z_2, X2 -> z_3, Q -> Q_3 and Y1 -> z_1, Y2 -> z_2, D -> Q_2, so both sides
+of the addition formula are `ZElement`s of rank RANKS = (3, 2), multiplied factorwise, whose
+equality is decidable by exact normal forms.  The coupled-argument identity has
 
-    X1 -> z_2,  X2 -> z_3,  Q -> Q_3      (left factor, rank 3)
-    Y1 -> z_1,  Y2 -> z_2,  D -> Q_2      (right factor, rank 2)
+    A = -q X1 (x) Y1* + X2 (x) Y2,  B = -q X1* (x) Y1 + X2* (x) Y2*,  C = Q (x) D,
 
-so both sides of the addition formula become concrete elements of the
-tensor product, where equality is decidable by exact normal forms.  Those
-elements are `ZElement`s of rank RANKS = (3, 2), made from simple tensors
-by `pair`, and they multiply factorwise.  Two variants are verified: the
-coupled-argument identity with arguments
+and its precursor, also verified, A = X1 (x) Y1 + X2 (x) Y2 and B = q^2 X1* (x) Y1* + X2* (x)
+Y2*; the rhs couples disk polynomials in the X and Y generators through constants built from
+the spherical norms.
 
-    A = -q X1 (x) Y1* + X2 (x) Y2,  B = -q X1* (x) Y1 + X2* (x) Y2*,
-    C = Q (x) D,
+The lhs L R(A, B, C) (`diskpoly`) is one packed Horner sum in C, `diskpoly._packed_sum`, over
+E_k = A^j D^k (j = l - m >= 0) or D^k B^-j, built with no element product: A's terms act on the
+left of each factor, and B's on the right, by key shifts times powers of q (`_shift`); C is
+central, D A = q^2 A D and D B = q^-2 B D (the q-disk pair relation), so E_k = E_(k-1) C -
+q^(2(k-1)) A E_(k-1) B, with C by its central moves (`diskpoly._pair_moves`).  A shift is
+one-to-one, so a key of E_k is reached from at most 6 keys of E_(k-1) by C, one per pair of
+moves, and from at most 4 by A . B, one per pair of terms, each times +-q^e: with |x| the largest
+sum of the absolute integer coefficients of one of x's coefficients, |E_k| <= 10 |E_(k-1)|,
+|A^j| <= 2 |A^(j-1)| (or B) and |E_k| <= 10^k 2^|j|.  Each E_k is packed from its source at the
+width of that bound and read back once.
 
-and its precursor with A = X1 (x) Y1 + X2 (x) Y2, B = q^2 X1* (x) Y1* + X2* (x)
-Y2*.  The right-hand side couples disk polynomials in the X and Y generators
-through explicit constants built from the spherical norms.
+The rhs scalars, the coupling constants, the final variant's sign and q-power and each piece's
+Jacobi denominators, are `Cyclo`s (`qfield`): `_rhs_pieces` takes their lcm V by exponent
+arithmetic and converts 1/V, W = V / L and each weight once, with no gcd.  W is a polynomial: the
+scalar of piece (0, 0), whose coupling constant and inner lcm are 1, is 1/L^2, and V has each
+index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of Laurent simple
+tensors w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain`
+entry, right = Y_rs z_1^a w_1^b is `_circle_shift` of the one-level one, and w is V times a scalar
+whose denominator divides V.  Each side is packed in one `pack_laurent` call at one slot width s,
+and each output coefficient, at most sum_rs |left| |right| |w| < 2^(s-1), is read back once by
+`scaled_rhs`, never by `verify_addition`.
 
-The rhs scalars are closed forms: the coupling constants (built on the norm
-constants), the sign and q-power of the final variant and the Jacobi denominators
-of each piece are `Cyclo`s (`qfield`), so `_rhs_pieces` takes their lcm V by
-exponent arithmetic and converts 1/V, W = V / L and each weight once, with no gcd.
-W is a polynomial: the piece (r, s) = (0, 0) has coupling constant 1 and inner
-lcm 1, so its scalar is 1/L^2, and V has each index, q included, at least twice L's.
-
-The rhs is one packed sum of weighted simple tensors, `_pair_sum`, whose sides are Laurent
-by construction: each left and right coefficient comes out of `_unpacked` or `_laurent`,
-and each weight, V times a scalar whose denominator divides V, is a polynomial.  Piece
-(r, s) is w left (x) right, with left = X_rs I_rs the two-level `diskpoly._chain` entry,
-built with no element product (D = Q_3 - z_3 w_3 is Q_2, and z_3, w_3 pass Z_2 as key
-shifts), and right = Y_rs z_1^a w_1^b in closed form: as w_1 z_1 = z_1 w_1, w_2 z_1 =
-q z_1 w_2 and z_2 z_1 = q^-1 z_1 z_2, z^lam w^mu z_1^a w_1^b = q^(a(mu_2 - lam_2))
-z^(lam + a e_1) w^(mu + b e_1).  Left and right coefficients and weights are packed in
-one `pack_laurent` call each, at one slot width s, each value at its own power of q;
-times q^(Kl + Kr + Kw), each output coefficient is the sum of the integer products left
-right w over its term pairs, one per piece, each shifted by s times its three offsets
-once multiplied, and is read back once by `scaled_rhs`, never by `verify_addition`.
-With |x| the largest sum of the absolute integer coefficients of one of x's
-coefficients, each is at most sum_rs |left| |right| |w|, which s puts below 2^(s-1).
-
-Case-independent work is done once per process, in `lru_cache` tables: `_args` (a
-variant's checked lhs arguments), `_coupling` (the coupling constants), `_rhs_pieces`
-(a case's rhs scalars, in tuples) and `_chain`, whose entries every case and variant
-that has them shares.  Callers never receive a cached element.
+Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's
+E_k, keyed by (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs
+scalars, in tuples) and `_chain`, whose entries every case and variant that has them shares.
+Callers never receive a cached element.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from types import SimpleNamespace
 
-from .diskpoly import DiskSpec, _chain, _DiskArgs, _jacobi
+from .diskpoly import DiskSpec, _chain, _jacobi, _packed_sum, _pair_moves
 from .haar import _norm
 from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _laurent, _width, mass, pack_laurent,
                      peak, poly_valuation)
-from .zalgebra import ZElement, _unpacked, _z_rank, q_element, w_gen, z_gen
+from .zalgebra import ZElement, _unpacked, _z_rank
 
 LEFT_RANK = 3
 RIGHT_RANK = 2
 RANKS = (LEFT_RANK, RIGHT_RANK)
 
-# tensor elements are ZElements of rank RANKS; the name of their former class
-# stays bound to the type for callers that still use it
-TensorElement = ZElement
+TensorElement = ZElement  # tensor elements are ZElements of rank RANKS; the former class name stays
 
 
 def _pair_sum(sides, less: dict | None = None, d1: tuple = (1,)) -> dict:
@@ -94,8 +83,8 @@ def _pair_sum(sides, less: dict | None = None, d1: tuple = (1,)) -> dict:
 
 
 def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
-    """y z_1^a w_1^b for y in Z_2 with Laurent coefficients (module docstring): the
-    term n / q^k z^lam w^mu goes to n / q^(k + a (lam_2 - mu_2)) z^(lam + a e_1) w^(mu + b e_1)."""
+    """y z_1^a w_1^b for y in Z_2 with Laurent coefficients, by the right shifts of the module docstring:
+    the term n / q^k z^lam w^mu goes to n / q^(k + a (lam_2 - mu_2)) z^(lam + a e_1) w^(mu + b e_1)."""
     return y._like({((l1 + a, l2), (m1 + b, m2)): _laurent(c.num, len(c.den) - 1 + a * (l2 - m2))
                     for ((l1, l2), (m1, m2)), c in y.terms.items()})
 
@@ -107,23 +96,6 @@ def pair(left: ZElement, right: ZElement) -> ZElement:
     # distinct keys and nonzero products: nothing to add up
     return ZElement._of(RANKS, {(kx, ky): x * y for kx, x in left.terms.items()
                                 for ky, y in right.terms.items()})
-
-
-# ----------------------------------------------------------------------
-# generator bundle
-
-
-@lru_cache(maxsize=None)
-def xy_generators() -> SimpleNamespace:
-    """The images X1, X2, their stars X1s, X2s and Q of Z_3, and Y1, Y2, Y1s, Y2s and D of Z_2."""
-    return SimpleNamespace(X1=z_gen(2, LEFT_RANK), X2=z_gen(3, LEFT_RANK), X1s=w_gen(2, LEFT_RANK),
-                           X2s=w_gen(3, LEFT_RANK), Q=q_element(3, LEFT_RANK), Y1=z_gen(1, RIGHT_RANK),
-                           Y2=z_gen(2, RIGHT_RANK), Y1s=w_gen(1, RIGHT_RANK), Y2s=w_gen(2, RIGHT_RANK),
-                           D=q_element(2, RIGHT_RANK))
-
-
-# ----------------------------------------------------------------------
-# the addition formula
 
 
 VARIANTS = ("final", "precursor")
@@ -159,32 +131,68 @@ def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
     return _coupling(*_check_ints(l, m, r, s, alpha)).to_qrat()
 
 
+# per variant, A's and B's terms (sign, e, letters), sign q^e times a letter per factor, i > 0 for
+# z_i and 0 for w_1; a right product is the *-mirror of a left one, so B's letters are B*'s
+_ARGUMENTS = {"final": (((-1, 1, (2, 0)), (1, 0, (3, 2))),) * 2,
+              "precursor": (((1, 0, (2, 1)), (1, 0, (3, 2))), ((1, 2, (2, 1)), (1, 0, (3, 2))))}
+
+
+def _shift(key: tuple, i: int, right: bool) -> tuple:
+    """(key', e) with z_i key = q^e key' for i > 0 and w_1 key for i = 0, or, for right, their
+    *-mirrors key w_i and key z_1 (`zalgebra`'s relations): z_i z^lam w^mu = q^-(lam_1 + .. +
+    lam_(i-1)) z^(lam + e_i) w^mu and w_1 z^lam w^mu = q^(lam_2 + .. - mu_2 - ..) z^lam w^(mu + e_1)."""
+    lam, mu = key[::-1] if right else key
+    lam, mu, e = ((lam[:i - 1] + (lam[i - 1] + 1,) + lam[i:], mu, -sum(lam[:i - 1])) if i
+                  else (lam, (mu[0] + 1,) + mu[1:], sum(lam[1:]) - sum(mu[1:])))
+    return ((mu, lam) if right else (lam, mu)), e
+
+
+def _act(moves: list, terms: tuple, right: bool = False) -> list:
+    """The moves (key, t, v), v q^-t key, of X H, or of H X for right, for X the sum of terms
+    (`_ARGUMENTS`) and H the sum of moves: per term, each key goes to one key shift."""
+    out, factors = [], [{key[f] for key, _, _ in moves} for f in (0, 1)]
+    for sign, e, letters in terms:
+        first, second = ({x: _shift(x, i, right) for x in xs} for xs, i in zip(factors, letters))
+        for (x, y), t, v in moves:
+            (x, dx), (y, dy) = first[x], second[y]
+            out.append(((x, y), t - e - dx - dy, v if sign > 0 else -v))
+    return out
+
+
 @lru_cache(maxsize=None)
-def _args(variant: str) -> _DiskArgs:
-    """The checked arguments of a variant's lhs."""
-    g = xy_generators()
-    q = QRat.q_power(1)
-    if variant == "final":
-        A = pair(g.X1, g.Y1s) * (-q) + pair(g.X2, g.Y2)
-        B = pair(g.X1s, g.Y1) * (-q) + pair(g.X2s, g.Y2s)
-    else:
-        A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
-        B = pair(g.X1s, g.Y1s) * (q * q) + pair(g.X2s, g.Y2s)
-    return _DiskArgs(A, B, pair(g.Q, g.D))
+def _lhs_power(variant: str, j: int, k: int) -> ZElement:
+    """E_k = A^j D^k (j >= 0) or D^k B^-j of a variant, from E_(k-1), or A^j from A^(j-1), by key
+    shifts and central moves, packed at the width of its per-key bound (module docstring)."""
+    if not j and not k:
+        return ZElement.one(RANKS)
+    a, b = _ARGUMENTS[variant]
+    x = (_lhs_power(variant, j, k - 1) if k else _lhs_power(variant, j - 1 if j > 0 else j + 1, 0)).terms
+    s = _width(((10 if k else 2) * peak(x.values())).bit_length() + 1)
+    kh, values, offsets = pack_laurent(list(x.values()), s)
+    moves = [(key, -o, v) for key, v, o in zip(x, values, offsets)]  # v q^o over q^kh
+    if not k:
+        moves = _act(moves, a) if j > 0 else _act(moves, b, True)
+    else:  # E_(k-1) C - q^(2(k-1)) A E_(k-1) B, C by its central moves
+        ab = _act(_act(moves, a), tuple((-sign, e + 2 * k - 2, ls) for sign, e, ls in b), True)
+        moves = [(y, t + u, v) for key, t, v in moves for y, u in _pair_moves(key)] + ab
+    big, acc = max(t for _, t, _ in moves), {}
+    for key, t, v in moves:  # over q^(kh + big)
+        acc[key] = acc.get(key, 0) + (v << s * (big - t))
+    return ZElement._of(RANKS, _unpacked(acc, s, kh + big))
 
 
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/L, L lhs): the disk polynomial of the coupled arguments, expanded in
-    the tensor algebra and scaled by the lcm L of its Jacobi denominators."""
+    """(1/L, L lhs): the coupled arguments' disk polynomial, times the lcm L of its Jacobi denominators."""
     spec = _check_addition(l, m, alpha, variant)
-    return _jacobi(spec)[1], _args(variant).scaled(spec)
+    _, inv_lcm, coefs = _jacobi(spec)
+    es = [_lhs_power(variant, spec.l - spec.m, k).terms for k in range(len(coefs))]
+    return inv_lcm, ZElement._of(RANKS, _packed_sum(coefs, es, 6, _pair_moves))
 
 
 @lru_cache(maxsize=None)
 def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
-    """(pieces (r, s, outer, inner), 1/V, W, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each), V the
-    lcm of the denominators and W = V / L the polynomial of the module docstring, L the lhs's lcm,
-    built as `Cyclo`s and converted once."""
+    """(pieces (r, s, outer, inner), 1/V, W, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each), V the lcm
+    of the denominators and W = V / L of the module docstring, built as `Cyclo`s and converted once."""
     plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
             for r in range(l + 1) for s in range(m + 1)]
     factors = []
@@ -208,11 +216,10 @@ def _rhs_sides(l: int, m: int, alpha: int, variant: str) -> tuple:
 
 
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
-    """(1/V, V rhs): the coupled sum of products of disk polynomials in the separate factors,
-    over the common denominator V of the scalars of its (r, s) pieces (`_rhs_pieces`).  Its
-    factors are L-scaled disk polynomials on (X2, X2*, Q) = (z_3, w_3, Q_3), (X1, X1*, Q') =
-    (z_2, w_2, Q_2), Q' = Q - X2 X2*, and (Y2, Y2*, D) = (z_2, w_2, Q_2), so it stays Laurent:
-    X_rs I_rs is the chain `diskpoly._chain(3, outer, inner)` and Y_rs is `_chain(2, outer)`."""
+    """(1/V, V rhs): the coupled sum of products of disk polynomials in the separate factors, over the
+    common denominator V of its (r, s) pieces' scalars (`_rhs_pieces`).  As (X2, X2*, Q) = (z_3, w_3, Q_3),
+    (X1, X1*, Q - X2 X2*) = (z_2, w_2, Q_2) and (Y2, Y2*, D) = (z_2, w_2, Q_2), its L-scaled factors
+    are the Laurent `diskpoly._chain(3, outer, inner)` and `_chain(2, outer)`."""
     inv_lcm, _, sides = _rhs_sides(l, m, alpha, variant)
     return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 
@@ -245,12 +252,11 @@ class Verdict(Record):
 def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdict:
     """Expand both sides to normal form and decide lhs = rhs exactly.
 
-    The sides come scaled, a = L lhs and b = V rhs, and V = W L with W a polynomial (module
-    docstring), so lhs = rhs iff a W = b.  b is not read back: the packed pair sum of its
-    sides starts at -a W on each key of a (`_pair_sum`), and the case passes when every
-    packed value is 0; each key's coefficients are at most sum_rs |left| |right| |w| +
-    |a| |W| < 2^(s-1) (module docstring), so the sum is 0 only if it is 0 at q = 2^s.
-    Only a failure, reported and not raised, reads b back for the residual (a W - b) / V."""
+    The sides come scaled, a = L lhs and b = V rhs, and V = W L with W a polynomial (module docstring),
+    so lhs = rhs iff a W = b.  b is not read back: its packed pair sum starts at -a W on each key of a
+    (`_pair_sum`), and the case passes when every packed value is 0, which, with each key's coefficients
+    at most sum_rs |left| |right| |w| + |a| |W| < 2^(s-1), holds only if the sum is 0.  Only a failure,
+    reported and not raised, reads b back for the residual (a W - b) / V."""
     start = time.monotonic()
     spec = _check_addition(l, m, alpha, variant)
     lhs = scaled_lhs(*spec, variant)[1]

@@ -50,18 +50,25 @@ one structure constant at a time, and the disk polynomial is the plain sum
 over k of coef_k times its product of powers, each coefficient reduced.
 They take and return the package's `ZElement`, of a rank n or of the tensor
 rank (3, 2), but multiply term pair by term pair, not through `_product`.
+
+`xy_generators` and `addition_arguments` are the oracle for the shift-built
+lhs arguments of `tensor`: the images of the q-disk and q-circle generators
+and the published A, B and C of each variant, formed as elements, and
+`addition_bundle` checks them once as a `diskpoly._DiskArgs` bundle, whose
+powers and E_k come from element products.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
 from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul,
                           qpoch)
 from qdisk.qfunc import little_q_jacobi
-from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair, xy_generators
+from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair
 from qdisk.zalgebra import ZElement, _mono_mul, embed, q_element, star, w_gen, z_gen
 from reference import haar_monomial_alt
 
@@ -453,9 +460,17 @@ def horner_stepwise(args, spec: DiskSpec):
     return result
 
 
-def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
-    """(lhs, rhs) of the addition formula as tensor elements: the published
-    arguments and coupling constants, each (r, s) piece times its constant."""
+@lru_cache(maxsize=None)
+def xy_generators() -> SimpleNamespace:
+    """The images X1, X2, their stars X1s, X2s and Q of Z_3, and Y1, Y2, Y1s, Y2s and D of Z_2."""
+    return SimpleNamespace(X1=z_gen(2, LEFT_RANK), X2=z_gen(3, LEFT_RANK), X1s=w_gen(2, LEFT_RANK),
+                           X2s=w_gen(3, LEFT_RANK), Q=q_element(3, LEFT_RANK), Y1=z_gen(1, RIGHT_RANK),
+                           Y2=z_gen(2, RIGHT_RANK), Y1s=w_gen(1, RIGHT_RANK), Y2s=w_gen(2, RIGHT_RANK),
+                           D=q_element(2, RIGHT_RANK))
+
+
+def addition_arguments(variant: str) -> tuple:
+    """The published arguments (A, B, C) of a variant's lhs, as tensor elements."""
     g = xy_generators()
     if variant == "final":
         A = pair(g.X1, g.Y1s) * (-_Q) + pair(g.X2, g.Y2)
@@ -463,7 +478,20 @@ def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
     else:
         A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1s) * (_Q * _Q) + pair(g.X2s, g.Y2s)
-    lhs = disk_poly_termwise(l, m, alpha, A, B, pair(g.Q, g.D))
+    return A, B, pair(g.Q, g.D)
+
+
+@lru_cache(maxsize=None)
+def addition_bundle(variant: str):
+    """A variant's lhs arguments as a checked `diskpoly._DiskArgs` bundle, kept across tests."""
+    return diskpoly._DiskArgs(*addition_arguments(variant))
+
+
+def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
+    """(lhs, rhs) of the addition formula as tensor elements: the published
+    arguments and coupling constants, each (r, s) piece times its constant."""
+    g = xy_generators()
+    lhs = disk_poly_termwise(l, m, alpha, *addition_arguments(variant))
     rhs = ZElement.zero(RANKS)
     qp = g.Q - g.X2 * g.X2s  # Q', the central element of the inner disk pair (X1, X1*)
     for r in range(l + 1):

@@ -580,9 +580,9 @@ def no_work(*args, **kwargs):
 
 
 # where the work of each subcommand starts: the level-chain table of the disk
-# polynomials, the addition formula's argument bundles and scalars, a suite's
+# polynomials, the addition formula's lhs powers and scalars, a suite's
 # cases and its process pool
-WORK = ("qdisk.diskpoly._chain", "qdisk.tensor._chain", "qdisk.tensor._args",
+WORK = ("qdisk.diskpoly._chain", "qdisk.tensor._chain", "qdisk.tensor._lhs_power",
         "qdisk.tensor._rhs_pieces", "qdisk.cli._run_case", "qdisk.cli.ProcessPoolExecutor")
 
 

@@ -3,7 +3,8 @@ from functools import cache
 
 import pytest
 
-from oracle import chain_product, disk_poly_termwise, horner_stepwise, pairwise_mul
+from oracle import (addition_bundle, chain_product, disk_poly_termwise, horner_stepwise, pairwise_mul,
+                    xy_generators)
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
@@ -247,9 +248,11 @@ ADDITION_SPECS = ([DiskSpec(l, m, alpha) for alpha in range(1, 5) for l in range
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_horner_equals_the_stepwise_horner_on_the_addition_bundles(variant):
-    args = tensor._args(variant)
+    # the bundle of the published arguments, and the shift-built lhs against it
+    args = addition_bundle(variant)
     for spec in ADDITION_SPECS:
         assert args.scaled(spec) == horner_stepwise(args, spec), spec
+        assert tensor.scaled_lhs(*spec, variant)[1] == args.scaled(spec), spec
     # the benchmark cases take the packed sum
     for spec in ADDITION_SPECS[-3:]:
         assert args._packed_horner(jacobi_scaled(spec)[1]) is not None, spec
@@ -318,9 +321,11 @@ def _widths(monkeypatch, module) -> list:
 
 
 def test_final_lhs_of_the_benchmark_case_packs_at_32_bits(monkeypatch):
-    # its coefficients are bounded key by key; the mass of each E_k, all keys at once, asked 64 bits
+    # its coefficients are bounded key by key; the mass of each E_k, all keys at once, asked 64 bits.
+    # The shift-built E_k are read back at their own widths, in `tensor`
     chosen = _widths(monkeypatch, diskpoly)
-    tensor._args("final").scaled(DiskSpec(6, 6, 2))
+    tensor._lhs_power.cache_clear()
+    tensor.scaled_lhs(6, 6, 2)
     assert chosen == [32] and verify_addition(6, 6, 2).passed
 
 
@@ -383,11 +388,11 @@ def test_moves_are_the_product_with_q_n(n):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_tensor_moves_are_the_product_with_q3_q2(variant):
     # on every key the (4, 4) lhs reaches: those of H_k for k <= 4
-    args, g = tensor._args(variant), tensor.xy_generators()
+    args, g = addition_bundle(variant), xy_generators()
     c = tensor.pair(g.Q, g.D)
     assert args.C == c
     keys = {key for alpha in (1, 2) for mm in range(5)
-            for key in args.scaled(DiskSpec(mm, mm, alpha)).terms}
+            for key in tensor.scaled_lhs(mm, mm, alpha, variant)[1].terms}
     for key in keys:
         assert _moved(args, key) == ZElement._of(tensor.RANKS, {key: ONE}) * c, key
 
@@ -395,7 +400,7 @@ def test_tensor_moves_are_the_product_with_q3_q2(variant):
 def test_warm_horner_sums_build_no_structure_row():
     # once D's powers are formed, a Horner sum reads and stores no product row
     for args, spec in ((_rank_bundle(3), DiskSpec(5, 5, 1)),
-                       (tensor._args("final"), DiskSpec(5, 5, 2))):
+                       (addition_bundle("final"), DiskSpec(5, 5, 2))):
         for k in range(6):
             args.power("D", k)
         sizes = len(_MONO_CACHE), len(_WZ_CACHE)
@@ -433,7 +438,7 @@ def test_folded_sum_equals_the_unfolded_route_on_the_rank_bundles(n):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_folded_sum_equals_the_unfolded_route_on_the_addition_bundles(variant):
-    args = tensor._args(variant)
+    args = addition_bundle(variant)
     for l, m in FOLD_DEGREES:
         spec = DiskSpec(l, m, 1 + (l + m) % 2)
         assert args.scaled(spec) == _unfolded(args, spec), spec
@@ -453,7 +458,7 @@ def test_warm_folded_sums_make_no_element_product(monkeypatch):
     # once its E_k are formed, a sum with l != m makes no product at all, by an
     # element or a scalar: the packed sum serves mm = 0 too
     specs = [DiskSpec(5, 2, 1), DiskSpec(2, 5, 1), DiskSpec(4, 1, 2), DiskSpec(3, 0, 1), DiskSpec(0, 4, 2)]
-    bundles = (_rank_bundle(3), tensor._args("final"), tensor._args("precursor"))
+    bundles = (_rank_bundle(3), addition_bundle("final"), addition_bundle("precursor"))
     for args in bundles:
         for spec in specs:
             args.scaled(spec)

@@ -57,7 +57,7 @@ def test_hostile_calls_raise_value_error_within_a_millisecond(monkeypatch):
     # call that passed its gate would raise AssertionError, not ValueError; the
     # patches fail at once on a tree without the gates, so no hostile rank runs
     for module, name in ((zalgebra, "_exponents"), (diskpoly, "_chain"), (tensor, "_chain"),
-                         (tensor, "_args"), (tensor, "_rhs_pieces")):
+                         (tensor, "_lhs_power"), (tensor, "_rhs_pieces")):
         monkeypatch.setattr(module, name, refuse)
     slow = {}
     for name, call in HOSTILE.items():

@@ -1,6 +1,7 @@
 """Tests for the tensor-product realization and the addition formula."""
 
 import copy
+import importlib
 import json
 import operator
 import pickle
@@ -9,12 +10,13 @@ from itertools import product
 
 import pytest
 
-from oracle import addition_sides_termwise, pair_termwise, rhs_per_piece
-from qdisk import cli, diskpoly, qfield, tensor
+from oracle import (addition_arguments, addition_sides_termwise, pair_termwise, pairwise_mul, rhs_per_piece,
+                    xy_generators)
+from qdisk import cli, diskpoly, qfield, tensor, zalgebra
 from qdisk.diskpoly import DiskSpec, disk_poly
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
-from qdisk.qfield import _is_qpow, solve_linear
+from qdisk.qfield import _is_qpow, _width, peak, solve_linear
 from qdisk.tensor import (
     LEFT_RANK,
     VARIANTS,
@@ -26,7 +28,6 @@ from qdisk.tensor import (
     scaled_lhs,
     scaled_rhs,
     verify_addition,
-    xy_generators,
 )
 from qdisk.uqaction import act_e, act_f, act_qh, is_invariant
 from qdisk.zalgebra import (_MONO_CACHE, _PULL_CACHE, _WZ_CACHE, ZElement, bidegree, counit, embed,
@@ -320,7 +321,7 @@ def test_inner_factor_is_the_embedded_circle_factor():
 
 
 def _clear_tables():
-    for table in (tensor._args, tensor._coupling, tensor._rhs_pieces, diskpoly._chain):
+    for table in (tensor._lhs_power, tensor._coupling, tensor._rhs_pieces, diskpoly._chain):
         table.cache_clear()
 
 
@@ -350,25 +351,82 @@ def test_suite_verdicts_do_not_depend_on_the_case_order():
     assert all(v["pass"] for v in forward)
 
 
-def test_lhs_arguments_are_checked_once_per_variant(monkeypatch):
-    # the commutation check multiplies C = Q (x) D on the left of A and of B;
-    # nothing else in a verification does
-    g = xy_generators()
-    c = pair(g.Q, g.D)
-    times, lefts = ZElement.__mul__, []
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lhs_arguments_satisfy_the_pair_relations(variant):
+    # the shift-built lhs rests on these and checks none of them: C = Q (x) D commutes with A
+    # and B, and D = C - A B q-commutes with them, D A = q^2 A D and D B = q^-2 B D
+    A, B, C = addition_arguments(variant)
+    D = C - pairwise_mul(A, B)
+    assert pairwise_mul(C, A) == pairwise_mul(A, C) and pairwise_mul(C, B) == pairwise_mul(B, C)
+    assert pairwise_mul(D, A) == pairwise_mul(A, D) * Q2
+    assert pairwise_mul(D, B) == pairwise_mul(B, D) * QRat.q_power(-2)
 
-    def counting(self, other):
-        if isinstance(other, ZElement) and self.rank == c.rank and self.terms == c.terms:
-            lefts.append(other)
-        return times(self, other)
 
-    tensor._args.cache_clear()
-    monkeypatch.setattr(ZElement, "__mul__", counting)
-    assert verify_addition(2, 1, 1).passed and verify_addition(1, 2, 2).passed
-    assert len(lefts) == 2
-    assert verify_addition(2, 2, 1, "precursor").passed
-    assert verify_addition(1, 1, 1, "precursor").passed
-    assert len(lefts) == 4
+def _clear_every_table():
+    """Empty every `lru_cache` table and memo table of the library."""
+    for name in ("qfield", "qfunc", "zalgebra", "haar", "diskpoly", "tensor", "uqaction", "cli"):
+        for value in vars(importlib.import_module(f"qdisk.{name}")).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+            elif isinstance(value, zalgebra._Memo):
+                value.clear()
+
+
+def test_cold_verdicts_make_no_element_product(monkeypatch):
+    # from empty tables, a verdict builds its lhs powers by key shifts and central moves: no
+    # element product, by an element or a scalar, and no structure row
+    products, mul, product_ = [], ZElement.__mul__, zalgebra._product
+    monkeypatch.setattr(ZElement, "__mul__", lambda self, other: products.append(other) or mul(self, other))
+    monkeypatch.setattr(zalgebra, "_product", lambda *args: products.append(args) or product_(*args))
+    for case in ((6, 6, 2), (5, 3, 3), (2, 6, 1)):
+        for variant in VARIANTS:
+            _clear_every_table()
+            assert verify_addition(*case, variant).passed
+            assert products == [] and (len(_PULL_CACHE), len(_WZ_CACHE), len(_MONO_CACHE)) == (0, 0, 0)
+
+
+def _element_powers(variant: str, top: int) -> dict:
+    """{(j, k): A^j D^k for j >= 0, D^k B^-j for j < 0} by element products, |j|, k <= top."""
+    A, B, C = addition_arguments(variant)
+    D, one = C - pairwise_mul(A, B), ZElement.one(tensor.RANKS)
+    a, b, d = [one], [one], [one]
+    for _ in range(top):
+        a, b, d = a + [pairwise_mul(a[-1], A)], b + [pairwise_mul(b[-1], B)], d + [pairwise_mul(d[-1], D)]
+    return {(j, k): pairwise_mul(a[j], d[k]) if j >= 0 else pairwise_mul(d[k], b[-j])
+            for j in range(-top, top + 1) for k in range(top + 1)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shift_built_powers_equal_the_element_products(variant):
+    tensor._lhs_power.cache_clear()
+    for (j, k), want in _element_powers(variant, 4).items():
+        assert tensor._lhs_power(variant, j, k).terms == want.terms, (j, k)
+
+
+@pytest.mark.parametrize("variant,j,widths", [
+    ("final", 0, [8, 8, 8, 16, 16, 16]),
+    ("final", -3, [8, 8, 8, 8, 8, 16]),
+    ("precursor", 3, [8, 8, 8, 8, 8, 16]),
+    ("precursor", 0, [8, 8, 8, 16, 16, 16]),
+])
+def test_shift_built_powers_read_back_at_their_bound(monkeypatch, variant, j, widths):
+    # each power is read back once, at the width of its per-key bound: |A^j| <= 2 |A^(j-1)| (or B),
+    # and |E_k| <= 10 |E_(k-1)|, as a key is reached from at most 6 keys by C = Q_3 (x) Q_2 and
+    # from at most 4 by A (.) B, each a shift times +-q^e; so |E_k| <= 10^k 2^|j|
+    chosen, unpacked = [], tensor._unpacked
+    monkeypatch.setattr(tensor, "_unpacked", lambda acc, s, k: chosen.append(s) or unpacked(acc, s, k))
+    tensor._lhs_power.cache_clear()
+    top = 6 if j == 0 else 3
+    tensor._lhs_power(variant, j, top)
+    steps = [(i, 0) for i in range(1, abs(j) + 1)] + [(abs(j), k) for k in range(1, top + 1)]
+    assert chosen == widths and len(widths) == len(steps)
+    sign = 1 if j >= 0 else -1
+    for (i, k), s in zip(steps, widths):
+        got = peak(tensor._lhs_power(variant, sign * i, k).terms.values())
+        source = peak(tensor._lhs_power(variant, sign * (i - (not k)), max(k - 1, 0)).terms.values())
+        fan = 10 if k else 2
+        assert s == _width((fan * source).bit_length() + 1) and got <= fan * source, (i, k)
+        assert got <= 10 ** k * 2 ** i
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -490,7 +548,7 @@ def test_cold_suite_grid_makes_each_left_piece_once(monkeypatch):
     # variants.  Cold, its rhs builds each as one two-level chain entry, from key shifts
     # and central moves, with the one-level entries of its rank-2 factors: no product at
     # all, by an element or a scalar, and no structure row.  The whole grid, lhs included
-    # (which multiplies in the tensor bundles), then makes no rank-3 product
+    # (its powers are key shifts and central moves too), then makes no product at all
     cases = [(l, m, alpha, variant) for alpha in range(1, 5) for l in range(4)
              for m in range(4) for variant in VARIANTS]
     plans = [tensor._rhs_pieces(*case)[0] for case in cases]
@@ -507,7 +565,7 @@ def test_cold_suite_grid_makes_each_left_piece_once(monkeypatch):
     assert diskpoly._chain.cache_info().currsize == len(pieces) + len(levels)
     _clear_tables()
     assert all(cli._run_case(case)["pass"] for case in cases)
-    assert made and not any(rank == LEFT_RANK and by_element for rank, by_element in made)
+    assert made == []
 
 
 # the 128-case `qdisk suite` grid, and the benchmark's addition cases in both variants
@@ -662,7 +720,7 @@ def test_cold_verification_computes_no_scalar_gcd(monkeypatch):
     for name in ("_gcd_cofactors", "poly_gcd"):
         monkeypatch.setattr(qfield, name, lambda *args, f=getattr(qfield, name): calls.append(args) or f(*args))
     for case in ((3, 2, 1, "final"), (2, 3, 2, "precursor")):
-        for table in (tensor._args, diskpoly._chain, tensor._rhs_pieces,
+        for table in (tensor._lhs_power, diskpoly._chain, tensor._rhs_pieces,
                       tensor._coupling, diskpoly._jacobi, haar._norm, qfield._qpoch, qfield._divisors,
                       qfield._mobius):
             table.cache_clear()
