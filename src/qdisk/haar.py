@@ -14,20 +14,21 @@ The sesquilinear pairing is <a, b> = h(b* a).
 Packed sums.  `haar` (c N_lam) and `inner` (nb na P) sum products of factors
 n / (q^k d), d(0) != 0.  `_packed_sum` packs each distinct factor once, the
 memoized N_lam and P once per slot width s (`_packed`), as n(2^s) 2^(s (K_j -
-k)), K_j the largest k in its column j, and adds the products' integers per
-group keyed by t and the d's other than 1: F(2^s) for F = sum prod_j n_j
-q^(K_j - k_j), the group sum times q^(K_1 + ... + K_r), is read back and
-divided once, by the d's and (q^2; q^2)_{t + n - 1}.  Width: |f g| <= |f| |g|
-for |f| the sum of f's absolute coefficients, so F's coefficients are at most
-B, the sum of prod_j |n_j| over the products, and s > B.bit_length() makes F
-its value's symmetric base-2^s digits.  The pair value P of (z^l1 w^m1)(z^l2
-w^m2) sums x N_lam over the diagonal terms x z^lam w^lam of the product
-(`zalgebra._product_terms`; no product row is stored), x = n / q^k.  It is a
-packed sum of its own, with B = sum |x| |N_lam|: each x is applied to
-N_lam(2^s) as shifts (`zalgebra._shift_sum`), read back once, with no groups
-and no division.  Normal ordering keeps the torus weight lam - mu of a
-monomial, so `inner` pairs only terms whose weights cancel.  No size cutoff
-pays (CHANGES.md).
+k)), K_j the largest k in its column j.  Items are summed per first-column
+index (nb in `inner`), t and d's, and each partial is multiplied by its first
+factor once, so an item costs one product; the products add per group keyed by
+t and the d's to F(2^s), F = sum prod_j n_j q^(K_j - k_j).  Width: |f g| <= |f|
+|g| for |f| the sum of f's absolute coefficients, so F's coefficients are at
+most B, the sum of prod_j |n_j| over the products, and s > B.bit_length() makes
+F its value's symmetric base-2^s digits; only groups are read back, so B covers
+every read-back.  Each sum is reduced once: the Fs, read back and times their
+cofactors, add over q^(K_1 + ... + K_r) M (q^2; q^2)_{T + n - 1}, T the largest
+t and M each d as often as one group has it (no gcd finds it), as a packed sum
+of their own, and one gcd reduces the quotient.  P, of (z^l1 w^m1)(z^l2 w^m2),
+sums x N_lam, x = n / q^k, over the diagonal terms x z^lam w^lam of the product
+(`zalgebra._product_terms`), with B = sum |x| |N_lam|, as shifts of N_lam(2^s)
+(`zalgebra._shift_sum`).  Normal ordering keeps the weight lam - mu, so `inner`
+pairs only terms whose weights cancel.  No size cutoff pays (CHANGES.md).
 
 Symmetries.  h is real on *-images, h(x*) = h(x), and a twisted trace, the
 modular property of the Haar state (S. L. Woronowicz, Comm. Math. Phys. 111,
@@ -39,23 +40,20 @@ z^lam2 has the least degree (ties: the least keys) is summed; the rest scale it.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from collections import Counter
+from functools import lru_cache, partial, reduce
 from math import prod
 
 from .diskpoly import DiskSpec
-from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _q_power, _qpoch, _width
+from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _q_power, _qpoch, _width, poly_mul
 from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _shift_sum, _z_rank
 
 
 @lru_cache(maxsize=None)
 def _haar_num(lam: tuple, n: int) -> QRat:
     """N_lam, the polynomial numerator of h(z^lam w^lam), memoized."""
-    t = sum(lam)
-    e = t * t + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
-    value = _q_power(e) * _qpoch(2, 2, n - 1)
-    for li in lam:
-        value = value * _qpoch(2, 2, li)
-    return value
+    e = sum(lam) ** 2 + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
+    return prod([_qpoch(2, 2, li) for li in lam], start=_q_power(e) * _qpoch(2, 2, n - 1))
 
 
 def haar_monomial(lam, mu, n: int) -> QRat:
@@ -85,17 +83,21 @@ def _packed_sum(cols: list, items: list, rank: int) -> QRat:
         return ZERO
     s = _width(sum(prod([c[i][2] for c, i in zip(cols, idx)]) for _, *idx in items).bit_length() + 1)
     ks = [max(f[1] for f in col) for col in cols]
-    packed = [[(d, pack(s) << s * (top - k)) for d, k, _, pack in col] for col, top in zip(cols, ks)]
-    groups: dict = {}
-    for t, *idx in items:
-        fs = [p[i] for p, i in zip(packed, idx)]
-        key = (t, *sorted(d for d, _ in fs if d != (1,)))
-        groups[key] = groups.get(key, 0) + prod([v for _, v in fs])
-    total = ZERO
-    for (t, *ds), v in groups.items():
-        den = prod(map(QRat, ds), start=_qpoch(2, 2, t + rank - 1))
-        total = total + _laurent(_from_digits(v, s), sum(ks)) / den
-    return total
+    head, *tail = [[(d, pack(s) << s * (top - k)) for d, k, _, pack in col] for col, top in zip(cols, ks)]
+    parts, groups = Counter(), Counter()
+    for t, i, *idx in items:
+        fs = [p[j] for p, j in zip(tail, idx)]
+        parts[(i, t, *(d for d, _ in fs))] += prod([v for _, v in fs])
+    for (i, t, *ds), v in parts.items():
+        groups[t, tuple(sorted([head[i][0], *ds]))] += head[i][1] * v
+    # one denominator q^K M (q^2; q^2)_{T + rank - 1}: each group's F times its cofactor
+    hi, most = max(t for t, _ in groups), reduce(Counter.__or__, [Counter(ds) for _, ds in groups])
+    reads = [(_from_digits(v, s), reduce(poly_mul, (most - Counter(ds)).elements(),
+                                         _qpoch(2 * (t + rank), 2, hi - t).num))
+             for (t, ds), v in groups.items()]
+    w = _width(sum(sum(map(abs, f)) * sum(map(abs, c)) for f, c in reads).bit_length() + 1)
+    num = _from_digits(sum(_eval_shift(f, w) * _eval_shift(c, w) for f, c in reads), w)
+    return QRat(num, (0,) * sum(ks) + reduce(poly_mul, most.elements(), _qpoch(2, 2, hi + rank - 1).num))
 
 
 def haar(a: ZElement) -> QRat:
@@ -118,12 +120,10 @@ def _pair_row(rank: int, key1, key2) -> tuple:
     if any(a - b + c - d for a, b, c, d in zip(l1, m1, l2, m2)):
         return t, ZERO, None
     # the orbit as (f, k1, k2), P(key1, key2) = q^f P(k1, k2), e = tau(key2) = tau(key1*)
-    orbit = [(0, key1, key2), (0, key2[::-1], key1[::-1]), (e, key2, key1),
-             (e, key1[::-1], key2[::-1])]
+    orbit = [(0, key1, key2), (0, key2[::-1], key1[::-1]), (e, key2, key1), (e, key1[::-1], key2[::-1])]
     f, k1, k2 = min(orbit, key=lambda o: (sum(o[1][1]) + sum(o[2][0]), o[1:]))
     if (k1, k2) == (key1, key2):
-        # the terms (N_lam factor, n, k) of the product, from the row of w^m1 z^l2, all
-        # diagonal (the weights cancel, and normal ordering keeps the weight)
+        # the product's terms (N_lam factor, n, k), from the row of w^m1 z^l2: all diagonal
         terms = _product_terms(_WZ_CACHE[rank, m1, l2], key1, key2)
         diag = [(_haar_factor(lam, rank), n, k) for lam, _, n, k in terms]
         s = _width(sum(sum(map(abs, n)) * h[2] for h, n, _ in diag).bit_length() + 1)
@@ -132,7 +132,7 @@ def _pair_row(rank: int, key1, key2) -> tuple:
             v = _shift_sum(v, h[3](s), [(x, s * (top - k + i)) for i, x in enumerate(n) if x])
         p = _laurent(_from_digits(v, s), top)
     else:
-        p = _PAIR_HAAR_CACHE[rank, k1, k2][1] * _q_power(f)
+        p = _laurent((r := _PAIR_HAAR_CACHE[rank, k1, k2][1]).num, len(r.den) - 1 - f)
     return t, p, _factor(p, _packed) if p else None
 
 

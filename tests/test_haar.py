@@ -1,6 +1,8 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,6 +13,7 @@ from oracle import haar_termwise, inner_via_product, pair_haar_termwise
 from reference import MultiQPoly, haar_monomial_alt, multi_jackson
 from qdisk.cli import main, parse_element
 import qdisk.haar as haar_module
+import qdisk.qfield as qfield
 import qdisk.tensor as tensor
 from qdisk.diskpoly import DiskSpec, disk_poly, spherical
 from qdisk.haar import (
@@ -524,3 +527,111 @@ def test_cli_sums_with_scalar_divisors_print_the_oracle_value(capsys, n, lhs, rh
     assert capsys.readouterr().out.strip() == str(haar_termwise(x))
     assert main(["inner", "--n", str(n), "--lhs", lhs, "--rhs", rhs]) == 0
     assert capsys.readouterr().out.strip() == str(inner_via_product(x, y))
+
+
+# ----------------------------------------------------------------------
+# one product per item, one reduction per sum
+
+
+# denominators that share factors, and one that is not cyclotomic
+SHARED = [ONE - qp(2), ONE - qp(4), qp(2) * (ONE - qp(3)), QRat((1, 2))]
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """Two elements with coefficients over products of up to two of SHARED: the groups
+    of one sum hold different d's with common factors, and meet over one denominator."""
+    rank = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 2)] * rank)
+    num = st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any).map(lambda cs: QRat(tuple(cs)))
+    den = st.lists(st.sampled_from(SHARED), max_size=2).map(lambda ds: prod(ds, start=ONE))
+    terms = st.dictionaries(st.tuples(expo, expo), st.builds(operator.truediv, num, den),
+                            min_size=1, max_size=5)
+    return ZElement(rank, draw(terms)), ZElement(rank, draw(terms))
+
+
+@given(shared_denominator_pairs())
+@settings(max_examples=40, deadline=None)
+def test_shared_denominators_match_the_oracle(pair):
+    a, b = pair
+    assert haar(a) == haar_termwise(a)
+    assert inner(a, b) == inner_via_product(a, b)
+
+
+def test_groups_with_shared_factors_meet_in_one_sum():
+    # every pair of the elements below sums groups over 1 - q^2, 1 - q^4, q^2 (1 - q^3),
+    # 1 + 2q and their products, at several z-degrees
+    n = 2
+    z1, w1, z2, w2 = z_gen(1, n), w_gen(1, n), z_gen(2, n), w_gen(2, n)
+    d1, d2, d3, d4 = SHARED
+    a = (z1 * w1 * (ONE / d1) + z2 * w2 * (qp(1) / d2) + w1 * z1 * z2 * w2 * (ONE / (d1 * d4))
+         + ZElement.one(n) * (ONE / d3) + z1 * w2 * (ONE / d4))
+    b = (z2 * w2 * (ONE / (d2 * d3)) + w1 * z1 * (qp(-1) / d4) + ZElement.one(n) * (ONE / d1)
+         + z2 * w1 * (ONE / d2))
+    for x in (a, b):
+        assert haar(x) == haar_termwise(x)
+    for x, y in itertools.product((a, b), repeat=2):
+        assert inner(x, y) == inner_via_product(x, y)
+
+
+def test_a_sum_whose_denominator_cancels_is_a_polynomial():
+    # h(z_1 w_1) = 1/(1 + q^2) and h(z_2 w_2) = q^2/(1 + q^2), so c3 makes h(a) = 1 for
+    # any c1 and c2: three groups over 1 - q^2, (1 - q^4)(1 + 2q) and c3's denominator,
+    # at z-degrees 1 and 0, whose sum reduces to the integer polynomials 1 and 1 + q
+    n = 2
+    c1, c2 = ONE / (ONE - qp(2)), ONE / ((ONE - qp(4)) * QRat((1, 2)))
+    c3 = ONE - (c1 + c2 * qp(2)) / (ONE + qp(2))
+    assert c3.den != (1,)
+    a = z_gen(1, n) * w_gen(1, n) * c1 + z_gen(2, n) * w_gen(2, n) * c2 + ZElement.one(n) * c3
+    b = ZElement.one(n) * QRat((1, 1))
+    assert haar(a) == haar_termwise(a) == ONE
+    got = inner(a, b)
+    assert (got.num, got.den) == ((1, 1), (1,)) and got == inner_via_product(a, b)
+    assert inner(b, a) == got
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_one_b_term_at_the_width_bound_reads_back(sign, bits):
+    # the items of one b term are summed before they meet its factor, and all land on
+    # q^0 with one sign: c e^2 + c = 2^bits - 1 is the whole bound, one bit over the slot
+    # of the next narrower width
+    c, e = 2 ** (bits // 2) - 1, 2 ** (bits // 4)
+    bs = [QRat((sign * c,), (0, 1))]                # c / q
+    xs = [QRat((0, e)), QRat((0, 0, 1))]            # e q and q^2
+    ps = [QRat((e,)), QRat((1,), (0, 1))]           # e and 1 / q
+    cols = [list(map(_factor, bs)), list(map(_factor, xs)), list(map(_factor, ps))]
+    assert _packed_sum(cols, [(0, 0, 0, 0), (0, 0, 1, 1)], 1) == sign * (2 ** bits - 1)
+
+
+def test_a_warm_inner_reduces_its_sum_once(monkeypatch):
+    # inner(s, s) at (5, 5) adds ten groups over one denominator: one gcd, on the summed
+    # numerator, and no division or addition per group
+    s = spherical(5, 5, 3)
+    assert inner(s, s) == norm_const(5, 5, 1)
+    calls = []
+    gcd = qfield._gcd_cofactors
+    monkeypatch.setattr(qfield, "_gcd_cofactors", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    assert inner(s, s) == norm_const(5, 5, 1)
+    assert len(calls) == 1
+
+
+def test_orbit_members_move_the_q_exponent(monkeypatch):
+    # a pair value derived from its orbit's representative is the representative's
+    # numerator at another power of q: with warm rows, the pair values of the norms
+    # make no product in Q(q), and each one is still the oracle's
+    for l, m in itertools.product(range(4), repeat=2):
+        s = spherical(l, m, 3)
+        assert inner(s, s) == norm_const(l, m, 1)
+    keys = list(_PAIR_HAAR_CACHE)
+
+    def refuse(x, y):
+        raise AssertionError(f"a product {x!r} * {y!r}")
+
+    monkeypatch.setattr(QRat, "__mul__", refuse)
+    monkeypatch.setattr(QRat, "__rmul__", refuse)
+    values = {key: haar_module._pair_row(*key) for key in keys}
+    monkeypatch.undo()
+    assert len(values) > 100
+    for key, (t, p, _) in values.items():
+        assert (t, p) == pair_haar_termwise(*key), key
