@@ -17,10 +17,11 @@ z^lam w^mu Q_n = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 move
 the t's added.  With Laurent coefficients `_packed_sum` keeps H packed (`zalgebra`) at one slot
 width s: a step adds each term, shifted by s (big - t), onto its moves (big the largest t_1),
 then each product L coef_k E_k, multiplied at the operands' own powers of q and shifted after
-(`qfield.pack_laurent`), and H is read back once.  A key of H_(k-1) C takes at most |C| = n or
-n1 n2 moves of mass 1, so with |x| the largest sum of absolute integer coefficients of one
-coefficient of x, |H_k| <= |C| |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` and
-`disk_poly` take it with no size cutoff; the `QRat` Horner serves other C and non-Laurent E_k.
+(`qfield.pack_laurent`), and H is read back once, or, for the addition verdict of `tensor`, handed
+over packed.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the
+largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C| |H_(k-1)| +
+|E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` and `disk_poly` take it with no size cutoff; the
+`QRat` Horner serves other C and non-Laurent E_k.
 
 The spherical and associated elements and the rhs factors of `tensor` are products down Z_n >
 Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i); `_chain` builds and keeps each with
@@ -42,7 +43,7 @@ from math import comb
 
 from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent, peak
 from .qfunc import _jacobi_coeffs
-from .zalgebra import ZElement, _check_rank, _element, _exponents, _Memo, _unpacked, q_element
+from .zalgebra import ZElement, _check_rank, _element, _Memo, _unpacked, q_element
 
 # Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted cases
 # found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 2.0-2.6 s and 60 MB, and 0.28-0.44
@@ -113,9 +114,9 @@ def _times_q(acc: dict, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
     return out, kh + big
 
 
-def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> dict:
-    """The terms of H = sum_k coef_k C^(mm-k) E_k, packed (module docstring): times_c moves a key onto
-    fan keys, |E_k| <= peaks[k], and terms(s) yields E_k's (K, values, offsets) (`pack_laurent`) and keys."""
+def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> tuple:
+    """H = sum_k coef_k C^(mm-k) E_k packed (module docstring), ({key: F(2^s)}, s, kh) for its terms F/q^kh:
+    times_c moves a key onto fan keys, |E_k| <= peaks[k], and terms(s) yields E_k's `pack_laurent`, keys."""
     bound = 0
     for coef, p in zip(coefs, peaks):
         bound = bound * fan + p * mass([coef])
@@ -128,14 +129,14 @@ def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> dict:
             acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
         for key, y, oy in zip(keys, pd, od):  # x y over q^(kx + kd), shifted by its offsets
             acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd + ox + oy)))
-    return _unpacked(acc, s, kh)
+    return acc, s, kh
 
 
-def _packed_sum(coefs: tuple, es: list, fan: int, moves) -> dict:
-    """`_horner_sum` over the E_k of es, {key: Laurent coefficient} each, packed as they stand, with C
+def _packed_sum(coefs: tuple, es: list, fan: int, moves) -> tuple:
+    """`_horner_sum` over the E_k of es, elements with Laurent coefficients, packed as they stand, with C
     by its moves onto fan keys (`_times_q`)."""
-    return _horner_sum(coefs, [peak(x.values()) for x in es], fan, lambda s: (
-        (*pack_laurent(list(x.values()), s), x) for x in es), partial(_times_q, moves=moves))
+    return _horner_sum(coefs, [x._peak for x in es], fan, lambda s: (
+        (*pack_laurent(list(x.terms.values()), s), x.terms) for x in es), partial(_times_q, moves=moves))
 
 
 class _DiskArgs:
@@ -173,7 +174,7 @@ class _DiskArgs:
         if self.moves is None or not all(  # each L coef_k is a polynomial
                 _is_qpow(c.den) for x in es for c in x.terms.values()):
             return None
-        return self.C._like(_packed_sum(coefs, [x.terms for x in es], len(self.C.terms), self.moves))
+        return self.C._like(_unpacked(*_packed_sum(coefs, es, len(self.C.terms), self.moves)))
 
     def scaled(self, spec: DiskSpec):
         """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
@@ -199,18 +200,18 @@ def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> ZElement:
     """The product in Z_n (n >= 2), level n on the left, of L R_spec(z_i, w_i, Q_i) over the specs for
     i = n, n - 1, ..., each L the lcm of its spec's Jacobi denominators: one packed Horner sum on I,
     the chain of the rest (1 for none), over key shifts of J_k = Q_(n-1)^k I (module docstring)."""
-    low = _chain(n - 1, *rest).terms if rest else {(_exponents(n - 1),) * 2: ONE}
+    low = _chain(n - 1, *rest) if rest else ZElement.one(n - 1)
     j, coefs = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
     deg, (zn, wn) = sum(x.l for x in rest), ((j,), (0,)) if j >= 0 else ((0,), (-j,))
 
     def terms(s):  # E_k I = J_k q^(-j deg - |j| k) shifted, J_k aligned over q^kj
-        kj, packed, offsets = pack_laurent(list(low.values()), s)
-        acc = {key: x << s * o for key, x, o in zip(low, packed, offsets)}
+        kj, packed, offsets = pack_laurent(list(low.terms.values()), s)
+        acc = {key: x << s * o for key, x, o in zip(low.terms, packed, offsets)}
         for k in range(len(coefs)):
             acc, kj = _times_q(acc, s, kj) if k else (acc, kj)
             yield kj + j * deg + abs(j) * k, acc.values(), repeat(0), ((lam + zn, mu + wn) for lam, mu in acc)
-    peaks = [(n - 1) ** k * peak(low.values()) for k in range(len(coefs))]
-    return ZElement._of(n, _horner_sum(coefs, peaks, n, terms, _times_q))
+    peaks = [(n - 1) ** k * low._peak for k in range(len(coefs))]
+    return ZElement._of(n, h := _unpacked(*_horner_sum(coefs, peaks, n, terms, _times_q)), peak(h.values()))
 
 
 def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:

@@ -81,7 +81,8 @@ def _packed_sum(cols: list, items: list, rank: int) -> QRat:
     (`_factor`s), each divided by (q^2; q^2)_{t + rank - 1}."""
     if not items:
         return ZERO
-    s = _width(sum(prod([c[i][2] for c, i in zip(cols, idx)]) for _, *idx in items).bit_length() + 1)
+    masses = zip(*(map([f[2] for f in c].__getitem__, ix) for c, ix in zip(cols, [*zip(*items)][1:])))
+    s = _width(sum(map(prod, masses)).bit_length() + 1)  # per item, the product of its factors' masses
     ks = [max(f[1] for f in col) for col in cols]
     head, *tail = [[(d, pack(s) << s * (top - k)) for d, k, _, pack in col] for col, top in zip(cols, ks)]
     parts, groups = Counter(), Counter()

@@ -31,12 +31,13 @@ tensors w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-lev
 entry, right = Y_rs z_1^a w_1^b is `_circle_shift` of the one-level one, and w is V times a scalar
 whose denominator divides V.  Each side is packed in one `pack_laurent` call at one slot width s,
 and each output coefficient, at most sum_rs |left| |right| |w| < 2^(s-1), is read back once by
-`scaled_rhs`, never by `verify_addition`.
+`scaled_rhs`.  A passing `verify_addition` reads back neither side: the lhs reaches it packed, as
+its Horner sum leaves it (`_packed_lhs`), and its pair sum starts from that (`_pair_sum`).
 
 Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's
 E_k, keyed by (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs
-scalars, in tuples) and `_chain`, whose entries every case and variant that has them shares.
-Callers never receive a cached element.
+scalars, in tuples) and `_chain`, whose entries every case and variant that has them shares.  An
+E_k or chain entry keeps its `ZElement._peak` from when it is built.  Callers never receive one.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from functools import lru_cache
 
 from .diskpoly import DiskSpec, _chain, _jacobi, _packed_sum, _pair_moves
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _laurent, _width, mass, pack_laurent,
-                     peak, poly_valuation)
+from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _from_digits, _laurent, _width, mass,
+                     pack_laurent, peak, poly_valuation)
 from .zalgebra import ZElement, _unpacked, _z_rank
 
 LEFT_RANK = 3
@@ -57,20 +58,23 @@ RANKS = (LEFT_RANK, RIGHT_RANK)
 TensorElement = ZElement  # tensor elements are ZElements of rank RANKS; the former class name stays
 
 
-def _pair_sum(sides, less: dict | None = None, d1: tuple = (1,)) -> dict:
-    """Nonzero terms of sum_i w_i left_i (x) right_i - d1 less over the sides (left_i, right_i, w_i),
-    left_i and right_i of ranks LEFT_RANK and RIGHT_RANK, less {key: coefficient} (none by
-    default) and d1 a polynomial, all Laurent (module docstring)."""
-    less, weights = less or {}, [w for _, _, w in sides]
+def _pair_sum(sides, packed: tuple = ({}, 8, 0), d1: tuple = (1,)) -> dict:
+    """Nonzero terms of sum_i w_i left_i (x) right_i - d1 a over the sides (left_i, right_i, w_i),
+    left_i and right_i of ranks LEFT_RANK and RIGHT_RANK, and d1 a polynomial, all Laurent, with a
+    packed = ({key: F(2^sa)}, sa, ka) for its terms F/q^ka (`diskpoly._horner_sum`; none by default)."""
+    (values, sa, ka), weights = packed, [w for _, _, w in sides]
     lefts, rights = ([c for side in sides for c in side[i].terms.values()] for i in (0, 1))
-    bound = sum(peak(x.terms.values()) * peak(y.terms.values()) * mass([w]) for x, y, w in sides)
-    s = _width((bound + peak(less.values()) * sum(map(abs, d1))).bit_length() + 1)
-    (kl, *pl), (kr, *pr), (kw, pw, ow), (ka, pa, oa) = (
-        pack_laurent(cs, s) for cs in (lefts, rights, weights, list(less.values())))
-    # over q^k: a product shifts by its offsets and k - (kl + kr + kw), less by its offset, v and k - ka
+    bound = sum(x._peak * y._peak * mass([w]) for x, y, w in sides)
+    # each nonzero F(2^sa) as n 2^(sa o), n's low slot nonzero; a's exact peak from the digits of the n
+    lows = [(key, x >> sa * (o := ((x & -x).bit_length() - 1) // sa), o) for key, x in values.items() if x]
+    top = max((sum(map(abs, _from_digits(n, sa))) for _, n, _ in lows), default=0)
+    s = _width((bound + top * sum(map(abs, d1))).bit_length() + 1)
+    (kl, *pl), (kr, *pr), (kw, pw, ow) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
+    # over q^k: a product shifts by its offsets and k - (kl + kr + kw), n d1 by o, v and k - ka
     k, v, pl, pr = max(kl + kr + kw, ka), poly_valuation(d1), zip(*pl), zip(*pr)
     d, base = -_eval_shift(d1[v:], s), k - kl - kr - kw
-    acc = {key: (a * d) << s * (o + v + k - ka) for key, a, o in zip(less, pa, oa)}
+    acc = {key: (n if s == sa else _eval_shift(_from_digits(n, sa), s)) * d << s * (o + v + k - ka)
+           for key, n, o in lows}
     for (left, right, _), w, o in zip(sides, pw, ow):
         # zip stops at the keys, so each side takes its own (value, offset) pairs off pl and pr
         xs = [(kx, x, s * ox) for kx, (x, ox) in zip(left.terms, pl)]
@@ -85,8 +89,8 @@ def _pair_sum(sides, less: dict | None = None, d1: tuple = (1,)) -> dict:
 def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
     """y z_1^a w_1^b for y in Z_2 with Laurent coefficients, by the right shifts of the module docstring:
     the term n / q^k z^lam w^mu goes to n / q^(k + a (lam_2 - mu_2)) z^(lam + a e_1) w^(mu + b e_1)."""
-    return y._like({((l1 + a, l2), (m1 + b, m2)): _laurent(c.num, len(c.den) - 1 + a * (l2 - m2))
-                    for ((l1, l2), (m1, m2)), c in y.terms.items()})
+    return ZElement._of(y.rank, {((l1 + a, l2), (m1 + b, m2)): _laurent(c.num, len(c.den) - 1 + a * (l2 - m2))
+                                 for ((l1, l2), (m1, m2)), c in y.terms.items()}, y._peak)
 
 
 def pair(left: ZElement, right: ZElement) -> ZElement:
@@ -164,12 +168,12 @@ def _lhs_power(variant: str, j: int, k: int) -> ZElement:
     """E_k = A^j D^k (j >= 0) or D^k B^-j of a variant, from E_(k-1), or A^j from A^(j-1), by key
     shifts and central moves, packed at the width of its per-key bound (module docstring)."""
     if not j and not k:
-        return ZElement.one(RANKS)
+        return ZElement._of(RANKS, ZElement.one(RANKS).terms, 1)
     a, b = _ARGUMENTS[variant]
-    x = (_lhs_power(variant, j, k - 1) if k else _lhs_power(variant, j - 1 if j > 0 else j + 1, 0)).terms
-    s = _width(((10 if k else 2) * peak(x.values())).bit_length() + 1)
-    kh, values, offsets = pack_laurent(list(x.values()), s)
-    moves = [(key, -o, v) for key, v, o in zip(x, values, offsets)]  # v q^o over q^kh
+    x = _lhs_power(variant, j, k - 1) if k else _lhs_power(variant, j - 1 if j > 0 else j + 1, 0)
+    s = _width(((10 if k else 2) * x._peak).bit_length() + 1)
+    kh, values, offsets = pack_laurent(list(x.terms.values()), s)
+    moves = [(key, -o, v) for key, v, o in zip(x.terms, values, offsets)]  # v q^o over q^kh
     if not k:
         moves = _act(moves, a) if j > 0 else _act(moves, b, True)
     else:  # E_(k-1) C - q^(2(k-1)) A E_(k-1) B, C by its central moves
@@ -178,15 +182,19 @@ def _lhs_power(variant: str, j: int, k: int) -> ZElement:
     big, acc = max(t for _, t, _ in moves), {}
     for key, t, v in moves:  # over q^(kh + big)
         acc[key] = acc.get(key, 0) + (v << s * (big - t))
-    return ZElement._of(RANKS, _unpacked(acc, s, kh + big))
+    return ZElement._of(RANKS, e := _unpacked(acc, s, kh + big), peak(e.values()))
+
+
+def _packed_lhs(spec: DiskSpec, variant: str) -> tuple:
+    """L lhs of a checked case, packed: one Horner sum over the E_k (`diskpoly._horner_sum`)."""
+    coefs, j = _jacobi(spec)[2], spec.l - spec.m
+    return _packed_sum(coefs, [_lhs_power(variant, j, k) for k in range(len(coefs))], 6, _pair_moves)
 
 
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/L, L lhs): the coupled arguments' disk polynomial, times the lcm L of its Jacobi denominators."""
     spec = _check_addition(l, m, alpha, variant)
-    _, inv_lcm, coefs = _jacobi(spec)
-    es = [_lhs_power(variant, spec.l - spec.m, k).terms for k in range(len(coefs))]
-    return inv_lcm, ZElement._of(RANKS, _packed_sum(coefs, es, 6, _pair_moves))
+    return _jacobi(spec)[1], ZElement._of(RANKS, _unpacked(*_packed_lhs(spec, variant)))
 
 
 @lru_cache(maxsize=None)
@@ -253,17 +261,16 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     """Expand both sides to normal form and decide lhs = rhs exactly.
 
     The sides come scaled, a = L lhs and b = V rhs, and V = W L with W a polynomial (module docstring),
-    so lhs = rhs iff a W = b.  b is not read back: its packed pair sum starts at -a W on each key of a
-    (`_pair_sum`), and the case passes when every packed value is 0, which, with each key's coefficients
-    at most sum_rs |left| |right| |w| + |a| |W| < 2^(s-1), holds only if the sum is 0.  Only a failure,
-    reported and not raised, reads b back for the residual (a W - b) / V."""
-    start = time.monotonic()
-    spec = _check_addition(l, m, alpha, variant)
-    lhs = scaled_lhs(*spec, variant)[1]
-    inv_v, w, sides = _rhs_sides(*spec, variant)
-    residual, rhs_terms = [], lhs.term_count()
-    if _pair_sum(sides, lhs.terms, w):
-        rhs = ZElement._of(RANKS, _pair_sum(sides))
-        residual, rhs_terms = ((lhs * QRat(w) - rhs) * inv_v).to_json()["terms"], rhs.term_count()
+    so lhs = rhs iff a W = b.  Neither is read back: the packed pair sum of b starts at -a W on each key
+    of a, with a packed as its Horner sum leaves it (`_packed_lhs`, `_pair_sum`), and the case passes
+    when every packed value is 0, which, with each key's coefficients at most sum_rs |left| |right| |w|
+    + |a| |W| < 2^(s-1), |a| exact, holds only if the sum is 0.  Only a failure, reported and not
+    raised, reads both back for the residual (a W - b) / V."""
+    start, spec = time.monotonic(), _check_addition(l, m, alpha, variant)
+    lhs, (inv_v, w, sides) = _packed_lhs(spec, variant), _rhs_sides(*spec, variant)
+    residual, rhs_terms = [], (lhs_terms := sum(map(bool, lhs[0].values())))
+    if _pair_sum(sides, lhs, w):
+        a, rhs = ZElement._of(RANKS, _unpacked(*lhs)), ZElement._of(RANKS, _pair_sum(sides))
+        residual, rhs_terms = ((a * QRat(w) - rhs) * inv_v).to_json()["terms"], rhs.term_count()
     millis = int((time.monotonic() - start) * 1000)
-    return Verdict(*spec, variant, not residual, residual, lhs.term_count(), rhs_terms, millis)
+    return Verdict(*spec, variant, not residual, residual, lhs_terms, rhs_terms, millis)

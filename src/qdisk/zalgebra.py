@@ -64,7 +64,7 @@ import math
 from typing import Sequence
 
 from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _from_digits, _is_qpow, _laurent,
-                     _width, int_from_json, mass, pack_laurent, poly_mul, poly_neg)
+                     _width, int_from_json, mass, pack_laurent, peak, poly_mul, poly_neg)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -331,22 +331,23 @@ class ZElement:
     not mix.  The constructor checks every term (`_check_key`, an int or QRat
     coefficient); builders over terms of checked elements take `_of`."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "terms", "_top")  # _top: the `_peak` a table entry keeps (`_of`), else None
+    _peak = property(lambda self: peak(self.terms.values()) if self._top is None else self._top)
 
     def __init__(self, rank, terms: dict | None = None):
         self.rank = (tuple(map(_check_rank, rank)) if type(rank) is tuple and len(rank) == 2
                      else _check_rank(rank))
-        self.terms: dict = {}
+        self.terms, self._top = {}, None
         for key, coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, QRat) else QRat.from_int(coeff)
             if (key := _check_key(key, self.rank)) and coeff:
                 self.terms[key] = coeff
 
     @staticmethod
-    def _of(rank, terms: dict) -> "ZElement":
-        """An element of rank over checked terms: `_check_key` keys, nonzero QRats."""
+    def _of(rank, terms: dict, top: int | None = None) -> "ZElement":
+        """An element of rank over checked terms: `_check_key` keys, nonzero QRats; top their kept `_peak`."""
         out = object.__new__(ZElement)
-        out.rank, out.terms = rank, terms
+        out.rank, out.terms, out._top = rank, terms, top
         return out
 
     def _like(self, terms: dict) -> "ZElement":

@@ -25,7 +25,8 @@ from `_mono_mul`, with c * N_lam added over its diagonal terms as QRats.
 
 `eval_shift_loop` and `from_digits_loop` are the oracles for the byte-level
 packing of `qfield`: one shift per coefficient, respectively one shift and
-one symmetric digit per slot.  `scalar_termwise` and `pair_termwise` are
+one symmetric digit per slot.  `packed_terms` packs an element's terms with
+the first, in the form a packed Horner sum hands over.  `scalar_termwise` and `pair_termwise` are
 those of the pack-once Laurent products: one QRat product per term, or per
 term pair.
 
@@ -533,6 +534,13 @@ def from_digits_loop(n: int, s: int) -> tuple:
         out.append(d)
         n = (n - d) >> s
     return tuple(out)
+
+
+def packed_terms(terms: dict, s: int) -> tuple:
+    """Laurent terms {key: n / q^k} packed as `diskpoly._horner_sum` hands a sum over: ({key: n(2^s)
+    2^(s (K - k))}, s, K), K the largest k, each value one shift per coefficient."""
+    top = max((len(c.den) - 1 for c in terms.values()), default=0)
+    return {key: eval_shift_loop(c.num, s) << s * (top - len(c.den) + 1) for key, c in terms.items()}, s, top
 
 
 def scalar_termwise(a, c):

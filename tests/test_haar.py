@@ -604,6 +604,23 @@ def test_one_b_term_at_the_width_bound_reads_back(sign, bits):
     assert _packed_sum(cols, [(0, 0, 0, 0), (0, 0, 1, 1)], 1) == sign * (2 ** bits - 1)
 
 
+def test_the_packed_width_is_the_per_item_mass_bound(monkeypatch):
+    # a packed Haar sum's width bound is the sum over its items of the product of their
+    # factors' masses: the first width each `_packed_sum` of the norms table asks for
+    # is that bound's bit length plus one
+    asked, calls, packed_sum, width = [], [], haar_module._packed_sum, haar_module._width
+    monkeypatch.setattr(haar_module, "_width", lambda bits: asked.append(bits) or width(bits))
+    monkeypatch.setattr(haar_module, "_packed_sum", lambda cols, items, rank: calls.append(
+        (len(asked), cols, items)) or packed_sum(cols, items, rank))
+    for l, m in itertools.product(range(6), repeat=2):
+        s = spherical(l, m, 3)
+        assert inner(s, s) == norm_const(l, m, 1)
+    assert len(calls) == 36
+    for at, cols, items in calls:
+        bound = sum(prod([c[i][2] for c, i in zip(cols, idx)]) for _, *idx in items)
+        assert asked[at] == bound.bit_length() + 1
+
+
 def test_a_warm_inner_reduces_its_sum_once(monkeypatch):
     # inner(s, s) at (5, 5) adds ten groups over one denominator: one gcd, on the summed
     # numerator, and no division or addition per group

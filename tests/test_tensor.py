@@ -10,8 +10,8 @@ from itertools import product
 
 import pytest
 
-from oracle import (addition_arguments, addition_sides_termwise, pair_termwise, pairwise_mul, rhs_per_piece,
-                    xy_generators)
+from oracle import (addition_arguments, addition_sides_termwise, packed_terms, pair_termwise, pairwise_mul,
+                    rhs_per_piece, xy_generators)
 from qdisk import cli, diskpoly, qfield, tensor, zalgebra
 from qdisk.diskpoly import DiskSpec, disk_poly
 from qdisk.haar import haar, inner
@@ -587,7 +587,7 @@ def test_packed_decision_accepts_every_suite_and_benchmark_case():
         assert w == qfield.poly_divexact(inv_v.den, inv_l.den), case
         coeffs = [c for x, y, weight in sides for c in (*x.terms.values(), *y.terms.values(), weight)]
         assert all(_is_qpow(c.den) for c in [*coeffs, *lhs.terms.values()]), case
-        assert tensor._pair_sum(sides, lhs.terms, w) == {}, case
+        assert tensor._pair_sum(sides, tensor._packed_lhs(DiskSpec(*case[:3]), case[3]), w) == {}, case
 
 
 def test_zero_piece_scalar_is_one_over_l_squared():
@@ -600,15 +600,62 @@ def test_zero_piece_scalar_is_one_over_l_squared():
 
 
 def test_decision_bound_adds_the_lhs_term(monkeypatch):
-    # on X1 (x) Y2*, the one side gives 100 / q and -d1 less gives 2 * 50 / q: the key's
+    # on X1 (x) Y2*, the one side gives 100 / q and -d1 a gives 2 * 50 / q: the key's
     # coefficient 200 / q is at the bound 100 + 50 * 2, in 16-bit slots; a bound from the
     # products alone, or from the larger of the two terms (100 each), would choose 8 bits
-    # and misread it
+    # and misread it.  a comes packed in 8-bit slots, so it is evaluated again at 16 bits
     g, q_inv = xy_generators(), QRat.q_power(-1)
     key, = pair(g.X1, g.Y2s).terms
     chosen = _widths(monkeypatch)
-    got = tensor._pair_sum([(g.X1 * 100, g.Y2s * q_inv, ONE)], {key: q_inv * -50}, (2,))
+    got = tensor._pair_sum([(g.X1 * 100, g.Y2s * q_inv, ONE)], packed_terms({key: q_inv * -50}, 8), (2,))
     assert chosen == [16] and got == {key: q_inv * 200}
+
+
+def test_decision_width_is_the_exact_lhs_peak_rule(monkeypatch):
+    # the verdict's one width is width(R + peak(a) |W|), R = sum_rs |left| |right| |w| and peak(a)
+    # the largest mass of one read-back lhs coefficient: 32 bits on the benchmark cases, where the
+    # packed lhs is used as it stands; over the suite grid, some decisions are wider than the
+    # Horner sum's width and evaluate the lhs digits again
+    routes = set()
+    for case in DECISION_CASES:
+        (_, lhs), (_, w, sides) = scaled_lhs(*case), tensor._rhs_sides(*case)
+        packed = tensor._packed_lhs(DiskSpec(*case[:3]), case[3])
+        rule = sum(peak(x.terms.values()) * peak(y.terms.values()) * qfield.mass([c]) for x, y, c in sides)
+        want = _width((rule + peak(lhs.terms.values()) * sum(map(abs, w))).bit_length() + 1)
+        chosen, used, unpacked = _widths(monkeypatch), [], tensor._unpacked
+        monkeypatch.setattr(tensor, "_unpacked", lambda acc, s, k: used.append(s) or unpacked(acc, s, k))
+        assert tensor._pair_sum(sides, packed, w) == {} and chosen == used == [want], case
+        monkeypatch.undo()
+        routes.add(want == packed[1])
+        if case[:3] in BENCH_CASES:
+            assert want == packed[1] == 32, case
+    assert routes == {True, False}
+
+
+def test_warm_verdict_hands_its_lhs_over_packed(monkeypatch):
+    # a warm pass reads no lhs coefficient back (no `_laurent` in a read-back), packs none of
+    # them again (each `pack_laurent` call is one of the Horner sum's or of the rhs pair sum's),
+    # takes no `peak` (each E_k and chain entry keeps its own) and builds no element of the
+    # tensor rank; `_circle_shift` still makes each right factor's Laurent coefficients
+    case = (6, 6, 2)
+    assert verify_addition(*case).passed
+    coefs, es = diskpoly._jacobi(DiskSpec(*case))[2], [tensor._lhs_power("final", 0, k) for k in range(7)]
+    sides = tensor._rhs_sides(*case, "final")[2]
+    laurents, packs, peaks, built = [], [], [], []
+    read_back, pack_laurent, of = zalgebra._laurent, qfield.pack_laurent, ZElement._of
+    monkeypatch.setattr(zalgebra, "_laurent", lambda *args: laurents.append(args) or read_back(*args))
+    for module in (diskpoly, tensor):
+        monkeypatch.setattr(module, "pack_laurent", lambda cs, s: packs.append(len(cs)) or pack_laurent(cs, s))
+    for module in (zalgebra, diskpoly, tensor):
+        monkeypatch.setattr(module, "peak", lambda cs: peaks.append(cs) or qfield.peak(cs))
+    monkeypatch.setattr(ZElement, "_of", staticmethod(
+        lambda rank, *args: built.append(rank) or of(rank, *args)))
+    verdict = verify_addition(*case)
+    assert verdict.passed and verdict.lhs_terms == BENCH_CASES[case]
+    sizes = [len(x.terms) for x in es] + [1] * len(coefs)
+    sizes += [sum(len(side[i].terms) for side in sides) for i in (0, 1)] + [len(sides)]
+    assert laurents == [] and sorted(packs) == sorted(sizes) and peaks == []
+    assert tensor.RANKS not in built
 
 
 def _read_backs(monkeypatch) -> list:
@@ -786,9 +833,10 @@ def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, a
     side, edit, variant = PLANTS[plant]
     case = (l, m, alpha, variant)
     (inv_l, lhs), (inv_v, rhs) = scaled_lhs(*case), scaled_rhs(*case)
-    if side == "lhs":
+    if side == "lhs":  # planted where the verdict reads the lhs, packed at its own width
         edit(lhs.terms)
-        monkeypatch.setattr(tensor, "scaled_lhs", lambda *args, lhs=lhs: (inv_l, lhs))
+        packed = packed_terms(lhs.terms, _width(peak(lhs.terms.values()).bit_length() + 1))
+        monkeypatch.setattr(tensor, "_packed_lhs", lambda *args: packed)
     else:
         rhs = _plant_rhs(monkeypatch, case, edit)
     # the division route: divide both sides, subtract and report every term

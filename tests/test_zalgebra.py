@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_normal_form, pair_termwise, pairwise_mul, scalar_termwise
+from oracle import naive_normal_form, packed_terms, pair_termwise, pairwise_mul, scalar_termwise
 from reference import dim_h, dim_z, normal_order, normal_order_strategy
 from qdisk.haar import _pair_haar, haar
-from qdisk.qfield import ONE, QRat, ZERO, _is_qpow, _reduce, qpoch, solve_linear
+from qdisk.qfield import ONE, QRat, ZERO, _is_qpow, _reduce, _width, peak, qpoch, solve_linear
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, _pair_sum, pair
 from qdisk.zalgebra import (
     _PACK_MIN_PAIRS,
@@ -650,7 +650,12 @@ def test_verdict_pair_sum_equals_the_termwise_oracle(data):
     d1 = (0,) * data.draw(st.integers(0, 40)) + tuple(data.draw(
         st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda cs: cs[-1])))
     want = total - ZElement(RANKS, less) * QRat(d1)
-    assert ZElement(RANKS, _pair_sum(sides, less, d1)) == want
+    assert ZElement(RANKS, _pair_sum(sides, packed_at_its_width(less), d1)) == want
     # the passing verdict: less = the sum over d1 = q^j cancels it exactly
     j = data.draw(st.integers(0, 40))
-    assert _pair_sum(sides, (total * qp(-j)).terms, (0,) * j + (1,)) == {}
+    assert _pair_sum(sides, packed_at_its_width((total * qp(-j)).terms), (0,) * j + (1,)) == {}
+
+
+def packed_at_its_width(terms: dict) -> tuple:
+    """terms packed (`packed_terms`) at the width of their own peak, as a Horner sum may hand them over."""
+    return packed_terms(terms, _width(peak(terms.values()).bit_length() + 1))
