@@ -9,19 +9,18 @@ L the lcm of their denominators (q-powers times factors 1 - q^2j) and D = C - AB
 C must commute with A and B (checked); no inverse of C is formed.  The coef_k are `Cyclo`s
 (`qfield`), so `_jacobi` expands each L coef_k to a Laurent polynomial once per spec, with no
 gcd, and `disk_poly` divides by L once per term.  H is taken by Horner's rule in C, H_k =
-H_(k-1) C + (L coef_k) E_k, over E_k that `disk_poly`'s bundle `_DiskArgs` forms by products.
+H_(k-1) C + (L coef_k) E_k; `disk_poly` takes it on `QRat`s, E_k = E_(k-1) D or D E_(k-1).
 
 H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2: moving z_a left
 past z_j and w_a right past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
 z^lam w^mu Q_n = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor,
-the t's added.  With Laurent coefficients `_packed_sum` keeps H packed (`zalgebra`) at one slot
+the t's added.  With Laurent coefficients `_packed_sum` keeps H packed at one slot
 width s: a step adds each term, shifted by s (big - t), onto its moves (big the largest t_1),
 then each product L coef_k E_k, multiplied at the operands' own powers of q and shifted after
 (`qfield.pack_laurent`), and H is read back once, or, for the addition verdict of `tensor`, handed
 over packed.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the
 largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C| |H_(k-1)| +
-|E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` and `disk_poly` take it with no size cutoff; the
-`QRat` Horner serves other C and non-Laurent E_k.
+|E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` takes it, over E_k built by key shifts.
 
 The spherical and associated elements and the rhs factors of `tensor` are products down Z_n >
 Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i); `_chain` builds and keeps each with
@@ -41,9 +40,9 @@ from functools import lru_cache, partial
 from itertools import repeat
 from math import comb
 
-from .qfield import ONE, Cyclo, _check_ints, _is_qpow, _width, mass, pack_laurent, peak
+from .qfield import Cyclo, _check_ints, _unpacked, _width, mass, pack_laurent, peak
 from .qfunc import _jacobi_coeffs
-from .zalgebra import ZElement, _check_rank, _element, _Memo, _unpacked, q_element
+from .zalgebra import ZElement, _check_rank, _element, _Memo
 
 # Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted cases
 # found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 2.0-2.6 s and 60 MB, and 0.28-0.44
@@ -139,60 +138,30 @@ def _packed_sum(coefs: tuple, es: list, fan: int, moves) -> tuple:
         (*pack_laurent(list(x.terms.values()), s), x.terms) for x in es), partial(_times_q, moves=moves))
 
 
-class _DiskArgs:
-    """Arguments (A, B, C), checked once: C commutes with A and B, else ValueError.
-    Powers of A, B and D = C - AB and the E_k are kept, so rewrites are idempotent."""
-
-    def __init__(self, A, B, C):
-        for x in (A, B, C):
-            _element(x, "disk_poly")
-        for name, other in (("A", A), ("B", B)):
-            if C * other != other * C:
-                raise ValueError(f"C does not commute with {name}")
-        self.C, one = C, A.one_like()
-        self.pows = {"A": {0: one, 1: A}, "B": {0: one, 1: B}, "D": {0: one, 1: C - A * B}, "E": {}}
-        qs = [q_element(n, n).terms for n in C.ranks]  # the moves serve C = Q_n, Q_n1 (x) Q_n2
-        central = qs[0] if len(qs) == 1 else {(x, y): ONE for x in qs[0] for y in qs[1]}
-        self.moves = None if C.terms != central else _pair_moves if len(qs) == 2 else _MOVES.__getitem__
-
-    def power(self, name: str, k: int):
-        pows = self.pows[name]
-        for j in range(len(pows), k + 1):
-            pows[j] = pows[j - 1] * pows[1]
-        return pows[k]
-
-    def fold(self, j: int, k: int):
-        """E_k = A^j D^k for j >= 0, D^k B^-j for j < 0 (module docstring), kept per (j, k)."""
-        if (j, k) not in self.pows["E"]:
-            x, d = self.power("A" if j >= 0 else "B", abs(j)), self.power("D", k)
-            self.pows["E"][j, k] = d if not j else x if not k else x * d if j > 0 else d * x
-        return self.pows["E"][j, k]
-
-    def _packed_horner(self, coefs: tuple, j: int = 0):
-        """H over the E_k of A^j or B^-j by the packed Horner sum (module docstring), or None."""
-        es = [self.fold(j, k) for k in range(len(coefs))]
-        if self.moves is None or not all(  # each L coef_k is a polynomial
-                _is_qpow(c.den) for x in es for c in x.terms.values()):
-            return None
-        return self.C._like(_unpacked(*_packed_sum(coefs, es, len(self.C.terms), self.moves)))
-
-    def scaled(self, spec: DiskSpec):
-        """L R_{l,m}^(alpha)(A, B, C), by the Horner sum of the module docstring."""
-        j, scaled = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
-        result = self._packed_horner(scaled, j)
-        if result is None:
-            result = self.fold(j, 0) * scaled[0]
-            for k in range(1, len(scaled)):
-                result = result * self.C + self.fold(j, k) * scaled[k]
-        return result
+def _scaled(spec: DiskSpec, A, B, C):
+    """L R_{l,m}^(alpha)(A, B, C) by Horner's rule on `QRat`s over E_k = A^j D^k or D^k B^-j (module
+    docstring), each E_k one product from E_(k-1).  ValueError on a non-element, and when C fails to
+    commute with A or with B."""
+    for x in (A, B, C):
+        _element(x, "disk_poly")
+    for name, other in (("A", A), ("B", B)):
+        if C * other != other * C:
+            raise ValueError(f"C does not commute with {name}")
+    j, coefs = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
+    d, e = C - A * B, A ** j if j >= 0 else B ** -j
+    h = e * coefs[0]
+    for coef in coefs[1:]:
+        e = e * d if j >= 0 else d * e
+        h = h * C + e * coef
+    return h
 
 
 def disk_poly(spec: DiskSpec, A, B, C):
     """Evaluate R_{l,m}^(alpha)(A, B, C; q^base) on elements of Z_n or of a tensor product: the
-    scaled sum L R of `_DiskArgs.scaled`, divided by L once per output term.  ValueError on a spec
-    that is not a `DiskSpec`, on a non-element and when C fails to commute with A or with B."""
+    scaled sum L R of `_scaled`, divided by L once per output term.  ValueError on a spec that is
+    not a `DiskSpec`, on a non-element and when C fails to commute with A or with B."""
     inv_lcm = jacobi_scaled(spec)[0]  # checks the spec before any element work
-    return _DiskArgs(A, B, C).scaled(spec) * inv_lcm
+    return _scaled(spec, A, B, C) * inv_lcm
 
 
 @lru_cache(maxsize=None)

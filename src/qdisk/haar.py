@@ -27,7 +27,7 @@ t and M each d as often as one group has it (no gcd finds it), as a packed sum
 of their own, and one gcd reduces the quotient.  P, of (z^l1 w^m1)(z^l2 w^m2),
 sums x N_lam, x = n / q^k, over the diagonal terms x z^lam w^lam of the product
 (`zalgebra._product_terms`), with B = sum |x| |N_lam|, as shifts of N_lam(2^s)
-(`zalgebra._shift_sum`).  Normal ordering keeps the weight lam - mu, so `inner`
+(`_shift_sum`).  Normal ordering keeps the weight lam - mu, so `inner`
 pairs only terms whose weights cancel.  No size cutoff pays (CHANGES.md).
 
 Symmetries.  h is real on *-images, h(x*) = h(x), and a twisted trace, the
@@ -46,7 +46,7 @@ from math import prod
 
 from .diskpoly import DiskSpec
 from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _q_power, _qpoch, _width, poly_mul
-from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _shift_sum, _z_rank
+from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _z_rank
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +113,18 @@ def _pair_haar(rank: int, key1, key2) -> tuple:
     """(t, P, `_factor`(P) or None for P = 0), memoized: t is the z-degree of the
     product of two basis monomials and P sums c N_lam over its diagonal terms."""
     return _PAIR_HAAR_CACHE[rank, key1, key2]
+
+
+def _shift_sum(v: int, p: int, shifts) -> int:
+    """v + p X for a constant X given as its (n_i, shift_i) (`_pair_row`)."""
+    for n, sh in shifts:
+        if n == 1:
+            v += p << sh
+        elif n == -1:
+            v -= p << sh
+        else:
+            v += (p * n) << sh
+    return v
 
 
 def _pair_row(rank: int, key1, key2) -> tuple:

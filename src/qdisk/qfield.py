@@ -620,6 +620,11 @@ def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
     return k, values, [k - e for e in nets]
 
 
+def _unpacked(acc: dict, s: int, k: int) -> dict:
+    """The nonzero terms {key: F/q^k} of packed values {key: F(2^s)}: the inverse of `pack_laurent`."""
+    return {key: _laurent(_from_digits(v, s), k) for key, v in acc.items() if v}
+
+
 def mass(cs: Iterable[QRat]) -> int:
     """Sum of the absolute values of the numerator coefficients over cs."""
     return sum(sum(map(abs, c.num)) for c in cs)

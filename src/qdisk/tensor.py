@@ -47,9 +47,9 @@ from functools import lru_cache
 
 from .diskpoly import DiskSpec, _chain, _jacobi, _packed_sum, _pair_moves
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _from_digits, _laurent, _width, mass,
-                     pack_laurent, peak, poly_valuation)
-from .zalgebra import ZElement, _unpacked, _z_rank
+from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _from_digits, _laurent, _unpacked, _width,
+                     mass, pack_laurent, peak, poly_valuation)
+from .zalgebra import ZElement, _z_rank
 
 LEFT_RANK = 3
 RIGHT_RANK = 2

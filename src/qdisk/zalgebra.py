@@ -28,43 +28,16 @@ One element type, `ZElement`, holds both an element of Z_n and one of a
 tensor product Z_n1 (x) Z_n2, which multiplies factorwise.  Its `__str__`
 is the printer of the `qdisk.cli` expression grammar.
 
-Coefficients are packed into integers by one kernel, `qfield.pack_laurent` (Kronecker
-substitution): n_i/q^k_i, n_i = q^v_i n'_i with n'_i(0) != 0, is the value n'_i(2^s) at
-q = 2^s and the offset K - k_i + v_i, K = max(0, largest k_i - v_i), which shifts it to
-n_i(2^s) 2^(s(K - k_i)), over q^K; `_product` aligns its operands at once.  An element
-times a scalar is one `QRat` product per term.  Element products run through one loop,
-`_core`, on `QRat`s or, from _PACK_MIN_PAIRS term pairs on, on both sides packed; the
-structure constants are over q-powers, as the relations are over Z[q, 1/q].  A constant
-n/q^k is applied as shifts: over its table's largest k, K_f, it is the sum of n_i
-2^(s(K_f - k + i)), so a product with it is a small-integer product and a shift per
-nonzero n_i, not a multiply by a long integer.  Evaluation at 2^s is a ring homomorphism,
-so for each output monomial the sum of the products A_i B_j X over the contributing pairs
-and structure constants is F(2^s), F the output coefficient times q^Ktot (Ktot the sum of
-the K's), read back from its symmetric digits once.
-
-Bound.  Write |f| for the sum of the absolute values of the integer
-coefficients of f, |a| for the sum of |n_i| over a's terms, and S for the
-largest mass of a structure-constant row, the sum of |X| over its entries.
-In a tensor product S is the product of the factors' largest masses, since
-|x y| <= |x| |y|.  Every coefficient of F is a sum of coefficients of
-products n_i n_j X, and |n_i n_j X| <= |n_i| |n_j| |X|, so |F_t| <= |a| |b|
-S = B.  A slot width s >= B.bit_length() + 1 gives B < 2^(s-1), and an
-integer polynomial with coefficients in (-2^(s-1), 2^(s-1)) is its value's
-symmetric base-2^s digits.  Packing needs every coefficient over a power of
-q; a product with any other runs the per-pair loop, whatever its size.
-
-Cutoff.  Below 16 term pairs the per-pair loop runs: on replayed products the
-loop was 3-4x faster on one pair, packing 3x faster on the largest, and cutoffs
-from 8 to 64 gave totals within 5%, 16 the least (CHANGES.md).
+An element times a scalar is one `QRat` product per term, and an element product one
+loop, `_product`, over the term pairs, each pair's row read through `_mono_mul`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _from_digits, _is_qpow, _laurent,
-                     _width, int_from_json, mass, pack_laurent, peak, poly_mul, poly_neg)
+from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _laurent, int_from_json, peak, poly_mul,
+                     poly_neg)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
 Key = tuple
@@ -219,90 +192,31 @@ def _mono_mul(rank: int, k1: Key, k2: Key):
 
 
 # ----------------------------------------------------------------------
-# element products (packing, bound and cutoff: see the module docstring)
-
-_PACK_MIN_PAIRS = 16
+# element products
 
 
 def _product(a: dict, b: dict, ranks: tuple) -> dict:
     """Nonzero terms {key: coeff} of the product of the elements with terms a and b:
     ranks = (n,) multiplies in Z_n, keys being monomials (lam, mu); ranks =
     (n1, n2) multiplies in Z_n1 (x) Z_n2 factorwise, keys being pairs."""
-    tables, acc = _tables(a, b, ranks), {}
-    if len(a) * len(b) < _PACK_MIN_PAIRS or not all(
-            _is_qpow(c.den) for terms in (a, b) for c in terms.values()):
-        _core(list(a.items()), list(b.items()), tables, acc, _mul_add, None)
-        return {key: c for key, c in acc.items() if c}
-    S = math.prod(max(mass(c for _, c in row) for row in table.values()) for table in tables)
-    s = _width((mass(a.values()) * mass(b.values()) * S).bit_length() + 1)
-    (k, pa, oa), (kb, pb, ob) = pack_laurent(list(a.values()), s), pack_laurent(list(b.values()), s)
-    pa, pb = [x << s * o for x, o in zip(pa, oa)], [x << s * o for x, o in zip(pb, ob)]
-    rows = []
-    for table in tables:  # each constant n/q^j as the shifts s (K_f - j + i) of its nonzero n_i
-        consts = {c: None for row in table.values() for _, c in row}
-        kf = max(len(c.den) for c in consts) - 1  # K_f, the largest j of the table
-        for c in consts:
-            consts[c] = [(n, s * (kf + 1 - len(c.den) + i)) for i, n in enumerate(c.num) if n]
-        rows.append({pair: [(key, consts[c]) for key, c in row] for pair, row in table.items()})
-        k += kf
-    _core(list(zip(a, pa)), list(zip(b, pb)), rows, acc, _shift_sum, 0)
-    return _unpacked(acc, s, k + kb)
-
-
-def _tables(xs, ys, ranks: tuple) -> list:
-    """Per factor, the structure row of every pair of its distinct keys on the
-    two sides, the keys of the one side being xs and of the other ys."""
+    acc = {}
     if len(ranks) == 1:
-        return [{(x, y): _mono_mul(ranks[0], x, y) for x in xs for y in ys}]
-    return [{(x, y): _mono_mul(rank, x, y) for x in {k[f] for k in xs} for y in {k[f] for k in ys}}
-            for f, rank in enumerate(ranks)]
-
-
-def _core(pa, pb, rows: list, acc: dict, mul_add, zero) -> None:
-    """acc[key] = mul_add(acc[key], x_a x_b, X), an absent key reading zero, over
-    the pairs of (key_a, x_a) in pa and (key_b, x_b) in pb and the constants X of
-    their rows, one table per factor, that land on key: `_mul_add` on `QRat`s
-    (zero None), `_shift_sum` on packed values and shifted rows (zero 0)."""
-    if len(rows) == 1:
-        row, = rows
-        for k1, x1 in pa:
-            for k2, x2 in pb:
+        rank, = ranks
+        for k1, x1 in a.items():
+            for k2, x2 in b.items():
                 p = x1 * x2
-                for key, c in row[k1, k2]:
-                    acc[key] = mul_add(acc.get(key, zero), p, c)
+                for key, c in _mono_mul(rank, k1, k2):
+                    _accum(acc, key, p * c)
     else:
-        lrow, rrow = rows
-        for (l1, r1), x1 in pa:
-            for (l2, r2), x2 in pb:
-                p = x1 * x2
-                right = rrow[r1, r2]
-                for kl, cl in lrow[l1, l2]:
-                    pl = mul_add(zero, p, cl)
+        n1, n2 = ranks
+        for (l1, r1), x1 in a.items():
+            for (l2, r2), x2 in b.items():
+                p, right = x1 * x2, _mono_mul(n2, r1, r2)
+                for kl, cl in _mono_mul(n1, l1, l2):
+                    pl = p * cl
                     for kr, cr in right:
-                        key = (kl, kr)
-                        acc[key] = mul_add(acc.get(key, zero), pl, cr)
-
-
-def _mul_add(v, p: QRat, c: QRat) -> QRat:
-    """v + p c on `QRat`s, v None reading zero."""
-    return p * c if v is None else v + p * c
-
-
-def _shift_sum(v: int, p: int, shifts) -> int:
-    """v + p X for a constant X given as its (n_i, shift_i) (`_product`)."""
-    for n, sh in shifts:
-        if n == 1:
-            v += p << sh
-        elif n == -1:
-            v -= p << sh
-        else:
-            v += (p * n) << sh
-    return v
-
-
-def _unpacked(acc: dict, s: int, k: int) -> dict:
-    """The nonzero terms {key: F/q^k} of packed values {key: F(2^s)}."""
-    return {key: _laurent(_from_digits(v, s), k) for key, v in acc.items() if v}
+                        _accum(acc, (kl, kr), pl * cr)
+    return {key: c for key, c in acc.items() if c}
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,8 @@ those of the pack-once Laurent products: one QRat product per term, or per
 term pair.
 
 `chain_product` is the oracle for the level chains of `diskpoly._chain`: each
-level on a fresh (z_n, w_n, Q_n) argument bundle, the levels multiplied as
-elements.  `rhs_per_piece` is the oracle for the packed rhs sum of
+level L R(z_n, w_n, Q_n) by the `QRat` Horner sum `diskpoly._scaled`, the
+levels multiplied as elements.  `rhs_per_piece` is the oracle for the packed rhs sum of
 `tensor.scaled_rhs`: the same scalars, with factors from `chain_product`, but
 each (r, s) piece is its own simple tensor, with the Y1 powers multiplied in,
 the weight applied to the right factor and one QRat product per term pair,
@@ -54,9 +54,9 @@ rank (3, 2), but multiply term pair by term pair, not through `_product`.
 
 `xy_generators` and `addition_arguments` are the oracle for the shift-built
 lhs arguments of `tensor`: the images of the q-disk and q-circle generators
-and the published A, B and C of each variant, formed as elements, and
-`addition_bundle` checks them once as a `diskpoly._DiskArgs` bundle, whose
-powers and E_k come from element products.
+and the published A, B and C of each variant, formed as elements.
+`horner_stepwise` is the oracle for the folded Horner sum of `diskpoly`: H over
+the powers of D, with no fold, then A^(l-m) H or H B^(m-l), by element products.
 """
 
 from __future__ import annotations
@@ -446,18 +446,20 @@ def disk_poly_termwise(l: int, m: int, alpha: int, A, B, C):
     return result
 
 
-def horner_stepwise(args, spec: DiskSpec):
-    """L R_spec(A, B, C) on a checked argument bundle by the Horner sum one
-    element operation at a time: H_k = H_(k-1) C + (L coef_k) D^k."""
+def horner_stepwise(spec: DiskSpec, A, B, C):
+    """L R_spec(A, B, C) by the Horner sum one element operation at a time:
+    H_k = H_(k-1) C + (L coef_k) D^k, D = C - AB, then A^(l-m) H or H B^(m-l)."""
     l, m = spec.l, spec.m
-    scaled = diskpoly.jacobi_scaled(spec)[1]
-    result = args.power("D", 0) * scaled[0]
+    scaled, d = diskpoly.jacobi_scaled(spec)[1], C - A * B
+    dk = A.one_like()
+    result = dk * scaled[0]
     for k in range(1, min(l, m) + 1):
-        result = result * args.C + args.power("D", k) * scaled[k]
+        dk = dk * d
+        result = result * C + dk * scaled[k]
     if l > m:
-        result = args.power("A", l - m) * result
+        result = A ** (l - m) * result
     elif m > l:
-        result = result * args.power("B", m - l)
+        result = result * B ** (m - l)
     return result
 
 
@@ -480,12 +482,6 @@ def addition_arguments(variant: str) -> tuple:
         A = pair(g.X1, g.Y1) + pair(g.X2, g.Y2)
         B = pair(g.X1s, g.Y1s) * (_Q * _Q) + pair(g.X2s, g.Y2s)
     return A, B, pair(g.Q, g.D)
-
-
-@lru_cache(maxsize=None)
-def addition_bundle(variant: str):
-    """A variant's lhs arguments as a checked `diskpoly._DiskArgs` bundle, kept across tests."""
-    return diskpoly._DiskArgs(*addition_arguments(variant))
 
 
 def addition_sides_termwise(l: int, m: int, alpha: int, variant: str = "final"):
@@ -556,14 +552,14 @@ def pair_termwise(left, right):
 
 def chain_product(n: int, spec: DiskSpec, *rest: DiskSpec) -> ZElement:
     """`diskpoly._chain(n, spec, *rest)` by the product route: each level L R_spec(z_i, w_i, Q_i)
-    on a fresh argument bundle of its rank, the levels below embedded and multiplied on the right."""
-    level = diskpoly._DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n)).scaled(spec)
+    by `diskpoly._scaled` at its rank, the levels below embedded and multiplied on the right."""
+    level = diskpoly._scaled(spec, z_gen(n, n), w_gen(n, n), q_element(n, n))
     return level * embed(chain_product(n - 1, *rest), n) if rest else level
 
 
 def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/V, V rhs) as the QRat sum of its (r, s) pieces, each built on its own by element
-    products of levels on fresh bundles (`chain_product`), never read from `diskpoly._chain`."""
+    products of levels (`chain_product`), never read from `diskpoly._chain`."""
     g = xy_generators()
     plan, inv_lcm, _, weights = tensor._rhs_pieces(l, m, alpha, variant)
     total = ZElement.zero(RANKS)

@@ -3,24 +3,30 @@ from functools import cache
 
 import pytest
 
-from oracle import (addition_bundle, chain_product, disk_poly_termwise, horner_stepwise, pairwise_mul,
+from oracle import (addition_arguments, chain_product, disk_poly_termwise, horner_stepwise, pairwise_mul,
                     xy_generators)
 from qdisk import diskpoly, tensor
-from qdisk.diskpoly import DiskSpec, _DiskArgs, assoc_spherical, disk_poly, jacobi_scaled, spherical
+from qdisk.diskpoly import DiskSpec, _scaled, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
-from qdisk.qfield import ONE, QRat, ZERO, _width, mass, peak, qpoch
+from qdisk.qfield import ONE, QRat, ZERO, _unpacked, _width, mass, peak, qpoch
 from qdisk.tensor import VARIANTS, coupling_const, verify_addition
 from qdisk.uqaction import is_invariant
-from qdisk.zalgebra import (_MONO_CACHE, _PULL_CACHE, _WZ_CACHE, ZElement, _unpacked, bidegree, counit,
-                            embed, q_element, star, w_gen, z_gen)
+from qdisk.zalgebra import (_MONO_CACHE, _PULL_CACHE, _WZ_CACHE, ZElement, bidegree, counit, embed,
+                            q_element, star, w_gen, z_gen)
 
 qp = QRat.q_power
 
 
 @cache
-def _rank_bundle(n: int) -> _DiskArgs:
-    """The checked bundle (z_n, w_n, Q_n) of Z_n, one per rank, kept across these tests."""
-    return _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n))
+def _rank_args(n: int) -> tuple:
+    """The arguments (z_n, w_n, Q_n) of Z_n, one tuple per rank, kept across these tests."""
+    return z_gen(n, n), w_gen(n, n), q_element(n, n)
+
+
+def _packed_horner(coefs: tuple, es: list, C: ZElement) -> ZElement:
+    """H = sum_k coef_k C^(mm-k) E_k over es by the packed Horner sum `diskpoly._packed_sum`, read
+    back, with C = Q_n by its moves."""
+    return C._like(_unpacked(*diskpoly._packed_sum(coefs, es, len(C.terms), diskpoly._MOVES.__getitem__)))
 
 
 def _record_products(monkeypatch) -> list:
@@ -61,27 +67,6 @@ def test_commutation_precondition():
         disk_poly(spec, z_gen(2, 2), w_gen(2, 2), q_element(1, 2))
     with pytest.raises(ValueError, match="commute with B"):
         disk_poly(spec, q_element(2, 2), z_gen(2, 2), q_element(1, 2))
-
-
-def test_argument_bundle_checks_at_construction():
-    with pytest.raises(ValueError, match="commute with A"):
-        _DiskArgs(z_gen(2, 2), w_gen(2, 2), q_element(1, 2))
-    with pytest.raises(ValueError, match="commute with B"):
-        _DiskArgs(q_element(2, 2), z_gen(2, 2), q_element(1, 2))
-
-
-def test_argument_bundle_shares_powers_across_specs():
-    # one bundle evaluates every spec as the transient bundle of disk_poly does,
-    # in any order, and hands out no power it keeps
-    args = _DiskArgs(z_gen(3, 3), w_gen(3, 3), q_element(3, 3))
-    specs = [DiskSpec(3, 3, 1), DiskSpec(0, 0, 2), DiskSpec(1, 4, 0), DiskSpec(4, 1, 1),
-             DiskSpec(2, 2, 1)]
-    for spec in specs + specs[::-1]:
-        got = args.scaled(spec)
-        assert got == _DiskArgs(z_gen(3, 3), w_gen(3, 3), q_element(3, 3)).scaled(spec)
-        assert all(got is not p for pows in args.pows.values() for p in pows.values())
-    assert args.power("A", 2) == z_gen(3, 3) ** 2
-    assert args.power("D", 3) == q_element(2, 3) ** 3
 
 
 def test_spec_validation():
@@ -147,18 +132,15 @@ def test_sphere_memo_hands_out_no_cached_element():
     assert assoc_spherical(2, 2, 1, 1, 3) == want_assoc and want_assoc.terms
 
 
-def test_cold_norms_grid_checks_one_argument_bundle(monkeypatch):
-    # the level chain needs no argument bundle: the cold norms grid (n = 3, l, m <= 5) builds
-    # none, multiplies no two elements (only each result by its scalar 1/L) and adds no
-    # structure row
-    built, init = [], _DiskArgs.__init__
-    monkeypatch.setattr(_DiskArgs, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+def test_cold_norms_grid_makes_no_element_product(monkeypatch):
+    # the cold norms grid (n = 3, l, m <= 5) multiplies no two elements (only each result
+    # by its scalar 1/L) and adds no structure row
     diskpoly._chain.cache_clear()
     sizes, made = _table_sizes(), _record_products(monkeypatch)
     for l in range(6):
         for m in range(6):
             spherical(l, m, 3)
-    assert built == [] and made == [(3, False)] * 36 and _table_sizes() == sizes
+    assert made == [(3, False)] * 36 and _table_sizes() == sizes
 
 
 def test_cold_associated_elements_make_no_element_product(monkeypatch):
@@ -241,43 +223,36 @@ def test_disk_poly_equals_the_termwise_sum(l, m, alpha):
         assert disk_poly(DiskSpec(l, m, alpha), A, B, C) == disk_poly_termwise(l, m, alpha, A, B, C)
 
 
-# the suite grid and the benchmark's addition cases, as specs of the lhs bundles
+# the suite grid and the benchmark's addition cases, as specs of the lhs
 ADDITION_SPECS = ([DiskSpec(l, m, alpha) for alpha in range(1, 5) for l in range(4) for m in range(4)]
                   + [DiskSpec(4, 4, 1), DiskSpec(5, 5, 2), DiskSpec(6, 6, 2)])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_horner_equals_the_stepwise_horner_on_the_addition_bundles(variant):
-    # the bundle of the published arguments, and the shift-built lhs against it
-    args = addition_bundle(variant)
+    # the published arguments, and the shift-built lhs against them
+    args = addition_arguments(variant)
     for spec in ADDITION_SPECS:
-        assert args.scaled(spec) == horner_stepwise(args, spec), spec
-        assert tensor.scaled_lhs(*spec, variant)[1] == args.scaled(spec), spec
-    # the benchmark cases take the packed sum
-    for spec in ADDITION_SPECS[-3:]:
-        assert args._packed_horner(jacobi_scaled(spec)[1]) is not None, spec
+        want = horner_stepwise(spec, *args)
+        assert _scaled(spec, *args) == want, spec
+        assert tensor.scaled_lhs(*spec, variant)[1] == want, spec
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_packed_horner_equals_the_stepwise_horner_on_the_rank_bundles(n):
-    # no size cutoff: every sum takes the packed step, mm = 0 included
-    args = _rank_bundle(n)
+    # mm = 0 included
+    args = _rank_args(n)
     for l in range(5):
         for m in range(5):
             for alpha in sorted({0, max(n - 2, 0), n + 1}):
                 spec = DiskSpec(l, m, alpha)
-                assert args.scaled(spec) == horner_stepwise(args, spec), spec
-                packed = args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1])
-                assert packed is not None, spec
+                assert _scaled(spec, *args) == horner_stepwise(spec, *args), spec
 
 
 def test_non_laurent_argument_takes_the_qrat_horner():
-    # C = Q_3 / (1 - q^2) is central, so it commutes; the packed sum declines it
+    # C = Q_3 / (1 - q^2) is central, so it commutes
     x, y, c = z_gen(3, 3), w_gen(3, 3), q_element(3, 3) * (ONE / (ONE - qp(2)))
     spec = DiskSpec(4, 3, 1)
-    args = _DiskArgs(x, y, c)
-    assert args._packed_horner(jacobi_scaled(spec)[1][:4]) is None
-    assert _rank_bundle(3)._packed_horner(jacobi_scaled(spec)[1][:4]) is not None
     assert disk_poly(spec, x, y, c) == disk_poly_termwise(4, 3, 1, x, y, c)
 
 
@@ -293,13 +268,13 @@ def test_packed_horner_at_the_bound(c, s):
         P = ZElement(n, {((i,) + (0,) * (n - 1), (0,) * n): c if i == 0 else 1
                          for i in range((29 - 3 * n) // 2 + 1)})
         one, C = ZElement.one(n), q_element(n, n)
-        args = _DiskArgs(one, -P, C)
+        es = [one, C + P]  # E_0 = 1 and E_1 = D
         bound = n + 2 * (n + mass(P.terms.values()))
         assert bound == 2 * c + 29 and _width(bound.bit_length() + 1) == s
         assert bound == 2 ** 63 - 1 if s == 64 else 2 * c > 2 ** 63
-        H = args._packed_horner((ONE, QRat.from_int(2)))
+        H = _packed_horner((ONE, QRat.from_int(2)), es, C)
         assert H.coefficient((0,) * n, (0,) * n) == 2 * c
-        assert H == C * 3 + P * 2 and args._packed_horner((-ONE, ONE)) == P
+        assert H == C * 3 + P * 2 and _packed_horner((-ONE, ONE), es, C) == P
 
 
 def test_packed_horner_bound_counts_the_mass_of_c():
@@ -308,7 +283,7 @@ def test_packed_horner_bound_counts_the_mass_of_c():
     # has a coefficient 2 x = 2^63 + 2.  A bound without the factor |C| = 3 would
     # be x < 2^63 and choose s = 64, whose symmetric digits stop at 2^63
     x, C, one = 2 ** 62 + 1, q_element(3, 3), ZElement.one(3)
-    H = _DiskArgs(one, one, C)._packed_horner((QRat.from_int(x), ZERO, ZERO, ZERO))
+    H = _packed_horner((QRat.from_int(x), ZERO, ZERO, ZERO), [(C - one) ** k for k in range(4)], C)
     assert max(abs(n) for c in H.terms.values() for n in c.num) == 2 ** 63 + 2
     assert _width(x.bit_length() + 1) == 64 and H == pairwise_mul(pairwise_mul(C, C), C) * x
 
@@ -346,30 +321,26 @@ def test_packed_horner_bound_per_key(monkeypatch, n, x, coefs, s):
     # factor |C| (4x) or with the larger step alone (3x) would choose s = 64 and misread it
     (c0, c1), top = map(QRat.from_int, coefs), ((1,) * n,) * 2
     A, C = _all_moves_onto(n, [x] * n), q_element(n, n)
+    es = [A, A * C]
     chosen = _widths(monkeypatch, diskpoly)
-    H = _DiskArgs(A, ZElement.zero(n), C)._packed_horner((c0, c1), 1)
+    H = _packed_horner((c0, c1), es, C)
     assert chosen == [s] and H.terms[top] == n * x * (c0 + c1)
     assert H == pairwise_mul(A, C) * (c0 + c1)
 
 
 def test_non_central_c_takes_the_qrat_horner():
-    # Q_2 in Z_3 commutes with z_2 and w_2 but not with z_3, and 2 Q_3 is
-    # central but not Q_3: both are Laurent, and the packed sum declines both
+    # Q_2 in Z_3 commutes with z_2 and w_2 but not with z_3
     x, y, c = z_gen(2, 3), w_gen(2, 3), q_element(2, 3)
     assert c * z_gen(3, 3) != z_gen(3, 3) * c
-    assert _DiskArgs(z_gen(3, 3), w_gen(3, 3), q_element(3, 3) * 2).moves is None
-    args = _DiskArgs(x, y, c)
-    assert args.moves is None
     for l, m, alpha in ((3, 3, 1), (4, 2, 0), (1, 3, 2)):
         spec = DiskSpec(l, m, alpha)
-        assert args._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1]) is None
         assert disk_poly(spec, x, y, c) == disk_poly_termwise(l, m, alpha, x, y, c)
 
 
-def _moved(args, key) -> ZElement:
-    """The basis monomial key times the bundle's C, by its moves."""
-    out, k = diskpoly._times_q({key: 1}, 8, 0, args.moves)
-    return args.C._like(_unpacked(out, 8, k))
+def _moved(C: ZElement, moves, key) -> ZElement:
+    """The basis monomial key times C, by its moves (`diskpoly._times_q`)."""
+    out, k = diskpoly._times_q({key: 1}, 8, 0, moves)
+    return C._like(_unpacked(out, 8, k))
 
 
 def _keys(n: int, top: int) -> list:
@@ -380,46 +351,36 @@ def _keys(n: int, top: int) -> list:
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_moves_are_the_product_with_q_n(n):
-    args = _rank_bundle(n)
+    c = q_element(n, n)
     for key in _keys(n, 3):
-        assert _moved(args, key) == ZElement._of(n, {key: ONE}) * q_element(n, n), key
+        assert _moved(c, diskpoly._MOVES.__getitem__, key) == ZElement._of(n, {key: ONE}) * c, key
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_tensor_moves_are_the_product_with_q3_q2(variant):
     # on every key the (4, 4) lhs reaches: those of H_k for k <= 4
-    args, g = addition_bundle(variant), xy_generators()
+    g = xy_generators()
     c = tensor.pair(g.Q, g.D)
-    assert args.C == c
+    assert addition_arguments(variant)[2] == c
     keys = {key for alpha in (1, 2) for mm in range(5)
             for key in tensor.scaled_lhs(mm, mm, alpha, variant)[1].terms}
     for key in keys:
-        assert _moved(args, key) == ZElement._of(tensor.RANKS, {key: ONE}) * c, key
+        assert _moved(c, diskpoly._pair_moves, key) == ZElement._of(tensor.RANKS, {key: ONE}) * c, key
 
 
-def test_warm_horner_sums_build_no_structure_row():
-    # once D's powers are formed, a Horner sum reads and stores no product row
-    for args, spec in ((_rank_bundle(3), DiskSpec(5, 5, 1)),
-                       (addition_bundle("final"), DiskSpec(5, 5, 2))):
-        for k in range(6):
-            args.power("D", k)
-        sizes = len(_MONO_CACHE), len(_WZ_CACHE)
-        assert args._packed_horner(jacobi_scaled(spec)[1]) is not None
-        args.scaled(spec)
-        assert (len(_MONO_CACHE), len(_WZ_CACHE)) == sizes
-
-
-def _unfolded(args, spec: DiskSpec) -> ZElement:
-    """L R_spec on a bundle by the route without the fold: H = sum_k (L coef_k)
-    C^(mm-k) D^k by Horner's rule, then A^(l-m) H or H B^(m-l), every element
-    product the oracle's."""
+def _unfolded(spec: DiskSpec, A, B, C) -> ZElement:
+    """L R_spec(A, B, C) by the route without the fold: H = sum_k (L coef_k)
+    C^(mm-k) D^k by Horner's rule, then A^(l-m) H or H B^(m-l), every product
+    by H the oracle's."""
     j, coefs = spec.l - spec.m, jacobi_scaled(spec)[1][:min(spec.l, spec.m) + 1]
-    H = args.power("D", 0) * coefs[0]
+    d, dk = C - A * B, A.one_like()
+    H = dk * coefs[0]
     for k in range(1, len(coefs)):
-        H = pairwise_mul(H, args.C) + args.power("D", k) * coefs[k]
+        dk = dk * d
+        H = pairwise_mul(H, C) + dk * coefs[k]
     if j > 0:
-        return pairwise_mul(args.power("A", j), H)
-    return pairwise_mul(H, args.power("B", -j)) if j < 0 else H
+        return pairwise_mul(A ** j, H)
+    return pairwise_mul(H, B ** -j) if j < 0 else H
 
 
 FOLD_DEGREES = [(l, m) for l in range(5) for m in range(5) if l != m]
@@ -427,54 +388,28 @@ FOLD_DEGREES = [(l, m) for l in range(5) for m in range(5) if l != m]
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_folded_sum_equals_the_unfolded_route_on_the_rank_bundles(n):
-    # every l != m, mm = 0 included, on the rank bundle and on a fresh one
+    # every l != m, mm = 0 included
+    args = _rank_args(n)
     for l, m in FOLD_DEGREES:
         for alpha in sorted({0, n - 2, n}):
             spec = DiskSpec(l, m, alpha)
-            want = _unfolded(_rank_bundle(n), spec)
-            assert _rank_bundle(n).scaled(spec) == want, spec
-            assert _DiskArgs(z_gen(n, n), w_gen(n, n), q_element(n, n)).scaled(spec) == want, spec
+            assert _scaled(spec, *args) == _unfolded(spec, *args), spec
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_folded_sum_equals_the_unfolded_route_on_the_addition_bundles(variant):
-    args = addition_bundle(variant)
+    args = addition_arguments(variant)
     for l, m in FOLD_DEGREES:
         spec = DiskSpec(l, m, 1 + (l + m) % 2)
-        assert args.scaled(spec) == _unfolded(args, spec), spec
+        assert _scaled(spec, *args) == _unfolded(spec, *args), spec
 
 
 def test_folded_sum_with_a_non_central_c_takes_the_qrat_horner():
-    # Q_2 in Z_3 commutes with z_2 and w_2 but is not central: no moves, so the
-    # fold runs on QRats, through the public entry point
+    # Q_2 in Z_3 commutes with z_2 and w_2 but is not central, through the public entry point
     x, y, c = z_gen(2, 3), w_gen(2, 3), q_element(2, 3)
     for l, m, alpha in ((4, 1, 0), (1, 4, 2), (3, 0, 1), (0, 2, 1)):
         spec = DiskSpec(l, m, alpha)
-        assert _DiskArgs(x, y, c)._packed_horner(jacobi_scaled(spec)[1][:min(l, m) + 1], l - m) is None
-        assert disk_poly(spec, x, y, c) == _unfolded(_DiskArgs(x, y, c), spec) * jacobi_scaled(spec)[0]
-
-
-def test_warm_folded_sums_make_no_element_product(monkeypatch):
-    # once its E_k are formed, a sum with l != m makes no product at all, by an
-    # element or a scalar: the packed sum serves mm = 0 too
-    specs = [DiskSpec(5, 2, 1), DiskSpec(2, 5, 1), DiskSpec(4, 1, 2), DiskSpec(3, 0, 1), DiskSpec(0, 4, 2)]
-    bundles = (_rank_bundle(3), addition_bundle("final"), addition_bundle("precursor"))
-    for args in bundles:
-        for spec in specs:
-            args.scaled(spec)
-    calls = []
-    mul = ZElement.__mul__
-
-    def counting(self, other):
-        calls.append(isinstance(other, ZElement))
-        return mul(self, other)
-
-    monkeypatch.setattr(ZElement, "__mul__", counting)
-    for args in bundles:
-        for spec in specs:
-            calls.clear()
-            args.scaled(spec)
-            assert calls == [], spec
+        assert disk_poly(spec, x, y, c) == _unfolded(spec, x, y, c) * jacobi_scaled(spec)[0]
 
 
 # one level for n = 2..5, l, m <= 5 and four alphas; two levels, the (r, s) chains of
@@ -489,7 +424,7 @@ CHAINS = ([(n, DiskSpec(l, m, alpha)) for n in range(2, 6) for l in range(6) for
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_chain_equals_the_product_route(n):
-    # the packed sum of key shifts and central moves against levels on fresh bundles,
+    # the packed sum of key shifts and central moves against levels by `diskpoly._scaled`,
     # multiplied as elements, term by term: (num, den) of every key
     diskpoly._chain.cache_clear()
     for chain in [chain for chain in CHAINS if chain[0] == n]:

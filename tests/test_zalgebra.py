@@ -11,9 +11,7 @@ from qdisk.haar import _pair_haar, haar
 from qdisk.qfield import ONE, QRat, ZERO, _is_qpow, _reduce, _width, peak, qpoch, solve_linear
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, _pair_sum, pair
 from qdisk.zalgebra import (
-    _PACK_MIN_PAIRS,
     _mono_mul,
-    _tables,
     ANY_BIDEGREE,
     ZElement,
     bidegree,
@@ -128,7 +126,7 @@ def test_structure_rows_match_the_naive_rewriter(rank, degree):
         assert dict(row) == naive_normal_form({_word(k1) + _word(k2): ONE}, rank), (k1, k2)
         assert len({key for key, _ in row}) == len(row)
         for _, c in row:
-            # nonzero, canonical and Laurent: what _packed_product packs
+            # nonzero, canonical and Laurent: what `haar._pair_row` packs
             assert type(c) is QRat and c and _is_qpow(c.den)
             assert (c.num, c.den) == _reduce(c.num, c.den)
         t, p, _ = _pair_haar(rank, k1, k2)
@@ -496,8 +494,7 @@ def terms_of(keys, size, laurent):
                     unique_by=lambda t: t[0]).map(dict)
 
 
-# term counts per side with all products under, respectively at or over, the
-# cutoff; over it, Laurent coefficients take the packed path and others mostly not
+# term counts per side: at most 9 term pairs, respectively at least 16
 SMALL, LARGE = (1, 3), (4, 7)
 
 
@@ -507,7 +504,6 @@ def test_zelement_product_equals_the_pairwise_oracle(rank, large, laurent, data)
     size = LARGE if large else SMALL
     a = ZElement(rank, data.draw(terms_of(monomials(rank), size, laurent)))
     b = ZElement(rank, data.draw(terms_of(monomials(rank), size, laurent)))
-    assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == large
     assert a * b == pairwise_mul(a, b)
 
 
@@ -518,19 +514,16 @@ def test_tensor_product_equals_the_pairwise_oracle(large, laurent, data):
     keys = st.tuples(monomials(LEFT_RANK), monomials(RIGHT_RANK))
     a = ZElement((LEFT_RANK, RIGHT_RANK), data.draw(terms_of(keys, size, laurent)))
     b = ZElement((LEFT_RANK, RIGHT_RANK), data.draw(terms_of(keys, size, laurent)))
-    assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == large
     assert a * b == pairwise_mul(a, b)
 
 
 def test_packed_product_at_the_bound():
-    # Z_1 is commutative, so every structure-constant row is one entry 1 (S = 1)
-    # and the unit monomial of a * b gets only n * m, which is over half of the
-    # bound |a| |b| S: one bit less of digit width would misread it
+    # Z_1 is commutative, so every structure-constant row is one entry 1, and the
+    # unit monomial of a * b gets only n * m, over half of |a| |b|
     n = m = 3 * 2 ** 40
     unit = ((0,), (0,))
     a = ZElement(1, {unit: n, **{((i,), (0,)): 1 for i in range(1, 5)}})
     b = ZElement(1, {unit: m, **{((0,), (j,)): -1 for j in range(1, 5)}})
-    assert len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS
     bound = (n + 4) * (m + 4)
     assert n * m > 2 ** (bound.bit_length() - 1)
     product = a * b
@@ -540,9 +533,10 @@ def test_packed_product_at_the_bound():
 
 
 def _multi_term_rows(a, b, ranks):
-    """How many structure rows of a * b hold a constant with two or more
-    nonzero numerator coefficients."""
-    rows = [row for table in _tables(a.terms, b.terms, ranks) for row in table.values()]
+    """How many structure rows of a * b, read through `_mono_mul` per factor, hold a
+    constant with two or more nonzero numerator coefficients."""
+    keys = [(x, y) if len(ranks) > 1 else ((x,), (y,)) for x in a.terms for y in b.terms]
+    rows = [_mono_mul(rank, x[f], y[f]) for x, y in keys for f, rank in enumerate(ranks)]
     return sum(any(sum(map(bool, c.num)) > 1 for _, c in row) for row in rows)
 
 
@@ -557,7 +551,7 @@ def top_keys(rank, side):
 @given(st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_shifted_constants_equal_the_pairwise_oracle(tensor, data):
-    # packed products whose rows hold multi-term constants over q^k, with
+    # products whose rows hold multi-term constants over q^k, with
     # coefficients over mixed powers of q on both sides: w_3^a z_3^b in Z_3,
     # and in Z_3 (x) Z_2 with w_2^c z_2^d on the right
     ranks = RANKS if tensor else (3,)
@@ -565,7 +559,7 @@ def test_shifted_constants_equal_the_pairwise_oracle(tensor, data):
             else top_keys(3, side) for side in "wz"}
     a = ZElement(RANKS if tensor else 3, data.draw(terms_of(keys["w"], LARGE, True)))
     b = ZElement(RANKS if tensor else 3, data.draw(terms_of(keys["z"], LARGE, True)))
-    assert len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS and _multi_term_rows(a, b, ranks)
+    assert _multi_term_rows(a, b, ranks)
     assert a * b == pairwise_mul(a, b)
 
 
