@@ -236,36 +236,31 @@ def _scalar_of(elt: ZElement, offset: int) -> QRat:
 
 
 def _degree(elt: ZElement) -> int:
-    return max((sum(lam) + sum(mu) for lam, mu in elt.terms), default=0)
+    return _sizes(elt)[0]
 
 
-def _coeff_bits(elt: ZElement) -> int:
-    """Size of the largest coefficient: the bits of its numerator and
-    denominator integers, each counted at least once."""
-    return max((sum(x.bit_length() or 1 for x in c.num + c.den) for c in elt.terms.values()),
-               default=0)
+def _sizes(elt: ZElement) -> tuple:
+    """The largest degree, coefficient bits (each integer at least 1), |lambda|, |mu| and last i with a
+    nonzero lambda_i, or mu_i, from 1, over the terms, in one pass; 0 for no terms."""
+    rows = [(sum(lam) + sum(mu), sum(x.bit_length() or 1 for x in c.num + c.den), sum(lam), sum(mu),
+             max([0] + [i for i, e in enumerate(lam, 1) if e]), max([0] + [i for i, e in enumerate(mu, 1) if e]))
+            for (lam, mu), c in elt.terms.items()]
+    return tuple(map(max, zip(*rows, (0,) * 6)))
 
 
 def _check_product(a: ZElement, b: ZElement, offset: int | None) -> None:
-    """ExprError at offset when the product a * b would pass a cap."""
+    """ExprError at offset when the product a * b would pass a cap; each operand's terms are read once."""
     pairs = len(a.terms) * len(b.terms)
     if pairs > MAX_PAIRS:
         raise ExprError(f"product of {pairs} term pairs, more than {MAX_PAIRS}", offset)
-    degree = _degree(a) + _degree(b)
-    if degree > MAX_DEGREE:
+    (degree_a, bits_a, _, ws, _, top_a), (degree_b, bits_b, zs, _, top_b, _) = _sizes(a), _sizes(b)
+    if (degree := degree_a + degree_b) > MAX_DEGREE:
         raise ExprError(f"product of total degree {degree}, above {MAX_DEGREE}", offset)
-    bits = _coeff_bits(a) + _coeff_bits(b)
-    if bits > MAX_COEFF_BITS:
+    if (bits := bits_a + bits_b) > MAX_COEFF_BITS:
         raise ExprError(f"product of coefficients of {bits} bits, above {MAX_COEFF_BITS}", offset)
-    ws = max((sum(mu) for _, mu in a.terms), default=0)
-    zs = max((sum(lam) for lam, _ in b.terms), default=0)
-    row = ws * zs
-    if row > MAX_ROW:
-        raise ExprError(f"product needs a structure row of |mu| |lambda| = {row}, above {MAX_ROW}",
-                        offset)
-    top = max([i for _, mu in a.terms for i, e in enumerate(mu, 1) if e]
-              + [i for lam, _ in b.terms for i, e in enumerate(lam, 1) if e], default=1)
-    terms = comb(top - 1 + min(ws, zs), min(ws, zs))
+    if (row := ws * zs) > MAX_ROW:
+        raise ExprError(f"product needs a structure row of |mu| |lambda| = {row}, above {MAX_ROW}", offset)
+    terms = comb(max(top_a, top_b, 1) - 1 + min(ws, zs), min(ws, zs))
     if terms * row > MAX_ROW_SIZE:
         raise ExprError(f"product needs a structure row of {terms} terms at |mu| |lambda| = {row}: "
                         f"{terms * row}, above {MAX_ROW_SIZE}", offset)

@@ -9,7 +9,10 @@ denominator that depends on t = |lam| only:
 
 and extends linearly.  It descends to the quotient by Q_n - 1 (checked
 functionally: h(Q_n x) = h(x)); the quotient itself is never built.
-The sesquilinear pairing is <a, b> = h(b* a).
+The sesquilinear pairing is <a, b> = h(b* a).  `_haar_num` builds N_lam from
+N_0 = (q^2; q^2)_{n-1} part by part: N_lam = q^(2 lam_i (t - lam_i + i - 1))
+(q^2; q^2)_{lam_i} N_lam', i the last index with lam_i > 0 and lam' = lam with
+lam_i set to 0, each factor 1 - q^(2k) one shift and one subtraction.
 
 Packed sums.  `haar` (c N_lam) and `inner` (nb na P) sum products of factors
 n / (q^k d), d(0) != 0.  `_packed_sum` packs each distinct factor once, the
@@ -23,12 +26,13 @@ most B, the sum of prod_j |n_j| over the products, and s > B.bit_length() makes
 F its value's symmetric base-2^s digits; only groups are read back, so B covers
 every read-back.  Each sum is reduced once: the Fs, read back and times their
 cofactors, add over q^(K_1 + ... + K_r) M (q^2; q^2)_{T + n - 1}, T the largest
-t and M each d as often as one group has it (no gcd finds it), as a packed sum
-of their own, and one gcd reduces the quotient.  P, of (z^l1 w^m1)(z^l2 w^m2),
-sums x N_lam, x = n / q^k, over the diagonal terms x z^lam w^lam of the product
+t and M each d as often as one group has it (no gcd finds it; it and each
+cofactor are memoized, `_times`), as a packed sum of their own, and one gcd
+reduces the quotient.  P, of (z^l1 w^m1)(z^l2 w^m2), sums x N_lam, x = n / q^k,
+over the diagonal terms x z^lam w^lam of the product
 (`zalgebra._product_terms`), with B = sum |x| |N_lam|, as shifts of N_lam(2^s)
-(`_shift_sum`).  Normal ordering keeps the weight lam - mu, so `inner`
-pairs only terms whose weights cancel.  No size cutoff pays (CHANGES.md).
+(`_shift_sum`).  Normal ordering keeps the weight lam - mu, so `inner` pairs only
+terms whose weights cancel.  No size cutoff pays (CHANGES.md).
 
 Symmetries.  h is real on *-images, h(x*) = h(x), and a twisted trace, the
 modular property of the Haar state (S. L. Woronowicz, Comm. Math. Phys. 111,
@@ -43,17 +47,23 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial, reduce
 from math import prod
+from operator import sub
 
 from .diskpoly import DiskSpec
-from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _q_power, _qpoch, _width, poly_mul
+from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _qpoch, _width, poly_mul
 from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _z_rank
 
 
 @lru_cache(maxsize=None)
 def _haar_num(lam: tuple, n: int) -> QRat:
-    """N_lam, the polynomial numerator of h(z^lam w^lam), memoized."""
-    e = sum(lam) ** 2 + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
-    return prod([_qpoch(2, 2, li) for li in lam], start=_q_power(e) * _qpoch(2, 2, n - 1))
+    """N_lam, the polynomial numerator of h(z^lam w^lam), memoized, by the recurrence of the module docstring."""
+    i = max((i for i, x in enumerate(lam) if x), default=-1)
+    if i < 0:
+        return _qpoch(2, 2, n - 1)
+    num = _haar_num(lam[:i] + (0,) * (n - i), n).num
+    for x in range(2, 2 * lam[i] + 1, 2):  # times 1 - q^x
+        num = tuple(map(sub, num + (0,) * x, (0,) * x + num))
+    return _laurent(num, -2 * lam[i] * (sum(lam) - lam[i] + i))
 
 
 def haar_monomial(lam, mu, n: int) -> QRat:
@@ -61,8 +71,10 @@ def haar_monomial(lam, mu, n: int) -> QRat:
     return haar(ZElement.monomial(n, lam, mu))
 
 
-# the packing n(2^s) of a memoized numerator n (N_lam, P) at each width s
+# memoized: the packing n(2^s) of a memoized numerator n (N_lam, P) at each width s, and the product of
+# a tuple of d's and a Pochhammer's numerator (`_packed_sum`'s common denominators and cofactors)
 _packed = lru_cache(maxsize=None)(_eval_shift)
+_times = lru_cache(maxsize=None)(partial(reduce, poly_mul))
 
 
 def _factor(x: QRat, pack=_eval_shift) -> tuple:
@@ -93,12 +105,11 @@ def _packed_sum(cols: list, items: list, rank: int) -> QRat:
         groups[t, tuple(sorted([head[i][0], *ds]))] += head[i][1] * v
     # one denominator q^K M (q^2; q^2)_{T + rank - 1}: each group's F times its cofactor
     hi, most = max(t for t, _ in groups), reduce(Counter.__or__, [Counter(ds) for _, ds in groups])
-    reads = [(_from_digits(v, s), reduce(poly_mul, (most - Counter(ds)).elements(),
-                                         _qpoch(2 * (t + rank), 2, hi - t).num))
-             for (t, ds), v in groups.items()]
+    reads = [(_from_digits(v, s), _times(tuple(sorted((most - Counter(ds)).elements())),
+                                         _qpoch(2 * (t + rank), 2, hi - t).num)) for (t, ds), v in groups.items()]
     w = _width(sum(sum(map(abs, f)) * sum(map(abs, c)) for f, c in reads).bit_length() + 1)
     num = _from_digits(sum(_eval_shift(f, w) * _eval_shift(c, w) for f, c in reads), w)
-    return QRat(num, (0,) * sum(ks) + reduce(poly_mul, most.elements(), _qpoch(2, 2, hi + rank - 1).num))
+    return QRat(num, (0,) * sum(ks) + _times(tuple(sorted(most.elements())), _qpoch(2, 2, hi + rank - 1).num))
 
 
 def haar(a: ZElement) -> QRat:
@@ -174,12 +185,12 @@ def inner(a: ZElement, b: ZElement) -> QRat:
 
 @lru_cache(maxsize=None, typed=True)
 def _norm(l: int, m: int, alpha: int) -> Cyclo:
-    """`norm_const` as a `Cyclo`; ValueError unless (l, m, alpha) is a `DiskSpec`."""
+    """`norm_const` as a `Cyclo`, one factor 1 - q^k per Pochhammer term; ValueError unless a `DiskSpec`."""
     l, m, alpha = DiskSpec(l, m, alpha)
     a = 2 * (alpha + 1)
-    num = Cyclo.one_minus(a) * Cyclo(1, m * a) * Cyclo.qpoch(2, 2, l) * Cyclo.qpoch(2, 2, m)
-    den = Cyclo.one_minus(2 * (alpha + l + m + 1)) * Cyclo.qpoch(a, 2, l) * Cyclo.qpoch(a, 2, m)
-    return num / den
+    num = Cyclo.one_minus(a, *range(2, 2 * l + 1, 2), *range(2, 2 * m + 1, 2))
+    den = Cyclo.one_minus(2 * (alpha + l + m + 1), *range(a, a + 2 * l, 2), *range(a, a + 2 * m, 2))
+    return Cyclo.product(((num, 1), (den, -1)), qexp=m * a)
 
 
 def norm_const(l: int, m: int, alpha: int) -> QRat:

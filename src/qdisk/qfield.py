@@ -28,11 +28,12 @@ The closed-form scalars (q-Pochhammers, the little q-Jacobi coefficients,
 the norm and coupling constants of the addition formula, and the common
 denominators over them) all have the form +-q^e prod (1 - q^k)^(e_k).  Since
 q^k - 1 = prod_{d | k} Phi_d(q), a `Cyclo` holds one as a sign, a power of q
-and exponents of cyclotomic polynomials Phi_d: products, quotients and the
-lcm of denominators are exponent arithmetic.  `Cyclo.to_qrat` converts once,
-with no gcd: the Phi_d are distinct, monic, irreducible and prime to q, so
-the products over the positive and over the negative exponents are coprime,
-the denominator is monic and the pair has content 1, which is canonical form.
+and exponents of cyclotomic polynomials Phi_d: products (n-ary, in one pass),
+quotients and the lcm of denominators are exponent arithmetic.  `to_qrat`
+converts once, with no gcd: the Phi_d are distinct, monic, irreducible and
+prime to q, so the products over the positive and over the negative exponents
+are coprime, the denominator is monic and the pair has content 1, which is
+canonical form; each such product is expanded once per process (`_phi_product`).
 
 A polynomial is packed into its value at q = 2^s and read back as signed
 s-bit words, its symmetric base-2^s digits in (-2^(s-1), 2^(s-1)]: by one
@@ -679,13 +680,14 @@ def _over_qk_minus_1(a: list, k: int) -> list:
     return u
 
 
-def _phi_product(exps: dict) -> Coeffs:
-    """prod Phi_d^e over exps {d: e > 0}, as prod (q^k - 1)^f_k: by Moebius
-    inversion of q^d - 1 = prod_{k | d} Phi_k, f_k sums e mu(d/k) over the
-    multiples d of k.  Each factor multiplied in is a shift and a subtraction;
-    they all come first, so each one then divided out divides exactly."""
+@lru_cache(maxsize=None)
+def _phi_product(items: tuple) -> Coeffs:
+    """prod Phi_d^e over the sorted items (d, e > 0) of an exponent map, memoized, as prod (q^k - 1)^f_k:
+    by Moebius inversion of q^d - 1 = prod_{k | d} Phi_k, f_k sums e mu(d/k) over the multiples d of k.
+    Each factor multiplied in is a shift and a subtraction; they all come first, so each one then
+    divided out divides exactly."""
     fs: dict = {}
-    for d, e in exps.items():
+    for d, e in items:
         for k in _divisors(d):
             fs[k] = fs.get(k, 0) + e * _mobius(d // k)
     acc = [1]
@@ -701,8 +703,8 @@ def _phi_product(exps: dict) -> Coeffs:
 class Cyclo:
     """sign q^qexp prod Phi_d^e over the items (d, e) of the dict phi, e != 0:
     a q-Pochhammer constant in factored form; sign 0 is zero.  Immutable: no
-    method changes a value, and products, quotients and `lcm` build new ones
-    by exponent arithmetic."""
+    method changes a value, and products (n-ary: `product`), quotients and
+    `lcm` build new ones by exponent arithmetic."""
 
     __slots__ = ("sign", "qexp", "phi")
 
@@ -726,31 +728,23 @@ class Cyclo:
         return Cyclo(sign, qexp, phi)
 
     @staticmethod
-    def qpoch(a_exp: int, step_exp: int, k: int) -> "Cyclo":
-        """(q^a_exp; q^step_exp)_k, factored; see `qpoch`."""
-        _check_ints(k, least=0)
-        return Cyclo.one_minus(*(a_exp + i * step_exp for i in range(k)))
-
-    def _combine(self, other: "Cyclo", s: int) -> "Cyclo":
-        """self * other^s for s = 1 or -1."""
-        if not (self.sign and other.sign):
-            return Cyclo(0)
-        phi = self.phi.copy()
-        for d, e in other.phi.items():
-            e = phi.get(d, 0) + s * e
-            if e:
-                phi[d] = e
-            else:
-                del phi[d]
-        return Cyclo(self.sign * other.sign, self.qexp + s * other.qexp, phi)
+    def product(pairs: Iterable[tuple], sign: int = 1, qexp: int = 0) -> "Cyclo":
+        """sign q^qexp prod c^p over the pairs (c, p), p a nonzero int, in one pass that adds every
+        exponent into one dict; ZeroDivisionError for a zero c at p < 0."""
+        phi: dict = {}
+        for c, p in pairs:
+            if not c.sign and p < 0:
+                raise ZeroDivisionError("division by zero in Q(q)")
+            sign, qexp = sign * (c.sign if p % 2 else abs(c.sign)), qexp + p * c.qexp
+            for d, e in c.phi.items():
+                phi[d] = phi.get(d, 0) + p * e
+        return Cyclo(sign, qexp, {d: e for d, e in phi.items() if e})
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
-        return self._combine(other, 1)
+        return Cyclo.product(((self, 1), (other, 1)))
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":
-        if not other.sign:
-            raise ZeroDivisionError("division by zero in Q(q)")
-        return self._combine(other, -1)
+        return Cyclo.product(((self, 1), (other, -1)))
 
     def __eq__(self, other):
         if not isinstance(other, Cyclo):
@@ -770,11 +764,12 @@ class Cyclo:
         return Cyclo(1, qexp, phi)
 
     def to_qrat(self) -> QRat:
-        """The canonical QRat, with no gcd (see the module docstring)."""
+        """The canonical QRat, with no gcd, each product of Phi_d expanded once per process (module docstring)."""
         if not self.sign:
             return ZERO
-        num = _phi_product({d: e for d, e in self.phi.items() if e > 0})
-        den = _phi_product({d: -e for d, e in self.phi.items() if e < 0})
+        items = sorted(self.phi.items())
+        num = _phi_product(tuple((d, e) for d, e in items if e > 0))
+        den = _phi_product(tuple((d, -e) for d, e in items if e < 0))
         if self.sign < 0:
             num = poly_neg(num)
         return QRat((0,) * max(self.qexp, 0) + num, (0,) * max(-self.qexp, 0) + den,
@@ -787,7 +782,8 @@ def qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
     Both exponents may be negative; negative powers of q land in the
     denominator, e.g. qpoch(-2, 2, 1) = (q^2 - 1)/q^2.
     """
-    return _qpoch(*_check_ints(a_exp, step_exp, k))
+    _check_ints(a_exp, step_exp, k)
+    return _qpoch(a_exp, step_exp, *_check_ints(k, least=0))
 
 
 def qnumber(m: int, base_exp: int) -> QRat:
@@ -809,7 +805,7 @@ def _q_power(k: int) -> QRat:
 
 @lru_cache(maxsize=None, typed=True)
 def _qpoch(a_exp: int, step_exp: int, k: int) -> QRat:
-    return Cyclo.qpoch(a_exp, step_exp, k).to_qrat()
+    return Cyclo.one_minus(*(a_exp + i * step_exp for i in range(k))).to_qrat()
 
 
 @lru_cache(maxsize=None, typed=True)

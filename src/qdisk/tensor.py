@@ -23,8 +23,9 @@ sum of the absolute integer coefficients of one of x's coefficients, |E_k| <= 10
 width of that bound and read back once.
 
 The rhs scalars, the coupling constants, the final variant's sign and q-power and each piece's
-Jacobi denominators, are `Cyclo`s (`qfield`): `_rhs_pieces` takes their lcm V by exponent
-arithmetic and converts 1/V, W = V / L and each weight once, with no gcd.  W is a polynomial: the
+Jacobi denominators, are `Cyclo`s (`qfield`), each piece's cc (-q)^(r-s) / (L_outer^2 L_inner) in
+one `Cyclo.product` pass: `_rhs_pieces` takes their lcm V by exponent arithmetic and converts 1/V,
+W = V / L and each weight once, with no gcd.  W is a polynomial: the
 scalar of piece (0, 0), whose coupling constant and inner lcm are 1, is 1/L^2, and V has each
 index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of Laurent simple
 tensors w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain`
@@ -121,10 +122,10 @@ def _check_addition(l: int, m: int, alpha: int, variant: str) -> DiskSpec:
 
 @lru_cache(maxsize=None, typed=True)
 def _coupling(l: int, m: int, r: int, s: int, alpha: int) -> Cyclo:
-    """`coupling_const` as a `Cyclo`; `_norm` checks its three specs, (l, m, alpha) first."""
-    whole, inner = _norm(l, m, alpha), _norm(r, s, alpha - 1)
-    ratio = Cyclo.one_minus(2 * (alpha + r + s + 1)) / Cyclo.one_minus(2 * (alpha + 1))
-    return ratio * whole / (_norm(l - r, m - s, alpha + r + s) * inner)
+    """`coupling_const` as a `Cyclo`, in one pass; `_norm` checks its three specs, (l, m, alpha) first."""
+    return Cyclo.product(((_norm(l, m, alpha), 1), (_norm(r, s, alpha - 1), -1),
+                          (_norm(l - r, m - s, alpha + r + s), -1), (Cyclo.one_minus(2 * (alpha + r + s + 1)), 1),
+                          (Cyclo.one_minus(2 * (alpha + 1)), -1)))
 
 
 def coupling_const(l: int, m: int, r: int, s: int, alpha: int) -> QRat:
@@ -200,16 +201,13 @@ def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
 @lru_cache(maxsize=None)
 def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
     """(pieces (r, s, outer, inner), 1/V, W, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each), V the lcm
-    of the denominators and W = V / L of the module docstring, built as `Cyclo`s and converted once."""
+    of the denominators and W = V / L of the module docstring, built as `Cyclo`s, one pass each with the final
+    variant's (-q)^(r-s) = (-1)^(r+s) q^(r-s) as integers, and converted once."""
     plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
             for r in range(l + 1) for s in range(m + 1)]
-    factors = []
-    for r, s, outer, inner in plan:
-        cc = _coupling(l, m, r, s, alpha)
-        if variant == "final":
-            cc = cc * Cyclo((-1) ** (r - s), r - s)
-        lcm_outer = _jacobi(outer)[0]
-        factors.append(cc / (lcm_outer * lcm_outer * _jacobi(inner)[0]))
+    factors = [Cyclo.product(((_coupling(l, m, r, s, alpha), 1), (_jacobi(outer)[0], -2), (_jacobi(inner)[0], -1)),
+                             *(((-1) ** (r + s), r - s) if variant == "final" else ()))
+               for r, s, outer, inner in plan]
     lcm = Cyclo.lcm(factors)
     return (tuple(plan), (Cyclo() / lcm).to_qrat(), (lcm / _jacobi(DiskSpec(l, m, alpha))[0]).to_qrat().num,
             tuple((lcm * c).to_qrat() for c in factors))

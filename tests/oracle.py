@@ -38,6 +38,10 @@ each (r, s) piece is its own simple tensor, with the Y1 powers multiplied in,
 the weight applied to the right factor and one QRat product per term pair,
 and the pieces are added by QRat sums.
 
+`haar_num_product` is the oracle for the recurrence of `haar._haar_num`: the
+closed form of N_lam, q^e (q^2; q^2)_{n-1} prod_i (q^2; q^2)_{lam_i}, as one
+product of memoized q-Pochhammers.
+
 `qpoch_product`, `jacobi_coeffs_product`, `norm_const_product`,
 `coupling_const_product`, `jacobi_scaled_product` and `rhs_pieces_product`
 are the oracles for the cyclotomic-factored verification scalars: the same
@@ -62,6 +66,7 @@ the powers of D, with no fold, then A^(l-m) H or H B^(m-l), by element products.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from types import SimpleNamespace
 
 from qdisk import diskpoly, tensor
@@ -569,6 +574,12 @@ def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
         right = chain_product(2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
         total = total + pair_termwise(left, right * weight)
     return inv_lcm, total
+
+
+def haar_num_product(lam: tuple, n: int) -> QRat:
+    """N_lam of the `haar` module docstring, multiplied out: q^e times n + 1 q-Pochhammers."""
+    e = sum(lam) ** 2 + sum(2 * i * lam[i] - lam[i] ** 2 for i in range(n))
+    return prod([qpoch(2, 2, li) for li in lam], start=QRat.q_power(e) * qpoch(2, 2, n - 1))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from oracle import (common_denominator, coupling_const_product, jacobi_coeffs_pr
 from qdisk import qfield, tensor
 from qdisk.diskpoly import DiskSpec, jacobi_scaled
 from qdisk.haar import norm_const
-from qdisk.qfield import ONE, Cyclo, QRat, ZERO, poly_divexact, poly_mul, qnumber, qpoch
+from qdisk.qfield import ONE, Cyclo, QRat, ZERO, poly_divexact, poly_mul, poly_neg, qnumber, qpoch
 from qdisk.qfunc import _jacobi_coeffs, little_q_jacobi
 from qdisk.tensor import VARIANTS, coupling_const
 
@@ -81,6 +81,31 @@ def test_conversion_is_canonical_for_random_exponents():
         same(c.to_qrat(), expect)
 
 
+@given(st.dictionaries(st.integers(1, 40), st.integers(-4, 4).filter(bool), max_size=7),
+       st.sampled_from((-1, 1)), st.integers(-8, 8))
+@settings(max_examples=150, deadline=None)
+def test_memoized_phi_products_equal_a_fresh_expansion(phi, sign, qexp):
+    # the table is keyed by the sorted items, so any insertion order of the same exponents reads the
+    # same entry, and each entry is the Moebius expansion of its items, warm or cold
+    fresh = qfield._phi_product.__wrapped__
+    items = sorted(phi.items())
+    num, den = (fresh(tuple((d, s * e) for d, e in items if s * e > 0)) for s in (1, -1))
+    expect = QRat(poly_neg(num) if sign < 0 else num) * QRat.q_power(qexp) / QRat(den)
+    for exps in (phi, dict(reversed(items)), phi):
+        same(Cyclo(sign, qexp, exps).to_qrat(), expect)
+
+
+def test_products_are_one_pass_over_every_factor():
+    # sign q^qexp prod c^p: exponents add, odd powers carry the sign, a zero absorbs the rest and
+    # no value divides by one
+    x, y = Cyclo.one_minus(4, 6), Cyclo(-1, 3, {2: -1, 5: 2})
+    assert Cyclo.product(((x, 2), (y, -1)), -1, 5) == x * x / y * Cyclo(-1, 5)
+    assert Cyclo.product(((x, 1), (x, -1)), qexp=-2) == Cyclo(1, -2)
+    assert Cyclo.product(((y, 3), (Cyclo(0), 1))) == Cyclo(0)
+    with pytest.raises(ZeroDivisionError):
+        Cyclo.product(((Cyclo(0), 1), (Cyclo.one_minus(0), -1)))
+
+
 def test_qpoch_and_qnumber_match_their_products():
     for a, step, k in product(range(-6, 7), range(-3, 4), range(7)):
         same(qpoch(a, step, k), qpoch_product(a, step, k))
@@ -130,7 +155,8 @@ def test_jacobi_scaled_matches_the_gcd_common_denominator():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rhs_pieces_match_the_gcd_common_denominator(variant):
-    for l, m, alpha in [*product(range(5), range(5), range(1, 4)), (5, 5, 2)]:
+    # the suite grid (l, m <= 3, alpha <= 4) and more
+    for l, m, alpha in [*product(range(5), range(5), range(1, 5)), (5, 5, 2)]:
         plan, inv, w, weights = tensor._rhs_pieces(l, m, alpha, variant)
         inv_x, weights_x = rhs_pieces_product(l, m, alpha, variant)
         assert [(r, s) for r, s, _, _ in plan] == list(product(range(l + 1), range(m + 1)))

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import haar_termwise, inner_via_product, pair_haar_termwise
+from oracle import haar_num_product, haar_termwise, inner_via_product, pair_haar_termwise
 from reference import MultiQPoly, haar_monomial_alt, multi_jackson
 from qdisk.cli import main, parse_element
 import qdisk.haar as haar_module
@@ -255,6 +256,42 @@ def test_monomial_numerators_are_polynomials():
         for total in range(5):
             for lam in compositions(total, n):
                 assert _haar_num(lam, n).den == (1,), (n, lam)
+
+
+def test_monomial_numerators_match_their_closed_form_product():
+    # the recurrence N_lam = q^(2 lam_i (t - lam_i + i - 1)) (q^2; q^2)_{lam_i} N_lam', from a cold table
+    _haar_num.cache_clear()
+    for n in range(1, 5):
+        for total in range(13):
+            for lam in compositions(total, n):
+                got, want = _haar_num(lam, n), haar_num_product(lam, n)
+                assert (got.num, got.den) == (want.num, want.den), (n, lam)
+
+
+def test_monomial_numerators_recur_once_per_part():
+    # N_lam is built from the N without its last part, so a cold |lam| = 48 needs a few frames:
+    # a recursion through every N_(lam - e_i) would pass the lowered limit
+    _haar_num.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = _haar_num((24, 0, 24), 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == haar_num_product((24, 0, 24), 3)
+
+
+def test_warm_denominators_and_cofactors_make_no_product():
+    # `_packed_sum` keeps its common denominators and cofactors: a second norms pass finds them all
+    specs = [spherical(l, m, 3) for l in range(4) for m in range(4)]
+    norms = [inner(s, s) for s in specs]
+    misses = haar_module._times.cache_info().misses
+    assert [inner(s, s) for s in specs] == norms
+    info = haar_module._times.cache_info()
+    assert info.misses == misses and info.hits
 
 
 @pytest.mark.parametrize("l,m", [(l, m) for l in range(3) for m in range(3)])

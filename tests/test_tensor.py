@@ -372,6 +372,18 @@ def _clear_every_table():
                 value.clear()
 
 
+def test_a_cold_suite_grid_expands_each_distinct_product_once(monkeypatch, capsys):
+    # the scalars of the 128 cases ask for many products of cyclotomic polynomials, most of them
+    # more than once; the table expands each distinct one once
+    _clear_every_table()
+    asked, table = [], qfield._phi_product
+    monkeypatch.setattr(qfield, "_phi_product", lambda items: asked.append(items) or table(items))
+    assert cli.main(["suite", "--grid", "alpha=1..4;l=0..3;m=0..3", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.endswith("suite: 128/128 passed\n")
+    info = table.cache_info()
+    assert info.misses == info.currsize == len(set(asked)) < len(asked) // 4
+
+
 def test_cold_verdicts_make_no_element_product(monkeypatch):
     # from empty tables, a verdict builds its lhs powers by key shifts and central moves: no
     # element product, by an element or a scalar, and no structure row
@@ -769,7 +781,7 @@ def test_cold_verification_computes_no_scalar_gcd(monkeypatch):
     for case in ((3, 2, 1, "final"), (2, 3, 2, "precursor")):
         for table in (tensor._lhs_power, diskpoly._chain, tensor._rhs_pieces,
                       tensor._coupling, diskpoly._jacobi, haar._norm, qfield._qpoch, qfield._divisors,
-                      qfield._mobius):
+                      qfield._mobius, qfield._phi_product):
             table.cache_clear()
         assert verify_addition(*case).passed and calls == []
 
