@@ -235,10 +235,6 @@ def _scalar_of(elt: ZElement, offset: int) -> QRat:
     return elt.terms.get(unit, ZERO)
 
 
-def _degree(elt: ZElement) -> int:
-    return _sizes(elt)[0]
-
-
 def _sizes(elt: ZElement) -> tuple:
     """The largest degree, coefficient bits (each integer at least 1), |lambda|, |mu| and last i with a
     nonzero lambda_i, or mu_i, from 1, over the terms, in one pass; 0 for no terms."""

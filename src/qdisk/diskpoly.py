@@ -14,13 +14,13 @@ H_(k-1) C + (L coef_k) E_k; `disk_poly` takes it on `QRat`s, E_k = E_(k-1) D or 
 H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2: moving z_a left
 past z_j and w_a right past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
 z^lam w^mu Q_n = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor,
-the t's added.  With Laurent coefficients `_packed_sum` keeps H packed at one slot
-width s: a step adds each term, shifted by s (big - t), onto its moves (big the largest t_1),
-then each product L coef_k E_k, multiplied at the operands' own powers of q and shifted after
-(`qfield.pack_laurent`), and H is read back once, or, for the addition verdict of `tensor`, handed
-over packed.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with |x| the
-largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C| |H_(k-1)| +
-|E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` takes it, over E_k built by key shifts.
+the t's added.  With Laurent coefficients `_packed_sum` keeps H packed at one slot width s in
+t = q^2, one accumulator per parity (`qfield`): a step adds each term onto its moves, to the
+other parity for odd t, then each product of parts of L coef_k and E_k, multiplied at their
+own powers of t and shifted after, and H is read back once, or handed over packed to the
+verdict of `tensor`.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with
+|x| the largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C|
+|H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` takes it, over E_k built by key shifts.
 
 The spherical and associated elements and the rhs factors of `tensor` are products down Z_n >
 Z_(n-1) > ..., level n on the left, of L R(z_i, w_i, Q_i); `_chain` builds and keeps each with
@@ -29,24 +29,23 @@ I in Z_(n-1), z_n^a w_n^b z^lam w^mu = q^((b-a)|lam|) z^(lam + a e_n) w^(mu + b 
 Q_(n-1) w_n = q^-2 w_n Q_(n-1).  So with J_k = Q_(n-1)^k I by central moves at rank n - 1,
 E_k I is z_n^j J_k (l >= m, j = l - m) or q^(-2kb) w_n^b J_k (l < m, b = m - l), a shift of
 J_k's keys, which all have |lam| = |lam of I| + k, times one power of q, and L R I is one
-packed Horner sum in Q_n over them, with |E_k I| <= (n-1)^k |I|, read back once.  Callers
-never receive a `_chain` entry.
+packed Horner sum in Q_n over them, with |E_k I| <= (n-1)^k |I|, read back once in t-form.
+Callers never receive a `_chain` entry; `spherical` joins its parts.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import repeat
 from math import comb
 
-from .qfield import Cyclo, _check_ints, _unpacked, _width, mass, pack_laurent, peak
+from .qfield import Cyclo, Parts, _check_ints, _eval_shift, _mass, _read, _split, _terms, _width
 from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, _check_rank, _element, _Memo
 
 # Caps on disk degrees and alpha, which `DiskSpec` owns, and on spherical terms.  The slowest admitted cases
-# found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 2.0-2.6 s and 60 MB, and 0.28-0.44
-# s and 27 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).  No route passes
+# found, verify_addition(8, 8, 16) and assoc_spherical(8, 8, 2, 0, 8), took 0.7-1.2 s and 39 MB, and 0.29-0.30
+# s and 26 MB, on a 2-vCPU x86-64 host (spherical(5, 5, 16), before the term cap, 17 s).  No route passes
 # alpha above 263 (assoc_spherical(8, 8, 8, 1, 256)); norm_const(8, 8, 512): 0.07 s.
 MAX_DISK_DEGREE = 8
 MAX_DISK_ALPHA = 512
@@ -75,10 +74,11 @@ class DiskSpec(namedtuple("DiskSpec", "l m alpha")):
 
 @lru_cache(maxsize=None)
 def _jacobi(spec: DiskSpec) -> tuple:
-    """(L, 1/L, (L coef_0, L coef_1, ...)) of `jacobi_scaled`, L a `Cyclo` and the rest `QRat`s."""
+    """(L, 1/L, (L coef_0, L coef_1, ...), their parts) of `jacobi_scaled`, L a `Cyclo`, then `QRat`s."""
     coeffs = _jacobi_coeffs(min(spec.l, spec.m), spec.alpha, abs(spec.l - spec.m), 2)
     lcm = Cyclo.lcm(coeffs)
-    return lcm, (Cyclo() / lcm).to_qrat(), tuple((lcm * c).to_qrat() for c in coeffs)
+    scaled = tuple((lcm * c).to_qrat() for c in coeffs)
+    return lcm, (Cyclo() / lcm).to_qrat(), scaled, tuple(map(_split, scaled))
 
 
 def jacobi_scaled(spec: DiskSpec) -> tuple:
@@ -86,7 +86,7 @@ def jacobi_scaled(spec: DiskSpec) -> tuple:
     L the lcm of their denominators, each L coef_k a polynomial; ValueError unless a `DiskSpec`."""
     if not isinstance(spec, DiskSpec):
         raise ValueError(f"expected a DiskSpec, got {spec!r}")
-    return _jacobi(spec)[1:]
+    return _jacobi(spec)[1:3]
 
 
 def _moves(lam: tuple, mu: tuple) -> tuple:
@@ -103,39 +103,53 @@ def _pair_moves(key) -> list:
     return [((k1, k2), t1 + t2) for k1, t1 in _MOVES[key[0]] for k2, t2 in _MOVES[key[1]]]
 
 
-def _times_q(acc: dict, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
-    """(H C, kh + big) for H packed at width s over q^kh, C = Q_n (or Q_n1 (x) Q_n2: `_pair_moves`)."""
-    acc = [(v, moves(key)) for key, v in acc.items()]
-    out, big = {}, max(ms[-1][1] for _, ms in acc)  # the last move has the largest t
-    for v, ms in acc:
-        for key2, t in ms:
-            out[key2] = out.get(key2, 0) + (v << s * (big - t))
+def _times_q(accs: tuple, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
+    """(H C, kh + big) for H packed at width s over t^kh, one accumulator per parity, C = Q_n (or
+    Q_n1 (x) Q_n2: `_pair_moves`): q^p q^-t = q^((p + t) & 1) t^((p - t) >> 1)."""
+    rows = [[(v, moves(key)) for key, v in acc.items()] for acc in accs]
+    out, big = ({}, {}), (max(ms[-1][1] for row in rows for _, ms in row) + 1) >> 1  # the last t is the largest
+    for p, row in enumerate(rows):
+        for v, ms in row:
+            for key, t in ms:
+                acc = out[(p + t) & 1]
+                acc[key] = acc.get(key, 0) + (v << s * (big + ((p - t) >> 1)))
     return out, kh + big
 
 
 def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> tuple:
-    """H = sum_k coef_k C^(mm-k) E_k packed (module docstring), ({key: F(2^s)}, s, kh) for its terms F/q^kh:
-    times_c moves a key onto fan keys, |E_k| <= peaks[k], and terms(s) yields E_k's `pack_laurent`, keys."""
+    """H = sum_k coef_k C^(mm-k) E_k packed, ((acc_0, acc_1), s, kh) for q^p F(t) / t^kh: times_c moves a key
+    onto fan keys, |E_k| <= peaks[k], coefs are parts and terms(s) yields E_k as (e, kd, groups), q^e / t^kd
+    times the q^p t^o v key of the (key, o, v) of groups[p]."""
     bound = 0
     for coef, p in zip(coefs, peaks):
-        bound = bound * fan + p * mass([coef])
-    s, acc, kh = _width(bound.bit_length() + 1), {}, 0
-    for k, (coef, (kd, pd, od, keys)) in enumerate(zip(coefs, terms(s))):
+        bound = bound * fan + p * _mass(coef)
+    s, accs, kh = _width(bound.bit_length() + 1), ({}, {}), 0
+    for k, (coef, (e, kd, groups)) in enumerate(zip(coefs, terms(s))):
         if k:  # H_(k-1) C
-            acc, kh = times_c(acc, s, kh)
-        kx, (x,), (ox,) = pack_laurent([coef], s)
-        if kx + kd > kh:  # over the larger power of q
-            acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
-        for key, y, oy in zip(keys, pd, od):  # x y over q^(kx + kd), shifted by its offsets
-            acc[key] = acc.get(key, 0) + ((x * y) << (s * (kh - kx - kd + ox + oy)))
-    return acc, s, kh
+            accs, kh = times_c(accs, s, kh)
+        # a product q^f t^o x v lands in parity f & 1, over t^kd shifted by f >> 1 and o
+        steps = [(p + e + ec, x, group) for ec, x in [(ec, _eval_shift(g, s)) for ec, g in coef]
+                 for p, group in enumerate(groups) if group]
+        if (need := max([kd - (f >> 1) for f, _, _ in steps], default=0)) > kh:  # over the larger power of t
+            accs, kh = tuple({key: v << s * (need - kh) for key, v in acc.items()} for acc in accs), need
+        for f, x, group in steps:
+            acc, base = accs[f & 1], kh - kd + (f >> 1)
+            for key, o, y in group:
+                acc[key] = acc.get(key, 0) + ((x * y) << (s * (base + o)))
+    return accs, s, kh
+
+
+def _packed(x: Parts, s: int) -> tuple:
+    """(kd, groups) of an element in t-form packed at width s: per parity, (key, o, g(2^s)) of each part
+    (key, a, g), a = o - kd, kd the largest -a (0 at least)."""
+    kd = max(0, -x.low)
+    return kd, [[(key, a + kd, _eval_shift(g, s)) for key, a, g in parts] for parts in x[:2]]
 
 
 def _packed_sum(coefs: tuple, es: list, fan: int, moves) -> tuple:
-    """`_horner_sum` over the E_k of es, elements with Laurent coefficients, packed as they stand, with C
-    by its moves onto fan keys (`_times_q`)."""
-    return _horner_sum(coefs, [x._peak for x in es], fan, lambda s: (
-        (*pack_laurent(list(x.terms.values()), s), x.terms) for x in es), partial(_times_q, moves=moves))
+    """`_horner_sum` over the E_k of es, in t-form, with C by its moves onto fan keys (`_times_q`)."""
+    return _horner_sum(coefs, [x.peak for x in es], fan, lambda s: ((0, *_packed(x, s)) for x in es),
+                       partial(_times_q, moves=moves))
 
 
 def _scaled(spec: DiskSpec, A, B, C):
@@ -165,22 +179,23 @@ def disk_poly(spec: DiskSpec, A, B, C):
 
 
 @lru_cache(maxsize=None)
-def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> ZElement:
+def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> Parts:
     """The product in Z_n (n >= 2), level n on the left, of L R_spec(z_i, w_i, Q_i) over the specs for
     i = n, n - 1, ..., each L the lcm of its spec's Jacobi denominators: one packed Horner sum on I,
     the chain of the rest (1 for none), over key shifts of J_k = Q_(n-1)^k I (module docstring)."""
-    low = _chain(n - 1, *rest) if rest else ZElement.one(n - 1)
-    j, coefs = spec.l - spec.m, _jacobi(spec)[2][:min(spec.l, spec.m) + 1]
+    low = _chain(n - 1, *rest) if rest else Parts((((zero := (0,) * (n - 1), zero), 0, (1,)),), (), 1, 0)
+    j, coefs = spec.l - spec.m, _jacobi(spec)[3][:min(spec.l, spec.m) + 1]
     deg, (zn, wn) = sum(x.l for x in rest), ((j,), (0,)) if j >= 0 else ((0,), (-j,))
 
-    def terms(s):  # E_k I = J_k q^(-j deg - |j| k) shifted, J_k aligned over q^kj
-        kj, packed, offsets = pack_laurent(list(low.terms.values()), s)
-        acc = {key: x << s * o for key, x, o in zip(low.terms, packed, offsets)}
+    def terms(s):  # E_k I = q^(-j deg - |j| k) J_k shifted, J_k aligned over t^kj
+        kj, groups = _packed(low, s)
+        accs = tuple({key: v << s * o for key, o, v in group} for group in groups)
         for k in range(len(coefs)):
-            acc, kj = _times_q(acc, s, kj) if k else (acc, kj)
-            yield kj + j * deg + abs(j) * k, acc.values(), repeat(0), ((lam + zn, mu + wn) for lam, mu in acc)
-    peaks = [(n - 1) ** k * low._peak for k in range(len(coefs))]
-    return ZElement._of(n, h := _unpacked(*_horner_sum(coefs, peaks, n, terms, _times_q)), peak(h.values()))
+            accs, kj = _times_q(accs, s, kj) if k else (accs, kj)
+            yield -j * deg - abs(j) * k, kj, [[((lam + zn, mu + wn), 0, v) for (lam, mu), v in acc.items()]
+                                              for acc in accs]
+    peaks = [(n - 1) ** k * low.peak for k in range(len(coefs))]
+    return _read(*_horner_sum(coefs, peaks, n, terms, _times_q))
 
 
 def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:
@@ -205,7 +220,7 @@ def spherical(l: int, m: int, n: int) -> ZElement:
     """Bidegree-(l, m) zonal spherical element of the rank-n quantum sphere,
     as its homogeneous representative R_{l,m}^(n-2)(z_n, w_n, Q_n; q^2)."""
     n, spec = _check_spherical(l, m, n)
-    return _chain(n, spec) * _jacobi(spec)[1]
+    return ZElement._of(n, _terms(_chain(n, spec))) * _jacobi(spec)[1]
 
 
 def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
@@ -213,4 +228,4 @@ def assoc_spherical(l: int, m: int, r: int, s: int, n: int) -> ZElement:
     top generators times the (r, s) one on the next level down."""
     n, (l, m, _) = _check_spherical(l, m, n, r, s)
     outer, inner = DiskSpec(l - r, m - s, n - 2 + r + s), DiskSpec(r, s, n - 3)
-    return _chain(n, outer, inner) * (_jacobi(outer)[1] * _jacobi(inner)[1])
+    return ZElement._of(n, _terms(_chain(n, outer, inner))) * (_jacobi(outer)[1] * _jacobi(inner)[1])

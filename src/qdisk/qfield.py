@@ -39,6 +39,13 @@ A polynomial is packed into its value at q = 2^s and read back as signed
 s-bit words, its symmetric base-2^s digits in (-2^(s-1), 2^(s-1)]: by one
 C-level array call for s of 8, 16, 32 or 64 bits on little-endian hosts, else
 slot by slot (s a multiple of 8); a bound asking 2^s large holds rounded up.
+
+The packed sums of `diskpoly` and `tensor` work in t = q^2 (Harvey's even/odd split):
+a coefficient is split once into its parts q^e g(q^2), g(0) != 0, one per parity of
+e (`_split`), an element into `Parts`, and a sum keeps one accumulator per parity
+p, {key: F(2^s)} for q^p F(t) / t^k: p and p' multiply into p ^ p', two odd ones
+carrying q^2 into one more t.  A slot holds one coefficient of q, so bounds on those
+hold; an ungraded coefficient costs two parts, and a sum is 0 only when both are.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import math
 import operator
 import sys
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
@@ -605,35 +613,56 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 
 
 # ----------------------------------------------------------------------
-# packed Laurent products (Kronecker substitution; Harvey, J. Symbolic Comput. 2009)
+# the t-form: Laurent polynomials split by parity (Kronecker substitution at t = q^2; Harvey 2009)
 
 
-def pack_laurent(cs: Sequence[QRat], s: int) -> tuple:
-    """(K, values, offsets) for Laurent cs: each n/q^k, n = q^v n' with n'(0) != 0, as the value n'(2^s)
-    at its own power of q and the offset K - (k - v), K = max(0, largest k - v).  Shifted by s times
-    its offset a value is n(2^s) 2^(s(K - k)), aligned over q^K: multiply values, then shift."""
-    values, nets = [], []
-    for c in cs:  # v, the index of the numerator's first nonzero
-        v = c.num.index(next(filter(None, c.num))) if c.num[:1] == (0,) else 0
-        values.append(_eval_shift(c.num[v:], s))
-        nets.append(len(c.den) - 1 - v)
-    k = max([0, *nets])
-    return k, values, [k - e for e in nets]
+# an element in t-form: per parity p, (key, a, g) for q^p t^a g(t) key; the largest mass of one
+# coefficient; the least a, 0 for none
+Parts = namedtuple("Parts", "even odd peak low")
 
 
-def _unpacked(acc: dict, s: int, k: int) -> dict:
-    """The nonzero terms {key: F/q^k} of packed values {key: F(2^s)}: the inverse of `pack_laurent`."""
-    return {key: _laurent(_from_digits(v, s), k) for key, v in acc.items() if v}
+def _split(c: QRat) -> tuple:
+    """The parts (e, g) of a Laurent c = sum q^e g(q^2), one per parity of e in c, g(0) != 0."""
+    parts, k = [], len(c.den) - 1
+    for i in (0, 1):
+        if any(g := c.num[i::2]):
+            g = poly_from_coeffs(g)
+            parts.append((i - k + 2 * (v := g.index(next(filter(None, g)))), g[v:]))
+    return tuple(parts)
 
 
-def mass(cs: Iterable[QRat]) -> int:
-    """Sum of the absolute values of the numerator coefficients over cs."""
-    return sum(sum(map(abs, c.num)) for c in cs)
+def _join(parts) -> QRat:
+    """sum q^e g(q^2) over parts (e, g), in canonical form: the inverse of `_split`."""
+    return sum((_laurent([x for c in g for x in (c, 0)], -e) for e, g in parts), ZERO)
 
 
-def peak(cs: Iterable[QRat]) -> int:
-    """The largest mass of one of cs, 0 for no cs: a bound on one packed key."""
-    return max((sum(map(abs, c.num)) for c in cs), default=0)
+def _mass(parts) -> int:
+    """Sum of the absolute values of the coefficients over parts (e, g)."""
+    return sum(sum(map(abs, g)) for _, g in parts)
+
+
+def _read(accs: tuple, s: int, k: int) -> Parts:
+    """The `Parts` of packed values {key: F(2^s)} per parity p for q^p F(t) / t^k, with their peak."""
+    masses, out = {}, ([], [])
+    for parts, acc in zip(out, accs):
+        for key, v in acc.items():
+            if v:  # v = n 2^(s o), n's low slot nonzero
+                parts.append((key, (o := ((v & -v).bit_length() - 1) // s) - k, g := _from_digits(v >> s * o, s)))
+                masses[key] = masses.get(key, 0) + sum(map(abs, g))
+    low = min([a for parts in out for _, a, _ in parts], default=0)
+    return Parts(*map(tuple, out), max(masses.values(), default=0), low)
+
+
+def _terms(x: Parts) -> dict:
+    """The nonzero terms {key: c} of an element in t-form, each key's parts joined."""
+    out = {}
+    for p, parts in enumerate(x[:2]):
+        for key, a, g in parts:
+            num = [0] * (2 * len(g) - 1)
+            num[::2] = g
+            c = _laurent(num, -p - 2 * a)
+            out[key] = out[key] + c if key in out else c
+    return out
 
 
 # JSON integer policy: values outside the IEEE-exact window are emitted as

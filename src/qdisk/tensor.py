@@ -20,25 +20,24 @@ one-to-one, so a key of E_k is reached from at most 6 keys of E_(k-1) by C, one 
 moves, and from at most 4 by A . B, one per pair of terms, each times +-q^e: with |x| the largest
 sum of the absolute integer coefficients of one of x's coefficients, |E_k| <= 10 |E_(k-1)|,
 |A^j| <= 2 |A^(j-1)| (or B) and |E_k| <= 10^k 2^|j|.  Each E_k is packed from its source at the
-width of that bound and read back once.
+width of that bound, one accumulator per parity, and read back once in t-form (`qfield`).
 
 The rhs scalars, the coupling constants, the final variant's sign and q-power and each piece's
 Jacobi denominators, are `Cyclo`s (`qfield`), each piece's cc (-q)^(r-s) / (L_outer^2 L_inner) in
 one `Cyclo.product` pass: `_rhs_pieces` takes their lcm V by exponent arithmetic and converts 1/V,
-W = V / L and each weight once, with no gcd.  W is a polynomial: the
+W = V / L and each weight once, with no gcd, then splits them into parts.  W is a polynomial: the
 scalar of piece (0, 0), whose coupling constant and inner lcm are 1, is 1/L^2, and V has each
-index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of Laurent simple
-tensors w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain`
-entry, right = Y_rs z_1^a w_1^b is `_circle_shift` of the one-level one, and w is V times a scalar
-whose denominator divides V.  Each side is packed in one `pack_laurent` call at one slot width s,
-and each output coefficient, at most sum_rs |left| |right| |w| < 2^(s-1), is read back once by
-`scaled_rhs`.  A passing `verify_addition` reads back neither side: the lhs reaches it packed, as
-its Horner sum leaves it (`_packed_lhs`), and its pair sum starts from that (`_pair_sum`).
+index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of simple tensors
+w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain` entry,
+right = Y_rs z_1^a w_1^b the one-level one, its keys and its parts' powers of q shifted, and w is V
+times a scalar whose denominator divides V.  Each coefficient, at most sum_rs |left| |right| |w|
+< 2^(s-1), is read back once by `scaled_rhs`.  A passing `verify_addition` reads back neither side:
+the lhs reaches it packed, as its Horner sum leaves it (`_packed_lhs`), and its pair sum starts there.
 
 Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's
 E_k, keyed by (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs
 scalars, in tuples) and `_chain`, whose entries every case and variant that has them shares.  An
-E_k or chain entry keeps its `ZElement._peak` from when it is built.  Callers never receive one.
+E_k or chain entry is kept in t-form only, with its peak.  Callers never receive one.
 """
 
 from __future__ import annotations
@@ -46,10 +45,10 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
-from .diskpoly import DiskSpec, _chain, _jacobi, _packed_sum, _pair_moves
+from .diskpoly import DiskSpec, _chain, _jacobi, _packed, _packed_sum, _pair_moves
 from .haar import _norm
-from .qfield import (Cyclo, QRat, Record, _check_ints, _eval_shift, _from_digits, _laurent, _unpacked, _width,
-                     mass, pack_laurent, peak, poly_valuation)
+from .qfield import (Cyclo, Parts, QRat, Record, _check_ints, _eval_shift, _from_digits, _join, _mass, _read,
+                     _split, _terms, _width)
 from .zalgebra import ZElement, _z_rank
 
 LEFT_RANK = 3
@@ -59,39 +58,48 @@ RANKS = (LEFT_RANK, RIGHT_RANK)
 TensorElement = ZElement  # tensor elements are ZElements of rank RANKS; the former class name stays
 
 
-def _pair_sum(sides, packed: tuple = ({}, 8, 0), d1: tuple = (1,)) -> dict:
-    """Nonzero terms of sum_i w_i left_i (x) right_i - d1 a over the sides (left_i, right_i, w_i),
-    left_i and right_i of ranks LEFT_RANK and RIGHT_RANK, and d1 a polynomial, all Laurent, with a
-    packed = ({key: F(2^sa)}, sa, ka) for its terms F/q^ka (`diskpoly._horner_sum`; none by default)."""
-    (values, sa, ka), weights = packed, [w for _, _, w in sides]
-    lefts, rights = ([c for side in sides for c in side[i].terms.values()] for i in (0, 1))
-    bound = sum(x._peak * y._peak * mass([w]) for x, y, w in sides)
+def _pair_sum(sides, packed: tuple = (({}, {}), 8, 0), d1: tuple = ((0, (1,)),)) -> dict:
+    """Nonzero terms of sum_i w_i left_i (x) right_i z_1^a w_1^b - d1 a over the sides (left_i, right_i, (a, b),
+    w_i), left_i and right_i of ranks LEFT_RANK and RIGHT_RANK in t-form, w_i and d1 parts, and a packed as
+    `diskpoly._horner_sum` leaves it (none by default): parities p and p' multiply into p ^ p' (`qfield`)."""
+    (values, sa, ka), bound = packed, sum(x.peak * y.peak * _mass(w) for x, y, _, w in sides)
     # each nonzero F(2^sa) as n 2^(sa o), n's low slot nonzero; a's exact peak from the digits of the n
-    lows = [(key, x >> sa * (o := ((x & -x).bit_length() - 1) // sa), o) for key, x in values.items() if x]
-    top = max((sum(map(abs, _from_digits(n, sa))) for _, n, _ in lows), default=0)
-    s = _width((bound + top * sum(map(abs, d1))).bit_length() + 1)
-    (kl, *pl), (kr, *pr), (kw, pw, ow) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
-    # over q^k: a product shifts by its offsets and k - (kl + kr + kw), n d1 by o, v and k - ka
-    k, v, pl, pr = max(kl + kr + kw, ka), poly_valuation(d1), zip(*pl), zip(*pr)
-    d, base = -_eval_shift(d1[v:], s), k - kl - kr - kw
-    acc = {key: (n if s == sa else _eval_shift(_from_digits(n, sa), s)) * d << s * (o + v + k - ka)
-           for key, n, o in lows}
-    for (left, right, _), w, o in zip(sides, pw, ow):
-        # zip stops at the keys, so each side takes its own (value, offset) pairs off pl and pr
-        xs = [(kx, x, s * ox) for kx, (x, ox) in zip(left.terms, pl)]
-        ys = [(ky, y * w, s * (oy + o + base)) for ky, (y, oy) in zip(right.terms, pr)]
-        for kx, x, sx in xs:
-            for ky, y, sy in ys:
-                key = (kx, ky)
-                acc[key] = acc.get(key, 0) + ((x * y) << (sx + sy))
-    return _unpacked(acc, s, k)
-
-
-def _circle_shift(y: ZElement, a: int, b: int) -> ZElement:
-    """y z_1^a w_1^b for y in Z_2 with Laurent coefficients, by the right shifts of the module docstring:
-    the term n / q^k z^lam w^mu goes to n / q^(k + a (lam_2 - mu_2)) z^(lam + a e_1) w^(mu + b e_1)."""
-    return ZElement._of(y.rank, {((l1 + a, l2), (m1 + b, m2)): _laurent(c.num, len(c.den) - 1 + a * (l2 - m2))
-                                 for ((l1, l2), (m1, m2)), c in y.terms.items()}, y._peak)
+    lows, masses = [[(key, x >> sa * (o := ((x & -x).bit_length() - 1) // sa), o - ka)
+                     for key, x in acc.items() if x] for acc in values], {}
+    for key, n, _ in lows[0] + lows[1]:
+        masses[key] = masses.get(key, 0) + sum(map(abs, _from_digits(n, sa)))
+    s = _width((bound + max(masses.values(), default=0) * _mass(d1)).bit_length() + 1)
+    if s != sa:
+        lows = [[(key, _eval_shift(_from_digits(n, sa), s), o) for key, n, o in low] for low in lows]
+    ds, lo, packs, accs = [(f, -_eval_shift(g, s)) for f, g in d1], 0, [], ({}, {})
+    for left, right, (a, b), w in sides:
+        (kx, xs), ys, least = _packed(left, s), ([], []), 0
+        for f, g in w:  # y z_1^a w_1^b = q^(-a (lam_2 - mu_2)) y on the shifted key, times each part of w
+            wv = _eval_shift(g, s)
+            for p, parts in enumerate(right[:2]):
+                for ((l1, l2), (m1, m2)), e, c in parts:
+                    if (e := (p + 2 * e + f - a * (l2 - m2))) >> 1 < least:
+                        least = e >> 1
+                    ys[e & 1].append((((l1 + a, l2), (m1 + b, m2)), _eval_shift(c, s) * wv, s * (e >> 1)))
+        lo = min(lo, least - kx)
+        packs.append((kx, xs, ys))
+    # over t^k, k the largest -e of a product or of a term of d1 a
+    k = -min([lo, *(o + ((p + f) >> 1) for p, low in enumerate(lows) for _, _, o in low for f, _ in ds)])
+    for p, low in enumerate(lows):
+        for f, d in ds:
+            acc, e = accs[(p + f) & 1], k + ((p + f) >> 1)
+            for key, n, o in low:
+                acc[key] = acc.get(key, 0) + (n * d << s * (o + e))
+    for kx, xs, ys in packs:  # q^p t^(o - kx) x times q^q' t^e y: parity p ^ q', t^(p & q') more
+        for p, group in enumerate(xs):
+            for q, ps in enumerate(ys):
+                acc, d = accs[p ^ q], k - kx + (p & q)
+                for kl, o, x in group:
+                    sx = s * (o + d)
+                    for ky, y, sy in ps:
+                        key = (kl, ky)
+                        acc[key] = acc.get(key, 0) + ((x * y) << (sx + sy))
+    return _terms(_read(accs, s, k))
 
 
 def pair(left: ZElement, right: ZElement) -> ZElement:
@@ -153,72 +161,71 @@ def _shift(key: tuple, i: int, right: bool) -> tuple:
 
 
 def _act(moves: list, terms: tuple, right: bool = False) -> list:
-    """The moves (key, t, v), v q^-t key, of X H, or of H X for right, for X the sum of terms
+    """The moves (key, f, v), q^f v key, of X H, or of H X for right, for X the sum of terms
     (`_ARGUMENTS`) and H the sum of moves: per term, each key goes to one key shift."""
-    out, factors = [], [{key[f] for key, _, _ in moves} for f in (0, 1)]
+    out, factors = [], [{key[i] for key, _, _ in moves} for i in (0, 1)]
     for sign, e, letters in terms:
         first, second = ({x: _shift(x, i, right) for x in xs} for xs, i in zip(factors, letters))
-        for (x, y), t, v in moves:
+        for (x, y), f, v in moves:
             (x, dx), (y, dy) = first[x], second[y]
-            out.append(((x, y), t - e - dx - dy, v if sign > 0 else -v))
+            out.append(((x, y), f + e + dx + dy, v if sign > 0 else -v))
     return out
 
 
 @lru_cache(maxsize=None)
-def _lhs_power(variant: str, j: int, k: int) -> ZElement:
-    """E_k = A^j D^k (j >= 0) or D^k B^-j of a variant, from E_(k-1), or A^j from A^(j-1), by key
+def _lhs_power(variant: str, j: int, k: int) -> Parts:
+    """E_k = A^j D^k (j >= 0) or D^k B^-j of a variant in t-form, from E_(k-1), or A^j from A^(j-1), by key
     shifts and central moves, packed at the width of its per-key bound (module docstring)."""
     if not j and not k:
-        return ZElement._of(RANKS, ZElement.one(RANKS).terms, 1)
+        return Parts(((next(iter(ZElement.one(RANKS).terms)), 0, (1,)),), (), 1, 0)
     a, b = _ARGUMENTS[variant]
     x = _lhs_power(variant, j, k - 1) if k else _lhs_power(variant, j - 1 if j > 0 else j + 1, 0)
-    s = _width(((10 if k else 2) * x._peak).bit_length() + 1)
-    kh, values, offsets = pack_laurent(list(x.terms.values()), s)
-    moves = [(key, -o, v) for key, v, o in zip(x.terms, values, offsets)]  # v q^o over q^kh
+    s = _width(((10 if k else 2) * x.peak).bit_length() + 1)
+    moves = [(key, p + 2 * e, _eval_shift(g, s)) for p, parts in enumerate(x[:2]) for key, e, g in parts]
     if not k:
         moves = _act(moves, a) if j > 0 else _act(moves, b, True)
     else:  # E_(k-1) C - q^(2(k-1)) A E_(k-1) B, C by its central moves
         ab = _act(_act(moves, a), tuple((-sign, e + 2 * k - 2, ls) for sign, e, ls in b), True)
-        moves = [(y, t + u, v) for key, t, v in moves for y, u in _pair_moves(key)] + ab
-    big, acc = max(t for _, t, _ in moves), {}
-    for key, t, v in moves:  # over q^(kh + big)
-        acc[key] = acc.get(key, 0) + (v << s * (big - t))
-    return ZElement._of(RANKS, e := _unpacked(acc, s, kh + big), peak(e.values()))
+        moves = [(y, f - u, v) for key, f, v in moves for y, u in _pair_moves(key)] + ab
+    lo, accs = min(f >> 1 for _, f, _ in moves), ({}, {})
+    for key, f, v in moves:  # q^f v in parity f & 1, over t^-lo
+        acc = accs[f & 1]
+        acc[key] = acc.get(key, 0) + (v << s * ((f >> 1) - lo))
+    return _read(accs, s, -lo)
 
 
 def _packed_lhs(spec: DiskSpec, variant: str) -> tuple:
     """L lhs of a checked case, packed: one Horner sum over the E_k (`diskpoly._horner_sum`)."""
-    coefs, j = _jacobi(spec)[2], spec.l - spec.m
+    coefs, j = _jacobi(spec)[3], spec.l - spec.m
     return _packed_sum(coefs, [_lhs_power(variant, j, k) for k in range(len(coefs))], 6, _pair_moves)
 
 
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     """(1/L, L lhs): the coupled arguments' disk polynomial, times the lcm L of its Jacobi denominators."""
     spec = _check_addition(l, m, alpha, variant)
-    return _jacobi(spec)[1], ZElement._of(RANKS, _unpacked(*_packed_lhs(spec, variant)))
+    return _jacobi(spec)[1], ZElement._of(RANKS, _terms(_read(*_packed_lhs(spec, variant))))
 
 
 @lru_cache(maxsize=None)
 def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
     """(pieces (r, s, outer, inner), 1/V, W, V cc (-q)^(r-s) / (L_outer^2 L_inner) for each), V the lcm
     of the denominators and W = V / L of the module docstring, built as `Cyclo`s, one pass each with the final
-    variant's (-q)^(r-s) = (-1)^(r+s) q^(r-s) as integers, and converted once."""
+    variant's (-q)^(r-s) = (-1)^(r+s) q^(r-s) as integers, and converted and split (`qfield._split`) once."""
     plan = [(r, s, DiskSpec(l - r, m - s, alpha + r + s), DiskSpec(r, s, alpha - 1))
             for r in range(l + 1) for s in range(m + 1)]
     factors = [Cyclo.product(((_coupling(l, m, r, s, alpha), 1), (_jacobi(outer)[0], -2), (_jacobi(inner)[0], -1)),
                              *(((-1) ** (r + s), r - s) if variant == "final" else ()))
                for r, s, outer, inner in plan]
     lcm = Cyclo.lcm(factors)
-    return (tuple(plan), (Cyclo() / lcm).to_qrat(), (lcm / _jacobi(DiskSpec(l, m, alpha))[0]).to_qrat().num,
-            tuple((lcm * c).to_qrat() for c in factors))
+    return (tuple(plan), (Cyclo() / lcm).to_qrat(), _split((lcm / _jacobi(DiskSpec(l, m, alpha))[0]).to_qrat()),
+            tuple(_split((lcm * c).to_qrat()) for c in factors))
 
 
 def _rhs_sides(l: int, m: int, alpha: int, variant: str) -> tuple:
-    """(1/V, W, sides (X_rs I_rs, Y_rs z_1^a w_1^b, V-scaled weight)) of the rhs: see `scaled_rhs`."""
+    """(1/V, W, sides (X_rs I_rs, Y_rs, (a, b), V-scaled weight)) of the rhs, Y_rs z_1^a w_1^b in it."""
     plan, inv_lcm, w, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
-    return inv_lcm, w, [(_chain(3, outer, inner),
-                         _circle_shift(_chain(2, outer), *((s, r) if variant == "final" else (r, s))), weight)
-                        for (r, s, outer, inner), weight in zip(plan, weights)]
+    return inv_lcm, w, [(_chain(3, outer, inner), _chain(2, outer), (s, r) if variant == "final" else (r, s), c)
+                        for (r, s, outer, inner), c in zip(plan, weights)]
 
 
 def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
@@ -266,9 +273,9 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     raised, reads both back for the residual (a W - b) / V."""
     start, spec = time.monotonic(), _check_addition(l, m, alpha, variant)
     lhs, (inv_v, w, sides) = _packed_lhs(spec, variant), _rhs_sides(*spec, variant)
-    residual, rhs_terms = [], (lhs_terms := sum(map(bool, lhs[0].values())))
+    residual, rhs_terms = [], (lhs_terms := len({key for acc in lhs[0] for key, v in acc.items() if v}))
     if _pair_sum(sides, lhs, w):
-        a, rhs = ZElement._of(RANKS, _unpacked(*lhs)), ZElement._of(RANKS, _pair_sum(sides))
-        residual, rhs_terms = ((a * QRat(w) - rhs) * inv_v).to_json()["terms"], rhs.term_count()
+        a, rhs = ZElement._of(RANKS, _terms(_read(*lhs))), ZElement._of(RANKS, _pair_sum(sides))
+        residual, rhs_terms = ((a * _join(w) - rhs) * inv_v).to_json()["terms"], rhs.term_count()
     millis = int((time.monotonic() - start) * 1000)
     return Verdict(*spec, variant, not residual, residual, lhs_terms, rhs_terms, millis)

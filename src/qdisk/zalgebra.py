@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _laurent, int_from_json, peak, poly_mul,
+from .qfield import (ONE, QRat, ZERO, _accum, _check_ints, _coerce, _laurent, int_from_json, poly_mul,
                      poly_neg)
 
 # a monomial key is (lam, mu), two exponent tuples of length rank
@@ -245,23 +245,22 @@ class ZElement:
     not mix.  The constructor checks every term (`_check_key`, an int or QRat
     coefficient); builders over terms of checked elements take `_of`."""
 
-    __slots__ = ("rank", "terms", "_top")  # _top: the `_peak` a table entry keeps (`_of`), else None
-    _peak = property(lambda self: peak(self.terms.values()) if self._top is None else self._top)
+    __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms: dict | None = None):
         self.rank = (tuple(map(_check_rank, rank)) if type(rank) is tuple and len(rank) == 2
                      else _check_rank(rank))
-        self.terms, self._top = {}, None
+        self.terms = {}
         for key, coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, QRat) else QRat.from_int(coeff)
             if (key := _check_key(key, self.rank)) and coeff:
                 self.terms[key] = coeff
 
     @staticmethod
-    def _of(rank, terms: dict, top: int | None = None) -> "ZElement":
-        """An element of rank over checked terms: `_check_key` keys, nonzero QRats; top their kept `_peak`."""
+    def _of(rank, terms: dict) -> "ZElement":
+        """An element of rank over checked terms: `_check_key` keys, nonzero QRats."""
         out = object.__new__(ZElement)
-        out.rank, out.terms, out._top = rank, terms, top
+        out.rank, out.terms = rank, terms
         return out
 
     def _like(self, terms: dict) -> "ZElement":

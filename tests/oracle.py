@@ -25,10 +25,17 @@ from `_mono_mul`, with c * N_lam added over its diagonal terms as QRats.
 
 `eval_shift_loop` and `from_digits_loop` are the oracles for the byte-level
 packing of `qfield`: one shift per coefficient, respectively one shift and
-one symmetric digit per slot.  `packed_terms` packs an element's terms with
-the first, in the form a packed Horner sum hands over.  `scalar_termwise` and `pair_termwise` are
-those of the pack-once Laurent products: one QRat product per term, or per
-term pair.
+one symmetric digit per slot.  `packed_terms` packs an element's terms one
+coefficient at a time, in the t-form a packed Horner sum hands over, and
+`t_form` and `q_form` take an element to its t-form and back, `t_sides`
+the sides of a pair sum, and `join_parts` a coefficient's parts.
+`scalar_termwise` and `pair_termwise` are those of the pack-once Laurent
+products: one QRat product per term, or per term pair.
+
+`pack_laurent`, `unpacked`, `packed_qform`, `times_q_qform`, `horner_sum_qform`
+and `pair_sum_qform` are the packed routes as they were before the t-form: each
+Laurent coefficient packed whole, in q, with every other slot zero on graded
+input.  They are the oracles for the t-form Horner and pair sums.
 
 `chain_product` is the oracle for the level chains of `diskpoly._chain`: each
 level L R(z_n, w_n, Q_n) by the `QRat` Horner sum `diskpoly._scaled`, the
@@ -71,8 +78,9 @@ from types import SimpleNamespace
 
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
-from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, poly_divexact, poly_gcd, poly_mul,
-                          qpoch)
+from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, Parts, _eval_shift, _from_digits, _laurent,
+                          _split,
+                          _terms, _width, poly_divexact, poly_gcd, poly_mul, poly_valuation, qpoch)
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair
 from qdisk.zalgebra import ZElement, _mono_mul, embed, q_element, star, w_gen, z_gen
@@ -538,10 +546,133 @@ def from_digits_loop(n: int, s: int) -> tuple:
 
 
 def packed_terms(terms: dict, s: int) -> tuple:
-    """Laurent terms {key: n / q^k} packed as `diskpoly._horner_sum` hands a sum over: ({key: n(2^s)
+    """Laurent terms {key: n / q^k} packed as `diskpoly._horner_sum` hands a sum over: (({key: F_0(2^s)},
+    {key: F_1(2^s)}), s, K) for n / q^k = (F_0(q^2) + q F_1(q^2)) / q^(2K), K = the largest ceil(k / 2),
+    each coefficient shifted into its parity's value on its own."""
+    top, accs = max((len(c.den) // 2 for c in terms.values()), default=0), ({}, {})
+    for key, c in terms.items():
+        for i, x in enumerate(c.num):
+            e = i - len(c.den) + 1 + 2 * top
+            accs[e & 1][key] = accs[e & 1].get(key, 0) + (x << s * (e >> 1))
+    return accs, s, top
+
+
+def degree(x: ZElement) -> int:
+    """The largest total degree |lam| + |mu| of a term of x, 0 for no terms."""
+    return max((sum(lam) + sum(mu) for lam, mu in x.terms), default=0)
+
+
+def join_parts(parts) -> QRat:
+    """sum q^e g(q^2) over parts (e, g) of `qfield._split`, by field operations: its inverse."""
+    return sum((QRat([x for c in g for x in (c, 0)]) * QRat.q_power(e) for e, g in parts), ZERO)
+
+
+def t_form(x: ZElement) -> Parts:
+    """x in t-form (`qfield.Parts`): each coefficient split by the parity of its exponents, with the
+    largest mass of one coefficient as its peak."""
+    parts = ([], [])
+    for key, c in x.terms.items():
+        for e, g in _split(c):
+            parts[e & 1].append((key, e >> 1, g))
+    return Parts(*map(tuple, parts), peak(x.terms.values()), min([a for p in parts for _, a, _ in p], default=0))
+
+
+def q_form(x: Parts, rank) -> ZElement:
+    """The element of rank whose t-form is x."""
+    return ZElement._of(rank, _terms(x))
+
+
+def t_sides(sides) -> list:
+    """Sides (left, right, w), `ZElement`s and a `QRat`, as `tensor._pair_sum` takes them: in t-form,
+    the right factor with no circle shift."""
+    return [(t_form(x), t_form(y), (0, 0), _split(w)) for x, y, w in sides]
+
+
+# ----------------------------------------------------------------------
+# the q-form packing: the packed routes of `qfield`, `diskpoly` and `tensor` before the t-form
+
+
+def mass(cs) -> int:
+    """Sum of the absolute values of the numerator coefficients over cs."""
+    return sum(sum(map(abs, c.num)) for c in cs)
+
+
+def peak(cs) -> int:
+    """The largest mass of one of cs, 0 for no cs: a bound on one packed key."""
+    return max((sum(map(abs, c.num)) for c in cs), default=0)
+
+
+def pack_laurent(cs, s: int) -> tuple:
+    """(K, values, offsets) for Laurent cs: each n/q^k, n = q^v n' with n'(0) != 0, as the value n'(2^s)
+    at its own power of q and the offset K - (k - v), K = max(0, largest k - v)."""
+    values, nets = [], []
+    for c in cs:
+        v = c.num.index(next(filter(None, c.num))) if c.num[:1] == (0,) else 0
+        values.append(_eval_shift(c.num[v:], s))
+        nets.append(len(c.den) - 1 - v)
+    k = max([0, *nets])
+    return k, values, [k - e for e in nets]
+
+
+def packed_qform(terms: dict, s: int) -> tuple:
+    """Laurent terms {key: n / q^k} packed in q as `horner_sum_qform` hands a sum over: ({key: n(2^s)
     2^(s (K - k))}, s, K), K the largest k, each value one shift per coefficient."""
     top = max((len(c.den) - 1 for c in terms.values()), default=0)
     return {key: eval_shift_loop(c.num, s) << s * (top - len(c.den) + 1) for key, c in terms.items()}, s, top
+
+
+def unpacked(acc: dict, s: int, k: int) -> dict:
+    """The nonzero terms {key: F/q^k} of packed values {key: F(2^s)}: the inverse of `pack_laurent`."""
+    return {key: _laurent(_from_digits(v, s), k) for key, v in acc.items() if v}
+
+
+def times_q_qform(acc: dict, s: int, kh: int, moves=diskpoly._MOVES.__getitem__) -> tuple:
+    """(H C, kh + big) for H packed at width s over q^kh."""
+    acc = [(v, moves(key)) for key, v in acc.items()]
+    out, big = {}, max(t for _, ms in acc for _, t in ms)
+    for v, ms in acc:
+        for key2, t in ms:
+            out[key2] = out.get(key2, 0) + (v << s * (big - t))
+    return out, kh + big
+
+
+def horner_sum_qform(coefs, es, fan: int, moves=diskpoly._MOVES.__getitem__) -> tuple:
+    """sum_k coef_k C^(mm-k) E_k packed in q, ({key: F(2^s)}, s, kh) for its terms F/q^kh, over
+    `QRat` coefs and elements es with Laurent coefficients, C by its moves onto fan keys."""
+    bound = 0
+    for coef, x in zip(coefs, es):
+        bound = bound * fan + peak(x.terms.values()) * mass([coef])
+    s, acc, kh = _width(bound.bit_length() + 1), {}, 0
+    for k, (coef, x) in enumerate(zip(coefs, es)):
+        if k:
+            acc, kh = times_q_qform(acc, s, kh, moves)
+        (kx, (cx,), (ox,)), (kd, pd, od) = pack_laurent([coef], s), pack_laurent(list(x.terms.values()), s)
+        if kx + kd > kh:
+            acc, kh = {key: v << (s * (kx + kd - kh)) for key, v in acc.items()}, kx + kd
+        for key, y, oy in zip(x.terms, pd, od):
+            acc[key] = acc.get(key, 0) + ((cx * y) << (s * (kh - kx - kd + ox + oy)))
+    return acc, s, kh
+
+
+def pair_sum_qform(sides, packed: tuple = ({}, 8, 0), d1: tuple = (1,)) -> dict:
+    """Nonzero terms of sum_i w_i left_i (x) right_i - d1 a packed in q, over sides (left_i, right_i, w_i) of
+    `ZElement`s and `QRat`s, all Laurent, d1 a polynomial and a packed = ({key: F(2^sa)}, sa, ka)."""
+    (values, sa, ka), weights = packed, [w for _, _, w in sides]
+    lefts, rights = ([c for side in sides for c in side[i].terms.values()] for i in (0, 1))
+    bound = sum(peak(x.terms.values()) * peak(y.terms.values()) * mass([w]) for x, y, w in sides)
+    top = max((sum(map(abs, _from_digits(x, sa))) for x in values.values() if x), default=0)
+    s = _width((bound + top * sum(map(abs, d1))).bit_length() + 1)
+    (kl, *pl), (kr, *pr), (kw, pw, ow) = (pack_laurent(cs, s) for cs in (lefts, rights, weights))
+    k, v, pl, pr = max(kl + kr + kw, ka), poly_valuation(d1), zip(*pl), zip(*pr)
+    d, base = -_eval_shift(d1[v:], s), k - kl - kr - kw
+    acc = {key: _eval_shift(_from_digits(n, sa), s) * d << s * (v + k - ka) for key, n in values.items() if n}
+    for (left, right, _), w, o in zip(sides, pw, ow):
+        xs = [(kx, x, s * ox) for kx, (x, ox) in zip(left.terms, pl)]
+        ys = [(ky, y * w, s * (oy + o + base)) for ky, (y, oy) in zip(right.terms, pr)]
+        for kx, x, sx in xs:
+            for ky, y, sy in ys:
+                acc[(kx, ky)] = acc.get((kx, ky), 0) + ((x * y) << (sx + sy))
+    return unpacked(acc, s, k)
 
 
 def scalar_termwise(a, c):
@@ -572,7 +703,7 @@ def rhs_per_piece(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
         left = chain_product(3, outer, inner)
         ys = (s, r) if variant == "final" else (r, s)
         right = chain_product(2, outer) * g.Y1 ** ys[0] * g.Y1s ** ys[1]
-        total = total + pair_termwise(left, right * weight)
+        total = total + pair_termwise(left, right * join_parts(weight))
     return inv_lcm, total
 
 

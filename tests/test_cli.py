@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import degree
 from qdisk.cli import (
     MAX_ALPHA,
     MAX_COEFF_BITS,
@@ -30,13 +31,12 @@ from qdisk.cli import (
     parse,
     parse_element,
     _check_product,
-    _degree,
     _parse_grid,
     _tokenize,
 )
 from qdisk.diskpoly import spherical
 from qdisk.haar import inner
-from qdisk.qfield import ONE, QRat
+from qdisk.qfield import ONE, Parts, QRat
 from qdisk.zalgebra import ZElement, q_element, star, w_gen, z_gen
 
 Q = QRat.q_power(1)
@@ -501,7 +501,7 @@ def test_inner_is_under_the_product_caps(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "inner", "--n", "3", "--lhs", mono.format(e=16),
                            "--rhs", mono.format(e=16))
     a = parse_element(mono.format(e=16), 3)
-    assert _degree(star(a) * a) == MAX_DEGREE
+    assert degree(star(a) * a) == MAX_DEGREE
     assert (code, out.strip()) == (0, str(inner(a, a)))
     monkeypatch.setattr("qdisk.cli.inner", no_work)
     code, out, err = run_cli(capsys, "inner", "--n", "3", "--lhs", mono.format(e=24),
@@ -701,7 +701,7 @@ OVER_THE_CAP = [(["--n", "13", "--l", "4", "--m", "4"], 1820),
 def test_spherical_term_cap_admits_its_value(capsys, monkeypatch, argv):
     assert MAX_SPHERICAL_TERMS == 1716
     calls = []
-    monkeypatch.setattr("qdisk.diskpoly._chain", lambda *args: calls.append(args) or ZElement.zero(2))
+    monkeypatch.setattr("qdisk.diskpoly._chain", lambda *args: calls.append(args) or Parts((), (), 0, 0))
     code, out, _ = run_cli(capsys, "spherical", *argv)
     assert (code, out.strip(), len(calls)) == (0, "0", 1)
 

@@ -3,12 +3,12 @@ from functools import cache
 
 import pytest
 
-from oracle import (addition_arguments, chain_product, disk_poly_termwise, horner_stepwise, pairwise_mul,
-                    xy_generators)
+from oracle import (addition_arguments, chain_product, disk_poly_termwise, horner_stepwise, mass, pairwise_mul,
+                    peak, q_form, t_form, xy_generators)
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec, _scaled, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
-from qdisk.qfield import ONE, QRat, ZERO, _unpacked, _width, mass, peak, qpoch
+from qdisk.qfield import ONE, QRat, ZERO, _read, _split, _width, qpoch
 from qdisk.tensor import VARIANTS, coupling_const, verify_addition
 from qdisk.uqaction import is_invariant
 from qdisk.zalgebra import (_MONO_CACHE, _PULL_CACHE, _WZ_CACHE, ZElement, bidegree, counit, embed,
@@ -26,7 +26,9 @@ def _rank_args(n: int) -> tuple:
 def _packed_horner(coefs: tuple, es: list, C: ZElement) -> ZElement:
     """H = sum_k coef_k C^(mm-k) E_k over es by the packed Horner sum `diskpoly._packed_sum`, read
     back, with C = Q_n by its moves."""
-    return C._like(_unpacked(*diskpoly._packed_sum(coefs, es, len(C.terms), diskpoly._MOVES.__getitem__)))
+    packed = diskpoly._packed_sum(tuple(map(_split, coefs)), list(map(t_form, es)), len(C.terms),
+                                  diskpoly._MOVES.__getitem__)
+    return q_form(_read(*packed), C.rank)
 
 
 def _record_products(monkeypatch) -> list:
@@ -339,8 +341,8 @@ def test_non_central_c_takes_the_qrat_horner():
 
 def _moved(C: ZElement, moves, key) -> ZElement:
     """The basis monomial key times C, by its moves (`diskpoly._times_q`)."""
-    out, k = diskpoly._times_q({key: 1}, 8, 0, moves)
-    return C._like(_unpacked(out, 8, k))
+    out, k = diskpoly._times_q(({key: 1}, {}), 8, 0, moves)
+    return q_form(_read(out, 8, k), C.rank)
 
 
 def _keys(n: int, top: int) -> list:
@@ -428,13 +430,13 @@ def test_chain_equals_the_product_route(n):
     # multiplied as elements, term by term: (num, den) of every key
     diskpoly._chain.cache_clear()
     for chain in [chain for chain in CHAINS if chain[0] == n]:
-        assert diskpoly._chain(*chain).terms == chain_product(*chain).terms, chain
+        assert q_form(diskpoly._chain(*chain), n).terms == chain_product(*chain).terms, chain
 
 
 def _read_widths(monkeypatch) -> list:
     """From now on, the slot width at which `diskpoly` reads back each packed sum."""
-    widths, unpacked = [], diskpoly._unpacked
-    monkeypatch.setattr(diskpoly, "_unpacked", lambda acc, s, k: widths.append(s) or unpacked(acc, s, k))
+    widths, read = [], diskpoly._read
+    monkeypatch.setattr(diskpoly, "_read", lambda accs, s, k: widths.append(s) or read(accs, s, k))
     return widths
 
 
@@ -462,4 +464,4 @@ def test_chain_slot_width(monkeypatch, chain, widths):
         H, bound = H * c + e * coef, bound * n + (n - 1) ** k * top * mass([coef])
         assert peak(H.terms.values()) <= bound, k
     assert chosen == widths and widths[-1] == _width(bound.bit_length() + 1) >= 32
-    assert got == H
+    assert q_form(got, n) == H

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import dense_solve_linear, eval_shift_loop, from_digits_loop, scalar_termwise
+from oracle import dense_solve_linear, eval_shift_loop, from_digits_loop, pack_laurent, scalar_termwise
 from qdisk import qfield
 from qdisk.haar import haar_monomial
 from qdisk.qfield import (
@@ -20,7 +20,6 @@ from qdisk.qfield import (
     _prs_gcd,
     _reduce,
     int_from_json,
-    pack_laurent,
     poly_add,
     poly_divexact,
     poly_gcd,

@@ -10,13 +10,13 @@ from itertools import product
 
 import pytest
 
-from oracle import (addition_arguments, addition_sides_termwise, packed_terms, pair_termwise, pairwise_mul,
-                    rhs_per_piece, xy_generators)
+from oracle import (addition_arguments, addition_sides_termwise, join_parts, mass, packed_terms, pair_termwise,
+                    pairwise_mul, peak, q_form, rhs_per_piece, t_form, t_sides, xy_generators)
 from qdisk import cli, diskpoly, qfield, tensor, zalgebra
 from qdisk.diskpoly import DiskSpec, disk_poly
 from qdisk.haar import haar, inner
 from qdisk.qfield import ONE, QRat, ZERO, LinearSolution
-from qdisk.qfield import _is_qpow, _width, peak, solve_linear
+from qdisk.qfield import _is_qpow, _read, _split, _width, solve_linear
 from qdisk.tensor import (
     LEFT_RANK,
     VARIANTS,
@@ -412,7 +412,7 @@ def _element_powers(variant: str, top: int) -> dict:
 def test_shift_built_powers_equal_the_element_products(variant):
     tensor._lhs_power.cache_clear()
     for (j, k), want in _element_powers(variant, 4).items():
-        assert tensor._lhs_power(variant, j, k).terms == want.terms, (j, k)
+        assert q_form(tensor._lhs_power(variant, j, k), tensor.RANKS).terms == want.terms, (j, k)
 
 
 @pytest.mark.parametrize("variant,j,widths", [
@@ -425,8 +425,8 @@ def test_shift_built_powers_read_back_at_their_bound(monkeypatch, variant, j, wi
     # each power is read back once, at the width of its per-key bound: |A^j| <= 2 |A^(j-1)| (or B),
     # and |E_k| <= 10 |E_(k-1)|, as a key is reached from at most 6 keys by C = Q_3 (x) Q_2 and
     # from at most 4 by A (.) B, each a shift times +-q^e; so |E_k| <= 10^k 2^|j|
-    chosen, unpacked = [], tensor._unpacked
-    monkeypatch.setattr(tensor, "_unpacked", lambda acc, s, k: chosen.append(s) or unpacked(acc, s, k))
+    chosen, read = [], tensor._read
+    monkeypatch.setattr(tensor, "_read", lambda accs, s, k: chosen.append(s) or read(accs, s, k))
     tensor._lhs_power.cache_clear()
     top = 6 if j == 0 else 3
     tensor._lhs_power(variant, j, top)
@@ -434,8 +434,9 @@ def test_shift_built_powers_read_back_at_their_bound(monkeypatch, variant, j, wi
     assert chosen == widths and len(widths) == len(steps)
     sign = 1 if j >= 0 else -1
     for (i, k), s in zip(steps, widths):
-        got = peak(tensor._lhs_power(variant, sign * i, k).terms.values())
-        source = peak(tensor._lhs_power(variant, sign * (i - (not k)), max(k - 1, 0)).terms.values())
+        got = peak(q_form(tensor._lhs_power(variant, sign * i, k), tensor.RANKS).terms.values())
+        x = tensor._lhs_power(variant, sign * (i - (not k)), max(k - 1, 0))
+        source = peak(q_form(x, tensor.RANKS).terms.values())
         fan = 10 if k else 2
         assert s == _width((fan * source).bit_length() + 1) and got <= fan * source, (i, k)
         assert got <= 10 ** k * 2 ** i
@@ -448,17 +449,24 @@ def test_packed_rhs_equals_the_per_piece_sum(variant):
         assert scaled_rhs(*case, variant) == rhs_per_piece(*case, variant), case
 
 
+def _circle_shift(y, a: int, b: int) -> ZElement:
+    """1 (x) y z_1^a w_1^b, y in Z_2 in t-form, by the circle shift of the pair sum `tensor._pair_sum`."""
+    one = t_form(ZElement.one(LEFT_RANK))
+    return ZElement._of(tensor.RANKS, tensor._pair_sum([(one, y, (a, b), _split(ONE))]))
+
+
 def test_circle_shift_is_the_product_with_z1a_w1b():
     # every rank-2 key with exponents <= 3, times z_1^a w_1^b for a, b <= 3
-    vecs = list(product(range(4), repeat=2))
+    vecs, one = list(product(range(4), repeat=2)), ZElement.one(LEFT_RANK)
     for lam, mu, a, b in product(vecs, vecs, range(4), range(4)):
         want = ZElement.monomial(2, lam, mu) * ZElement.monomial(2, (a, 0), (b, 0))
-        assert tensor._circle_shift(ZElement.monomial(2, lam, mu), a, b) == want, (lam, mu, a, b)
+        assert _circle_shift(t_form(ZElement.monomial(2, lam, mu)), a, b) == pair(one, want), (lam, mu, a, b)
     # and on the circle factors of the rhs, whose coefficients are over powers of q
     for spec in (DiskSpec(3, 1, 2), DiskSpec(2, 4, 3), DiskSpec(3, 3, 1)):
         y = diskpoly._chain(2, spec)
         for a, b in ((0, 2), (3, 1), (2, 2)):
-            assert tensor._circle_shift(y, a, b) == y * ZElement.monomial(2, (a, 0), (b, 0)), (spec, a, b)
+            want = q_form(y, 2) * ZElement.monomial(2, (a, 0), (b, 0))
+            assert _circle_shift(y, a, b) == pair(one, want), (spec, a, b)
 
 
 def test_weighted_pair_sum_equals_the_termwise_sum():
@@ -468,18 +476,20 @@ def test_weighted_pair_sum_equals_the_termwise_sum():
     w = (ONE - QRat.q_power(5)) * QRat.q_power(-2)
     sides = [(left, right, w), (g.X1, g.Y2s, QRat.q_power(4)), (left, right, ONE)]
     want = pair(left, right * w) + pair(g.X1, g.Y2s * QRat.q_power(4)) + pair(left, right)
-    assert ZElement._of(tensor.RANKS, tensor._pair_sum(sides)) == want
+    assert ZElement._of(tensor.RANKS, tensor._pair_sum(t_sides(sides))) == want
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_scaled_rhs_hands_the_pair_sum_laurent_sides_only(monkeypatch, variant):
-    # `_pair_sum` packs every denominator as a power of q, so each coefficient and weight
-    # it is given must be one: over the suite grid and the benchmark cases
+    # `_pair_sum` packs every part q^e g(q^2) with g(0) != 0 at its own power of q, so each
+    # part of a coefficient and weight it is given must be one: over the suite grid and the
+    # benchmark cases
     pair_sum, seen = tensor._pair_sum, []
 
     def laurent_only(sides):
-        for left, right, w in sides:
-            assert all(_is_qpow(c.den) for c in [*left.terms.values(), *right.terms.values(), w])
+        for left, right, _, w in sides:
+            parts = [g for x in (left, right) for group in x[:2] for _, _, g in group] + [g for _, g in w]
+            assert all(type(g) is tuple and g and g[0] and g[-1] for g in parts)
         seen.append(len(sides))
         return pair_sum(sides)
 
@@ -505,7 +515,7 @@ def test_pair_sum_bound_adds_the_pieces_on_one_key(monkeypatch):
     sides = [(g.X1 * (2 * h), g.Y2s, ONE), (g.X1 * (h + 1), g.Y2s * 2, ONE),
              (g.X1 * 3, g.Y2s * Q ** 3, QRat.from_int(2))]
     chosen = _widths(monkeypatch)
-    got = ZElement._of(tensor.RANKS, tensor._pair_sum(sides))
+    got = ZElement._of(tensor.RANKS, tensor._pair_sum(t_sides(sides)))
     assert chosen == [72] and got == pair(g.X1, g.Y2s) * (2 ** 63 + 2 + 6 * Q ** 3)
 
 
@@ -515,7 +525,7 @@ def test_pair_sum_of_many_small_terms_packs_narrow(monkeypatch):
     left = ZElement(LEFT_RANK, {((i, 0, j), (0, 0, 0)): ONE for i, j in product(range(7), range(5))})
     right = ZElement(tensor.RIGHT_RANK, {((i, 0), (0, j)): ONE for i, j in product(range(5), range(3))})
     chosen = _widths(monkeypatch)
-    got = ZElement._of(tensor.RANKS, tensor._pair_sum([(left, right, ONE)]))
+    got = ZElement._of(tensor.RANKS, tensor._pair_sum(t_sides([(left, right, ONE)])))
     assert chosen == [8] and got.term_count() == 35 * 15
     assert got == pair_termwise(left, right)
 
@@ -592,12 +602,14 @@ def test_packed_decision_accepts_every_suite_and_benchmark_case():
     # so a verdict cannot show it: the decision is asserted on its own, a W - b = 0
     # on the packed pair sum of the rhs sides, W = V / L the exact polynomial quotient.
     # The decision packs every lhs coefficient, side coefficient and weight with no
-    # check: each is Laurent by construction, out of `_unpacked` or `_laurent`, or V c
+    # check: each is Laurent by construction, read back as parts (`_read`), or V c split
     for case in DECISION_CASES:
         (inv_l, lhs), (inv_v, w, sides) = scaled_lhs(*case), tensor._rhs_sides(*case)
         assert inv_l.num == inv_v.num == (1,), case
-        assert w == qfield.poly_divexact(inv_v.den, inv_l.den), case
-        coeffs = [c for x, y, weight in sides for c in (*x.terms.values(), *y.terms.values(), weight)]
+        assert join_parts(w) == QRat(qfield.poly_divexact(inv_v.den, inv_l.den)), case
+        coeffs = [c for x, y, _, weight in sides for c in (
+            *q_form(x, LEFT_RANK).terms.values(), *q_form(y, tensor.RIGHT_RANK).terms.values(),
+            join_parts(weight))]
         assert all(_is_qpow(c.den) for c in [*coeffs, *lhs.terms.values()]), case
         assert tensor._pair_sum(sides, tensor._packed_lhs(DiskSpec(*case[:3]), case[3]), w) == {}, case
 
@@ -619,7 +631,8 @@ def test_decision_bound_adds_the_lhs_term(monkeypatch):
     g, q_inv = xy_generators(), QRat.q_power(-1)
     key, = pair(g.X1, g.Y2s).terms
     chosen = _widths(monkeypatch)
-    got = tensor._pair_sum([(g.X1 * 100, g.Y2s * q_inv, ONE)], packed_terms({key: q_inv * -50}, 8), (2,))
+    got = tensor._pair_sum(t_sides([(g.X1 * 100, g.Y2s * q_inv, ONE)]), packed_terms({key: q_inv * -50}, 8),
+                           _split(QRat(2)))
     assert chosen == [16] and got == {key: q_inv * 200}
 
 
@@ -632,10 +645,11 @@ def test_decision_width_is_the_exact_lhs_peak_rule(monkeypatch):
     for case in DECISION_CASES:
         (_, lhs), (_, w, sides) = scaled_lhs(*case), tensor._rhs_sides(*case)
         packed = tensor._packed_lhs(DiskSpec(*case[:3]), case[3])
-        rule = sum(peak(x.terms.values()) * peak(y.terms.values()) * qfield.mass([c]) for x, y, c in sides)
-        want = _width((rule + peak(lhs.terms.values()) * sum(map(abs, w))).bit_length() + 1)
-        chosen, used, unpacked = _widths(monkeypatch), [], tensor._unpacked
-        monkeypatch.setattr(tensor, "_unpacked", lambda acc, s, k: used.append(s) or unpacked(acc, s, k))
+        rule = sum(peak(q_form(x, LEFT_RANK).terms.values()) * peak(q_form(y, tensor.RIGHT_RANK).terms.values())
+                   * mass([join_parts(c)]) for x, y, _, c in sides)
+        want = _width((rule + peak(lhs.terms.values()) * mass([join_parts(w)])).bit_length() + 1)
+        chosen, used, read = _widths(monkeypatch), [], tensor._read
+        monkeypatch.setattr(tensor, "_read", lambda accs, s, k: used.append(s) or read(accs, s, k))
         assert tensor._pair_sum(sides, packed, w) == {} and chosen == used == [want], case
         monkeypatch.undo()
         routes.add(want == packed[1])
@@ -645,40 +659,42 @@ def test_decision_width_is_the_exact_lhs_peak_rule(monkeypatch):
 
 
 def test_warm_verdict_hands_its_lhs_over_packed(monkeypatch):
-    # a warm pass reads no lhs coefficient back (no `_laurent` in a read-back), packs none of
-    # them again (each `pack_laurent` call is one of the Horner sum's or of the rhs pair sum's),
-    # takes no `peak` (each E_k and chain entry keeps its own) and builds no element of the
-    # tensor rank; `_circle_shift` still makes each right factor's Laurent coefficients
+    # a warm pass reads no coefficient back (no `_laurent` in a read-back), packs each part once
+    # (each `_eval_shift` call is one part of an E_k or an L coef_k in the Horner sum, or of a side,
+    # a weight or W in the pair sum; the circle shift only moves exponents) and builds no element of
+    # the tensor rank
     case = (6, 6, 2)
     assert verify_addition(*case).passed
-    coefs, es = diskpoly._jacobi(DiskSpec(*case))[2], [tensor._lhs_power("final", 0, k) for k in range(7)]
-    sides = tensor._rhs_sides(*case, "final")[2]
-    laurents, packs, peaks, built = [], [], [], []
-    read_back, pack_laurent, of = zalgebra._laurent, qfield.pack_laurent, ZElement._of
-    monkeypatch.setattr(zalgebra, "_laurent", lambda *args: laurents.append(args) or read_back(*args))
+    coefs, es = diskpoly._jacobi(DiskSpec(*case))[3], [tensor._lhs_power("final", 0, k) for k in range(7)]
+    _, w, sides = tensor._rhs_sides(*case, "final")
+    laurents, packs, built = [], [], []
+    read_back, eval_shift, of = qfield._laurent, qfield._eval_shift, ZElement._of
+    for module in (qfield, zalgebra):
+        monkeypatch.setattr(module, "_laurent", lambda *args: laurents.append(args) or read_back(*args))
     for module in (diskpoly, tensor):
-        monkeypatch.setattr(module, "pack_laurent", lambda cs, s: packs.append(len(cs)) or pack_laurent(cs, s))
-    for module in (zalgebra, diskpoly, tensor):
-        monkeypatch.setattr(module, "peak", lambda cs: peaks.append(cs) or qfield.peak(cs))
+        monkeypatch.setattr(module, "_eval_shift", lambda a, s: packs.append(len(a)) or eval_shift(a, s))
     monkeypatch.setattr(ZElement, "_of", staticmethod(
         lambda rank, *args: built.append(rank) or of(rank, *args)))
     verdict = verify_addition(*case)
     assert verdict.passed and verdict.lhs_terms == BENCH_CASES[case]
-    sizes = [len(x.terms) for x in es] + [1] * len(coefs)
-    sizes += [sum(len(side[i].terms) for side in sides) for i in (0, 1)] + [len(sides)]
-    assert laurents == [] and sorted(packs) == sorted(sizes) and peaks == []
+
+    def parts(x):
+        return len(x.even) + len(x.odd)
+    want = sum(map(parts, es)) + sum(map(len, coefs)) + len(w)
+    want += sum(parts(x) + len(c) * (parts(y) + 1) for x, y, _, c in sides)
+    assert laurents == [] and len(packs) == want
     assert tensor.RANKS not in built
 
 
 def _read_backs(monkeypatch) -> list:
-    """From now on, (key count, nonzero count) of each packed sum `tensor._unpacked` is given."""
-    seen, unpacked = [], tensor._unpacked
+    """From now on, (key count, nonzero count) of each packed sum `tensor._read` is given, over both parities."""
+    seen, read = [], tensor._read
 
-    def recording(acc, s, k):
-        seen.append((len(acc), sum(1 for v in acc.values() if v)))
-        return unpacked(acc, s, k)
+    def recording(accs, s, k):
+        seen.append((sum(map(len, accs)), sum(1 for acc in accs for v in acc.values() if v)))
+        return read(accs, s, k)
 
-    monkeypatch.setattr(tensor, "_unpacked", recording)
+    monkeypatch.setattr(tensor, "_read", recording)
     return seen
 
 
@@ -698,7 +714,7 @@ def test_passing_verdicts_read_back_no_rhs_key(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_products_multiply_no_zero_low_slot(monkeypatch, variant):
-    # `qfield.pack_laurent` packs each value at its own power of q, and the verdict's pair sum
+    # each part q^e g(q^2), g(0) != 0, is packed at its own power of q, and the verdict's pair sum
     # and the lhs's packed Horner sum shift the products, not the operands: no operand of
     # their products starts with a zero slot, so no padding is multiplied
     assert verify_addition(6, 6, 2, variant).passed  # the chains built, before any recording
@@ -721,12 +737,11 @@ def test_packed_products_multiply_no_zero_low_slot(monkeypatch, variant):
         value.s = s
         return value
 
-    def recording(cs, s):
-        k, values, offsets = qfield.pack_laurent(cs, s)
-        return k, [packed(x, s) for x in values], offsets
+    def recording(a, s):
+        return packed(qfield._eval_shift(a, s), s)
 
-    monkeypatch.setattr(tensor, "pack_laurent", recording)
-    monkeypatch.setattr(diskpoly, "pack_laurent", recording)
+    monkeypatch.setattr(tensor, "_eval_shift", recording)
+    monkeypatch.setattr(diskpoly, "_eval_shift", recording)
     assert verify_addition(6, 6, 2, variant).passed
     assert len(seen) > 1000
     assert all(x % (1 << s) and y % (1 << s) for s, x, y in seen)
@@ -740,8 +755,8 @@ def _plant_rhs(monkeypatch, case, edit):
     rhs = scaled_rhs(*case)[1]
     edited = rhs._like(dict(rhs.terms))
     edit(edited.terms)
-    extra = [(ZElement.monomial(LEFT_RANK, *kx), ZElement.monomial(tensor.RIGHT_RANK, *ky), c)
-             for (kx, ky), c in (edited - rhs).terms.items()]
+    extra = t_sides([(ZElement.monomial(LEFT_RANK, *kx), ZElement.monomial(tensor.RIGHT_RANK, *ky), c)
+                     for (kx, ky), c in (edited - rhs).terms.items()])
     monkeypatch.setattr(tensor, "_rhs_sides", lambda *args: (inv, w, sides + extra))
     return edited
 
@@ -867,7 +882,7 @@ def test_planted_scalar_change_fails_the_verdict(monkeypatch, factor):
 
     def planted(*args):
         inv, w, sides = rhs_sides(*args)
-        return inv, qfield.poly_mul(w, factor), sides
+        return inv, _split(QRat(qfield.poly_mul(join_parts(w).num, factor))), sides
 
     monkeypatch.setattr(tensor, "_rhs_sides", planted)
     for case in ((2, 1, 1), (4, 4, 1)):

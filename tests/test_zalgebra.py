@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_normal_form, packed_terms, pair_termwise, pairwise_mul, scalar_termwise
+from oracle import naive_normal_form, packed_terms, pair_termwise, pairwise_mul, peak, scalar_termwise, t_sides
 from reference import dim_h, dim_z, normal_order, normal_order_strategy
 from qdisk.haar import _pair_haar, haar
-from qdisk.qfield import ONE, QRat, ZERO, _is_qpow, _reduce, _width, peak, qpoch, solve_linear
+from qdisk.qfield import ONE, QRat, ZERO, _is_qpow, _reduce, _split, _width, qpoch, solve_linear
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, _pair_sum, pair
 from qdisk.zalgebra import (
     _mono_mul,
@@ -610,7 +610,7 @@ def test_pair_sum_equals_the_termwise_oracle(laurent, data):
         want, got = want + pair_termwise(left, right), got + pair(left, right)
     assert got == want
     if laurent:
-        assert ZElement(RANKS, _pair_sum([(left, right, ONE) for left, right in sides])) == want
+        assert ZElement(RANKS, _pair_sum(t_sides([(left, right, ONE) for left, right in sides]))) == want
 
 
 def offset_coefficients():
@@ -644,10 +644,10 @@ def test_verdict_pair_sum_equals_the_termwise_oracle(data):
     d1 = (0,) * data.draw(st.integers(0, 40)) + tuple(data.draw(
         st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda cs: cs[-1])))
     want = total - ZElement(RANKS, less) * QRat(d1)
-    assert ZElement(RANKS, _pair_sum(sides, packed_at_its_width(less), d1)) == want
+    assert ZElement(RANKS, _pair_sum(t_sides(sides), packed_at_its_width(less), _split(QRat(d1)))) == want
     # the passing verdict: less = the sum over d1 = q^j cancels it exactly
     j = data.draw(st.integers(0, 40))
-    assert _pair_sum(sides, packed_at_its_width((total * qp(-j)).terms), (0,) * j + (1,)) == {}
+    assert _pair_sum(t_sides(sides), packed_at_its_width((total * qp(-j)).terms), _split(qp(j))) == {}
 
 
 def packed_at_its_width(terms: dict) -> tuple:
