@@ -14,7 +14,7 @@ H_(k-1) C + (L coef_k) E_k; `disk_poly` takes it on `QRat`s, E_k = E_(k-1) D or 
 H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2: moving z_a left
 past z_j and w_a right past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
 z^lam w^mu Q_n = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor,
-the t's added.  With Laurent coefficients `_packed_sum` keeps H packed at one slot width s in
+the t's added.  With Laurent coefficients `_horner_sum` keeps H packed at one slot width s in
 t = q^2, one accumulator per parity (`qfield`): a step adds each term onto its moves, to the
 other parity for odd t, then each product of parts of L coef_k and E_k, multiplied at their
 own powers of t and shifted after, and H is read back once, or handed over packed to the
@@ -36,7 +36,7 @@ Callers never receive a `_chain` entry; `spherical` joins its parts.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .qfield import Cyclo, Parts, _check_ints, _eval_shift, _mass, _read, _split, _terms, _width
@@ -116,17 +116,17 @@ def _times_q(accs: tuple, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
     return out, kh + big
 
 
-def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> tuple:
-    """H = sum_k coef_k C^(mm-k) E_k packed, ((acc_0, acc_1), s, kh) for q^p F(t) / t^kh: times_c moves a key
-    onto fan keys, |E_k| <= peaks[k], coefs are parts and terms(s) yields E_k as (e, kd, groups), q^e / t^kd
-    times the q^p t^o v key of the (key, o, v) of groups[p]."""
+def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, moves) -> tuple:
+    """H = sum_k coef_k C^(mm-k) E_k packed, ((acc_0, acc_1), s, kh) for q^p F(t) / t^kh: C takes a key to
+    its moves(key) (`_times_q`), at most fan, |E_k| <= peaks[k], coefs are parts and terms(s) yields E_k as
+    (e, kd, groups), q^e / t^kd times the q^p t^o v key of the (key, o, v) of groups[p] (`_packed`)."""
     bound = 0
     for coef, p in zip(coefs, peaks):
         bound = bound * fan + p * _mass(coef)
     s, accs, kh = _width(bound.bit_length() + 1), ({}, {}), 0
     for k, (coef, (e, kd, groups)) in enumerate(zip(coefs, terms(s))):
         if k:  # H_(k-1) C
-            accs, kh = times_c(accs, s, kh)
+            accs, kh = _times_q(accs, s, kh, moves)
         # a product q^f t^o x v lands in parity f & 1, over t^kd shifted by f >> 1 and o
         steps = [(p + e + ec, x, group) for ec, x in [(ec, _eval_shift(g, s)) for ec, g in coef]
                  for p, group in enumerate(groups) if group]
@@ -140,16 +140,12 @@ def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, times_c) -> tuple:
 
 
 def _packed(x: Parts, s: int) -> tuple:
-    """(kd, groups) of an element in t-form packed at width s: per parity, (key, o, g(2^s)) of each part
-    (key, a, g), a = o - kd, kd the largest -a (0 at least)."""
-    kd = max(0, -x.low)
-    return kd, [[(key, a + kd, _eval_shift(g, s)) for key, a, g in parts] for parts in x[:2]]
-
-
-def _packed_sum(coefs: tuple, es: list, fan: int, moves) -> tuple:
-    """`_horner_sum` over the E_k of es, in t-form, with C by its moves onto fan keys (`_times_q`)."""
-    return _horner_sum(coefs, [x.peak for x in es], fan, lambda s: ((0, *_packed(x, s)) for x in es),
-                       partial(_times_q, moves=moves))
+    """(kd, groups) of an element in t-form packed at width s: per parity p, (key, o, g(2^s)) of each part
+    (key, e, g), e = p + 2 (o - kd), kd the largest -(e >> 1) (0 at least)."""
+    kd, groups = max(0, -(min([e for _, e, _ in x.terms], default=0) >> 1)), ([], [])
+    for key, e, g in x.terms:
+        groups[e & 1].append((key, (e >> 1) + kd, _eval_shift(g, s)))
+    return kd, groups
 
 
 def _scaled(spec: DiskSpec, A, B, C):
@@ -183,7 +179,7 @@ def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> Parts:
     """The product in Z_n (n >= 2), level n on the left, of L R_spec(z_i, w_i, Q_i) over the specs for
     i = n, n - 1, ..., each L the lcm of its spec's Jacobi denominators: one packed Horner sum on I,
     the chain of the rest (1 for none), over key shifts of J_k = Q_(n-1)^k I (module docstring)."""
-    low = _chain(n - 1, *rest) if rest else Parts((((zero := (0,) * (n - 1), zero), 0, (1,)),), (), 1, 0)
+    low = _chain(n - 1, *rest) if rest else Parts((((zero := (0,) * (n - 1), zero), 0, (1,)),), 1)
     j, coefs = spec.l - spec.m, _jacobi(spec)[3][:min(spec.l, spec.m) + 1]
     deg, (zn, wn) = sum(x.l for x in rest), ((j,), (0,)) if j >= 0 else ((0,), (-j,))
 
@@ -195,7 +191,7 @@ def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> Parts:
             yield -j * deg - abs(j) * k, kj, [[((lam + zn, mu + wn), 0, v) for (lam, mu), v in acc.items()]
                                               for acc in accs]
     peaks = [(n - 1) ** k * low.peak for k in range(len(coefs))]
-    return _read(*_horner_sum(coefs, peaks, n, terms, _times_q))
+    return _read(*_horner_sum(coefs, peaks, n, terms, _MOVES.__getitem__))
 
 
 def _check_spherical(l: int, m: int, n: int, *rs) -> tuple:

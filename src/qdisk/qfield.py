@@ -42,10 +42,11 @@ slot by slot (s a multiple of 8); a bound asking 2^s large holds rounded up.
 
 The packed sums of `diskpoly` and `tensor` work in t = q^2 (Harvey's even/odd split):
 a coefficient is split once into its parts q^e g(q^2), g(0) != 0, one per parity of
-e (`_split`), an element into `Parts`, and a sum keeps one accumulator per parity
-p, {key: F(2^s)} for q^p F(t) / t^k: p and p' multiply into p ^ p', two odd ones
-carrying q^2 into one more t.  A slot holds one coefficient of q, so bounds on those
-hold; an ungraded coefficient costs two parts, and a sum is 0 only when both are.
+e (`_split`), and an element into `Parts`, flat parts (key, e, g).  Only a packed sum
+splits by parity: one accumulator per parity p, {key: F(2^s)} for q^p F(t) / t^k, p
+and p' multiplying into p ^ p', two odd ones carrying q^2 into one more t (`_read`
+gives back parts).  A slot holds one coefficient of q, so bounds on those hold; an
+ungraded coefficient costs two parts, and a sum is 0 only when both are.
 """
 
 from __future__ import annotations
@@ -616,9 +617,9 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 # the t-form: Laurent polynomials split by parity (Kronecker substitution at t = q^2; Harvey 2009)
 
 
-# an element in t-form: per parity p, (key, a, g) for q^p t^a g(t) key; the largest mass of one
-# coefficient; the least a, 0 for none
-Parts = namedtuple("Parts", "even odd peak low")
+# an element in t-form: its parts (key, e, g), q^e g(q^2) key with g(0) != 0, at most one per key and parity
+# of e; and the largest mass of one coefficient
+Parts = namedtuple("Parts", "terms peak")
 
 
 def _split(c: QRat) -> tuple:
@@ -631,11 +632,6 @@ def _split(c: QRat) -> tuple:
     return tuple(parts)
 
 
-def _join(parts) -> QRat:
-    """sum q^e g(q^2) over parts (e, g), in canonical form: the inverse of `_split`."""
-    return sum((_laurent([x for c in g for x in (c, 0)], -e) for e, g in parts), ZERO)
-
-
 def _mass(parts) -> int:
     """Sum of the absolute values of the coefficients over parts (e, g)."""
     return sum(sum(map(abs, g)) for _, g in parts)
@@ -643,25 +639,24 @@ def _mass(parts) -> int:
 
 def _read(accs: tuple, s: int, k: int) -> Parts:
     """The `Parts` of packed values {key: F(2^s)} per parity p for q^p F(t) / t^k, with their peak."""
-    masses, out = {}, ([], [])
-    for parts, acc in zip(out, accs):
+    masses, out = {}, []
+    for p, acc in enumerate(accs):
         for key, v in acc.items():
-            if v:  # v = n 2^(s o), n's low slot nonzero
-                parts.append((key, (o := ((v & -v).bit_length() - 1) // s) - k, g := _from_digits(v >> s * o, s)))
+            if v:  # v = n 2^(s o), n's low slot nonzero: the part q^p t^(o - k) g(t)
+                o = ((v & -v).bit_length() - 1) // s
+                out.append((key, p + 2 * (o - k), g := _from_digits(v >> s * o, s)))
                 masses[key] = masses.get(key, 0) + sum(map(abs, g))
-    low = min([a for parts in out for _, a, _ in parts], default=0)
-    return Parts(*map(tuple, out), max(masses.values(), default=0), low)
+    return Parts(tuple(out), max(masses.values(), default=0))
 
 
 def _terms(x: Parts) -> dict:
     """The nonzero terms {key: c} of an element in t-form, each key's parts joined."""
     out = {}
-    for p, parts in enumerate(x[:2]):
-        for key, a, g in parts:
-            num = [0] * (2 * len(g) - 1)
-            num[::2] = g
-            c = _laurent(num, -p - 2 * a)
-            out[key] = out[key] + c if key in out else c
+    for key, e, g in x.terms:
+        num = [0] * (2 * len(g) - 1)
+        num[::2] = g
+        c = _laurent(num, -e)
+        out[key] = out[key] + c if key in out else c
     return out
 
 

@@ -11,7 +11,7 @@ and its precursor, also verified, A = X1 (x) Y1 + X2 (x) Y2 and B = q^2 X1* (x) 
 Y2*; the rhs couples disk polynomials in the X and Y generators through constants built from
 the spherical norms.
 
-The lhs L R(A, B, C) (`diskpoly`) is one packed Horner sum in C, `diskpoly._packed_sum`, over
+The lhs L R(A, B, C) (`diskpoly`) is one packed Horner sum in C, `diskpoly._horner_sum`, over
 E_k = A^j D^k (j = l - m >= 0) or D^k B^-j, built with no element product: A's terms act on the
 left of each factor, and B's on the right, by key shifts times powers of q (`_shift`); C is
 central, D A = q^2 A D and D B = q^-2 B D (the q-disk pair relation), so E_k = E_(k-1) C -
@@ -45,10 +45,10 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
-from .diskpoly import DiskSpec, _chain, _jacobi, _packed, _packed_sum, _pair_moves
+from .diskpoly import DiskSpec, _chain, _horner_sum, _jacobi, _packed, _pair_moves
 from .haar import _norm
-from .qfield import (Cyclo, Parts, QRat, Record, _check_ints, _eval_shift, _from_digits, _join, _mass, _read,
-                     _split, _terms, _width)
+from .qfield import (Cyclo, Parts, QRat, Record, _check_ints, _eval_shift, _from_digits, _mass, _read, _split,
+                     _terms, _width)
 from .zalgebra import ZElement, _z_rank
 
 LEFT_RANK = 3
@@ -76,11 +76,10 @@ def _pair_sum(sides, packed: tuple = (({}, {}), 8, 0), d1: tuple = ((0, (1,)),))
         (kx, xs), ys, least = _packed(left, s), ([], []), 0
         for f, g in w:  # y z_1^a w_1^b = q^(-a (lam_2 - mu_2)) y on the shifted key, times each part of w
             wv = _eval_shift(g, s)
-            for p, parts in enumerate(right[:2]):
-                for ((l1, l2), (m1, m2)), e, c in parts:
-                    if (e := (p + 2 * e + f - a * (l2 - m2))) >> 1 < least:
-                        least = e >> 1
-                    ys[e & 1].append((((l1 + a, l2), (m1 + b, m2)), _eval_shift(c, s) * wv, s * (e >> 1)))
+            for ((l1, l2), (m1, m2)), e, c in right.terms:
+                if (e := (e + f - a * (l2 - m2))) >> 1 < least:
+                    least = e >> 1
+                ys[e & 1].append((((l1 + a, l2), (m1 + b, m2)), _eval_shift(c, s) * wv, s * (e >> 1)))
         lo = min(lo, least - kx)
         packs.append((kx, xs, ys))
     # over t^k, k the largest -e of a product or of a term of d1 a
@@ -177,11 +176,11 @@ def _lhs_power(variant: str, j: int, k: int) -> Parts:
     """E_k = A^j D^k (j >= 0) or D^k B^-j of a variant in t-form, from E_(k-1), or A^j from A^(j-1), by key
     shifts and central moves, packed at the width of its per-key bound (module docstring)."""
     if not j and not k:
-        return Parts(((next(iter(ZElement.one(RANKS).terms)), 0, (1,)),), (), 1, 0)
+        return Parts(((next(iter(ZElement.one(RANKS).terms)), 0, (1,)),), 1)
     a, b = _ARGUMENTS[variant]
     x = _lhs_power(variant, j, k - 1) if k else _lhs_power(variant, j - 1 if j > 0 else j + 1, 0)
     s = _width(((10 if k else 2) * x.peak).bit_length() + 1)
-    moves = [(key, p + 2 * e, _eval_shift(g, s)) for p, parts in enumerate(x[:2]) for key, e, g in parts]
+    moves = [(key, e, _eval_shift(g, s)) for key, e, g in x.terms]
     if not k:
         moves = _act(moves, a) if j > 0 else _act(moves, b, True)
     else:  # E_(k-1) C - q^(2(k-1)) A E_(k-1) B, C by its central moves
@@ -197,7 +196,8 @@ def _lhs_power(variant: str, j: int, k: int) -> Parts:
 def _packed_lhs(spec: DiskSpec, variant: str) -> tuple:
     """L lhs of a checked case, packed: one Horner sum over the E_k (`diskpoly._horner_sum`)."""
     coefs, j = _jacobi(spec)[3], spec.l - spec.m
-    return _packed_sum(coefs, [_lhs_power(variant, j, k) for k in range(len(coefs))], 6, _pair_moves)
+    es = [_lhs_power(variant, j, k) for k in range(len(coefs))]
+    return _horner_sum(coefs, [x.peak for x in es], 6, lambda s: ((0, *_packed(x, s)) for x in es), _pair_moves)
 
 
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
@@ -269,13 +269,13 @@ def verify_addition(l: int, m: int, alpha: int, variant: str = "final") -> Verdi
     so lhs = rhs iff a W = b.  Neither is read back: the packed pair sum of b starts at -a W on each key
     of a, with a packed as its Horner sum leaves it (`_packed_lhs`, `_pair_sum`), and the case passes
     when every packed value is 0, which, with each key's coefficients at most sum_rs |left| |right| |w|
-    + |a| |W| < 2^(s-1), |a| exact, holds only if the sum is 0.  Only a failure, reported and not
-    raised, reads both back for the residual (a W - b) / V."""
+    + |a| |W| < 2^(s-1), |a| exact, holds only if the sum is 0.  A failure, reported and not raised,
+    reads that sum b - a W back: the residual (a W - b) / V is it times -1/V, and the rhs alone is summed
+    once more for its term count."""
     start, spec = time.monotonic(), _check_addition(l, m, alpha, variant)
     lhs, (inv_v, w, sides) = _packed_lhs(spec, variant), _rhs_sides(*spec, variant)
     residual, rhs_terms = [], (lhs_terms := len({key for acc in lhs[0] for key, v in acc.items() if v}))
-    if _pair_sum(sides, lhs, w):
-        a, rhs = ZElement._of(RANKS, _terms(_read(*lhs))), ZElement._of(RANKS, _pair_sum(sides))
-        residual, rhs_terms = ((a * _join(w) - rhs) * inv_v).to_json()["terms"], rhs.term_count()
+    if diff := _pair_sum(sides, lhs, w):  # b - a W
+        residual, rhs_terms = (ZElement._of(RANKS, diff) * -inv_v).to_json()["terms"], len(_pair_sum(sides))
     millis = int((time.monotonic() - start) * 1000)
     return Verdict(*spec, variant, not residual, residual, lhs_terms, rhs_terms, millis)

@@ -568,13 +568,10 @@ def join_parts(parts) -> QRat:
 
 
 def t_form(x: ZElement) -> Parts:
-    """x in t-form (`qfield.Parts`): each coefficient split by the parity of its exponents, with the
-    largest mass of one coefficient as its peak."""
-    parts = ([], [])
-    for key, c in x.terms.items():
-        for e, g in _split(c):
-            parts[e & 1].append((key, e >> 1, g))
-    return Parts(*map(tuple, parts), peak(x.terms.values()), min([a for p in parts for _, a, _ in p], default=0))
+    """x in t-form (`qfield.Parts`): each coefficient split by the parity of its exponents, the even
+    parts first, as `qfield._read` gives them, with the largest mass of one coefficient as its peak."""
+    parts = [(key, e, g) for key, c in x.terms.items() for e, g in _split(c)]
+    return Parts(tuple(sorted(parts, key=lambda part: part[1] & 1)), peak(x.terms.values()))
 
 
 def q_form(x: Parts, rank) -> ZElement:

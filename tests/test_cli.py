@@ -701,7 +701,7 @@ OVER_THE_CAP = [(["--n", "13", "--l", "4", "--m", "4"], 1820),
 def test_spherical_term_cap_admits_its_value(capsys, monkeypatch, argv):
     assert MAX_SPHERICAL_TERMS == 1716
     calls = []
-    monkeypatch.setattr("qdisk.diskpoly._chain", lambda *args: calls.append(args) or Parts((), (), 0, 0))
+    monkeypatch.setattr("qdisk.diskpoly._chain", lambda *args: calls.append(args) or Parts((), 0))
     code, out, _ = run_cli(capsys, "spherical", *argv)
     assert (code, out.strip(), len(calls)) == (0, "0", 1)
 

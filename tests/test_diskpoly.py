@@ -24,10 +24,11 @@ def _rank_args(n: int) -> tuple:
 
 
 def _packed_horner(coefs: tuple, es: list, C: ZElement) -> ZElement:
-    """H = sum_k coef_k C^(mm-k) E_k over es by the packed Horner sum `diskpoly._packed_sum`, read
+    """H = sum_k coef_k C^(mm-k) E_k over es by the packed Horner sum `diskpoly._horner_sum`, read
     back, with C = Q_n by its moves."""
-    packed = diskpoly._packed_sum(tuple(map(_split, coefs)), list(map(t_form, es)), len(C.terms),
-                                  diskpoly._MOVES.__getitem__)
+    xs = list(map(t_form, es))
+    packed = diskpoly._horner_sum(tuple(map(_split, coefs)), [x.peak for x in xs], len(C.terms),
+                                  lambda s: ((0, *diskpoly._packed(x, s)) for x in xs), diskpoly._MOVES.__getitem__)
     return q_form(_read(*packed), C.rank)
 
 

@@ -488,7 +488,7 @@ def test_scaled_rhs_hands_the_pair_sum_laurent_sides_only(monkeypatch, variant):
 
     def laurent_only(sides):
         for left, right, _, w in sides:
-            parts = [g for x in (left, right) for group in x[:2] for _, _, g in group] + [g for _, g in w]
+            parts = [g for x in (left, right) for _, _, g in x.terms] + [g for _, g in w]
             assert all(type(g) is tuple and g and g[0] and g[-1] for g in parts)
         seen.append(len(sides))
         return pair_sum(sides)
@@ -679,7 +679,7 @@ def test_warm_verdict_hands_its_lhs_over_packed(monkeypatch):
     assert verdict.passed and verdict.lhs_terms == BENCH_CASES[case]
 
     def parts(x):
-        return len(x.even) + len(x.odd)
+        return len(x.terms)
     want = sum(map(parts, es)) + sum(map(len, coefs)) + len(w)
     want += sum(parts(x) + len(c) * (parts(y) + 1) for x, y, _, c in sides)
     assert laurents == [] and len(packs) == want
@@ -775,6 +775,18 @@ def test_planted_error_reports_its_residual(monkeypatch):
     assert json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
 
 
+def test_failing_verdict_reads_its_residual_from_the_decision(monkeypatch):
+    # the decision's nonzero pair sum is V rhs - W L lhs, so the residual is that times -1/V: a failure
+    # runs one more pair sum, for the rhs term count, and reads back no lhs
+    _plant_rhs(monkeypatch, (2, 1, 1, "final"), _times_q2(0))
+    sums, reads, pair_sum, read = [], [], tensor._pair_sum, tensor._read
+    monkeypatch.setattr(tensor, "_pair_sum", lambda *args: sums.append(len(args)) or pair_sum(*args))
+    monkeypatch.setattr(tensor, "_read", lambda accs, s, k: reads.append(s) or read(accs, s, k))
+    verdict = verify_addition(2, 1, 1)
+    assert not verdict.passed and json.dumps(verdict.to_json()["residual_terms"]) == PLANTED_RESIDUAL
+    assert sums == [3, 1] and len(reads) == 2
+
+
 def test_warm_verification_computes_no_scalar_gcd(monkeypatch):
     # the rhs scalars of a case are memoized, in tuples no caller can mutate
     assert verify_addition(3, 2, 1).passed
@@ -855,7 +867,7 @@ PLANTS = {
 
 
 @pytest.mark.parametrize("plant", list(PLANTS))
-@pytest.mark.parametrize("l,m,alpha", [(2, 1, 1), (2, 2, 2)])
+@pytest.mark.parametrize("l,m,alpha", [(2, 1, 1), (2, 2, 2), (4, 3, 2)])
 def test_planted_errors_report_the_division_residual(monkeypatch, plant, l, m, alpha):
     side, edit, variant = PLANTS[plant]
     case = (l, m, alpha, variant)

@@ -53,11 +53,14 @@ def test_split_pack_and_read_back_return_every_coefficient(s, graded, data):
         assert len(parts) == (1 if graded else 2) and join_parts(parts) == c
         assert all(g[0] and g[-1] for _, g in parts) and len({e & 1 for e, _ in parts}) == len(parts)
     # each part packed at its own power of t, aligned over t^kd in its parity's accumulator, read back once
+    # a part (key, e, g) is q^p t^(e >> 1) g(t) for p = e & 1; an ungraded coefficient has two parts on its key
     terms = {((i,), (0,)): c for i, c in enumerate(cs)}
     x = t_form(ZElement(1, terms))
+    assert len(x.terms) == len(cs) * (1 if graded else 2)
     kd, groups = diskpoly._packed(x, s)
-    for parts, group in zip(x[:2], groups):
-        want = [(key, a, eval_shift_loop(g, s)) for key, a, g in parts]
+    assert kd == max(0, *(-(e >> 1) for _, e, _ in x.terms))
+    for p, group in enumerate(groups):
+        want = [(key, e >> 1, eval_shift_loop(g, s)) for key, e, g in x.terms if e & 1 == p]
         assert [(key, o - kd, v) for key, o, v in group] == want
     accs = tuple({key: v << s * o for key, o, v in group} for group in groups)
     assert _read(accs, s, kd) == x and _terms(x) == terms and x.peak == peak(cs)
@@ -81,8 +84,9 @@ def test_t_form_horner_sum_equals_the_q_form_route(n, data):
     # H = sum_k coef_k Q_n^(mm-k) E_k on any Laurent data, ungraded included
     coefs = data.draw(st.lists(coefficient(), min_size=1, max_size=4))
     es = [data.draw(element(n)) for _ in coefs]
-    moves = diskpoly._MOVES.__getitem__
-    got = diskpoly._packed_sum(tuple(map(_split, coefs)), list(map(t_form, es)), n, moves)
+    moves, xs = diskpoly._MOVES.__getitem__, list(map(t_form, es))
+    got = diskpoly._horner_sum(tuple(map(_split, coefs)), [x.peak for x in xs], n,
+                               lambda s: ((0, *diskpoly._packed(x, s)) for x in xs), moves)
     assert q_form(_read(*got), n) == ZElement._of(n, unpacked(*horner_sum_qform(coefs, es, n, moves)))
 
 
@@ -191,9 +195,10 @@ BENCH = [(4, 4, 1), (5, 5, 2), (6, 6, 2)]  # the benchmark's addition cases
 
 
 def _graded_by(x, parity) -> bool:
-    """Whether x, in t-form, has one part per coefficient, of the parity its key gives."""
-    return all(parity(key) == p for p, parts in enumerate(x[:2]) for key, _, _ in parts) and not (
-        {key for key, _, _ in x.even} & {key for key, _, _ in x.odd})
+    """Whether x, in t-form, has one part per coefficient, of the parity its key gives: e & 1 = parity(key)
+    for every part (key, e, g), and at most one part per key and parity."""
+    return all(e & 1 == parity(key) for key, e, _ in x.terms) and len(
+        {(key, e & 1) for key, e, _ in x.terms}) == len(x.terms)
 
 
 def test_every_suite_table_entry_is_graded():
