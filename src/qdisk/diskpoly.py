@@ -11,15 +11,15 @@ C must commute with A and B (checked); no inverse of C is formed.  The coef_k ar
 gcd, and `disk_poly` divides by L once per term.  H is taken by Horner's rule in C, H_k =
 H_(k-1) C + (L coef_k) E_k; `disk_poly` takes it on `QRat`s, E_k = E_(k-1) D or D E_(k-1).
 
-H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2: moving z_a left
-past z_j and w_a right past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j),
-z^lam w^mu Q_n = sum_a q^-t_a z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor,
-the t's added.  With Laurent coefficients `_horner_sum` keeps H packed at one slot width s in
-t = q^2, one accumulator per parity (`qfield`): a step adds each term onto its moves, to the
-other parity for odd t, then each product of parts of L coef_k and E_k, multiplied at their
-own powers of t and shifted after, and H is read back once, or handed over packed to the
-verdict of `tensor`.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of mass 1, so with
-|x| the largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C|
+H C needs no structure row when C = Q_n, central in Z_n, or Q_n1 (x) Q_n2: moving z_a left past z_j and w_a
+right past w_j (j > a) costs q^-1, so with t_a = sum_{j > a} (lam_j + mu_j), z^lam w^mu Q_n = sum_a q^-t_a
+z^(lam + e_a) w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor, the t's added.  With Laurent coefficients
+`_horner_sum` keeps H packed at one slot width s in t = q^2, one accumulator per parity (`qfield`): a step
+adds each term onto its moves, to the other parity for odd t, then each product of parts of L coef_k and E_k,
+multiplied at their own powers of t and shifted after, and H is read back once, or handed over packed to the
+verdict of `tensor`.  Both factors come packed as they are kept, once per width: E_k by its element
+(`_packed`), L coef_k by `qfield._eval_kept`.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of
+mass 1, so with |x| the largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C|
 |H_(k-1)| + |E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` takes it, over E_k built by key shifts.
 
 The spherical and associated elements and the rhs factors of `tensor` are products down Z_n >
@@ -39,7 +39,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .qfield import Cyclo, Parts, _check_ints, _eval_shift, _mass, _read, _split, _terms, _width
+from .qfield import Cyclo, Parts, _check_ints, _eval_kept, _eval_shift, _mass, _read, _split, _terms, _width
 from .qfunc import _jacobi_coeffs
 from .zalgebra import ZElement, _check_rank, _element, _Memo
 
@@ -119,33 +119,33 @@ def _times_q(accs: tuple, s: int, kh: int, moves=_MOVES.__getitem__) -> tuple:
 def _horner_sum(coefs: tuple, peaks: list, fan: int, terms, moves) -> tuple:
     """H = sum_k coef_k C^(mm-k) E_k packed, ((acc_0, acc_1), s, kh) for q^p F(t) / t^kh: C takes a key to
     its moves(key) (`_times_q`), at most fan, |E_k| <= peaks[k], coefs are parts and terms(s) yields E_k as
-    (e, kd, groups), q^e / t^kd times the q^p t^o v key of the (key, o, v) of groups[p] (`_packed`)."""
+    (e, kd, (parts, values)), q^e times q^e' v key per part (key, e', _) and value v, kd >= -(e' >> 1)."""
     bound = 0
     for coef, p in zip(coefs, peaks):
         bound = bound * fan + p * _mass(coef)
     s, accs, kh = _width(bound.bit_length() + 1), ({}, {}), 0
-    for k, (coef, (e, kd, groups)) in enumerate(zip(coefs, terms(s))):
+    for k, (coef, (e, kd, parts)) in enumerate(zip(coefs, terms(s))):
         if k:  # H_(k-1) C
             accs, kh = _times_q(accs, s, kh, moves)
-        # a product q^f t^o x v lands in parity f & 1, over t^kd shifted by f >> 1 and o
-        steps = [(p + e + ec, x, group) for ec, x in [(ec, _eval_shift(g, s)) for ec, g in coef]
-                 for p, group in enumerate(groups) if group]
-        if (need := max([kd - (f >> 1) for f, _, _ in steps], default=0)) > kh:  # over the larger power of t
+        # a product q^(f + e') x v lands in parity (f + e') & 1, over t^kh shifted by ((f + 2 kh + e') >> 1)
+        cs = [(e + ec, _eval_kept(g, s)) for ec, g in coef]
+        if (need := max([kd - (f >> 1) for f, _ in cs], default=0)) > kh:  # over the larger power of t
             accs, kh = tuple({key: v << s * (need - kh) for key, v in acc.items()} for acc in accs), need
-        for f, x, group in steps:
-            acc, base = accs[f & 1], kh - kd + (f >> 1)
-            for key, o, y in group:
-                acc[key] = acc.get(key, 0) + ((x * y) << (s * (base + o)))
+        for f, x in cs:
+            f += 2 * kh
+            for (key, ey, _), y in zip(*parts):
+                acc = accs[(fy := f + ey) & 1]
+                acc[key] = acc.get(key, 0) + ((x * y) << (s * (fy >> 1)))
     return accs, s, kh
 
 
 def _packed(x: Parts, s: int) -> tuple:
-    """(kd, groups) of an element in t-form packed at width s: per parity p, (key, o, g(2^s)) of each part
-    (key, e, g), e = p + 2 (o - kd), kd the largest -(e >> 1) (0 at least)."""
-    kd, groups = max(0, -(min([e for _, e, _ in x.terms], default=0) >> 1)), ([], [])
-    for key, e, g in x.terms:
-        groups[e & 1].append((key, (e >> 1) + kd, _eval_shift(g, s)))
-    return kd, groups
+    """(kd, (parts, values)) of an element in t-form at width s: its parts (key, e, g), the values g(2^s)
+    aligned with them, kd the largest -(e >> 1) (0 at least); packed once per width and kept (`qfield.Parts`)."""
+    if s not in x.packs:
+        x.packs[s] = (max(0, -(min([e for _, e, _ in x.terms], default=0) >> 1)),
+                      (x.terms, tuple(_eval_shift(g, s) for _, _, g in x.terms)))
+    return x.packs[s]
 
 
 def _scaled(spec: DiskSpec, A, B, C):
@@ -183,13 +183,13 @@ def _chain(n: int, spec: DiskSpec, *rest: DiskSpec) -> Parts:
     j, coefs = spec.l - spec.m, _jacobi(spec)[3][:min(spec.l, spec.m) + 1]
     deg, (zn, wn) = sum(x.l for x in rest), ((j,), (0,)) if j >= 0 else ((0,), (-j,))
 
-    def terms(s):  # E_k I = q^(-j deg - |j| k) J_k shifted, J_k aligned over t^kj
-        kj, groups = _packed(low, s)
-        accs = tuple({key: v << s * o for key, o, v in group} for group in groups)
+    def terms(s):  # E_k I = q^(-j deg - |j| k) J_k shifted, J_k aligned over t^kj: q^(p - 2 kj) v per key
+        kj, parts = _packed(low, s)
+        accs = tuple({key: v << s * ((e >> 1) + kj) for (key, e, _), v in zip(*parts) if e & 1 == p} for p in (0, 1))
         for k in range(len(coefs)):
             accs, kj = _times_q(accs, s, kj) if k else (accs, kj)
-            yield -j * deg - abs(j) * k, kj, [[((lam + zn, mu + wn), 0, v) for (lam, mu), v in acc.items()]
-                                              for acc in accs]
+            yield -j * deg - abs(j) * k, kj, ([((lam + zn, mu + wn), p - 2 * kj, None) for p, acc in enumerate(accs)
+                                               for lam, mu in acc], [v for acc in accs for v in acc.values()])
     peaks = [(n - 1) ** k * low.peak for k in range(len(coefs))]
     return _read(*_horner_sum(coefs, peaks, n, terms, _MOVES.__getitem__))
 

@@ -50,7 +50,7 @@ from math import prod
 from operator import sub
 
 from .diskpoly import DiskSpec
-from .qfield import Cyclo, QRat, ZERO, _eval_shift, _from_digits, _laurent, _qpoch, _width, poly_mul
+from .qfield import Cyclo, QRat, ZERO, _eval_kept, _eval_shift, _from_digits, _laurent, _qpoch, _width, poly_mul
 from .zalgebra import _WZ_CACHE, ZElement, _Memo, _product_terms, _z_rank
 
 
@@ -71,9 +71,9 @@ def haar_monomial(lam, mu, n: int) -> QRat:
     return haar(ZElement.monomial(n, lam, mu))
 
 
-# memoized: the packing n(2^s) of a memoized numerator n (N_lam, P) at each width s, and the product of
-# a tuple of d's and a Pochhammer's numerator (`_packed_sum`'s common denominators and cofactors)
-_packed = lru_cache(maxsize=None)(_eval_shift)
+# memoized: the packing n(2^s) of a memoized numerator n (N_lam, P) at each width s (`qfield._eval_kept`),
+# and the product of a tuple of d's and a Pochhammer's numerator (`_packed_sum`'s denominators and cofactors)
+_packed = _eval_kept
 _times = lru_cache(maxsize=None)(partial(reduce, poly_mul))
 
 

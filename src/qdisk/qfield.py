@@ -40,13 +40,13 @@ s-bit words, its symmetric base-2^s digits in (-2^(s-1), 2^(s-1)]: by one
 C-level array call for s of 8, 16, 32 or 64 bits on little-endian hosts, else
 slot by slot (s a multiple of 8); a bound asking 2^s large holds rounded up.
 
-The packed sums of `diskpoly` and `tensor` work in t = q^2 (Harvey's even/odd split):
-a coefficient is split once into its parts q^e g(q^2), g(0) != 0, one per parity of
-e (`_split`), and an element into `Parts`, flat parts (key, e, g).  Only a packed sum
-splits by parity: one accumulator per parity p, {key: F(2^s)} for q^p F(t) / t^k, p
-and p' multiplying into p ^ p', two odd ones carrying q^2 into one more t (`_read`
-gives back parts).  A slot holds one coefficient of q, so bounds on those hold; an
-ungraded coefficient costs two parts, and a sum is 0 only when both are.
+The packed sums of `diskpoly` and `tensor` work in t = q^2 (Harvey's even/odd split): a coefficient
+is split once into its parts q^e g(q^2), g(0) != 0, one per parity of e (`_split`), and an element
+into `Parts`, flat parts (key, e, g).  Only a packed sum splits by parity: one accumulator per parity
+p, {key: F(2^s)} for q^p F(t) / t^k, p and p' multiplying into p ^ p', two odd ones carrying q^2 into
+one more t (`_read` gives back parts).  A slot holds one coefficient of q, so bounds on those hold; an
+ungraded coefficient costs two parts, and a sum is 0 only when both are.  An element keeps its packing
+at each width it is packed at (`Parts.packs`), as a table's scalar part does (`_eval_kept`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import operator
 import sys
 from array import array
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
@@ -263,12 +263,15 @@ def _eval_shift(a: Coeffs, s: int) -> int:
     return (int.from_bytes(raw, "little") ^ m) - m
 
 
-def _from_digits(n: int, s: int, negate: bool = False) -> Coeffs:
-    """The polynomial of the symmetric base-2^s digits of any integer n, or of -n
-    when negate, s a slot width: with m holding h = 2^(s-1) in each slot, over two
-    slots more than n needs, each digit in [-h, h) is a carry-free slot of n + m,
-    and (n + m) ^ m flips each top bit to leave signed words, read by one array call
-    for s of 8, 16, 32 or 64 bits.  A word -h is no symmetric digit: -n's, negated, are."""
+# a polynomial at 2^s kept per (coefficients, s): the scalar parts of `diskpoly` and `tensor`, N_lam and P
+_eval_kept = lru_cache(maxsize=None)(_eval_shift)
+
+
+def _words(n: int, s: int, negate: bool = False) -> Sequence[int]:
+    """The symmetric base-2^s digits of any integer n, or of -n when negate, s a slot width: with m holding
+    h = 2^(s-1) in each slot, over two slots more than n needs, each digit in [-h, h) is a carry-free slot of
+    n + m, and (n + m) ^ m flips each top bit to leave signed words, read by one array call into a compact
+    `array` for s of 8, 16, 32 or 64 bits.  A word -h is no symmetric digit: -n's, negated, are."""
     h, w = 1 << (s - 1), s // 8
     m = int.from_bytes(h.to_bytes(w, "little") * (n.bit_length() // s + 2), "little")
     x = (n + m) ^ m
@@ -277,7 +280,12 @@ def _from_digits(n: int, s: int, negate: bool = False) -> Coeffs:
              [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)])
     if negate:
         return tuple(map(operator.neg, words))
-    return tuple(words) if -h not in words else _from_digits(-n, s, True)
+    return words if -h not in words else _words(-n, s, True)
+
+
+def _from_digits(n: int, s: int) -> Coeffs:
+    """The polynomial of the symmetric base-2^s digits of any integer n (`_words`)."""
+    return tuple(_words(n, s))
 
 
 def _gcd_cofactors(a: Coeffs, b: Coeffs) -> tuple:
@@ -617,9 +625,13 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 # the t-form: Laurent polynomials split by parity (Kronecker substitution at t = q^2; Harvey 2009)
 
 
-# an element in t-form: its parts (key, e, g), q^e g(q^2) key with g(0) != 0, at most one per key and parity
-# of e; and the largest mass of one coefficient
-Parts = namedtuple("Parts", "terms peak")
+class Parts(namedtuple("Parts", "terms peak")):
+    """An element in t-form: parts (key, e, g), q^e g(q^2) key, g(0) != 0, at most one per key and parity of e,
+    and the largest mass of one coefficient; `packs` keeps one immutable packing per width (`diskpoly._packed`)."""
+
+    @cached_property
+    def packs(self) -> dict:
+        return {}
 
 
 def _split(c: QRat) -> tuple:

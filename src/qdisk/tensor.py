@@ -34,10 +34,10 @@ times a scalar whose denominator divides V.  Each coefficient, at most sum_rs |l
 < 2^(s-1), is read back once by `scaled_rhs`.  A passing `verify_addition` reads back neither side:
 the lhs reaches it packed, as its Horner sum leaves it (`_packed_lhs`), and its pair sum starts there.
 
-Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's
-E_k, keyed by (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs
-scalars, in tuples) and `_chain`, whose entries every case and variant that has them shares.  An
-E_k or chain entry is kept in t-form only, with its peak.  Callers never receive one.
+Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's E_k, keyed
+by (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs scalars, in tuples) and
+`_chain`, whose entries every case and variant that has them shares.  An E_k or chain entry is kept in t-form
+only, with its peak and its packing at each width (`diskpoly._packed`).  Callers never receive one.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from functools import lru_cache
 
 from .diskpoly import DiskSpec, _chain, _horner_sum, _jacobi, _packed, _pair_moves
 from .haar import _norm
-from .qfield import (Cyclo, Parts, QRat, Record, _check_ints, _eval_shift, _from_digits, _mass, _read, _split,
-                     _terms, _width)
+from .qfield import (Cyclo, Parts, QRat, Record, _check_ints, _eval_kept, _eval_shift, _mass, _read, _split, _terms,
+                     _width, _words)
 from .zalgebra import ZElement, _z_rank
 
 LEFT_RANK = 3
@@ -60,44 +60,42 @@ TensorElement = ZElement  # tensor elements are ZElements of rank RANKS; the for
 
 def _pair_sum(sides, packed: tuple = (({}, {}), 8, 0), d1: tuple = ((0, (1,)),)) -> dict:
     """Nonzero terms of sum_i w_i left_i (x) right_i z_1^a w_1^b - d1 a over the sides (left_i, right_i, (a, b),
-    w_i), left_i and right_i of ranks LEFT_RANK and RIGHT_RANK in t-form, w_i and d1 parts, and a packed as
-    `diskpoly._horner_sum` leaves it (none by default): parities p and p' multiply into p ^ p' (`qfield`)."""
+    w_i): left_i, right_i of ranks LEFT_RANK, RIGHT_RANK in t-form and w_i, d1 parts, read packed as kept
+    (`_packed`, `_eval_kept`), a packed as `_horner_sum` leaves it (none by default); p, p' multiply into p ^ p'."""
     (values, sa, ka), bound = packed, sum(x.peak * y.peak * _mass(w) for x, y, _, w in sides)
-    # each nonzero F(2^sa) as n 2^(sa o), n's low slot nonzero; a's exact peak from the digits of the n
-    lows, masses = [[(key, x >> sa * (o := ((x & -x).bit_length() - 1) // sa), o - ka)
+    # each nonzero F(2^sa) as x = n 2^(sa o), n's low slot nonzero, and n's digits, read once: a's exact peak
+    lows, masses = [[(key, x, o := ((x & -x).bit_length() - 1) // sa, _words(x >> sa * o, sa))
                      for key, x in acc.items() if x] for acc in values], {}
-    for key, n, _ in lows[0] + lows[1]:
-        masses[key] = masses.get(key, 0) + sum(map(abs, _from_digits(n, sa)))
+    for key, _, _, digits in lows[0] + lows[1]:
+        masses[key] = masses.get(key, 0) + sum(map(abs, digits))
     s = _width((bound + max(masses.values(), default=0) * _mass(d1)).bit_length() + 1)
-    if s != sa:
-        lows = [[(key, _eval_shift(_from_digits(n, sa), s), o) for key, n, o in low] for low in lows]
-    ds, lo, packs, accs = [(f, -_eval_shift(g, s)) for f, g in d1], 0, [], ({}, {})
+    for low in lows:  # n at width s, each value's digits dropped as it is taken
+        for i, (key, x, o, digits) in enumerate(low):
+            low[i] = key, x >> sa * o if s == sa else _eval_shift(digits, s), o - ka
+    ds, packs, accs = [(f, -_eval_kept(g, s)) for f, g in d1], [], ({}, {})
     for left, right, (a, b), w in sides:
-        (kx, xs), ys, least = _packed(left, s), ([], []), 0
-        for f, g in w:  # y z_1^a w_1^b = q^(-a (lam_2 - mu_2)) y on the shifted key, times each part of w
-            wv = _eval_shift(g, s)
-            for ((l1, l2), (m1, m2)), e, c in right.terms:
-                if (e := (e + f - a * (l2 - m2))) >> 1 < least:
-                    least = e >> 1
-                ys[e & 1].append((((l1 + a, l2), (m1 + b, m2)), _eval_shift(c, s) * wv, s * (e >> 1)))
-        lo = min(lo, least - kx)
+        (kx, xs), ys, ws = _packed(left, s), ([], []), [(f, _eval_kept(g, s)) for f, g in w]
+        for (((l1, l2), (m1, m2)), e, _), c in zip(*_packed(right, s)[1]):
+            key, e = ((l1 + a, l2), (m1 + b, m2)), e - a * (l2 - m2)
+            for f, wv in ws:  # y z_1^a w_1^b = q^(-a (lam_2 - mu_2)) y on the shifted key, times each part of w
+                ys[(e + f) & 1].append((key, c * wv, s * ((e + f) >> 1)))
         packs.append((kx, xs, ys))
-    # over t^k, k the largest -e of a product or of a term of d1 a
-    k = -min([lo, *(o + ((p + f) >> 1) for p, low in enumerate(lows) for _, _, o in low for f, _ in ds)])
+    # over t^k, k the largest -e of a product (a left part's is at most kx) or of a term of d1 a
+    k = -min([0, *(sy // s - kx for kx, _, ys in packs for ps in ys for _, _, sy in ps),
+              *(o + ((p + f) >> 1) for p, low in enumerate(lows) for _, _, o in low for f, _ in ds)])
     for p, low in enumerate(lows):
         for f, d in ds:
             acc, e = accs[(p + f) & 1], k + ((p + f) >> 1)
             for key, n, o in low:
                 acc[key] = acc.get(key, 0) + (n * d << s * (o + e))
-    for kx, xs, ys in packs:  # q^p t^(o - kx) x times q^q' t^e y: parity p ^ q', t^(p & q') more
-        for p, group in enumerate(xs):
+    for _, xs, ys in packs:  # q^e x, p = e & 1, times q^q' t^f y: parity p ^ q', t^(p & q') more
+        for (kl, e, _), x in zip(*xs):
+            p, o = e & 1, k + (e >> 1)
             for q, ps in enumerate(ys):
-                acc, d = accs[p ^ q], k - kx + (p & q)
-                for kl, o, x in group:
-                    sx = s * (o + d)
-                    for ky, y, sy in ps:
-                        key = (kl, ky)
-                        acc[key] = acc.get(key, 0) + ((x * y) << (sx + sy))
+                acc, sx = accs[p ^ q], s * (o + (p & q))
+                for ky, y, sy in ps:
+                    key = (kl, ky)
+                    acc[key] = acc.get(key, 0) + ((x * y) << (sx + sy))
     return _terms(_read(accs, s, k))
 
 

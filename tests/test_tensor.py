@@ -659,31 +659,47 @@ def test_decision_width_is_the_exact_lhs_peak_rule(monkeypatch):
 
 
 def test_warm_verdict_hands_its_lhs_over_packed(monkeypatch):
-    # a warm pass reads no coefficient back (no `_laurent` in a read-back), packs each part once
-    # (each `_eval_shift` call is one part of an E_k or an L coef_k in the Horner sum, or of a side,
-    # a weight or W in the pair sum; the circle shift only moves exponents) and builds no element of
-    # the tensor rank
-    case = (6, 6, 2)
-    assert verify_addition(*case).passed
-    coefs, es = diskpoly._jacobi(DiskSpec(*case))[3], [tensor._lhs_power("final", 0, k) for k in range(7)]
-    _, w, sides = tensor._rhs_sides(*case, "final")
-    laurents, packs, built = [], [], []
-    read_back, eval_shift, of = qfield._laurent, qfield._eval_shift, ZElement._of
+    # a warm pass reads no coefficient back (no `_laurent` in a read-back), packs no part of a kept entry
+    # (the E_k and the sides keep their packings, `diskpoly._packed`) and no scalar part (`qfield._eval_kept`),
+    # and builds no element of the tensor rank; it reads each nonzero lhs value's digits once, and packs
+    # the value again only where the pair sum's width s is not the Horner sum's sa: (6, 6, 2) at s = sa,
+    # (3, 3, 4) at 32 bits over 16
+    cases = {(6, 6, 2): (728, None), (3, 3, 4): (90, 32)}
+    values = {}
+    for case in cases:
+        assert verify_addition(*case).passed
+        values[case] = [v for acc in tensor._packed_lhs(DiskSpec(*case), "final")[0] for v in acc.values() if v]
+    laurents, packs, words, built = [], [], [], []
+    read_back, eval_shift, read_words, of = qfield._laurent, qfield._eval_shift, qfield._words, ZElement._of
     for module in (qfield, zalgebra):
         monkeypatch.setattr(module, "_laurent", lambda *args: laurents.append(args) or read_back(*args))
     for module in (diskpoly, tensor):
-        monkeypatch.setattr(module, "_eval_shift", lambda a, s: packs.append(len(a)) or eval_shift(a, s))
+        monkeypatch.setattr(module, "_eval_shift", lambda a, s: packs.append(s) or eval_shift(a, s))
+    monkeypatch.setattr(tensor, "_words", lambda n, s: words.append(s) or read_words(n, s))
     monkeypatch.setattr(ZElement, "_of", staticmethod(
         lambda rank, *args: built.append(rank) or of(rank, *args)))
-    verdict = verify_addition(*case)
-    assert verdict.passed and verdict.lhs_terms == BENCH_CASES[case]
-
-    def parts(x):
-        return len(x.terms)
-    want = sum(map(parts, es)) + sum(map(len, coefs)) + len(w)
-    want += sum(parts(x) + len(c) * (parts(y) + 1) for x, y, _, c in sides)
-    assert laurents == [] and len(packs) == want
+    kept = qfield._eval_kept.cache_info().misses
+    for case, (terms, width) in cases.items():
+        del packs[:], words[:]
+        verdict = verify_addition(*case)
+        assert verdict.passed and verdict.lhs_terms == terms, case
+        assert words == [words[0]] * len(values[case]), case
+        assert packs == ([] if width is None else [width] * len(values[case])), case
+    assert laurents == [] and qfield._eval_kept.cache_info().misses == kept
     assert tensor.RANKS not in built
+
+
+def test_a_second_suite_grid_packs_no_kept_entry(monkeypatch, capsys):
+    # every table entry and scalar part a suite grid packs is kept at its width: the same grid again in
+    # the same process packs nothing of them (`diskpoly._packed` is the one caller of its `_eval_shift`)
+    argv = ["suite", "--grid", "alpha=1..4;l=0..3;m=0..3", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    packs, eval_shift = [], qfield._eval_shift
+    monkeypatch.setattr(diskpoly, "_eval_shift", lambda a, s: packs.append(s) or eval_shift(a, s))
+    kept = qfield._eval_kept.cache_info().misses
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "suite: 128/128 passed"
+    assert packs == [] and qfield._eval_kept.cache_info().misses == kept
 
 
 def _read_backs(monkeypatch) -> list:
@@ -740,8 +756,13 @@ def test_packed_products_multiply_no_zero_low_slot(monkeypatch, variant):
     def recording(a, s):
         return packed(qfield._eval_shift(a, s), s)
 
-    monkeypatch.setattr(tensor, "_eval_shift", recording)
-    monkeypatch.setattr(diskpoly, "_eval_shift", recording)
+    # the kept packings of the verdict's entries and scalars are set aside, so each operand is packed anew
+    _, _, sides = tensor._rhs_sides(6, 6, 2, variant)
+    for x in [tensor._lhs_power(variant, 0, k) for k in range(7)] + [x for side in sides for x in side[:2]]:
+        monkeypatch.setitem(vars(x), "packs", {})
+    for module in (diskpoly, tensor):
+        monkeypatch.setattr(module, "_eval_shift", recording)
+        monkeypatch.setattr(module, "_eval_kept", recording)
     assert verify_addition(6, 6, 2, variant).passed
     assert len(seen) > 1000
     assert all(x % (1 << s) and y % (1 << s) for s, x, y in seen)

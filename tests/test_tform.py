@@ -13,7 +13,7 @@ from oracle import (eval_shift_loop, horner_sum_qform, join_parts, packed_qform,
                     peak, q_form, t_form, unpacked)
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
-from qdisk.qfield import ONE, QRat, _read, _split, _terms, _width
+from qdisk.qfield import ONE, QRat, _eval_shift, _read, _split, _terms, _width
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, VARIANTS, pair, verify_addition
 from qdisk.zalgebra import ZElement, star, z_gen
 
@@ -57,13 +57,45 @@ def test_split_pack_and_read_back_return_every_coefficient(s, graded, data):
     terms = {((i,), (0,)): c for i, c in enumerate(cs)}
     x = t_form(ZElement(1, terms))
     assert len(x.terms) == len(cs) * (1 if graded else 2)
-    kd, groups = diskpoly._packed(x, s)
+    kd, (parts, values) = diskpoly._packed(x, s)
     assert kd == max(0, *(-(e >> 1) for _, e, _ in x.terms))
-    for p, group in enumerate(groups):
-        want = [(key, e >> 1, eval_shift_loop(g, s)) for key, e, g in x.terms if e & 1 == p]
-        assert [(key, o - kd, v) for key, o, v in group] == want
-    accs = tuple({key: v << s * o for key, o, v in group} for group in groups)
+    assert parts == x.terms and list(values) == [eval_shift_loop(g, s) for _, _, g in x.terms]
+    accs = ({}, {})
+    for (key, e, _), v in zip(parts, values):
+        accs[e & 1][key] = v << s * ((e >> 1) + kd)
     assert _read(accs, s, kd) == x and _terms(x) == terms and x.peak == peak(cs)
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_an_entry_keeps_one_exact_packing_per_width(graded, data):
+    # an entry packed at every width, in any order and again: each packing is every part's value at 2^s,
+    # kept once per width, and, at q = 2^(s/2), the q-form packing of its terms
+    ints = st.one_of(st.integers(-9, 9), st.integers(-(1 << 40), 1 << 40)).filter(bool)
+
+    def exponents(parity):
+        return st.integers(-25, 25).filter(lambda e: e & 1 == parity)
+
+    def coefficient25():
+        if graded:
+            parity = data.draw(st.integers(0, 1))
+            return from_exponents(data.draw(st.dictionaries(exponents(parity), ints, min_size=1, max_size=6)))
+        return from_exponents({**data.draw(st.dictionaries(exponents(0), ints, min_size=1, max_size=4)),
+                               **data.draw(st.dictionaries(exponents(1), ints, min_size=1, max_size=4))})
+
+    terms = {((i,), (0,)): coefficient25() for i in range(data.draw(st.integers(1, 5)))}
+    x = t_form(ZElement(1, terms))
+    widths = data.draw(st.permutations(WIDTHS)) + data.draw(st.lists(st.sampled_from(WIDTHS), min_size=1, max_size=6))
+    kept = {}
+    for s in data.draw(st.permutations(widths)):
+        kd, (parts, values) = diskpoly._packed(x, s)
+        assert kd == max(0, *(-(e >> 1) for _, e, _ in x.terms)) and parts == x.terms
+        assert list(values) == [_eval_shift(g, s) for _, _, g in parts] == [eval_shift_loop(g, s) for _, _, g in parts]
+        assert kept.setdefault(s, values) is values
+        h = s // 2
+        want, _, top = packed_qform(terms, h)
+        for key, v in want.items():
+            assert v == sum(y << h * (e + top) for (k, e, _), y in zip(parts, values) if k == key)
 
 
 def coefficient():
