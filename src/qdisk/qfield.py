@@ -1,52 +1,42 @@
 """Exact arithmetic in the field of rational functions of q.
 
-Every coefficient that appears downstream (normal forms, Haar values,
-q-disk expansions, verification residuals) lives in Q(q), represented as
-a reduced fraction of integer-coefficient polynomials.  Identities are
-checked by exact reduction to the canonical zero, never numerically, so
-the canonical form matters: gcd(num, den) is a unit, den has positive
-leading coefficient, and the pair carries overall integer content 1.
-Zero is always the pair (0, 1).
+Every coefficient that appears downstream (normal forms, Haar values, q-disk expansions, verification residuals) lives
+in Q(q), represented as a reduced fraction of integer-coefficient polynomials.  Identities are checked by exact
+reduction to the canonical zero, never numerically, so the canonical form matters: gcd(num, den) is a unit, den has
+positive leading coefficient, and the pair carries overall integer content 1.  Zero is always the pair (0, 1).
 
-Polynomials are plain tuples of ints, coefficient of q^i at index i, no
-trailing zeros.  Negative powers of q are ordinary fractions (q^-2 is
-1/q^2), but a denominator that is a power of q (1 included) takes a fast
-path in `+`, `-` and `*`: such a Laurent polynomial n/q^k has content-1,
-positive denominator and n prime to q, so the sum or product needs no gcd,
-only a shift of the numerators and the cancelling of common powers of q.
+Polynomials are plain tuples of ints, coefficient of q^i at index i, no trailing zeros.  Negative powers of q are
+ordinary fractions (q^-2 is 1/q^2), but a denominator that is a power of q (1 included) takes a fast path in `+`, `-`
+and `*`: such a Laurent polynomial n/q^k has content-1, positive denominator and n prime to q, so the sum or product
+needs no gcd, only a shift of the numerators and the cancelling of common powers of q.
 
-Every other field operation cancels a gcd.  `poly_gcd` tries the
-heuristic GCD of Char, Geddes and Gonnet (J. Symbolic Comput. 1989)
-first: evaluate at a power of two, take the integer gcd, read the
-polynomial back from its symmetric digits and keep it only when it
-divides both inputs exactly.  That check also yields the cofactors, which
-the field operations use in place of dividing again.  When no evaluation
-point gives such a candidate, the primitive PRS gcd `_prs_gcd` decides;
-it is also the oracle the tests compare the heuristic against.
+Every other field operation cancels a gcd.  `poly_gcd` tries the heuristic GCD of Char, Geddes and Gonnet (J. Symbolic
+Comput. 1989) first: evaluate at a power of two, take the integer gcd, read the polynomial back from its symmetric
+digits and keep it only when it divides both inputs exactly.  That check also yields the cofactors, which the field
+operations use in place of dividing again.  When no evaluation point gives such a candidate, the primitive PRS gcd
+`_prs_gcd` decides; it is also the oracle the tests compare the heuristic against.
 
-The closed-form scalars (q-Pochhammers, the little q-Jacobi coefficients,
-the norm and coupling constants of the addition formula, and the common
-denominators over them) all have the form +-q^e prod (1 - q^k)^(e_k).  Since
-q^k - 1 = prod_{d | k} Phi_d(q), a `Cyclo` holds one as a sign, a power of q
-and exponents of cyclotomic polynomials Phi_d: products (n-ary, in one pass),
-quotients and the lcm of denominators are exponent arithmetic.  `to_qrat`
-converts once, with no gcd: the Phi_d are distinct, monic, irreducible and
-prime to q, so the products over the positive and over the negative exponents
-are coprime, the denominator is monic and the pair has content 1, which is
-canonical form; each such product is expanded once per process (`_phi_product`).
+The closed-form scalars (q-Pochhammers, the little q-Jacobi coefficients, the norm and coupling constants of the
+addition formula, and the common denominators over them) all have the form +-q^e prod (1 - q^k)^(e_k).  Since q^k - 1
+= prod_{d | k} Phi_d(q), a `Cyclo` holds one as a sign, a power of q and exponents of cyclotomic polynomials Phi_d:
+products (n-ary, in one pass), quotients and the lcm of denominators are exponent arithmetic.  `to_qrat` converts
+once, with no gcd: the Phi_d are distinct, monic, irreducible and prime to q, so the products over the positive and
+over the negative exponents are coprime, the denominator is monic and the pair has content 1, which is canonical form;
+each such product is expanded once per process (`_phi_product`).
 
-A polynomial is packed into its value at q = 2^s and read back as signed
-s-bit words, its symmetric base-2^s digits in (-2^(s-1), 2^(s-1)]: by one
-C-level array call for s of 8, 16, 32 or 64 bits on little-endian hosts, else
-slot by slot (s a multiple of 8); a bound asking 2^s large holds rounded up.
+A polynomial is packed into its value at q = 2^s and read back as signed s-bit words, its symmetric base-2^s digits in
+(-2^(s-1), 2^(s-1)]: by one C-level array call for s of 8, 16, 32 or 64 bits on little-endian hosts, else slot by slot
+(s a multiple of 8); a bound asking 2^s large holds rounded up.
 
-The packed sums of `diskpoly` and `tensor` work in t = q^2 (Harvey's even/odd split): a coefficient
-is split once into its parts q^e g(q^2), g(0) != 0, one per parity of e (`_split`), and an element
-into `Parts`, flat parts (key, e, g).  Only a packed sum splits by parity: one accumulator per parity
-p, {key: F(2^s)} for q^p F(t) / t^k, p and p' multiplying into p ^ p', two odd ones carrying q^2 into
-one more t (`_read` gives back parts).  A slot holds one coefficient of q, so bounds on those hold; an
-ungraded coefficient costs two parts, and a sum is 0 only when both are.  An element keeps its packing
-at each width it is packed at (`Parts.packs`), as a table's scalar part does (`_eval_kept`).
+The packed sums of `diskpoly` and `tensor` work in t = q^2 (Harvey's even/odd split): a coefficient is split once into
+its parts q^e g(q^2), g(0) != 0, one per parity of e (`_split`), and an element into `Parts`, flat parts (code, e, g).
+A code is a key as one small integer, after the packed exponent vectors of Monagan and Pearce (CASC 2007): each key
+(lam, mu) of any rank gets an id once per process (`_id`), a tensor key (k1, k2) is (id k1 << _BITS) | id k2, and only
+`_terms` decodes, where an element leaves the t-form.  Only a packed sum splits by parity: one accumulator per parity
+p, {code: F(2^s)} for q^p F(t) / t^k, p and p' multiplying into p ^ p', two odd ones carrying q^2 into one more t
+(`_read` gives back parts).  A slot holds one coefficient of q, so bounds on those hold; an ungraded coefficient costs
+two parts, and a sum is 0 only when both are.  An element keeps its packing at each width it is packed at
+(`Parts.packs`), as a table's scalar part does (`_eval_kept`).
 """
 
 from __future__ import annotations
@@ -212,15 +202,11 @@ _HEU_POINTS = 6
 def _heu_gcd(a: Coeffs, b: Coeffs):
     """(h, a/h, b/h) by the heuristic GCD, or None when it finds no h.
 
-    a and b are nonzero with nonzero constant terms; h is their primitive
-    gcd with positive leading coefficient.  A candidate h is accepted only
-    when it divides both inputs, and then it is the gcd.  Proof: write the
-    true gcd as h*k.  The integer gcd at x is c*h(x) with c the content of
-    the interpolant, and h(x)*k(x) divides it, so |k(x)| <= |c| <= x/2
-    (the digits are symmetric).  Every root z of a or b, and so of k, has
-    |z| <= 1 + M (Cauchy), M the smaller max norm of a and b.  Since
-    x > 2M + 2, a nonconstant k would have |k(x)| >= x - 1 - M > x/2.
-    """
+    a and b are nonzero with nonzero constant terms; h is their primitive gcd with positive leading coefficient.  A
+    candidate h is accepted only when it divides both inputs, and then it is the gcd.  Proof: write the true gcd as
+    h*k.  The integer gcd at x is c*h(x) with c the content of the interpolant, and h(x)*k(x) divides it, so |k(x)| <=
+    |c| <= x/2 (the digits are symmetric).  Every root z of a or b, and so of k, has |z| <= 1 + M (Cauchy), M the
+    smaller max norm of a and b.  Since x > 2M + 2, a nonconstant k would have |k(x)| >= x - 1 - M > x/2."""
     if len(a) == 1 or len(b) == 1:
         return (1,), a, b
     if len(a) == len(b) and (a == b or a == poly_neg(b)):  # h = a up to its content
@@ -306,8 +292,7 @@ def _gcd_cofactors(a: Coeffs, b: Coeffs) -> tuple:
 def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     """Primitive gcd with positive leading coefficient.
 
-    The heuristic gcd answers first; the primitive PRS decides when it
-    cannot, and for zero inputs."""
+    The heuristic gcd answers first; the primitive PRS decides when it cannot, and for zero inputs."""
     if not a or not b:
         return _prs_gcd(a, b)
     return _gcd_cofactors(a, b)[0]
@@ -366,9 +351,8 @@ def _is_qpow(den: Coeffs) -> bool:
 def _laurent(cs: Sequence, k: int) -> "QRat":
     """cs / q^k in canonical form, for any integer k (q^-k cs for k < 0).
 
-    cs is a sum or product of canonical Laurent numerators, so the only
-    factor it can share with q^k is a power of q: stripping that is the
-    whole reduction."""
+    cs is a sum or product of canonical Laurent numerators, so the only factor it can share with q^k is a power of q:
+    stripping that is the whole reduction."""
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
@@ -625,8 +609,25 @@ _INT_CACHE = {0: ZERO, 1: ONE, -1: QRat((-1,), (1,), _canonical=True),
 # the t-form: Laurent polynomials split by parity (Kronecker substitution at t = q^2; Harvey 2009)
 
 
+# monomial codes: a key (lam, mu) of one factor is coded by its id (`_id`), a tensor key (k1, k2) by (id k1 <<
+# _BITS) | id k2; id 0 is never issued, so a tensor code is at least 2^_BITS
+_BITS, _KEYS, _IDS = 30, [None], {}
+_MASK = (1 << _BITS) - 1
+
+
+def _id(key) -> int:
+    """The id of a key (lam, mu) of any rank, issued once per process; ValueError when it would not fit in _BITS
+    bits, so that no two keys ever share a code."""
+    if (i := _IDS.get(key)) is None:
+        if (i := len(_KEYS)) >> _BITS:
+            raise ValueError(f"more than {(1 << _BITS) - 1} monomial keys in one process")
+        _IDS[key] = i
+        _KEYS.append(key)
+    return i
+
+
 class Parts(namedtuple("Parts", "terms peak")):
-    """An element in t-form: parts (key, e, g), q^e g(q^2) key, g(0) != 0, at most one per key and parity of e,
+    """An element in t-form: parts (code, e, g), q^e g(q^2) key, g(0) != 0, at most one per key and parity of e,
     and the largest mass of one coefficient; `packs` keeps one immutable packing per width (`diskpoly._packed`)."""
 
     @cached_property
@@ -662,12 +663,12 @@ def _read(accs: tuple, s: int, k: int) -> Parts:
 
 
 def _terms(x: Parts) -> dict:
-    """The nonzero terms {key: c} of an element in t-form, each key's parts joined."""
+    """The nonzero terms {key: c} of an element in t-form, each key's parts joined and its code decoded."""
     out = {}
-    for key, e, g in x.terms:
+    for code, e, g in x.terms:
         num = [0] * (2 * len(g) - 1)
         num[::2] = g
-        c = _laurent(num, -e)
+        c, key = _laurent(num, -e), (_KEYS[i], _KEYS[code & _MASK]) if (i := code >> _BITS) else _KEYS[code]
         out[key] = out[key] + c if key in out else c
     return out
 
@@ -718,10 +719,9 @@ def _over_qk_minus_1(a: list, k: int) -> list:
 
 @lru_cache(maxsize=None)
 def _phi_product(items: tuple) -> Coeffs:
-    """prod Phi_d^e over the sorted items (d, e > 0) of an exponent map, memoized, as prod (q^k - 1)^f_k:
-    by Moebius inversion of q^d - 1 = prod_{k | d} Phi_k, f_k sums e mu(d/k) over the multiples d of k.
-    Each factor multiplied in is a shift and a subtraction; they all come first, so each one then
-    divided out divides exactly."""
+    """prod Phi_d^e over the sorted items (d, e > 0) of an exponent map, memoized, as prod (q^k - 1)^f_k: by Moebius
+    inversion of q^d - 1 = prod_{k | d} Phi_k, f_k sums e mu(d/k) over the multiples d of k.  Each factor multiplied
+    in is a shift and a subtraction; they all come first, so each one then divided out divides exactly."""
     fs: dict = {}
     for d, e in items:
         for k in _divisors(d):
@@ -737,10 +737,9 @@ def _phi_product(items: tuple) -> Coeffs:
 
 
 class Cyclo:
-    """sign q^qexp prod Phi_d^e over the items (d, e) of the dict phi, e != 0:
-    a q-Pochhammer constant in factored form; sign 0 is zero.  Immutable: no
-    method changes a value, and products (n-ary: `product`), quotients and
-    `lcm` build new ones by exponent arithmetic."""
+    """sign q^qexp prod Phi_d^e over the items (d, e) of the dict phi, e != 0: a q-Pochhammer constant in factored
+    form; sign 0 is zero.  Immutable: no method changes a value, and products (n-ary: `product`), quotients and `lcm`
+    build new ones by exponent arithmetic."""
 
     __slots__ = ("sign", "qexp", "phi")
 
@@ -856,10 +855,9 @@ def _qnumber(m: int, base_exp: int) -> QRat:
 
 
 class Record:
-    """A plain record, the base of `LinearSolution` and `Verdict`: the
-    constructor sets the fields named in __slots__ from its arguments,
-    positional or by name; equality, repr and pickling go by the fields.
-    It stands in for dataclasses, whose import (with inspect) costs each process 7 to 10 ms."""
+    """A plain record, the base of `LinearSolution` and `Verdict`: the constructor sets the fields named in __slots__
+    from its arguments, positional or by name; equality, repr and pickling go by the fields.  It stands in for
+    dataclasses, whose import (with inspect) costs each process 7 to 10 ms."""
 
     __slots__ = ()
 
@@ -892,25 +890,20 @@ class Record:
 class LinearSolution(Record):
     """Outcome of an exact linear solve: inconsistency is a result, not an error.
 
-    Fields: consistent (bool), particular (list[QRat] when consistent, else
-    None) and nullspace, the basis of the homogeneous space.  `solve_sparse`
-    gives each basis vector as a {col: QRat} dict of its nonzeros, in column
-    order; `solve_linear` gives it as a dense list[QRat]."""
+    Fields: consistent (bool), particular (list[QRat] when consistent, else None) and nullspace, the basis of the
+    homogeneous space.  `solve_sparse` gives each basis vector as a {col: QRat} dict of its nonzeros, in column order;
+    `solve_linear` gives it as a dense list[QRat]."""
 
     __slots__ = ("consistent", "particular", "nullspace")
 
 
 def solve_sparse(rows: Sequence[dict], ncols: int) -> LinearSolution:
-    """Solve the system of augmented rows {col: QRat} (right-hand side at
-    key ncols) by reduced row echelon form.
+    """Solve the system of augmented rows {col: QRat} (right-hand side at key ncols) by reduced row echelon form.
 
-    Each column in turn pivots on its candidate row with the fewest
-    nonzeros (Markowitz 1957; ties to the lowest index), is scaled to 1 and
-    cleared from every other row; cancelled entries are dropped.  The RREF
-    is unique, so pivot order cannot change the result: `particular` (free
-    columns 0) and the `nullspace` basis (free column 1, each pivot column
-    minus its row's entry there) equal those of any Gauss-Jordan order.
-    """
+    Each column in turn pivots on its candidate row with the fewest nonzeros (Markowitz 1957; ties to the lowest
+    index), is scaled to 1 and cleared from every other row; cancelled entries are dropped.  The RREF is unique, so
+    pivot order cannot change the result: `particular` (free columns 0) and the `nullspace` basis (free column 1, each
+    pivot column minus its row's entry there) equal those of any Gauss-Jordan order."""
     _check_ints(ncols, least=0)
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     index = [set() for _ in range(ncols + 1)]  # col -> rows holding it

@@ -1,43 +1,41 @@
 """Verification of the q-disk polynomial addition formula in a tensor algebra.
 
-The algebra of a q-disk pair (X1, X2) and a q-circle pair (Y1, Y2) is realized faithfully in
-Z_3 (x) Z_2 by X1 -> z_2, X2 -> z_3, Q -> Q_3 and Y1 -> z_1, Y2 -> z_2, D -> Q_2, so both sides
-of the addition formula are `ZElement`s of rank RANKS = (3, 2), multiplied factorwise, whose
-equality is decidable by exact normal forms.  The coupled-argument identity has
+The algebra of a q-disk pair (X1, X2) and a q-circle pair (Y1, Y2) is realized faithfully in Z_3 (x) Z_2 by X1 -> z_2,
+X2 -> z_3, Q -> Q_3 and Y1 -> z_1, Y2 -> z_2, D -> Q_2, so both sides of the addition formula are `ZElement`s of rank
+RANKS = (3, 2), multiplied factorwise, whose equality is decidable by exact normal forms.  The coupled-argument
+identity has
 
     A = -q X1 (x) Y1* + X2 (x) Y2,  B = -q X1* (x) Y1 + X2* (x) Y2*,  C = Q (x) D,
 
-and its precursor, also verified, A = X1 (x) Y1 + X2 (x) Y2 and B = q^2 X1* (x) Y1* + X2* (x)
-Y2*; the rhs couples disk polynomials in the X and Y generators through constants built from
-the spherical norms.
+and its precursor, also verified, A = X1 (x) Y1 + X2 (x) Y2 and B = q^2 X1* (x) Y1* + X2* (x) Y2*; the rhs couples
+disk polynomials in the X and Y generators through constants built from the spherical norms.
 
-The lhs L R(A, B, C) (`diskpoly`) is one packed Horner sum in C, `diskpoly._horner_sum`, over
-E_k = A^j D^k (j = l - m >= 0) or D^k B^-j, built with no element product: A's terms act on the
-left of each factor, and B's on the right, by key shifts times powers of q (`_shift`); C is
-central, D A = q^2 A D and D B = q^-2 B D (the q-disk pair relation), so E_k = E_(k-1) C -
-q^(2(k-1)) A E_(k-1) B, with C by its central moves (`diskpoly._pair_moves`).  A shift is
-one-to-one, so a key of E_k is reached from at most 6 keys of E_(k-1) by C, one per pair of
-moves, and from at most 4 by A . B, one per pair of terms, each times +-q^e: with |x| the largest
-sum of the absolute integer coefficients of one of x's coefficients, |E_k| <= 10 |E_(k-1)|,
-|A^j| <= 2 |A^(j-1)| (or B) and |E_k| <= 10^k 2^|j|.  Each E_k is packed from its source at the
+The lhs L R(A, B, C) (`diskpoly`) is one packed Horner sum in C, `diskpoly._horner_sum`, over E_k = A^j D^k (j = l - m
+>= 0) or D^k B^-j, built with no element product: A's terms act on the left of each factor, and B's on the right, by
+key shifts times powers of q (`_shift`: the id of a factor's key decoded, shifted and issued anew, `qfield._id`); C is
+central, D A = q^2 A D and D B = q^-2 B D (the q-disk pair relation), so E_k = E_(k-1) C - q^(2(k-1)) A E_(k-1) B,
+with C by the central moves of each factor's id (`diskpoly._id_moves`).  A shift is one-to-one, so a key of E_k is
+reached from at most 6 keys of E_(k-1) by C, one per pair of moves, and from at most 4 by A . B, one per pair of
+terms, each times +-q^e: with |x| the largest sum of the absolute integer coefficients of one of x's coefficients,
+|E_k| <= 10 |E_(k-1)|, |A^j| <= 2 |A^(j-1)| (or B) and |E_k| <= 10^k 2^|j|.  Each E_k is packed from its source at the
 width of that bound, one accumulator per parity, and read back once in t-form (`qfield`).
 
-The rhs scalars, the coupling constants, the final variant's sign and q-power and each piece's
-Jacobi denominators, are `Cyclo`s (`qfield`), each piece's cc (-q)^(r-s) / (L_outer^2 L_inner) in
-one `Cyclo.product` pass: `_rhs_pieces` takes their lcm V by exponent arithmetic and converts 1/V,
-W = V / L and each weight once, with no gcd, then splits them into parts.  W is a polynomial: the
-scalar of piece (0, 0), whose coupling constant and inner lcm are 1, is 1/L^2, and V has each
-index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of simple tensors
-w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain` entry,
-right = Y_rs z_1^a w_1^b the one-level one, its keys and its parts' powers of q shifted, and w is V
-times a scalar whose denominator divides V.  Each coefficient, at most sum_rs |left| |right| |w|
-< 2^(s-1), is read back once by `scaled_rhs`.  A passing `verify_addition` reads back neither side:
+The rhs scalars, the coupling constants, the final variant's sign and q-power and each piece's Jacobi denominators,
+are `Cyclo`s (`qfield`), each piece's cc (-q)^(r-s) / (L_outer^2 L_inner) in one `Cyclo.product` pass: `_rhs_pieces`
+takes their lcm V by exponent arithmetic and converts 1/V, W = V / L and each weight once, with no gcd, then splits
+them into parts.  W is a polynomial: the scalar of piece (0, 0), whose coupling constant and inner lcm are 1, is
+1/L^2, and V has each index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of simple
+tensors w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain` entry, right =
+Y_rs z_1^a w_1^b the one-level one, its keys and its parts' powers of q shifted, and w is V times a scalar whose
+denominator divides V; a product's key is one code, (id left << _BITS) | id right.  Each coefficient, at most sum_rs
+|left| |right| |w| < 2^(s-1), is read back once by `scaled_rhs`.  A passing `verify_addition` reads back neither side:
 the lhs reaches it packed, as its Horner sum leaves it (`_packed_lhs`), and its pair sum starts there.
 
-Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's E_k, keyed
-by (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs scalars, in tuples) and
-`_chain`, whose entries every case and variant that has them shares.  An E_k or chain entry is kept in t-form
-only, with its peak and its packing at each width (`diskpoly._packed`).  Callers never receive one.
+Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's E_k, keyed by
+(variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs scalars, in tuples) and `_chain`,
+whose entries every case and variant that has them shares.  An E_k or chain entry is kept in t-form only, keyed by
+codes, with its peak and its packing at each width (`diskpoly._packed`).  Callers never receive one: `qfield._terms`
+decodes the keys of what leaves the t-form.
 """
 
 from __future__ import annotations
@@ -45,10 +43,10 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
-from .diskpoly import DiskSpec, _chain, _horner_sum, _jacobi, _packed, _pair_moves
+from .diskpoly import DiskSpec, _chain, _horner_sum, _id_moves, _jacobi, _packed
 from .haar import _norm
-from .qfield import (Cyclo, Parts, QRat, Record, _check_ints, _eval_kept, _eval_shift, _mass, _read, _split, _terms,
-                     _width, _words)
+from .qfield import (_BITS, _KEYS, _MASK, Cyclo, Parts, QRat, Record, _check_ints, _eval_kept, _eval_shift, _id, _mass,
+                     _read, _split, _terms, _width, _words)
 from .zalgebra import ZElement, _z_rank
 
 LEFT_RANK = 3
@@ -75,8 +73,9 @@ def _pair_sum(sides, packed: tuple = (({}, {}), 8, 0), d1: tuple = ((0, (1,)),))
     ds, packs, accs = [(f, -_eval_kept(g, s)) for f, g in d1], [], ({}, {})
     for left, right, (a, b), w in sides:
         (kx, xs), ys, ws = _packed(left, s), ([], []), [(f, _eval_kept(g, s)) for f, g in w]
-        for (((l1, l2), (m1, m2)), e, _), c in zip(*_packed(right, s)[1]):
-            key, e = ((l1 + a, l2), (m1 + b, m2)), e - a * (l2 - m2)
+        for (i, e, _), c in zip(*_packed(right, s)[1]):
+            (l1, l2), (m1, m2) = _KEYS[i]
+            key, e = _id(((l1 + a, l2), (m1 + b, m2))), e - a * (l2 - m2)
             for f, wv in ws:  # y z_1^a w_1^b = q^(-a (lam_2 - mu_2)) y on the shifted key, times each part of w
                 ys[(e + f) & 1].append((key, c * wv, s * ((e + f) >> 1)))
         packs.append((kx, xs, ys))
@@ -90,12 +89,11 @@ def _pair_sum(sides, packed: tuple = (({}, {}), 8, 0), d1: tuple = ((0, (1,)),))
                 acc[key] = acc.get(key, 0) + (n * d << s * (o + e))
     for _, xs, ys in packs:  # q^e x, p = e & 1, times q^q' t^f y: parity p ^ q', t^(p & q') more
         for (kl, e, _), x in zip(*xs):
-            p, o = e & 1, k + (e >> 1)
+            p, o, kl = e & 1, k + (e >> 1), kl << _BITS
             for q, ps in enumerate(ys):
                 acc, sx = accs[p ^ q], s * (o + (p & q))
                 for ky, y, sy in ps:
-                    key = (kl, ky)
-                    acc[key] = acc.get(key, 0) + ((x * y) << (sx + sy))
+                    acc[key] = acc.get(key := kl | ky, 0) + ((x * y) << (sx + sy))
     return _terms(_read(accs, s, k))
 
 
@@ -147,25 +145,25 @@ _ARGUMENTS = {"final": (((-1, 1, (2, 0)), (1, 0, (3, 2))),) * 2,
               "precursor": (((1, 0, (2, 1)), (1, 0, (3, 2))), ((1, 2, (2, 1)), (1, 0, (3, 2))))}
 
 
-def _shift(key: tuple, i: int, right: bool) -> tuple:
-    """(key', e) with z_i key = q^e key' for i > 0 and w_1 key for i = 0, or, for right, their
-    *-mirrors key w_i and key z_1 (`zalgebra`'s relations): z_i z^lam w^mu = q^-(lam_1 + .. +
-    lam_(i-1)) z^(lam + e_i) w^mu and w_1 z^lam w^mu = q^(lam_2 + .. - mu_2 - ..) z^lam w^(mu + e_1)."""
-    lam, mu = key[::-1] if right else key
+def _shift(x: int, i: int, right: bool) -> tuple:
+    """(id', e) with z_i key = q^e key' for the key of id x (`qfield._id`) and i > 0, and w_1 key for i = 0, or, for
+    right, their *-mirrors key w_i and key z_1 (`zalgebra`'s relations): z_i z^lam w^mu = q^-(lam_1 + .. + lam_(i-1))
+    z^(lam + e_i) w^mu and w_1 z^lam w^mu = q^(lam_2 + .. - mu_2 - ..) z^lam w^(mu + e_1)."""
+    lam, mu = _KEYS[x][::-1] if right else _KEYS[x]
     lam, mu, e = ((lam[:i - 1] + (lam[i - 1] + 1,) + lam[i:], mu, -sum(lam[:i - 1])) if i
                   else (lam, (mu[0] + 1,) + mu[1:], sum(lam[1:]) - sum(mu[1:])))
-    return ((mu, lam) if right else (lam, mu)), e
+    return _id((mu, lam) if right else (lam, mu)), e
 
 
 def _act(moves: list, terms: tuple, right: bool = False) -> list:
-    """The moves (key, f, v), q^f v key, of X H, or of H X for right, for X the sum of terms
-    (`_ARGUMENTS`) and H the sum of moves: per term, each key goes to one key shift."""
-    out, factors = [], [{key[i] for key, _, _ in moves} for i in (0, 1)]
+    """The moves (code, f, v), q^f v key, of X H, or of H X for right, for X the sum of terms (`_ARGUMENTS`) and H the
+    sum of moves: per term, each factor's key goes to one key shift."""
+    out, factors = [], [{code >> _BITS for code, _, _ in moves}, {code & _MASK for code, _, _ in moves}]
     for sign, e, letters in terms:
         first, second = ({x: _shift(x, i, right) for x in xs} for xs, i in zip(factors, letters))
-        for (x, y), f, v in moves:
-            (x, dx), (y, dy) = first[x], second[y]
-            out.append(((x, y), f + e + dx + dy, v if sign > 0 else -v))
+        for code, f, v in moves:
+            (x, dx), (y, dy) = first[code >> _BITS], second[code & _MASK]
+            out.append(((x << _BITS) | y, f + e + dx + dy, v if sign > 0 else -v))
     return out
 
 
@@ -174,20 +172,22 @@ def _lhs_power(variant: str, j: int, k: int) -> Parts:
     """E_k = A^j D^k (j >= 0) or D^k B^-j of a variant in t-form, from E_(k-1), or A^j from A^(j-1), by key
     shifts and central moves, packed at the width of its per-key bound (module docstring)."""
     if not j and not k:
-        return Parts(((next(iter(ZElement.one(RANKS).terms)), 0, (1,)),), 1)
+        (k1, k2), = ZElement.one(RANKS).terms
+        return Parts((((_id(k1) << _BITS) | _id(k2), 0, (1,)),), 1)
     a, b = _ARGUMENTS[variant]
     x = _lhs_power(variant, j, k - 1) if k else _lhs_power(variant, j - 1 if j > 0 else j + 1, 0)
     s = _width(((10 if k else 2) * x.peak).bit_length() + 1)
-    moves = [(key, e, _eval_shift(g, s)) for key, e, g in x.terms]
+    moves = [(code, e, _eval_shift(g, s)) for code, e, g in x.terms]
     if not k:
         moves = _act(moves, a) if j > 0 else _act(moves, b, True)
     else:  # E_(k-1) C - q^(2(k-1)) A E_(k-1) B, C by its central moves
         ab = _act(_act(moves, a), tuple((-sign, e + 2 * k - 2, ls) for sign, e, ls in b), True)
-        moves = [(y, f - u, v) for key, f, v in moves for y, u in _pair_moves(key)] + ab
+        moves = [((y1 << _BITS) | y2, f - u1 - u2, v) for code, f, v in moves
+                 for y1, u1 in _id_moves(code >> _BITS) for y2, u2 in _id_moves(code & _MASK)] + ab
     lo, accs = min(f >> 1 for _, f, _ in moves), ({}, {})
-    for key, f, v in moves:  # q^f v in parity f & 1, over t^-lo
+    for code, f, v in moves:  # q^f v in parity f & 1, over t^-lo
         acc = accs[f & 1]
-        acc[key] = acc.get(key, 0) + (v << s * ((f >> 1) - lo))
+        acc[code] = acc.get(code, 0) + (v << s * ((f >> 1) - lo))
     return _read(accs, s, -lo)
 
 
@@ -195,7 +195,7 @@ def _packed_lhs(spec: DiskSpec, variant: str) -> tuple:
     """L lhs of a checked case, packed: one Horner sum over the E_k (`diskpoly._horner_sum`)."""
     coefs, j = _jacobi(spec)[3], spec.l - spec.m
     es = [_lhs_power(variant, j, k) for k in range(len(coefs))]
-    return _horner_sum(coefs, [x.peak for x in es], 6, lambda s: ((0, *_packed(x, s)) for x in es), _pair_moves)
+    return _horner_sum(coefs, [x.peak for x in es], 6, lambda s: ((0, *_packed(x, s)) for x in es))
 
 
 def scaled_lhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
@@ -220,8 +220,8 @@ def _rhs_pieces(l: int, m: int, alpha: int, variant: str) -> tuple:
 
 
 def _rhs_sides(l: int, m: int, alpha: int, variant: str) -> tuple:
-    """(1/V, W, sides (X_rs I_rs, Y_rs, (a, b), V-scaled weight)) of the rhs, Y_rs z_1^a w_1^b in it."""
-    plan, inv_lcm, w, weights = _rhs_pieces(*_check_addition(l, m, alpha, variant), variant)
+    """(1/V, W, sides (X_rs I_rs, Y_rs, (a, b), V-scaled weight)) of a checked case's rhs, Y_rs z_1^a w_1^b in it."""
+    plan, inv_lcm, w, weights = _rhs_pieces(l, m, alpha, variant)
     return inv_lcm, w, [(_chain(3, outer, inner), _chain(2, outer), (s, r) if variant == "final" else (r, s), c)
                         for (r, s, outer, inner), c in zip(plan, weights)]
 
@@ -231,7 +231,7 @@ def scaled_rhs(l: int, m: int, alpha: int, variant: str = "final") -> tuple:
     common denominator V of its (r, s) pieces' scalars (`_rhs_pieces`).  As (X2, X2*, Q) = (z_3, w_3, Q_3),
     (X1, X1*, Q - X2 X2*) = (z_2, w_2, Q_2) and (Y2, Y2*, D) = (z_2, w_2, Q_2), its L-scaled factors
     are the Laurent `diskpoly._chain(3, outer, inner)` and `_chain(2, outer)`."""
-    inv_lcm, _, sides = _rhs_sides(l, m, alpha, variant)
+    inv_lcm, _, sides = _rhs_sides(*_check_addition(l, m, alpha, variant), variant)
     return inv_lcm, ZElement._of(RANKS, _pair_sum(sides))
 
 

@@ -25,17 +25,20 @@ from `_mono_mul`, with c * N_lam added over its diagonal terms as QRats.
 
 `eval_shift_loop` and `from_digits_loop` are the oracles for the byte-level
 packing of `qfield`: one shift per coefficient, respectively one shift and
-one symmetric digit per slot.  `packed_terms` packs an element's terms one
-coefficient at a time, in the t-form a packed Horner sum hands over, and
-`t_form` and `q_form` take an element to its t-form and back, `t_sides`
-the sides of a pair sum, and `join_parts` a coefficient's parts.
+one symmetric digit per slot.  `code` is a key's monomial code (`qfield._id`)
+and `key_of` its inverse.  `packed_terms` packs an element's terms one
+coefficient at a time, in the t-form a packed Horner sum hands over, keyed by
+codes, and `t_form` and `q_form` take an element to its t-form and back,
+`t_sides` the sides of a pair sum, and `join_parts` a coefficient's parts.
 `scalar_termwise` and `pair_termwise` are those of the pack-once Laurent
 products: one QRat product per term, or per term pair.
 
 `pack_laurent`, `unpacked`, `packed_qform`, `times_q_qform`, `horner_sum_qform`
 and `pair_sum_qform` are the packed routes as they were before the t-form: each
 Laurent coefficient packed whole, in q, with every other slot zero on graded
-input.  They are the oracles for the t-form Horner and pair sums.
+input, keyed by tuples and moved by `diskpoly._moves` (`key_moves`, and
+`pair_moves` for a tensor key).  They are the oracles for the t-form Horner
+and pair sums.
 
 `chain_product` is the oracle for the level chains of `diskpoly._chain`: each
 level L R(z_n, w_n, Q_n) by the `QRat` Horner sum `diskpoly._scaled`, the
@@ -78,9 +81,8 @@ from types import SimpleNamespace
 
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
-from qdisk.qfield import (ONE, QRat, ZERO, LinearSolution, Parts, _eval_shift, _from_digits, _laurent,
-                          _split,
-                          _terms, _width, poly_divexact, poly_gcd, poly_mul, poly_valuation, qpoch)
+from qdisk.qfield import (_BITS, _KEYS, ONE, QRat, ZERO, LinearSolution, Parts, _eval_shift, _from_digits, _id,
+                          _laurent, _split, _terms, _width, poly_divexact, poly_gcd, poly_mul, poly_valuation, qpoch)
 from qdisk.qfunc import little_q_jacobi
 from qdisk.tensor import LEFT_RANK, RIGHT_RANK, RANKS, coupling_const, pair
 from qdisk.zalgebra import ZElement, _mono_mul, embed, q_element, star, w_gen, z_gen
@@ -545,15 +547,25 @@ def from_digits_loop(n: int, s: int) -> tuple:
     return tuple(out)
 
 
+def code(key) -> int:
+    """The monomial code of a key (lam, mu) of any rank, or of a tensor key (k1, k2): (id k1 << _BITS) | id k2."""
+    return (_id(key[0]) << _BITS) | _id(key[1]) if type(key[0][0]) is tuple else _id(key)
+
+
+def key_of(c: int):
+    """The key of a monomial code: the inverse of `code`."""
+    return (_KEYS[c >> _BITS], _KEYS[c & ((1 << _BITS) - 1)]) if c >> _BITS else _KEYS[c]
+
+
 def packed_terms(terms: dict, s: int) -> tuple:
-    """Laurent terms {key: n / q^k} packed as `diskpoly._horner_sum` hands a sum over: (({key: F_0(2^s)},
-    {key: F_1(2^s)}), s, K) for n / q^k = (F_0(q^2) + q F_1(q^2)) / q^(2K), K = the largest ceil(k / 2),
+    """Laurent terms {key: n / q^k} packed as `diskpoly._horner_sum` hands a sum over: (({code: F_0(2^s)},
+    {code: F_1(2^s)}), s, K) for n / q^k = (F_0(q^2) + q F_1(q^2)) / q^(2K), K = the largest ceil(k / 2),
     each coefficient shifted into its parity's value on its own."""
     top, accs = max((len(c.den) // 2 for c in terms.values()), default=0), ({}, {})
     for key, c in terms.items():
         for i, x in enumerate(c.num):
-            e = i - len(c.den) + 1 + 2 * top
-            accs[e & 1][key] = accs[e & 1].get(key, 0) + (x << s * (e >> 1))
+            e, k = i - len(c.den) + 1 + 2 * top, code(key)
+            accs[e & 1][k] = accs[e & 1].get(k, 0) + (x << s * (e >> 1))
     return accs, s, top
 
 
@@ -570,7 +582,7 @@ def join_parts(parts) -> QRat:
 def t_form(x: ZElement) -> Parts:
     """x in t-form (`qfield.Parts`): each coefficient split by the parity of its exponents, the even
     parts first, as `qfield._read` gives them, with the largest mass of one coefficient as its peak."""
-    parts = [(key, e, g) for key, c in x.terms.items() for e, g in _split(c)]
+    parts = [(code(key), e, g) for key, c in x.terms.items() for e, g in _split(c)]
     return Parts(tuple(sorted(parts, key=lambda part: part[1] & 1)), peak(x.terms.values()))
 
 
@@ -623,7 +635,17 @@ def unpacked(acc: dict, s: int, k: int) -> dict:
     return {key: _laurent(_from_digits(v, s), k) for key, v in acc.items() if v}
 
 
-def times_q_qform(acc: dict, s: int, kh: int, moves=diskpoly._MOVES.__getitem__) -> tuple:
+def key_moves(key) -> tuple:
+    """The moves (key', t_a) of a key (lam, mu) times Q_n, keyed by tuples (`diskpoly._moves`)."""
+    return diskpoly._moves(*key)
+
+
+def pair_moves(key) -> list:
+    """The moves of a tensor key (k1, k2) times Q_n1 (x) Q_n2: the pairs of its factors' moves."""
+    return [((k1, k2), t1 + t2) for k1, t1 in key_moves(key[0]) for k2, t2 in key_moves(key[1])]
+
+
+def times_q_qform(acc: dict, s: int, kh: int, moves=key_moves) -> tuple:
     """(H C, kh + big) for H packed at width s over q^kh."""
     acc = [(v, moves(key)) for key, v in acc.items()]
     out, big = {}, max(t for _, ms in acc for _, t in ms)
@@ -633,7 +655,7 @@ def times_q_qform(acc: dict, s: int, kh: int, moves=diskpoly._MOVES.__getitem__)
     return out, kh + big
 
 
-def horner_sum_qform(coefs, es, fan: int, moves=diskpoly._MOVES.__getitem__) -> tuple:
+def horner_sum_qform(coefs, es, fan: int, moves=key_moves) -> tuple:
     """sum_k coef_k C^(mm-k) E_k packed in q, ({key: F(2^s)}, s, kh) for its terms F/q^kh, over
     `QRat` coefs and elements es with Laurent coefficients, C by its moves onto fan keys."""
     bound = 0

@@ -3,8 +3,8 @@ from functools import cache
 
 import pytest
 
-from oracle import (addition_arguments, chain_product, disk_poly_termwise, horner_stepwise, mass, pairwise_mul,
-                    peak, q_form, t_form, xy_generators)
+from oracle import (addition_arguments, chain_product, code, disk_poly_termwise, horner_stepwise, mass,
+                    pairwise_mul, peak, q_form, t_form, xy_generators)
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec, _scaled, assoc_spherical, disk_poly, jacobi_scaled, spherical
 from qdisk.haar import inner, norm_const
@@ -28,7 +28,7 @@ def _packed_horner(coefs: tuple, es: list, C: ZElement) -> ZElement:
     back, with C = Q_n by its moves."""
     xs = list(map(t_form, es))
     packed = diskpoly._horner_sum(tuple(map(_split, coefs)), [x.peak for x in xs], len(C.terms),
-                                  lambda s: ((0, *diskpoly._packed(x, s)) for x in xs), diskpoly._MOVES.__getitem__)
+                                  lambda s: ((0, *diskpoly._packed(x, s)) for x in xs))
     return q_form(_read(*packed), C.rank)
 
 
@@ -340,9 +340,9 @@ def test_non_central_c_takes_the_qrat_horner():
         assert disk_poly(spec, x, y, c) == disk_poly_termwise(l, m, alpha, x, y, c)
 
 
-def _moved(C: ZElement, moves, key) -> ZElement:
-    """The basis monomial key times C, by its moves (`diskpoly._times_q`)."""
-    out, k = diskpoly._times_q(({key: 1}, {}), 8, 0, moves)
+def _moved(C: ZElement, key) -> ZElement:
+    """The basis monomial key times C, by the moves of its code (`diskpoly._times_q`)."""
+    out, k = diskpoly._times_q(({code(key): 1}, {}), 8, 0)
     return q_form(_read(out, 8, k), C.rank)
 
 
@@ -356,7 +356,7 @@ def _keys(n: int, top: int) -> list:
 def test_moves_are_the_product_with_q_n(n):
     c = q_element(n, n)
     for key in _keys(n, 3):
-        assert _moved(c, diskpoly._MOVES.__getitem__, key) == ZElement._of(n, {key: ONE}) * c, key
+        assert _moved(c, key) == ZElement._of(n, {key: ONE}) * c, key
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -368,7 +368,7 @@ def test_tensor_moves_are_the_product_with_q3_q2(variant):
     keys = {key for alpha in (1, 2) for mm in range(5)
             for key in tensor.scaled_lhs(mm, mm, alpha, variant)[1].terms}
     for key in keys:
-        assert _moved(c, diskpoly._pair_moves, key) == ZElement._of(tensor.RANKS, {key: ONE}) * c, key
+        assert _moved(c, key) == ZElement._of(tensor.RANKS, {key: ONE}) * c, key
 
 
 def _unfolded(spec: DiskSpec, A, B, C) -> ZElement:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import (eval_shift_loop, horner_sum_qform, join_parts, packed_qform, packed_terms, pair_sum_qform,
-                    peak, q_form, t_form, unpacked)
+from oracle import (code, eval_shift_loop, key_of, horner_sum_qform, join_parts, packed_qform, packed_terms, pair_moves,
+                    pair_sum_qform, peak, q_form, t_form, unpacked)
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
 from qdisk.qfield import ONE, QRat, _eval_shift, _read, _split, _terms, _width
@@ -95,7 +95,7 @@ def test_an_entry_keeps_one_exact_packing_per_width(graded, data):
         h = s // 2
         want, _, top = packed_qform(terms, h)
         for key, v in want.items():
-            assert v == sum(y << h * (e + top) for (k, e, _), y in zip(parts, values) if k == key)
+            assert v == sum(y << h * (e + top) for (k, e, _), y in zip(parts, values) if k == code(key))
 
 
 def coefficient():
@@ -116,10 +116,10 @@ def test_t_form_horner_sum_equals_the_q_form_route(n, data):
     # H = sum_k coef_k Q_n^(mm-k) E_k on any Laurent data, ungraded included
     coefs = data.draw(st.lists(coefficient(), min_size=1, max_size=4))
     es = [data.draw(element(n)) for _ in coefs]
-    moves, xs = diskpoly._MOVES.__getitem__, list(map(t_form, es))
+    xs = list(map(t_form, es))
     got = diskpoly._horner_sum(tuple(map(_split, coefs)), [x.peak for x in xs], n,
-                               lambda s: ((0, *diskpoly._packed(x, s)) for x in xs), moves)
-    assert q_form(_read(*got), n) == ZElement._of(n, unpacked(*horner_sum_qform(coefs, es, n, moves)))
+                               lambda s: ((0, *diskpoly._packed(x, s)) for x in xs))
+    assert q_form(_read(*got), n) == ZElement._of(n, unpacked(*horner_sum_qform(coefs, es, n)))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -127,7 +127,7 @@ def test_packed_lhs_equals_the_q_form_route(variant):
     for l, m, alpha in ((4, 4, 1), (5, 5, 2), (6, 6, 2), (3, 1, 2), (1, 3, 3)):
         spec = DiskSpec(l, m, alpha)
         coefs, es = diskpoly._jacobi(spec)[2], [tensor._lhs_power(variant, l - m, k) for k in range(min(l, m) + 1)]
-        want = unpacked(*horner_sum_qform(coefs, [q_form(x, RANKS) for x in es], 6, diskpoly._pair_moves))
+        want = unpacked(*horner_sum_qform(coefs, [q_form(x, RANKS) for x in es], 6, pair_moves))
         assert q_form(_read(*tensor._packed_lhs(spec, variant)), RANKS).terms == want, spec
 
 
@@ -228,9 +228,9 @@ BENCH = [(4, 4, 1), (5, 5, 2), (6, 6, 2)]  # the benchmark's addition cases
 
 def _graded_by(x, parity) -> bool:
     """Whether x, in t-form, has one part per coefficient, of the parity its key gives: e & 1 = parity(key)
-    for every part (key, e, g), and at most one part per key and parity."""
-    return all(e & 1 == parity(key) for key, e, _ in x.terms) and len(
-        {(key, e & 1) for key, e, _ in x.terms}) == len(x.terms)
+    for every part (code, e, g), key the code's, and at most one part per key and parity."""
+    return all(e & 1 == parity(key_of(c)) for c, e, _ in x.terms) and len(
+        {(c, e & 1) for c, e, _ in x.terms}) == len(x.terms)
 
 
 def test_every_suite_table_entry_is_graded():
