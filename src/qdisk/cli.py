@@ -284,7 +284,7 @@ def _default_rank(args) -> int:
         try:
             n = int(env)
         except ValueError:
-            raise ExprError(f"QDISK_DEFAULT_N is not an integer: {env!r}", 0)
+            raise ExprError(f"QDISK_DEFAULT_N is not an integer: {env!r}", None)
     return _checked_rank(n)
 
 

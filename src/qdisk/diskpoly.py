@@ -17,8 +17,9 @@ w^(mu + e_a), and Q_n1 (x) Q_n2 moves each factor, the t's added.  Keys are inte
 an id are kept once (`_id_moves`), and `_times_q` moves a code (id1, id2) by the pairs of its factors' moves, a code
 of one factor as (0, id).  With Laurent coefficients `_horner_sum` keeps H packed at one slot width s in t = q^2, one
 accumulator per parity (`qfield`): a step adds each term onto its moves, to the other parity for odd t, then each
-product of parts of L coef_k and E_k, multiplied at their own powers of t and shifted after, and H is read back once,
-or handed over packed to the verdict of `tensor`.  Both factors come packed as they are kept, once per width: E_k by
+product of parts of L coef_k and E_k by `_products`, the one function that multiplies packed parts into the two
+accumulators (parities p, p' into p ^ p', one more t when both are odd), and H is read back once, or handed over
+packed to the verdict of `tensor`.  Both factors come packed as they are kept, once per width: E_k by
 its element (`_packed`), L coef_k by `qfield._eval_kept`.  A key of H_(k-1) C takes at most |C| = n or n1 n2 moves of
 mass 1, so with |x| the largest sum of absolute integer coefficients of one coefficient of x, |H_k| <= |C| |H_(k-1)| +
 |E_k| |L coef_k| < 2^(s-1).  The lhs of `tensor` takes it, over E_k built by key shifts.
@@ -131,16 +132,26 @@ def _horner_sum(coefs: tuple, peaks: list, fan: int, terms) -> tuple:
     for k, (coef, (e, kd, parts)) in enumerate(zip(coefs, terms(s))):
         if k:  # H_(k-1) C
             accs, kh = _times_q(accs, s, kh)
-        # a product q^(f + e') x v lands in parity (f + e') & 1, over t^kh shifted by ((f + 2 kh + e') >> 1)
-        cs = [(e + ec, _eval_kept(g, s)) for ec, g in coef]
-        if (need := max([kd - (f >> 1) for f, _ in cs], default=0)) > kh:  # over the larger power of t
+        if (need := max([kd - ((e + f) >> 1) for f, _ in coef], default=0)) > kh:  # over the larger power of t
             accs, kh = tuple({key: v << s * (need - kh) for key, v in acc.items()} for acc in accs), need
-        for f, x in cs:
-            f += 2 * kh
-            for (key, ey, _), y in zip(*parts):
-                acc = accs[(fy := f + ey) & 1]
-                acc[key] = acc.get(key, 0) + ((x * y) << (s * (fy >> 1)))
+        _products(accs, s, kh, ([(0, e + f, None) for f, _ in coef], [_eval_kept(g, s) for _, g in coef]), parts)
     return accs, s, kh
+
+
+def _products(accs: tuple, s: int, k: int, xs: tuple, ys: tuple) -> None:
+    """Add each product q^(e + e') x y of a part (code, e, _) of xs and a part (code', e', _) of ys, each given as
+    (parts, values) at width s, into the accumulators per parity over t^k at code (code << _BITS) | code': q^p t^a
+    times q^p' t^b lands in parity p ^ p' at t^(a + b + (p & p'))."""
+    for (code, e, _), x in zip(*xs):
+        code, e = code << _BITS, e + 2 * k
+        if code:  # a left factor's id, shifted
+            for (c, f, _), y in zip(*ys):
+                acc = accs[(d := e + f) & 1]
+                acc[key] = acc.get(key := code | c, 0) + ((x * y) << s * (d >> 1))
+        else:  # a scalar keeps code' as it is: 0 | code' would be a new int
+            for (key, f, _), y in zip(*ys):
+                acc = accs[(d := e + f) & 1]
+                acc[key] = acc.get(key, 0) + ((x * y) << s * (d >> 1))
 
 
 def _packed(x: Parts, s: int) -> tuple:

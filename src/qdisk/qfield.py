@@ -385,14 +385,13 @@ def _as_poly(x: PolyLike) -> Coeffs:
 class QRat:
     """An element of Q(q) in canonical reduced form."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: PolyLike = (), den: PolyLike = 1, *, _canonical: bool = False):
         if _canonical:
             self.num, self.den = num, den
         else:
             self.num, self.den = _reduce(_as_poly(num), _as_poly(den))
-        self._hash = None
 
     # -- constructors
 
@@ -533,16 +532,11 @@ class QRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            num = self.num
-            if self.den == (1,) and len(num) <= 1:
-                # an integer constant hashes as its int, as == says they are equal
-                h = hash(num[0] if num else 0)
-            else:
-                h = hash((num, self.den))
-            self._hash = h
-        return h
+        num = self.num
+        if self.den == (1,) and len(num) <= 1:
+            # an integer constant hashes as its int, as == says they are equal
+            return hash(num[0] if num else 0)
+        return hash((num, self.den))
 
     def __str__(self):
         if self.den == (1,):

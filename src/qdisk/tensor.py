@@ -27,9 +27,10 @@ them into parts.  W is a polynomial: the scalar of piece (0, 0), whose coupling 
 1/L^2, and V has each index, q included, at least twice L's.  The rhs is one packed sum, `_pair_sum`, of simple
 tensors w left (x) right over the pieces (r, s): left = X_rs I_rs is the two-level `diskpoly._chain` entry, right =
 Y_rs z_1^a w_1^b the one-level one, its keys and its parts' powers of q shifted, and w is V times a scalar whose
-denominator divides V; a product's key is one code, (id left << _BITS) | id right.  Each coefficient, at most sum_rs
-|left| |right| |w| < 2^(s-1), is read back once by `scaled_rhs`.  A passing `verify_addition` reads back neither side:
-the lhs reaches it packed, as its Horner sum leaves it (`_packed_lhs`), and its pair sum starts there.
+denominator divides V; each product is added by `diskpoly._products`, its key one code, (id left << _BITS) | id
+right.  Each coefficient, at most sum_rs |left| |right| |w| < 2^(s-1), is read back once by `scaled_rhs`.  A passing
+`verify_addition` reads back neither side: the lhs reaches it packed, as its Horner sum leaves it (`_packed_lhs`), and
+its pair sum starts there, by `_products` too.
 
 Case-independent work is done once per process, in `lru_cache` tables: `_lhs_power` (a variant's E_k, keyed by
 (variant, j, k)), `_coupling` (the coupling constants), `_rhs_pieces` (a case's rhs scalars, in tuples) and `_chain`,
@@ -42,8 +43,9 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from operator import itemgetter
 
-from .diskpoly import DiskSpec, _chain, _horner_sum, _id_moves, _jacobi, _packed
+from .diskpoly import DiskSpec, _chain, _horner_sum, _id_moves, _jacobi, _packed, _products
 from .haar import _norm
 from .qfield import (_BITS, _KEYS, _MASK, Cyclo, Parts, QRat, Record, _check_ints, _eval_kept, _eval_shift, _id, _mass,
                      _read, _split, _terms, _width, _words)
@@ -59,41 +61,33 @@ TensorElement = ZElement  # tensor elements are ZElements of rank RANKS; the for
 def _pair_sum(sides, packed: tuple = (({}, {}), 8, 0), d1: tuple = ((0, (1,)),)) -> dict:
     """Nonzero terms of sum_i w_i left_i (x) right_i z_1^a w_1^b - d1 a over the sides (left_i, right_i, (a, b),
     w_i): left_i, right_i of ranks LEFT_RANK, RIGHT_RANK in t-form and w_i, d1 parts, read packed as kept
-    (`_packed`, `_eval_kept`), a packed as `_horner_sum` leaves it (none by default); p, p' multiply into p ^ p'."""
+    (`_packed`, `_eval_kept`), a packed as `_horner_sum` leaves it (none by default); each product by `_products`."""
     (values, sa, ka), bound = packed, sum(x.peak * y.peak * _mass(w) for x, y, _, w in sides)
     # each nonzero F(2^sa) as x = n 2^(sa o), n's low slot nonzero, and n's digits, read once: a's exact peak
-    lows, masses = [[(key, x, o := ((x & -x).bit_length() - 1) // sa, _words(x >> sa * o, sa))
-                     for key, x in acc.items() if x] for acc in values], {}
-    for key, _, _, digits in lows[0] + lows[1]:
+    lows, masses = [(key, x, p, o := ((x & -x).bit_length() - 1) // sa, _words(x >> sa * o, sa))
+                    for p, acc in enumerate(values) for key, x in acc.items() if x], {}
+    for key, _, _, _, digits in lows:
         masses[key] = masses.get(key, 0) + sum(map(abs, digits))
-    s = _width((bound + max(masses.values(), default=0) * _mass(d1)).bit_length() + 1)
-    for low in lows:  # n at width s, each value's digits dropped as it is taken
-        for i, (key, x, o, digits) in enumerate(low):
-            low[i] = key, x >> sa * o if s == sa else _eval_shift(digits, s), o - ka
-    ds, packs, accs = [(f, -_eval_kept(g, s)) for f, g in d1], [], ({}, {})
+    s, ns = _width((bound + max(masses.values(), default=0) * _mass(d1)).bit_length() + 1), []
+    for i, (key, x, p, o, digits) in enumerate(lows):  # a's parts q^p t^(o - ka) n, each value's digits dropped
+        lows[i] = key, p + 2 * (o - ka), None
+        ns.append(x >> sa * o if s == sa else _eval_shift(digits, s))
+    ds, packs, accs = ([(0, f, None) for f, _ in d1], [-_eval_kept(g, s) for _, g in d1]), [], ({}, {})
     for left, right, (a, b), w in sides:
         (kx, xs), ys, ws = _packed(left, s), ([], []), [(f, _eval_kept(g, s)) for f, g in w]
         for (i, e, _), c in zip(*_packed(right, s)[1]):
             (l1, l2), (m1, m2) = _KEYS[i]
             key, e = _id(((l1 + a, l2), (m1 + b, m2))), e - a * (l2 - m2)
             for f, wv in ws:  # y z_1^a w_1^b = q^(-a (lam_2 - mu_2)) y on the shifted key, times each part of w
-                ys[(e + f) & 1].append((key, c * wv, s * ((e + f) >> 1)))
+                ys[0].append((key, e + f, None))
+                ys[1].append(c * wv)
         packs.append((kx, xs, ys))
-    # over t^k, k the largest -e of a product (a left part's is at most kx) or of a term of d1 a
-    k = -min([0, *(sy // s - kx for kx, _, ys in packs for ps in ys for _, _, sy in ps),
-              *(o + ((p + f) >> 1) for p, low in enumerate(lows) for _, _, o in low for f, _ in ds)])
-    for p, low in enumerate(lows):
-        for f, d in ds:
-            acc, e = accs[(p + f) & 1], k + ((p + f) >> 1)
-            for key, n, o in low:
-                acc[key] = acc.get(key, 0) + (n * d << s * (o + e))
-    for _, xs, ys in packs:  # q^e x, p = e & 1, times q^q' t^f y: parity p ^ q', t^(p & q') more
-        for (kl, e, _), x in zip(*xs):
-            p, o, kl = e & 1, k + (e >> 1), kl << _BITS
-            for q, ps in enumerate(ys):
-                acc, sx = accs[p ^ q], s * (o + (p & q))
-                for ky, y, sy in ps:
-                    acc[key] = acc.get(key := kl | ky, 0) + ((x * y) << (sx + sy))
+    # over t^k, k the largest -e of a product: a left part's -e is at most kx, and (e + f) >> 1 grows with a's e
+    lo = min(map(itemgetter(1), lows), default=0)
+    k = -min([0, *((e >> 1) - kx for kx, _, ys in packs for _, e, _ in ys[0]), *((lo + f) >> 1 for f, _ in d1)])
+    _products(accs, s, k, ds, (lows, ns))
+    for _, xs, ys in packs:
+        _products(accs, s, k, xs, ys)
     return _terms(_read(accs, s, k))
 
 

@@ -30,6 +30,8 @@ and `key_of` its inverse.  `packed_terms` packs an element's terms one
 coefficient at a time, in the t-form a packed Horner sum hands over, keyed by
 codes, and `t_form` and `q_form` take an element to its t-form and back,
 `t_sides` the sides of a pair sum, and `join_parts` a coefficient's parts.
+`products_termwise` is the oracle of the packed-product kernel
+`diskpoly._products`: one QRat product per pair of parts, each key decoded.
 `scalar_termwise` and `pair_termwise` are those of the pack-once Laurent
 products: one QRat product per term, or per term pair.
 
@@ -577,6 +579,16 @@ def degree(x: ZElement) -> int:
 def join_parts(parts) -> QRat:
     """sum q^e g(q^2) over parts (e, g) of `qfield._split`, by field operations: its inverse."""
     return sum((QRat([x for c in g for x in (c, 0)]) * QRat.q_power(e) for e, g in parts), ZERO)
+
+
+def products_termwise(xs, ys) -> dict:
+    """The nonzero terms {key: c} of sum q^(e + e') g(q^2) g'(q^2) over the parts (code, e, g) of xs and (code', e',
+    g') of ys, on the key of the code (code << _BITS) | code': one `QRat` product per pair of parts."""
+    out = {}
+    for code_x, e, g in xs:
+        for code_y, f, h in ys:
+            _add_into(out, key_of((code_x << _BITS) | code_y), join_parts([(e, g)]) * join_parts([(f, h)]))
+    return {key: c for key, c in out.items() if c}
 
 
 def t_form(x: ZElement) -> Parts:

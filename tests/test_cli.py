@@ -253,6 +253,12 @@ def test_spherical_command(capsys):
     assert code == 2
     assert "error" in err
 
+    # argparse refuses a malformed pair: the process exits 2
+    with pytest.raises(SystemExit) as exited:
+        main(["spherical", "--n", "3", "--l", "1", "--m", "1", "--assoc", "1"])
+    assert exited.value.code == 2
+    assert "expected R,S" in capsys.readouterr().err
+
 
 def test_verify_addition_command(capsys):
     code, out, _ = run_cli(capsys, "verify-addition",
@@ -385,11 +391,20 @@ def test_default_rank_env(capsys, monkeypatch):
     assert code == 2
     assert "out of range" in err
 
+    # a bad setting is no error of the expression: no byte offset is blamed
+    monkeypatch.setenv("QDISK_DEFAULT_N", "x3")
+    code, out, err = run_cli(capsys, "normalize", "--expr", "z[1]")
+    assert (code, out) == (2, "")
+    assert "QDISK_DEFAULT_N is not an integer: 'x3'" in err and "(byte" not in err
+
 
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "normalize", "--n", "2", "--expr", "z[2]*+z[1]")
     assert code == 2
     assert "byte 5" in err
+    code, _, err = run_cli(capsys, "normalize", "--expr", "(z[1]")
+    assert code == 2
+    assert "expected ')' (byte 5)" in err
 
 
 def test_errors_are_reported_in_reading_order(capsys):

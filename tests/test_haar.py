@@ -105,6 +105,8 @@ def test_action_invariance(n):
 def test_inner_example():
     z2 = z_gen(2, 2)
     assert inner(z2, z2) == QRat((1,), (1, 0, 1))  # 1/(1+q^2)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        inner(z2, z_gen(2, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3])

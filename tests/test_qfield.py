@@ -24,6 +24,7 @@ from qdisk.qfield import (
     poly_divexact,
     poly_gcd,
     poly_mul,
+    poly_valuation,
     qnumber,
     qpoch,
     solve_linear,
@@ -120,6 +121,7 @@ def test_eval_is_a_homomorphism(a, b):
     assert (a * b).eval_at(r) == av * bv
     if not b.is_zero() and bv != 0:
         assert (a / b).eval_at(r) == av / bv
+        assert (2 / b).eval_at(r) == 2 / bv
 
 
 def test_division_by_zero():
@@ -127,6 +129,10 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         QRat((1,), ())
+    with pytest.raises(ZeroDivisionError, match="vanishes at q = 1"):
+        QRat((1,), (1, -1)).eval_at(1)
+    with pytest.raises(ValueError, match="no valuation"):
+        poly_valuation(())
 
 
 def test_negative_powers():

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (code, eval_shift_loop, key_of, horner_sum_qform, join_parts, packed_qform, packed_terms, pair_moves,
-                    pair_sum_qform, peak, q_form, t_form, unpacked)
+                    pair_sum_qform, peak, products_termwise, q_form, t_form, unpacked)
 from qdisk import diskpoly, tensor
 from qdisk.diskpoly import DiskSpec
-from qdisk.qfield import ONE, QRat, _eval_shift, _read, _split, _terms, _width
+from qdisk.qfield import ONE, QRat, _eval_shift, _id, _read, _split, _terms, _width
 from qdisk.tensor import LEFT_RANK, RANKS, RIGHT_RANK, VARIANTS, pair, verify_addition
 from qdisk.zalgebra import ZElement, star, z_gen
 
@@ -64,6 +64,32 @@ def test_split_pack_and_read_back_return_every_coefficient(s, graded, data):
     for (key, e, _), v in zip(parts, values):
         accs[e & 1][key] = v << s * ((e >> 1) + kd)
     assert _read(accs, s, kd) == x and _terms(x) == terms and x.peak == peak(cs)
+
+
+# keys of a left factor, of a right factor and of the tensor product, for the codes of the kernel's parts
+LEFT_KEYS = [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)), ((0, 2, 1), (1, 0, 3))]
+RIGHT_KEYS = [((0, 0), (0, 0)), ((0, 1), (2, 0)), ((3, 0), (0, 1))]
+TENSOR_KEYS = [(left, right) for left in LEFT_KEYS[1:] for right in RIGHT_KEYS[1:]]
+
+
+def kernel_parts(codes):
+    """Parts (code, e, g) of both parities of e, negative e included, each code one of codes."""
+    g = st.lists(st.integers(-60, 60), min_size=1, max_size=4).filter(any).map(tuple)
+    return st.lists(st.tuples(st.sampled_from(codes), st.integers(-9, 9), g), min_size=1, max_size=5)
+
+
+@given(st.booleans(), st.integers(0, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_products_kernel_equals_one_qrat_product_per_pair_of_parts(left, extra, data):
+    # xs of a scalar (code 0) and of left ids times right ids, or of a scalar times whole codes of one factor or of
+    # the tensor product; over t^k for k the least that holds every product, or up to 3 more
+    xcodes, ycodes = (([0, *map(_id, LEFT_KEYS)], list(map(_id, RIGHT_KEYS))) if left else
+                      ([0], [code(key) for key in TENSOR_KEYS + LEFT_KEYS]))
+    xs, ys = data.draw(kernel_parts(xcodes)), data.draw(kernel_parts(ycodes))
+    s = _width(sum(sum(map(abs, g)) * sum(map(abs, h)) for _, _, g in xs for _, _, h in ys).bit_length() + 1)
+    k, accs = extra - min(0, *((e + f) >> 1 for _, e, _ in xs for _, f, _ in ys)), ({}, {})
+    diskpoly._products(accs, s, k, *((parts, [_eval_shift(g, s) for _, _, g in parts]) for parts in (xs, ys)))
+    assert _terms(_read(accs, s, k)) == products_termwise(xs, ys)
 
 
 @given(st.booleans(), st.data())

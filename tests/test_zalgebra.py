@@ -281,6 +281,8 @@ def test_embed_and_restrict_are_star_homomorphisms(n, s):
     d = random_element(rng, n, nterms=2, maxdeg=1)
     assert restrict(c * d, s) == restrict(c, s) * restrict(d, s)
     assert restrict(star(c), s) == star(restrict(c, s))
+    with pytest.raises(ValueError, match="cannot embed"):
+        embed(c, s)
 
 
 def test_restrict_example():
@@ -585,6 +587,8 @@ def test_scalar_products_equal_the_termwise_oracle(laurent, laurent_scalar, data
     c = data.draw(long_coefficients(laurent_scalar))
     assert a * c == c * a == scalar_termwise(a, c)
     assert a * 3 == scalar_termwise(a, QRat.from_int(3)) and (a * 0).is_zero()
+    one = ZElement.scalar(1, 2)
+    assert a + 1 == 1 + a == a + one and 1 - a == one - a and (a == 1) == (a == one)
 
 
 @given(st.booleans(), st.data())
